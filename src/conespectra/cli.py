@@ -178,11 +178,11 @@ def cmd_green(cfg, tol_scale=1.0):
     m1, m2 = green.special_solution_means(ctx)
     rl = green.reg_log_limit(sol_y)
     e2_gap = abs(rl - 2.0 * np.pi * match["g0"]) / max(abs(rl), 1e-30)
-    values = [{"x": _c2l(p.lam), "x_sheet": p.sheet,
-               "value": sol_y.green(p).value,
-               "error_estimate": sol_y.green(p).error_estimate}
-              for p in pts if p is not y
-              and abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
+    evals = [sol_y.green(p) for p in pts if p is not y
+             and abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
+    values = [{"x": _c2l(g.x.lam), "x_sheet": g.x.sheet,
+               "value": g.value, "error_estimate": g.error_estimate}
+              for g in evals]
     return {
         "y": {"lam": _c2l(y.lam), "sheet": y.sheet},
         "green_values": values,

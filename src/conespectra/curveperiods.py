@@ -103,14 +103,32 @@ def make_z5_curve(lambda1=0.0, r=1.0, base=None) -> Curve:
     return make_curve(bp, base=base)
 
 
-def _step_y(curve, y, lam_from, lam_to):
-    """One continuation step; |lam_to - lam_from| must be < half the
-    distance to the branch locus so every log stays principal."""
-    ratio = np.prod((lam_to - curve.branch_points) / (lam_from - curve.branch_points))
-    y = y * cmath.sqrt(ratio)
-    # snap to an exact square root to stop error accumulation
-    exact = cmath.sqrt(complex(curve.poly(lam_to)))
-    return exact if abs(y - exact) < abs(y + exact) else -exact
+def _continue_sqrt(roots, a, val, targets):
+    """Analytic continuation of sqrt(prod(lambda - roots)) from (a, val)
+    along the straight segment through targets.
+
+    The targets are visited by distance from a.  Each step stays under
+    0.45 times the distance to the nearest root, so every log stays
+    principal, and snaps to an exact square root at its end to stop
+    error accumulation: every returned value is
+    +-cmath.sqrt(complex(np.prod(t - roots))), and continuation decides
+    only the sign.
+    """
+    targets = np.asarray(targets, dtype=complex)
+    out = np.empty(targets.shape, dtype=complex)
+    pos, val = complex(a), complex(val)
+    order = np.argsort(np.abs(targets - pos))
+    for i, target in zip(order.tolist(), targets[order].tolist()):
+        while pos != target:
+            cap = 0.45 * float(np.abs(pos - roots).min())
+            rem = target - pos
+            nxt = target if abs(rem) <= cap else pos + rem * (cap / abs(rem))
+            val = val * cmath.sqrt(np.prod((nxt - roots) / (pos - roots)))
+            exact = cmath.sqrt(complex(np.prod(nxt - roots)))
+            val = exact if abs(val - exact) < abs(val + exact) else -exact
+            pos = nxt
+        out[i] = val
+    return out
 
 
 def continue_y(curve, path, y_start=None):
@@ -130,13 +148,7 @@ def continue_y(curve, path, y_start=None):
         if np.abs(a + t * seg - curve.branch_points).min() < tol:
             raise PathTooCloseToBranchPoint(
                 f"segment {a} -> {b} passes within {tol} of a branch point")
-        pos = a
-        while pos != b:
-            step_cap = 0.45 * float(np.abs(pos - curve.branch_points).min())
-            remaining = b - pos
-            nxt = b if abs(remaining) <= step_cap else pos + remaining * (step_cap / abs(remaining))
-            y = _step_y(curve, y, pos, nxt)
-            pos = nxt
+        y = complex(_continue_sqrt(curve.branch_points, a, y, [b])[0])
     return y
 
 
@@ -171,23 +183,8 @@ def loop_nodes(curve, i0, i1, panels=16):
         [(b - a) / 2 * wg for a, b in zip(edges[:-1], edges[1:])])
     lams = mid + half * np.sin(thetas)
     # track the square-root product over the remaining four branch points
-    g = cmath.sqrt(complex(np.prod(lams[0] - rest)))
-    gs = np.empty(lams.size, dtype=complex)
-    gs[0] = g
-    for k in range(1, lams.size):
-        a, b = lams[k - 1], lams[k]
-        pos, val = a, g
-        while pos != b:
-            cap = 0.45 * float(np.abs(pos - rest).min())
-            rem = b - pos
-            nxt = b if abs(rem) <= cap else pos + rem * (cap / abs(rem))
-            ratio = np.prod((nxt - rest) / (pos - rest))
-            val = val * cmath.sqrt(ratio)
-            exact = cmath.sqrt(complex(np.prod(nxt - rest)))
-            val = exact if abs(val - exact) < abs(val + exact) else -exact
-            pos = nxt
-        g = val
-        gs[k] = g
+    g0 = cmath.sqrt(complex(np.prod(lams[0] - rest)))
+    gs = _continue_sqrt(rest, lams[0], g0, lams)
     y_plus = 1j * half * np.cos(thetas) * gs
     w = weights * half * np.cos(thetas)
     return lams, w, y_plus

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._core import third_kind_values
 from .bidiff import BidiffModel, DistinguishedFrame, bergman_kernel
-from .curveperiods import Curve, SurfacePoint, _step_y
+from .curveperiods import Curve, SurfacePoint, _continue_sqrt
 from .errors import (
     CoincidentArguments,
     CoincidentPoles,
@@ -99,27 +99,9 @@ def _flip_loop(curve, lam_at, index=0):
     return approach + circle[1:] + approach[-2::-1]
 
 
-def _values_on_segment(curve, a, y_a, zs):
-    """Continued y at the (unsorted) points zs of a segment starting at a."""
-    order = np.argsort(np.abs(zs - a))
-    ys = np.empty(zs.shape, dtype=complex)
-    y, pos = y_a, a
-    for i in order:
-        target = complex(zs[i])
-        while pos != target:
-            cap = 0.45 * float(np.abs(pos - curve.branch_points).min())
-            rem = target - pos
-            nxt = target if abs(rem) <= cap else pos + rem * (cap / abs(rem))
-            y = _step_y(curve, y, pos, nxt)
-            pos = nxt
-        ys[i] = y
-    return ys
-
-
 def _continue_to(curve, a, y_a, b):
     """y at b continued from (a, y_a) along the straight segment."""
-    return complex(_values_on_segment(curve, a, y_a,
-                                      np.asarray([b], dtype=complex))[0])
+    return complex(_continue_sqrt(curve.branch_points, a, y_a, [b])[0])
 
 
 def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
@@ -128,7 +110,8 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
     f maps (lam array, y array) to an (n, k) array.  Returns (value,
     error, y_end).  The subdivision budget is per call; once exhausted
     the current embedded estimates are accepted and their discrepancy
-    enters the error bound.
+    enters the error bound.  Each subinterval is walked once, through its
+    20 + 10 Gauss nodes, its midpoint and its end.
     """
     x10, w10 = gauss_legendre(10)
     x20, w20 = gauss_legendre(20)
@@ -140,17 +123,19 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
         a, b = complex(a), complex(b)
         if a == b:
             continue
-        y_a = y_at
-        stack = [(a, b, y_a)]
+        stack = [(a, b, y_at)]
+        y_b = None
         while stack:
             lo, hi, ylo = stack.pop()
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
             z20 = mid + half * x20
-            ys20 = _values_on_segment(curve, lo, ylo, z20)
-            hi_est = half * np.tensordot(w20, f(z20, ys20), axes=(0, 0))
             z10 = mid + half * x10
-            ys10 = _values_on_segment(curve, lo, ylo, z10)
-            lo_est = half * np.tensordot(w10, f(z10, ys10), axes=(0, 0))
+            ys = _continue_sqrt(curve.branch_points, lo, ylo,
+                                np.concatenate([z20, z10, [mid, hi]]))
+            if y_b is None:
+                y_b = complex(ys[-1])
+            hi_est = half * np.tensordot(w20, f(z20, ys[:20]), axes=(0, 0))
+            lo_est = half * np.tensordot(w10, f(z10, ys[20:30]), axes=(0, 0))
             err = float(np.abs(hi_est - lo_est).max())
             scale = float(np.abs(hi_est).max())
             if (err <= max(tol, 1e-10 * scale) or used >= budget
@@ -159,13 +144,30 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
                 total_err += err
             else:
                 used += 1
-                ymid = _continue_to(curve, lo, ylo, mid)
                 stack.append((lo, mid, ylo))
-                stack.append((mid, hi, ymid))
-        y_at = _continue_to(curve, a, y_a, b)
+                stack.append((mid, hi, ys[-2]))
+        y_at = y_b
     if total is None:
         raise NonConvergence("empty integration path")
     return total, total_err, y_at
+
+
+def _integrate_to(curve, lam0, y0, point: SurfacePoint, f):
+    """Integral of f from (lam0, y0) to the sheet-resolved point, with its
+    error: along build_path, then once around _flip_loop if the path
+    arrives on the other sheet."""
+    val, err, y_end = integrate_vector_path(
+        curve, build_path(curve, lam0, point.lam), y0, f)
+    y_t = complex(curve.y_at(np.asarray(point.lam, complex), point.sheet))
+    if abs(y_end - y_t) > abs(y_end + y_t):
+        tail, e1, y_end = integrate_vector_path(
+            curve, _flip_loop(curve, point.lam), y_end, f)
+        val = val + tail
+        err += e1
+    if abs(y_end - y_t) > 1e-6 * max(1.0, abs(y_t)):
+        raise ConsistencyFailure(
+            f"sheet tracking lost on the path to {point.lam}")
+    return val, err
 
 
 def _moment_integrand(zs, ys):
@@ -206,22 +208,6 @@ def _correction_pcoef(model, moments):
     return pcoef, abel
 
 
-def _track_moments(curve, lam0, y0, point: SurfacePoint):
-    """Moment vector from (lam0, y0) to the sheet-resolved target point."""
-    verts = build_path(curve, lam0, point.lam)
-    moments, _, y_end = integrate_vector_path(curve, verts, y0,
-                                              _moment_integrand)
-    y_t = complex(curve.y_at(np.asarray(point.lam, complex), point.sheet))
-    if abs(y_end - y_t) > abs(y_end + y_t):
-        loop = _flip_loop(curve, point.lam)
-        extra, _, y_end = integrate_vector_path(curve, loop, y_end,
-                                                _moment_integrand)
-        moments = moments + extra
-    if abs(y_end - y_t) > 1e-6 * max(1.0, abs(y_t)):
-        raise ConsistencyFailure("sheet tracking lost along the pole path")
-    return moments
-
-
 def third_kind_form(model: BidiffModel, p: SurfacePoint,
                     q: SurfacePoint) -> ThirdKindForm:
     """Unique differential of the third kind with poles p (+1) and q (-1)
@@ -232,7 +218,7 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
         raise CoincidentPoles("third-kind poles coincide")
     y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
     y_p = complex(curve.y_at(np.asarray(p.lam, complex), p.sheet))
-    moments = _track_moments(curve, q.lam, y_q, p)
+    moments, _ = _integrate_to(curve, q.lam, y_q, p, _moment_integrand)
     pcoef, abel = _correction_pcoef(model, moments)
     return ThirdKindForm(p=p, q=q, curve=curve, y_p=y_p, y_q=y_q,
                          pcoef=pcoef, abel=abel)
@@ -245,12 +231,17 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
 @dataclass
 class SurfaceTree:
     """Spanning tree over the nodes of a surface grid with sheet-tracked
-    straight edges; construction is deterministic."""
+    straight edges; construction is deterministic.
+
+    y_plus is y continued from the base point along the tree.  Its sheet,
+    called +1 by the tree users, is the sheet of that continuation, not
+    the reference sheet of Curve.y_at(lam, +1): on the generic curve's
+    (12, 16) grid about 30% of the nodes sit on reference sheet -1."""
 
     grid: object
     parent: np.ndarray
     order: np.ndarray          # visit order, root first
-    y_plus: np.ndarray         # continued y on sheet +1 at every node
+    y_plus: np.ndarray         # y continued along the tree at every node
     root: int
 
 
@@ -293,34 +284,29 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
 
 def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
-    the tree edges, per sheet.
+    the tree edges, on the sheet of the tree continuation (tree.y_plus).
 
-    Sheet -1 values start from the root value continued around a branch
-    point.  Returns (vals_plus, vals_minus, flip_vector, error)."""
+    Each edge is integrated once.  The flip vector is the integral of f
+    around the sheet connector at the root, a loop around one branch
+    point from y_plus[root] to -y_plus[root]; a caller that needs the
+    other sheet stacks f(lam, -y) as extra columns and adds the flip of
+    the matching columns.  Returns (vals, flip_vector, error)."""
     lam = tree.grid.nodes
-    n = lam.size
-    plus = np.zeros((n, k), dtype=complex)
-    minus = np.zeros((n, k), dtype=complex)
-    err = 0.0
+    vals = np.zeros((lam.size, k), dtype=complex)
     loop = _flip_loop(curve, lam[tree.root])
     y_root = tree.y_plus[tree.root]
-    flip, e, y_end = integrate_vector_path(curve, loop, y_root, f,
-                                           tol=tol, budget=200)
-    err += e
+    flip, err, y_end = integrate_vector_path(curve, loop, y_root, f,
+                                             tol=tol, budget=200)
     if abs(y_end + y_root) > 1e-6 * max(1.0, abs(y_root)):
         raise ConsistencyFailure("sheet connector did not flip the sheet")
-    minus[tree.root] = flip
     for i in tree.order[1:]:
         j = tree.parent[i]
-        seg = [lam[j], lam[i]]
-        vp, ep, _ = integrate_vector_path(curve, seg, tree.y_plus[j], f,
-                                          tol=tol, budget=budget)
-        vm, em, _ = integrate_vector_path(curve, seg, -tree.y_plus[j], f,
-                                          tol=tol, budget=budget)
-        plus[i] = plus[j] + vp
-        minus[i] = minus[j] + vm
-        err += ep + em
-    return plus, minus, flip, err
+        v, e, _ = integrate_vector_path(curve, [lam[j], lam[i]],
+                                        tree.y_plus[j], f, tol=tol,
+                                        budget=budget)
+        vals[i] = vals[j] + v
+        err += e
+    return vals, flip, err
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +324,7 @@ class GreenContext:
     p_grid: object
     q_grid: object
     q_tree: SurfaceTree
-    m_plus: np.ndarray         # (n, 5) moments to q nodes, sheet +1
+    m_plus: np.ndarray         # (n, 5) moments to q nodes at q_tree.y_plus
     m_flip: np.ndarray         # moments along the sheet connector
     cauchy_w: np.ndarray       # real per-node weights W_i (one sheet)
     moll_radius: float         # mollification radius of the log potential
@@ -349,7 +335,8 @@ class GreenContext:
         """Moment vector int_root^point lambda^k dlambda / y."""
         lam_r = self.q_tree.grid.nodes[self.q_tree.root]
         y_r = self.q_tree.y_plus[self.q_tree.root]
-        return _track_moments(self.curve, lam_r, y_r, point)
+        return _integrate_to(self.curve, lam_r, y_r, point,
+                             _moment_integrand)[0]
 
     def averaged_pcoef(self, y: SurfacePoint):
         """Correction polynomial of the q-averaged form Omega_bar_y.
@@ -417,7 +404,7 @@ def green_context(model: BidiffModel, frame: DistinguishedFrame,
     cauchy_w = q_grid.weights * dens_q
     area = 2.0 * float(cauchy_w.sum())
     q_tree = build_surface_tree(curve, q_grid)
-    m_plus, _, m_flip, _ = accumulate_tree(curve, q_tree, _moment_integrand, 5)
+    m_plus, m_flip, _ = accumulate_tree(curve, q_tree, _moment_integrand, 5)
     center = curve.branch_points.mean()
     rb = np.abs(curve.branch_points - center).max()
     inhull = np.abs(q_grid.nodes - center) < 1.5 * rb
@@ -456,11 +443,11 @@ class GreenSolver:
         self.y_val = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
         self.pcoef, self.abel = ctx.averaged_pcoef(y)
         self.p_tree = build_surface_tree(curve, ctx.p_grid)
-        up, um, _, err = accumulate_tree(curve, self.p_tree,
-                                         self._harm_col, 1, tol=tol)
+        vals, flip, err = accumulate_tree(curve, self.p_tree,
+                                          self._harm_both, 2, tol=tol)
         t_nodes = ctx.log_potential(ctx.p_grid.nodes)
-        self.u_plus = up[:, 0].real + t_nodes
-        self.u_minus = um[:, 0].real + t_nodes
+        self.u_plus = vals[:, 0].real + t_nodes
+        self.u_minus = (flip[0] + vals[:, 1]).real + t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
         self.mean_u = float((w * (self.u_plus + self.u_minus)).sum()
                             / ctx.area)
@@ -474,6 +461,13 @@ class GreenSolver:
         return self.ctx.harm_values(self.y, self.y_val, self.pcoef,
                                     zs, ys)[:, None]
 
+    def _harm_both(self, zs, ys):
+        """The averaged form on the tree sheet and on the other sheet."""
+        harm = self.ctx.harm_values
+        return np.stack([harm(self.y, self.y_val, self.pcoef, zs, ys),
+                         harm(self.y, self.y_val, self.pcoef, zs, -ys)],
+                        axis=1)
+
     def u_at(self, x: SurfacePoint):
         """Re int_root^x of Omega_bar_y with its quadrature error; the
         real part is path independent (all loop integrals of the averaged
@@ -482,22 +476,10 @@ class GreenSolver:
         The Cauchy-sum part of the integral is the closed-form
         log_potential, evaluated at the endpoint (the root value is a
         constant absorbed by the mean subtraction)."""
-        curve = self.ctx.curve
         lam_r = self.p_tree.grid.nodes[self.p_tree.root]
-        verts = build_path(curve, lam_r, x.lam)
-        val, err, y_end = integrate_vector_path(
-            curve, verts, self.p_tree.y_plus[self.p_tree.root],
-            self._harm_col, budget=200)
-        y_x = complex(curve.y_at(np.asarray(x.lam, complex), x.sheet))
-        if abs(y_end - y_x) > abs(y_end + y_x):
-            loop = _flip_loop(curve, x.lam)
-            tail, e1, y_end = integrate_vector_path(curve, loop, y_end,
-                                                    self._harm_col,
-                                                    budget=200)
-            val = val + tail
-            err += e1
-        if abs(y_end - y_x) > 1e-6 * max(1.0, abs(y_x)):
-            raise ConsistencyFailure("sheet tracking lost on the x path")
+        val, err = _integrate_to(self.ctx.curve, lam_r,
+                                 self.p_tree.y_plus[self.p_tree.root], x,
+                                 self._harm_col)
         t_x = float(self.ctx.log_potential(np.asarray(x.lam, complex)))
         return float(val[0].real) + t_x, err
 
@@ -603,7 +585,9 @@ def special_solution_grid(ctx: GreenContext):
     """G_{1/xi} and G_{1/xi^2} at every q-grid node on both sheets.
 
     The tree moments make the whole grid one vectorized Cauchy sum.
-    Returns ((g1_plus, g1_minus), (g2_plus, g2_minus), weights)."""
+    Returns ((g1_plus, g1_minus), (g2_plus, g2_minus), weights); "plus"
+    is the node at y = q_tree.y_plus (the tree sheet, which need not be
+    reference sheet +1), "minus" the node at -q_tree.y_plus."""
     n = 32
     r = _xi_circle_radius(ctx)
     _, lam, yv, dlam_dxi = _cone_circle(ctx, r, n)

@@ -1,10 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conespectra.curveperiods import (
     SurfacePoint,
+    _continue_sqrt,
     continue_y,
     curve_from_json,
     curve_to_json,
@@ -92,6 +96,40 @@ class TestContinuation:
         end = -2.0 + 0.1j
         y = continue_y(self.curve, [self.curve.base_point, end])
         assert abs(y ** 2 - self.curve.poly(end)) < 1e-10 * abs(y) ** 2
+
+
+coord = st.floats(min_value=-2.0, max_value=2.0)
+CURVES = {"z5": make_z5_curve(), "generic": make_curve(GENERIC_BP)}
+
+
+class TestContinueSqrt:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(CURVES)), coord, coord, coord, coord,
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                    max_size=8),
+           st.sampled_from([1, -1]))
+    def test_exact_roots_and_path_consistency(self, name, ax, ay, bx, by,
+                                              ts, sign):
+        roots = CURVES[name].branch_points
+        a, b = complex(ax, ay), complex(bx, by)
+        seg = b - a
+        assume(abs(seg) > 1e-3)
+        t = np.clip(((roots - a) / seg).real, 0.0, 1.0)
+        assume(np.abs(a + t * seg - roots).min() > 0.05)
+        # the drawn targets, then a dense grid on which y must be continuous
+        dense = np.linspace(0.0, 1.0, 2001)
+        targets = a + np.concatenate([ts, dense]) * seg
+        val = sign * cmath.sqrt(complex(np.prod(a - roots)))
+        out = _continue_sqrt(roots, a, val, targets)
+        for z, v in zip(targets, out):
+            exact = cmath.sqrt(complex(np.prod(complex(z) - roots)))
+            assert v == exact or v == -exact
+        for z, v in zip(targets[:len(ts)], out):
+            # one target at a time, each walked from a on its own
+            assert _continue_sqrt(roots, a, val, [z])[0] == v
+        line = out[len(ts):]
+        assert line[0] == val
+        assert (np.abs(np.diff(line)) < np.abs(line[1:] + line[:-1])).all()
 
 
 class TestPeriodData:

@@ -138,6 +138,22 @@ class TestRoelckeGreen:
         g_yx = green.GreenSolver(ctx, x).green(solver.y).value
         assert abs(g_xy - g_yx) < 1e-2
 
+    def test_tree_values_match_path_integrals(self, ctx, solver):
+        # u_plus / u_minus hold u at the tree sheet and at the other one;
+        # the tree sheet is read off y_plus, not assumed to be sheet +1
+        tree = solver.p_tree
+        nodes = [i for i in np.linspace(0, ctx.p_grid.n_nodes - 1, 9,
+                                        dtype=int) if i != tree.root][:8]
+        for i in nodes:
+            lam = complex(ctx.p_grid.nodes[i])
+            ref = complex(ctx.curve.y_at(np.asarray(lam), 1))
+            s = 1 if abs(tree.y_plus[i] - ref) < abs(tree.y_plus[i] + ref) \
+                else -1
+            assert abs(solver.u_plus[i]
+                       - solver.u_at(SurfacePoint(lam, s))[0]) < 1e-8, i
+            assert abs(solver.u_minus[i]
+                       - solver.u_at(SurfacePoint(lam, -s))[0]) < 1e-8, i
+
     def test_mean_zero_independent_grid(self, ctx, solver):
         # quadrature over a third staggered grid that shares no nodes
         grid = build_surface_grid(ctx.curve.branch_points,
