@@ -19,6 +19,7 @@ from .curveperiods import (
     curve_from_json,
     curve_to_json,
     make_curve,
+    metric_area,
     period_data,
 )
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     NonConvergence,
     NotABranchPoint,
 )
-from .numerics import QuadratureConfig, integrate_surface
+from .numerics import QuadratureConfig
 
 SCHEMA = "cone-spectra/1"
 EXIT_VALIDATION = 2
@@ -65,19 +66,30 @@ def _quad_config(cfg):
     return QuadratureConfig(**kwargs)
 
 
-def _curve(cfg):
+# stages built once per run() and shared by its commands; None outside run()
+_stages = None
+
+
+def _stage(name, build):
+    if _stages is None:
+        return build()
+    if name not in _stages:
+        _stages[name] = build()
+    return _stages[name]
+
+
+def _period_data(cfg):
     if "curve" not in cfg:
         raise DomainError("config lacks a 'curve' entry")
-    return curve_from_json(cfg["curve"])
+    return _stage("period_data", lambda: period_data(
+        *curve_from_json(cfg["curve"]), _quad_config(cfg)))
 
 
-def _model(cfg, curve=None, cone_point=None):
-    if curve is None:
-        curve, cone_point = _curve(cfg)
-    qc = _quad_config(cfg)
-    pd = period_data(curve, cone_point, qc)
-    model = bidiff.normalize_bidifferential(curve, pd)
-    frame = bidiff.distinguished_frame(curve, pd, cone_point,
+def _model(cfg, pd=None):
+    if pd is None:
+        return _stage("model", lambda: _model(cfg, _period_data(cfg)))
+    model = bidiff.normalize_bidifferential(pd.curve, pd)
+    frame = bidiff.distinguished_frame(pd.curve, pd, pd.cone_point,
                                        order=int(cfg.get("series_order", 20)))
     model = bidiff.h_expansion(model, frame,
                                order=int(cfg.get("h_order", 8)))
@@ -86,9 +98,7 @@ def _model(cfg, curve=None, cone_point=None):
 
 
 def cmd_periods(cfg, tol_scale=1.0):
-    curve, cone_point = _curve(cfg)
-    qc = _quad_config(cfg)
-    pd = period_data(curve, cone_point, qc)
+    pd = _period_data(cfg)
     b = pd.Bmat
     sym = float(np.abs(b - b.T).max())
     eig = np.linalg.eigvalsh((b.imag + b.imag.T) / 2.0)
@@ -96,17 +106,8 @@ def cmd_periods(cfg, tol_scale=1.0):
 
     # area stability probed on a fixed fine grid and its doubling; the
     # sqrt-weight charts need that resolution before Gauss accuracy sets in
-    lam_p = curve.branch_points[cone_point]
-    weight = lambda lam: np.abs(lam - lam_p) ** 2 / np.abs(curve.poly(lam))
-
-    def area_on(grid):
-        qcf = QuadratureConfig(surface_grid=(grid[0], grid[1], None))
-        return float(np.real(integrate_surface(
-            lambda lam, sheet: 1.0, weight, qcf,
-            branch_points=curve.branch_points)))
-
-    area1 = area_on((96, 128))
-    area2 = area_on((192, 256))
+    area1, area2 = (metric_area(pd.curve, pd.cone_point, QuadratureConfig(
+        surface_grid=grid)) for grid in ((96, 128, None), (192, 256, None)))
     checks = [
         _check("period_matrix_symmetry", sym, 1e-8 * tol_scale),
         _check("a_period_normalization", anorm, 1e-8 * tol_scale),
@@ -115,7 +116,7 @@ def cmd_periods(cfg, tol_scale=1.0):
          "tolerance": 0.0, "passed": bool(eig.min() > 0)},
     ]
     return {
-        "curve": curve_to_json(curve, cone_point),
+        "curve": curve_to_json(pd.curve, pd.cone_point),
         "period_matrix": [[_c2l(z) for z in row] for row in b],
         "area": area2,
         "area_error_estimate": abs(area2 - area1),
@@ -208,8 +209,8 @@ def cmd_green(cfg, tol_scale=1.0):
 
 
 def cmd_z5_audit(cfg, tol_scale=1.0):
-    curve, cone_point = _curve(cfg)
-    model, _ = _model(cfg, curve, cone_point)
+    model, _ = _model(cfg)
+    curve, cone_point = model.curve, model.periods.cone_point
     sm = smatrix.t_matrix_zero(model)
     rep = smatrix.report(sm, tol=1e-6 * tol_scale)
     scale = float(np.abs(sm.T0).max())
@@ -231,7 +232,8 @@ def cmd_z5_audit(cfg, tol_scale=1.0):
     shift = float(cfg.get("perturbation", 0.05))
     bp = list(curve.branch_points.copy())
     bp[(cone_point + 3) % 6] += shift
-    model2, _ = _model(cfg, make_curve(bp), cone_point)
+    model2, _ = _model(cfg, period_data(make_curve(bp), cone_point,
+                                        _quad_config(cfg)))
     sm2 = smatrix.t_matrix_zero(model2)
     ndet2 = smatrix.normalized_det(sm2)
     checks.append({"name": "perturbation_lifts_degeneracy",
@@ -274,11 +276,16 @@ def _summary(report):
 
 
 def run(cfg, commands, tol_scale=1.0):
+    global _stages
     results = {}
-    for name in commands:
-        if name not in _COMMANDS:
-            raise DomainError(f"unknown command '{name}'")
-        results[name] = _COMMANDS[name](cfg, tol_scale)
+    _stages = {}
+    try:
+        for name in commands:
+            if name not in _COMMANDS:
+                raise DomainError(f"unknown command '{name}'")
+            results[name] = _COMMANDS[name](cfg, tol_scale)
+    finally:
+        _stages = None
     echo = {k: v for k, v in cfg.items() if k != "out"}
     return {
         "schema": SCHEMA,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, PoleEvaluation
 from .numerics import gamma
@@ -54,6 +53,7 @@ def bessel_k(nu, x):
         raise DomainError(f"order must lie in (0, 1), got {nu}")
     if not x > 0:
         raise DomainError(f"argument must be positive, got {x}")
+    from scipy import special  # deferred: most of the package import time
     return float(special.kv(nu, x))
 
 
@@ -63,6 +63,7 @@ def bessel_i(nu, x):
         raise DomainError(f"order must lie in (0, 1), got {nu}")
     if not x > 0:
         raise DomainError(f"argument must be positive, got {x}")
+    from scipy import special
     return float(special.iv(nu, x))
 
 

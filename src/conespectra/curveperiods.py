@@ -11,9 +11,8 @@ part), and everything consumed downstream is basis-independent.
 from __future__ import annotations
 
 import cmath
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -224,7 +223,7 @@ class PeriodData:
     C: np.ndarray
     Bmat: np.ndarray
     Pi: np.ndarray
-    area: float
+    cfg: QuadratureConfig
     basis: str = "std"
     pairs: tuple = ()
     signs: tuple = ()
@@ -233,6 +232,11 @@ class PeriodData:
     @property
     def im_b_inverse(self):
         return np.linalg.inv(self.Bmat.imag)
+
+    @cached_property
+    def area(self):
+        """Metric area on the surface grid of cfg, integrated on first read."""
+        return metric_area(self.curve, self.cone_point, self.cfg)
 
 
 _BASES = {
@@ -287,17 +291,27 @@ def period_data(curve, cone_point, cfg: QuadratureConfig | None = None,
     C = np.linalg.inv(A)
     Pi = np.array([[cycle_period(c, signs, m) for c in spec["a"]]
                    for m in powers])
+    return PeriodData(curve=curve, cone_point=cone_point, A=A, B=B, C=C,
+                      Bmat=Bmat, Pi=Pi, cfg=cfg, basis=basis,
+                      pairs=tuple(pairs[:5]), signs=tuple(signs), bsign=bsign)
 
+
+def metric_density(curve, lam_p, lam):
+    """|omega / dlambda|^2 = |lambda - lambda_P|^2 / |prod(lambda - lambda_j)|,
+    the density of the flat conical metric on either sheet."""
+    return np.abs(lam - lam_p) ** 2 / np.abs(curve.poly(lam))
+
+
+def metric_area(curve, cone_point, cfg: QuadratureConfig):
+    """Area of the flat conical metric |omega|^2: the two-sheet integral
+    of metric_density on the surface grid of cfg."""
     lam_p = curve.branch_points[cone_point]
-    weight = lambda lam: np.abs(lam - lam_p) ** 2 / np.abs(curve.poly(lam))
-    area = integrate_surface(lambda lam, sheet: 1.0, weight, cfg,
-                             branch_points=curve.branch_points)
-    area = float(np.real(area))
+    area = float(np.real(integrate_surface(
+        lambda lam, sheet: 1.0, lambda lam: metric_density(curve, lam_p, lam),
+        cfg, branch_points=curve.branch_points)))
     if area <= 0:
         raise ConsistencyFailure(f"nonpositive area {area}")
-    return PeriodData(curve=curve, cone_point=cone_point, A=A, B=B, C=C,
-                      Bmat=Bmat, Pi=Pi, area=area, basis=basis,
-                      pairs=tuple(pairs[:5]), signs=tuple(signs), bsign=bsign)
+    return area
 
 
 def cycle_integral(pd: PeriodData, kind, idx, integrand, panels=24):

@@ -25,7 +25,8 @@ import numpy as np
 
 from ._core import third_kind_values
 from .bidiff import BidiffModel, DistinguishedFrame, bergman_kernel
-from .curveperiods import Curve, SurfacePoint, _continue_sqrt
+from .curveperiods import (Curve, SurfacePoint, _continue_sqrt,
+                           metric_density)
 from .errors import (
     CoincidentArguments,
     CoincidentPoles,
@@ -198,8 +199,8 @@ class ThirdKindForm:
 
 def _correction_pcoef(model, moments):
     """Degree-4 polynomial coefficients carried by the moment vector
-    M_k = int_q^p lambda^k dlambda / y, including the imaginary-period
-    normalization term."""
+    M_k = int_q^p lambda^k dlambda / y (a (5, n) matrix gives one column
+    per node), including the imaginary-period normalization term."""
     pcoef = 0.25 * (model.raw.q @ moments)
     cn = model.periods.C
     abel = cn @ moments[:2]
@@ -385,12 +386,6 @@ class GreenContext:
         return -(self.cauchy_w * phi).sum(axis=-1) / self.area
 
 
-def _density(curve, cone_lam, lam):
-    num = np.abs(lam - cone_lam) ** 2
-    den = np.abs(np.prod(lam[:, None] - curve.branch_points[None, :], axis=1))
-    return num / den
-
-
 def green_context(model: BidiffModel, frame: DistinguishedFrame,
                   cfg: QuadratureConfig | None = None) -> GreenContext:
     """Build the reusable context; cfg.surface_grid sets the resolution
@@ -399,8 +394,8 @@ def green_context(model: BidiffModel, frame: DistinguishedFrame,
     curve = model.curve
     p_grid = build_surface_grid(curve.branch_points, cfg)
     q_grid = build_surface_grid(curve.branch_points, cfg, stagger=0.31)
-    dens_q = _density(curve, frame.lam_p, q_grid.nodes)
-    dens_p = _density(curve, frame.lam_p, p_grid.nodes)
+    dens_q = metric_density(curve, frame.lam_p, q_grid.nodes)
+    dens_p = metric_density(curve, frame.lam_p, p_grid.nodes)
     cauchy_w = q_grid.weights * dens_q
     area = 2.0 * float(cauchy_w.sum())
     q_tree = build_surface_tree(curve, q_grid)
@@ -594,7 +589,6 @@ def special_solution_grid(ctx: GreenContext):
     cauchy = (ctx.cauchy_w / (lam[:, None] - ctx.q_grid.nodes[None, :])
               ).sum(axis=1) / ctx.area
     lam_q = ctx.q_grid.nodes
-    cn = ctx.model.periods.C
     powers = np.power.outer(lam, np.arange(5))          # (n, 5)
     out = []
     for sheet, m_nodes in ((1, ctx.m_plus),
@@ -602,12 +596,8 @@ def special_solution_grid(ctx: GreenContext):
         yq = sheet * ctx.q_tree.y_plus
         a_y = (yv[:, None] + yq[None, :]) / (
             2.0 * yv[:, None] * (lam[:, None] - lam_q[None, :]))
-        mv = (m_nodes - 0.5 * ctx.m_flip).T             # (5, n_nodes)
-        qm = 0.25 * (ctx.model.raw.q @ mv)
-        abel = cn @ mv[:2]
-        e = ctx.model.c @ abel - 2j * np.pi * (
-            ctx.model.periods.im_b_inverse @ abel.imag)
-        qm[:2] += cn.T @ e
+        qm, _ = _correction_pcoef(ctx.model,
+                                  (m_nodes - 0.5 * ctx.m_flip).T)
         poly = powers @ qm                              # (n, n_nodes)
         samples = (a_y - cauchy[:, None] + poly / yv[:, None]) \
             * dlam_dxi[:, None]
@@ -761,7 +751,6 @@ def g_hol(ctx: GreenContext, x: SurfacePoint, y: SurfacePoint) -> complex:
         raise GridTooCoarse("g_hol needs a denser surface grid")
     curve = ctx.curve
     lam_q = ctx.q_grid.nodes
-    cn = ctx.model.periods.C
     y_x = complex(curve.y_at(np.asarray(x.lam, complex), x.sheet))
     y_y = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
     cx = (ctx.cauchy_w / (x.lam - lam_q)).sum() / ctx.area
@@ -772,12 +761,8 @@ def g_hol(ctx: GreenContext, x: SurfacePoint, y: SurfacePoint) -> complex:
     for sheet, m_nodes in ((1, ctx.m_plus),
                            (-1, ctx.m_flip[None, :] - ctx.m_plus)):
         yq = sheet * ctx.q_tree.y_plus
-        mv = (m_nodes - 0.5 * ctx.m_flip).T
-        qm = 0.25 * (ctx.model.raw.q @ mv)
-        abel = cn @ mv[:2]
-        e = ctx.model.c @ abel - 2j * np.pi * (
-            ctx.model.periods.im_b_inverse @ abel.imag)
-        qm[:2] += cn.T @ e
+        qm, _ = _correction_pcoef(ctx.model,
+                                  (m_nodes - 0.5 * ctx.m_flip).T)
         gx = ((y_x + yq) / (2.0 * y_x * (x.lam - lam_q)) - cx
               + (pw_x @ qm) / y_x) / (4.0 * np.pi)
         gy = ((y_y + yq) / (2.0 * y_y * (y.lam - lam_q)) - cy

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -296,14 +296,6 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-
-    def scaled(self, factor):
-        return QuadratureConfig(
-            self.rel_tol * factor,
-            self.abs_tol * factor,
-            self.max_subdivisions,
-            self.surface_grid,
-        )
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ from conespectra.curveperiods import (
     cycle_integral,
     make_curve,
     make_z5_curve,
+    metric_density,
     period_data,
 )
 from conespectra.numerics import (
@@ -300,7 +301,7 @@ def test_criterion_7_green_suite(z5_model):
     grid = build_surface_grid(curve.branch_points,
                               QuadratureConfig(surface_grid=(6, 8, None)),
                               stagger=0.61)
-    dens = green._density(curve, frame.lam_p, grid.nodes)
+    dens = metric_density(curve, frame.lam_p, grid.nodes)
     w = grid.weights * dens
     mean = sum(w[i] * (sol.green(SurfacePoint(complex(l), 1)).value
                        + sol.green(SurfacePoint(complex(l), -1)).value)
@@ -340,7 +341,7 @@ def test_criterion_7_green_suite(z5_model):
         g0 = sol_f.green(SurfacePoint(z, 1)).value
         s = sum(sol_f.green(SurfacePoint(z + d, 1)).value
                 for d in (h, -h, 1j * h, -1j * h))
-        lap = (s - 4 * g0) / h ** 2 / green._density(curve, frame.lam_p,
+        lap = (s - 4 * g0) / h ** 2 / metric_density(curve, frame.lam_p,
                                                      np.asarray([z]))[0]
         lap_gap = max(lap_gap, abs(lap + 1.0 / fine.area) * fine.area)
 

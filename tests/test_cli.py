@@ -1,16 +1,26 @@
 """Batch front-end: config parsing, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conespectra import cli
+import conespectra
+from conespectra import bidiff, cli
 from conespectra.errors import ConsistencyFailure, NonConvergence
 
 Z5_CFG = {
     "curve": {"z5": {"lambda1": [0.0, 0.0], "r": 1.0}, "cone_point": 0},
     "surface_grid": [12, 16],
 }
+
+
+# byte-exact report of the benchmark's cli-batch config with lambdas [-1, -4]
+REFERENCE_REPORT = (Path(__file__).resolve().parents[1] / "stagebench"
+                    / "reference" / "cli_batch_0.json")
 
 
 def write_cfg(tmp_path, extra, name="cfg.json"):
@@ -140,3 +150,53 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "cone", boom)
         cfg = write_cfg(tmp_path, {"commands": ["cone"]})
         assert cli.main(["--config", cfg]) == cli.EXIT_INTERNAL
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStageSharing:
+    def test_one_period_data_per_curve(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, cli, "period_data")
+        cfg = write_cfg(tmp_path, {"commands": ["periods", "smatrix",
+                                                "cone", "z5-audit"]})
+        out = str(tmp_path / "report.json")
+        assert cli.main(["--config", cfg, "--out", out]) == 0
+        # the config's curve and z5-audit's perturbed curve
+        assert len(calls) == 2
+        # nothing is kept from one run to the next
+        assert cli.main(["--config", cfg, "--out", out]) == 0
+        assert len(calls) == 4
+
+    def test_periods_alone_builds_no_frame(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, bidiff, "distinguished_frame")
+        cfg = write_cfg(tmp_path, {"commands": ["periods"]})
+        out = str(tmp_path / "report.json")
+        assert cli.main(["--config", cfg, "--out", out]) == 0
+        assert calls == []
+
+    def test_report_matches_stored_reference(self, tmp_path):
+        ref = REFERENCE_REPORT.read_bytes()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(ref)["config"]))
+        out = tmp_path / "report.json"
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == ref
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = os.path.dirname(os.path.dirname(conespectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, conespectra.cli; "
+            "print('scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

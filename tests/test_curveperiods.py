@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conespectra import curveperiods
 from conespectra.curveperiods import (
     SurfacePoint,
     _continue_sqrt,
@@ -14,6 +15,7 @@ from conespectra.curveperiods import (
     curve_to_json,
     make_curve,
     make_z5_curve,
+    metric_area,
     normalized_differentials,
     period_data,
     singular_differential,
@@ -154,6 +156,21 @@ class TestPeriodData:
                             QuadratureConfig(surface_grid=(96, 128, None)))
         assert fine.area > 0
         assert abs(fine.area - finer.area) < 1e-4 * finer.area
+
+    def test_area_computed_on_first_read(self, monkeypatch):
+        calls = []
+        integrate = curveperiods.integrate_surface
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(curveperiods, "integrate_surface", counted)
+        pd = period_data(self.curve, 0, COARSE)
+        assert calls == []
+        area = pd.area
+        assert pd.area == area
+        assert len(calls) == 1
+        assert area == metric_area(self.curve, 0, COARSE)
 
     def test_alternative_basis_agrees_on_invariants(self):
         alt = period_data(self.curve, 0, COARSE, basis="alt")

@@ -10,6 +10,7 @@ from conespectra.curveperiods import (
     cycle_integral,
     make_curve,
     make_z5_curve,
+    metric_density,
     period_data,
 )
 from conespectra.errors import (
@@ -159,7 +160,7 @@ class TestRoelckeGreen:
         grid = build_surface_grid(ctx.curve.branch_points,
                                   QuadratureConfig(surface_grid=(6, 8, None)),
                                   stagger=0.61)
-        dens = green._density(ctx.curve, ctx.frame.lam_p, grid.nodes)
+        dens = metric_density(ctx.curve, ctx.frame.lam_p, grid.nodes)
         w = grid.weights * dens
         mean = sum(w[i] * (solver.green(SurfacePoint(complex(l), 1)).value
                            + solver.green(SurfacePoint(complex(l), -1)).value)
@@ -186,7 +187,7 @@ class TestRoelckeGreen:
             g0 = sol.green(SurfacePoint(z, 1)).value
             s = sum(sol.green(SurfacePoint(z + d, 1)).value
                     for d in (h, -h, 1j * h, -1j * h))
-            dens = green._density(model.curve, frame.lam_p,
+            dens = metric_density(model.curve, frame.lam_p,
                                   np.asarray([z]))[0]
             lap = (s - 4 * g0) / h ** 2 / dens
             assert abs(lap + 1.0 / fine.area) < 0.08 / fine.area, z
