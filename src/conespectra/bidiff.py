@@ -86,10 +86,6 @@ class RawBidifferential:
         return complex(self.values(x1.lam, y1, x2.lam, y2))
 
 
-def raw_bidifferential(curve: Curve) -> RawBidifferential:
-    return RawBidifferential(curve)
-
-
 # ---------------------------------------------------------------------------
 # distinguished frame at the cone point
 # ---------------------------------------------------------------------------

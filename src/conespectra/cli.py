@@ -54,16 +54,11 @@ def _check(name, value, tol):
 
 def _quad_config(cfg):
     grid = cfg.get("surface_grid")
-    kwargs = {}
-    if grid is not None:
-        kwargs["surface_grid"] = (int(grid[0]), int(grid[1]),
-                                  None if len(grid) < 3 or grid[2] is None
-                                  else float(grid[2]))
-    if "rel_tol" in cfg:
-        kwargs["rel_tol"] = float(cfg["rel_tol"])
-    if "abs_tol" in cfg:
-        kwargs["abs_tol"] = float(cfg["abs_tol"])
-    return QuadratureConfig(**kwargs)
+    if grid is None:
+        return QuadratureConfig()
+    return QuadratureConfig(surface_grid=(
+        int(grid[0]), int(grid[1]),
+        None if len(grid) < 3 or grid[2] is None else float(grid[2])))
 
 
 # stages built once per run() and shared by its commands; None outside run()

@@ -26,17 +26,6 @@ DET_P_SLOPE = 27.0 / (2.0 * math.pi ** 2)
 
 
 @dataclass(frozen=True)
-class ConeParams:
-    """Cone of total angle 2*pi*B; B = 3 for the surfaces in this package."""
-
-    B: float = 3.0
-
-    def __post_init__(self):
-        if not self.B > 0:
-            raise DomainError(f"cone parameter B must be positive, got {self.B}")
-
-
-@dataclass(frozen=True)
 class AsymptoticEntries:
     """Leading large-|lambda| behaviour of the scattering entries."""
 

@@ -20,7 +20,6 @@ from .errors import (
     BaseOnBranchPoint,
     ConsistencyFailure,
     DuplicateBranchPoints,
-    IllConditionedA,
     NonConvergence,
     NotABranchPoint,
     PathTooCloseToBranchPoint,
@@ -104,30 +103,31 @@ def make_z5_curve(lambda1=0.0, r=1.0, base=None) -> Curve:
 
 def _continue_sqrt(roots, a, val, targets):
     """Analytic continuation of sqrt(prod(lambda - roots)) from (a, val)
-    along the straight segment through targets.
+    along the straight segments from a to each target, in closed form.
 
-    The targets are visited by distance from a.  Each step stays under
-    0.45 times the distance to the nearest root, so every log stays
-    principal, and snaps to an exact square root at its end to stop
-    error accumulation: every returned value is
-    +-cmath.sqrt(complex(np.prod(t - roots))), and continuation decides
-    only the sign.
+    Along a root-free straight segment from a, each ratio
+    (lambda - r) / (a - r) moves on a line that starts at 1 and can reach
+    the principal cut (-inf, 0] only through the root r, so
+    val * prod(sqrt((t - r) / (a - r))) is the continuation with
+    principal square roots and no stepping.  It only decides the sign:
+    every returned value is +-np.sqrt(np.prod(t - roots)), so no rounding
+    of the ratios reaches the result.  The targets may come in any order.
     """
     targets = np.asarray(targets, dtype=complex)
-    out = np.empty(targets.shape, dtype=complex)
-    pos, val = complex(a), complex(val)
-    order = np.argsort(np.abs(targets - pos))
-    for i, target in zip(order.tolist(), targets[order].tolist()):
-        while pos != target:
-            cap = 0.45 * float(np.abs(pos - roots).min())
-            rem = target - pos
-            nxt = target if abs(rem) <= cap else pos + rem * (cap / abs(rem))
-            val = val * cmath.sqrt(np.prod((nxt - roots) / (pos - roots)))
-            exact = cmath.sqrt(complex(np.prod(nxt - roots)))
-            val = exact if abs(val - exact) < abs(val + exact) else -exact
-            pos = nxt
-        out[i] = val
-    return out
+    diff = targets[..., None] - roots
+    exact = np.sqrt(np.prod(diff, axis=-1))
+    cont = val * np.prod(np.sqrt(diff / (a - roots)), axis=-1)
+    return np.where(np.abs(cont - exact) < np.abs(cont + exact),
+                    exact, -exact)
+
+
+def _segment_clearance(curve, a, b):
+    """Distance from segment [a, b] to the branch locus."""
+    seg = b - a
+    if seg == 0:
+        return float(np.abs(a - curve.branch_points).min())
+    t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
+    return float(np.abs(a + t * seg - curve.branch_points).min())
 
 
 def continue_y(curve, path, y_start=None):
@@ -138,13 +138,9 @@ def continue_y(curve, path, y_start=None):
     if y_start is None and abs(pts[0] - curve.base_point) > tol:
         pts = [curve.base_point] + pts
     for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        length = abs(seg)
-        if length == 0:
+        if a == b:
             continue
-        # segment-to-branch-point distance check
-        t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
-        if np.abs(a + t * seg - curve.branch_points).min() < tol:
+        if _segment_clearance(curve, a, b) < tol:
             raise PathTooCloseToBranchPoint(
                 f"segment {a} -> {b} passes within {tol} of a branch point")
         y = complex(_continue_sqrt(curve.branch_points, a, y, [b])[0])
@@ -286,8 +282,6 @@ def period_data(curve, cone_point, cfg: QuadratureConfig | None = None,
             "no loop orientation yields a symmetric period matrix with "
             "positive definite imaginary part")
     signs, bsign, A, B, Bmat = chosen
-    if np.linalg.cond(A) > 1e8:
-        raise IllConditionedA(f"cond(A) = {np.linalg.cond(A):.3e}")
     C = np.linalg.inv(A)
     Pi = np.array([[cycle_period(c, signs, m) for c in spec["a"]]
                    for m in powers])

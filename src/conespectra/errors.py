@@ -29,10 +29,6 @@ class PathTooCloseToBranchPoint(ConeSpectraError):
     pass
 
 
-class IllConditionedA(ConeSpectraError):
-    """The a-period matrix is numerically singular."""
-
-
 class NotABranchPoint(ConeSpectraError):
     pass
 

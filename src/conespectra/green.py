@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._core import third_kind_values
 from .bidiff import BidiffModel, DistinguishedFrame, bergman_kernel
 from .curveperiods import (Curve, SurfacePoint, _continue_sqrt,
-                           metric_density)
+                           _segment_clearance, metric_density)
 from .errors import (
     CoincidentArguments,
     CoincidentPoles,
@@ -34,25 +35,15 @@ from .errors import (
     ConsistencyFailure,
     FitIllConditioned,
     GridTooCoarse,
-    NonConvergence,
     PathTooCloseToBranchPoint,
     StepTooSmall,
 )
-from .numerics import QuadratureConfig, build_surface_grid, gauss_legendre
+from .numerics import QuadratureConfig, build_surface_grid, integrate_path
 
 
 # ---------------------------------------------------------------------------
 # sheet-aware path construction and integration
 # ---------------------------------------------------------------------------
-
-def _segment_clearance(curve, a, b):
-    """Distance from segment [a, b] to the branch locus."""
-    seg = b - a
-    if seg == 0:
-        return float(np.abs(a - curve.branch_points).min())
-    t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
-    return float(np.abs(a + t * seg - curve.branch_points).min())
-
 
 def build_path(curve, lam_from, lam_to, clearance=None, depth=0):
     """Polyline from lam_from to lam_to keeping the stated clearance from
@@ -106,51 +97,15 @@ def _continue_to(curve, a, y_a, b):
 
 
 def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
-    """Adaptive vector integral of f(lam, y) along a sheet-tracked polyline.
+    """numerics.integrate_path of the k-vector f(lam, y) along a polyline,
+    with y continued on the curve from y0 at the first vertex.
 
     f maps (lam array, y array) to an (n, k) array.  Returns (value,
-    error, y_end).  The subdivision budget is per call; once exhausted
-    the current embedded estimates are accepted and their discrepancy
-    enters the error bound.  Each subinterval is walked once, through its
-    20 + 10 Gauss nodes, its midpoint and its end.
+    error, y_end); a path that needs more than budget bisections raises
+    NonConvergence.
     """
-    x10, w10 = gauss_legendre(10)
-    x20, w20 = gauss_legendre(20)
-    total = None
-    total_err = 0.0
-    y_at = complex(y0)
-    used = 0
-    for a, b in zip(verts[:-1], verts[1:]):
-        a, b = complex(a), complex(b)
-        if a == b:
-            continue
-        stack = [(a, b, y_at)]
-        y_b = None
-        while stack:
-            lo, hi, ylo = stack.pop()
-            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            z20 = mid + half * x20
-            z10 = mid + half * x10
-            ys = _continue_sqrt(curve.branch_points, lo, ylo,
-                                np.concatenate([z20, z10, [mid, hi]]))
-            if y_b is None:
-                y_b = complex(ys[-1])
-            hi_est = half * np.tensordot(w20, f(z20, ys[:20]), axes=(0, 0))
-            lo_est = half * np.tensordot(w10, f(z10, ys[20:30]), axes=(0, 0))
-            err = float(np.abs(hi_est - lo_est).max())
-            scale = float(np.abs(hi_est).max())
-            if (err <= max(tol, 1e-10 * scale) or used >= budget
-                    or mid == lo or mid == hi):
-                total = hi_est if total is None else total + hi_est
-                total_err += err
-            else:
-                used += 1
-                stack.append((lo, mid, ylo))
-                stack.append((mid, hi, ys[-2]))
-        y_at = y_b
-    if total is None:
-        raise NonConvergence("empty integration path")
-    return total, total_err, y_at
+    return integrate_path(f, verts, tol=tol, budget=budget, y0=y0,
+                          lift=partial(_continue_sqrt, curve.branch_points))
 
 
 def _integrate_to(curve, lam0, y0, point: SurfacePoint, f):
@@ -448,10 +403,6 @@ class GreenSolver:
                             / ctx.area)
         self.tree_err = err
 
-    def omega_values(self, lam, ys):
-        return self.ctx.omega_bar_values(self.y, self.y_val, self.pcoef,
-                                         lam, ys)
-
     def _harm_col(self, zs, ys):
         return self.ctx.harm_values(self.y, self.y_val, self.pcoef,
                                     zs, ys)[:, None]
@@ -495,14 +446,6 @@ class GreenSolver:
         x = SurfacePoint(self.ctx.frame.lam_p + eps, 1)
         ux, err = self.u_at(x)
         return (ux - self.mean_u) / (2.0 * np.pi), err
-
-    def dx_green(self, x: SurfacePoint):
-        """d/dlambda_x of G(x, y); the p-average drops out."""
-        y_x = complex(self.ctx.curve.y_at(np.asarray(x.lam, complex),
-                                          x.sheet))
-        om = self.omega_values(np.asarray([x.lam], complex),
-                               np.asarray([y_x], complex))[0]
-        return om / (4.0 * np.pi)
 
 
 def roelcke_green(model: BidiffModel, frame: DistinguishedFrame,

@@ -287,15 +287,8 @@ def gamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 4000
     # (radial points, angular points, truncation radius; None = auto)
     surface_grid: tuple = (24, 32, None)
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @lru_cache(maxsize=None)
@@ -304,72 +297,62 @@ def gauss_legendre(n):
     return x, w
 
 
-def _segment_estimates(f, a, b):
-    """Embedded 10/20-point Gauss estimates of int_a^b f dz."""
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
+def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
+    """Adaptive integral of f along a polyline given by complex vertices,
+    by bisection with embedded 10/20-point Gauss rules.
+
+    Without lift, f maps an array of points to values of shape (n,) or
+    (n, k).  With lift, f takes (points, y) and lift(a, y_a, points)
+    continues y from the start a of the current segment, where it has the
+    value y_a, beginning with y0 at the first vertex.  A subinterval is
+    accepted when the largest component gap between the two rules is at
+    most max(tol, 1e-10 * the largest component of the 20-point value).
+    budget caps the bisections over the whole path; an integral that
+    needs more raises NonConvergence.  Returns (value, error, y_end),
+    where error sums the accepted gaps and y_end is y continued to the
+    last vertex (y0 without lift).
+    """
     x10, w10 = gauss_legendre(10)
     x20, w20 = gauss_legendre(20)
-    lo = half * np.sum(w10 * f(mid + half * x10))
-    hi = half * np.sum(w20 * f(mid + half * x20))
-    return hi, abs(hi - lo)
-
-
-def integrate_segment(f, a, b, cfg: QuadratureConfig):
-    """Adaptive bisection with embedded Gauss rules on one straight segment.
-
-    f must accept an ndarray of complex points.  Returns (value, error).
-    """
-    stack = [(complex(a), complex(b))]
-    total = 0.0 + 0.0j
+    x30 = np.concatenate([x20, x10])
+    pts = [complex(p) for p in path]
+    total = None
     total_err = 0.0
+    y_a = y0
     used = 0
-    while stack:
-        lo, hi = stack.pop()
-        val, err = _segment_estimates(f, lo, hi)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(val))
-        mid = (lo + hi) / 2.0
-        negligible = (abs(val) + err) <= cfg.abs_tol
-        if err <= tol or negligible or mid == lo or mid == hi:
-            total += val
-            total_err += err
-        else:
-            used += 1
-            if used > cfg.max_subdivisions:
+    for a, b in zip(pts[:-1], pts[1:]):
+        if a == b:
+            continue
+        stack = [(a, b)]
+        while stack:
+            lo, hi = stack.pop()
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            zs = mid + half * x30
+            if lift is None:
+                vals = f(zs)
+            else:
+                ys = lift(a, y_a, np.append(zs, b))
+                y_b = ys[-1]
+                vals = f(zs, ys[:30])
+            hi_est = half * np.tensordot(w20, vals[:20], axes=(0, 0))
+            lo_est = half * np.tensordot(w10, vals[20:], axes=(0, 0))
+            err = float(np.abs(hi_est - lo_est).max())
+            if err <= max(tol, 1e-10 * float(np.abs(hi_est).max())):
+                total = hi_est if total is None else total + hi_est
+                total_err += err
+            elif used >= budget:
                 raise NonConvergence(
-                    f"segment [{a}, {b}]: {cfg.max_subdivisions} subdivisions "
-                    f"exhausted (last error {err:.3e})"
-                )
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total, total_err
-
-
-def integrate_path(f, path, cfg: QuadratureConfig | None = None):
-    """Adaptive integral of f along a polyline given by complex vertices."""
-    cfg = cfg or QuadratureConfig()
-    pts = [complex(p) for p in path]
-    if len(pts) < 2:
-        raise ValueError("path needs at least two vertices")
-    total = 0.0 + 0.0j
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        val, _ = integrate_segment(f, a, b, cfg)
-        total += val
-    return total
-
-
-def integrate_path_with_error(f, path, cfg: QuadratureConfig | None = None):
-    cfg = cfg or QuadratureConfig()
-    pts = [complex(p) for p in path]
-    total, err = 0.0 + 0.0j, 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        v, e = integrate_segment(f, a, b, cfg)
-        total += v
-        err += e
-    return total, err
+                    f"path integral: {budget} subdivisions exhausted on "
+                    f"[{lo}, {hi}] (error {err:.3e})")
+            else:
+                used += 1
+                stack.append((lo, mid))
+                stack.append((mid, hi))
+        if lift is not None:
+            y_a = complex(y_b)
+    if total is None:
+        raise NonConvergence("empty integration path")
+    return total, total_err, y_a
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +473,18 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     return SurfaceGrid(bp, nodes, weights, center, float(radius), disk_r)
 
 
-def integrate_surface(f, weight, grid_or_cfg, branch_points=None,
+def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points,
                       radial_breakpoints=None):
-    """Two-sheet surface integral of f(lambda, sheet) * weight(lambda).
+    """Two-sheet surface integral of f(lambda, sheet) * weight(lambda) on
+    the surface grid that cfg sets for the branch points.
 
     weight is the conformal density |omega/dlambda|^2 (sheet-independent);
-    f may depend on the sheet.  Accepts a prebuilt SurfaceGrid or a
-    QuadratureConfig plus branch points.
+    f may depend on the sheet.
     """
-    if isinstance(grid_or_cfg, SurfaceGrid):
-        grid = grid_or_cfg
-    else:
-        if branch_points is None:
-            raise ValueError("branch points required to build the grid")
-        grid = build_surface_grid(branch_points, grid_or_cfg,
-                                  radial_breakpoints=radial_breakpoints)
+    grid = build_surface_grid(branch_points, cfg,
+                              radial_breakpoints=radial_breakpoints)
     lam, w = grid.nodes, grid.weights
-    dens = weight(lam) if callable(weight) else weight
+    dens = weight(lam)
     total = 0.0 + 0.0j
     for sheet in (+1, -1):
         vals = np.asarray(f(lam, sheet), dtype=complex)

@@ -101,7 +101,40 @@ class TestContinuation:
 
 
 coord = st.floats(min_value=-2.0, max_value=2.0)
+unit = st.floats(min_value=0.0, max_value=1.0)
 CURVES = {"z5": make_z5_curve(), "generic": make_curve(GENERIC_BP)}
+
+
+def _stepped_sqrt(roots, a, val, targets):
+    """Reference for curveperiods._continue_sqrt: the stepping tracker it
+    replaced.  Targets are visited by distance from a; each step stays
+    under 0.45 times the distance to the nearest root and snaps to
+    +-cmath.sqrt(complex(np.prod(t - roots))) at its end."""
+    targets = np.asarray(targets, dtype=complex)
+    out = np.empty(targets.shape, dtype=complex)
+    pos, val = complex(a), complex(val)
+    order = np.argsort(np.abs(targets - pos))
+    for i, target in zip(order.tolist(), targets[order].tolist()):
+        while pos != target:
+            cap = 0.45 * float(np.abs(pos - roots).min())
+            rem = target - pos
+            nxt = target if abs(rem) <= cap else pos + rem * (cap / abs(rem))
+            val = val * cmath.sqrt(np.prod((nxt - roots) / (pos - roots)))
+            exact = cmath.sqrt(complex(np.prod(nxt - roots)))
+            val = exact if abs(val - exact) < abs(val + exact) else -exact
+            pos = nxt
+        out[i] = val
+    return out
+
+
+def _assert_matches_stepping(curve, a, b, ts, sign):
+    """The closed form equals the stepping reference bit for bit on the
+    targets a + ts (b - a), given in the order of ts."""
+    roots = curve.branch_points
+    targets = a + np.asarray(ts) * (b - a)
+    val = sign * cmath.sqrt(complex(np.prod(a - roots)))
+    np.testing.assert_array_equal(_continue_sqrt(roots, a, val, targets),
+                                  _stepped_sqrt(roots, a, val, targets))
 
 
 class TestContinueSqrt:
@@ -132,6 +165,37 @@ class TestContinueSqrt:
         line = out[len(ts):]
         assert line[0] == val
         assert (np.abs(np.diff(line)) < np.abs(line[1:] + line[:-1])).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(CURVES)), coord, coord, coord, coord,
+           st.lists(unit, min_size=1, max_size=8), st.sampled_from([1, -1]))
+    def test_matches_stepping_reference(self, name, ax, ay, bx, by, ts,
+                                        sign):
+        curve = CURVES[name]
+        a, b = complex(ax, ay), complex(bx, by)
+        assume(abs(b - a) > 1e-3)
+        assume(curveperiods._segment_clearance(curve, a, b) > 0.05)
+        _assert_matches_stepping(curve, a, b, ts, sign)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(-2.0, -0.05), (0.05, 0.95), (1.05, 2.0)]),
+           unit, unit, st.sampled_from([0.0, -0.0]),
+           st.lists(unit, min_size=1, max_size=8), st.sampled_from([1, -1]))
+    def test_matches_stepping_along_z5_real_axis(self, gap, sa, sb, im, ts,
+                                                 sign):
+        # the z5 branch points 0 and 1 lie on the real axis, so these
+        # segments run along the principal cuts of their factors; gap is a
+        # stretch of the axis at least 0.05 from both
+        lo, hi = gap
+        a = complex(lo + sa * (hi - lo), im)
+        b = complex(lo + sb * (hi - lo), im)
+        assume(abs(b - a) > 1e-3)
+        _assert_matches_stepping(CURVES["z5"], a, b, ts, sign)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_targets_out_of_distance_order(self, name):
+        ts = [0.9, 0.1, 1.0, 0.5, 0.0, 0.3, 0.7]
+        _assert_matches_stepping(CURVES[name], -1.5 + 1.6j, 1.8 - 1.5j, ts, 1)
 
 
 class TestPeriodData:

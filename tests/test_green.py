@@ -131,6 +131,18 @@ class TestThirdKind:
             green.integrate_vector_path(model.curve, [0.4 + 0.9j],
                                         1.0, lambda z, y: z[:, None])
 
+    def test_spent_budget_raises(self, z5):
+        # an interior inverse-square-root singularity needs more than two
+        # bisections; the estimate must not be accepted silently
+        model, _ = z5
+        a, b = -1.5 + 1.4j, 1.5 + 1.4j
+        c = a + 0.371 * (b - a)
+        y0 = complex(model.curve.y_at(np.asarray(a, complex)))
+        with pytest.raises(NonConvergence):
+            green.integrate_vector_path(
+                model.curve, [a, b], y0,
+                lambda z, y: (np.abs(z - c) ** -0.5)[:, None], budget=2)
+
 
 class TestRoelckeGreen:
     def test_symmetry(self, ctx, solver):
