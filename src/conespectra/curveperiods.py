@@ -40,12 +40,12 @@ class Curve:
     base_point: complex
     base_sheet_value: complex
 
-    @property
+    @cached_property
     def scale(self):
         bp = self.branch_points
         return float(np.abs(bp - bp.mean()).max()) or 1.0
 
-    @property
+    @cached_property
     def min_gap(self):
         bp = self.branch_points
         d = np.abs(bp[:, None] - bp[None, :])
@@ -112,11 +112,17 @@ def _continue_sqrt(roots, a, val, targets):
     principal square roots and no stepping.  It only decides the sign:
     every returned value is +-np.sqrt(np.prod(t - roots)), so no rounding
     of the ratios reaches the result.  The targets may come in any order.
+
+    a and val may be arrays of starts of one shape S; the targets then
+    have shape (..., *S), each continued from the start it is aligned
+    with on the trailing axes.  A call with arrays of starts equals the
+    per-start scalar calls bit for bit.
     """
     targets = np.asarray(targets, dtype=complex)
     diff = targets[..., None] - roots
     exact = np.sqrt(np.prod(diff, axis=-1))
-    cont = val * np.prod(np.sqrt(diff / (a - roots)), axis=-1)
+    cont = val * np.prod(np.sqrt(diff / (np.asarray(a)[..., None] - roots)),
+                         axis=-1)
     return np.where(np.abs(cont - exact) < np.abs(cont + exact),
                     exact, -exact)
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from ._core import third_kind_values
 from .bidiff import BidiffModel, DistinguishedFrame, bergman_kernel
 from .curveperiods import (Curve, SurfacePoint, _continue_sqrt,
-                           _segment_clearance, metric_density)
+                           metric_density)
 from .errors import (
     CoincidentArguments,
     CoincidentPoles,
@@ -38,7 +38,8 @@ from .errors import (
     PathTooCloseToBranchPoint,
     StepTooSmall,
 )
-from .numerics import QuadratureConfig, build_surface_grid, integrate_path
+from .numerics import (QuadratureConfig, _embedded_gauss, build_surface_grid,
+                       gauss_legendre, integrate_path)
 
 
 # ---------------------------------------------------------------------------
@@ -202,51 +203,83 @@ class SurfaceTree:
 
 
 def build_surface_tree(curve, grid) -> SurfaceTree:
+    """Visit the nodes by distance from the root (the node farthest from
+    the grid center); each new node hangs from the nearest of its 16
+    nearest visited nodes whose edge keeps clear of the branch points
+    (the nearest of all if none does), distance ties going to the lower
+    node index.  y is continued along the tree in closed form: every
+    y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)), and the sign sigma_i
+    is the parent's times the edge's sign flip."""
     lam = grid.nodes
+    bp = curve.branch_points
     n = lam.size
     root = int(np.argmax(np.abs(lam - grid.center)))
+    # scalar abs, not np.abs: the two differ by an ulp on some nodes,
+    # enough to swap two nodes of equal distance in the visit order
+    order = np.asarray(sorted(range(n),
+                              key=lambda i: (abs(lam[i] - lam[root]), i)))
+    # the visit order fixes every node's visited set, so the candidate
+    # parents of all nodes are known before any parent is chosen
+    lam_ord = lam[order]
+    cand = np.full((n, 16), root)      # the root pads the first 16 rows
+    for k in range(1, n):
+        d = np.abs(lam_ord[:k] - lam_ord[k])
+        sel = np.flatnonzero(d <= np.partition(d, 15)[15]) if k > 16 \
+            else np.arange(k)
+        near = order[sel[np.lexsort((order[sel], d[sel]))[:16]]]
+        cand[k, :near.size] = near
+    kids, cand = order[1:], cand[1:]
+    valid = np.arange(16) < np.arange(1, n)[:, None]
+    # clearance of every candidate edge [lam_j, lam_i] from the branch
+    # points, as curveperiods._segment_clearance
+    a = lam[cand][..., None]
+    seg = lam[kids][:, None, None] - a
+    t = np.clip(((bp - a) / seg).real, 0.0, 1.0)
+    clr = np.abs(a + t * seg - bp).min(axis=-1)
+    gap = np.abs(lam[:, None] - bp).min(axis=1)
+    floor = 0.3 * np.minimum(gap[kids][:, None], gap[cand])
+    ok = valid & (clr >= np.minimum(floor, curve.min_gap / 4.0)) \
+        & (clr > 1e-9 * curve.scale)
     parent = np.full(n, -1, dtype=int)
-    visited = np.zeros(n, dtype=bool)
-    visited[root] = True
-    order = [root]
-    todo = sorted(range(n), key=lambda i: (abs(lam[i] - lam[root]), i))
-    for i in todo:
-        if visited[i]:
-            continue
-        vi = np.flatnonzero(visited)
-        d = np.abs(lam[vi] - lam[i])
-        for j in vi[np.argsort(d, kind="stable")[:16]]:
-            clr = _segment_clearance(curve, lam[j], lam[i])
-            floor = 0.3 * min(
-                float(np.abs(lam[i] - curve.branch_points).min()),
-                float(np.abs(lam[j] - curve.branch_points).min()))
-            if clr >= min(floor, curve.min_gap / 4.0) \
-                    and clr > 1e-9 * curve.scale:
-                parent[i] = j
-                break
-        else:
-            parent[i] = int(vi[np.argmin(d)])
-        visited[i] = True
-        order.append(i)
-    y_plus = np.empty(n, dtype=complex)
-    y_plus[root] = _continue_to(curve, curve.base_point,
-                                curve.base_sheet_value, lam[root])
-    for i in order[1:]:
-        y_plus[i] = _continue_to(curve, lam[parent[i]], y_plus[parent[i]],
-                                 lam[i])
-    return SurfaceTree(grid=grid, parent=parent,
-                       order=np.asarray(order), y_plus=y_plus, root=root)
+    parent[kids] = np.where(ok.any(axis=1),
+                            cand[np.arange(n - 1), ok.argmax(axis=1)],
+                            cand[:, 0])
+    exact = np.sqrt(np.prod(lam[:, None] - bp, axis=-1))
+    y_root = _continue_to(curve, curve.base_point, curve.base_sheet_value,
+                          lam[root])
+    # the sign flip of each edge: continuing +exact[parent] to the node
+    # gives +exact or -exact there (as _continue_sqrt decides it)
+    up = parent[kids]
+    cont = exact[up] * np.prod(np.sqrt((lam[kids, None] - bp)
+                                       / (lam[up, None] - bp)), axis=-1)
+    flips = np.abs(cont - exact[kids]) >= np.abs(cont + exact[kids])
+    sigma = np.ones(n, dtype=np.int8)
+    if abs(y_root - exact[root]) >= abs(y_root + exact[root]):
+        sigma[root] = -1
+    for i, j, flip in zip(kids.tolist(), up.tolist(), flips.tolist()):
+        sigma[i] = -sigma[j] if flip else sigma[j]
+    return SurfaceTree(grid=grid, parent=parent, order=order,
+                       y_plus=np.where(sigma < 0, -exact, exact), root=root)
 
 
 def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
     the tree edges, on the sheet of the tree continuation (tree.y_plus).
 
-    Each edge is integrated once.  The flip vector is the integral of f
-    around the sheet connector at the root, a loop around one branch
-    point from y_plus[root] to -y_plus[root]; a caller that needs the
-    other sheet stacks f(lam, -y) as extra columns and adds the flip of
-    the matching columns.  Returns (vals, flip_vector, error)."""
+    All edges share one vectorised pass of numerics.integrate_path's
+    embedded 20/10-point Gauss rules (numerics._embedded_gauss): y is
+    lifted to every edge's nodes in one _continue_sqrt call and f is
+    evaluated once on all of them.  An edge is accepted by
+    integrate_path's own rule; the edges that fail go through
+    integrate_vector_path with the same per-edge budget, so a spent
+    budget raises NonConvergence.  f must act pointwise on flat arrays.
+
+    The flip vector is the integral of f around the sheet connector at
+    the root, a loop around one branch point from y_plus[root] to
+    -y_plus[root]; a caller that needs the other sheet stacks f(lam, -y)
+    as extra columns and adds the flip of the matching columns.  Returns
+    (vals, flip_vector, error), where error sums the accepted gaps of all
+    edges and the error of the flip loop."""
     lam = tree.grid.nodes
     vals = np.zeros((lam.size, k), dtype=complex)
     loop = _flip_loop(curve, lam[tree.root])
@@ -255,13 +288,23 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
                                              tol=tol, budget=200)
     if abs(y_end + y_root) > 1e-6 * max(1.0, abs(y_root)):
         raise ConsistencyFailure("sheet connector did not flip the sheet")
-    for i in tree.order[1:]:
-        j = tree.parent[i]
-        v, e, _ = integrate_vector_path(curve, [lam[j], lam[i]],
-                                        tree.y_plus[j], f, tol=tol,
-                                        budget=budget)
+    kids = tree.order[1:]
+    up = tree.parent[kids]
+    a, b = lam[up], lam[kids]
+    x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    zs = mid + half * x30[:, None]                              # (30, edges)
+    ys = _continue_sqrt(curve.branch_points, a, tree.y_plus[up], zs)
+    fv = f(zs.ravel(), ys.ravel()).reshape(30, kids.size, k)
+    hi_est, gap, ok = _embedded_gauss(half, fv, tol)
+    err += float(gap[ok].sum())
+    for e in np.flatnonzero(~ok):
+        hi_est[e], e_err, _ = integrate_vector_path(
+            curve, [a[e], b[e]], tree.y_plus[up[e]], f, tol=tol,
+            budget=budget)
+        err += e_err
+    for i, j, v in zip(kids, up, hi_est):
         vals[i] = vals[j] + v
-        err += e
     return vals, flip, err
 
 
@@ -269,10 +312,19 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
 # grid-averaged third-kind data, independent of both Green arguments
 # ---------------------------------------------------------------------------
 
+# rows of log_potential evaluated together; bounds its temporaries to
+# this many rows times the q-grid size
+_POTENTIAL_ROWS = 64
+
+
 @dataclass
 class GreenContext:
     """Precomputed q-side data: staggered grids, moment tree, Cauchy
-    weights, and the metric area."""
+    weights, and the metric area.
+
+    The p-side data that every GreenSolver of the context shares, the
+    p-grid tree and the log potential at the p nodes, are built on first
+    read, so a caller that never builds a solver never pays for them."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -321,6 +373,16 @@ class GreenContext:
             poly = poly * lam + c
         return a_y + poly / ys
 
+    @cached_property
+    def p_tree(self) -> SurfaceTree:
+        """Spanning tree over the p grid, shared by every GreenSolver."""
+        return build_surface_tree(self.curve, self.p_grid)
+
+    @cached_property
+    def t_nodes(self) -> np.ndarray:
+        """log_potential at the p-grid nodes."""
+        return self.log_potential(self.p_grid.nodes)
+
     def log_potential(self, lam):
         """-(1/Area) sum_i W_i log|lam - lam_i|, each node mollified over
         a radial bump spanning a few interior grid cells.
@@ -330,15 +392,26 @@ class GreenContext:
         Laplacian of G into a smooth density instead of log spikes.  The
         bump (8 - 20u)(1 - u)^2 / (pi eps^2), u = r^2 / eps^2, has unit
         mass and vanishing second moment, so the smeared density matches
-        the metric density to fourth order in eps."""
+        the metric density to fourth order in eps.
+
+        Points are taken _POTENTIAL_ROWS at a time; each point's sum runs
+        over the q nodes in the same order whatever the block, so a point
+        gets the same value alone or in any array.  A scalar lam gives a
+        float."""
         lam = np.asarray(lam, dtype=complex)
-        r = np.abs(lam[..., None] - self.q_grid.nodes)
+        flat = lam.reshape(-1)
+        out = np.empty(flat.size)
         eps = self.moll_radius
-        u = np.minimum((r / eps) ** 2, 1.0)
-        inside = (4.0 * u - 4.5 * u ** 2 + (8.0 / 3.0) * u ** 3
-                  - 0.625 * u ** 4) - 37.0 / 24.0 + np.log(eps)
-        phi = np.where(r >= eps, np.log(np.maximum(r, 1e-300)), inside)
-        return -(self.cauchy_w * phi).sum(axis=-1) / self.area
+        for s in range(0, flat.size, _POTENTIAL_ROWS):
+            r = np.abs(flat[s:s + _POTENTIAL_ROWS, None] - self.q_grid.nodes)
+            phi = np.log(np.maximum(r, 1e-300))
+            near = r < eps
+            u = np.minimum((r[near] / eps) ** 2, 1.0)
+            phi[near] = (4.0 * u - 4.5 * u ** 2 + (8.0 / 3.0) * u ** 3
+                         - 0.625 * u ** 4) - 37.0 / 24.0 + np.log(eps)
+            out[s:s + _POTENTIAL_ROWS] = \
+                -(self.cauchy_w * phi).sum(axis=-1) / self.area
+        return out.reshape(lam.shape)[()]
 
 
 def green_context(model: BidiffModel, frame: DistinguishedFrame,
@@ -384,6 +457,9 @@ class GreenSolver:
     Carries the q-averaged differential Omega_bar_y and its p-grid
     cumulative integrals, so each new x costs one path integral:
     G(x, y) = (u(x) - mean_p u) / 2 pi with u = Re int Omega_bar_y.
+    The p-grid tree and the log potential at its nodes are the context's
+    (p_tree is ctx.p_tree); only the one accumulation over that tree
+    depends on y.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint, tol=1e-8):
@@ -392,12 +468,11 @@ class GreenSolver:
         self.y = y
         self.y_val = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
         self.pcoef, self.abel = ctx.averaged_pcoef(y)
-        self.p_tree = build_surface_tree(curve, ctx.p_grid)
+        self.p_tree = ctx.p_tree
         vals, flip, err = accumulate_tree(curve, self.p_tree,
                                           self._harm_both, 2, tol=tol)
-        t_nodes = ctx.log_potential(ctx.p_grid.nodes)
-        self.u_plus = vals[:, 0].real + t_nodes
-        self.u_minus = (flip[0] + vals[:, 1]).real + t_nodes
+        self.u_plus = vals[:, 0].real + ctx.t_nodes
+        self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
         self.mean_u = float((w * (self.u_plus + self.u_minus)).sum()
                             / ctx.area)

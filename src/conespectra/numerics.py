@@ -297,6 +297,30 @@ def gauss_legendre(n):
     return x, w
 
 
+def _embedded_gauss(half, vals, tol):
+    """The embedded 20/10-point Gauss rules of integrate_path on one or
+    more intervals.
+
+    vals holds the integrand along axis 0 at the 20-point and then the
+    10-point Gauss-Legendre nodes of each interval; half is the interval
+    half-length, a scalar or one per interval on the next axes of vals.
+    Returns the 20-point estimates, each interval's gap (the largest
+    component difference between the two rules) and whether the interval
+    is accepted: a gap of at most max(tol, 1e-10 * the largest component
+    of its 20-point estimate)."""
+    _, w10 = gauss_legendre(10)
+    _, w20 = gauss_legendre(20)
+    half = np.asarray(half)
+    hi_est = np.tensordot(w20, vals[:20], axes=(0, 0))
+    scale = half.reshape(half.shape + (1,) * (hi_est.ndim - half.ndim))
+    hi_est = scale * hi_est
+    lo_est = scale * np.tensordot(w10, vals[20:], axes=(0, 0))
+    per_interval = half.shape + (-1,)
+    gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
+    top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
+    return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
+
+
 def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
     """Adaptive integral of f along a polyline given by complex vertices,
     by bisection with embedded 10/20-point Gauss rules.
@@ -312,9 +336,7 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
     where error sums the accepted gaps and y_end is y continued to the
     last vertex (y0 without lift).
     """
-    x10, w10 = gauss_legendre(10)
-    x20, w20 = gauss_legendre(20)
-    x30 = np.concatenate([x20, x10])
+    x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
     pts = [complex(p) for p in path]
     total = None
     total_err = 0.0
@@ -334,10 +356,9 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
                 ys = lift(a, y_a, np.append(zs, b))
                 y_b = ys[-1]
                 vals = f(zs, ys[:30])
-            hi_est = half * np.tensordot(w20, vals[:20], axes=(0, 0))
-            lo_est = half * np.tensordot(w10, vals[20:], axes=(0, 0))
-            err = float(np.abs(hi_est - lo_est).max())
-            if err <= max(tol, 1e-10 * float(np.abs(hi_est).max())):
+            hi_est, err, accepted = _embedded_gauss(half, vals, tol)
+            err = float(err)
+            if accepted:
                 total = hi_est if total is None else total + hi_est
                 total_err += err
             elif used >= budget:

@@ -192,6 +192,28 @@ class TestContinueSqrt:
         assume(abs(b - a) > 1e-3)
         _assert_matches_stepping(CURVES["z5"], a, b, ts, sign)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(CURVES)),
+           st.lists(st.tuples(coord, coord, coord, coord,
+                              st.sampled_from([1, -1])),
+                    min_size=1, max_size=6),
+           st.lists(unit, min_size=1, max_size=8))
+    def test_array_of_starts_matches_scalar_calls(self, name, segs, ts):
+        roots = CURVES[name].branch_points
+        a = np.array([complex(ax, ay) for ax, ay, _, _, _ in segs])
+        b = np.array([complex(bx, by) for _, _, bx, by, _ in segs])
+        assume(np.abs(a[:, None] - roots).min() > 1e-3)
+        val = np.array([s * cmath.sqrt(complex(np.prod(z - roots)))
+                        for z, (*_, s) in zip(a, segs)])
+        targets = a + np.asarray(ts)[:, None] * (b - a)    # (targets, starts)
+        out = _continue_sqrt(roots, a, val, targets)
+        assert out.shape == targets.shape
+        for s in range(a.size):
+            np.testing.assert_array_equal(
+                out[:, s],
+                _continue_sqrt(roots, complex(a[s]), complex(val[s]),
+                               targets[:, s]))
+
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_targets_out_of_distance_order(self, name):
         ts = [0.9, 0.1, 1.0, 0.5, 0.0, 0.3, 0.7]

@@ -4,7 +4,7 @@ growing solutions at the cone point."""
 import numpy as np
 import pytest
 
-from conespectra import bidiff, green, smatrix
+from conespectra import bidiff, curveperiods, green, smatrix
 from conespectra.curveperiods import (
     SurfacePoint,
     cycle_integral,
@@ -142,6 +142,160 @@ class TestThirdKind:
             green.integrate_vector_path(
                 model.curve, [a, b], y0,
                 lambda z, y: (np.abs(z - c) ** -0.5)[:, None], budget=2)
+
+
+CURVES = {"z5": make_z5_curve(0.0, 1.0), "generic": make_curve(GENERIC_BP)}
+
+
+def _surface_grid(name, grid, stagger):
+    return build_surface_grid(CURVES[name].branch_points,
+                              QuadratureConfig(surface_grid=(*grid, None)),
+                              stagger=stagger)
+
+
+def _reference_tree(curve, grid):
+    """Reference for green.build_surface_tree: the per-node parent search
+    and chained segment-by-segment sheet continuation it replaced."""
+    lam = grid.nodes
+    n = lam.size
+    root = int(np.argmax(np.abs(lam - grid.center)))
+    parent = np.full(n, -1, dtype=int)
+    visited = np.zeros(n, dtype=bool)
+    visited[root] = True
+    order = [root]
+    todo = sorted(range(n), key=lambda i: (abs(lam[i] - lam[root]), i))
+    for i in todo:
+        if visited[i]:
+            continue
+        vi = np.flatnonzero(visited)
+        d = np.abs(lam[vi] - lam[i])
+        for j in vi[np.argsort(d, kind="stable")[:16]]:
+            clr = curveperiods._segment_clearance(curve, lam[j], lam[i])
+            floor = 0.3 * min(
+                float(np.abs(lam[i] - curve.branch_points).min()),
+                float(np.abs(lam[j] - curve.branch_points).min()))
+            if clr >= min(floor, curve.min_gap / 4.0) \
+                    and clr > 1e-9 * curve.scale:
+                parent[i] = j
+                break
+        else:
+            parent[i] = int(vi[np.argmin(d)])
+        visited[i] = True
+        order.append(i)
+    y_plus = np.empty(n, dtype=complex)
+    y_plus[root] = green._continue_to(curve, curve.base_point,
+                                      curve.base_sheet_value, lam[root])
+    for i in order[1:]:
+        y_plus[i] = green._continue_to(curve, lam[parent[i]],
+                                       y_plus[parent[i]], lam[i])
+    return parent, np.asarray(order), y_plus, root
+
+
+def _reference_accumulate(curve, tree, f, k, tol, budget):
+    """Reference for accumulate_tree's edges: one integrate_vector_path per
+    edge.  Returns the cumulative values and, per node, the summed error
+    of the edges on its path from the root."""
+    lam = tree.grid.nodes
+    vals = np.zeros((lam.size, k), dtype=complex)
+    path_err = np.zeros(lam.size)
+    for i in tree.order[1:]:
+        j = tree.parent[i]
+        v, e, _ = green.integrate_vector_path(
+            curve, [lam[j], lam[i]], tree.y_plus[j], f, tol=tol,
+            budget=budget)
+        vals[i] = vals[j] + v
+        path_err[i] = path_err[j] + e
+    return vals, path_err
+
+
+class TestSurfaceTree:
+    @pytest.mark.parametrize("stagger", [0.0, 0.31])
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16)])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_matches_reference_tree(self, name, grid, stagger):
+        curve = CURVES[name]
+        g = _surface_grid(name, grid, stagger)
+        tree = green.build_surface_tree(curve, g)
+        parent, order, y_plus, root = _reference_tree(curve, g)
+        assert tree.root == root
+        np.testing.assert_array_equal(tree.parent, parent)
+        np.testing.assert_array_equal(tree.order, order)
+        np.testing.assert_array_equal(tree.y_plus, y_plus)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_batched_accumulation_matches_per_edge(self, name, tol,
+                                                   monkeypatch):
+        # tol = 1e-12 sends some edges past the one batched Gauss pass
+        curve = CURVES[name]
+        tree = green.build_surface_tree(curve, _surface_grid(name, (6, 8),
+                                                             0.31))
+        ref, path_err = _reference_accumulate(
+            curve, tree, green._moment_integrand, 5, tol, 30)
+        calls = []
+        per_path = green.integrate_vector_path
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("budget"))
+            return per_path(*args, **kwargs)
+
+        monkeypatch.setattr(green, "integrate_vector_path", counted)
+        vals, _, err = green.accumulate_tree(
+            curve, tree, green._moment_integrand, 5, tol=tol)
+        gap = np.abs(vals - ref).max(axis=1)
+        bound = path_err + 1e-13 * np.abs(ref).max(axis=1)
+        assert (gap <= bound).all(), int(np.argmax(gap - bound))
+        assert err >= path_err.max()
+        if tol == 1e-12:
+            # the sheet connector plus at least one edge that fell back
+            assert calls.count(30) >= 1 and calls.count(200) == 1
+
+    def test_spent_edge_budget_raises(self):
+        curve = CURVES["z5"]
+        tree = green.build_surface_tree(curve, _surface_grid("z5", (6, 8),
+                                                             0.31))
+        with pytest.raises(NonConvergence):
+            green.accumulate_tree(curve, tree, green._moment_integrand, 5,
+                                  tol=1e-12, budget=0)
+
+    def test_log_potential_blocks(self, ctx):
+        # more than three row blocks; each point's value must not depend
+        # on the block it is evaluated in
+        pts = ctx.p_grid.nodes[:3 * green._POTENTIAL_ROWS + 5]
+        block = ctx.log_potential(pts)
+        single = np.array([ctx.log_potential(z) for z in pts])
+        np.testing.assert_array_equal(block, single)
+        assert isinstance(ctx.log_potential(complex(pts[0])), float)
+        assert ctx.log_potential(pts.reshape(-1, 1)).shape == (pts.size, 1)
+        # the dense formula it replaced, bump on every pair
+        r = np.abs(pts[:, None] - ctx.q_grid.nodes)
+        eps = ctx.moll_radius
+        assert (r < eps).any(axis=1).all()
+        u = np.minimum((r / eps) ** 2, 1.0)
+        inside = (4.0 * u - 4.5 * u ** 2 + (8.0 / 3.0) * u ** 3
+                  - 0.625 * u ** 4) - 37.0 / 24.0 + np.log(eps)
+        phi = np.where(r >= eps, np.log(np.maximum(r, 1e-300)), inside)
+        dense = -(ctx.cauchy_w * phi).sum(axis=-1) / ctx.area
+        np.testing.assert_array_equal(block, dense)
+
+    def test_context_builds_each_tree_once(self, z5, monkeypatch):
+        model, frame = z5
+        built = []
+        build = green.build_surface_tree
+
+        def counted(curve, grid):
+            built.append(grid)
+            return build(curve, grid)
+
+        monkeypatch.setattr(green, "build_surface_tree", counted)
+        cfg = QuadratureConfig(surface_grid=(6, 8, None))
+        c = green.green_context(model, frame, cfg)
+        green.special_solution_means(c)
+        assert built == [c.q_grid]
+        solvers = [green.GreenSolver(c, SurfacePoint(z, 1))
+                   for z in (0.9 + 1.3j, -0.7 + 0.4j)]
+        assert built == [c.q_grid, c.p_grid]
+        assert all(s.p_tree is c.p_tree for s in solvers)
 
 
 class TestRoelckeGreen:
