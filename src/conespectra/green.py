@@ -278,16 +278,20 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     the root, a loop around one branch point from y_plus[root] to
     -y_plus[root]; a caller that needs the other sheet stacks f(lam, -y)
     as extra columns and adds the flip of the matching columns.  Returns
-    (vals, flip_vector, error), where error sums the accepted gaps of all
-    edges and the error of the flip loop."""
+    (vals, flip_vector, error, node_err), where error sums the accepted
+    gaps of all edges and the error of the flip loop, and node_err is
+    (n, 2): column 0 sums the accepted gaps of the edges on each node's
+    path from the root, column 1 adds the flip loop's error, the route
+    to the node on the other sheet."""
     lam = tree.grid.nodes
     vals = np.zeros((lam.size, k), dtype=complex)
     loop = _flip_loop(curve, lam[tree.root])
     y_root = tree.y_plus[tree.root]
-    flip, err, y_end = integrate_vector_path(curve, loop, y_root, f,
-                                             tol=tol, budget=200)
+    flip, flip_err, y_end = integrate_vector_path(curve, loop, y_root, f,
+                                                  tol=tol, budget=200)
     if abs(y_end + y_root) > 1e-6 * max(1.0, abs(y_root)):
         raise ConsistencyFailure("sheet connector did not flip the sheet")
+    err = flip_err
     kids = tree.order[1:]
     up = tree.parent[kids]
     a, b = lam[up], lam[kids]
@@ -298,14 +302,17 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     fv = f(zs.ravel(), ys.ravel()).reshape(30, kids.size, k)
     hi_est, gap, ok = _embedded_gauss(half, fv, tol)
     err += float(gap[ok].sum())
+    edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
-        hi_est[e], e_err, _ = integrate_vector_path(
+        hi_est[e], edge_err[e], _ = integrate_vector_path(
             curve, [a[e], b[e]], tree.y_plus[up[e]], f, tol=tol,
             budget=budget)
-        err += e_err
-    for i, j, v in zip(kids, up, hi_est):
+        err += float(edge_err[e])
+    path_err = np.zeros(lam.size)
+    for i, j, v, e in zip(kids, up, hi_est, edge_err):
         vals[i] = vals[j] + v
-    return vals, flip, err
+        path_err[i] = path_err[j] + e
+    return vals, flip, err, np.stack([path_err, path_err + flip_err], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +362,7 @@ class GreenContext:
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
         m_y = self.moments_at(y)
-        return _correction_pcoef(self.model, m_y - 0.5 * self.m_flip)
+        return _correction_pcoef(self.model, m_y - 0.5 * self.m_flip)[0]
 
     def omega_bar_values(self, y: SurfacePoint, y_val, pcoef, lam, ys):
         """Omega_bar_y(z) / dlambda at sheet-resolved points (lam, ys)."""
@@ -427,7 +434,8 @@ def green_context(model: BidiffModel, frame: DistinguishedFrame,
     cauchy_w = q_grid.weights * dens_q
     area = 2.0 * float(cauchy_w.sum())
     q_tree = build_surface_tree(curve, q_grid)
-    m_plus, m_flip, _ = accumulate_tree(curve, q_tree, _moment_integrand, 5)
+    m_plus, m_flip, _, _ = accumulate_tree(curve, q_tree, _moment_integrand,
+                                           5)
     center = curve.branch_points.mean()
     rb = np.abs(curve.branch_points - center).max()
     inhull = np.abs(q_grid.nodes - center) < 1.5 * rb
@@ -454,12 +462,13 @@ class GreenEvaluation:
 class GreenSolver:
     """Green function G(., y) for one fixed second argument.
 
-    Carries the q-averaged differential Omega_bar_y and its p-grid
-    cumulative integrals, so each new x costs one path integral:
-    G(x, y) = (u(x) - mean_p u) / 2 pi with u = Re int Omega_bar_y.
-    The p-grid tree and the log potential at its nodes are the context's
-    (p_tree is ctx.p_tree); only the one accumulation over that tree
-    depends on y.
+    Carries the q-averaged differential Omega_bar_y and u = Re int
+    Omega_bar_y + log_potential at every p node on both sheets (u_plus,
+    u_minus), so each new x costs one short path from its nearest p node:
+    G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
+    quadrature error on the same two sheets.  The p-grid tree and the log
+    potential at its nodes are the context's (p_tree is ctx.p_tree); only
+    the one accumulation over that tree depends on y.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint, tol=1e-8):
@@ -467,20 +476,16 @@ class GreenSolver:
         curve = ctx.curve
         self.y = y
         self.y_val = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
-        self.pcoef, self.abel = ctx.averaged_pcoef(y)
+        self.pcoef = ctx.averaged_pcoef(y)
         self.p_tree = ctx.p_tree
-        vals, flip, err = accumulate_tree(curve, self.p_tree,
-                                          self._harm_both, 2, tol=tol)
+        vals, flip, err, self.node_err = accumulate_tree(
+            curve, self.p_tree, self._harm_both, 2, tol=tol)
         self.u_plus = vals[:, 0].real + ctx.t_nodes
         self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
         self.mean_u = float((w * (self.u_plus + self.u_minus)).sum()
                             / ctx.area)
         self.tree_err = err
-
-    def _harm_col(self, zs, ys):
-        return self.ctx.harm_values(self.y, self.y_val, self.pcoef,
-                                    zs, ys)[:, None]
 
     def _harm_both(self, zs, ys):
         """The averaged form on the tree sheet and on the other sheet."""
@@ -490,21 +495,45 @@ class GreenSolver:
                         axis=1)
 
     def u_at(self, x: SurfacePoint):
-        """Re int_root^x of Omega_bar_y with its quadrature error; the
-        real part is path independent (all loop integrals of the averaged
-        form are purely imaginary).
+        """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with
+        its quadrature error.
 
-        The Cauchy-sum part of the integral is the closed-form
-        log_potential, evaluated at the endpoint (the root value is a
-        constant absorbed by the mean subtraction)."""
-        lam_r = self.p_tree.grid.nodes[self.p_tree.root]
-        val, err = _integrate_to(self.ctx.curve, lam_r,
-                                 self.p_tree.y_plus[self.p_tree.root], x,
-                                 self._harm_col)
+        Starts from the p node j nearest to x, where u is known on both
+        sheets: one build_path from lam_j to x carries the form on the
+        tree sheet of j and on the other sheet (_harm_both), and the
+        column whose sheet arrives at y(x) adds its real part and
+        log_potential(x) - t_nodes[j] to that sheet's node value.  The
+        real part is path independent (all loop integrals of the
+        averaged form are purely imaginary; the computed form's real
+        periods are about 1e-11), so no flip loop is needed.  A p node
+        itself returns its node value.  The error is the short path's plus
+        the node value's (node_err)."""
+        curve = self.ctx.curve
+        nodes = self.p_tree.grid.nodes
+        j = int(np.argmin(np.abs(nodes - x.lam)))
+        y_x = complex(curve.y_at(np.asarray(x.lam, complex), x.sheet))
+        y_j = self.p_tree.y_plus[j]
+        if nodes[j] == x.lam:
+            s = int(abs(y_j + y_x) < abs(y_j - y_x))
+            return (float((self.u_plus, self.u_minus)[s][j]),
+                    float(self.node_err[j, s]))
+        val, err, y_end = integrate_vector_path(
+            curve, build_path(curve, nodes[j], x.lam), y_j, self._harm_both)
+        # column s arrives on the sheet of x: s = 1 is the other sheet
+        miss = (abs(y_end - y_x), abs(y_end + y_x))
+        s = int(miss[1] < miss[0])
+        if miss[s] > 1e-6 * max(1.0, abs(y_x)):
+            raise ConsistencyFailure(
+                f"sheet tracking lost on the path to {x.lam}")
+        u_j = (self.u_plus, self.u_minus)[s][j] - self.ctx.t_nodes[j]
         t_x = float(self.ctx.log_potential(np.asarray(x.lam, complex)))
-        return float(val[0].real) + t_x, err
+        return (float(u_j + val[s].real) + t_x,
+                float(err + self.node_err[j, s]))
 
     def green(self, x: SurfacePoint) -> GreenEvaluation:
+        """G(x, y) from u_at.  The error estimate is u_at's error (short
+        path and node value) plus the tree's total error over
+        max(1, Area), all over 2 pi."""
         if abs(complex(x.lam) - complex(self.y.lam)) \
                 < 1e-10 * self.ctx.curve.scale and x.sheet == self.y.sheet:
             raise CoincidentArguments("Green arguments coincide")
@@ -578,7 +607,7 @@ def special_solution_zero(ctx: GreenContext, l: int,
     form Omega_bar_y / dxi at the cone point, read off a circle."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    pcoef, _ = ctx.averaged_pcoef(y)
+    pcoef = ctx.averaged_pcoef(y)
     y_val = complex(ctx.curve.y_at(np.asarray(y.lam, complex), y.sheet))
     n = 32
     r = _xi_circle_radius(ctx, y.lam)
@@ -739,7 +768,7 @@ def bergman_consistency(solver: GreenSolver, x: SurfacePoint,
         yy = SurfacePoint(complex(y.lam) + dy, y.sheet)
         y_val = complex(ctx.curve.y_at(np.asarray(yy.lam, complex),
                                        yy.sheet))
-        pcoef, _ = ctx.averaged_pcoef(yy)
+        pcoef = ctx.averaged_pcoef(yy)
         y_x = complex(ctx.curve.y_at(np.asarray(x.lam, complex), x.sheet))
         om = ctx.omega_bar_values(yy, y_val, pcoef,
                                   np.asarray([x.lam], complex),

@@ -1,8 +1,13 @@
 """Third-kind differentials, the Roelcke Green function, and the special
 growing solutions at the cone point."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conespectra import bidiff, curveperiods, green, smatrix
 from conespectra.curveperiods import (
@@ -240,12 +245,20 @@ class TestSurfaceTree:
             return per_path(*args, **kwargs)
 
         monkeypatch.setattr(green, "integrate_vector_path", counted)
-        vals, _, err = green.accumulate_tree(
+        vals, _, err, node_err = green.accumulate_tree(
             curve, tree, green._moment_integrand, 5, tol=tol)
         gap = np.abs(vals - ref).max(axis=1)
         bound = path_err + 1e-13 * np.abs(ref).max(axis=1)
         assert (gap <= bound).all(), int(np.argmax(gap - bound))
         assert err >= path_err.max()
+        # per-node errors: the same edges' gaps (to their rounding) summed
+        # along the root path; the other sheet adds the flip-loop error
+        np.testing.assert_allclose(node_err[:, 0], path_err, rtol=1e-3,
+                                   atol=1e-11)
+        flip_err = node_err[:, 1] - node_err[:, 0]
+        assert flip_err.min() > 0
+        np.testing.assert_allclose(flip_err, flip_err[tree.root], rtol=1e-12)
+        assert err >= node_err[:, 1].max()
         if tol == 1e-12:
             # the sheet connector plus at least one edge that fell back
             assert calls.count(30) >= 1 and calls.count(200) == 1
@@ -298,6 +311,133 @@ class TestSurfaceTree:
         assert all(s.p_tree is c.p_tree for s in solvers)
 
 
+def _reference_u_at(solver, x):
+    """Reference for GreenSolver.u_at: the integral from the p-tree root
+    along build_path, then around a flip loop if the path arrives on the
+    other sheet, plus log_potential at x."""
+    tree = solver.p_tree
+
+    def harm(zs, ys):
+        return solver.ctx.harm_values(solver.y, solver.y_val, solver.pcoef,
+                                      zs, ys)[:, None]
+
+    val, err = green._integrate_to(solver.ctx.curve,
+                                   tree.grid.nodes[tree.root],
+                                   tree.y_plus[tree.root], x, harm)
+    t_x = float(solver.ctx.log_potential(np.asarray(x.lam, complex)))
+    return float(val[0].real) + t_x, err
+
+
+def _tree_sheet(curve, tree, i):
+    """Reference sheet (+1 or -1) of the tree continuation at node i."""
+    lam = complex(tree.grid.nodes[i])
+    ref = complex(curve.y_at(np.asarray(lam), 1))
+    return 1 if abs(tree.y_plus[i] - ref) < abs(tree.y_plus[i] + ref) else -1
+
+
+def _real_period_defect(sol):
+    """Sum of |Re| of the a- and b-periods of the computed averaged form.
+
+    They vanish in theory and are about 1e-11 in practice, so Re u
+    changes by up to this much between two routes to the same point,
+    which no quadrature estimate counts."""
+    def harm(lam, ys):
+        return sol.ctx.harm_values(sol.y, sol.y_val, sol.pcoef, lam, ys)
+
+    periods = sol.ctx.model.periods
+    return sum(abs(curveperiods.cycle_integral(periods, kind, i, harm).real)
+               for kind in "ab" for i in (0, 1))
+
+
+@pytest.fixture(scope="module")
+def read_solvers(z5, solver, generic):
+    """GreenSolvers on z5 and the generic curve at grids (6,8), (12,16),
+    each with its _real_period_defect."""
+    gen_model, gen_frame, gen_ctx = generic
+    y_gen = SurfacePoint(-0.4 - 0.2j, -1)
+    coarse = QuadratureConfig(surface_grid=(6, 8, None))
+    sols = {
+        ("z5", (6, 8)): green.GreenSolver(
+            green.green_context(*z5, coarse), solver.y),
+        ("z5", (12, 16)): solver,
+        ("generic", (6, 8)): green.GreenSolver(
+            green.green_context(gen_model, gen_frame, coarse), y_gen),
+        ("generic", (12, 16)): green.GreenSolver(gen_ctx, y_gen),
+    }
+    return {k: (sol, _real_period_defect(sol)) for k, sol in sols.items()}
+
+
+GREEN_QUERY_REFERENCE = (Path(__file__).resolve().parents[1] / "stagebench"
+                         / "reference" / "green_query.json")
+
+
+class TestGreenRead:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           near=st.sampled_from(["branch", "cone", "y", "free"]),
+           index=st.integers(0, 5),
+           r=st.floats(1e-4, 0.05),
+           phase=st.floats(0.0, 2.0 * np.pi),
+           free=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+           sheet=st.sampled_from([1, -1]))
+    def test_matches_root_path(self, read_solvers, name, grid, near, index,
+                               r, phase, free, sheet):
+        # the nearest-node start against the root path it replaced, on
+        # both sheets and near the singular points of the integrand; the
+        # two routes differ by a cycle, so by up to the period defect
+        sol, defect = read_solvers[name, grid]
+        assert defect < 1e-9
+        centre = {"branch": sol.ctx.curve.branch_points[index],
+                  "cone": sol.ctx.frame.lam_p, "y": sol.y.lam,
+                  "free": complex(*free)}[near]
+        x = SurfacePoint(complex(centre) + r * np.exp(1j * phase), sheet)
+        u, err = sol.u_at(x)
+        u_ref, err_ref = _reference_u_at(sol, x)
+        assert abs(u - u_ref) <= err + err_ref + defect + 1e-12
+
+    def test_p_node_needs_no_path(self, ctx, solver, monkeypatch):
+        calls = []
+        monkeypatch.setattr(green, "integrate_vector_path",
+                            lambda *a, **k: calls.append(a))
+        tree = solver.p_tree
+        for i in (0, tree.root, ctx.p_grid.n_nodes // 2):
+            lam = complex(ctx.p_grid.nodes[i])
+            s = _tree_sheet(ctx.curve, tree, i)
+            u, err = solver.u_at(SurfacePoint(lam, s))
+            assert u == solver.u_plus[i] and err == solver.node_err[i, 0]
+            u, err = solver.u_at(SurfacePoint(lam, -s))
+            assert u == solver.u_minus[i] and err == solver.node_err[i, 1]
+        assert calls == []
+
+    def test_pool_within_path_only_estimate(self, ctx, monkeypatch):
+        # the stored green-query values lie within the estimate without
+        # the node errors, so the reference gate does not pass only
+        # because the error bar now counts them
+        ref = json.loads(GREEN_QUERY_REFERENCE.read_text())
+        assert ref["surface_grid"] == [12, 16]
+        re_y, im_y, sheet_y = ref["y"]
+        sol = green.GreenSolver(ctx, SurfacePoint(complex(re_y, im_y),
+                                                  sheet_y))
+        short = []
+        path = green.integrate_vector_path
+
+        def recorded(*args, **kwargs):
+            out = path(*args, **kwargs)
+            short.append(out[1])
+            return out
+
+        monkeypatch.setattr(green, "integrate_vector_path", recorded)
+        tree_part = sol.tree_err / max(1.0, ctx.area)
+        for re_x, im_x, sheet, value, _ in ref["pool"]:
+            short.clear()
+            g = sol.green(SurfacePoint(complex(re_x, im_x), int(sheet)))
+            assert len(short) == 1
+            bar = (short[0] + tree_part) / (2.0 * np.pi) + 1e-12
+            assert abs(g.value - value) <= bar, (re_x, im_x, sheet)
+            assert g.error_estimate + 1e-12 >= bar
+
+
 class TestRoelckeGreen:
     def test_symmetry(self, ctx, solver):
         x = SurfacePoint(-0.7 + 0.4j, 1)
@@ -313,13 +453,13 @@ class TestRoelckeGreen:
                                         dtype=int) if i != tree.root][:8]
         for i in nodes:
             lam = complex(ctx.p_grid.nodes[i])
-            ref = complex(ctx.curve.y_at(np.asarray(lam), 1))
-            s = 1 if abs(tree.y_plus[i] - ref) < abs(tree.y_plus[i] + ref) \
-                else -1
+            s = _tree_sheet(ctx.curve, tree, i)
             assert abs(solver.u_plus[i]
-                       - solver.u_at(SurfacePoint(lam, s))[0]) < 1e-8, i
+                       - _reference_u_at(solver, SurfacePoint(lam, s))[0]) \
+                < 1e-8, i
             assert abs(solver.u_minus[i]
-                       - solver.u_at(SurfacePoint(lam, -s))[0]) < 1e-8, i
+                       - _reference_u_at(solver, SurfacePoint(lam, -s))[0]) \
+                < 1e-8, i
 
     def test_mean_zero_independent_grid(self, ctx, solver):
         # quadrature over a third staggered grid that shares no nodes
