@@ -76,15 +76,6 @@ class RawBidifferential:
     def values(self, lam1, y1, lam2, y2):
         return bidiff_values(self.fm, lam1, y1, lam2, y2)
 
-    def value(self, x1: SurfacePoint, x2: SurfacePoint):
-        tol = 1e-12 * self.curve.scale
-        if abs(complex(x1.lam) - complex(x2.lam)) < tol and x1.sheet == x2.sheet:
-            raise DiagonalEvaluation("raw bidifferential has a double pole "
-                                     "on the diagonal")
-        y1 = complex(self.curve.y_at(np.asarray(x1.lam, complex), x1.sheet))
-        y2 = complex(self.curve.y_at(np.asarray(x2.lam, complex), x2.sheet))
-        return complex(self.values(x1.lam, y1, x2.lam, y2))
-
 
 # ---------------------------------------------------------------------------
 # distinguished frame at the cone point
@@ -260,16 +251,18 @@ def _pick_radius(curve, frame):
 
 
 def h_expansion(model: BidiffModel, frame: DistinguishedFrame,
-                order: int = 16, n_samples: int = 64, radius=None) -> BidiffModel:
+                order: int = 16) -> BidiffModel:
     """Regularized expansion H(xi1, xi2) = W/(dxi1 dxi2) - 1/(xi1 - xi2)^2.
 
-    Primary route divides the sampled series of (xi1 - xi2)^2 W by the
+    Primary route divides the series of (xi1 - xi2)^2 W, sampled at 64
+    points on each of two offset circles of radius _pick_radius, by the
     diagonal square exactly; a direct-subtraction route cross-checks the
     low-order jet.  Also fills the v-jets used by the scattering matrix.
     """
     if order < 4:
         raise InsufficientOrder("H expansion needs order >= 4")
-    r = radius if radius is not None else _pick_radius(model.curve, frame)
+    n_samples = 64
+    r = _pick_radius(model.curve, frame)
     xi1, xi2, w = _w_xi_samples(model, frame, r, n_samples)
     k = (xi1[:, None] - xi2[None, :]) ** 2 * w
     kc = _fourier_coefficients(k, r, np.pi / n_samples)

@@ -173,6 +173,7 @@ def cmd_green(cfg, tol_scale=1.0):
     berg = green.bergman_consistency(sol_y, x)
     m1, m2 = green.special_solution_means(ctx)
     rl = green.reg_log_limit(sol_y)
+    g1, g2 = sol_y.special_solutions()
     e2_gap = abs(rl - 2.0 * np.pi * match["g0"]) / max(abs(rl), 1e-30)
     evals = [sol_y.green(p) for p in pts if p is not y
              and abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
@@ -183,10 +184,8 @@ def cmd_green(cfg, tol_scale=1.0):
         "y": {"lam": _c2l(y.lam), "sheet": y.sheet},
         "green_values": values,
         "reg_log_limit": rl,
-        "special_solution_xi": _c2l(
-            green.special_solution_zero(ctx, 1, y)),
-        "special_solution_xi2": _c2l(
-            green.special_solution_zero(ctx, 2, y)),
+        "special_solution_xi": _c2l(g1),
+        "special_solution_xi2": _c2l(g2),
         "checks": [
             _check("symmetry", abs(g_xy.value - g_yx.value),
                    1e-2 * tol_scale),

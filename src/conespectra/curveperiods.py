@@ -93,12 +93,12 @@ def make_curve(branch_points, base=None) -> Curve:
     return Curve(branch_points=bp, base_point=base, base_sheet_value=y0)
 
 
-def make_z5_curve(lambda1=0.0, r=1.0, base=None) -> Curve:
+def make_z5_curve(lambda1=0.0, r=1.0) -> Curve:
     """Curve with the order-5 symmetry lambda_k = lambda_1 + r^2 e^{2pi i(k-1)/5}."""
     lam1 = complex(lambda1)
     ks = np.arange(5)
     bp = np.concatenate([[lam1], lam1 + r ** 2 * np.exp(2j * np.pi * ks / 5)])
-    return make_curve(bp, base=base)
+    return make_curve(bp)
 
 
 def _continue_sqrt(roots, a, val, targets):
@@ -136,12 +136,12 @@ def _segment_clearance(curve, a, b):
     return float(np.abs(a + t * seg - curve.branch_points).min())
 
 
-def continue_y(curve, path, y_start=None):
+def continue_y(curve, path):
     """Analytic continuation of y along a polyline from the base point."""
     pts = [complex(p) for p in path]
     tol = 1e-8 * curve.scale
-    y = curve.base_sheet_value if y_start is None else complex(y_start)
-    if y_start is None and abs(pts[0] - curve.base_point) > tol:
+    y = curve.base_sheet_value
+    if abs(pts[0] - curve.base_point) > tol:
         pts = [curve.base_point] + pts
     for a, b in zip(pts[:-1], pts[1:]):
         if a == b:

@@ -3,9 +3,9 @@ Roelcke double-quadrature Green function, special growing solutions at
 lambda = 0, the regularized log entry, and cross-checks against the
 Bergman kernel.
 
-Everything reduces to one closed-form kernel. With the exact
-antiderivative A(z,t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and
-the residue polynomial Q of the raw bidifferential,
+Everything reduces to one closed-form kernel, _form_values. With the
+exact antiderivative A(z,t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t))
+and the residue polynomial Q of the raw bidifferential,
 
     Omega_{p-q}(z) / dlambda = A(z,p) - A(z,q) + P(lambda_z) / y_z,
 
@@ -13,7 +13,9 @@ where the degree-4 polynomial P is linear in the moment vector
 M = int_q^p lambda^k dlambda / y (k = 0..4).  Averaging over a surface
 grid in q therefore only needs the weighted average of M, and the grid
 sum of the A terms collapses to one real-weighted Cauchy sum because
-the sheet-odd part cancels between the two sheets of each node.
+the sheet-odd part cancels between the two sheets of each node.  The
+averaged form Omega_bar_y is A(z,y) + P_y(lambda_z) / y_z minus that sum
+(GreenContext.omega_bar_values), the x-gradient of G(., y).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._core import third_kind_values
 from .bidiff import BidiffModel, DistinguishedFrame, bergman_kernel
 from .curveperiods import (Curve, SurfacePoint, _continue_sqrt,
                            metric_density)
@@ -76,10 +77,10 @@ def build_path(curve, lam_from, lam_to, clearance=None, depth=0):
     return left + right[1:]
 
 
-def _flip_loop(curve, lam_at, index=0):
-    """Closed polyline from lam_at around one branch point and back; the
-    y-continuation along it ends on the other sheet."""
-    bp = complex(curve.branch_points[index])
+def _flip_loop(curve, lam_at):
+    """Closed polyline from lam_at around the first branch point and back;
+    the y-continuation along it ends on the other sheet."""
+    bp = complex(curve.branch_points[0])
     r = curve.min_gap / 3.0
     direction = lam_at - bp
     if abs(direction) < r:
@@ -131,6 +132,19 @@ def _moment_integrand(zs, ys):
     return np.power.outer(zs, np.arange(5)) / ys[:, None]
 
 
+def _form_values(lam, ys, t_lam, t_y, pcoef):
+    """A(z, t) + P(lambda_z) / y_z at the points z = (lam, ys), with
+    A(z, t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and pcoef the
+    coefficients of P, lowest first.  For n second arguments pcoef is
+    (5, n), and lam[:, None] gives one column per argument; an empty
+    pcoef gives A alone."""
+    a = (ys + t_y) / (2.0 * ys * (lam - t_lam))
+    poly = np.zeros_like(a)
+    for c in pcoef[::-1]:
+        poly = poly * lam + c
+    return a + poly / ys
+
+
 # ---------------------------------------------------------------------------
 # third-kind differential between two explicit points
 # ---------------------------------------------------------------------------
@@ -149,8 +163,9 @@ class ThirdKindForm:
     abel: np.ndarray          # int_q^p v_beta
 
     def values(self, lam, y):
-        return third_kind_values(lam, y, self.p.lam, self.y_p,
-                                 self.q.lam, self.y_q, self.pcoef)
+        """Omega_{p-q} / dlambda at the points (lam, y) (arrays)."""
+        return (_form_values(lam, y, self.p.lam, self.y_p, self.pcoef)
+                - _form_values(lam, y, self.q.lam, self.y_q, ()))
 
 
 def _correction_pcoef(model, moments):
@@ -329,9 +344,11 @@ class GreenContext:
     """Precomputed q-side data: staggered grids, moment tree, Cauchy
     weights, and the metric area.
 
-    The p-side data that every GreenSolver of the context shares, the
-    p-grid tree and the log potential at the p nodes, are built on first
-    read, so a caller that never builds a solver never pays for them."""
+    omega_bar_values is the one evaluator of the averaged form; its
+    correction comes from averaged_pcoef for one second argument, or from
+    q_forms for every q node on both sheets.  q_forms and the p-side data
+    that every GreenSolver shares (p_tree, t_nodes) are built on first
+    read, so a caller that never reads them never pays for them."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -364,21 +381,25 @@ class GreenContext:
         m_y = self.moments_at(y)
         return _correction_pcoef(self.model, m_y - 0.5 * self.m_flip)[0]
 
-    def omega_bar_values(self, y: SurfacePoint, y_val, pcoef, lam, ys):
-        """Omega_bar_y(z) / dlambda at sheet-resolved points (lam, ys)."""
-        cauchy = (self.cauchy_w / (lam[..., None] - self.q_grid.nodes)
-                  ).sum(axis=-1) / self.area
-        return self.harm_values(y, y_val, pcoef, lam, ys) - cauchy
+    def omega_bar_values(self, lam, ys, t_lam, t_y, pcoef):
+        """Omega_bar_t(z) / dlambda at sheet-resolved points z = (lam, ys):
+        _form_values for the second argument(s) t = (t_lam, t_y) with
+        correction pcoef, minus the Cauchy sum over the q nodes.  The real
+        part of the integral of that sum is the closed-form log_potential
+        below, so the p-tree integrates _form_values alone."""
+        cauchy = (self.cauchy_w / (np.asarray(lam)[..., None]
+                                   - self.q_grid.nodes)).sum(axis=-1)
+        return _form_values(lam, ys, t_lam, t_y, pcoef) - cauchy / self.area
 
-    def harm_values(self, y: SurfacePoint, y_val, pcoef, lam, ys):
-        """Omega_bar_y without the Cauchy sum over the q nodes; the real
-        part of the integral of the removed sum is the closed-form
-        log_potential below."""
-        a_y = (ys + y_val) / (2.0 * ys * (lam - y.lam))
-        poly = np.zeros_like(lam)
-        for c in pcoef[::-1]:
-            poly = poly * lam + c
-        return a_y + poly / ys
+    @cached_property
+    def q_forms(self):
+        """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree
+        sheet (q_tree.y_plus), then on the other sheet; as averaged_pcoef,
+        from the tree moments M(q) - M_conn / 2."""
+        m = np.concatenate([self.m_plus, self.m_flip - self.m_plus])
+        return (np.tile(self.q_grid.nodes, 2),
+                np.concatenate([self.q_tree.y_plus, -self.q_tree.y_plus]),
+                _correction_pcoef(self.model, (m - 0.5 * self.m_flip).T)[0])
 
     @cached_property
     def p_tree(self) -> SurfaceTree:
@@ -471,7 +492,7 @@ class GreenSolver:
     the one accumulation over that tree depends on y.
     """
 
-    def __init__(self, ctx: GreenContext, y: SurfacePoint, tol=1e-8):
+    def __init__(self, ctx: GreenContext, y: SurfacePoint):
         self.ctx = ctx
         curve = ctx.curve
         self.y = y
@@ -479,7 +500,7 @@ class GreenSolver:
         self.pcoef = ctx.averaged_pcoef(y)
         self.p_tree = ctx.p_tree
         vals, flip, err, self.node_err = accumulate_tree(
-            curve, self.p_tree, self._harm_both, 2, tol=tol)
+            curve, self.p_tree, self._harm_both, 2)
         self.u_plus = vals[:, 0].real + ctx.t_nodes
         self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
@@ -488,11 +509,11 @@ class GreenSolver:
         self.tree_err = err
 
     def _harm_both(self, zs, ys):
-        """The averaged form on the tree sheet and on the other sheet."""
-        harm = self.ctx.harm_values
-        return np.stack([harm(self.y, self.y_val, self.pcoef, zs, ys),
-                         harm(self.y, self.y_val, self.pcoef, zs, -ys)],
-                        axis=1)
+        """The averaged form without its Cauchy sum (see
+        GreenContext.omega_bar_values) on the tree sheet and on the other
+        sheet."""
+        return np.stack([_form_values(zs, s, self.y.lam, self.y_val,
+                                      self.pcoef) for s in (ys, -ys)], axis=1)
 
     def u_at(self, x: SurfacePoint):
         """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with
@@ -544,12 +565,18 @@ class GreenSolver:
                                error_estimate=float(est))
 
     def green_at_cone(self):
-        """G(P, y) via a path ending just off the cone point; the averaged
-        form is integrable there, so no quadrature node sits at P."""
+        """G(P, y) and its error estimate: green at a point just off the
+        cone point; the averaged form is integrable there, so no
+        quadrature node sits at P."""
         eps = 1e-5 * self.ctx.curve.scale
-        x = SurfacePoint(self.ctx.frame.lam_p + eps, 1)
-        ux, err = self.u_at(x)
-        return (ux - self.mean_u) / (2.0 * np.pi), err
+        g = self.green(SurfacePoint(self.ctx.frame.lam_p + eps, 1))
+        return g.value, g.error_estimate
+
+    def special_solutions(self):
+        """(G_{1/xi}, G_{1/xi^2})(y; 0) from this solver's correction
+        polynomial (_special_solutions)."""
+        return tuple(complex(g) for g in _special_solutions(
+            self.ctx, self.y.lam, self.y_val, self.pcoef))
 
 
 def roelcke_green(model: BidiffModel, frame: DistinguishedFrame,
@@ -564,13 +591,15 @@ def roelcke_green(model: BidiffModel, frame: DistinguishedFrame,
 # special growing solutions at lambda = 0
 # ---------------------------------------------------------------------------
 
-def _xi_circle_radius(ctx: GreenContext, exclude=None):
-    """Sampling radius in xi strictly inside the nearest Omega_bar pole."""
+def _xi_circle_radius(ctx: GreenContext, t_lam):
+    """Sampling radius in xi strictly inside the nearest pole of
+    Omega_bar_t: a q node, or the second argument t_lam.  An array t_lam
+    holds q nodes, which add no nearer pole."""
     lam_p = ctx.frame.lam_p
     d = np.abs(ctx.q_grid.nodes - lam_p)
     dmin = float(d[d > 0].min())
-    if exclude is not None:
-        dmin = min(dmin, abs(complex(exclude) - lam_p))
+    if np.ndim(t_lam) == 0:
+        dmin = min(dmin, abs(complex(t_lam) - lam_p))
     zeta_r = 0.65 * np.sqrt(dmin)
     return 0.9 * abs(complex(ctx.frame.xi_of_zeta.evaluate(
         np.asarray([zeta_r], complex))[0]))
@@ -599,22 +628,32 @@ def _cone_circle_points(ctx: GreenContext, r, n):
     return xi, pts
 
 
+def _special_solutions(ctx: GreenContext, t_lam, t_y, pcoef):
+    """(G_{1/xi}, G_{1/xi^2})(t; 0) for one second argument t = (t_lam,
+    t_y) with correction pcoef, or for an array of them with one pcoef
+    column each (as GreenContext.omega_bar_values).
+
+    They are minus the xi-Taylor coefficients of orders 0 and 1 of the
+    averaged form Omega_bar_t / dxi at the cone point, read off one FFT on
+    a circle inside every pole."""
+    n = 32
+    r = _xi_circle_radius(ctx, t_lam)
+    shape = (n,) + (1,) * np.ndim(t_lam)
+    lam, yv, dlam_dxi = (v.reshape(shape)
+                         for v in _cone_circle(ctx, r, n)[1:])
+    samples = ctx.omega_bar_values(lam, yv, t_lam, t_y, pcoef) * dlam_dxi
+    coef = np.fft.fft(samples, axis=0) / n
+    return -coef[0], -coef[1] / r
+
+
 def special_solution_zero(ctx: GreenContext, l: int,
                           y: SurfacePoint) -> complex:
-    """G_{1/xi^l}(y; 0) for l in {1, 2}.
-
-    Equals minus the xi-Taylor coefficient of order l - 1 of the averaged
-    form Omega_bar_y / dxi at the cone point, read off a circle."""
+    """G_{1/xi^l}(y; 0) for l in {1, 2} (_special_solutions)."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
     pcoef = ctx.averaged_pcoef(y)
     y_val = complex(ctx.curve.y_at(np.asarray(y.lam, complex), y.sheet))
-    n = 32
-    r = _xi_circle_radius(ctx, y.lam)
-    _, lam, yv, dlam_dxi = _cone_circle(ctx, r, n)
-    samples = ctx.omega_bar_values(y, y_val, pcoef, lam, yv) * dlam_dxi
-    coef = np.fft.fft(samples) / n
-    return complex(-coef[0] if l == 1 else -coef[1] / r)
+    return complex(_special_solutions(ctx, y.lam, y_val, pcoef)[l - 1])
 
 
 def special_solution_conjugate(ctx: GreenContext, l: int,
@@ -624,34 +663,15 @@ def special_solution_conjugate(ctx: GreenContext, l: int,
 
 
 def special_solution_grid(ctx: GreenContext):
-    """G_{1/xi} and G_{1/xi^2} at every q-grid node on both sheets.
+    """G_{1/xi} and G_{1/xi^2} at every q-grid node on both sheets: one
+    _special_solutions call over GreenContext.q_forms.
 
-    The tree moments make the whole grid one vectorized Cauchy sum.
     Returns ((g1_plus, g1_minus), (g2_plus, g2_minus), weights); "plus"
     is the node at y = q_tree.y_plus (the tree sheet, which need not be
     reference sheet +1), "minus" the node at -q_tree.y_plus."""
-    n = 32
-    r = _xi_circle_radius(ctx)
-    _, lam, yv, dlam_dxi = _cone_circle(ctx, r, n)
-    cauchy = (ctx.cauchy_w / (lam[:, None] - ctx.q_grid.nodes[None, :])
-              ).sum(axis=1) / ctx.area
-    lam_q = ctx.q_grid.nodes
-    powers = np.power.outer(lam, np.arange(5))          # (n, 5)
-    out = []
-    for sheet, m_nodes in ((1, ctx.m_plus),
-                           (-1, ctx.m_flip[None, :] - ctx.m_plus)):
-        yq = sheet * ctx.q_tree.y_plus
-        a_y = (yv[:, None] + yq[None, :]) / (
-            2.0 * yv[:, None] * (lam[:, None] - lam_q[None, :]))
-        qm, _ = _correction_pcoef(ctx.model,
-                                  (m_nodes - 0.5 * ctx.m_flip).T)
-        poly = powers @ qm                              # (n, n_nodes)
-        samples = (a_y - cauchy[:, None] + poly / yv[:, None]) \
-            * dlam_dxi[:, None]
-        coef = np.fft.fft(samples, axis=0) / n
-        out.append((-coef[0], -coef[1] / r))
-    (g1p, g2p), (g1m, g2m) = out
-    return (g1p, g1m), (g2p, g2m), ctx.cauchy_w
+    g1, g2 = _special_solutions(ctx, *ctx.q_forms)
+    n = ctx.q_grid.n_nodes
+    return (g1[:n], g1[n:]), (g2[:n], g2[n:]), ctx.cauchy_w
 
 
 def special_solution_means(ctx: GreenContext):
@@ -666,14 +686,13 @@ def special_solution_means(ctx: GreenContext):
 # coefficient matching, regularized log entry, Bergman consistency
 # ---------------------------------------------------------------------------
 
-def coefficient_matching(solver: GreenSolver, r0=None,
-                         n_samples=12) -> dict:
-    """Fit G(xi, y) on |xi| = r0 against the cone-point expansion model
+def coefficient_matching(solver: GreenSolver, n_samples=12) -> dict:
+    """Fit G(xi, y) on |xi| = r0, half the special-solution circle's
+    radius, against the cone-point expansion model
     G(P,y) - sum_l (1/4 pi l)[G_{1/xi^l} xi^l + conj terms], and compare
     the fitted coefficients with the special-solution values."""
     ctx = solver.ctx
-    if r0 is None:
-        r0 = 0.5 * _xi_circle_radius(ctx, solver.y.lam)
+    r0 = 0.5 * _xi_circle_radius(ctx, solver.y.lam)
     xi, pts = _cone_circle_points(ctx, r0, n_samples)
     g_vals = np.array([solver.green(p).value for p in pts])
     # real-valued model: g0 + 2 Re(b1 xi + b2 xi^2)
@@ -685,8 +704,9 @@ def coefficient_matching(solver: GreenSolver, r0=None,
     g0 = float(sol[0])
     b1 = 0.5 * (sol[1] + 1j * sol[2])
     b2 = 0.5 * (sol[3] + 1j * sol[4])
-    t1 = -special_solution_zero(ctx, 1, solver.y) / (4.0 * np.pi)
-    t2 = -special_solution_zero(ctx, 2, solver.y) / (8.0 * np.pi)
+    g1, g2 = solver.special_solutions()
+    t1 = -g1 / (4.0 * np.pi)
+    t2 = -g2 / (8.0 * np.pi)
     return {
         "g0": g0,
         "fit_xi": complex(b1),
@@ -700,7 +720,7 @@ def coefficient_matching(solver: GreenSolver, r0=None,
     }
 
 
-def smatrix_expansion_check(ctx: GreenContext, n_samples=16) -> dict:
+def smatrix_expansion_check(ctx: GreenContext) -> dict:
     """End-to-end comparison of the special-solution expansions at the
     cone point with the assembled T(0) entries.
 
@@ -709,20 +729,22 @@ def smatrix_expansion_check(ctx: GreenContext, n_samples=16) -> dict:
     The holomorphic-sector coefficients reproduce the T(0) entries with
     their sign; the conjugate-sector coefficients come out as the
     negated entries, fixing the sign convention of the conjugate block
-    relative to the Bergman-kernel sum.
+    relative to the Bergman-kernel sum.  Each of the 16 points per circle
+    costs one averaged_pcoef.
     """
-    rmax = _xi_circle_radius(ctx)
+    rmax = _xi_circle_radius(ctx, ctx.q_grid.nodes)
     rows, rhs1, rhs2 = [], [], []
     for r0 in (0.3 * rmax, 0.55 * rmax):
-        xi, pts = _cone_circle_points(ctx, r0, n_samples)
-        v1 = [special_solution_zero(ctx, 1, p) for p in pts]
-        v2 = [special_solution_zero(ctx, 2, p) for p in pts]
-        for k in range(n_samples):
-            z = xi[k]
+        xi, pts = _cone_circle_points(ctx, r0, 16)
+        for z, p in zip(xi, pts):
+            y_val = complex(ctx.curve.y_at(np.asarray(p.lam, complex),
+                                           p.sheet))
+            g1, g2 = _special_solutions(ctx, p.lam, y_val,
+                                        ctx.averaged_pcoef(p))
             rows.append([1 / z ** 2, 1 / z, 1.0, z, z ** 2,
                          np.conj(z), np.conj(z) ** 2])
-            rhs1.append(v1[k])
-            rhs2.append(v2[k])
+            rhs1.append(complex(g1))
+            rhs2.append(complex(g2))
     mat = np.asarray(rows)
     c1, _, rank, _ = np.linalg.lstsq(mat, np.asarray(rhs1), rcond=None)
     c2, _, _, _ = np.linalg.lstsq(mat, np.asarray(rhs2), rcond=None)
@@ -763,16 +785,15 @@ def bergman_consistency(solver: GreenSolver, x: SurfacePoint,
     if h <= 0 or h < 1e-10 * ctx.curve.scale:
         raise StepTooSmall(f"finite-difference step {h} is too small")
     y = solver.y
+    lam_x = np.asarray([x.lam], complex)
+    y_x = ctx.curve.y_at(lam_x, x.sheet)
 
     def dxg(dy):
         yy = SurfacePoint(complex(y.lam) + dy, y.sheet)
         y_val = complex(ctx.curve.y_at(np.asarray(yy.lam, complex),
                                        yy.sheet))
-        pcoef = ctx.averaged_pcoef(yy)
-        y_x = complex(ctx.curve.y_at(np.asarray(x.lam, complex), x.sheet))
-        om = ctx.omega_bar_values(yy, y_val, pcoef,
-                                  np.asarray([x.lam], complex),
-                                  np.asarray([y_x], complex))[0]
+        om = ctx.omega_bar_values(lam_x, y_x, yy.lam, y_val,
+                                  ctx.averaged_pcoef(yy))[0]
         return -om / (4.0 * np.pi)
 
     d_re = (dxg(h) - dxg(-h)) / (2 * h)
@@ -791,30 +812,17 @@ def g_hol(ctx: GreenContext, x: SurfacePoint, y: SurfacePoint) -> complex:
     d_x G_F(x,z) d_conj(y) G_F(z,y) / (omega(x) conj(omega(y))).
 
     Uses the gradient identity d_x G(x,z) = Omega_bar_z(x) / 4 pi,
-    vectorized over the grid in z through the tree moments; omega is the
-    metric differential (lambda - lambda_P) dlambda / y.
+    vectorized over the grid nodes z on both sheets (GreenContext.q_forms);
+    omega is the metric differential (lambda - lambda_P) dlambda / y.
     """
     if ctx.q_grid.n_nodes < 600:
         raise GridTooCoarse("g_hol needs a denser surface grid")
     curve = ctx.curve
-    lam_q = ctx.q_grid.nodes
     y_x = complex(curve.y_at(np.asarray(x.lam, complex), x.sheet))
     y_y = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
-    cx = (ctx.cauchy_w / (x.lam - lam_q)).sum() / ctx.area
-    cy = (ctx.cauchy_w / (y.lam - lam_q)).sum() / ctx.area
-    pw_x = x.lam ** np.arange(5)
-    pw_y = y.lam ** np.arange(5)
-    total = 0.0 + 0.0j
-    for sheet, m_nodes in ((1, ctx.m_plus),
-                           (-1, ctx.m_flip[None, :] - ctx.m_plus)):
-        yq = sheet * ctx.q_tree.y_plus
-        qm, _ = _correction_pcoef(ctx.model,
-                                  (m_nodes - 0.5 * ctx.m_flip).T)
-        gx = ((y_x + yq) / (2.0 * y_x * (x.lam - lam_q)) - cx
-              + (pw_x @ qm) / y_x) / (4.0 * np.pi)
-        gy = ((y_y + yq) / (2.0 * y_y * (y.lam - lam_q)) - cy
-              + (pw_y @ qm) / y_y) / (4.0 * np.pi)
-        total += (ctx.cauchy_w * gx * np.conj(gy)).sum()
+    gx = ctx.omega_bar_values(x.lam, y_x, *ctx.q_forms) / (4.0 * np.pi)
+    gy = ctx.omega_bar_values(y.lam, y_y, *ctx.q_forms) / (4.0 * np.pi)
+    total = (np.tile(ctx.cauchy_w, 2) * gx * np.conj(gy)).sum()
     om_x = (x.lam - ctx.frame.lam_p) / y_x
     om_y = (y.lam - ctx.frame.lam_p) / y_y
     return complex(total / (om_x * np.conj(om_y)))

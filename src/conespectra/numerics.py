@@ -401,12 +401,9 @@ class SurfaceGrid:
     Node order is fixed, so reductions are bit-reproducible.
     """
 
-    branch_points: np.ndarray
     nodes: np.ndarray          # complex lambda values (one sheet's worth)
     weights: np.ndarray        # real, includes partition & chart Jacobian
     center: complex
-    radius: float
-    disk_radius: float
 
     @property
     def n_nodes(self):
@@ -491,7 +488,7 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     dmin = np.abs(nodes[:, None] - bp[None, :]).min()
     if dmin < 1e-12 * max(1.0, span):
         raise SingularityOnGrid("a quadrature node coincides with a branch point")
-    return SurfaceGrid(bp, nodes, weights, center, float(radius), disk_r)
+    return SurfaceGrid(nodes, weights, center)
 
 
 def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points,

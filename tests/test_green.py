@@ -318,8 +318,8 @@ def _reference_u_at(solver, x):
     tree = solver.p_tree
 
     def harm(zs, ys):
-        return solver.ctx.harm_values(solver.y, solver.y_val, solver.pcoef,
-                                      zs, ys)[:, None]
+        return green._form_values(zs, ys, solver.y.lam, solver.y_val,
+                                  solver.pcoef)[:, None]
 
     val, err = green._integrate_to(solver.ctx.curve,
                                    tree.grid.nodes[tree.root],
@@ -342,7 +342,7 @@ def _real_period_defect(sol):
     changes by up to this much between two routes to the same point,
     which no quadrature estimate counts."""
     def harm(lam, ys):
-        return sol.ctx.harm_values(sol.y, sol.y_val, sol.pcoef, lam, ys)
+        return green._form_values(lam, ys, sol.y.lam, sol.y_val, sol.pcoef)
 
     periods = sol.ctx.model.periods
     return sum(abs(curveperiods.cycle_integral(periods, kind, i, harm).real)
@@ -506,11 +506,15 @@ class TestRoelckeGreen:
         with pytest.raises(ConeArgument):
             green.GreenSolver(ctx, SurfacePoint(ctx.frame.lam_p, 1))
 
-    def test_bounded_at_cone(self, solver):
+    def test_bounded_at_cone(self, ctx, solver):
         gp, err = solver.green_at_cone()
         assert np.isfinite(gp)
         assert abs(gp) < 10.0
         assert err < 1e-3
+        # the value and error estimate of green just off the cone point
+        g = solver.green(SurfacePoint(ctx.frame.lam_p + 1e-5 * ctx.curve.scale,
+                                      1))
+        assert (gp, err) == (g.value, g.error_estimate)
 
     def test_one_shot_matches_solver(self, z5):
         model, frame = z5
@@ -535,11 +539,39 @@ class TestSpecialSolutions:
         assert vc == np.conj(v)
 
     def test_grid_matches_pointwise(self, ctx):
-        (g1p, _), (g2p, _), _ = green.special_solution_grid(ctx)
-        i = int(np.argmin(np.abs(ctx.q_grid.nodes - (0.8 + 0.8j))))
-        pt = SurfacePoint(complex(ctx.q_grid.nodes[i]), 1)
-        assert abs(g1p[i] - green.special_solution_zero(ctx, 1, pt)) < 1e-8
-        assert abs(g2p[i] - green.special_solution_zero(ctx, 2, pt)) < 1e-8
+        # both columns: "plus" is the tree sheet of each node, read off
+        # q_tree.y_plus, and "minus" the other sheet
+        (g1p, g1m), (g2p, g2m), _ = green.special_solution_grid(ctx)
+        nodes = ctx.q_grid.nodes
+        picks = [int(np.argmin(np.abs(nodes - (0.8 + 0.8j))))] + list(
+            np.linspace(0, nodes.size - 1, 11, dtype=int))
+        for i in picks:
+            s = _tree_sheet(ctx.curve, ctx.q_tree, i)
+            for sheet, g1, g2 in ((s, g1p, g2p), (-s, g1m, g2m)):
+                pt = SurfacePoint(complex(nodes[i]), sheet)
+                assert abs(g1[i] - green.special_solution_zero(ctx, 1, pt)) \
+                    < 1e-8, (i, sheet)
+                assert abs(g2[i] - green.special_solution_zero(ctx, 2, pt)) \
+                    < 1e-8, (i, sheet)
+
+    def test_one_averaged_pcoef_per_point(self, ctx, solver, monkeypatch):
+        # the special-solution pair comes from one correction polynomial
+        # per second argument; a solver already holds its own
+        pairs = [green.special_solution_zero(ctx, l, solver.y)
+                 for l in (1, 2)]
+        calls = []
+        averaged = green.GreenContext.averaged_pcoef
+
+        def counted(self, y):
+            calls.append(y)
+            return averaged(self, y)
+
+        monkeypatch.setattr(green.GreenContext, "averaged_pcoef", counted)
+        green.coefficient_matching(solver)
+        assert calls == []
+        green.smatrix_expansion_check(ctx)
+        assert len(calls) == 32
+        assert list(solver.special_solutions()) == pairs
 
     def test_order_validation(self, ctx):
         with pytest.raises(ValueError):
