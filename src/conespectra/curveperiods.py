@@ -296,10 +296,23 @@ def period_data(curve, cone_point, cfg: QuadratureConfig | None = None,
                       pairs=tuple(pairs[:5]), signs=tuple(signs), bsign=bsign)
 
 
+# points of metric_density evaluated together; bounds Curve.poly's
+# temporary to this many points times the branch points
+_DENSITY_ROWS = 4096
+
+
 def metric_density(curve, lam_p, lam):
     """|omega / dlambda|^2 = |lambda - lambda_P|^2 / |prod(lambda - lambda_j)|,
-    the density of the flat conical metric on either sheet."""
-    return np.abs(lam - lam_p) ** 2 / np.abs(curve.poly(lam))
+    the density of the flat conical metric on either sheet, taken
+    _DENSITY_ROWS points at a time."""
+    lam = np.asarray(lam, dtype=complex)
+    flat = lam.reshape(-1)
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, _DENSITY_ROWS):
+        z = flat[s:s + _DENSITY_ROWS]
+        out[s:s + _DENSITY_ROWS] = np.abs(z - lam_p) ** 2 \
+            / np.abs(curve.poly(z))
+    return out.reshape(lam.shape)[()]
 
 
 def metric_area(curve, cone_point, cfg: QuadratureConfig):

@@ -217,48 +217,97 @@ class SurfaceTree:
     root: int
 
 
+# elements of one block of the nearest-visited search (rows times window
+# width), and the previous nodes in the visit order that bound a row's window
+_SEARCH_BLOCK = 1 << 16
+_LOOKBACK = 64
+
+
+def _clear_edges(curve, lam, gap, kid, cand):
+    """Whether the edges [lam[cand], lam[kid]] keep clear of the branch
+    points (the clearance of curveperiods._segment_clearance): at least
+    0.3 times the smaller endpoint distance gap, capped at min_gap / 4,
+    and above 1e-9 scale.  kid and cand broadcast."""
+    bp = curve.branch_points
+    a = lam[cand][..., None]
+    seg = lam[kid][..., None] - a
+    t = np.clip(((bp - a) / seg).real, 0.0, 1.0)
+    clr = np.abs(a + t * seg - bp).min(axis=-1)
+    floor = 0.3 * np.minimum(gap[kid], gap[cand])
+    return (clr >= np.minimum(floor, curve.min_gap / 4.0)) \
+        & (clr > 1e-9 * curve.scale)
+
+
+def _nearest_visited(lam_ord, order, rho):
+    """Node index of the nearest visited node for every position k >= 1 of
+    the visit order (the nodes order[:k]), distance ties going to the
+    lower node index; entry 0 is -1.
+
+    rho, the distance from the root, rises along the order, so a visited
+    node within distance R of node k has rho >= rho_k - R.  R is the
+    distance to the nearest of the _LOOKBACK previous nodes, which bounds
+    each row's search to a window of the order; rows are taken in blocks
+    of similar window width."""
+    n = lam_ord.size
+    reach = np.full(n, np.inf)
+    for m in range(1, min(_LOOKBACK, n - 1) + 1):
+        np.minimum(reach[m:], np.abs(lam_ord[m:] - lam_ord[:-m]),
+                   out=reach[m:])
+    # the slack covers the rounding of rho and of the distances, each a
+    # few ulps of the largest |lambda|
+    lo = np.searchsorted(rho, rho - reach - 1e-12 * np.abs(lam_ord).max())
+    width = np.arange(n) - lo
+    rows = 1 + np.argsort(width[1:], kind="stable")
+    ws = width[rows]
+    near = np.full(n, -1)
+    s = 0
+    while s < rows.size:
+        # widths rise along rows, so a block's last row is its widest
+        cost = np.arange(1, rows.size - s + 1) * ws[s:]
+        e = s + max(1, int(np.searchsorted(cost, _SEARCH_BLOCK, "right")))
+        k = rows[s:e, None]
+        # windows shorter than the block's are padded with node k - 1
+        pos = np.minimum(lo[k] + np.arange(ws[e - 1]), k - 1)
+        d = np.abs(lam_ord[pos] - lam_ord[k])
+        tie = d == d.min(axis=1, keepdims=True)
+        near[rows[s:e]] = np.where(tie, order[pos], n).min(axis=1)
+        s = e
+    return near
+
+
 def build_surface_tree(curve, grid) -> SurfaceTree:
     """Visit the nodes by distance from the root (the node farthest from
     the grid center); each new node hangs from the nearest of its 16
     nearest visited nodes whose edge keeps clear of the branch points
     (the nearest of all if none does), distance ties going to the lower
-    node index.  y is continued along the tree in closed form: every
-    y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)), and the sign sigma_i
-    is the parent's times the edge's sign flip."""
+    node index.
+
+    The nearest visited node comes from _nearest_visited, and its edge is
+    tested alone; only a node whose nearest edge fails the clearance test
+    searches its 16 nearest visited nodes.  y is continued along the tree
+    in closed form: every y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)),
+    and the sign sigma_i is the parent's times the edge's sign flip."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
     root = int(np.argmax(np.abs(lam - grid.center)))
     # scalar abs, not np.abs: the two differ by an ulp on some nodes,
     # enough to swap two nodes of equal distance in the visit order
-    order = np.asarray(sorted(range(n),
-                              key=lambda i: (abs(lam[i] - lam[root]), i)))
-    # the visit order fixes every node's visited set, so the candidate
-    # parents of all nodes are known before any parent is chosen
+    rho = np.array([abs(z) for z in (lam - lam[root]).tolist()])
+    order = np.lexsort((np.arange(n), rho))
     lam_ord = lam[order]
-    cand = np.full((n, 16), root)      # the root pads the first 16 rows
-    for k in range(1, n):
+    gap = np.abs(lam[:, None] - bp).min(axis=1)
+    kids = order[1:]
+    parent = np.full(n, -1, dtype=int)
+    parent[kids] = _nearest_visited(lam_ord, order, rho[order])[1:]
+    for k in 1 + np.flatnonzero(~_clear_edges(curve, lam, gap, kids,
+                                              parent[kids])):
         d = np.abs(lam_ord[:k] - lam_ord[k])
         sel = np.flatnonzero(d <= np.partition(d, 15)[15]) if k > 16 \
             else np.arange(k)
-        near = order[sel[np.lexsort((order[sel], d[sel]))[:16]]]
-        cand[k, :near.size] = near
-    kids, cand = order[1:], cand[1:]
-    valid = np.arange(16) < np.arange(1, n)[:, None]
-    # clearance of every candidate edge [lam_j, lam_i] from the branch
-    # points, as curveperiods._segment_clearance
-    a = lam[cand][..., None]
-    seg = lam[kids][:, None, None] - a
-    t = np.clip(((bp - a) / seg).real, 0.0, 1.0)
-    clr = np.abs(a + t * seg - bp).min(axis=-1)
-    gap = np.abs(lam[:, None] - bp).min(axis=1)
-    floor = 0.3 * np.minimum(gap[kids][:, None], gap[cand])
-    ok = valid & (clr >= np.minimum(floor, curve.min_gap / 4.0)) \
-        & (clr > 1e-9 * curve.scale)
-    parent = np.full(n, -1, dtype=int)
-    parent[kids] = np.where(ok.any(axis=1),
-                            cand[np.arange(n - 1), ok.argmax(axis=1)],
-                            cand[:, 0])
+        cand = order[sel[np.lexsort((order[sel], d[sel]))[:16]]]
+        ok = _clear_edges(curve, lam, gap, order[k], cand)
+        parent[order[k]] = cand[ok.argmax()] if ok.any() else cand[0]
     exact = np.sqrt(np.prod(lam[:, None] - bp, axis=-1))
     y_root = _continue_to(curve, curve.base_point, curve.base_sheet_value,
                           lam[root])
@@ -277,14 +326,46 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
                        y_plus=np.where(sigma < 0, -exact, exact), root=root)
 
 
-def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
+# tree edges lifted together by _lift_edges; bounds _continue_sqrt's
+# temporaries to 30 nodes times this many edges times the branch points
+_LIFT_EDGES = 256
+
+
+def _edge_nodes(tree):
+    """Start, end and half-length of every tree edge, edges in the order
+    of tree.order[1:], and their (30, edges) nodes: the 20-point, then the
+    10-point Gauss-Legendre nodes of numerics.integrate_path."""
+    lam = tree.grid.nodes
+    kids = tree.order[1:]
+    a, b = lam[tree.parent[kids]], lam[kids]
+    x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    return a, b, half, mid + half * x30[:, None]
+
+
+def _lift_edges(curve, tree):
+    """y at the nodes of every tree edge (_edge_nodes), continued from the
+    edge's start on the tree sheet (tree.y_plus), _LIFT_EDGES edges per
+    _continue_sqrt call."""
+    a, _, _, zs = _edge_nodes(tree)
+    y_a = tree.y_plus[tree.parent[tree.order[1:]]]
+    ys = np.empty_like(zs)
+    for s in range(0, a.size, _LIFT_EDGES):
+        cut = slice(s, s + _LIFT_EDGES)
+        ys[:, cut] = _continue_sqrt(curve.branch_points, a[cut], y_a[cut],
+                                    zs[:, cut])
+    return ys
+
+
+def accumulate_tree(curve, tree, edge_y, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
     the tree edges, on the sheet of the tree continuation (tree.y_plus).
 
+    edge_y is y at the nodes of every edge, _lift_edges(curve, tree); a
+    caller that accumulates several integrands over one tree lifts once.
     All edges share one vectorised pass of numerics.integrate_path's
-    embedded 20/10-point Gauss rules (numerics._embedded_gauss): y is
-    lifted to every edge's nodes in one _continue_sqrt call and f is
-    evaluated once on all of them.  An edge is accepted by
+    embedded 20/10-point Gauss rules (numerics._embedded_gauss): f is
+    evaluated once on the nodes of all edges.  An edge is accepted by
     integrate_path's own rule; the edges that fail go through
     integrate_vector_path with the same per-edge budget, so a spent
     budget raises NonConvergence.  f must act pointwise on flat arrays.
@@ -309,12 +390,8 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     err = flip_err
     kids = tree.order[1:]
     up = tree.parent[kids]
-    a, b = lam[up], lam[kids]
-    x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    zs = mid + half * x30[:, None]                              # (30, edges)
-    ys = _continue_sqrt(curve.branch_points, a, tree.y_plus[up], zs)
-    fv = f(zs.ravel(), ys.ravel()).reshape(30, kids.size, k)
+    a, b, half, zs = _edge_nodes(tree)
+    fv = f(zs.ravel(), edge_y.ravel()).reshape(30, kids.size, k)
     hi_est, gap, ok = _embedded_gauss(half, fv, tol)
     err += float(gap[ok].sum())
     edge_err = np.where(ok, gap, 0.0)
@@ -347,8 +424,10 @@ class GreenContext:
     omega_bar_values is the one evaluator of the averaged form; its
     correction comes from averaged_pcoef for one second argument, or from
     q_forms for every q node on both sheets.  q_forms and the p-side data
-    that every GreenSolver shares (p_tree, t_nodes) are built on first
-    read, so a caller that never reads them never pays for them."""
+    that every GreenSolver shares (p_tree, y lifted to its edge nodes in
+    p_edge_y, and t_nodes) are built on first read, so a caller that
+    never reads them never pays for them.  The q tree's edges are lifted
+    once, inside green_context, and not kept."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -407,6 +486,11 @@ class GreenContext:
         return build_surface_tree(self.curve, self.p_grid)
 
     @cached_property
+    def p_edge_y(self) -> np.ndarray:
+        """y at the nodes of every p_tree edge (_lift_edges)."""
+        return _lift_edges(self.curve, self.p_tree)
+
+    @cached_property
     def t_nodes(self) -> np.ndarray:
         """log_potential at the p-grid nodes."""
         return self.log_potential(self.p_grid.nodes)
@@ -455,8 +539,8 @@ def green_context(model: BidiffModel, frame: DistinguishedFrame,
     cauchy_w = q_grid.weights * dens_q
     area = 2.0 * float(cauchy_w.sum())
     q_tree = build_surface_tree(curve, q_grid)
-    m_plus, m_flip, _, _ = accumulate_tree(curve, q_tree, _moment_integrand,
-                                           5)
+    m_plus, m_flip, _, _ = accumulate_tree(
+        curve, q_tree, _lift_edges(curve, q_tree), _moment_integrand, 5)
     center = curve.branch_points.mean()
     rb = np.abs(curve.branch_points - center).max()
     inhull = np.abs(q_grid.nodes - center) < 1.5 * rb
@@ -487,9 +571,10 @@ class GreenSolver:
     Omega_bar_y + log_potential at every p node on both sheets (u_plus,
     u_minus), so each new x costs one short path from its nearest p node:
     G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
-    quadrature error on the same two sheets.  The p-grid tree and the log
-    potential at its nodes are the context's (p_tree is ctx.p_tree); only
-    the one accumulation over that tree depends on y.
+    quadrature error on the same two sheets.  The p-grid tree, y at its
+    edge nodes and the log potential at its nodes are the context's
+    (p_tree is ctx.p_tree); only the one accumulation over that tree
+    depends on y.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
@@ -500,7 +585,7 @@ class GreenSolver:
         self.pcoef = ctx.averaged_pcoef(y)
         self.p_tree = ctx.p_tree
         vals, flip, err, self.node_err = accumulate_tree(
-            curve, self.p_tree, self._harm_both, 2)
+            curve, self.p_tree, ctx.p_edge_y, self._harm_both, 2)
         self.u_plus = vals[:, 0].real + ctx.t_nodes
         self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p

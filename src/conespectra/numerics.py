@@ -456,23 +456,33 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     all_pts, all_w = [], []
 
     def bump_at(pts, j):
-        r = np.abs(pts - bp[j])
-        # 1 inside disk_r/2, 0 outside disk_r
-        return _smooth_step((disk_r - r) / (disk_r / 2.0))
+        """Indices of the points where the bump of disk j is not 0, and
+        its values there: 1 inside disk_r/2, 0 outside disk_r, and the
+        smooth step only in between."""
+        t = (disk_r - np.abs(pts - bp[j])) / (disk_r / 2.0)
+        inside = np.flatnonzero(t > 0.0)
+        t = t[inside]
+        val = np.ones(inside.size)
+        val[t < 1.0] = _smooth_step(t[t < 1.0])
+        return inside, val
 
     # branch-point disks
     for j in range(bp.size):
         pts, w = _polar_patch(bp[j], 0.0, disk_r, n_rad, n_ang,
                               angle_shift=shift)
+        inside, val = bump_at(pts, j)
+        part = np.zeros_like(w)
+        part[inside] = w[inside] * val
         all_pts.append(pts)
-        all_w.append(w * bump_at(pts, j))
+        all_w.append(part)
 
     # main disk with complementary partition factor
     pts, w = _polar_patch(center, 0.0, radius, 2 * n_rad, 2 * n_ang,
                           breakpoints=radial_breakpoints, angle_shift=shift)
     comp = np.ones_like(w)
     for j in range(bp.size):
-        comp = comp * (1.0 - bump_at(pts, j))
+        inside, val = bump_at(pts, j)
+        comp[inside] = comp[inside] * (1.0 - val)
     all_pts.append(pts)
     all_w.append(w * comp)
 
@@ -485,7 +495,7 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
 
     nodes = np.concatenate(all_pts)
     weights = np.concatenate(all_w)
-    dmin = np.abs(nodes[:, None] - bp[None, :]).min()
+    dmin = min(np.abs(nodes - b).min() for b in bp)
     if dmin < 1e-12 * max(1.0, span):
         raise SingularityOnGrid("a quadrature node coincides with a branch point")
     return SurfaceGrid(nodes, weights, center)

@@ -16,6 +16,7 @@ from conespectra.curveperiods import (
     make_curve,
     make_z5_curve,
     metric_area,
+    metric_density,
     normalized_differentials,
     period_data,
     singular_differential,
@@ -26,7 +27,8 @@ from conespectra.errors import (
     NotABranchPoint,
     PathTooCloseToBranchPoint,
 )
-from conespectra.numerics import QuadratureConfig, gauss_legendre
+from conespectra.numerics import (QuadratureConfig, build_surface_grid,
+                                  gauss_legendre)
 
 COARSE = QuadratureConfig(surface_grid=(24, 32, None))
 
@@ -257,6 +259,22 @@ class TestPeriodData:
         assert pd.area == area
         assert len(calls) == 1
         assert area == metric_area(self.curve, 0, COARSE)
+
+    def test_metric_density_blocks(self):
+        # more than three row blocks: each row's value is the unblocked
+        # formula's, whatever the block and the input shape
+        lam = build_surface_grid(self.curve.branch_points,
+                                 QuadratureConfig(surface_grid=(48, 64, None))
+                                 ).nodes
+        assert lam.size > 3 * curveperiods._DENSITY_ROWS
+        lam_p = self.curve.branch_points[0]
+        dense = np.abs(lam - lam_p) ** 2 / np.abs(self.curve.poly(lam))
+        dens = metric_density(self.curve, lam_p, lam)
+        np.testing.assert_array_equal(dens, dense)
+        np.testing.assert_array_equal(
+            metric_density(self.curve, lam_p, lam.reshape(-1, 2)),
+            dense.reshape(-1, 2))
+        assert metric_density(self.curve, lam_p, lam[5]) == dense[5]
 
     def test_alternative_basis_agrees_on_invariants(self):
         alt = period_data(self.curve, 0, COARSE, basis="alt")

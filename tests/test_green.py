@@ -27,7 +27,8 @@ from conespectra.errors import (
     NonConvergence,
     StepTooSmall,
 )
-from conespectra.numerics import QuadratureConfig, build_surface_grid
+from conespectra.numerics import (QuadratureConfig, SurfaceGrid,
+                                  build_surface_grid)
 
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
 
@@ -213,19 +214,39 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
     return vals, path_err
 
 
+def _assert_reference_tree(curve, grid):
+    tree = green.build_surface_tree(curve, grid)
+    parent, order, y_plus, root = _reference_tree(curve, grid)
+    assert tree.root == root
+    np.testing.assert_array_equal(tree.parent, parent)
+    np.testing.assert_array_equal(tree.order, order)
+    np.testing.assert_array_equal(tree.y_plus, y_plus)
+    return tree
+
+
 class TestSurfaceTree:
-    @pytest.mark.parametrize("stagger", [0.0, 0.31])
-    @pytest.mark.parametrize("grid", [(6, 8), (12, 16)])
-    @pytest.mark.parametrize("name", sorted(CURVES))
+    @pytest.mark.parametrize("name, grid, stagger", [
+        *(pytest.param(name, grid, stagger, id=f"{name}-grid{k}-{stagger}")
+          for name in sorted(CURVES)
+          for k, grid in enumerate([(6, 8), (12, 16)])
+          for stagger in [0.0, 0.31]),
+        # the widest search windows of the visit order
+        pytest.param("generic", (24, 32), 0.31, id="generic-grid2-0.31")])
     def test_matches_reference_tree(self, name, grid, stagger):
-        curve = CURVES[name]
-        g = _surface_grid(name, grid, stagger)
-        tree = green.build_surface_tree(curve, g)
-        parent, order, y_plus, root = _reference_tree(curve, g)
-        assert tree.root == root
-        np.testing.assert_array_equal(tree.parent, parent)
-        np.testing.assert_array_equal(tree.order, order)
-        np.testing.assert_array_equal(tree.y_plus, y_plus)
+        _assert_reference_tree(CURVES[name], _surface_grid(name, grid,
+                                                           stagger))
+
+    def test_parent_across_branch_point(self):
+        # node x's nearest visited node a lies across branch point 1.0, so
+        # x hangs from c, the next nearest, through the 16-candidate search
+        curve = CURVES["generic"]
+        root, a, c, x = 10.0, 1.02, 1.0 + 0.035j, 0.98
+        nodes = np.array([x, c, 1.0 + 0.5j, a, root, 0.95 + 0.3j], complex)
+        grid = SurfaceGrid(nodes, np.ones(nodes.size), 0.0)
+        tree = _assert_reference_tree(curve, grid)
+        visited = tree.order[:list(tree.order).index(0)]   # x is node 0
+        assert nodes[visited[np.argmin(np.abs(nodes[visited] - x))]] == a
+        assert nodes[tree.parent[0]] == c
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("name", sorted(CURVES))
@@ -246,7 +267,8 @@ class TestSurfaceTree:
 
         monkeypatch.setattr(green, "integrate_vector_path", counted)
         vals, _, err, node_err = green.accumulate_tree(
-            curve, tree, green._moment_integrand, 5, tol=tol)
+            curve, tree, green._lift_edges(curve, tree),
+            green._moment_integrand, 5, tol=tol)
         gap = np.abs(vals - ref).max(axis=1)
         bound = path_err + 1e-13 * np.abs(ref).max(axis=1)
         assert (gap <= bound).all(), int(np.argmax(gap - bound))
@@ -268,8 +290,9 @@ class TestSurfaceTree:
         tree = green.build_surface_tree(curve, _surface_grid("z5", (6, 8),
                                                              0.31))
         with pytest.raises(NonConvergence):
-            green.accumulate_tree(curve, tree, green._moment_integrand, 5,
-                                  tol=1e-12, budget=0)
+            green.accumulate_tree(curve, tree, green._lift_edges(curve, tree),
+                                  green._moment_integrand, 5, tol=1e-12,
+                                  budget=0)
 
     def test_log_potential_blocks(self, ctx):
         # more than three row blocks; each point's value must not depend
@@ -300,15 +323,32 @@ class TestSurfaceTree:
             built.append(grid)
             return build(curve, grid)
 
+        lifted = []
+        lift = green._lift_edges
+
+        def counted_lift(curve, tree):
+            lifted.append(tree)
+            return lift(curve, tree)
+
         monkeypatch.setattr(green, "build_surface_tree", counted)
+        monkeypatch.setattr(green, "_lift_edges", counted_lift)
         cfg = QuadratureConfig(surface_grid=(6, 8, None))
         c = green.green_context(model, frame, cfg)
         green.special_solution_means(c)
         assert built == [c.q_grid]
-        solvers = [green.GreenSolver(c, SurfacePoint(z, 1))
-                   for z in (0.9 + 1.3j, -0.7 + 0.4j)]
+        assert lifted == [c.q_tree]
+        ys = [SurfacePoint(z, 1) for z in (0.9 + 1.3j, -0.7 + 0.4j)]
+        solvers = [green.GreenSolver(c, y) for y in ys]
         assert built == [c.q_grid, c.p_grid]
         assert all(s.p_tree is c.p_tree for s in solvers)
+        assert lifted == [c.q_tree, c.p_tree]
+        # a solver sharing the lifted edges equals one built alone
+        for s, y in zip(solvers, ys):
+            alone = green.GreenSolver(green.green_context(model, frame, cfg),
+                                      y)
+            for field in ("u_plus", "u_minus", "node_err", "tree_err"):
+                np.testing.assert_array_equal(getattr(s, field),
+                                              getattr(alone, field))
 
 
 def _reference_u_at(solver, x):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conespectra.errors import DegenerateJet, NonConvergence
+from conespectra import numerics
+from conespectra.curveperiods import make_curve, make_z5_curve
+from conespectra.errors import DegenerateJet, NonConvergence, SingularityOnGrid
 from conespectra.numerics import (
     BivariateSeries,
     QuadratureConfig,
+    SurfaceGrid,
     TruncatedSeries,
     build_surface_grid,
     gamma,
@@ -208,6 +211,56 @@ class TestPathQuadrature:
 
 HEX = 0.1 * np.exp(2j * np.pi * np.arange(6) / 6)
 
+GRID_CURVES = {
+    "z5": make_z5_curve(0.0, 1.0),
+    "generic": make_curve([0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j,
+                           0.5 - 0.9j]),
+}
+
+
+def _reference_surface_grid(branch_points, cfg, radial_breakpoints=None,
+                            stagger=0.0):
+    """Reference for build_surface_grid: every partition bump evaluated on
+    every node of its patch, and the branch-point check on one (nodes,
+    branch points) array."""
+    bp = np.asarray(branch_points, dtype=complex)
+    shift = 0.5 + stagger
+    n_rad, n_ang, radius = cfg.surface_grid
+    center = complex(bp.mean())
+    span = float(np.abs(bp - center).max())
+    if radius is None:
+        radius = span + 2.0
+    gaps = [abs(a - b) for i, a in enumerate(bp) for b in bp[i + 1:]]
+    disk_r = min(gaps) / 3.0
+
+    def bump_at(pts, j):
+        r = np.abs(pts - bp[j])
+        return numerics._smooth_step((disk_r - r) / (disk_r / 2.0))
+
+    all_pts, all_w = [], []
+    for j in range(bp.size):
+        pts, w = numerics._polar_patch(bp[j], 0.0, disk_r, n_rad, n_ang,
+                                       angle_shift=shift)
+        all_pts.append(pts)
+        all_w.append(w * bump_at(pts, j))
+    pts, w = numerics._polar_patch(center, 0.0, radius, 2 * n_rad, 2 * n_ang,
+                                   breakpoints=radial_breakpoints,
+                                   angle_shift=shift)
+    comp = np.ones_like(w)
+    for j in range(bp.size):
+        comp = comp * (1.0 - bump_at(pts, j))
+    all_pts.append(pts)
+    all_w.append(w * comp)
+    mpts, mw = numerics._polar_patch(0.0, 0.0, 1.0 / radius, n_rad, n_ang,
+                                     angle_shift=shift)
+    all_pts.append(center + 1.0 / mpts)
+    all_w.append(mw / np.abs(mpts) ** 4)
+    nodes = np.concatenate(all_pts)
+    dmin = np.abs(nodes[:, None] - bp[None, :]).min()
+    if dmin < 1e-12 * max(1.0, span):
+        raise SingularityOnGrid("a quadrature node coincides with a branch point")
+    return SurfaceGrid(nodes, np.concatenate(all_w), center)
+
 
 class TestSurfaceQuadrature:
     def test_gaussian_total_mass(self):
@@ -233,6 +286,19 @@ class TestSurfaceQuadrature:
             lambda lam: np.exp(-np.abs(lam) ** 2),
             cfg, branch_points=HEX)
         assert abs(val) < 1e-12
+
+    @pytest.mark.parametrize("breakpoints", [None, [0.5, 1.5]])
+    @pytest.mark.parametrize("stagger", [0.0, 0.31])
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (96, 128)])
+    @pytest.mark.parametrize("name", sorted(GRID_CURVES))
+    def test_grid_matches_reference(self, name, grid, stagger, breakpoints):
+        bp = GRID_CURVES[name].branch_points
+        cfg = QuadratureConfig(surface_grid=(*grid, None))
+        g = build_surface_grid(bp, cfg, breakpoints, stagger)
+        ref = _reference_surface_grid(bp, cfg, breakpoints, stagger)
+        np.testing.assert_array_equal(g.nodes, ref.nodes)
+        np.testing.assert_array_equal(g.weights, ref.weights)
+        assert g.center == ref.center
 
     def test_radius_invariant(self):
         cfg = QuadratureConfig(surface_grid=(24, 32, 1.05))
