@@ -101,30 +101,68 @@ def make_z5_curve(lambda1=0.0, r=1.0) -> Curve:
     return make_curve(bp)
 
 
-def _continue_sqrt(roots, a, val, targets):
+# segments whose turn S stays below this take _continue_sqrt's sign rule
+_TURN_BOUND = 0.9 * np.pi
+
+
+def _continue_sqrt(roots, a, b, val, targets):
     """Analytic continuation of sqrt(prod(lambda - roots)) from (a, val)
-    along the straight segments from a to each target, in closed form.
+    along the straight segment [a, b] to each target, which must lie on
+    that segment, in closed form.
 
-    Along a root-free straight segment from a, each ratio
-    (lambda - r) / (a - r) moves on a line that starts at 1 and can reach
-    the principal cut (-inf, 0] only through the root r, so
-    val * prod(sqrt((t - r) / (a - r))) is the continuation with
-    principal square roots and no stepping.  It only decides the sign:
-    every returned value is +-np.sqrt(np.prod(t - roots)), so no rounding
-    of the ratios reaches the result.  The targets may come in any order.
+    Every returned value is +-exact(t), exact(t) = np.sqrt(np.prod(t -
+    roots)); only the sign is decided, so no rounding of the decision
+    reaches the result.  The targets may come in any order.
 
-    a and val may be arrays of starts of one shape S; the targets then
-    have shape (..., *S), each continued from the start it is aligned
-    with on the trailing axes.  A call with arrays of starts equals the
+    val is y at a, one of +-sqrt(prod(a - roots)) up to rounding.
+
+    The sign rule: as t runs from a to b, each arg(t - r) - arg(a - r)
+    moves monotonically (t - r runs on a line) from 0 to
+    Arg((b - r) / (a - r)).  So the continued arg of
+    prod((t - r) / (a - r)) is bounded on the whole segment by the turn
+    S = sum_r |Arg((b - r) / (a - r))|, one phase per root and segment,
+    not per target.  When S < _TURN_BOUND = 0.9 pi, the continued square
+    root of that product keeps an arg below 0.45 pi, so y(t), val times
+    that root, keeps Re(y(t) * conj(val)) > 0:
+
+        y(t) = sign(Re(exact(t) * conj(val))) * exact(t).
+
+    A segment with a larger or non-finite turn (it passes through a root
+    or starts on one) takes the ratio product instead: each ratio
+    (t - r) / (a - r) moves on a line that starts at 1 and reaches the
+    principal cut (-inf, 0] only through r, so val * prod(sqrt((t - r) /
+    (a - r))) is the continuation with principal square roots, and the
+    sign of exact(t) nearest to it is returned.  Both decide the same
+    sign wherever both apply.
+
+    a, b and val may be arrays of segments, all of one shape Q; the
+    targets then have shape (..., *Q), each continued along the segment
+    it is aligned with on the trailing axes.  A call with arrays of starts equals the
     per-start scalar calls bit for bit.
     """
     targets = np.asarray(targets, dtype=complex)
-    diff = targets[..., None] - roots
+    a, b, val = (np.asarray(v).ravel() for v in (a, b, val))
+    diff = targets.reshape(-1, a.size)[..., None] - roots
     exact = np.sqrt(np.prod(diff, axis=-1))
-    cont = val * np.prod(np.sqrt(diff / (np.asarray(a)[..., None] - roots)),
-                         axis=-1)
-    return np.where(np.abs(cont - exact) < np.abs(cont + exact),
-                    exact, -exact)
+    from_a = a[:, None] - roots
+    ratio = (b[:, None] - roots) / from_a
+    rule = np.abs(np.arctan2(ratio.imag, ratio.real)).sum(axis=-1) \
+        < _TURN_BOUND
+    n_rule = np.count_nonzero(rule)
+    keep = np.empty(exact.shape, dtype=bool)
+    # each path takes its segments' columns, all of them as a view
+    if n_rule:
+        cols = rule if n_rule < rule.size else slice(None)
+        ex, v = exact[:, cols], val[cols]
+        # Re(exact * conj(val)) > 0
+        keep[:, cols] = ex.real * v.real + ex.imag * v.imag > 0
+    if n_rule < rule.size:
+        cols = ~rule if n_rule else slice(None)
+        ex = exact[:, cols]
+        cont = val[cols] * np.prod(np.sqrt(diff[:, cols] / from_a[cols]),
+                                   axis=-1)
+        keep[:, cols] = np.abs(cont - ex) < np.abs(cont + ex)
+    return np.where(keep, exact, -exact).reshape(targets.shape)
 
 
 def _segment_clearance(curve, a, b):
@@ -149,7 +187,7 @@ def continue_y(curve, path):
         if _segment_clearance(curve, a, b) < tol:
             raise PathTooCloseToBranchPoint(
                 f"segment {a} -> {b} passes within {tol} of a branch point")
-        y = complex(_continue_sqrt(curve.branch_points, a, y, [b])[0])
+        y = complex(_continue_sqrt(curve.branch_points, a, b, y, [b])[0])
     return y
 
 
@@ -185,7 +223,7 @@ def loop_nodes(curve, i0, i1, panels=16):
     lams = mid + half * np.sin(thetas)
     # track the square-root product over the remaining four branch points
     g0 = cmath.sqrt(complex(np.prod(lams[0] - rest)))
-    gs = _continue_sqrt(rest, lams[0], g0, lams)
+    gs = _continue_sqrt(rest, lams[0], lams[-1], g0, lams)
     y_plus = 1j * half * np.cos(thetas) * gs
     w = weights * half * np.cos(thetas)
     return lams, w, y_plus

@@ -95,7 +95,7 @@ def _flip_loop(curve, lam_at):
 
 def _continue_to(curve, a, y_a, b):
     """y at b continued from (a, y_a) along the straight segment."""
-    return complex(_continue_sqrt(curve.branch_points, a, y_a, [b])[0])
+    return complex(_continue_sqrt(curve.branch_points, a, b, y_a, [b])[0])
 
 
 def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
@@ -137,12 +137,19 @@ def _form_values(lam, ys, t_lam, t_y, pcoef):
     A(z, t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and pcoef the
     coefficients of P, lowest first.  For n second arguments pcoef is
     (5, n), and lam[:, None] gives one column per argument; an empty
-    pcoef gives A alone."""
-    a = (ys + t_y) / (2.0 * ys * (lam - t_lam))
-    poly = np.zeros_like(a)
+    pcoef gives A alone.
+
+    A pair ys = (y, -y) gives the form on both sheets over lam, stacked on
+    a new last axis; P / y_z is then divided out once and negated for -y
+    (negation is exact in IEEE complex division)."""
+    sheets = ys if isinstance(ys, tuple) else (ys,)
+    poly = np.zeros(np.broadcast(lam, sheets[0], t_lam).shape, dtype=complex)
     for c in pcoef[::-1]:
         poly = poly * lam + c
-    return a + poly / ys
+    p_y = poly / sheets[0]
+    forms = [(y + t_y) / (2.0 * y * (lam - t_lam)) + (-p_y if k else p_y)
+             for k, y in enumerate(sheets)]
+    return np.stack(forms, axis=-1) if len(forms) > 1 else forms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +215,18 @@ class SurfaceTree:
     y_plus is y continued from the base point along the tree.  Its sheet,
     called +1 by the tree users, is the sheet of that continuation, not
     the reference sheet of Curve.y_at(lam, +1): on the generic curve's
-    (12, 16) grid about 30% of the nodes sit on reference sheet -1."""
+    (12, 16) grid about 30% of the nodes sit on reference sheet -1.
+
+    depth counts the edges from the root to each node; a node's parent is
+    one level up, so sums along root paths run one level at a time
+    (_levels)."""
 
     grid: object
     parent: np.ndarray
     order: np.ndarray          # visit order, root first
     y_plus: np.ndarray         # y continued along the tree at every node
     root: int
+    depth: np.ndarray          # edges from the root, 0 at the root
 
 
 # elements of one block of the nearest-visited search (rows times window
@@ -275,6 +287,29 @@ def _nearest_visited(lam_ord, order, rho):
     return near
 
 
+def _path_counts(parent, root, counts):
+    """Sums of the integer counts of the edges on every node's path from
+    the root, counts[i] being the count of the edge from node i to its
+    parent (0 at the root; extra axes are summed alike), by pointer
+    jumping: up[i] starts at the parent of i and jumps to up[up[i]] in
+    every pass, total[i] summing the edges from i to up[i], until every
+    up[i] is the root, about log2 of the largest depth passes."""
+    total = counts.copy()
+    up = np.where(parent >= 0, parent, root)
+    while (up != root).any():
+        total += total[up]
+        up = up[up]
+    return total
+
+
+def _levels(depth):
+    """Positions of depth grouped by equal value, lowest first: the tree
+    edges by the depth of their end node, so every edge's parent edge
+    lies in an earlier group."""
+    idx = np.argsort(depth, kind="stable")
+    return np.split(idx, np.flatnonzero(np.diff(depth[idx])) + 1)
+
+
 def build_surface_tree(curve, grid) -> SurfaceTree:
     """Visit the nodes by distance from the root (the node farthest from
     the grid center); each new node hangs from the nearest of its 16
@@ -286,7 +321,10 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     tested alone; only a node whose nearest edge fails the clearance test
     searches its 16 nearest visited nodes.  y is continued along the tree
     in closed form: every y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)),
-    and the sign sigma_i is the parent's times the edge's sign flip."""
+    and the sign sigma_i is the parent's times the edge's sign flip.  The
+    flips of all edges come from one _continue_sqrt call; one
+    _path_counts pass counts the flips and the edges (the depth recorded
+    on the tree) on every root path."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -311,19 +349,18 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     exact = np.sqrt(np.prod(lam[:, None] - bp, axis=-1))
     y_root = _continue_to(curve, curve.base_point, curve.base_sheet_value,
                           lam[root])
-    # the sign flip of each edge: continuing +exact[parent] to the node
-    # gives +exact or -exact there (as _continue_sqrt decides it)
+    # each edge keeps the sign or flips it: continuing +exact at the
+    # parent gives +exact or -exact at the node
     up = parent[kids]
-    cont = exact[up] * np.prod(np.sqrt((lam[kids, None] - bp)
-                                       / (lam[up, None] - bp)), axis=-1)
-    flips = np.abs(cont - exact[kids]) >= np.abs(cont + exact[kids])
-    sigma = np.ones(n, dtype=np.int8)
-    if abs(y_root - exact[root]) >= abs(y_root + exact[root]):
-        sigma[root] = -1
-    for i, j, flip in zip(kids.tolist(), up.tolist(), flips.tolist()):
-        sigma[i] = -sigma[j] if flip else sigma[j]
+    edges = np.zeros((n, 2), dtype=int)
+    edges[kids, 0] = 1
+    edges[kids, 1] = _continue_sqrt(bp, lam[up], lam[kids], exact[up],
+                                    lam[kids]) != exact[kids]
+    depth, flips = _path_counts(parent, root, edges).T
+    flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     return SurfaceTree(grid=grid, parent=parent, order=order,
-                       y_plus=np.where(sigma < 0, -exact, exact), root=root)
+                       y_plus=np.where(flips % 2 != flip_root, -exact, exact),
+                       root=root, depth=depth)
 
 
 # tree edges lifted together by _lift_edges; bounds _continue_sqrt's
@@ -347,13 +384,13 @@ def _lift_edges(curve, tree):
     """y at the nodes of every tree edge (_edge_nodes), continued from the
     edge's start on the tree sheet (tree.y_plus), _LIFT_EDGES edges per
     _continue_sqrt call."""
-    a, _, _, zs = _edge_nodes(tree)
+    a, b, _, zs = _edge_nodes(tree)
     y_a = tree.y_plus[tree.parent[tree.order[1:]]]
     ys = np.empty_like(zs)
     for s in range(0, a.size, _LIFT_EDGES):
         cut = slice(s, s + _LIFT_EDGES)
-        ys[:, cut] = _continue_sqrt(curve.branch_points, a[cut], y_a[cut],
-                                    zs[:, cut])
+        ys[:, cut] = _continue_sqrt(curve.branch_points, a[cut], b[cut],
+                                    y_a[cut], zs[:, cut])
     return ys
 
 
@@ -369,6 +406,9 @@ def accumulate_tree(curve, tree, edge_y, f, k, tol=1e-8, budget=30):
     integrate_path's own rule; the edges that fail go through
     integrate_vector_path with the same per-edge budget, so a spent
     budget raises NonConvergence.  f must act pointwise on flat arrays.
+    The edge values are summed down the tree one depth level at a time
+    (tree.depth, _levels): each node adds its edge to its parent's sum,
+    the same additions in the same order as a per-node walk of tree.order.
 
     The flip vector is the integral of f around the sheet connector at
     the root, a loop around one branch point from y_plus[root] to
@@ -401,9 +441,9 @@ def accumulate_tree(curve, tree, edge_y, f, k, tol=1e-8, budget=30):
             budget=budget)
         err += float(edge_err[e])
     path_err = np.zeros(lam.size)
-    for i, j, v, e in zip(kids, up, hi_est, edge_err):
-        vals[i] = vals[j] + v
-        path_err[i] = path_err[j] + e
+    for e in _levels(tree.depth[kids]):
+        vals[kids[e]] = vals[up[e]] + hi_est[e]
+        path_err[kids[e]] = path_err[up[e]] + edge_err[e]
     return vals, flip, err, np.stack([path_err, path_err + flip_err], axis=1)
 
 
@@ -597,8 +637,7 @@ class GreenSolver:
         """The averaged form without its Cauchy sum (see
         GreenContext.omega_bar_values) on the tree sheet and on the other
         sheet."""
-        return np.stack([_form_values(zs, s, self.y.lam, self.y_val,
-                                      self.pcoef) for s in (ys, -ys)], axis=1)
+        return _form_values(zs, (ys, -ys), self.y.lam, self.y_val, self.pcoef)
 
     def u_at(self, x: SurfacePoint):
         """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with

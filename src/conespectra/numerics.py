@@ -326,11 +326,12 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
     by bisection with embedded 10/20-point Gauss rules.
 
     Without lift, f maps an array of points to values of shape (n,) or
-    (n, k).  With lift, f takes (points, y) and lift(a, y_a, points)
-    continues y from the start a of the current segment, where it has the
-    value y_a, beginning with y0 at the first vertex.  A subinterval is
-    accepted when the largest component gap between the two rules is at
-    most max(tol, 1e-10 * the largest component of the 20-point value).
+    (n, k).  With lift, f takes (points, y) and lift(a, b, y_a, points)
+    continues y to points on the current segment [a, b] from its start a,
+    where it has the value y_a, beginning with y0 at the first vertex.
+    A subinterval is accepted when the largest component gap between the
+    two rules is at most max(tol, 1e-10 * the largest component of the
+    20-point value).
     budget caps the bisections over the whole path; an integral that
     needs more raises NonConvergence.  Returns (value, error, y_end),
     where error sums the accepted gaps and y_end is y continued to the
@@ -353,7 +354,7 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
             if lift is None:
                 vals = f(zs)
             else:
-                ys = lift(a, y_a, np.append(zs, b))
+                ys = lift(a, b, y_a, np.append(zs, b))
                 y_b = ys[-1]
                 vals = f(zs, ys[:30])
             hi_est, err, accepted = _embedded_gauss(half, vals, tol)
@@ -454,19 +455,26 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     disk_r = min(gaps) / 3.0
 
     all_pts, all_w = [], []
+    # smallest node distances to the branch points, for the check below
+    near = []
 
     def bump_at(pts, j):
         """Indices of the points where the bump of disk j is not 0, and
         its values there: 1 inside disk_r/2, 0 outside disk_r, and the
-        smooth step only in between."""
-        t = (disk_r - np.abs(pts - bp[j])) / (disk_r / 2.0)
+        smooth step only in between.  Adds the points' smallest distance
+        to branch point j to near."""
+        r = np.abs(pts - bp[j])
+        near.append(r.min())
+        t = (disk_r - r) / (disk_r / 2.0)
         inside = np.flatnonzero(t > 0.0)
         t = t[inside]
         val = np.ones(inside.size)
         val[t < 1.0] = _smooth_step(t[t < 1.0])
         return inside, val
 
-    # branch-point disks
+    # branch-point disks; disk j's nodes lie within disk_r = min(gaps) / 3
+    # of branch point j and at least twice that from every other one, so
+    # the distance to branch point j alone decides the check
     for j in range(bp.size):
         pts, w = _polar_patch(bp[j], 0.0, disk_r, n_rad, n_ang,
                               angle_shift=shift)
@@ -486,18 +494,19 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     all_pts.append(pts)
     all_w.append(w * comp)
 
-    # exterior chart mu = 1/(lambda - center), area element |mu|^-4 dA_mu
+    # exterior chart mu = 1/(lambda - center), area element |mu|^-4 dA_mu;
+    # a radius set below span can bring its nodes near a branch point
     mpts, mw = _polar_patch(0.0, 0.0, 1.0 / radius, n_rad, n_ang,
                             angle_shift=shift)
     lam = center + 1.0 / mpts
     all_pts.append(lam)
     all_w.append(mw / np.abs(mpts) ** 4)
+    near.extend(np.abs(lam - b).min() for b in bp)
 
+    if min(near) < 1e-12 * max(1.0, span):
+        raise SingularityOnGrid("a quadrature node coincides with a branch point")
     nodes = np.concatenate(all_pts)
     weights = np.concatenate(all_w)
-    dmin = min(np.abs(nodes - b).min() for b in bp)
-    if dmin < 1e-12 * max(1.0, span):
-        raise SingularityOnGrid("a quadrature node coincides with a branch point")
     return SurfaceGrid(nodes, weights, center)
 
 

@@ -1,12 +1,13 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conespectra import curveperiods
+from conespectra import curveperiods, green
 from conespectra.curveperiods import (
     SurfacePoint,
     _continue_sqrt,
@@ -129,13 +130,27 @@ def _stepped_sqrt(roots, a, val, targets):
     return out
 
 
+def _turn(roots, a, b):
+    """The turn S = sum_r |Arg((b - r) / (a - r))| of the segments [a, b],
+    which _continue_sqrt compares with _TURN_BOUND."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (np.asarray(b)[..., None] - roots) \
+            / (np.asarray(a)[..., None] - roots)
+    return np.abs(np.angle(ratio)).sum(axis=-1)
+
+
+def _ratio_only():
+    """Sends every segment through _continue_sqrt's ratio product."""
+    return mock.patch.object(curveperiods, "_TURN_BOUND", 0.0)
+
+
 def _assert_matches_stepping(curve, a, b, ts, sign):
     """The closed form equals the stepping reference bit for bit on the
     targets a + ts (b - a), given in the order of ts."""
     roots = curve.branch_points
     targets = a + np.asarray(ts) * (b - a)
     val = sign * cmath.sqrt(complex(np.prod(a - roots)))
-    np.testing.assert_array_equal(_continue_sqrt(roots, a, val, targets),
+    np.testing.assert_array_equal(_continue_sqrt(roots, a, b, val, targets),
                                   _stepped_sqrt(roots, a, val, targets))
 
 
@@ -157,13 +172,13 @@ class TestContinueSqrt:
         dense = np.linspace(0.0, 1.0, 2001)
         targets = a + np.concatenate([ts, dense]) * seg
         val = sign * cmath.sqrt(complex(np.prod(a - roots)))
-        out = _continue_sqrt(roots, a, val, targets)
+        out = _continue_sqrt(roots, a, b, val, targets)
         for z, v in zip(targets, out):
             exact = cmath.sqrt(complex(np.prod(complex(z) - roots)))
             assert v == exact or v == -exact
         for z, v in zip(targets[:len(ts)], out):
             # one target at a time, each walked from a on its own
-            assert _continue_sqrt(roots, a, val, [z])[0] == v
+            assert _continue_sqrt(roots, a, b, val, [z])[0] == v
         line = out[len(ts):]
         assert line[0] == val
         assert (np.abs(np.diff(line)) < np.abs(line[1:] + line[:-1])).all()
@@ -208,18 +223,99 @@ class TestContinueSqrt:
         val = np.array([s * cmath.sqrt(complex(np.prod(z - roots)))
                         for z, (*_, s) in zip(a, segs)])
         targets = a + np.asarray(ts)[:, None] * (b - a)    # (targets, starts)
-        out = _continue_sqrt(roots, a, val, targets)
+        out = _continue_sqrt(roots, a, b, val, targets)
         assert out.shape == targets.shape
         for s in range(a.size):
             np.testing.assert_array_equal(
                 out[:, s],
-                _continue_sqrt(roots, complex(a[s]), complex(val[s]),
-                               targets[:, s]))
+                _continue_sqrt(roots, complex(a[s]), complex(b[s]),
+                               complex(val[s]), targets[:, s]))
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_targets_out_of_distance_order(self, name):
         ts = [0.9, 0.1, 1.0, 0.5, 0.0, 0.3, 0.7]
         _assert_matches_stepping(CURVES[name], -1.5 + 1.6j, 1.8 - 1.5j, ts, 1)
+
+    @pytest.mark.parametrize("stagger", [0.0, 0.31])
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (24, 32)])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_rule_matches_ratio_on_tree_edges(self, name, grid, stagger):
+        # the sign flips of the tree build and the lift to the Gauss nodes
+        # of every edge; from (12, 16) on, every edge takes the sign rule.
+        # The (6, 8) grid's exterior ring has edges 45 degrees apart seen
+        # from the branch points, a turn of about 6 pi / 4, so those take
+        # the ratio product
+        curve = CURVES[name]
+        surface = build_surface_grid(
+            curve.branch_points, QuadratureConfig(surface_grid=(*grid, None)),
+            stagger=stagger)
+        tree = green.build_surface_tree(curve, surface)
+        a, b, _, _ = green._edge_nodes(tree)
+        past = _turn(curve.branch_points, a, b) >= curveperiods._TURN_BOUND
+        assert past.any() == (grid == (6, 8)) and past.mean() < 0.05
+        lifted = green._lift_edges(curve, tree)
+        with _ratio_only():
+            ratio_tree = green.build_surface_tree(curve, surface)
+            np.testing.assert_array_equal(tree.y_plus, ratio_tree.y_plus)
+            np.testing.assert_array_equal(lifted,
+                                          green._lift_edges(curve, tree))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(CURVES)), st.integers(0, 5),
+           st.one_of(st.just(0.0), st.floats(0.02, 1.5)),
+           st.floats(0.02, 1.5), st.floats(-np.pi, np.pi),
+           st.floats(-np.pi, np.pi), st.lists(unit, min_size=1, max_size=8),
+           st.sampled_from([1, -1]))
+    # a small turn about the branch point, a turn past the bound, a start
+    # on the branch point
+    @example("generic", 1, 0.3, 0.4, 0.0, 0.5, [0.5, 1.0], 1)
+    @example("generic", 1, 0.3, 0.4, 0.0, 3.0, [0.5, 1.0], 1)
+    @example("z5", 0, 0.0, 0.4, 0.0, 1.0, [0.5, 1.0], -1)
+    def test_rule_matches_ratio_across_the_bound(self, name, j, rho_a, rho_b,
+                                                 phi, turn, ts, sign):
+        # segments that turn by up to pi about branch point j, so their
+        # turn S falls on either side of _TURN_BOUND; rho_a = 0 starts on
+        # the branch point, where S is not finite
+        curve = CURVES[name]
+        roots = curve.branch_points
+        a = complex(roots[j] + rho_a * cmath.exp(1j * phi))
+        b = complex(roots[j] + rho_b * cmath.exp(1j * (phi + turn)))
+        targets = a + np.asarray(ts) * (b - a)
+        val = sign * cmath.sqrt(complex(np.prod(a - roots)))
+        s = _turn(roots, a, b)
+        event("start on a root" if not np.isfinite(s) else
+              "sign rule" if s < curveperiods._TURN_BOUND else "ratio")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _continue_sqrt(roots, a, b, val, targets)
+            with _ratio_only():
+                np.testing.assert_array_equal(
+                    out, _continue_sqrt(roots, a, b, val, targets))
+        if np.isfinite(s) and curveperiods._segment_clearance(curve, a, b) \
+                > 0.05:
+            _assert_matches_stepping(curve, a, b, ts, sign)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_loop_segments_on_both_sides_of_the_bound(self, name):
+        # period_data's pair loops: on both curves some turn past the
+        # bound and take the ratio product, the others the sign rule
+        curve = CURVES[name]
+        order = curveperiods._angle_sorted(curve)
+        past = []
+        for i in range(6):
+            i0, i1 = order[i], order[(i + 1) % 6]
+            lams, _, y_plus = curveperiods.loop_nodes(curve, i0, i1)
+            rest = np.delete(curve.branch_points, [i0, i1])
+            past.append(_turn(rest, lams[0], lams[-1])
+                        >= curveperiods._TURN_BOUND)
+            with _ratio_only():
+                np.testing.assert_array_equal(
+                    y_plus, curveperiods.loop_nodes(curve, i0, i1)[2])
+            if past[-1]:
+                g0 = cmath.sqrt(complex(np.prod(lams[0] - rest)))
+                np.testing.assert_array_equal(
+                    _continue_sqrt(rest, lams[0], lams[-1], g0, lams),
+                    _stepped_sqrt(rest, lams[0], g0, lams))
+        assert any(past) and not all(past)
 
 
 class TestPeriodData:

@@ -191,10 +191,12 @@ def _reference_tree(curve, grid):
     y_plus = np.empty(n, dtype=complex)
     y_plus[root] = green._continue_to(curve, curve.base_point,
                                       curve.base_sheet_value, lam[root])
+    depth = np.zeros(n, dtype=int)
     for i in order[1:]:
         y_plus[i] = green._continue_to(curve, lam[parent[i]],
                                        y_plus[parent[i]], lam[i])
-    return parent, np.asarray(order), y_plus, root
+        depth[i] = depth[parent[i]] + 1
+    return parent, np.asarray(order), y_plus, root, depth
 
 
 def _reference_accumulate(curve, tree, f, k, tol, budget):
@@ -216,12 +218,24 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
 
 def _assert_reference_tree(curve, grid):
     tree = green.build_surface_tree(curve, grid)
-    parent, order, y_plus, root = _reference_tree(curve, grid)
+    parent, order, y_plus, root, depth = _reference_tree(curve, grid)
     assert tree.root == root
     np.testing.assert_array_equal(tree.parent, parent)
     np.testing.assert_array_equal(tree.order, order)
     np.testing.assert_array_equal(tree.y_plus, y_plus)
+    np.testing.assert_array_equal(tree.depth, depth)
     return tree
+
+
+def _two_chain_grid():
+    """A hand-built grid whose tree is deep and whose depth does not rise
+    along the visit order: from the root 5, a chain of 100 steps of 0.02
+    towards -1-1j and a chain of 10 steps of 0.3 towards 0, both clear of
+    the branch points."""
+    step = np.exp(1j * 1.25 * np.pi)
+    nodes = np.concatenate([[5.0], 5.0 + 0.02 * step * np.arange(1, 101),
+                            5.0 - 0.3 * np.arange(1, 11)]).astype(complex)
+    return SurfaceGrid(nodes, np.ones(nodes.size), 0.0)
 
 
 class TestSurfaceTree:
@@ -247,6 +261,40 @@ class TestSurfaceTree:
         visited = tree.order[:list(tree.order).index(0)]   # x is node 0
         assert nodes[visited[np.argmin(np.abs(nodes[visited] - x))]] == a
         assert nodes[tree.parent[0]] == c
+
+    def test_two_chain_tree(self):
+        tree = _assert_reference_tree(CURVES["generic"], _two_chain_grid())
+        assert tree.depth.max() >= 100
+        assert (np.diff(tree.depth[tree.order]) < 0).any()
+
+    @pytest.mark.parametrize("name, grid, stagger", [
+        pytest.param("generic", (6, 8), 0.31, id="generic-grid0"),
+        pytest.param("z5", (24, 32), 0.0, id="z5-grid2"),
+        pytest.param("generic", None, 0.0, id="two-chain")])
+    def test_level_sums_match_per_node_loop(self, name, grid, stagger,
+                                            monkeypatch):
+        # accumulate_tree sums down the tree one depth level at a time; the
+        # reference is the per-node loop over tree.order, one edge at a
+        # time in visit order, so every parent is summed before its kids
+        curve = CURVES[name]
+        tree = green.build_surface_tree(
+            curve, _two_chain_grid() if grid is None
+            else _surface_grid(name, grid, stagger))
+        edge_y = green._lift_edges(curve, tree)
+
+        def accumulate():
+            vals, _, _, node_err = green.accumulate_tree(
+                curve, tree, edge_y, green._moment_integrand, 5)
+            return vals, node_err
+
+        vals, node_err = accumulate()
+        assert len(green._levels(tree.depth[tree.order[1:]])) \
+            == tree.depth.max()
+        monkeypatch.setattr(green, "_levels",
+                            lambda depth: np.arange(depth.size)[:, None])
+        ref_vals, ref_err = accumulate()
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(node_err, ref_err)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("name", sorted(CURVES))

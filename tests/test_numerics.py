@@ -300,6 +300,32 @@ class TestSurfaceQuadrature:
         np.testing.assert_array_equal(g.weights, ref.weights)
         assert g.center == ref.center
 
+    @pytest.mark.parametrize("patch", [2, 6, 7],
+                             ids=["branch-disk", "main-disk", "exterior-chart"])
+    def test_node_on_branch_point_raises(self, patch, monkeypatch):
+        # the grid's _polar_patch calls are the six branch disks, the main
+        # disk and the exterior chart, in that order; one node of the
+        # chosen patch moves onto a branch point: disk 2's own, or branch
+        # point 4 (mu = 1 / (lambda - center) on the exterior chart)
+        bp = GRID_CURVES["generic"].branch_points
+        cfg = QuadratureConfig(surface_grid=(6, 8, None))
+        onto = {2: bp[2], 6: bp[4], 7: 1.0 / (bp[4] - bp.mean())}[patch]
+        polar_patch = numerics._polar_patch
+        calls = []
+
+        def moved(*args, **kwargs):
+            pts, w = polar_patch(*args, **kwargs)
+            if len(calls) % 8 == patch:
+                pts[0] = onto
+            calls.append(args)
+            return pts, w
+
+        monkeypatch.setattr(numerics, "_polar_patch", moved)
+        for build in (build_surface_grid, _reference_surface_grid):
+            with pytest.raises(SingularityOnGrid):
+                build(bp, cfg)
+        assert len(calls) == 16
+
     def test_radius_invariant(self):
         cfg = QuadratureConfig(surface_grid=(24, 32, 1.05))
         with pytest.raises(ValueError):
