@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,50 +48,70 @@ from .numerics import (QuadratureConfig, _embedded_gauss, build_surface_grid,
 # sheet-aware path construction and integration
 # ---------------------------------------------------------------------------
 
-def build_path(curve, lam_from, lam_to, clearance=None, depth=0):
-    """Polyline from lam_from to lam_to keeping the stated clearance from
-    every branch point; endpoints themselves may sit closer."""
+def _blocked(curve, a, b, gap_a, gap_b):
+    """Which branch points (last axis) the segments [a, b] pass too close
+    to, with the feet of the branch points on them and the distances.
+
+    A segment must keep at least 0.3 times the smaller endpoint gap (an
+    endpoint's distance to the nearest branch point), capped at
+    min_gap / 4, and more than 1e-9 scale from every branch point (the
+    clearance of curveperiods._segment_clearance), so a segment that
+    heads away from a nearby branch point passes and one through it does
+    not.  a, b, gap_a and gap_b broadcast."""
+    bp = curve.branch_points
+    a = np.asarray(a)[..., None]
+    seg = np.asarray(b)[..., None] - a
+    t = np.clip(((bp - a) / seg).real, 0.0, 1.0)
+    feet = a + t * seg
+    d = np.abs(feet - bp)
+    floor = np.minimum(0.3 * np.minimum(gap_a, gap_b), curve.min_gap / 4.0)
+    return (d < np.asarray(floor)[..., None]) | (d <= 1e-9 * curve.scale), \
+        feet, d
+
+
+def build_path(curve, lam_from, lam_to, depth=0):
+    """Polyline from lam_from to lam_to whose every segment keeps clear of
+    the branch points by _blocked's rule: a segment that passes too close
+    to one is split at a detour point min_gap / 2 from it, on the side of
+    its foot."""
     a, b = complex(lam_from), complex(lam_to)
-    if clearance is None:
-        clearance = curve.min_gap / 4.0
     if depth > 12:
         raise PathTooCloseToBranchPoint(
             f"could not route a path {lam_from} -> {lam_to}")
-    seg = b - a
-    if seg == 0:
+    if a == b:
         return [a]
-    t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
-    feet = a + t * seg
-    d = np.abs(feet - curve.branch_points)
-    ok = (d >= clearance) | (np.abs(curve.branch_points - a) < clearance) \
-        | (np.abs(curve.branch_points - b) < clearance)
-    if ok.all():
+    bps = curve.branch_points
+    gap_a, gap_b = (float(np.abs(z - bps).min()) for z in (a, b))
+    bad, feet, d = _blocked(curve, a, b, gap_a, gap_b)
+    if not bad.any():
         return [a, b]
-    j = int(np.argmin(np.where(ok, np.inf, d)))
-    bp = curve.branch_points[j]
-    away = feet[j] - bp
+    j = int(np.argmin(np.where(bad, d, np.inf)))
+    away = feet[j] - bps[j]
     if abs(away) < 1e-12 * curve.scale:
-        away = 1j * seg / abs(seg)
-    detour = bp + away / abs(away) * 2.0 * clearance
-    left = build_path(curve, a, detour, clearance, depth + 1)
-    right = build_path(curve, detour, b, clearance, depth + 1)
+        away = 1j * (b - a) / abs(b - a)
+    detour = bps[j] + away / abs(away) * curve.min_gap / 2.0
+    left = build_path(curve, a, detour, depth + 1)
+    right = build_path(curve, detour, b, depth + 1)
     return left + right[1:]
 
 
 def _flip_loop(curve, lam_at):
     """Closed polyline from lam_at around the first branch point and back;
-    the y-continuation along it ends on the other sheet."""
+    the y-continuation along it ends on the other sheet.
+
+    Within min_gap / 2 of that branch point it is the 16-gon about the
+    branch point through lam_at itself, which encloses no other branch
+    point; farther out, build_path legs lead from lam_at to the 16-gon of
+    radius min_gap / 3 and back."""
     bp = complex(curve.branch_points[0])
     r = curve.min_gap / 3.0
     direction = lam_at - bp
-    if abs(direction) < r:
-        direction = complex(curve.scale)
+    turns = [cmath.exp(2j * np.pi * k / 16) for k in range(1, 16)]
+    if abs(direction) < 1.5 * r:
+        return [lam_at] + [bp + direction * w for w in turns] + [lam_at]
     start = bp + direction / abs(direction) * r
-    th0 = cmath.phase(direction)
-    circle = [bp + r * cmath.exp(1j * (th0 + 2 * np.pi * k / 16))
-              for k in range(17)]
     approach = build_path(curve, lam_at, start)
-    return approach + circle[1:] + approach[-2::-1]
+    return approach + [bp + (start - bp) * w for w in turns] + approach[::-1]
 
 
 def _continue_to(curve, a, y_a, b):
@@ -219,7 +240,13 @@ class SurfaceTree:
 
     depth counts the edges from the root to each node; a node's parent is
     one level up, so sums along root paths run one level at a time
-    (_levels)."""
+    (_levels).
+
+    hub is the node whose distance to the first branch point is closest
+    to min_gap / 3 (ties to the lower index).  The sheet connector starts
+    there (_flip_loop(curve, lam[hub])): on every grid of
+    build_surface_grid it is the 16-gon about that branch point through
+    the hub, with no legs, instead of a loop from the far-out root."""
 
     grid: object
     parent: np.ndarray
@@ -227,6 +254,7 @@ class SurfaceTree:
     y_plus: np.ndarray         # y continued along the tree at every node
     root: int
     depth: np.ndarray          # edges from the root, 0 at the root
+    hub: int                   # start of the sheet connector
 
 
 # elements of one block of the nearest-visited search (rows times window
@@ -237,17 +265,10 @@ _LOOKBACK = 64
 
 def _clear_edges(curve, lam, gap, kid, cand):
     """Whether the edges [lam[cand], lam[kid]] keep clear of the branch
-    points (the clearance of curveperiods._segment_clearance): at least
-    0.3 times the smaller endpoint distance gap, capped at min_gap / 4,
-    and above 1e-9 scale.  kid and cand broadcast."""
-    bp = curve.branch_points
-    a = lam[cand][..., None]
-    seg = lam[kid][..., None] - a
-    t = np.clip(((bp - a) / seg).real, 0.0, 1.0)
-    clr = np.abs(a + t * seg - bp).min(axis=-1)
-    floor = 0.3 * np.minimum(gap[kid], gap[cand])
-    return (clr >= np.minimum(floor, curve.min_gap / 4.0)) \
-        & (clr > 1e-9 * curve.scale)
+    points by _blocked's rule, gap being every node's distance to the
+    nearest branch point.  kid and cand broadcast."""
+    return ~_blocked(curve, lam[cand], lam[kid], gap[cand],
+                     gap[kid])[0].any(axis=-1)
 
 
 def _nearest_visited(lam_ord, order, rho):
@@ -334,7 +355,8 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     rho = np.array([abs(z) for z in (lam - lam[root]).tolist()])
     order = np.lexsort((np.arange(n), rho))
     lam_ord = lam[order]
-    gap = np.abs(lam[:, None] - bp).min(axis=1)
+    dist = np.abs(lam[:, None] - bp)
+    gap = dist.min(axis=1)
     kids = order[1:]
     parent = np.full(n, -1, dtype=int)
     parent[kids] = _nearest_visited(lam_ord, order, rho[order])[1:]
@@ -360,7 +382,9 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     return SurfaceTree(grid=grid, parent=parent, order=order,
                        y_plus=np.where(flips % 2 != flip_root, -exact, exact),
-                       root=root, depth=depth)
+                       root=root, depth=depth,
+                       hub=int(np.argmin(np.abs(dist[:, 0]
+                                                - curve.min_gap / 3.0))))
 
 
 # tree edges lifted together by _lift_edges; bounds _continue_sqrt's
@@ -368,82 +392,134 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
 _LIFT_EDGES = 256
 
 
-def _edge_nodes(tree):
-    """Start, end and half-length of every tree edge, edges in the order
-    of tree.order[1:], and their (30, edges) nodes: the 20-point, then the
-    10-point Gauss-Legendre nodes of numerics.integrate_path."""
+def _root_path(tree, i):
+    """Positions in tree.order[1:] of the edges from the root to node i."""
+    edge = np.empty(tree.order.size, dtype=int)
+    edge[tree.order] = np.arange(-1, tree.order.size - 1)
+    path = []
+    while i != tree.root:
+        path.append(edge[i])
+        i = tree.parent[i]
+    return np.asarray(path[::-1], dtype=int)
+
+
+def _edge_nodes(curve, tree):
+    """Start, end and half-length of every edge accumulate_tree integrates,
+    and the hub's root path (_root_path).
+
+    The edges come in three sets: the tree edges in the order of
+    tree.order[1:], the segments of the sheet connector (_flip_loop from
+    the hub), and again the edges of the hub's root path, which
+    accumulate_tree integrates on the other sheet."""
     lam = tree.grid.nodes
     kids = tree.order[1:]
+    loop = np.asarray(_flip_loop(curve, lam[tree.hub]))
+    back = _root_path(tree, tree.hub)
     a, b = lam[tree.parent[kids]], lam[kids]
+    a = np.concatenate([a, loop[:-1], a[back]])
+    b = np.concatenate([b, loop[1:], b[back]])
+    return a, b, (b - a) / 2.0, back
+
+
+def _gauss_nodes(a, b, half):
+    """(30, edges) nodes of the edges [a, b]: the 20-point, then the
+    10-point Gauss-Legendre nodes of numerics.integrate_path.  Cheap, so
+    they are rebuilt rather than kept with a lift."""
     x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return a, b, half, mid + half * x30[:, None]
+    return (a + b) / 2.0 + half * x30[:, None]
 
 
-def _lift_edges(curve, tree):
-    """y at the nodes of every tree edge (_edge_nodes), continued from the
-    edge's start on the tree sheet (tree.y_plus), _LIFT_EDGES edges per
-    _continue_sqrt call."""
-    a, b, _, zs = _edge_nodes(tree)
-    y_a = tree.y_plus[tree.parent[tree.order[1:]]]
+class _EdgeLift(NamedTuple):
+    """The edges of _edge_nodes with y at their starts (y_a) and at their
+    nodes (ys, at _gauss_nodes)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    half: np.ndarray
+    y_a: np.ndarray
+    ys: np.ndarray
+
+
+def _lift_edges(curve, tree) -> _EdgeLift:
+    """y at the start and the nodes of every edge of _edge_nodes.
+
+    A tree edge starts from tree.y_plus at its parent.  The connector's
+    segments are chained from y_plus[hub], and the chain must end at
+    -y_plus[hub] (else ConsistencyFailure).  The nodes of both sets are
+    lifted from the starts, _LIFT_EDGES edges per _continue_sqrt call;
+    the hub's root path takes the negated values of its tree edges."""
+    a, b, half, back = _edge_nodes(curve, tree)
+    zs = _gauss_nodes(a, b, half)
+    m, conn = tree.order.size - 1, a.size - back.size
+    y_a = np.empty_like(a)
+    y_a[:m] = tree.y_plus[tree.parent[tree.order[1:]]]
+    y_hub = y = tree.y_plus[tree.hub]
+    for e in range(m, conn):
+        y_a[e] = y
+        y = _continue_to(curve, a[e], y, b[e])
+    if abs(y + y_hub) > 1e-6 * max(1.0, abs(y_hub)):
+        raise ConsistencyFailure("sheet connector did not flip the sheet")
     ys = np.empty_like(zs)
-    for s in range(0, a.size, _LIFT_EDGES):
-        cut = slice(s, s + _LIFT_EDGES)
+    for s in range(0, conn, _LIFT_EDGES):
+        cut = slice(s, min(s + _LIFT_EDGES, conn))
         ys[:, cut] = _continue_sqrt(curve.branch_points, a[cut], b[cut],
                                     y_a[cut], zs[:, cut])
-    return ys
+    y_a[conn:], ys[:, conn:] = -y_a[back], -ys[:, back]
+    return _EdgeLift(a, b, half, y_a, ys)
 
 
-def accumulate_tree(curve, tree, edge_y, f, k, tol=1e-8, budget=30):
+def accumulate_tree(curve, tree, lift, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
-    the tree edges, on the sheet of the tree continuation (tree.y_plus).
+    the tree edges, on the sheet of the tree continuation (tree.y_plus),
+    and the flip vector.
 
-    edge_y is y at the nodes of every edge, _lift_edges(curve, tree); a
-    caller that accumulates several integrands over one tree lifts once.
-    All edges share one vectorised pass of numerics.integrate_path's
-    embedded 20/10-point Gauss rules (numerics._embedded_gauss): f is
-    evaluated once on the nodes of all edges.  An edge is accepted by
+    lift is _lift_edges(curve, tree); a caller that accumulates several
+    integrands over one tree lifts once.  f is evaluated once, on the
+    nodes of all of its edges: the tree edges, the sheet connector's
+    segments, and the edges of the hub's root path at -y.  They share one
+    vectorised pass of numerics.integrate_path's embedded 20/10-point
+    Gauss rules (numerics._embedded_gauss).  An edge is accepted by
     integrate_path's own rule; the edges that fail go through
     integrate_vector_path with the same per-edge budget, so a spent
     budget raises NonConvergence.  f must act pointwise on flat arrays.
-    The edge values are summed down the tree one depth level at a time
-    (tree.depth, _levels): each node adds its edge to its parent's sum,
-    the same additions in the same order as a per-node walk of tree.order.
+    The tree-edge values are summed down the tree one depth level at a
+    time (tree.depth, _levels): each node adds its edge to its parent's
+    sum, the same additions in the same order as a per-node walk of
+    tree.order.
 
-    The flip vector is the integral of f around the sheet connector at
-    the root, a loop around one branch point from y_plus[root] to
-    -y_plus[root]; a caller that needs the other sheet stacks f(lam, -y)
-    as extra columns and adds the flip of the matching columns.  Returns
-    (vals, flip_vector, error, node_err), where error sums the accepted
-    gaps of all edges and the error of the flip loop, and node_err is
+    The flip vector is the integral of f from (root, y_plus[root]) to
+    (root, -y_plus[root]): down the tree to the hub (vals[hub]), around
+    the connector to (hub, -y_plus[hub]), and back up the hub's root path
+    on the other sheet, so no path starts at the far-out root.  A caller
+    that needs the other sheet stacks f(lam, -y) as extra columns and
+    adds the flip of the matching columns.  Returns (vals, flip_vector,
+    error, node_err).  The flip error sums the hub's root-path error and
+    the gaps of the connector and of the path back; error sums the
+    accepted gaps of all tree edges and the flip error; node_err is
     (n, 2): column 0 sums the accepted gaps of the edges on each node's
-    path from the root, column 1 adds the flip loop's error, the route
-    to the node on the other sheet."""
+    path from the root, column 1 adds the flip error, the route to the
+    node on the other sheet."""
     lam = tree.grid.nodes
-    vals = np.zeros((lam.size, k), dtype=complex)
-    loop = _flip_loop(curve, lam[tree.root])
-    y_root = tree.y_plus[tree.root]
-    flip, flip_err, y_end = integrate_vector_path(curve, loop, y_root, f,
-                                                  tol=tol, budget=200)
-    if abs(y_end + y_root) > 1e-6 * max(1.0, abs(y_root)):
-        raise ConsistencyFailure("sheet connector did not flip the sheet")
-    err = flip_err
     kids = tree.order[1:]
     up = tree.parent[kids]
-    a, b, half, zs = _edge_nodes(tree)
-    fv = f(zs.ravel(), edge_y.ravel()).reshape(30, kids.size, k)
-    hi_est, gap, ok = _embedded_gauss(half, fv, tol)
-    err += float(gap[ok].sum())
+    m, conn = kids.size, lift.a.size - tree.depth[tree.hub]
+    zs = _gauss_nodes(lift.a, lift.b, lift.half)
+    fv = f(zs.ravel(), lift.ys.ravel()).reshape(30, lift.a.size, k)
+    hi_est, gap, ok = _embedded_gauss(lift.half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
         hi_est[e], edge_err[e], _ = integrate_vector_path(
-            curve, [a[e], b[e]], tree.y_plus[up[e]], f, tol=tol,
+            curve, [lift.a[e], lift.b[e]], lift.y_a[e], f, tol=tol,
             budget=budget)
-        err += float(edge_err[e])
+    vals = np.zeros((lam.size, k), dtype=complex)
     path_err = np.zeros(lam.size)
     for e in _levels(tree.depth[kids]):
         vals[kids[e]] = vals[up[e]] + hi_est[e]
         path_err[kids[e]] = path_err[up[e]] + edge_err[e]
+    flip = vals[tree.hub] + hi_est[m:conn].sum(axis=0) \
+        - hi_est[conn:].sum(axis=0)
+    flip_err = float(path_err[tree.hub] + edge_err[m:].sum())
+    err = float(edge_err[:m].sum()) + flip_err
     return vals, flip, err, np.stack([path_err, path_err + flip_err], axis=1)
 
 
@@ -464,10 +540,10 @@ class GreenContext:
     omega_bar_values is the one evaluator of the averaged form; its
     correction comes from averaged_pcoef for one second argument, or from
     q_forms for every q node on both sheets.  q_forms and the p-side data
-    that every GreenSolver shares (p_tree, y lifted to its edge nodes in
-    p_edge_y, and t_nodes) are built on first read, so a caller that
-    never reads them never pays for them.  The q tree's edges are lifted
-    once, inside green_context, and not kept."""
+    that every GreenSolver shares (p_tree, its edges and sheet connector
+    lifted in p_edge_y, and t_nodes) are built on first read, so a caller
+    that never reads them never pays for them.  The q tree's edges are
+    lifted once, inside green_context, and not kept."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -476,25 +552,58 @@ class GreenContext:
     q_grid: object
     q_tree: SurfaceTree
     m_plus: np.ndarray         # (n, 5) moments to q nodes at q_tree.y_plus
-    m_flip: np.ndarray         # moments along the sheet connector
+    m_flip: np.ndarray         # moments from the root to the other sheet
     cauchy_w: np.ndarray       # real per-node weights W_i (one sheet)
     moll_radius: float         # mollification radius of the log potential
     dens_p: np.ndarray
     area: float
 
     def moments_at(self, point: SurfacePoint):
-        """Moment vector int_root^point lambda^k dlambda / y."""
-        lam_r = self.q_tree.grid.nodes[self.q_tree.root]
-        y_r = self.q_tree.y_plus[self.q_tree.root]
-        return _integrate_to(self.curve, lam_r, y_r, point,
-                             _moment_integrand)[0]
+        """Moment vector M = int_root^point lambda^k dlambda / y.
+
+        Starts from the q node k nearest to the point, where M is known on
+        both sheets: m_plus[k] at q_tree.y_plus[k], and m_flip - m_plus[k]
+        at -y_plus[k] (the connector, then the tree path on the other
+        sheet, where the integrand is odd in y).  One build_path from
+        lam_k to the point, started at y_plus[k], gives val; if it arrives
+        at y(point), M = m_plus[k] + val, and if at -y(point), the path
+        from -y_plus[k] arrives at y(point) with -val, so M = (m_flip -
+        m_plus[k]) - val.  A q node itself returns its node moment with no
+        path.  A path that ends at neither +-y(point) within 1e-6 raises
+        ConsistencyFailure.
+
+        The route differs from the root route by a closed cycle, so M
+        moves by a period, which the normalized averaged form does not
+        see (averaged_pcoef)."""
+        tree = self.q_tree
+        nodes = tree.grid.nodes
+        k = int(np.argmin(np.abs(nodes - point.lam)))
+        y_t = complex(self.curve.y_at(np.asarray(point.lam, complex),
+                                      point.sheet))
+        y_k = tree.y_plus[k]
+        node = (self.m_plus[k], self.m_flip - self.m_plus[k])
+        if nodes[k] == point.lam:
+            return node[int(abs(y_k + y_t) < abs(y_k - y_t))].copy()
+        val, _, y_end = integrate_vector_path(
+            self.curve, build_path(self.curve, nodes[k], point.lam), y_k,
+            _moment_integrand)
+        # s = 1: the path arrives on the other sheet
+        miss = (abs(y_end - y_t), abs(y_end + y_t))
+        s = int(miss[1] < miss[0])
+        if miss[s] > 1e-6 * max(1.0, abs(y_t)):
+            raise ConsistencyFailure(
+                f"sheet tracking lost on the path to {point.lam}")
+        return node[s] - val if s else node[s] + val
 
     def averaged_pcoef(self, y: SurfacePoint):
         """Correction polynomial of the q-averaged form Omega_bar_y.
 
         Averaging the moments over the grid leaves M(y) - M_conn / 2: the
         per-node moments cancel pairwise between sheets, each node pair
-        contributing the sheet-connector moments once."""
+        contributing the sheet-connector moments once.  M(y) comes from
+        moments_at's nearest q node; another route to y changes M by a
+        period, which moves the polynomial only by the computed form's
+        real periods."""
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
         m_y = self.moments_at(y)
@@ -526,8 +635,9 @@ class GreenContext:
         return build_surface_tree(self.curve, self.p_grid)
 
     @cached_property
-    def p_edge_y(self) -> np.ndarray:
-        """y at the nodes of every p_tree edge (_lift_edges)."""
+    def p_edge_y(self) -> _EdgeLift:
+        """The p_tree edges and sheet connector with y at their starts and
+        nodes (_lift_edges)."""
         return _lift_edges(self.curve, self.p_tree)
 
     @cached_property
@@ -611,10 +721,12 @@ class GreenSolver:
     Omega_bar_y + log_potential at every p node on both sheets (u_plus,
     u_minus), so each new x costs one short path from its nearest p node:
     G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
-    quadrature error on the same two sheets.  The p-grid tree, y at its
-    edge nodes and the log potential at its nodes are the context's
-    (p_tree is ctx.p_tree); only the one accumulation over that tree
-    depends on y.
+    quadrature error on the same two sheets.  The p-grid tree, its lifted
+    edges and sheet connector, and the log potential at its nodes are the
+    context's (p_tree is ctx.p_tree).  Only the correction polynomial
+    (ctx.averaged_pcoef, one short path from the nearest q node) and the
+    one accumulation over the p tree, connector included, depend on y;
+    no integral starts from a tree root.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):

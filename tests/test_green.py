@@ -3,10 +3,11 @@ growing solutions at the cone point."""
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conespectra import bidiff, curveperiods, green, smatrix
@@ -151,6 +152,39 @@ class TestThirdKind:
 
 
 CURVES = {"z5": make_z5_curve(0.0, 1.0), "generic": make_curve(GENERIC_BP)}
+
+
+def _clearance_floor(curve, a, b):
+    """The clearance every path segment [a, b] must keep, written out from
+    green._clear_edges's rule: 0.3 times the smaller endpoint distance to
+    the branch points, capped at min_gap / 4."""
+    gap = [float(np.abs(z - curve.branch_points).min()) for z in (a, b)]
+    return min(0.3 * min(gap), curve.min_gap / 4.0)
+
+
+class TestBuildPath:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           ends=st.lists(st.tuples(st.integers(0, 5), st.floats(1e-4, 0.05),
+                                   st.floats(0.0, 2.0 * np.pi)),
+                          min_size=2, max_size=2))
+    # through branch point 1 from one side to the other, and from next to
+    # it towards branch point 0 (the old flip-loop approach)
+    @example(name="generic", ends=[(1, 0.03125, 0.0), (1, 0.04, np.pi)])
+    @example(name="generic", ends=[(1, 0.03125, 0.0), (0, 0.05, 0.0)])
+    @example(name="z5", ends=[(0, 0.01, np.pi), (1, 0.01, 0.0)])
+    def test_segments_keep_clear(self, name, ends):
+        # endpoints within 0.05 of a branch point each: every segment
+        # keeps the one clearance rule, and the routing terminates
+        curve = CURVES[name]
+        a, b = (complex(curve.branch_points[j] + r * np.exp(1j * phi))
+                for j, r, phi in ends)
+        path = green.build_path(curve, a, b)
+        assert path[0] == a and path[-1] == b
+        for u, v in zip(path[:-1], path[1:]):
+            clr = curveperiods._segment_clearance(curve, u, v)
+            assert clr >= _clearance_floor(curve, u, v), (u, v)
+            assert clr > 1e-9 * curve.scale
 
 
 def _surface_grid(name, grid, stagger):
@@ -310,7 +344,7 @@ class TestSurfaceTree:
         per_path = green.integrate_vector_path
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("budget"))
+            calls.append((args[1][0], args[2], kwargs.get("budget")))
             return per_path(*args, **kwargs)
 
         monkeypatch.setattr(green, "integrate_vector_path", counted)
@@ -322,7 +356,7 @@ class TestSurfaceTree:
         assert (gap <= bound).all(), int(np.argmax(gap - bound))
         assert err >= path_err.max()
         # per-node errors: the same edges' gaps (to their rounding) summed
-        # along the root path; the other sheet adds the flip-loop error
+        # along the root path; the other sheet adds the flip error
         np.testing.assert_allclose(node_err[:, 0], path_err, rtol=1e-3,
                                    atol=1e-11)
         flip_err = node_err[:, 1] - node_err[:, 0]
@@ -330,8 +364,16 @@ class TestSurfaceTree:
         np.testing.assert_allclose(flip_err, flip_err[tree.root], rtol=1e-12)
         assert err >= node_err[:, 1].max()
         if tol == 1e-12:
-            # the sheet connector plus at least one edge that fell back
-            assert calls.count(30) >= 1 and calls.count(200) == 1
+            # at least one tree edge fell back, at the per-edge budget; a
+            # tree-edge fallback starts at a node on its tree sheet, so
+            # the connector's (its 16-gon and the hub's root path on the
+            # other sheet) are the rest, and there are none
+            assert {budget for _, _, budget in calls} == {30}
+            node = {(complex(lam), complex(y)) for lam, y in
+                    zip(tree.grid.nodes, tree.y_plus)}
+            on_tree = [(a, y) in node for a, y, _ in calls]
+            assert sum(on_tree) >= 1
+            assert len(calls) - sum(on_tree) == 0
 
     def test_spent_edge_budget_raises(self):
         curve = CURVES["z5"]
@@ -469,6 +511,12 @@ class TestGreenRead:
            phase=st.floats(0.0, 2.0 * np.pi),
            free=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
            sheet=st.sampled_from([1, -1]))
+    # 1.03125 on sheet -1, whose root route once approached the flip loop
+    # around branch point 0 straight through branch point 1.0
+    @example(name="generic", grid=(6, 8), near="branch", index=1,
+             r=0.03125, phase=0.0, free=(0.0, 0.0), sheet=-1)
+    @example(name="generic", grid=(12, 16), near="branch", index=1,
+             r=0.03125, phase=0.0, free=(0.0, 0.0), sheet=-1)
     def test_matches_root_path(self, read_solvers, name, grid, near, index,
                                r, phase, free, sheet):
         # the nearest-node start against the root path it replaced, on
@@ -524,6 +572,237 @@ class TestGreenRead:
             bar = (short[0] + tree_part) / (2.0 * np.pi) + 1e-12
             assert abs(g.value - value) <= bar, (re_x, im_x, sheet)
             assert g.error_estimate + 1e-12 >= bar
+
+
+def _reference_flip(curve, tree, f, tol=1e-8):
+    """Reference for accumulate_tree's flip vector: the route it replaced,
+    once around _flip_loop from the tree root at budget 200, with its
+    error."""
+    lam = complex(tree.grid.nodes[tree.root])
+    y_root = tree.y_plus[tree.root]
+    val, err, y_end = green.integrate_vector_path(
+        curve, green._flip_loop(curve, lam), y_root, f, tol=tol, budget=200)
+    assert abs(y_end + y_root) <= 1e-6 * max(1.0, abs(y_root))
+    return val, err
+
+
+def _root_flip_accumulate(accumulate):
+    """accumulate_tree with the flip vector, its error and node_err[:, 1]
+    from _reference_flip."""
+    def accumulate_ref(curve, tree, lift, f, k, tol=1e-8, budget=30):
+        vals, flip, err, node_err = accumulate(curve, tree, lift, f, k,
+                                               tol=tol, budget=budget)
+        ref, ref_err = _reference_flip(curve, tree, f, tol)
+        flip_err = node_err[tree.root, 1]
+        node_err = np.stack([node_err[:, 0], node_err[:, 0] + ref_err], 1)
+        return vals, ref, err - flip_err + ref_err, node_err
+    return accumulate_ref
+
+
+def _reference_moments(ctx, point):
+    """Reference for GreenContext.moments_at: the root route, build_path
+    from the q-tree root and around _flip_loop if it arrives on the other
+    sheet, with its error."""
+    tree = ctx.q_tree
+    return green._integrate_to(ctx.curve, tree.grid.nodes[tree.root],
+                               tree.y_plus[tree.root], point,
+                               green._moment_integrand)
+
+
+def _pcoef_norm(model):
+    """Largest change of a real or imaginary part of _correction_pcoef
+    over moment changes whose components have modulus at most 1: the
+    largest row sum of the real-linear map's 10 x 10 matrix."""
+    cols = []
+    for k in range(5):
+        for unit in (1.0, 1j):
+            dm = np.zeros(5, dtype=complex)
+            dm[k] = unit
+            p = green._correction_pcoef(model, dm)[0]
+            cols.append(np.concatenate([p.real, p.imag]))
+    return float(np.abs(np.asarray(cols)).sum(axis=0).max())
+
+
+def _pcoef_gap(p, q):
+    d = np.asarray(p) - np.asarray(q)
+    return float(np.abs(np.concatenate([d.real.ravel(),
+                                        d.imag.ravel()])).max())
+
+
+@pytest.fixture(scope="module")
+def q_node_err(read_solvers):
+    """node_err of the q-tree accumulation of every read_solvers context
+    (green_context does not keep it)."""
+    out = {}
+    for key, (sol, _) in read_solvers.items():
+        curve, tree = sol.ctx.curve, sol.ctx.q_tree
+        out[key] = green.accumulate_tree(curve, tree,
+                                         green._lift_edges(curve, tree),
+                                         green._moment_integrand, 5)[3]
+    return out
+
+
+READ_KEYS = [pytest.param(name, grid, id=f"{name}-{grid[0]}x{grid[1]}")
+             for name in sorted(CURVES) for grid in [(6, 8), (12, 16)]]
+
+
+class TestSheetConnector:
+    @pytest.mark.parametrize("name, grid", READ_KEYS)
+    def test_flip_matches_root_loop(self, read_solvers, name, grid):
+        # the connector at the hub against the root flip loop: the routes
+        # differ by a cycle, so Re of the averaged form's flip agrees
+        # within both errors plus the real-period defect
+        sol, defect = read_solvers[name, grid]
+        assert defect < 1e-9
+        curve, tree = sol.ctx.curve, sol.p_tree
+        _, flip, _, node_err = green.accumulate_tree(
+            curve, tree, sol.ctx.p_edge_y, sol._harm_both, 2)
+        ref, ref_err = _reference_flip(curve, tree, sol._harm_both)
+        gap = np.abs((flip - ref).real)
+        assert (gap <= node_err[tree.root, 1] + ref_err + defect).all(), gap
+
+    @pytest.mark.parametrize("name, grid", READ_KEYS)
+    def test_context_and_solver_match_root_routes(self, read_solvers,
+                                                  monkeypatch, name, grid):
+        sol, defect = read_solvers[name, grid]
+        assert defect < 1e-9
+        ctx = sol.ctx
+        model, frame = ctx.model, ctx.frame
+        cfg = QuadratureConfig(surface_grid=(*grid, None))
+        q_errs = []
+        accumulate = green.accumulate_tree
+
+        def recording(acc):
+            def accumulate_q(*args, **kwargs):
+                out = acc(*args, **kwargs)
+                q_errs.append(out[2])
+                return out
+            return accumulate_q
+
+        # the context on the root routes: root flip loop, root moments
+        with monkeypatch.context() as m:
+            m.setattr(green, "accumulate_tree",
+                      recording(_root_flip_accumulate(accumulate)))
+            ref_ctx = green.green_context(model, frame, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(green, "accumulate_tree", recording(accumulate))
+            green.green_context(model, frame, cfg)
+        assert len(q_errs) == 2
+        path_errs = []
+        with monkeypatch.context() as m:
+            m.setattr(green.GreenContext, "moments_at",
+                      lambda self, pt: _reference_moments(self, pt)[0])
+            ref_pcoef = ref_ctx.averaged_pcoef(sol.y)
+        path_errs.append(_reference_moments(ref_ctx, sol.y)[1])
+        per_path = green.integrate_vector_path
+
+        def recorded(*args, **kwargs):
+            out = per_path(*args, **kwargs)
+            path_errs.append(out[1])
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(green, "integrate_vector_path", recorded)
+            pcoef = ctx.averaged_pcoef(sol.y)
+        # every moment route's error: both q trees' (node and flip errors
+        # included) and the paths to y
+        bound = _pcoef_norm(model) * (sum(q_errs) + sum(path_errs)) + defect
+        assert _pcoef_gap(pcoef, ref_pcoef) <= bound
+        assert _pcoef_gap(ctx.q_forms[2], ref_ctx.q_forms[2]) <= bound
+        np.testing.assert_array_equal(ctx.m_plus, ref_ctx.m_plus)
+        means = np.subtract(green.special_solution_means(ctx),
+                            green.special_solution_means(ref_ctx))
+        assert np.abs(means).max() <= bound
+        # the solver on the root flip loop, with the same correction
+        # polynomial: u_plus is the same tree sum, u_minus moves by Re of
+        # the flip change, mean_u by half of it
+        with monkeypatch.context() as m:
+            m.setattr(green, "accumulate_tree",
+                      _root_flip_accumulate(accumulate))
+            ref_sol = green.GreenSolver(ctx, sol.y)
+        np.testing.assert_array_equal(sol.u_plus, ref_sol.u_plus)
+        flip_errs = sol.node_err[0, 1] - sol.node_err[0, 0] \
+            + ref_sol.node_err[0, 1] - ref_sol.node_err[0, 0]
+        assert np.abs(sol.u_minus - ref_sol.u_minus).max() \
+            <= flip_errs + defect
+        assert abs(sol.mean_u - ref_sol.mean_u) <= flip_errs + defect
+
+    def test_solver_runs_no_flip_loop(self, z5, monkeypatch):
+        # the p tree's connector is lifted once per context, from its hub;
+        # a solver integrates no loop of its own
+        model, frame = z5
+        c = green.green_context(model, frame,
+                                QuadratureConfig(surface_grid=(6, 8, None)))
+        loops = []
+        flip_loop = green._flip_loop
+
+        def counted(curve, lam_at):
+            loops.append(lam_at)
+            return flip_loop(curve, lam_at)
+
+        monkeypatch.setattr(green, "_flip_loop", counted)
+        c.p_edge_y
+        assert loops == [c.p_grid.nodes[c.p_tree.hub]]
+        loops.clear()
+        for y in (SurfacePoint(0.9 + 1.3j, 1), SurfacePoint(1.03125, -1)):
+            green.GreenSolver(c, y)
+        assert loops == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           near=st.sampled_from(["branch", "cone", "free"]),
+           index=st.integers(0, 5),
+           r=st.floats(1e-4, 0.05),
+           phase=st.floats(0.0, 2.0 * np.pi),
+           free=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+           sheet=st.sampled_from([1, -1]))
+    @example(name="generic", grid=(12, 16), near="branch", index=1,
+             r=0.03125, phase=0.0, free=(0.0, 0.0), sheet=-1)
+    def test_moments_match_root_route(self, read_solvers, q_node_err, name,
+                                      grid, near, index, r, phase, free,
+                                      sheet):
+        # the nearest-q-node start against the root route it replaced,
+        # through averaged_pcoef: the routes differ by a cycle, which the
+        # normalized form does not see, so the polynomials agree within
+        # the paths' errors plus the real-period defect
+        sol, defect = read_solvers[name, grid]
+        assert defect < 1e-9
+        ctx = sol.ctx
+        centre = {"branch": ctx.curve.branch_points[index],
+                  "cone": ctx.frame.lam_p, "free": complex(*free)}[near]
+        x = SurfacePoint(complex(centre) + r * np.exp(1j * phase), sheet)
+        short = []
+        per_path = green.integrate_vector_path
+
+        def recorded(*args, **kwargs):
+            out = per_path(*args, **kwargs)
+            short.append(out[1])
+            return out
+
+        with mock.patch.object(green, "integrate_vector_path", recorded):
+            pcoef = ctx.averaged_pcoef(x)
+        assert len(short) == 1
+        m_ref, err_ref = _reference_moments(ctx, x)
+        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)[0]
+        k = int(np.argmin(np.abs(ctx.q_grid.nodes - x.lam)))
+        err = short[0] + q_node_err[name, grid][k].max() + err_ref
+        assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
+
+    def test_q_node_needs_no_path(self, ctx, monkeypatch):
+        calls = []
+        monkeypatch.setattr(green, "integrate_vector_path",
+                            lambda *a, **k: calls.append(a))
+        tree = ctx.q_tree
+        for i in (0, tree.root, tree.hub, ctx.q_grid.n_nodes // 2):
+            lam = complex(ctx.q_grid.nodes[i])
+            s = _tree_sheet(ctx.curve, tree, i)
+            np.testing.assert_array_equal(
+                ctx.moments_at(SurfacePoint(lam, s)), ctx.m_plus[i])
+            np.testing.assert_array_equal(
+                ctx.moments_at(SurfacePoint(lam, -s)),
+                ctx.m_flip - ctx.m_plus[i])
+        assert calls == []
 
 
 class TestRoelckeGreen:
@@ -585,6 +864,22 @@ class TestRoelckeGreen:
                                   np.asarray([z]))[0]
             lap = (s - 4 * g0) / h ** 2 / dens
             assert abs(lap + 1.0 / fine.area) < 0.08 / fine.area, z
+
+    @pytest.mark.parametrize("sheet", [1, -1])
+    def test_next_to_a_branch_point(self, generic, sheet):
+        # 1.03125 lies 0.03125 from generic branch point 1.0; on sheet -1
+        # both used to route straight through 1.0 and raise NonConvergence
+        model, _, gctx = generic
+        y = SurfacePoint(1.03125, sheet)
+        x = SurfacePoint(-0.4 - 0.2j, 1)
+        g_xy = green.GreenSolver(gctx, y).green(x).value
+        g_yx = green.GreenSolver(gctx, x).green(y).value
+        assert abs(g_xy - g_yx) < 1e-2
+        form = green.third_kind_form(model, y, x)
+        for kind in ("a", "b"):
+            for idx in (0, 1):
+                per = cycle_integral(model.periods, kind, idx, form.values)
+                assert abs(per.real) < 1e-6, (kind, idx)
 
     def test_coincident_arguments(self, solver):
         with pytest.raises(CoincidentArguments):
