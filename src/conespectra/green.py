@@ -114,11 +114,6 @@ def _flip_loop(curve, lam_at):
     return approach + [bp + (start - bp) * w for w in turns] + approach[::-1]
 
 
-def _continue_to(curve, a, y_a, b):
-    """y at b continued from (a, y_a) along the straight segment."""
-    return complex(_continue_sqrt(curve.branch_points, a, b, y_a, [b])[0])
-
-
 def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
     """numerics.integrate_path of the k-vector f(lam, y) along a polyline,
     with y continued on the curve from y0 at the first vertex.
@@ -131,21 +126,31 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
                           lift=partial(_continue_sqrt, curve.branch_points))
 
 
+def _arrival(curve, y_end, point: SurfacePoint):
+    """1 if a path ending at y_end arrives on the other sheet of the point,
+    0 if on its own; ConsistencyFailure if at neither +-y within 1e-6."""
+    y_t = complex(curve.y_at(np.asarray(point.lam, complex), point.sheet))
+    miss = (abs(y_end - y_t), abs(y_end + y_t))
+    s = int(miss[1] < miss[0])
+    if miss[s] > 1e-6 * max(1.0, abs(y_t)):
+        raise ConsistencyFailure(
+            f"sheet tracking lost on the path to {point.lam}")
+    return s
+
+
 def _integrate_to(curve, lam0, y0, point: SurfacePoint, f):
     """Integral of f from (lam0, y0) to the sheet-resolved point, with its
     error: along build_path, then once around _flip_loop if the path
     arrives on the other sheet."""
     val, err, y_end = integrate_vector_path(
         curve, build_path(curve, lam0, point.lam), y0, f)
-    y_t = complex(curve.y_at(np.asarray(point.lam, complex), point.sheet))
-    if abs(y_end - y_t) > abs(y_end + y_t):
+    if _arrival(curve, y_end, point):
         tail, e1, y_end = integrate_vector_path(
             curve, _flip_loop(curve, point.lam), y_end, f)
-        val = val + tail
-        err += e1
-    if abs(y_end - y_t) > 1e-6 * max(1.0, abs(y_t)):
-        raise ConsistencyFailure(
-            f"sheet tracking lost on the path to {point.lam}")
+        val, err = val + tail, err + e1
+        if _arrival(curve, y_end, point):
+            raise ConsistencyFailure(
+                f"flip loop at {point.lam} did not flip the sheet")
     return val, err
 
 
@@ -243,10 +248,9 @@ class SurfaceTree:
     (_levels).
 
     hub is the node whose distance to the first branch point is closest
-    to min_gap / 3 (ties to the lower index).  The sheet connector starts
-    there (_flip_loop(curve, lam[hub])): on every grid of
-    build_surface_grid it is the 16-gon about that branch point through
-    the hub, with no legs, instead of a loop from the far-out root."""
+    to min_gap / 3 (ties to the lower index), where the sheet connector
+    _flip_loop(curve, lam[hub]) starts: on every build_surface_grid grid,
+    the 16-gon about that branch point through the hub, with no legs."""
 
     grid: object
     parent: np.ndarray
@@ -369,8 +373,8 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
         ok = _clear_edges(curve, lam, gap, order[k], cand)
         parent[order[k]] = cand[ok.argmax()] if ok.any() else cand[0]
     exact = np.sqrt(np.prod(lam[:, None] - bp, axis=-1))
-    y_root = _continue_to(curve, curve.base_point, curve.base_sheet_value,
-                          lam[root])
+    y_root = _continue_sqrt(bp, curve.base_point, lam[root],
+                            curve.base_sheet_value, lam[root:root + 1])[0]
     # each edge keeps the sign or flips it: continuing +exact at the
     # parent gives +exact or -exact at the node
     up = parent[kids]
@@ -394,13 +398,11 @@ _LIFT_EDGES = 256
 
 def _root_path(tree, i):
     """Positions in tree.order[1:] of the edges from the root to node i."""
-    edge = np.empty(tree.order.size, dtype=int)
-    edge[tree.order] = np.arange(-1, tree.order.size - 1)
     path = []
     while i != tree.root:
-        path.append(edge[i])
+        path.append(i)
         i = tree.parent[i]
-    return np.asarray(path[::-1], dtype=int)
+    return np.argsort(tree.order)[path[::-1]] - 1
 
 
 def _edge_nodes(curve, tree):
@@ -444,26 +446,32 @@ def _lift_edges(curve, tree) -> _EdgeLift:
     """y at the start and the nodes of every edge of _edge_nodes.
 
     A tree edge starts from tree.y_plus at its parent.  The connector's
-    segments are chained from y_plus[hub], and the chain must end at
+    chords are chained from y_plus[hub] by sign flips, all from one
+    _continue_sqrt call as in build_surface_tree, and must end at
     -y_plus[hub] (else ConsistencyFailure).  The nodes of both sets are
     lifted from the starts, _LIFT_EDGES edges per _continue_sqrt call;
     the hub's root path takes the negated values of its tree edges."""
+    bp = curve.branch_points
     a, b, half, back = _edge_nodes(curve, tree)
     zs = _gauss_nodes(a, b, half)
     m, conn = tree.order.size - 1, a.size - back.size
     y_a = np.empty_like(a)
     y_a[:m] = tree.y_plus[tree.parent[tree.order[1:]]]
-    y_hub = y = tree.y_plus[tree.hub]
-    for e in range(m, conn):
-        y_a[e] = y
-        y = _continue_to(curve, a[e], y, b[e])
-    if abs(y + y_hub) > 1e-6 * max(1.0, abs(y_hub)):
+    y_hub = tree.y_plus[tree.hub]
+    # a chord continues +exact at its start to +-exact at the next start
+    exact = np.sqrt(np.prod(a[m:conn, None] - bp, axis=-1))
+    ends = _continue_sqrt(bp, a[m:conn], b[m:conn], exact, b[m:conn])
+    nxt = np.roll(exact, -1)
+    flips = np.abs(ends - nxt) > np.abs(ends + nxt)
+    turns = np.cumsum(np.concatenate(
+        [[abs(y_hub - exact[0]) > abs(y_hub + exact[0])], flips]))
+    y_a[m:conn] = np.where(turns[:-1] % 2, -exact, exact)
+    if flips.sum() % 2 == 0:
         raise ConsistencyFailure("sheet connector did not flip the sheet")
     ys = np.empty_like(zs)
     for s in range(0, conn, _LIFT_EDGES):
         cut = slice(s, min(s + _LIFT_EDGES, conn))
-        ys[:, cut] = _continue_sqrt(curve.branch_points, a[cut], b[cut],
-                                    y_a[cut], zs[:, cut])
+        ys[:, cut] = _continue_sqrt(bp, a[cut], b[cut], y_a[cut], zs[:, cut])
     y_a[conn:], ys[:, conn:] = -y_a[back], -ys[:, back]
     return _EdgeLift(a, b, half, y_a, ys)
 
@@ -473,32 +481,27 @@ def accumulate_tree(curve, tree, lift, f, k, tol=1e-8, budget=30):
     the tree edges, on the sheet of the tree continuation (tree.y_plus),
     and the flip vector.
 
-    lift is _lift_edges(curve, tree); a caller that accumulates several
-    integrands over one tree lifts once.  f is evaluated once, on the
-    nodes of all of its edges: the tree edges, the sheet connector's
-    segments, and the edges of the hub's root path at -y.  They share one
-    vectorised pass of numerics.integrate_path's embedded 20/10-point
-    Gauss rules (numerics._embedded_gauss).  An edge is accepted by
-    integrate_path's own rule; the edges that fail go through
-    integrate_vector_path with the same per-edge budget, so a spent
-    budget raises NonConvergence.  f must act pointwise on flat arrays.
-    The tree-edge values are summed down the tree one depth level at a
-    time (tree.depth, _levels): each node adds its edge to its parent's
-    sum, the same additions in the same order as a per-node walk of
-    tree.order.
+    lift is _lift_edges(curve, tree), so integrands over one tree share
+    one lift.  f, which must act pointwise on flat arrays, is evaluated
+    once, on the nodes of every edge (the tree edges, the connector's
+    chords, and the hub's root path at -y), in one vectorised pass of
+    integrate_path's embedded 20/10-point Gauss rules
+    (numerics._embedded_gauss).  An edge that fails integrate_path's
+    acceptance rule goes through integrate_vector_path with the same
+    per-edge budget, so a spent budget raises NonConvergence.  The
+    tree-edge values are summed down the tree one depth level at a time
+    (_levels), the same additions in the same order as a per-node walk.
 
     The flip vector is the integral of f from (root, y_plus[root]) to
-    (root, -y_plus[root]): down the tree to the hub (vals[hub]), around
-    the connector to (hub, -y_plus[hub]), and back up the hub's root path
-    on the other sheet, so no path starts at the far-out root.  A caller
-    that needs the other sheet stacks f(lam, -y) as extra columns and
-    adds the flip of the matching columns.  Returns (vals, flip_vector,
-    error, node_err).  The flip error sums the hub's root-path error and
-    the gaps of the connector and of the path back; error sums the
-    accepted gaps of all tree edges and the flip error; node_err is
-    (n, 2): column 0 sums the accepted gaps of the edges on each node's
-    path from the root, column 1 adds the flip error, the route to the
-    node on the other sheet."""
+    (root, -y_plus[root]): down the tree to the hub, around the connector
+    and back up the hub's root path on the other sheet.  A caller that
+    needs the other sheet stacks f(lam, -y) as extra columns and adds the
+    flip of the matching columns.  Returns (vals, flip_vector, error,
+    node_err).  The flip error sums the hub's root-path error and the
+    gaps of the connector and of the path back; error sums the accepted
+    gaps of all tree edges and the flip error; node_err is (n, 2), the
+    accepted gaps on each node's root path, then that plus the flip error
+    (the route to the node on the other sheet)."""
     lam = tree.grid.nodes
     kids = tree.order[1:]
     up = tree.parent[kids]
@@ -534,80 +537,72 @@ _POTENTIAL_ROWS = 64
 
 @dataclass
 class GreenContext:
-    """Precomputed q-side data: staggered grids, moment tree, Cauchy
-    weights, and the metric area.
+    """Precomputed q-side data: staggered grids, Cauchy weights, area.
 
     omega_bar_values is the one evaluator of the averaged form; its
-    correction comes from averaged_pcoef for one second argument, or from
-    q_forms for every q node on both sheets.  q_forms and the p-side data
-    that every GreenSolver shares (p_tree, its edges and sheet connector
-    lifted in p_edge_y, and t_nodes) are built on first read, so a caller
-    that never reads them never pays for them.  The q tree's edges are
-    lifted once, inside green_context, and not kept."""
+    correction comes from averaged_pcoef for one second argument (moments
+    from one base point beside branch point 0), or from q_forms for every
+    q node on both sheets (moments over the q tree).  Those and the p-side
+    data that every GreenSolver shares (p_tree, its lifted edges p_edge_y,
+    and t_nodes) are built on first read: a context plus its solvers
+    builds one tree, the p tree."""
 
     model: BidiffModel
     frame: DistinguishedFrame
     curve: Curve
     p_grid: object
     q_grid: object
-    q_tree: SurfaceTree
-    m_plus: np.ndarray         # (n, 5) moments to q nodes at q_tree.y_plus
-    m_flip: np.ndarray         # moments from the root to the other sheet
     cauchy_w: np.ndarray       # real per-node weights W_i (one sheet)
     moll_radius: float         # mollification radius of the log potential
     dens_p: np.ndarray
     area: float
 
-    def moments_at(self, point: SurfacePoint):
-        """Moment vector M = int_root^point lambda^k dlambda / y.
+    @cached_property
+    def base(self):
+        """(lambda_b, y_b): branch_points[0] + min_gap / 3, sheet +1."""
+        lam = complex(self.curve.branch_points[0]) + self.curve.min_gap / 3.0
+        return lam, complex(self.curve.y_at(np.asarray(lam), 1))
 
-        Starts from the q node k nearest to the point, where M is known on
-        both sheets: m_plus[k] at q_tree.y_plus[k], and m_flip - m_plus[k]
-        at -y_plus[k] (the connector, then the tree path on the other
-        sheet, where the integrand is odd in y).  One build_path from
-        lam_k to the point, started at y_plus[k], gives val; if it arrives
-        at y(point), M = m_plus[k] + val, and if at -y(point), the path
-        from -y_plus[k] arrives at y(point) with -val, so M = (m_flip -
-        m_plus[k]) - val.  A q node itself returns its node moment with no
-        path.  A path that ends at neither +-y(point) within 1e-6 raises
-        ConsistencyFailure.
-
-        The route differs from the root route by a closed cycle, so M
-        moves by a period, which the normalized averaged form does not
-        see (averaged_pcoef)."""
-        tree = self.q_tree
-        nodes = tree.grid.nodes
-        k = int(np.argmin(np.abs(nodes - point.lam)))
-        y_t = complex(self.curve.y_at(np.asarray(point.lam, complex),
-                                      point.sheet))
-        y_k = tree.y_plus[k]
-        node = (self.m_plus[k], self.m_flip - self.m_plus[k])
-        if nodes[k] == point.lam:
-            return node[int(abs(y_k + y_t) < abs(y_k - y_t))].copy()
+    @cached_property
+    def m_conn(self) -> np.ndarray:
+        """Moments once around the 16-gon _flip_loop(curve, lambda_b), from
+        (lambda_b, y_b) to (lambda_b, -y_b)."""
+        lam, y = self.base
         val, _, y_end = integrate_vector_path(
-            self.curve, build_path(self.curve, nodes[k], point.lam), y_k,
-            _moment_integrand)
-        # s = 1: the path arrives on the other sheet
-        miss = (abs(y_end - y_t), abs(y_end + y_t))
-        s = int(miss[1] < miss[0])
-        if miss[s] > 1e-6 * max(1.0, abs(y_t)):
-            raise ConsistencyFailure(
-                f"sheet tracking lost on the path to {point.lam}")
-        return node[s] - val if s else node[s] + val
+            self.curve, _flip_loop(self.curve, lam), y, _moment_integrand)
+        if abs(y_end + y) > 1e-6 * max(1.0, abs(y)):
+            raise ConsistencyFailure("sheet connector did not flip the sheet")
+        return val
+
+    def moments_at(self, point: SurfacePoint):
+        """Moment vector M = int lambda^k dlambda / y from the base point
+        (lambda_b, y_b) to the point: one build_path from lambda_b, started
+        at y_b, gives val, and M = val if the path arrives at y(point).  If
+        it arrives at -y(point), the path from -y_b arrives at y(point) with
+        -val (the integrand is odd in y), so M = m_conn - val.  lambda_b
+        itself takes no path; ConsistencyFailure if the path ends at
+        neither +-y(point) within 1e-6 (_arrival)."""
+        lam_b, y_b = self.base
+        val, y_end = np.zeros(5, dtype=complex), y_b
+        if lam_b != point.lam:
+            val, _, y_end = integrate_vector_path(
+                self.curve, build_path(self.curve, lam_b, point.lam), y_b,
+                _moment_integrand)
+        return self.m_conn - val if _arrival(self.curve, y_end, point) \
+            else val
 
     def averaged_pcoef(self, y: SurfacePoint):
         """Correction polynomial of the q-averaged form Omega_bar_y.
 
         Averaging the moments over the grid leaves M(y) - M_conn / 2: the
         per-node moments cancel pairwise between sheets, each node pair
-        contributing the sheet-connector moments once.  M(y) comes from
-        moments_at's nearest q node; another route to y changes M by a
-        period, which moves the polynomial only by the computed form's
-        real periods."""
+        contributing the sheet-connector moments once.  Both start at the
+        base point here (moments_at, m_conn); another common start moves
+        the polynomial only by the computed form's real periods."""
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
         m_y = self.moments_at(y)
-        return _correction_pcoef(self.model, m_y - 0.5 * self.m_flip)[0]
+        return _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)[0]
 
     def omega_bar_values(self, lam, ys, t_lam, t_y, pcoef):
         """Omega_bar_t(z) / dlambda at sheet-resolved points z = (lam, ys):
@@ -620,10 +615,25 @@ class GreenContext:
         return _form_values(lam, ys, t_lam, t_y, pcoef) - cauchy / self.area
 
     @cached_property
+    def q_tree(self) -> SurfaceTree:
+        """Spanning tree over the q grid; only q_forms reads it."""
+        return build_surface_tree(self.curve, self.q_grid)
+
+    @cached_property
+    def _q_moments(self):
+        """m_plus, the (n, 5) moments from the q-tree root to the q nodes at
+        q_tree.y_plus, and m_flip, from the root to its other sheet."""
+        return accumulate_tree(self.curve, self.q_tree, _lift_edges(
+            self.curve, self.q_tree), _moment_integrand, 5)[:2]
+
+    m_plus = property(lambda self: self._q_moments[0])
+    m_flip = property(lambda self: self._q_moments[1])
+
+    @cached_property
     def q_forms(self):
         """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree
         sheet (q_tree.y_plus), then on the other sheet; as averaged_pcoef,
-        from the tree moments M(q) - M_conn / 2."""
+        from M(q) - M_conn / 2, all from the q-tree root (M_conn = m_flip)."""
         m = np.concatenate([self.m_plus, self.m_flip - self.m_plus])
         return (np.tile(self.q_grid.nodes, 2),
                 np.concatenate([self.q_tree.y_plus, -self.q_tree.y_plus]),
@@ -678,8 +688,8 @@ class GreenContext:
 
 def green_context(model: BidiffModel, frame: DistinguishedFrame,
                   cfg: QuadratureConfig | None = None) -> GreenContext:
-    """Build the reusable context; cfg.surface_grid sets the resolution
-    (coarse by design, Green properties hold to about 1e-2)."""
+    """The reusable context, with no tree yet; cfg.surface_grid sets the
+    resolution (coarse by design, Green properties hold to about 1e-2)."""
     cfg = cfg or QuadratureConfig(surface_grid=(12, 16, None))
     curve = model.curve
     p_grid = build_surface_grid(curve.branch_points, cfg)
@@ -688,17 +698,13 @@ def green_context(model: BidiffModel, frame: DistinguishedFrame,
     dens_p = metric_density(curve, frame.lam_p, p_grid.nodes)
     cauchy_w = q_grid.weights * dens_q
     area = 2.0 * float(cauchy_w.sum())
-    q_tree = build_surface_tree(curve, q_grid)
-    m_plus, m_flip, _, _ = accumulate_tree(
-        curve, q_tree, _lift_edges(curve, q_tree), _moment_integrand, 5)
     center = curve.branch_points.mean()
     rb = np.abs(curve.branch_points - center).max()
     inhull = np.abs(q_grid.nodes - center) < 1.5 * rb
     cells = q_grid.weights[inhull] if inhull.any() else q_grid.weights
     moll_radius = 3.0 * float(np.sqrt(np.percentile(cells, 95)))
     return GreenContext(model=model, frame=frame, curve=curve, p_grid=p_grid,
-                        q_grid=q_grid, q_tree=q_tree, m_plus=m_plus,
-                        m_flip=m_flip, cauchy_w=cauchy_w,
+                        q_grid=q_grid, cauchy_w=cauchy_w,
                         moll_radius=moll_radius, dens_p=dens_p, area=area)
 
 
@@ -724,9 +730,8 @@ class GreenSolver:
     quadrature error on the same two sheets.  The p-grid tree, its lifted
     edges and sheet connector, and the log potential at its nodes are the
     context's (p_tree is ctx.p_tree).  Only the correction polynomial
-    (ctx.averaged_pcoef, one short path from the nearest q node) and the
-    one accumulation over the p tree, connector included, depend on y;
-    no integral starts from a tree root.
+    (ctx.averaged_pcoef, one path from the context's base point) and one
+    accumulation over the p tree depend on y; a solver reads no q tree.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
@@ -768,20 +773,15 @@ class GreenSolver:
         curve = self.ctx.curve
         nodes = self.p_tree.grid.nodes
         j = int(np.argmin(np.abs(nodes - x.lam)))
-        y_x = complex(curve.y_at(np.asarray(x.lam, complex), x.sheet))
         y_j = self.p_tree.y_plus[j]
         if nodes[j] == x.lam:
-            s = int(abs(y_j + y_x) < abs(y_j - y_x))
+            s = _arrival(curve, y_j, x)
             return (float((self.u_plus, self.u_minus)[s][j]),
                     float(self.node_err[j, s]))
         val, err, y_end = integrate_vector_path(
             curve, build_path(curve, nodes[j], x.lam), y_j, self._harm_both)
         # column s arrives on the sheet of x: s = 1 is the other sheet
-        miss = (abs(y_end - y_x), abs(y_end + y_x))
-        s = int(miss[1] < miss[0])
-        if miss[s] > 1e-6 * max(1.0, abs(y_x)):
-            raise ConsistencyFailure(
-                f"sheet tracking lost on the path to {x.lam}")
+        s = _arrival(curve, y_end, x)
         u_j = (self.u_plus, self.u_minus)[s][j] - self.ctx.t_nodes[j]
         t_x = float(self.ctx.log_potential(np.asarray(x.lam, complex)))
         return (float(u_j + val[s].real) + t_x,

@@ -23,6 +23,7 @@ from conespectra.errors import (
     CoincidentArguments,
     CoincidentPoles,
     ConeArgument,
+    ConsistencyFailure,
     FitIllConditioned,
     GridTooCoarse,
     NonConvergence,
@@ -32,6 +33,12 @@ from conespectra.numerics import (QuadratureConfig, SurfaceGrid,
                                   build_surface_grid)
 
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
+
+
+def _continue_to(curve, a, y_a, b):
+    """y at b continued from (a, y_a) along the straight segment."""
+    return complex(curveperiods._continue_sqrt(curve.branch_points, a, b,
+                                               y_a, [b])[0])
 
 
 def build_model(branch_points, cone_point):
@@ -85,7 +92,7 @@ class TestThirdKind:
             ys = np.empty(n, dtype=complex)
             for k in range(n):
                 ys[k] = y
-                y = green._continue_to(curve, z[k], y, z[(k + 1) % n])
+                y = _continue_to(curve, z[k], y, z[(k + 1) % n])
             vals = form.values(z, ys) * (z - pole.lam)
             res = vals.mean()
             assert abs(res - want) < 1e-6
@@ -223,12 +230,12 @@ def _reference_tree(curve, grid):
         visited[i] = True
         order.append(i)
     y_plus = np.empty(n, dtype=complex)
-    y_plus[root] = green._continue_to(curve, curve.base_point,
-                                      curve.base_sheet_value, lam[root])
+    y_plus[root] = _continue_to(curve, curve.base_point,
+                                curve.base_sheet_value, lam[root])
     depth = np.zeros(n, dtype=int)
     for i in order[1:]:
-        y_plus[i] = green._continue_to(curve, lam[parent[i]],
-                                       y_plus[parent[i]], lam[i])
+        y_plus[i] = _continue_to(curve, lam[parent[i]], y_plus[parent[i]],
+                                 lam[i])
         depth[i] = depth[parent[i]] + 1
     return parent, np.asarray(order), y_plus, root, depth
 
@@ -424,14 +431,19 @@ class TestSurfaceTree:
         monkeypatch.setattr(green, "_lift_edges", counted_lift)
         cfg = QuadratureConfig(surface_grid=(6, 8, None))
         c = green.green_context(model, frame, cfg)
-        green.special_solution_means(c)
-        assert built == [c.q_grid]
-        assert lifted == [c.q_tree]
+        assert built == [] and lifted == []
+        # a context plus its solvers builds and lifts the p tree alone
         ys = [SurfacePoint(z, 1) for z in (0.9 + 1.3j, -0.7 + 0.4j)]
         solvers = [green.GreenSolver(c, y) for y in ys]
-        assert built == [c.q_grid, c.p_grid]
+        assert built == [c.p_grid]
         assert all(s.p_tree is c.p_tree for s in solvers)
-        assert lifted == [c.q_tree, c.p_tree]
+        assert lifted == [c.p_tree]
+        assert "q_tree" not in vars(c)
+        # the q tree comes with the first q_forms reader, once
+        green.special_solution_means(c)
+        green.special_solution_means(c)
+        assert built == [c.p_grid, c.q_grid]
+        assert lifted == [c.p_tree, c.q_tree]
         # a solver sharing the lifted edges equals one built alone
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
@@ -609,6 +621,41 @@ def _reference_moments(ctx, point):
                                green._moment_integrand)
 
 
+def _nearest_node_moments(ctx, point, node_err):
+    """Reference for GreenContext.moments_at: the nearest-q-node route it
+    replaced, with its error.
+
+    One build_path from the q node k nearest to the point, started at
+    q_tree.y_plus[k], gives val: M = m_plus[k] + val if it arrives at
+    y(point), (m_flip - m_plus[k]) - val if at -y(point); a q node itself
+    takes no path.  The error is the path's plus node_err[k] on the sheet
+    the route starts from, node_err being the q tree's accumulate_tree
+    node_err (column 1 includes the flip error)."""
+    tree = ctx.q_tree
+    nodes = tree.grid.nodes
+    k = int(np.argmin(np.abs(nodes - point.lam)))
+    node = (ctx.m_plus[k], ctx.m_flip - ctx.m_plus[k])
+    if nodes[k] == point.lam:
+        s = green._arrival(ctx.curve, tree.y_plus[k], point)
+        return node[s].copy(), node_err[k, s]
+    val, err, y_end = green.integrate_vector_path(
+        ctx.curve, green.build_path(ctx.curve, nodes[k], point.lam),
+        tree.y_plus[k], green._moment_integrand)
+    s = green._arrival(ctx.curve, y_end, point)
+    return (node[s] - val if s else node[s] + val), err + node_err[k, s]
+
+
+def _conn_err(ctx):
+    """Quadrature error of GreenContext.m_conn, which the context does not
+    keep: the same integral again, checked to give the same moments."""
+    lam, y = ctx.base
+    val, err, _ = green.integrate_vector_path(
+        ctx.curve, green._flip_loop(ctx.curve, lam), y,
+        green._moment_integrand)
+    np.testing.assert_array_equal(val, ctx.m_conn)
+    return err
+
+
 def _pcoef_norm(model):
     """Largest change of a real or imaginary part of _correction_pcoef
     over moment changes whose components have modulus at most 1: the
@@ -679,21 +726,21 @@ class TestSheetConnector:
                 return out
             return accumulate_q
 
-        # the context on the root routes: root flip loop, root moments
+        # the context on the root routes: root flip loop, root moments;
+        # the q-tree pass runs on the first read of m_flip
         with monkeypatch.context() as m:
             m.setattr(green, "accumulate_tree",
                       recording(_root_flip_accumulate(accumulate)))
             ref_ctx = green.green_context(model, frame, cfg)
+            ref_ctx.m_flip
         with monkeypatch.context() as m:
             m.setattr(green, "accumulate_tree", recording(accumulate))
-            green.green_context(model, frame, cfg)
+            green.green_context(model, frame, cfg).m_flip
         assert len(q_errs) == 2
-        path_errs = []
-        with monkeypatch.context() as m:
-            m.setattr(green.GreenContext, "moments_at",
-                      lambda self, pt: _reference_moments(self, pt)[0])
-            ref_pcoef = ref_ctx.averaged_pcoef(sol.y)
-        path_errs.append(_reference_moments(ref_ctx, sol.y)[1])
+        m_ref, err_ref = _reference_moments(ref_ctx, sol.y)
+        ref_pcoef = green._correction_pcoef(model,
+                                            m_ref - 0.5 * ref_ctx.m_flip)[0]
+        path_errs = [err_ref, _conn_err(ctx)]
         per_path = green.integrate_vector_path
 
         def recorded(*args, **kwargs):
@@ -705,7 +752,7 @@ class TestSheetConnector:
             m.setattr(green, "integrate_vector_path", recorded)
             pcoef = ctx.averaged_pcoef(sol.y)
         # every moment route's error: both q trees' (node and flip errors
-        # included) and the paths to y
+        # included), the paths to y and the base point's connector
         bound = _pcoef_norm(model) * (sum(q_errs) + sum(path_errs)) + defect
         assert _pcoef_gap(pcoef, ref_pcoef) <= bound
         assert _pcoef_gap(ctx.q_forms[2], ref_ctx.q_forms[2]) <= bound
@@ -728,8 +775,9 @@ class TestSheetConnector:
         assert abs(sol.mean_u - ref_sol.mean_u) <= flip_errs + defect
 
     def test_solver_runs_no_flip_loop(self, z5, monkeypatch):
-        # the p tree's connector is lifted once per context, from its hub;
-        # a solver integrates no loop of its own
+        # the p tree's connector is lifted once per context, from its hub,
+        # and the moment connector runs once, from the base point; a solver
+        # integrates no loop of its own
         model, frame = z5
         c = green.green_context(model, frame,
                                 QuadratureConfig(surface_grid=(6, 8, None)))
@@ -742,7 +790,8 @@ class TestSheetConnector:
 
         monkeypatch.setattr(green, "_flip_loop", counted)
         c.p_edge_y
-        assert loops == [c.p_grid.nodes[c.p_tree.hub]]
+        c.m_conn
+        assert loops == [c.p_grid.nodes[c.p_tree.hub], c.base[0]]
         loops.clear()
         for y in (SurfacePoint(0.9 + 1.3j, 1), SurfacePoint(1.03125, -1)):
             green.GreenSolver(c, y)
@@ -762,10 +811,10 @@ class TestSheetConnector:
     def test_moments_match_root_route(self, read_solvers, q_node_err, name,
                                       grid, near, index, r, phase, free,
                                       sheet):
-        # the nearest-q-node start against the root route it replaced,
-        # through averaged_pcoef: the routes differ by a cycle, which the
+        # the base-point start against the root route, through
+        # averaged_pcoef: the routes differ by a cycle, which the
         # normalized form does not see, so the polynomials agree within
-        # the paths' errors plus the real-period defect
+        # the paths' and connectors' errors plus the real-period defect
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
         ctx = sol.ctx
@@ -785,24 +834,115 @@ class TestSheetConnector:
         assert len(short) == 1
         m_ref, err_ref = _reference_moments(ctx, x)
         ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)[0]
-        k = int(np.argmin(np.abs(ctx.q_grid.nodes - x.lam)))
-        err = short[0] + q_node_err[name, grid][k].max() + err_ref
+        # the q tree's flip error, the error of m_flip
+        flip_err = q_node_err[name, grid][ctx.q_tree.root, 1]
+        err = short[0] + _conn_err(ctx) + err_ref + flip_err
         assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
 
-    def test_q_node_needs_no_path(self, ctx, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           near=st.sampled_from(["branch", "cone", "base", "gon", "far"]),
+           index=st.integers(0, 15),
+           r=st.floats(0.0, 0.05),
+           phase=st.floats(0.0, 2.0 * np.pi),
+           far=st.floats(2.0, 150.0),
+           sheet=st.sampled_from([1, -1]))
+    @example(name="generic", grid=(12, 16), near="base", index=0, r=0.0,
+             phase=0.0, far=2.0, sheet=-1)
+    @example(name="generic", grid=(12, 16), near="branch", index=1,
+             r=0.03125, phase=0.0, far=2.0, sheet=-1)
+    @example(name="z5", grid=(12, 16), near="far", index=0, r=0.0,
+             phase=2.0, far=150.0, sheet=-1)
+    def test_base_point_matches_nearest_node_route(
+            self, read_solvers, q_node_err, name, grid, near, index, r,
+            phase, far, sheet):
+        # the base-point start against the nearest-q-node route it
+        # replaced, through averaged_pcoef, at points next to every branch
+        # point, the cone point, the base point and its 16-gon, and far
+        # out: the routes differ by a cycle, which the normalized form
+        # does not see, so the polynomials agree within both routes'
+        # errors plus the real-period defect
+        sol, defect = read_solvers[name, grid]
+        assert defect < 1e-9
+        ctx = sol.ctx
+        gon = green._flip_loop(ctx.curve, ctx.base[0])
+        centre = {"branch": ctx.curve.branch_points[index % 6],
+                  "cone": ctx.frame.lam_p, "base": ctx.base[0],
+                  "gon": gon[index], "far": far * np.exp(1j * phase)}[near]
+        if near in ("branch", "cone"):
+            r = max(r, 1e-4)
+        x = SurfacePoint(complex(centre) + r * np.exp(1j * phase), sheet)
+        short = []
+        per_path = green.integrate_vector_path
+
+        def recorded(*args, **kwargs):
+            out = per_path(*args, **kwargs)
+            short.append(out[1])
+            return out
+
+        with mock.patch.object(green, "integrate_vector_path", recorded):
+            pcoef = ctx.averaged_pcoef(x)
+        assert len(short) == int(x.lam != ctx.base[0])
+        node_err = q_node_err[name, grid]
+        m_ref, err_ref = _nearest_node_moments(ctx, x, node_err)
+        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)[0]
+        # new route: its path and m_conn; old route: its path, the q
+        # node's tree path and m_flip's flip error
+        err = sum(short) + _conn_err(ctx) + err_ref \
+            + node_err[ctx.q_tree.root, 1]
+        assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
+
+    def test_base_point_needs_no_path(self, ctx, generic, monkeypatch):
+        # at lambda_b the moments are 0 on the sheet of y_b and m_conn on
+        # the other, with no path
+        ctxs = (ctx, generic[2])
+        for c in ctxs:
+            c.m_conn
         calls = []
         monkeypatch.setattr(green, "integrate_vector_path",
                             lambda *a, **k: calls.append(a))
-        tree = ctx.q_tree
-        for i in (0, tree.root, tree.hub, ctx.q_grid.n_nodes // 2):
-            lam = complex(ctx.q_grid.nodes[i])
-            s = _tree_sheet(ctx.curve, tree, i)
+        for c in ctxs:
+            lam_b, y_b = c.base
+            assert lam_b == c.curve.branch_points[0] + c.curve.min_gap / 3.0
+            assert y_b == c.curve.y_at(np.asarray(lam_b), 1)
             np.testing.assert_array_equal(
-                ctx.moments_at(SurfacePoint(lam, s)), ctx.m_plus[i])
+                c.moments_at(SurfacePoint(lam_b, 1)), np.zeros(5))
             np.testing.assert_array_equal(
-                ctx.moments_at(SurfacePoint(lam, -s)),
-                ctx.m_flip - ctx.m_plus[i])
+                c.moments_at(SurfacePoint(lam_b, -1)), c.m_conn)
         assert calls == []
+
+    @pytest.mark.parametrize("name, grid", READ_KEYS)
+    def test_connector_lift_matches_scalar_chain(self, read_solvers, name,
+                                                 grid):
+        # the connector's chords, chained by one batched sign pass, equal
+        # the chain of scalar continuations bit for bit, on both trees
+        ctx = read_solvers[name, grid][0].ctx
+        curve = ctx.curve
+        for tree in (ctx.p_tree, ctx.q_tree):
+            lift = green._lift_edges(curve, tree)
+            a, b, _, back = green._edge_nodes(curve, tree)
+            m, conn = tree.order.size - 1, a.size - back.size
+            assert conn - m == 16
+            y_hub = y = tree.y_plus[tree.hub]
+            chain = []
+            for e in range(m, conn):
+                chain.append(y)
+                y = _continue_to(curve, a[e], y, b[e])
+            np.testing.assert_array_equal(lift.y_a[m:conn], chain)
+            assert abs(y + y_hub) <= 1e-6 * max(1.0, abs(y_hub))
+
+    def test_connector_must_flip(self, z5, monkeypatch):
+        # a connector that encloses no branch point ends on its own sheet
+        curve = z5[0].curve
+        tree = green.build_surface_tree(curve,
+                                        _surface_grid("z5", (6, 8), 0.31))
+        rho = curve.min_gap / 10.0
+        monkeypatch.setattr(
+            green, "_flip_loop", lambda curve, lam: list(
+                lam + rho * (np.exp(2j * np.pi * np.arange(17) / 16) - 1)))
+        with pytest.raises(ConsistencyFailure, match="did not flip"):
+            green._lift_edges(curve, tree)
 
 
 class TestRoelckeGreen:
