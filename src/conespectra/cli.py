@@ -56,6 +56,8 @@ def _quad_config(cfg):
     grid = cfg.get("surface_grid")
     if grid is None:
         return QuadratureConfig()
+    if len(grid) not in (2, 3):
+        raise DomainError("surface_grid needs two or three entries")
     return QuadratureConfig(surface_grid=(
         int(grid[0]), int(grid[1]),
         None if len(grid) < 3 or grid[2] is None else float(grid[2])))
@@ -156,8 +158,10 @@ def _points(cfg):
         raise DomainError("green command needs at least two points")
     out = []
     for p in pts:
-        out.append(SurfacePoint(complex(p["lam"][0], p["lam"][1]),
-                                int(p.get("sheet", 1))))
+        sheet = int(p.get("sheet", 1))
+        if sheet not in (1, -1):
+            raise DomainError(f"a point's sheet must be 1 or -1, got {sheet}")
+        out.append(SurfacePoint(complex(p["lam"][0], p["lam"][1]), sheet))
     return out
 
 

@@ -45,10 +45,6 @@ class SingularNormalizationSystem(ConeSpectraError):
     pass
 
 
-class InsufficientOrder(ConeSpectraError):
-    pass
-
-
 class ConsistencyFailure(ConeSpectraError):
     """Two independent computation routes disagree beyond tolerance."""
 
@@ -58,22 +54,27 @@ class MissingJet(ConeSpectraError):
 
 
 class DomainError(ConeSpectraError):
-    pass
+    """An argument lies outside the domain of the function it is given
+    to; the CLI reports these as invalid input."""
+
+
+class InsufficientOrder(DomainError):
+    """A series order is too low for the computation asked of it."""
 
 
 class PoleEvaluation(ConeSpectraError):
     pass
 
 
-class CoincidentPoles(ConeSpectraError):
+class CoincidentPoles(DomainError):
     pass
 
 
-class CoincidentArguments(ConeSpectraError):
+class CoincidentArguments(DomainError):
     pass
 
 
-class ConeArgument(ConeSpectraError):
+class ConeArgument(DomainError):
     pass
 
 

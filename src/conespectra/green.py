@@ -21,9 +21,8 @@ averaged form Omega_bar_y is A(z,y) + P_y(lambda_z) / y_z minus that sum
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +60,10 @@ def _blocked(curve, a, b, gap_a, gap_b):
     bp = curve.branch_points
     a = np.asarray(a)[..., None]
     seg = np.asarray(b)[..., None] - a
-    t = np.clip(((bp - a) / seg).real, 0.0, 1.0)
+    # a segment shorter than 1e-100 scale, which could overflow, divides
+    # by inf instead: its foot is its start
+    t = np.minimum(np.maximum(((bp - a) / np.where(
+        np.abs(seg) < 1e-100 * curve.scale, np.inf, seg)).real, 0.0), 1.0)
     feet = a + t * seg
     d = np.abs(feet - bp)
     floor = np.minimum(0.3 * np.minimum(gap_a, gap_b), curve.min_gap / 4.0)
@@ -138,24 +140,50 @@ def _arrival(curve, y_end, point: SurfacePoint):
     return s
 
 
-def _integrate_to(curve, lam0, y0, point: SurfacePoint, f):
-    """Integral of f from (lam0, y0) to the sheet-resolved point, with its
-    error: along build_path, then once around _flip_loop if the path
-    arrives on the other sheet."""
+def _path_to(curve, lam0, y0, point: SurfacePoint, f):
+    """Integral of f along build_path from (lam0, y0) to the point, its
+    error, and the sheet it arrives on (_arrival)."""
     val, err, y_end = integrate_vector_path(
         curve, build_path(curve, lam0, point.lam), y0, f)
-    if _arrival(curve, y_end, point):
-        tail, e1, y_end = integrate_vector_path(
-            curve, _flip_loop(curve, point.lam), y_end, f)
-        val, err = val + tail, err + e1
-        if _arrival(curve, y_end, point):
-            raise ConsistencyFailure(
-                f"flip loop at {point.lam} did not flip the sheet")
-    return val, err
+    return val, err, _arrival(curve, y_end, point)
 
 
 def _moment_integrand(zs, ys):
     return np.power.outer(zs, np.arange(5)) / ys[:, None]
+
+
+def _moment_base(curve):
+    """(lambda_b, y_b), where every moment route starts:
+    branch_points[0] + min_gap / 3 on sheet +1."""
+    lam = complex(curve.branch_points[0]) + curve.min_gap / 3.0
+    return lam, complex(curve.y_at(np.asarray(lam), 1))
+
+
+def _connector_moments(curve, base):
+    """M_conn, the moments once around the 16-gon _flip_loop(curve,
+    lambda_b), from base = (lambda_b, y_b) to (lambda_b, -y_b)."""
+    lam, y = base
+    val, _, y_end = integrate_vector_path(
+        curve, _flip_loop(curve, lam), y, _moment_integrand)
+    if abs(y_end + y) > 1e-6 * max(1.0, abs(y)):
+        raise ConsistencyFailure("sheet connector did not flip the sheet")
+    return val
+
+
+def _moments_at(curve, base, m_conn, point: SurfacePoint):
+    """Moment vector M = int lambda^k dlambda / y from base = (lambda_b,
+    y_b) to the point: one build_path from lambda_b, started at y_b, gives
+    val, and M = val if the path arrives at y(point).  If it arrives at
+    -y(point), the path from -y_b arrives at y(point) with -val (the
+    integrand is odd in y), so M = m_conn - val (_connector_moments).
+    lambda_b itself takes no path; ConsistencyFailure if the path ends at
+    neither +-y(point) within 1e-6 (_arrival)."""
+    lam_b, y_b = base
+    if lam_b == point.lam:
+        val, s = np.zeros(5, dtype=complex), _arrival(curve, y_b, point)
+    else:
+        val, _, s = _path_to(curve, lam_b, y_b, point, _moment_integrand)
+    return m_conn - val if s else val
 
 
 def _form_values(lam, ys, t_lam, t_y, pcoef):
@@ -193,7 +221,7 @@ class ThirdKindForm:
     y_p: complex
     y_q: complex
     pcoef: np.ndarray
-    abel: np.ndarray          # int_q^p v_beta
+    abel: np.ndarray          # int_q^p v_beta, up to a period
 
     def values(self, lam, y):
         """Omega_{p-q} / dlambda at the points (lam, y) (arrays)."""
@@ -216,15 +244,20 @@ def _correction_pcoef(model, moments):
 def third_kind_form(model: BidiffModel, p: SurfacePoint,
                     q: SurfacePoint) -> ThirdKindForm:
     """Unique differential of the third kind with poles p (+1) and q (-1)
-    and purely imaginary periods, in closed form up to five line moments."""
+    and purely imaginary periods, in closed form up to five line moments,
+    M(p) - M(q) on GreenContext's route (_moments_at); another route
+    differs by a cycle, which the period normalization removes."""
     curve = model.curve
     if abs(complex(p.lam) - complex(q.lam)) < 1e-12 * curve.scale \
             and p.sheet == q.sheet:
         raise CoincidentPoles("third-kind poles coincide")
     y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
     y_p = complex(curve.y_at(np.asarray(p.lam, complex), p.sheet))
-    moments, _ = _integrate_to(curve, q.lam, y_q, p, _moment_integrand)
-    pcoef, abel = _correction_pcoef(model, moments)
+    base = _moment_base(curve)
+    m_conn = _connector_moments(curve, base)
+    pcoef, abel = _correction_pcoef(
+        model, _moments_at(curve, base, m_conn, p)
+        - _moments_at(curve, base, m_conn, q))
     return ThirdKindForm(p=p, q=q, curve=curve, y_p=y_p, y_q=y_q,
                          pcoef=pcoef, abel=abel)
 
@@ -250,7 +283,10 @@ class SurfaceTree:
     hub is the node whose distance to the first branch point is closest
     to min_gap / 3 (ties to the lower index), where the sheet connector
     _flip_loop(curve, lam[hub]) starts: on every build_surface_grid grid,
-    the 16-gon about that branch point through the hub, with no legs."""
+    the 16-gon about that branch point through the hub, with no legs.
+
+    The edges accumulate_tree integrates come lifted with the tree
+    (_lift_edges), so every integrand over one tree shares one lift."""
 
     grid: object
     parent: np.ndarray
@@ -259,6 +295,11 @@ class SurfaceTree:
     root: int
     depth: np.ndarray          # edges from the root, 0 at the root
     hub: int                   # start of the sheet connector
+    # edge starts and ends, y at the starts and at the Gauss nodes
+    edge_a: np.ndarray = field(init=False, repr=False)
+    edge_b: np.ndarray = field(init=False, repr=False)
+    edge_y_a: np.ndarray = field(init=False, repr=False)
+    edge_ys: np.ndarray = field(init=False, repr=False)
 
 
 # elements of one block of the nearest-visited search (rows times window
@@ -349,7 +390,8 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     and the sign sigma_i is the parent's times the edge's sign flip.  The
     flips of all edges come from one _continue_sqrt call; one
     _path_counts pass counts the flips and the edges (the depth recorded
-    on the tree) on every root path."""
+    on the tree) on every root path.  The tree's edges are then lifted
+    (_lift_edges)."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -384,11 +426,14 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
                                     lam[kids]) != exact[kids]
     depth, flips = _path_counts(parent, root, edges).T
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
-    return SurfaceTree(grid=grid, parent=parent, order=order,
+    tree = SurfaceTree(grid=grid, parent=parent, order=order,
                        y_plus=np.where(flips % 2 != flip_root, -exact, exact),
                        root=root, depth=depth,
                        hub=int(np.argmin(np.abs(dist[:, 0]
                                                 - curve.min_gap / 3.0))))
+    tree.edge_a, tree.edge_b, tree.edge_y_a, tree.edge_ys = \
+        _lift_edges(curve, tree)
+    return tree
 
 
 # tree edges lifted together by _lift_edges; bounds _continue_sqrt's
@@ -406,8 +451,8 @@ def _root_path(tree, i):
 
 
 def _edge_nodes(curve, tree):
-    """Start, end and half-length of every edge accumulate_tree integrates,
-    and the hub's root path (_root_path).
+    """Start and end of every edge accumulate_tree integrates, and the
+    hub's root path (_root_path).
 
     The edges come in three sets: the tree edges in the order of
     tree.order[1:], the segments of the sheet connector (_flip_loop from
@@ -420,30 +465,22 @@ def _edge_nodes(curve, tree):
     a, b = lam[tree.parent[kids]], lam[kids]
     a = np.concatenate([a, loop[:-1], a[back]])
     b = np.concatenate([b, loop[1:], b[back]])
-    return a, b, (b - a) / 2.0, back
+    return a, b, back
 
 
-def _gauss_nodes(a, b, half):
-    """(30, edges) nodes of the edges [a, b]: the 20-point, then the
-    10-point Gauss-Legendre nodes of numerics.integrate_path.  Cheap, so
-    they are rebuilt rather than kept with a lift."""
+def _gauss_nodes(a, b):
+    """(30, edges) nodes of the edges [a, b], and their half-lengths: the
+    20-point, then the 10-point Gauss-Legendre nodes of
+    numerics.integrate_path.  Cheap, so they are rebuilt rather than kept
+    with a lift."""
     x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
-    return (a + b) / 2.0 + half * x30[:, None]
+    half = (b - a) / 2.0
+    return (a + b) / 2.0 + half * x30[:, None], half
 
 
-class _EdgeLift(NamedTuple):
-    """The edges of _edge_nodes with y at their starts (y_a) and at their
-    nodes (ys, at _gauss_nodes)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    half: np.ndarray
-    y_a: np.ndarray
-    ys: np.ndarray
-
-
-def _lift_edges(curve, tree) -> _EdgeLift:
-    """y at the start and the nodes of every edge of _edge_nodes.
+def _lift_edges(curve, tree):
+    """The edges of _edge_nodes, y at their starts and y at their nodes
+    (_gauss_nodes).
 
     A tree edge starts from tree.y_plus at its parent.  The connector's
     chords are chained from y_plus[hub] by sign flips, all from one
@@ -452,8 +489,8 @@ def _lift_edges(curve, tree) -> _EdgeLift:
     lifted from the starts, _LIFT_EDGES edges per _continue_sqrt call;
     the hub's root path takes the negated values of its tree edges."""
     bp = curve.branch_points
-    a, b, half, back = _edge_nodes(curve, tree)
-    zs = _gauss_nodes(a, b, half)
+    a, b, back = _edge_nodes(curve, tree)
+    zs = _gauss_nodes(a, b)[0]
     m, conn = tree.order.size - 1, a.size - back.size
     y_a = np.empty_like(a)
     y_a[:m] = tree.y_plus[tree.parent[tree.order[1:]]]
@@ -473,19 +510,18 @@ def _lift_edges(curve, tree) -> _EdgeLift:
         cut = slice(s, min(s + _LIFT_EDGES, conn))
         ys[:, cut] = _continue_sqrt(bp, a[cut], b[cut], y_a[cut], zs[:, cut])
     y_a[conn:], ys[:, conn:] = -y_a[back], -ys[:, back]
-    return _EdgeLift(a, b, half, y_a, ys)
+    return a, b, y_a, ys
 
 
-def accumulate_tree(curve, tree, lift, f, k, tol=1e-8, budget=30):
+def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
     the tree edges, on the sheet of the tree continuation (tree.y_plus),
     and the flip vector.
 
-    lift is _lift_edges(curve, tree), so integrands over one tree share
-    one lift.  f, which must act pointwise on flat arrays, is evaluated
-    once, on the nodes of every edge (the tree edges, the connector's
-    chords, and the hub's root path at -y), in one vectorised pass of
-    integrate_path's embedded 20/10-point Gauss rules
+    f, which must act pointwise on flat arrays, is evaluated once, on the
+    nodes of every edge the tree carries lifted (the tree edges, the
+    connector's chords, and the hub's root path at -y), in one vectorised
+    pass of integrate_path's embedded 20/10-point Gauss rules
     (numerics._embedded_gauss).  An edge that fails integrate_path's
     acceptance rule goes through integrate_vector_path with the same
     per-edge budget, so a spent budget raises NonConvergence.  The
@@ -505,14 +541,15 @@ def accumulate_tree(curve, tree, lift, f, k, tol=1e-8, budget=30):
     lam = tree.grid.nodes
     kids = tree.order[1:]
     up = tree.parent[kids]
-    m, conn = kids.size, lift.a.size - tree.depth[tree.hub]
-    zs = _gauss_nodes(lift.a, lift.b, lift.half)
-    fv = f(zs.ravel(), lift.ys.ravel()).reshape(30, lift.a.size, k)
-    hi_est, gap, ok = _embedded_gauss(lift.half, fv, tol)
+    a, b = tree.edge_a, tree.edge_b
+    m, conn = kids.size, a.size - tree.depth[tree.hub]
+    zs, half = _gauss_nodes(a, b)
+    fv = f(zs.ravel(), tree.edge_ys.ravel()).reshape(30, a.size, k)
+    hi_est, gap, ok = _embedded_gauss(half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
         hi_est[e], edge_err[e], _ = integrate_vector_path(
-            curve, [lift.a[e], lift.b[e]], lift.y_a[e], f, tol=tol,
+            curve, [a[e], b[e]], tree.edge_y_a[e], f, tol=tol,
             budget=budget)
     vals = np.zeros((lam.size, k), dtype=complex)
     path_err = np.zeros(lam.size)
@@ -541,11 +578,12 @@ class GreenContext:
 
     omega_bar_values is the one evaluator of the averaged form; its
     correction comes from averaged_pcoef for one second argument (moments
-    from one base point beside branch point 0), or from q_forms for every
-    q node on both sheets (moments over the q tree).  Those and the p-side
-    data that every GreenSolver shares (p_tree, its lifted edges p_edge_y,
-    and t_nodes) are built on first read: a context plus its solvers
-    builds one tree, the p tree."""
+    on third_kind_form's route, _moments_at from the cached base and
+    m_conn), or from q_forms for every q node on both sheets (moments
+    over the q tree).  Those and the p-side data that every GreenSolver
+    shares (p_tree, which carries its lifted edges, and t_nodes) are
+    built on first read: a context plus its solvers builds one tree, the
+    p tree."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -557,39 +595,9 @@ class GreenContext:
     dens_p: np.ndarray
     area: float
 
-    @cached_property
-    def base(self):
-        """(lambda_b, y_b): branch_points[0] + min_gap / 3, sheet +1."""
-        lam = complex(self.curve.branch_points[0]) + self.curve.min_gap / 3.0
-        return lam, complex(self.curve.y_at(np.asarray(lam), 1))
-
-    @cached_property
-    def m_conn(self) -> np.ndarray:
-        """Moments once around the 16-gon _flip_loop(curve, lambda_b), from
-        (lambda_b, y_b) to (lambda_b, -y_b)."""
-        lam, y = self.base
-        val, _, y_end = integrate_vector_path(
-            self.curve, _flip_loop(self.curve, lam), y, _moment_integrand)
-        if abs(y_end + y) > 1e-6 * max(1.0, abs(y)):
-            raise ConsistencyFailure("sheet connector did not flip the sheet")
-        return val
-
-    def moments_at(self, point: SurfacePoint):
-        """Moment vector M = int lambda^k dlambda / y from the base point
-        (lambda_b, y_b) to the point: one build_path from lambda_b, started
-        at y_b, gives val, and M = val if the path arrives at y(point).  If
-        it arrives at -y(point), the path from -y_b arrives at y(point) with
-        -val (the integrand is odd in y), so M = m_conn - val.  lambda_b
-        itself takes no path; ConsistencyFailure if the path ends at
-        neither +-y(point) within 1e-6 (_arrival)."""
-        lam_b, y_b = self.base
-        val, y_end = np.zeros(5, dtype=complex), y_b
-        if lam_b != point.lam:
-            val, _, y_end = integrate_vector_path(
-                self.curve, build_path(self.curve, lam_b, point.lam), y_b,
-                _moment_integrand)
-        return self.m_conn - val if _arrival(self.curve, y_end, point) \
-            else val
+    base = cached_property(lambda self: _moment_base(self.curve))
+    m_conn = cached_property(
+        lambda self: _connector_moments(self.curve, self.base))
 
     def averaged_pcoef(self, y: SurfacePoint):
         """Correction polynomial of the q-averaged form Omega_bar_y.
@@ -597,11 +605,11 @@ class GreenContext:
         Averaging the moments over the grid leaves M(y) - M_conn / 2: the
         per-node moments cancel pairwise between sheets, each node pair
         contributing the sheet-connector moments once.  Both start at the
-        base point here (moments_at, m_conn); another common start moves
+        base point here (_moments_at, m_conn); another common start moves
         the polynomial only by the computed form's real periods."""
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
-        m_y = self.moments_at(y)
+        m_y = _moments_at(self.curve, self.base, self.m_conn, y)
         return _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)[0]
 
     def omega_bar_values(self, lam, ys, t_lam, t_y, pcoef):
@@ -623,8 +631,8 @@ class GreenContext:
     def _q_moments(self):
         """m_plus, the (n, 5) moments from the q-tree root to the q nodes at
         q_tree.y_plus, and m_flip, from the root to its other sheet."""
-        return accumulate_tree(self.curve, self.q_tree, _lift_edges(
-            self.curve, self.q_tree), _moment_integrand, 5)[:2]
+        return accumulate_tree(self.curve, self.q_tree, _moment_integrand,
+                               5)[:2]
 
     m_plus = property(lambda self: self._q_moments[0])
     m_flip = property(lambda self: self._q_moments[1])
@@ -643,12 +651,6 @@ class GreenContext:
     def p_tree(self) -> SurfaceTree:
         """Spanning tree over the p grid, shared by every GreenSolver."""
         return build_surface_tree(self.curve, self.p_grid)
-
-    @cached_property
-    def p_edge_y(self) -> _EdgeLift:
-        """The p_tree edges and sheet connector with y at their starts and
-        nodes (_lift_edges)."""
-        return _lift_edges(self.curve, self.p_tree)
 
     @cached_property
     def t_nodes(self) -> np.ndarray:
@@ -742,7 +744,7 @@ class GreenSolver:
         self.pcoef = ctx.averaged_pcoef(y)
         self.p_tree = ctx.p_tree
         vals, flip, err, self.node_err = accumulate_tree(
-            curve, self.p_tree, ctx.p_edge_y, self._harm_both, 2)
+            curve, self.p_tree, self._harm_both, 2)
         self.u_plus = vals[:, 0].real + ctx.t_nodes
         self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
@@ -778,10 +780,8 @@ class GreenSolver:
             s = _arrival(curve, y_j, x)
             return (float((self.u_plus, self.u_minus)[s][j]),
                     float(self.node_err[j, s]))
-        val, err, y_end = integrate_vector_path(
-            curve, build_path(curve, nodes[j], x.lam), y_j, self._harm_both)
         # column s arrives on the sheet of x: s = 1 is the other sheet
-        s = _arrival(curve, y_end, x)
+        val, err, s = _path_to(curve, nodes[j], y_j, x, self._harm_both)
         u_j = (self.u_plus, self.u_minus)[s][j] - self.ctx.t_nodes[j]
         t_x = float(self.ctx.log_potential(np.asarray(x.lam, complex)))
         return (float(u_j + val[s].real) + t_x,

@@ -137,6 +137,28 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, {"commands": ["frobnicate"]})
         assert cli.main(["--config", cfg]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("extra", [
+        pytest.param({"commands": ["periods"], "surface_grid": [12]},
+                     id="one-entry-grid"),
+        pytest.param({"commands": ["green"],
+                      "points": [{"lam": [-0.7, 0.4], "sheet": 0},
+                                 {"lam": [0.9, 1.3], "sheet": 1}]},
+                     id="sheet-zero"),
+        pytest.param({"commands": ["green"],
+                      "points": [{"lam": [0.9, 1.3], "sheet": 1},
+                                 {"lam": [0.9, 1.3], "sheet": 1}]},
+                     id="equal-points"),
+        pytest.param({"commands": ["green"],
+                      "points": [{"lam": [-0.7, 0.4], "sheet": 1},
+                                 {"lam": [0.0, 0.0], "sheet": 1}]},
+                     id="point-on-cone"),
+        pytest.param({"commands": ["smatrix"], "h_order": 2},
+                     id="h-order-too-low"),
+    ])
+    def test_bad_input_exit(self, tmp_path, extra):
+        cfg = write_cfg(tmp_path, {"surface_grid": [6, 8], **extra})
+        assert cli.main(["--config", cfg]) == cli.EXIT_VALIDATION
+
     def test_nonconvergence_exit(self, tmp_path, monkeypatch):
         def boom(cfg, tol_scale=1.0):
             raise NonConvergence("stalled")

@@ -250,16 +250,14 @@ class TestContinueSqrt:
             curve.branch_points, QuadratureConfig(surface_grid=(*grid, None)),
             stagger=stagger)
         tree = green.build_surface_tree(curve, surface)
-        a, b = green._edge_nodes(curve, tree)[:2]
-        past = _turn(curve.branch_points, a, b) >= curveperiods._TURN_BOUND
+        past = _turn(curve.branch_points, tree.edge_a,
+                     tree.edge_b) >= curveperiods._TURN_BOUND
         assert past.any() == (grid == (6, 8)) and past.mean() < 0.05
-        lifted = green._lift_edges(curve, tree)
         with _ratio_only():
             ratio_tree = green.build_surface_tree(curve, surface)
-            np.testing.assert_array_equal(tree.y_plus, ratio_tree.y_plus)
-            ratio_lift = green._lift_edges(curve, tree)
-            np.testing.assert_array_equal(lifted.y_a, ratio_lift.y_a)
-            np.testing.assert_array_equal(lifted.ys, ratio_lift.ys)
+        for field in ("y_plus", "edge_y_a", "edge_ys"):
+            np.testing.assert_array_equal(getattr(tree, field),
+                                          getattr(ratio_tree, field))
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(CURVES)), st.integers(0, 5),

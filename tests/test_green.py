@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conespectra import bidiff, curveperiods, green, smatrix
@@ -33,12 +33,27 @@ from conespectra.numerics import (QuadratureConfig, SurfaceGrid,
                                   build_surface_grid)
 
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
+CURVES = {"z5": make_z5_curve(0.0, 1.0), "generic": make_curve(GENERIC_BP)}
 
 
 def _continue_to(curve, a, y_a, b):
     """y at b continued from (a, y_a) along the straight segment."""
     return complex(curveperiods._continue_sqrt(curve.branch_points, a, b,
                                                y_a, [b])[0])
+
+
+def _integrate_to(curve, lam0, y0, point, f):
+    """Reference route: the integral of f from (lam0, y0) to the
+    sheet-resolved point, with its error, along build_path, then once
+    around _flip_loop if the path arrives on the other sheet."""
+    val, err, y_end = green.integrate_vector_path(
+        curve, green.build_path(curve, lam0, point.lam), y0, f)
+    if green._arrival(curve, y_end, point):
+        tail, e1, y_end = green.integrate_vector_path(
+            curve, green._flip_loop(curve, point.lam), y_end, f)
+        val, err = val + tail, err + e1
+        assert not green._arrival(curve, y_end, point)
+    return val, err
 
 
 def build_model(branch_points, cone_point):
@@ -74,6 +89,11 @@ def generic():
     model, frame = build_model(GENERIC_BP, 2)
     gctx = green.green_context(model, frame)
     return model, frame, gctx
+
+
+@pytest.fixture(scope="module")
+def third_kind_models(z5, generic):
+    return {"z5": z5[0], "generic": generic[0]}
 
 
 class TestThirdKind:
@@ -139,6 +159,58 @@ class TestThirdKind:
         rhs = re_int(green.third_kind_form(model, R, S), Q, P)
         assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(lhs))
 
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           ends=st.lists(st.tuples(
+               st.sampled_from(["branch", "free"]), st.integers(0, 5),
+               st.floats(1e-4, 0.05), st.floats(0.0, 2.0 * np.pi),
+               st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+               st.sampled_from([1, -1])), min_size=2, max_size=2))
+    # far from branch point 0, where the reference route's flip loop
+    # takes build_path legs, and next to generic branch point 1
+    @example(name="generic", ends=[
+        ("branch", 1, 0.03125, 0.0, (0.0, 0.0), -1),
+        ("free", 0, 0.0, 0.0, (-1.3, -0.9), 1)])
+    @example(name="z5", ends=[("free", 0, 0.0, 0.0, (1.2, 0.8), -1),
+                              ("free", 0, 0.0, 0.0, (-1.4, 0.5), 1)])
+    def test_base_route_matches_reference_route(self, third_kind_models,
+                                                name, ends):
+        # moments M(p) - M(q) from the base point against the integral
+        # from q to p, then around a flip loop if it arrives on the other
+        # sheet: the routes differ by a cycle, which the normalized form
+        # does not see, so the polynomials agree within both routes'
+        # errors plus the form's real-period defect
+        model = third_kind_models[name]
+        curve = model.curve
+        p, q = (SurfacePoint(complex(curve.branch_points[j])
+                             + r * np.exp(1j * phase)
+                             if near == "branch" else complex(*free), sheet)
+                for near, j, r, phase, free, sheet in ends)
+        # the reference route has no path between the sheets over one
+        # lambda, and neither route one to a branch point
+        assume(abs(p.lam - q.lam) > 1e-3)
+        assume(min(np.abs(z - curve.branch_points).min()
+                   for z in (p.lam, q.lam)) >= 1e-4)
+        errs = []
+        per_path = green.integrate_vector_path
+
+        def recorded(*args, **kwargs):
+            out = per_path(*args, **kwargs)
+            errs.append(out[1])
+            return out
+
+        with mock.patch.object(green, "integrate_vector_path", recorded):
+            form = green.third_kind_form(model, p, q)
+        # the base point's connector and one path to each pole
+        assert len(errs) == 3
+        y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
+        m_ref, err_ref = _integrate_to(curve, q.lam, y_q, p,
+                                       green._moment_integrand)
+        ref = green._correction_pcoef(model, m_ref)[0]
+        defect = _real_period_defect(model, form.values)
+        bound = _pcoef_norm(model) * (sum(errs) + err_ref) + defect
+        assert _pcoef_gap(form.pcoef, ref) <= bound
+
     def test_empty_path_rejected(self, z5):
         model, _ = z5
         with pytest.raises(NonConvergence):
@@ -156,9 +228,6 @@ class TestThirdKind:
             green.integrate_vector_path(
                 model.curve, [a, b], y0,
                 lambda z, y: (np.abs(z - c) ** -0.5)[:, None], budget=2)
-
-
-CURVES = {"z5": make_z5_curve(0.0, 1.0), "generic": make_curve(GENERIC_BP)}
 
 
 def _clearance_floor(curve, a, b):
@@ -192,6 +261,18 @@ class TestBuildPath:
             clr = curveperiods._segment_clearance(curve, u, v)
             assert clr >= _clearance_floor(curve, u, v), (u, v)
             assert clr > 1e-9 * curve.scale
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_subnormal_segment(self, name):
+        # a segment one subnormal step long, from the base point on the
+        # real axis: its foot is its start, with no overflow in dividing
+        # by its length
+        curve = CURVES[name]
+        lam = complex(curve.branch_points[0]) + curve.min_gap / 3.0
+        assert lam.imag == 0.0
+        with np.errstate(all="raise"):
+            assert green.build_path(curve, lam, lam + 1e-310j) \
+                == [lam, lam + 1e-310j]
 
 
 def _surface_grid(name, grid, stagger):
@@ -321,11 +402,10 @@ class TestSurfaceTree:
         tree = green.build_surface_tree(
             curve, _two_chain_grid() if grid is None
             else _surface_grid(name, grid, stagger))
-        edge_y = green._lift_edges(curve, tree)
 
         def accumulate():
             vals, _, _, node_err = green.accumulate_tree(
-                curve, tree, edge_y, green._moment_integrand, 5)
+                curve, tree, green._moment_integrand, 5)
             return vals, node_err
 
         vals, node_err = accumulate()
@@ -356,8 +436,7 @@ class TestSurfaceTree:
 
         monkeypatch.setattr(green, "integrate_vector_path", counted)
         vals, _, err, node_err = green.accumulate_tree(
-            curve, tree, green._lift_edges(curve, tree),
-            green._moment_integrand, 5, tol=tol)
+            curve, tree, green._moment_integrand, 5, tol=tol)
         gap = np.abs(vals - ref).max(axis=1)
         bound = path_err + 1e-13 * np.abs(ref).max(axis=1)
         assert (gap <= bound).all(), int(np.argmax(gap - bound))
@@ -387,9 +466,8 @@ class TestSurfaceTree:
         tree = green.build_surface_tree(curve, _surface_grid("z5", (6, 8),
                                                              0.31))
         with pytest.raises(NonConvergence):
-            green.accumulate_tree(curve, tree, green._lift_edges(curve, tree),
-                                  green._moment_integrand, 5, tol=1e-12,
-                                  budget=0)
+            green.accumulate_tree(curve, tree, green._moment_integrand, 5,
+                                  tol=1e-12, budget=0)
 
     def test_log_potential_blocks(self, ctx):
         # more than three row blocks; each point's value must not depend
@@ -463,9 +541,8 @@ def _reference_u_at(solver, x):
         return green._form_values(zs, ys, solver.y.lam, solver.y_val,
                                   solver.pcoef)[:, None]
 
-    val, err = green._integrate_to(solver.ctx.curve,
-                                   tree.grid.nodes[tree.root],
-                                   tree.y_plus[tree.root], x, harm)
+    val, err = _integrate_to(solver.ctx.curve, tree.grid.nodes[tree.root],
+                             tree.y_plus[tree.root], x, harm)
     t_x = float(solver.ctx.log_potential(np.asarray(x.lam, complex)))
     return float(val[0].real) + t_x, err
 
@@ -477,24 +554,30 @@ def _tree_sheet(curve, tree, i):
     return 1 if abs(tree.y_plus[i] - ref) < abs(tree.y_plus[i] + ref) else -1
 
 
-def _real_period_defect(sol):
-    """Sum of |Re| of the a- and b-periods of the computed averaged form.
+def _real_period_defect(model, values):
+    """Sum of |Re| of the a- and b-periods of a computed normalized form,
+    values(lam, y) being the form over dlambda.
 
     They vanish in theory and are about 1e-11 in practice, so Re u
     changes by up to this much between two routes to the same point,
     which no quadrature estimate counts."""
+    return sum(abs(curveperiods.cycle_integral(model.periods, kind, i,
+                                               values).real)
+               for kind in "ab" for i in (0, 1))
+
+
+def _solver_period_defect(sol):
+    """_real_period_defect of a solver's averaged form."""
     def harm(lam, ys):
         return green._form_values(lam, ys, sol.y.lam, sol.y_val, sol.pcoef)
 
-    periods = sol.ctx.model.periods
-    return sum(abs(curveperiods.cycle_integral(periods, kind, i, harm).real)
-               for kind in "ab" for i in (0, 1))
+    return _real_period_defect(sol.ctx.model, harm)
 
 
 @pytest.fixture(scope="module")
 def read_solvers(z5, solver, generic):
     """GreenSolvers on z5 and the generic curve at grids (6,8), (12,16),
-    each with its _real_period_defect."""
+    each with its _solver_period_defect."""
     gen_model, gen_frame, gen_ctx = generic
     y_gen = SurfacePoint(-0.4 - 0.2j, -1)
     coarse = QuadratureConfig(surface_grid=(6, 8, None))
@@ -506,7 +589,7 @@ def read_solvers(z5, solver, generic):
             green.green_context(gen_model, gen_frame, coarse), y_gen),
         ("generic", (12, 16)): green.GreenSolver(gen_ctx, y_gen),
     }
-    return {k: (sol, _real_period_defect(sol)) for k, sol in sols.items()}
+    return {k: (sol, _solver_period_defect(sol)) for k, sol in sols.items()}
 
 
 GREEN_QUERY_REFERENCE = (Path(__file__).resolve().parents[1] / "stagebench"
@@ -601,9 +684,9 @@ def _reference_flip(curve, tree, f, tol=1e-8):
 def _root_flip_accumulate(accumulate):
     """accumulate_tree with the flip vector, its error and node_err[:, 1]
     from _reference_flip."""
-    def accumulate_ref(curve, tree, lift, f, k, tol=1e-8, budget=30):
-        vals, flip, err, node_err = accumulate(curve, tree, lift, f, k,
-                                               tol=tol, budget=budget)
+    def accumulate_ref(curve, tree, f, k, tol=1e-8, budget=30):
+        vals, flip, err, node_err = accumulate(curve, tree, f, k, tol=tol,
+                                               budget=budget)
         ref, ref_err = _reference_flip(curve, tree, f, tol)
         flip_err = node_err[tree.root, 1]
         node_err = np.stack([node_err[:, 0], node_err[:, 0] + ref_err], 1)
@@ -616,9 +699,9 @@ def _reference_moments(ctx, point):
     from the q-tree root and around _flip_loop if it arrives on the other
     sheet, with its error."""
     tree = ctx.q_tree
-    return green._integrate_to(ctx.curve, tree.grid.nodes[tree.root],
-                               tree.y_plus[tree.root], point,
-                               green._moment_integrand)
+    return _integrate_to(ctx.curve, tree.grid.nodes[tree.root],
+                         tree.y_plus[tree.root], point,
+                         green._moment_integrand)
 
 
 def _nearest_node_moments(ctx, point, node_err):
@@ -684,7 +767,6 @@ def q_node_err(read_solvers):
     for key, (sol, _) in read_solvers.items():
         curve, tree = sol.ctx.curve, sol.ctx.q_tree
         out[key] = green.accumulate_tree(curve, tree,
-                                         green._lift_edges(curve, tree),
                                          green._moment_integrand, 5)[3]
     return out
 
@@ -703,7 +785,7 @@ class TestSheetConnector:
         assert defect < 1e-9
         curve, tree = sol.ctx.curve, sol.p_tree
         _, flip, _, node_err = green.accumulate_tree(
-            curve, tree, sol.ctx.p_edge_y, sol._harm_both, 2)
+            curve, tree, sol._harm_both, 2)
         ref, ref_err = _reference_flip(curve, tree, sol._harm_both)
         gap = np.abs((flip - ref).real)
         assert (gap <= node_err[tree.root, 1] + ref_err + defect).all(), gap
@@ -789,7 +871,7 @@ class TestSheetConnector:
             return flip_loop(curve, lam_at)
 
         monkeypatch.setattr(green, "_flip_loop", counted)
-        c.p_edge_y
+        c.p_tree
         c.m_conn
         assert loops == [c.p_grid.nodes[c.p_tree.hub], c.base[0]]
         loops.clear()
@@ -906,10 +988,10 @@ class TestSheetConnector:
             lam_b, y_b = c.base
             assert lam_b == c.curve.branch_points[0] + c.curve.min_gap / 3.0
             assert y_b == c.curve.y_at(np.asarray(lam_b), 1)
-            np.testing.assert_array_equal(
-                c.moments_at(SurfacePoint(lam_b, 1)), np.zeros(5))
-            np.testing.assert_array_equal(
-                c.moments_at(SurfacePoint(lam_b, -1)), c.m_conn)
+            for sheet, want in ((1, np.zeros(5)), (-1, c.m_conn)):
+                np.testing.assert_array_equal(green._moments_at(
+                    c.curve, c.base, c.m_conn, SurfacePoint(lam_b, sheet)),
+                    want)
         assert calls == []
 
     @pytest.mark.parametrize("name, grid", READ_KEYS)
@@ -920,16 +1002,15 @@ class TestSheetConnector:
         ctx = read_solvers[name, grid][0].ctx
         curve = ctx.curve
         for tree in (ctx.p_tree, ctx.q_tree):
-            lift = green._lift_edges(curve, tree)
-            a, b, _, back = green._edge_nodes(curve, tree)
-            m, conn = tree.order.size - 1, a.size - back.size
+            a, b = tree.edge_a, tree.edge_b
+            m, conn = tree.order.size - 1, a.size - tree.depth[tree.hub]
             assert conn - m == 16
             y_hub = y = tree.y_plus[tree.hub]
             chain = []
             for e in range(m, conn):
                 chain.append(y)
                 y = _continue_to(curve, a[e], y, b[e])
-            np.testing.assert_array_equal(lift.y_a[m:conn], chain)
+            np.testing.assert_array_equal(tree.edge_y_a[m:conn], chain)
             assert abs(y + y_hub) <= 1e-6 * max(1.0, abs(y_hub))
 
     def test_connector_must_flip(self, z5, monkeypatch):
