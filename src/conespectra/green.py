@@ -221,7 +221,6 @@ class ThirdKindForm:
     y_p: complex
     y_q: complex
     pcoef: np.ndarray
-    abel: np.ndarray          # int_q^p v_beta, up to a period
 
     def values(self, lam, y):
         """Omega_{p-q} / dlambda at the points (lam, y) (arrays)."""
@@ -238,7 +237,7 @@ def _correction_pcoef(model, moments):
     abel = cn @ moments[:2]
     e = model.c @ abel - 2j * np.pi * (model.periods.im_b_inverse @ abel.imag)
     pcoef[:2] += cn.T @ e
-    return pcoef, abel
+    return pcoef
 
 
 def third_kind_form(model: BidiffModel, p: SurfacePoint,
@@ -255,11 +254,11 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
     y_p = complex(curve.y_at(np.asarray(p.lam, complex), p.sheet))
     base = _moment_base(curve)
     m_conn = _connector_moments(curve, base)
-    pcoef, abel = _correction_pcoef(
+    pcoef = _correction_pcoef(
         model, _moments_at(curve, base, m_conn, p)
         - _moments_at(curve, base, m_conn, q))
     return ThirdKindForm(p=p, q=q, curve=curve, y_p=y_p, y_q=y_q,
-                         pcoef=pcoef, abel=abel)
+                         pcoef=pcoef)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +566,12 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
 # grid-averaged third-kind data, independent of both Green arguments
 # ---------------------------------------------------------------------------
 
-# rows of log_potential evaluated together; bounds its temporaries to
-# this many rows times the q-grid size
-_POTENTIAL_ROWS = 64
+# rows of log_potential evaluated together: its two float buffers and one
+# bool buffer hold this many rows times the q-grid size.  Timed over 8-64
+# rows on a 2-vCPU Xeon with 2 MB of L2 per core: at (24,32) 8 and 16
+# rows were fastest (32 rows of the three buffers outgrow L2); at (12,16)
+# 16-64 rows tied and 8 paid 15% in per-block calls
+_POTENTIAL_ROWS = 16
 
 
 @dataclass
@@ -610,7 +612,7 @@ class GreenContext:
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
         m_y = _moments_at(self.curve, self.base, self.m_conn, y)
-        return _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)[0]
+        return _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)
 
     def omega_bar_values(self, lam, ys, t_lam, t_y, pcoef):
         """Omega_bar_t(z) / dlambda at sheet-resolved points z = (lam, ys):
@@ -645,7 +647,7 @@ class GreenContext:
         m = np.concatenate([self.m_plus, self.m_flip - self.m_plus])
         return (np.tile(self.q_grid.nodes, 2),
                 np.concatenate([self.q_tree.y_plus, -self.q_tree.y_plus]),
-                _correction_pcoef(self.model, (m - 0.5 * self.m_flip).T)[0])
+                _correction_pcoef(self.model, (m - 0.5 * self.m_flip).T))
 
     @cached_property
     def p_tree(self) -> SurfaceTree:
@@ -656,6 +658,12 @@ class GreenContext:
     def t_nodes(self) -> np.ndarray:
         """log_potential at the p-grid nodes."""
         return self.log_potential(self.p_grid.nodes)
+
+    @cached_property
+    def _q_parts(self):
+        """Real and imaginary parts of the q nodes, contiguous."""
+        return (np.ascontiguousarray(self.q_grid.nodes.real),
+                np.ascontiguousarray(self.q_grid.nodes.imag))
 
     def log_potential(self, lam):
         """-(1/Area) sum_i W_i log|lam - lam_i|, each node mollified over
@@ -668,23 +676,42 @@ class GreenContext:
         mass and vanishing second moment, so the smeared density matches
         the metric density to fourth order in eps.
 
-        Points are taken _POTENTIAL_ROWS at a time; each point's sum runs
-        over the q nodes in the same order whatever the block, so a point
-        gets the same value alone or in any array.  A scalar lam gives a
-        float."""
+        The sum runs in squared distances with no hypot: phi = log r^2
+        (floored at 1e-300, so a point on a q node warns of no divide),
+        or twice the bump potential plus log eps^2 where r^2 < eps^2, and
+        the result is -(1/2) sum_i W_i phi_i / Area.  Points are taken
+        _POTENTIAL_ROWS at a time through two float buffers and one bool
+        buffer allocated once per call.  Each point's row is summed
+        pairwise over the q nodes in the same order whatever the block,
+        so a point gets the same value alone or in any array; a BLAS
+        matrix-vector product would not (its per-row bits depend on the
+        row count).  A scalar lam gives a float."""
         lam = np.asarray(lam, dtype=complex)
         flat = lam.reshape(-1)
         out = np.empty(flat.size)
-        eps = self.moll_radius
+        q_re, q_im = self._q_parts
+        eps2 = self.moll_radius ** 2
+        c0 = np.log(eps2) - 37.0 / 12.0
+        shape = (min(flat.size, _POTENTIAL_ROWS), q_re.size)
+        r2_buf, d_buf = np.empty(shape), np.empty(shape)
+        near_buf = np.empty(shape, dtype=bool)
         for s in range(0, flat.size, _POTENTIAL_ROWS):
-            r = np.abs(flat[s:s + _POTENTIAL_ROWS, None] - self.q_grid.nodes)
-            phi = np.log(np.maximum(r, 1e-300))
-            near = r < eps
-            u = np.minimum((r[near] / eps) ** 2, 1.0)
-            phi[near] = (4.0 * u - 4.5 * u ** 2 + (8.0 / 3.0) * u ** 3
-                         - 0.625 * u ** 4) - 37.0 / 24.0 + np.log(eps)
-            out[s:s + _POTENTIAL_ROWS] = \
-                -(self.cauchy_w * phi).sum(axis=-1) / self.area
+            pts = flat[s:s + _POTENTIAL_ROWS]
+            k = pts.size
+            r2, d, m = r2_buf[:k], d_buf[:k], near_buf[:k]
+            np.subtract(pts.real[:, None], q_re, out=r2)
+            np.multiply(r2, r2, out=r2)
+            np.subtract(pts.imag[:, None], q_im, out=d)
+            np.multiply(d, d, out=d)
+            r2 += d
+            np.less(r2, eps2, out=m)
+            u = r2[m] / eps2
+            np.maximum(r2, 1e-300, out=r2)
+            np.log(r2, out=r2)
+            r2[m] = u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) + c0
+            r2 *= self.cauchy_w
+            out[s:s + k] = r2.sum(axis=-1)
+        out *= -0.5 / self.area
         return out.reshape(lam.shape)[()]
 
 

@@ -206,7 +206,7 @@ class TestThirdKind:
         y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
         m_ref, err_ref = _integrate_to(curve, q.lam, y_q, p,
                                        green._moment_integrand)
-        ref = green._correction_pcoef(model, m_ref)[0]
+        ref = green._correction_pcoef(model, m_ref)
         defect = _real_period_defect(model, form.values)
         bound = _pcoef_norm(model) * (sum(errs) + err_ref) + defect
         assert _pcoef_gap(form.pcoef, ref) <= bound
@@ -478,16 +478,48 @@ class TestSurfaceTree:
         np.testing.assert_array_equal(block, single)
         assert isinstance(ctx.log_potential(complex(pts[0])), float)
         assert ctx.log_potential(pts.reshape(-1, 1)).shape == (pts.size, 1)
-        # the dense formula it replaced, bump on every pair
-        r = np.abs(pts[:, None] - ctx.q_grid.nodes)
-        eps = ctx.moll_radius
-        assert (r < eps).any(axis=1).all()
+        # the dense formula in the same squared-distance arithmetic, bump
+        # on every pair
+        q = ctx.q_grid.nodes
+        r2 = (pts.real[:, None] - q.real) ** 2 \
+            + (pts.imag[:, None] - q.imag) ** 2
+        eps2 = ctx.moll_radius ** 2
+        assert (r2 < eps2).any(axis=1).all()
+        u = r2 / eps2
+        inside = u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) \
+            + (np.log(eps2) - 37.0 / 12.0)
+        phi = np.where(r2 < eps2, inside, np.log(np.maximum(r2, 1e-300)))
+        dense = (ctx.cauchy_w * phi).sum(axis=-1) * (-0.5 / ctx.area)
+        np.testing.assert_array_equal(block, dense)
+
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (24, 32)],
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    @pytest.mark.parametrize("name", ["z5", "generic"])
+    def test_log_potential_matches_hypot_sum(self, name, grid, request):
+        # the direct sum in hypot form, -(1/Area) sum_i W_i phi_i with
+        # phi = log r or the bump potential in r = |lam - lam_i|, agrees
+        # with the squared-distance kernel to rounding: 16 ulp of
+        # sum_i |W_i phi_i| / Area per point
+        model, frame = request.getfixturevalue(name)[:2]
+        c = green.green_context(model, frame,
+                                QuadratureConfig(surface_grid=(*grid, None)))
+        q = c.q_grid.nodes
+        pts = np.append(c.p_grid.nodes[::max(1, c.p_grid.nodes.size // 512)],
+                        q[q.size // 3])
+        r = np.abs(pts[:, None] - q)
+        eps = c.moll_radius
         u = np.minimum((r / eps) ** 2, 1.0)
         inside = (4.0 * u - 4.5 * u ** 2 + (8.0 / 3.0) * u ** 3
                   - 0.625 * u ** 4) - 37.0 / 24.0 + np.log(eps)
-        phi = np.where(r >= eps, np.log(np.maximum(r, 1e-300)), inside)
-        dense = -(ctx.cauchy_w * phi).sum(axis=-1) / ctx.area
-        np.testing.assert_array_equal(block, dense)
+        wphi = c.cauchy_w * np.where(r >= eps, np.log(np.maximum(r, 1e-300)),
+                                     inside)
+        ref = -wphi.sum(axis=-1) / c.area
+        bound = 16 * np.finfo(float).eps * np.abs(wphi).sum(axis=-1) / c.area
+        assert np.all(np.abs(c.log_potential(pts) - ref) <= bound)
+        # a query exactly on a q node: the bump, with no divide by zero
+        with np.errstate(divide="raise", invalid="raise"):
+            on_node = c.log_potential(q[q.size // 3])
+        assert abs(on_node - ref[-1]) <= bound[-1]
 
     def test_context_builds_each_tree_once(self, z5, monkeypatch):
         model, frame = z5
@@ -748,7 +780,7 @@ def _pcoef_norm(model):
         for unit in (1.0, 1j):
             dm = np.zeros(5, dtype=complex)
             dm[k] = unit
-            p = green._correction_pcoef(model, dm)[0]
+            p = green._correction_pcoef(model, dm)
             cols.append(np.concatenate([p.real, p.imag]))
     return float(np.abs(np.asarray(cols)).sum(axis=0).max())
 
@@ -821,7 +853,7 @@ class TestSheetConnector:
         assert len(q_errs) == 2
         m_ref, err_ref = _reference_moments(ref_ctx, sol.y)
         ref_pcoef = green._correction_pcoef(model,
-                                            m_ref - 0.5 * ref_ctx.m_flip)[0]
+                                            m_ref - 0.5 * ref_ctx.m_flip)
         path_errs = [err_ref, _conn_err(ctx)]
         per_path = green.integrate_vector_path
 
@@ -915,7 +947,7 @@ class TestSheetConnector:
             pcoef = ctx.averaged_pcoef(x)
         assert len(short) == 1
         m_ref, err_ref = _reference_moments(ctx, x)
-        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)[0]
+        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)
         # the q tree's flip error, the error of m_flip
         flip_err = q_node_err[name, grid][ctx.q_tree.root, 1]
         err = short[0] + _conn_err(ctx) + err_ref + flip_err
@@ -968,7 +1000,7 @@ class TestSheetConnector:
         assert len(short) == int(x.lam != ctx.base[0])
         node_err = q_node_err[name, grid]
         m_ref, err_ref = _nearest_node_moments(ctx, x, node_err)
-        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)[0]
+        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)
         # new route: its path and m_conn; old route: its path, the q
         # node's tree path and m_flip's flip error
         err = sum(short) + _conn_err(ctx) + err_ref \
