@@ -95,6 +95,7 @@ class DistinguishedFrame:
     zeta_of_xi: TruncatedSeries
     g_series: TruncatedSeries   # y = zeta * g(zeta), g even with g(0) != 0
     lam_p: complex
+    rest: np.ndarray = field(compare=False, repr=False)  # other branch points
 
     def g_exact(self, zeta):
         """Continuous branch of y/zeta on small |zeta| (no series truncation).
@@ -103,14 +104,19 @@ class DistinguishedFrame:
         series data everywhere in the frame's disk.
         """
         zeta = np.asarray(zeta, dtype=complex)
-        rest = self._rest
-        corr = np.prod(np.sqrt(1.0 + zeta[..., None] ** 2 / (self.lam_p - rest)),
-                       axis=-1)
+        corr = np.prod(np.sqrt(1.0 + zeta[..., None] ** 2
+                               / (self.lam_p - self.rest)), axis=-1)
         return self.g_series.coeffs[0] * corr
 
-    @property
-    def _rest(self):
-        return self.__dict__["rest"]
+    def xi_chart(self, xi):
+        """(zeta, lambda, y, dlambda/dxi) at the frame points xi: zeta =
+        zeta_of_xi(xi), lambda = lambda_P + zeta^2, y = zeta g_exact(zeta)
+        and dlambda/dxi = 2 zeta / xi'(zeta)."""
+        zeta = self.zeta_of_xi.evaluate(xi)
+        lam = self.lam_p + zeta ** 2
+        y = zeta * self.g_exact(zeta)
+        dxi_dzeta = self.xi_of_zeta.derivative().evaluate(zeta)
+        return zeta, lam, y, 2.0 * zeta / dxi_dzeta
 
 
 def distinguished_frame(curve: Curve, periods: PeriodData, cone_point: int,
@@ -137,8 +143,8 @@ def distinguished_frame(curve: Curve, periods: PeriodData, cone_point: int,
     xi = xi.truncate(order)
     zeta_of_xi = xi.inverse()
     frame = DistinguishedFrame(cone_point=cone_point, eta=eta, xi_of_zeta=xi,
-                               zeta_of_xi=zeta_of_xi, g_series=g, lam_p=lam_p)
-    object.__setattr__(frame, "rest", rest)
+                               zeta_of_xi=zeta_of_xi, g_series=g, lam_p=lam_p,
+                               rest=rest)
     if not xi.is_odd(tol=1e-9):
         raise ConsistencyFailure("xi(zeta) is not an odd series")
     cube = xi * xi * xi
@@ -228,17 +234,13 @@ def _w_xi_samples(model, frame, r, n):
     xi2 = r * np.exp(1j * (th + np.pi / n))
     out = []
     for xi in (xi1, xi2):
-        zeta = frame.zeta_of_xi.evaluate(xi)
+        zeta, lam, y, dlam_dxi = frame.xi_chart(xi)
         # guard against series truncation: xi(zeta) must return the input
         resid = np.abs(frame.xi_of_zeta.evaluate(zeta) - xi).max()
         if resid > 1e-11 * r:
             raise InsufficientOrder(
                 f"frame series do not close at radius {r:.3e} "
                 f"(residual {resid:.3e}); reduce the sampling radius")
-        lam = frame.lam_p + zeta ** 2
-        y = zeta * frame.g_exact(zeta)
-        dxi_dzeta = frame.xi_of_zeta.derivative().evaluate(zeta)
-        dlam_dxi = 2.0 * zeta / dxi_dzeta
         out.append((xi, lam, y, dlam_dxi))
     (xi1, lam1, y1, d1), (xi2, lam2, y2, d2) = out
     w = model.w_values(lam1[:, None], y1[:, None], lam2[None, :], y2[None, :])

@@ -52,15 +52,26 @@ def _check(name, value, tol):
             "passed": bool(value <= tol)}
 
 
+def _count(value, what):
+    """A config entry that must be a positive whole number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer() or value < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _quad_config(cfg):
     grid = cfg.get("surface_grid")
     if grid is None:
         return QuadratureConfig()
     if len(grid) not in (2, 3):
         raise DomainError("surface_grid needs two or three entries")
+    radius = None if len(grid) < 3 or grid[2] is None else float(grid[2])
+    if radius is not None and not np.isfinite(radius):
+        raise DomainError(f"surface_grid radius must be finite, got {radius}")
     return QuadratureConfig(surface_grid=(
-        int(grid[0]), int(grid[1]),
-        None if len(grid) < 3 or grid[2] is None else float(grid[2])))
+        _count(grid[0], "surface_grid radial count"),
+        _count(grid[1], "surface_grid angular count"), radius))
 
 
 # stages built once per run() and shared by its commands; None outside run()
@@ -158,10 +169,15 @@ def _points(cfg):
         raise DomainError("green command needs at least two points")
     out = []
     for p in pts:
+        if not isinstance(p, dict):
+            raise DomainError(f"a point must be an object, got {p!r}")
         sheet = int(p.get("sheet", 1))
         if sheet not in (1, -1):
             raise DomainError(f"a point's sheet must be 1 or -1, got {sheet}")
-        out.append(SurfacePoint(complex(p["lam"][0], p["lam"][1]), sheet))
+        lam = p["lam"]
+        if len(lam) != 2:
+            raise DomainError(f"a point's lam must be [re, im], got {lam!r}")
+        out.append(SurfacePoint(complex(lam[0], lam[1]), sheet))
     return out
 
 
@@ -294,6 +310,15 @@ def run(cfg, commands, tol_scale=1.0):
     }
 
 
+def _tol_scale(text):
+    """--tol-scale: a positive finite factor."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="cone-spectra",
@@ -304,7 +329,7 @@ def main(argv=None):
                     help="pipeline to run (repeatable; default: config "
                          "'commands' entry)")
     ap.add_argument("--out", help="write the JSON report here")
-    ap.add_argument("--tol-scale", type=float, default=1.0,
+    ap.add_argument("--tol-scale", type=_tol_scale, default=1.0,
                     help="multiply every check tolerance by this factor")
     args = ap.parse_args(argv)
 
@@ -313,6 +338,9 @@ def main(argv=None):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not isinstance(cfg, dict):
+        print("error: the config must be a JSON object", file=sys.stderr)
         return EXIT_VALIDATION
 
     commands = args.command or cfg.get("commands")

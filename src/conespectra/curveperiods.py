@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BaseOnBranchPoint,
     ConsistencyFailure,
+    DomainError,
     DuplicateBranchPoints,
     NonConvergence,
     NotABranchPoint,
@@ -78,6 +79,8 @@ def make_curve(branch_points, base=None) -> Curve:
     bp = np.asarray([complex(b) for b in branch_points], dtype=complex)
     if bp.size != 6:
         raise DuplicateBranchPoints(f"need 6 branch points, got {bp.size}")
+    if not np.isfinite(bp).all():
+        raise DomainError(f"branch points must be finite, got {bp}")
     d = np.abs(bp[:, None] - bp[None, :])
     np.fill_diagonal(d, np.inf)
     if d.min() < 1e-12 * max(1.0, float(np.abs(bp).max())):

@@ -267,38 +267,46 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
 
 @dataclass
 class SurfaceTree:
-    """Spanning tree over the nodes of a surface grid with sheet-tracked
-    straight edges; construction is deterministic.
+    """Spanning tree over the nodes of a surface grid, closed on itself,
+    with sheet-tracked straight edges; construction is deterministic.
 
-    y_plus is y continued from the base point along the tree.  Its sheet,
-    called +1 by the tree users, is the sheet of that continuation, not
-    the reference sheet of Curve.y_at(lam, +1): on the generic curve's
-    (12, 16) grid about 30% of the nodes sit on reference sheet -1.
+    Its vertices are the grid nodes, then the closing vertices: the sheet
+    connector _flip_loop(curve, lam[hub])[1:], whose last vertex is the
+    hub on the other sheet, then the hub's root path back up on that
+    sheet, whose last vertex, the last of the tree, is the root on the
+    other sheet.  Every vertex but the root hangs from its parent by one
+    straight edge, so the sum along the last vertex's root path is the
+    flip (accumulate_tree).
 
-    depth counts the edges from the root to each node; a node's parent is
-    one level up, so sums along root paths run one level at a time
+    y_plus is y continued from the base point along the tree.  Its sheet
+    on the grid nodes, called +1 by the tree users, is the sheet of that
+    continuation, not the reference sheet of Curve.y_at(lam, +1): on the
+    generic curve's (12, 16) grid about 30% of the nodes sit on reference
+    sheet -1.
+
+    depth counts the edges from the root to each vertex; a vertex's parent
+    is one level up, so sums along root paths run one level at a time
     (_levels).
 
-    hub is the node whose distance to the first branch point is closest
-    to min_gap / 3 (ties to the lower index), where the sheet connector
-    _flip_loop(curve, lam[hub]) starts: on every build_surface_grid grid,
-    the 16-gon about that branch point through the hub, with no legs.
+    hub is the grid node whose distance to the first branch point is
+    closest to min_gap / 3 (ties to the lower index), where the sheet
+    connector starts: on every build_surface_grid grid, the 16-gon about
+    that branch point through the hub, with no legs.
 
-    The edges accumulate_tree integrates come lifted with the tree
-    (_lift_edges), so every integrand over one tree shares one lift."""
+    ys holds y at the Gauss nodes (_gauss_nodes) of every edge, in the
+    order of kids, lifted with the tree, so every integrand over one tree
+    shares one lift."""
 
     grid: object
-    parent: np.ndarray
-    order: np.ndarray          # visit order, root first
-    y_plus: np.ndarray         # y continued along the tree at every node
+    lam: np.ndarray            # vertex positions, the grid nodes first
+    parent: np.ndarray         # -1 at the root
+    order: np.ndarray          # grid-node visit order, root first
+    kids: np.ndarray           # order[1:], then the closing vertices
+    y_plus: np.ndarray         # y continued along the tree at every vertex
+    ys: np.ndarray = field(repr=False)   # (30, edges), edges as kids
     root: int
     depth: np.ndarray          # edges from the root, 0 at the root
     hub: int                   # start of the sheet connector
-    # edge starts and ends, y at the starts and at the Gauss nodes
-    edge_a: np.ndarray = field(init=False, repr=False)
-    edge_b: np.ndarray = field(init=False, repr=False)
-    edge_y_a: np.ndarray = field(init=False, repr=False)
-    edge_ys: np.ndarray = field(init=False, repr=False)
 
 
 # elements of one block of the nearest-visited search (rows times window
@@ -380,17 +388,20 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     the grid center); each new node hangs from the nearest of its 16
     nearest visited nodes whose edge keeps clear of the branch points
     (the nearest of all if none does), distance ties going to the lower
-    node index.
+    node index.  The closing vertices (SurfaceTree) then hang in a chain
+    from the hub.
 
     The nearest visited node comes from _nearest_visited, and its edge is
     tested alone; only a node whose nearest edge fails the clearance test
     searches its 16 nearest visited nodes.  y is continued along the tree
     in closed form: every y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)),
     and the sign sigma_i is the parent's times the edge's sign flip.  The
-    flips of all edges come from one _continue_sqrt call; one
-    _path_counts pass counts the flips and the edges (the depth recorded
-    on the tree) on every root path.  The tree's edges are then lifted
-    (_lift_edges)."""
+    flips of all edges, the closing ones included, come from one
+    _continue_sqrt call; one _path_counts pass counts the flips and the
+    edges (the depth recorded on the tree) on every root path.  The
+    connector must end at -y_plus[hub] (else ConsistencyFailure).  The
+    Gauss nodes of every edge are then lifted from y_plus at its parent,
+    _LIFT_EDGES edges per _continue_sqrt call."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -402,69 +413,53 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     lam_ord = lam[order]
     dist = np.abs(lam[:, None] - bp)
     gap = dist.min(axis=1)
-    kids = order[1:]
     parent = np.full(n, -1, dtype=int)
-    parent[kids] = _nearest_visited(lam_ord, order, rho[order])[1:]
-    for k in 1 + np.flatnonzero(~_clear_edges(curve, lam, gap, kids,
-                                              parent[kids])):
+    parent[order[1:]] = _nearest_visited(lam_ord, order, rho[order])[1:]
+    for k in 1 + np.flatnonzero(~_clear_edges(curve, lam, gap, order[1:],
+                                              parent[order[1:]])):
         d = np.abs(lam_ord[:k] - lam_ord[k])
         sel = np.flatnonzero(d <= np.partition(d, 15)[15]) if k > 16 \
             else np.arange(k)
         cand = order[sel[np.lexsort((order[sel], d[sel]))[:16]]]
         ok = _clear_edges(curve, lam, gap, order[k], cand)
         parent[order[k]] = cand[ok.argmax()] if ok.any() else cand[0]
+    hub = int(np.argmin(np.abs(dist[:, 0] - curve.min_gap / 3.0)))
+    back = [hub]
+    while back[-1] != root:
+        back.append(parent[back[-1]])
+    loop = np.asarray(_flip_loop(curve, lam[hub]))[1:]
+    lam = np.concatenate([lam, loop, lam[back[1:]]])
+    kids = np.concatenate([order[1:], np.arange(n, lam.size)])
+    parent = np.concatenate([parent, [hub], kids[n - 1:-1]])
     exact = np.sqrt(np.prod(lam[:, None] - bp, axis=-1))
     y_root = _continue_sqrt(bp, curve.base_point, lam[root],
                             curve.base_sheet_value, lam[root:root + 1])[0]
     # each edge keeps the sign or flips it: continuing +exact at the
-    # parent gives +exact or -exact at the node
+    # parent gives +exact or -exact at the vertex
     up = parent[kids]
-    edges = np.zeros((n, 2), dtype=int)
+    edges = np.zeros((lam.size, 2), dtype=int)
     edges[kids, 0] = 1
     edges[kids, 1] = _continue_sqrt(bp, lam[up], lam[kids], exact[up],
                                     lam[kids]) != exact[kids]
     depth, flips = _path_counts(parent, root, edges).T
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
-    tree = SurfaceTree(grid=grid, parent=parent, order=order,
-                       y_plus=np.where(flips % 2 != flip_root, -exact, exact),
-                       root=root, depth=depth,
-                       hub=int(np.argmin(np.abs(dist[:, 0]
-                                                - curve.min_gap / 3.0))))
-    tree.edge_a, tree.edge_b, tree.edge_y_a, tree.edge_ys = \
-        _lift_edges(curve, tree)
-    return tree
+    y_plus = np.where(flips % 2 != flip_root, -exact, exact)
+    if y_plus[n + loop.size - 1] != -y_plus[hub]:
+        raise ConsistencyFailure("sheet connector did not flip the sheet")
+    zs = _gauss_nodes(lam[up], lam[kids])[0]
+    ys = np.empty_like(zs)
+    for s in range(0, kids.size, _LIFT_EDGES):
+        cut = slice(s, s + _LIFT_EDGES)
+        ys[:, cut] = _continue_sqrt(bp, lam[up[cut]], lam[kids[cut]],
+                                    y_plus[up[cut]], zs[:, cut])
+    return SurfaceTree(grid=grid, lam=lam, parent=parent, order=order,
+                       kids=kids, y_plus=y_plus, ys=ys, root=root,
+                       depth=depth, hub=hub)
 
 
-# tree edges lifted together by _lift_edges; bounds _continue_sqrt's
+# edges lifted together by build_surface_tree; bounds _continue_sqrt's
 # temporaries to 30 nodes times this many edges times the branch points
 _LIFT_EDGES = 256
-
-
-def _root_path(tree, i):
-    """Positions in tree.order[1:] of the edges from the root to node i."""
-    path = []
-    while i != tree.root:
-        path.append(i)
-        i = tree.parent[i]
-    return np.argsort(tree.order)[path[::-1]] - 1
-
-
-def _edge_nodes(curve, tree):
-    """Start and end of every edge accumulate_tree integrates, and the
-    hub's root path (_root_path).
-
-    The edges come in three sets: the tree edges in the order of
-    tree.order[1:], the segments of the sheet connector (_flip_loop from
-    the hub), and again the edges of the hub's root path, which
-    accumulate_tree integrates on the other sheet."""
-    lam = tree.grid.nodes
-    kids = tree.order[1:]
-    loop = np.asarray(_flip_loop(curve, lam[tree.hub]))
-    back = _root_path(tree, tree.hub)
-    a, b = lam[tree.parent[kids]], lam[kids]
-    a = np.concatenate([a, loop[:-1], a[back]])
-    b = np.concatenate([b, loop[1:], b[back]])
-    return a, b, back
 
 
 def _gauss_nodes(a, b):
@@ -477,89 +472,53 @@ def _gauss_nodes(a, b):
     return (a + b) / 2.0 + half * x30[:, None], half
 
 
-def _lift_edges(curve, tree):
-    """The edges of _edge_nodes, y at their starts and y at their nodes
-    (_gauss_nodes).
-
-    A tree edge starts from tree.y_plus at its parent.  The connector's
-    chords are chained from y_plus[hub] by sign flips, all from one
-    _continue_sqrt call as in build_surface_tree, and must end at
-    -y_plus[hub] (else ConsistencyFailure).  The nodes of both sets are
-    lifted from the starts, _LIFT_EDGES edges per _continue_sqrt call;
-    the hub's root path takes the negated values of its tree edges."""
-    bp = curve.branch_points
-    a, b, back = _edge_nodes(curve, tree)
-    zs = _gauss_nodes(a, b)[0]
-    m, conn = tree.order.size - 1, a.size - back.size
-    y_a = np.empty_like(a)
-    y_a[:m] = tree.y_plus[tree.parent[tree.order[1:]]]
-    y_hub = tree.y_plus[tree.hub]
-    # a chord continues +exact at its start to +-exact at the next start
-    exact = np.sqrt(np.prod(a[m:conn, None] - bp, axis=-1))
-    ends = _continue_sqrt(bp, a[m:conn], b[m:conn], exact, b[m:conn])
-    nxt = np.roll(exact, -1)
-    flips = np.abs(ends - nxt) > np.abs(ends + nxt)
-    turns = np.cumsum(np.concatenate(
-        [[abs(y_hub - exact[0]) > abs(y_hub + exact[0])], flips]))
-    y_a[m:conn] = np.where(turns[:-1] % 2, -exact, exact)
-    if flips.sum() % 2 == 0:
-        raise ConsistencyFailure("sheet connector did not flip the sheet")
-    ys = np.empty_like(zs)
-    for s in range(0, conn, _LIFT_EDGES):
-        cut = slice(s, min(s + _LIFT_EDGES, conn))
-        ys[:, cut] = _continue_sqrt(bp, a[cut], b[cut], y_a[cut], zs[:, cut])
-    y_a[conn:], ys[:, conn:] = -y_a[back], -ys[:, back]
-    return a, b, y_a, ys
-
-
 def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
     the tree edges, on the sheet of the tree continuation (tree.y_plus),
     and the flip vector.
 
     f, which must act pointwise on flat arrays, is evaluated once, on the
-    nodes of every edge the tree carries lifted (the tree edges, the
-    connector's chords, and the hub's root path at -y), in one vectorised
-    pass of integrate_path's embedded 20/10-point Gauss rules
+    Gauss nodes of every edge at their lifted y (tree.ys), in one
+    vectorised pass of integrate_path's embedded 20/10-point Gauss rules
     (numerics._embedded_gauss).  An edge that fails integrate_path's
-    acceptance rule goes through integrate_vector_path with the same
-    per-edge budget, so a spent budget raises NonConvergence.  The
-    tree-edge values are summed down the tree one depth level at a time
-    (_levels), the same additions in the same order as a per-node walk.
+    acceptance rule goes through integrate_vector_path from y_plus at its
+    parent, with the same per-edge budget, so a spent budget raises
+    NonConvergence.  The edge values, with each edge's accepted gap as one
+    more column, are summed down the tree one depth level at a time
+    (_levels), the same additions in the same order as a per-vertex walk;
+    the gaps' real parts add exactly as floats would.
 
-    The flip vector is the integral of f from (root, y_plus[root]) to
-    (root, -y_plus[root]): down the tree to the hub, around the connector
-    and back up the hub's root path on the other sheet.  A caller that
-    needs the other sheet stacks f(lam, -y) as extra columns and adds the
-    flip of the matching columns.  Returns (vals, flip_vector, error,
-    node_err).  The flip error sums the hub's root-path error and the
-    gaps of the connector and of the path back; error sums the accepted
-    gaps of all tree edges and the flip error; node_err is (n, 2), the
-    accepted gaps on each node's root path, then that plus the flip error
-    (the route to the node on the other sheet)."""
-    lam = tree.grid.nodes
-    kids = tree.order[1:]
+    The flip vector is the sum at the last vertex, the integral of f from
+    (root, y_plus[root]) to (root, -y_plus[root]): down the tree to the
+    hub, around the connector and back up the hub's root path on the other
+    sheet.  A caller that needs the other sheet stacks f(lam, -y) as extra
+    columns and adds the flip of the matching columns.  Returns (vals,
+    flip_vector, error, node_err), vals and node_err over the grid nodes.
+    The flip error sums the accepted gaps on the last vertex's root path;
+    error sums those of every edge, plus the hub's root path again, which
+    the flip runs down; node_err is (n, 2), the accepted gaps on each
+    node's root path, then that plus the flip error (the route to the node
+    on the other sheet)."""
+    lam, kids = tree.lam, tree.kids
     up = tree.parent[kids]
-    a, b = tree.edge_a, tree.edge_b
-    m, conn = kids.size, a.size - tree.depth[tree.hub]
-    zs, half = _gauss_nodes(a, b)
-    fv = f(zs.ravel(), tree.edge_ys.ravel()).reshape(30, a.size, k)
+    zs, half = _gauss_nodes(lam[up], lam[kids])
+    fv = f(zs.ravel(), tree.ys.ravel()).reshape(30, kids.size, k)
     hi_est, gap, ok = _embedded_gauss(half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
         hi_est[e], edge_err[e], _ = integrate_vector_path(
-            curve, [a[e], b[e]], tree.edge_y_a[e], f, tol=tol,
-            budget=budget)
-    vals = np.zeros((lam.size, k), dtype=complex)
-    path_err = np.zeros(lam.size)
+            curve, [lam[up[e]], lam[kids[e]]], tree.y_plus[up[e]], f,
+            tol=tol, budget=budget)
+    est = np.concatenate([hi_est, edge_err[:, None]], axis=1)
+    sums = np.zeros((lam.size, k + 1), dtype=complex)
     for e in _levels(tree.depth[kids]):
-        vals[kids[e]] = vals[up[e]] + hi_est[e]
-        path_err[kids[e]] = path_err[up[e]] + edge_err[e]
-    flip = vals[tree.hub] + hi_est[m:conn].sum(axis=0) \
-        - hi_est[conn:].sum(axis=0)
-    flip_err = float(path_err[tree.hub] + edge_err[m:].sum())
-    err = float(edge_err[:m].sum()) + flip_err
-    return vals, flip, err, np.stack([path_err, path_err + flip_err], axis=1)
+        sums[kids[e]] = sums[up[e]] + est[e]
+    n = tree.order.size
+    path_err = sums[:n, k].real
+    flip_err = float(sums[-1, k].real)
+    err = float(edge_err.sum() + sums[tree.hub, k].real)
+    return sums[:n, :k], sums[-1, :k], err, \
+        np.stack([path_err, path_err + flip_err], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +542,10 @@ class GreenContext:
     on third_kind_form's route, _moments_at from the cached base and
     m_conn), or from q_forms for every q node on both sheets (moments
     over the q tree).  Those and the p-side data that every GreenSolver
-    shares (p_tree, which carries its lifted edges, and t_nodes) are
+    shares (p_tree, the closed tree with its one lift, and t_nodes) are
     built on first read: a context plus its solvers builds one tree, the
-    p tree."""
+    p tree.  q_forms reads q_tree.y_plus on the grid nodes only, the
+    vertices before the tree's closing ones."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -645,8 +605,8 @@ class GreenContext:
         sheet (q_tree.y_plus), then on the other sheet; as averaged_pcoef,
         from M(q) - M_conn / 2, all from the q-tree root (M_conn = m_flip)."""
         m = np.concatenate([self.m_plus, self.m_flip - self.m_plus])
-        return (np.tile(self.q_grid.nodes, 2),
-                np.concatenate([self.q_tree.y_plus, -self.q_tree.y_plus]),
+        y = self.q_tree.y_plus[:self.q_grid.n_nodes]
+        return (np.tile(self.q_grid.nodes, 2), np.concatenate([y, -y]),
                 _correction_pcoef(self.model, (m - 0.5 * self.m_flip).T))
 
     @cached_property
@@ -756,9 +716,9 @@ class GreenSolver:
     Omega_bar_y + log_potential at every p node on both sheets (u_plus,
     u_minus), so each new x costs one short path from its nearest p node:
     G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
-    quadrature error on the same two sheets.  The p-grid tree, its lifted
-    edges and sheet connector, and the log potential at its nodes are the
-    context's (p_tree is ctx.p_tree).  Only the correction polynomial
+    quadrature error on the same two sheets.  The closed p-grid tree, with
+    its sheet connector and lift, and the log potential at its nodes are
+    the context's (p_tree is ctx.p_tree).  Only the correction polynomial
     (ctx.averaged_pcoef, one path from the context's base point) and one
     accumulation over the p tree depend on y; a solver reads no q tree.
     """
@@ -871,15 +831,11 @@ def _xi_circle_radius(ctx: GreenContext, t_lam):
 def _cone_circle(ctx: GreenContext, r, n):
     """Distinguished-frame sampling circle |xi| = r around the cone point.
 
-    Returns (xi, lam, y, dlambda/dxi).  Note that lambda winds twice per
-    xi loop, antipodal xi samples sharing lambda on opposite sheets."""
-    frame = ctx.frame
+    Returns (xi, lam, y, dlambda/dxi) (DistinguishedFrame.xi_chart).  Note
+    that lambda winds twice per xi loop, antipodal xi samples sharing
+    lambda on opposite sheets."""
     xi = r * np.exp(2j * np.pi * np.arange(n) / n)
-    zeta = frame.zeta_of_xi.evaluate(xi)
-    lam = frame.lam_p + zeta ** 2
-    yv = zeta * frame.g_exact(zeta)
-    dlam_dxi = 2.0 * zeta / frame.xi_of_zeta.derivative().evaluate(zeta)
-    return xi, lam, yv, dlam_dxi
+    return (xi, *ctx.frame.xi_chart(xi)[1:])
 
 
 def _cone_circle_points(ctx: GreenContext, r, n):

@@ -154,10 +154,40 @@ class TestExitCodes:
                      id="point-on-cone"),
         pytest.param({"commands": ["smatrix"], "h_order": 2},
                      id="h-order-too-low"),
+        pytest.param({"commands": ["green"],
+                      "points": [[-0.7, 0.4], {"lam": [0.9, 1.3]}]},
+                     id="point-not-object"),
+        pytest.param({"commands": ["green"],
+                      "points": [{"lam": [-0.7]}, {"lam": [0.9, 1.3]}]},
+                     id="lam-one-entry"),
+        pytest.param({"commands": ["periods"], "surface_grid": [6, 0]},
+                     id="angular-count-zero"),
+        *(pytest.param({"commands": ["periods"], "surface_grid": [n, 8]},
+                       id=f"radial-count-{n}") for n in (0, -4, 1.5)),
+        pytest.param({"commands": ["periods"],
+                      "surface_grid": [6, 8, float("nan")]}, id="nan-radius"),
+        pytest.param({"commands": ["periods"], "curve": {
+            "branch_points": [[float("nan"), 0], [1, 0], [0.3, 1.1],
+                              [-0.8, 0.7], [-1.1, -0.4], [0.5, -0.9]],
+            "cone_point": 2}}, id="nan-branch-point"),
     ])
     def test_bad_input_exit(self, tmp_path, extra):
         cfg = write_cfg(tmp_path, {"surface_grid": [6, 8], **extra})
         assert cli.main(["--config", cfg]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("root", [[1, 2], "periods"],
+                             ids=["list", "string"])
+    def test_config_not_an_object(self, tmp_path, root):
+        cfg = tmp_path / "root.json"
+        cfg.write_text(json.dumps(root))
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_scale(self, tmp_path, scale):
+        cfg = write_cfg(tmp_path, {"commands": ["cone"]})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", cfg, "--tol-scale", scale])
+        assert exc.value.code == cli.EXIT_VALIDATION
 
     def test_nonconvergence_exit(self, tmp_path, monkeypatch):
         def boom(cfg, tol_scale=1.0):

@@ -250,12 +250,13 @@ class TestContinueSqrt:
             curve.branch_points, QuadratureConfig(surface_grid=(*grid, None)),
             stagger=stagger)
         tree = green.build_surface_tree(curve, surface)
-        past = _turn(curve.branch_points, tree.edge_a,
-                     tree.edge_b) >= curveperiods._TURN_BOUND
+        kids = tree.kids
+        past = _turn(curve.branch_points, tree.lam[tree.parent[kids]],
+                     tree.lam[kids]) >= curveperiods._TURN_BOUND
         assert past.any() == (grid == (6, 8)) and past.mean() < 0.05
         with _ratio_only():
             ratio_tree = green.build_surface_tree(curve, surface)
-        for field in ("y_plus", "edge_y_a", "edge_ys"):
+        for field in ("lam", "kids", "y_plus", "ys"):
             np.testing.assert_array_equal(getattr(tree, field),
                                           getattr(ratio_tree, field))
 

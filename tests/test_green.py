@@ -339,13 +339,32 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
 
 
 def _assert_reference_tree(curve, grid):
+    """The grid-node part of build_surface_tree against _reference_tree,
+    bit for bit, and the closing vertices: the hub on the other sheet at
+    -y_plus[hub], then its root path up to the root at -y_plus[root], the
+    last vertex."""
     tree = green.build_surface_tree(curve, grid)
     parent, order, y_plus, root, depth = _reference_tree(curve, grid)
+    n = grid.nodes.size
     assert tree.root == root
-    np.testing.assert_array_equal(tree.parent, parent)
+    np.testing.assert_array_equal(tree.parent[:n], parent)
     np.testing.assert_array_equal(tree.order, order)
-    np.testing.assert_array_equal(tree.y_plus, y_plus)
-    np.testing.assert_array_equal(tree.depth, depth)
+    np.testing.assert_array_equal(tree.y_plus[:n], y_plus)
+    np.testing.assert_array_equal(tree.depth[:n], depth)
+    np.testing.assert_array_equal(tree.lam[:n], grid.nodes)
+    np.testing.assert_array_equal(
+        tree.kids, np.concatenate([order[1:], np.arange(n, tree.lam.size)]))
+    hub = tree.hub
+    loop = green._flip_loop(curve, grid.nodes[hub])
+    hub_back = n + len(loop) - 2
+    np.testing.assert_array_equal(tree.lam[n:hub_back + 1], loop[1:])
+    assert tree.parent[n] == hub
+    np.testing.assert_array_equal(tree.parent[n + 1:],
+                                  np.arange(n, tree.lam.size - 1))
+    assert tree.y_plus[hub_back] == -y_plus[hub]
+    assert tree.y_plus[-1] == -y_plus[root]
+    assert tree.lam[-1] == grid.nodes[root]
+    assert tree.depth[-1] == 2 * depth[hub] + len(loop) - 1
     return tree
 
 
@@ -409,8 +428,7 @@ class TestSurfaceTree:
             return vals, node_err
 
         vals, node_err = accumulate()
-        assert len(green._levels(tree.depth[tree.order[1:]])) \
-            == tree.depth.max()
+        assert len(green._levels(tree.depth[tree.kids])) == tree.depth.max()
         monkeypatch.setattr(green, "_levels",
                             lambda depth: np.arange(depth.size)[:, None])
         ref_vals, ref_err = accumulate()
@@ -530,31 +548,21 @@ class TestSurfaceTree:
             built.append(grid)
             return build(curve, grid)
 
-        lifted = []
-        lift = green._lift_edges
-
-        def counted_lift(curve, tree):
-            lifted.append(tree)
-            return lift(curve, tree)
-
         monkeypatch.setattr(green, "build_surface_tree", counted)
-        monkeypatch.setattr(green, "_lift_edges", counted_lift)
         cfg = QuadratureConfig(surface_grid=(6, 8, None))
         c = green.green_context(model, frame, cfg)
-        assert built == [] and lifted == []
-        # a context plus its solvers builds and lifts the p tree alone
+        assert built == []
+        # a context plus its solvers builds (and so lifts) the p tree alone
         ys = [SurfacePoint(z, 1) for z in (0.9 + 1.3j, -0.7 + 0.4j)]
         solvers = [green.GreenSolver(c, y) for y in ys]
         assert built == [c.p_grid]
         assert all(s.p_tree is c.p_tree for s in solvers)
-        assert lifted == [c.p_tree]
         assert "q_tree" not in vars(c)
         # the q tree comes with the first q_forms reader, once
         green.special_solution_means(c)
         green.special_solution_means(c)
         assert built == [c.p_grid, c.q_grid]
-        assert lifted == [c.p_tree, c.q_tree]
-        # a solver sharing the lifted edges equals one built alone
+        # a solver sharing the tree's lift equals one built alone
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
                                       y)
@@ -1029,33 +1037,38 @@ class TestSheetConnector:
     @pytest.mark.parametrize("name, grid", READ_KEYS)
     def test_connector_lift_matches_scalar_chain(self, read_solvers, name,
                                                  grid):
-        # the connector's chords, chained by one batched sign pass, equal
-        # the chain of scalar continuations bit for bit, on both trees
+        # the connector's vertices, signed by the tree's one batched sign
+        # pass, equal the chain of scalar continuations bit for bit, on
+        # both trees
         ctx = read_solvers[name, grid][0].ctx
         curve = ctx.curve
         for tree in (ctx.p_tree, ctx.q_tree):
-            a, b = tree.edge_a, tree.edge_b
-            m, conn = tree.order.size - 1, a.size - tree.depth[tree.hub]
-            assert conn - m == 16
+            n = tree.order.size
+            conn = np.arange(n, n + 16)
+            np.testing.assert_array_equal(tree.parent[conn[1:]], conn[:-1])
+            assert tree.parent[n] == tree.hub
             y_hub = y = tree.y_plus[tree.hub]
             chain = []
-            for e in range(m, conn):
+            for i in conn:
+                y = _continue_to(curve, tree.lam[tree.parent[i]], y,
+                                 tree.lam[i])
                 chain.append(y)
-                y = _continue_to(curve, a[e], y, b[e])
-            np.testing.assert_array_equal(tree.edge_y_a[m:conn], chain)
-            assert abs(y + y_hub) <= 1e-6 * max(1.0, abs(y_hub))
+            np.testing.assert_array_equal(tree.y_plus[conn], chain)
+            assert tree.lam[conn[-1]] == tree.lam[tree.hub]
+            assert y == -y_hub
 
     def test_connector_must_flip(self, z5, monkeypatch):
-        # a connector that encloses no branch point ends on its own sheet
+        # a connector that encloses no branch point ends on its own sheet,
+        # back at the hub itself
         curve = z5[0].curve
-        tree = green.build_surface_tree(curve,
-                                        _surface_grid("z5", (6, 8), 0.31))
         rho = curve.min_gap / 10.0
         monkeypatch.setattr(
             green, "_flip_loop", lambda curve, lam: list(
-                lam + rho * (np.exp(2j * np.pi * np.arange(17) / 16) - 1)))
+                lam + rho * (np.exp(2j * np.pi * np.arange(16) / 16) - 1))
+            + [lam])
         with pytest.raises(ConsistencyFailure, match="did not flip"):
-            green._lift_edges(curve, tree)
+            green.build_surface_tree(curve,
+                                     _surface_grid("z5", (6, 8), 0.31))
 
 
 class TestRoelckeGreen:
