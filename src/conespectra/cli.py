@@ -3,6 +3,9 @@ pipeline, and emits a versioned JSON report plus a plain-text summary.
 
 Reports are deterministic for a fixed config: keys are sorted and no
 timestamps or machine identifiers enter the output.
+
+The green module is imported by the green command on first use, so the
+other commands never load it.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, bidiff, cone, green, smatrix
+from . import __version__, bidiff, cone, smatrix
 from .curveperiods import (
     SurfacePoint,
     curve_from_json,
     curve_to_json,
+    json_int,
     make_curve,
     metric_area,
     period_data,
@@ -54,10 +58,10 @@ def _check(name, value, tol):
 
 def _count(value, what):
     """A config entry that must be a positive whole number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer() or value < 1:
+    n = json_int(value, what)
+    if n < 1:
         raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
+    return n
 
 
 def _quad_config(cfg):
@@ -97,10 +101,11 @@ def _model(cfg, pd=None):
     if pd is None:
         return _stage("model", lambda: _model(cfg, _period_data(cfg)))
     model = bidiff.normalize_bidifferential(pd.curve, pd)
-    frame = bidiff.distinguished_frame(pd.curve, pd, pd.cone_point,
-                                       order=int(cfg.get("series_order", 20)))
-    model = bidiff.h_expansion(model, frame,
-                               order=int(cfg.get("h_order", 8)))
+    frame = bidiff.distinguished_frame(
+        pd.curve, pd, pd.cone_point,
+        order=_count(cfg.get("series_order", 20), "series_order"))
+    model = bidiff.h_expansion(
+        model, frame, order=_count(cfg.get("h_order", 8), "h_order"))
     bidiff.projective_connections(model)
     return model, frame
 
@@ -171,7 +176,7 @@ def _points(cfg):
     for p in pts:
         if not isinstance(p, dict):
             raise DomainError(f"a point must be an object, got {p!r}")
-        sheet = int(p.get("sheet", 1))
+        sheet = json_int(p.get("sheet", 1), "a point's sheet")
         if sheet not in (1, -1):
             raise DomainError(f"a point's sheet must be 1 or -1, got {sheet}")
         lam = p["lam"]
@@ -182,6 +187,8 @@ def _points(cfg):
 
 
 def cmd_green(cfg, tol_scale=1.0):
+    from . import green
+
     model, frame = _model(cfg)
     pts = _points(cfg)
     x, y = pts[0], pts[1]

@@ -53,8 +53,8 @@ class Curve:
         return float(d[d > 0].min())
 
     def poly(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        return np.prod(lam[..., None] - self.branch_points, axis=-1)
+        """prod(lambda - lambda_j) over the branch points (_root_product)."""
+        return _root_product(lam, self.branch_points)
 
     def reference_y(self, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -62,6 +62,50 @@ class Curve:
 
     def y_at(self, lam, sheet=1):
         return sheet * self.reference_y(lam)
+
+
+# _root_product takes np.prod below this many points, where it is cheaper
+_BULK_POINTS = 1024
+
+
+def _root_product(z, roots):
+    """prod(z - r) over roots on the last axis, equal bit for bit to
+    np.prod(z[..., None] - roots, axis=-1): that call below _BULK_POINTS
+    points, _real_product from there on."""
+    z = np.asarray(z, dtype=complex)
+    if z.size < _BULK_POINTS:
+        return np.prod(z[..., None] - roots, axis=-1)
+    return _real_product(z, roots)
+
+
+def _real_product(z, roots):
+    """prod(z - r) over the (at least one) roots, in real arithmetic on
+    contiguous real and imaginary parts.
+
+    Why real arithmetic: np.prod reduces one complex product at a time,
+    each taken as (pr*br - pi*bi, pr*bi + pi*br) with every real product
+    rounded on its own.  Whole-array real multiplies and subtractions
+    repeat exactly those steps, so the result equals
+    np.prod(z[..., None] - roots, axis=-1) bit for bit, in a few vector
+    passes per root.  NumPy's elementwise complex multiply (p *= z - r)
+    does not: its vector loop rounds differently and moves results by an
+    ulp on most points."""
+    z = np.asarray(z, dtype=complex)
+    zr, zi = z.real.ravel(), z.imag.ravel()
+    pr, pi = zr - roots[0].real, zi - roots[0].imag
+    br, bi, t = np.empty_like(zr), np.empty_like(zr), np.empty_like(zr)
+    for r in roots[1:]:
+        np.subtract(zr, r.real, out=br)
+        np.subtract(zi, r.imag, out=bi)
+        np.multiply(pi, bi, out=t)
+        bi *= pr
+        pr *= br
+        pr -= t          # pr*br - pi*bi
+        pi *= br
+        pi += bi         # pi*br + pr*bi
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = pr.reshape(z.shape), pi.reshape(z.shape)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -145,8 +189,8 @@ def _continue_sqrt(roots, a, b, val, targets):
     """
     targets = np.asarray(targets, dtype=complex)
     a, b, val = (np.asarray(v).ravel() for v in (a, b, val))
-    diff = targets.reshape(-1, a.size)[..., None] - roots
-    exact = np.sqrt(np.prod(diff, axis=-1))
+    tgt = targets.reshape(-1, a.size)
+    exact = np.sqrt(_root_product(tgt, roots))
     from_a = a[:, None] - roots
     ratio = (b[:, None] - roots) / from_a
     rule = np.abs(np.arctan2(ratio.imag, ratio.real)).sum(axis=-1) \
@@ -162,8 +206,8 @@ def _continue_sqrt(roots, a, b, val, targets):
     if n_rule < rule.size:
         cols = ~rule if n_rule else slice(None)
         ex = exact[:, cols]
-        cont = val[cols] * np.prod(np.sqrt(diff[:, cols] / from_a[cols]),
-                                   axis=-1)
+        diff = tgt[:, cols][..., None] - roots
+        cont = val[cols] * np.prod(np.sqrt(diff / from_a[cols]), axis=-1)
         keep[:, cols] = np.abs(cont - ex) < np.abs(cont + ex)
     return np.where(keep, exact, -exact).reshape(targets.shape)
 
@@ -337,9 +381,9 @@ def period_data(curve, cone_point, cfg: QuadratureConfig | None = None,
                       pairs=tuple(pairs[:5]), signs=tuple(signs), bsign=bsign)
 
 
-# points of metric_density evaluated together; bounds Curve.poly's
-# temporary to this many points times the branch points
-_DENSITY_ROWS = 4096
+# points of metric_density evaluated together, so that _real_product's
+# few real arrays of this length stay in cache
+_DENSITY_ROWS = 8192
 
 
 def metric_density(curve, lam_p, lam):
@@ -426,12 +470,21 @@ def curve_to_json(curve, cone_point):
     }
 
 
+def json_int(value, what):
+    """A JSON entry that must be a whole number: an int, or a float with
+    no fractional part, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise DomainError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def curve_from_json(obj):
     """Accepts {"branch_points": ..., "cone_point": j} or {"z5": {...}}."""
     if "z5" in obj:
         z5 = obj["z5"]
         lam1 = complex(*z5.get("lambda1", [0.0, 0.0]))
         curve = make_z5_curve(lambda1=lam1, r=float(z5.get("r", 1.0)))
-        return curve, int(obj.get("cone_point", 0))
+        return curve, json_int(obj.get("cone_point", 0), "cone_point")
     bp = [complex(re, im) for re, im in obj["branch_points"]]
-    return make_curve(bp), int(obj["cone_point"])
+    return make_curve(bp), json_int(obj["cone_point"], "cone_point")

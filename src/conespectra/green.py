@@ -431,7 +431,7 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     lam = np.concatenate([lam, loop, lam[back[1:]]])
     kids = np.concatenate([order[1:], np.arange(n, lam.size)])
     parent = np.concatenate([parent, [hub], kids[n - 1:-1]])
-    exact = np.sqrt(np.prod(lam[:, None] - bp, axis=-1))
+    exact = np.sqrt(curve.poly(lam))
     y_root = _continue_sqrt(bp, curve.base_point, lam[root],
                             curve.base_sheet_value, lam[root:root + 1])[0]
     # each edge keeps the sign or flips it: continuing +exact at the

@@ -411,12 +411,10 @@ class SurfaceGrid:
         return self.nodes.size
 
 
-def _polar_patch(center, r_lo, r_hi, n_rad, n_ang, breakpoints=None,
-                 angle_shift=0.5):
-    """Midpoint-in-angle x panelled-Gauss-in-radius polar grid.
-
-    Returns (points, plain-area weights) for the annulus r_lo < r < r_hi.
-    """
+def _radii(r_lo, r_hi, n_rad, breakpoints=None):
+    """Panelled 8-point Gauss radii on [r_lo, r_hi], split at the
+    breakpoints inside it, and their weights times r (the polar area
+    element)."""
     edges = [r_lo, r_hi] if not breakpoints else sorted(
         {r_lo, r_hi, *[b for b in breakpoints if r_lo < b < r_hi]}
     )
@@ -429,19 +427,31 @@ def _polar_patch(center, r_lo, r_hi, n_rad, n_ang, breakpoints=None,
             rs.append((a + b) / 2 + (b - a) / 2 * xg)
             wr.append((b - a) / 2 * wg)
     r = np.concatenate(rs)
-    wr = np.concatenate(wr)
+    return r, r * np.concatenate(wr)
+
+
+def _polar_patch(center, r, rw, n_ang, angle_shift, pts, w):
+    """Midpoint-in-angle x radii r polar grid about center, written into
+    and returned as pts (complex) and w (plain-area weights), each of
+    r.size * n_ang entries, radius-major; rw is r times the radial
+    weights."""
     th = 2 * np.pi * (np.arange(n_ang) + angle_shift) / n_ang
     wth = 2 * np.pi / n_ang
-    pts = center + np.multiply.outer(r, np.exp(1j * th))
-    w = np.multiply.outer(r * wr, np.full(n_ang, wth))
-    return pts.ravel(), w.ravel()
+    grid = pts.reshape(r.size, n_ang)
+    np.multiply.outer(r, np.exp(1j * th), out=grid)
+    grid += center
+    np.multiply.outer(rw, np.full(n_ang, wth), out=w.reshape(grid.shape))
+    return pts, w
 
 
 def build_surface_grid(branch_points, cfg: QuadratureConfig,
                        radial_breakpoints=None, stagger=0.0) -> SurfaceGrid:
     """stagger shifts every angular node by that fraction of a cell, so two
     grids with different stagger share no nodes (used for double surface
-    integrals with weakly singular kernels)."""
+    integrals with weakly singular kernels).
+
+    Each patch is written in place into the one nodes and weights array
+    of the grid, so a large grid holds no second copy of its nodes."""
     bp = np.asarray(branch_points, dtype=complex)
     shift = 0.5 + stagger
     n_rad, n_ang, radius = cfg.surface_grid
@@ -454,7 +464,19 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     gaps = [abs(a - b) for i, a in enumerate(bp) for b in bp[i + 1:]]
     disk_r = min(gaps) / 3.0
 
-    all_pts, all_w = [], []
+    # (center, radii, radii times weights, angular count) of each patch:
+    # the branch-point disks, the main disk and the exterior chart's disk
+    patches = [(b, *_radii(0.0, disk_r, n_rad), n_ang) for b in bp]
+    patches.append((center, *_radii(0.0, radius, 2 * n_rad,
+                                    radial_breakpoints), 2 * n_ang))
+    patches.append((0.0, *_radii(0.0, 1.0 / radius, n_rad), n_ang))
+    sizes = [r.size * k for _, r, _, k in patches]
+    ends = np.cumsum(sizes)
+    nodes = np.empty(ends[-1], dtype=complex)
+    weights = np.empty(ends[-1])
+    views = [(nodes[e - n:e], weights[e - n:e]) for n, e in zip(sizes, ends)]
+    for (c, r, rw, k), view in zip(patches, views):
+        _polar_patch(c, r, rw, k, shift, *view)
     # smallest node distances to the branch points, for the check below
     near = []
 
@@ -465,9 +487,10 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
         to branch point j to near."""
         r = np.abs(pts - bp[j])
         near.append(r.min())
-        t = (disk_r - r) / (disk_r / 2.0)
-        inside = np.flatnonzero(t > 0.0)
-        t = t[inside]
+        # the bump's argument (disk_r - r) / (disk_r / 2) is > 0 exactly
+        # where r < disk_r
+        inside = np.flatnonzero(r < disk_r)
+        t = (disk_r - r[inside]) / (disk_r / 2.0)
         val = np.ones(inside.size)
         val[t < 1.0] = _smooth_step(t[t < 1.0])
         return inside, val
@@ -476,37 +499,29 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     # of branch point j and at least twice that from every other one, so
     # the distance to branch point j alone decides the check
     for j in range(bp.size):
-        pts, w = _polar_patch(bp[j], 0.0, disk_r, n_rad, n_ang,
-                              angle_shift=shift)
+        pts, w = views[j]
         inside, val = bump_at(pts, j)
-        part = np.zeros_like(w)
-        part[inside] = w[inside] * val
-        all_pts.append(pts)
-        all_w.append(part)
+        part = w[inside] * val
+        w.fill(0.0)
+        w[inside] = part
 
-    # main disk with complementary partition factor
-    pts, w = _polar_patch(center, 0.0, radius, 2 * n_rad, 2 * n_ang,
-                          breakpoints=radial_breakpoints, angle_shift=shift)
-    comp = np.ones_like(w)
+    # main disk with complementary partition factor; the bumps' supports
+    # (r < disk_r) are disjoint, so each node takes at most one factor
+    pts, w = views[bp.size]
     for j in range(bp.size):
         inside, val = bump_at(pts, j)
-        comp[inside] = comp[inside] * (1.0 - val)
-    all_pts.append(pts)
-    all_w.append(w * comp)
+        w[inside] *= 1.0 - val
 
     # exterior chart mu = 1/(lambda - center), area element |mu|^-4 dA_mu;
     # a radius set below span can bring its nodes near a branch point
-    mpts, mw = _polar_patch(0.0, 0.0, 1.0 / radius, n_rad, n_ang,
-                            angle_shift=shift)
-    lam = center + 1.0 / mpts
-    all_pts.append(lam)
-    all_w.append(mw / np.abs(mpts) ** 4)
+    lam, w = views[-1]
+    w /= np.abs(lam) ** 4
+    np.divide(1.0, lam, out=lam)
+    lam += center
     near.extend(np.abs(lam - b).min() for b in bp)
 
     if min(near) < 1e-12 * max(1.0, span):
         raise SingularityOnGrid("a quadrature node coincides with a branch point")
-    nodes = np.concatenate(all_pts)
-    weights = np.concatenate(all_w)
     return SurfaceGrid(nodes, weights, center)
 
 
@@ -516,16 +531,21 @@ def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points,
     the surface grid that cfg sets for the branch points.
 
     weight is the conformal density |omega/dlambda|^2 (sheet-independent);
-    f may depend on the sheet.
+    f may depend on the sheet.  An f that returns the same scalar on both
+    sheets is summed over the grid once and that sum added for each
+    sheet, which gives the two-pass total bit for bit.
     """
     grid = build_surface_grid(branch_points, cfg,
                               radial_breakpoints=radial_breakpoints)
     lam, w = grid.nodes, grid.weights
     dens = weight(lam)
     total = 0.0 + 0.0j
+    last = None
     for sheet in (+1, -1):
         vals = np.asarray(f(lam, sheet), dtype=complex)
-        total += np.sum(vals * dens * w)
+        if vals.ndim or last is None or vals != last[0]:
+            last = vals, np.sum(vals * dens * w)
+        total += last[1]
     if abs(total.imag) < 1e-12 * max(1.0, abs(total.real)):
         return total.real
     return total

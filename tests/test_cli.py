@@ -18,9 +18,10 @@ Z5_CFG = {
 }
 
 
-# byte-exact report of the benchmark's cli-batch config with lambdas [-1, -4]
-REFERENCE_REPORT = (Path(__file__).resolve().parents[1] / "stagebench"
-                    / "reference" / "cli_batch_0.json")
+# byte-exact reports of the benchmark's cli-batch configs, one per cone
+# lambdas list
+REFERENCE_DIR = (Path(__file__).resolve().parents[1] / "stagebench"
+                 / "reference")
 
 
 def write_cfg(tmp_path, extra, name="cfg.json"):
@@ -154,6 +155,21 @@ class TestExitCodes:
                      id="point-on-cone"),
         pytest.param({"commands": ["smatrix"], "h_order": 2},
                      id="h-order-too-low"),
+        *(pytest.param({"commands": ["green"],
+                        "points": [{"lam": [-0.7, 0.4], "sheet": sheet},
+                                   {"lam": [0.9, 1.3], "sheet": 1}]},
+                       id=f"sheet-{sheet}") for sheet in (1.5, True)),
+        *(pytest.param({"commands": ["smatrix"], key: value},
+                       id=f"{key.replace('_', '-')}-{value}")
+          for key, value in (("series_order", 20.5), ("series_order", True),
+                             ("h_order", 8.5), ("h_order", True))),
+        *(pytest.param({"commands": ["periods"], "curve": {
+            "z5": {"lambda1": [0.0, 0.0], "r": 1.0}, "cone_point": cp}},
+            id=f"z5-cone-point-{cp}") for cp in (0.5, True)),
+        pytest.param({"commands": ["periods"], "curve": {
+            "branch_points": [[0, 0], [1, 0], [0.3, 1.1], [-0.8, 0.7],
+                              [-1.1, -0.4], [0.5, -0.9]],
+            "cone_point": 2.5}}, id="cone-point-2.5"),
         pytest.param({"commands": ["green"],
                       "points": [[-0.7, 0.4], {"lam": [0.9, 1.3]}]},
                      id="point-not-object"),
@@ -235,8 +251,9 @@ class TestStageSharing:
         assert cli.main(["--config", cfg, "--out", out]) == 0
         assert calls == []
 
-    def test_report_matches_stored_reference(self, tmp_path):
-        ref = REFERENCE_REPORT.read_bytes()
+    @pytest.mark.parametrize("name", [f"cli_batch_{k}" for k in range(4)])
+    def test_report_matches_stored_reference(self, tmp_path, name):
+        ref = (REFERENCE_DIR / f"{name}.json").read_bytes()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(json.loads(ref)["config"]))
         out = tmp_path / "report.json"
@@ -244,11 +261,22 @@ class TestStageSharing:
         assert out.read_bytes() == ref
 
 
-def test_import_leaves_scipy_special_unloaded():
+def loaded_by_cli_import(module):
+    """Whether a fresh interpreter has module loaded after importing
+    conespectra.cli."""
     src = os.path.dirname(os.path.dirname(conespectra.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, conespectra.cli; "
-            "print('scipy.special' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_special_unloaded():
+    assert not loaded_by_cli_import("scipy.special")
+
+
+def test_import_leaves_green_unloaded():
+    # the green command imports it on first use
+    assert not loaded_by_cli_import("conespectra.green")

@@ -318,6 +318,65 @@ class TestContinueSqrt:
         assert any(past) and not all(past)
 
 
+@st.composite
+def probe_points(draw, roots):
+    """A point with |lambda| up to 1e3, or one 1e-12 to 1e-6 from a root."""
+    turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    if draw(st.booleans()):
+        return draw(st.floats(0.0, 1e3)) * turn
+    root = roots[draw(st.integers(0, roots.size - 1))]
+    return root + 10.0 ** draw(st.floats(-12.0, -6.0)) * turn
+
+
+class TestRootProduct:
+    """Curve.poly's bulk route, curveperiods._real_product, against the
+    np.prod reduction it replaced."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(CURVES)),
+           st.sampled_from([(), (1,), (7,), (33,), (1, 2), (16, 2)]),
+           st.data())
+    def test_equals_np_prod(self, name, shape, data):
+        curve = CURVES[name]
+        roots = curve.branch_points
+        n = int(np.prod(shape))
+        z = np.array(data.draw(st.lists(probe_points(roots), min_size=n,
+                                        max_size=n)), dtype=complex)
+        z = z.reshape(shape)
+        want = np.prod(z[..., None] - roots, axis=-1)
+        self._assert_same_bits(curveperiods._real_product(z, roots), want)
+        self._assert_same_bits(curve.poly(z), want)
+        # past _BULK_POINTS, Curve.poly takes the real route itself
+        big = np.resize(z, (curveperiods._BULK_POINTS + 1,) + shape[1:])
+        self._assert_same_bits(
+            curve.poly(big), np.prod(big[..., None] - roots, axis=-1))
+
+    @pytest.mark.parametrize("grid", [(24, 32, None), (48, 64, None)])
+    @pytest.mark.parametrize("cone_point", [0, 3])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_metric_area_equals_two_sheet_prod(self, name, cone_point,
+                                                grid):
+        # the area as it was summed before: np.prod density, both sheets
+        curve = CURVES[name]
+        cfg = QuadratureConfig(surface_grid=grid)
+        surface = build_surface_grid(curve.branch_points, cfg)
+        lam = surface.nodes
+        dens = np.abs(lam - curve.branch_points[cone_point]) ** 2 \
+            / np.abs(np.prod(lam[:, None] - curve.branch_points, axis=-1))
+        one = np.asarray(1.0, dtype=complex)
+        total = 0.0 + 0.0j
+        for _ in (+1, -1):
+            total += np.sum(one * dens * surface.weights)
+        assert metric_area(curve, cone_point, cfg) == total.real
+
+
 class TestPeriodData:
     def setup_method(self):
         self.curve = make_z5_curve()

@@ -237,22 +237,26 @@ def _reference_surface_grid(branch_points, cfg, radial_breakpoints=None,
         r = np.abs(pts - bp[j])
         return numerics._smooth_step((disk_r - r) / (disk_r / 2.0))
 
+    def polar_patch(c, r_hi, n, k, breakpoints=None):
+        # a patch of its own, not a view into one grid array
+        r, rw = numerics._radii(0.0, r_hi, n, breakpoints)
+        return numerics._polar_patch(c, r, rw, k, shift,
+                                     np.empty(r.size * k, dtype=complex),
+                                     np.empty(r.size * k))
+
     all_pts, all_w = [], []
     for j in range(bp.size):
-        pts, w = numerics._polar_patch(bp[j], 0.0, disk_r, n_rad, n_ang,
-                                       angle_shift=shift)
+        pts, w = polar_patch(bp[j], disk_r, n_rad, n_ang)
         all_pts.append(pts)
         all_w.append(w * bump_at(pts, j))
-    pts, w = numerics._polar_patch(center, 0.0, radius, 2 * n_rad, 2 * n_ang,
-                                   breakpoints=radial_breakpoints,
-                                   angle_shift=shift)
+    pts, w = polar_patch(center, radius, 2 * n_rad, 2 * n_ang,
+                         radial_breakpoints)
     comp = np.ones_like(w)
     for j in range(bp.size):
         comp = comp * (1.0 - bump_at(pts, j))
     all_pts.append(pts)
     all_w.append(w * comp)
-    mpts, mw = numerics._polar_patch(0.0, 0.0, 1.0 / radius, n_rad, n_ang,
-                                     angle_shift=shift)
+    mpts, mw = polar_patch(0.0, 1.0 / radius, n_rad, n_ang)
     all_pts.append(center + 1.0 / mpts)
     all_w.append(mw / np.abs(mpts) ** 4)
     nodes = np.concatenate(all_pts)
