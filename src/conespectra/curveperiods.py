@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -249,6 +249,22 @@ def _angle_sorted(curve):
     return order
 
 
+@lru_cache(maxsize=16)
+def _loop_panels(panels):
+    """(weights, sin theta, cos theta) of loop_nodes' rule: 10-point Gauss
+    on each of panels equal panels of [-pi/2, pi/2], read-only."""
+    xg, wg = gauss_legendre(10)
+    edges = np.linspace(-np.pi / 2, np.pi / 2, panels + 1)
+    thetas = np.concatenate(
+        [(a + b) / 2 + (b - a) / 2 * xg for a, b in zip(edges[:-1], edges[1:])])
+    weights = np.concatenate(
+        [(b - a) / 2 * wg for a, b in zip(edges[:-1], edges[1:])])
+    rule = weights, np.sin(thetas), np.cos(thetas)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def loop_nodes(curve, i0, i1, panels=16):
     """Quadrature nodes along the segment between branch points (i0, i1)
     with the desingularizing substitution lambda = mid + halfgap*sin(theta).
@@ -257,22 +273,19 @@ def loop_nodes(curve, i0, i1, panels=16):
     integral around the pair is sum(w * (G(lams, y_plus) - G(lams, -y_plus))),
     up to the loop's orientation sign.  y_plus is a continuous branch of y
     along the segment; w absorbs dlambda/dtheta and the panel weights.
+    The panel rule (theta weights, sin theta, cos theta) is built once per
+    panel count and kept, read-only, in a cache of 16 panel counts.
     """
     e0, e1 = curve.branch_points[i0], curve.branch_points[i1]
     rest = np.delete(curve.branch_points, [i0, i1])
     mid, half = (e0 + e1) / 2.0, (e1 - e0) / 2.0
-    xg, wg = gauss_legendre(10)
-    edges = np.linspace(-np.pi / 2, np.pi / 2, panels + 1)
-    thetas = np.concatenate(
-        [(a + b) / 2 + (b - a) / 2 * xg for a, b in zip(edges[:-1], edges[1:])])
-    weights = np.concatenate(
-        [(b - a) / 2 * wg for a, b in zip(edges[:-1], edges[1:])])
-    lams = mid + half * np.sin(thetas)
+    weights, sin, cos = _loop_panels(panels)
+    lams = mid + half * sin
     # track the square-root product over the remaining four branch points
     g0 = cmath.sqrt(complex(np.prod(lams[0] - rest)))
     gs = _continue_sqrt(rest, lams[0], lams[-1], g0, lams)
-    y_plus = 1j * half * np.cos(thetas) * gs
-    w = weights * half * np.cos(thetas)
+    y_plus = 1j * half * cos * gs
+    w = weights * half * cos
     return lams, w, y_plus
 
 

@@ -32,8 +32,13 @@ class TruncatedSeries:
     """Polynomial jet c0 + c1 t + ... + cN t^N with exact arithmetic
     through order N.
 
-    Instances are immutable; all operations return new series.  Binary
-    operations truncate to the smaller of the two orders.
+    Instances are immutable.  The constructor checks its input, and so
+    does truncate, which takes an order; every other operation builds its
+    result with _of, which does not.  Binary operations truncate to the
+    smaller order; a non-series operand is a scalar.  unit_root, inverse,
+    compose and reciprocal loop on arrays with the np.convolve and np.dot
+    calls of the series operators, in their order: the CLI reports pinned
+    in stagebench/reference need these bits.
     """
 
     __slots__ = ("coeffs", "order")
@@ -42,147 +47,119 @@ class TruncatedSeries:
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
-        if order is None:
-            order = c.size - 1
-        if order + 1 < c.size:
-            c = c[: order + 1]
-        elif order + 1 > c.size:
-            c = np.concatenate([c, np.zeros(order + 1 - c.size, dtype=complex)])
-        self.coeffs = c
+        self.order = c.size - 1 if order is None else order
+        self.coeffs = np.zeros(self.order + 1, dtype=complex)
+        self.coeffs[: c.size] = c[: self.order + 1]
         self.coeffs.setflags(write=False)
-        self.order = order
 
     @classmethod
-    def identity(cls, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def constant(cls, value, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
-        return cls(c)
+    def _of(cls, c):
+        # the series with complex coefficient array c, frozen, unchecked
+        s = cls.__new__(cls)
+        c.setflags(write=False)
+        s.coeffs, s.order = c, c.size - 1
+        return s
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
 
     def _common(self, other):
         n = min(self.order, other.order)
-        return n, self.coeffs[: n + 1], other.coeffs[: n + 1]
+        return self.coeffs[: n + 1], other.coeffs[: n + 1]
 
     def __add__(self, other):
-        if np.isscalar(other):
-            c = self.coeffs.copy()
-            c[0] += other
-            return TruncatedSeries(c)
-        n, a, b = self._common(other)
-        return TruncatedSeries(a + b, n)
+        if isinstance(other, TruncatedSeries):
+            return self._of(np.add(*self._common(other)))
+        c = self.coeffs.copy()
+        c[0] += other
+        return self._of(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(-self.coeffs)
+        return self._of(-self.coeffs)
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-other)
-        n, a, b = self._common(other)
-        return TruncatedSeries(a - b, n)
+        if isinstance(other, TruncatedSeries):
+            return self._of(np.subtract(*self._common(other)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return TruncatedSeries(self.coeffs * other)
-        n, a, b = self._common(other)
-        # plain convolution; N <= 32 so no FFT needed
-        out = np.convolve(a, b)[: n + 1]
-        return TruncatedSeries(out, n)
+        if isinstance(other, TruncatedSeries):
+            a, b = self._common(other)
+            # plain convolution; N <= 32 so no FFT needed
+            return self._of(np.convolve(a, b)[: a.size])
+        return self._of(self.coeffs * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if np.isscalar(other):
-            return self * (1.0 / other)
-        return self * other.reciprocal()
+        if isinstance(other, TruncatedSeries):
+            return self * other.reciprocal()
+        return self * (1.0 / other)
 
     def reciprocal(self):
         """Series 1/f; requires a leading coefficient away from zero."""
-        if abs(self.coeffs[0]) < _LEADING_TOL:
-            raise DegenerateJet(
-                f"reciprocal of series with leading coefficient "
-                f"{self.coeffs[0]!r}"
-            )
-        n = self.order
-        a = self.coeffs
-        out = np.zeros(n + 1, dtype=complex)
-        out[0] = 1.0 / a[0]
-        for k in range(1, n + 1):
-            out[k] = -np.dot(a[1 : k + 1], out[k - 1 :: -1]) / a[0]
-        return TruncatedSeries(out)
+        return self._of(_reciprocal(self.coeffs))
 
     def derivative(self):
-        if self.order == 0:
-            return TruncatedSeries([0.0])
         c = self.coeffs[1:] * np.arange(1, self.order + 1)
-        return TruncatedSeries(c, self.order - 1)
+        return self._of(c if c.size else np.zeros(1, complex))
 
     def integral(self):
         """Antiderivative vanishing at 0; order grows by one."""
         c = np.zeros(self.order + 2, dtype=complex)
         c[1:] = self.coeffs / np.arange(1, self.order + 2)
-        return TruncatedSeries(c)
+        return self._of(c)
 
     def compose(self, inner):
         """self(inner(t)); inner must vanish at 0."""
         if abs(inner.coeffs[0]) > _LEADING_TOL:
             raise ValueError("composition requires inner(0) = 0")
         n = min(self.order, inner.order)
-        g = TruncatedSeries(inner.coeffs[: n + 1], n)
-        acc = TruncatedSeries.constant(self.coeffs[min(n, self.order)], n)
-        for k in range(min(n, self.order) - 1, -1, -1):  # Horner in series
-            acc = acc * g + self.coeffs[k]
-        return acc
+        return self._of(
+            _compose(self.coeffs[: n + 1], inner.coeffs[: n + 1]))
 
     def inverse(self):
         """Functional inverse g with self(g(t)) = t + O(t^{N+1}).
 
         Requires f(0) = 0 and f'(0) != 0.
         """
-        if abs(self.coeffs[0]) > _LEADING_TOL:
-            raise ValueError("functional inverse requires f(0) = 0")
-        if abs(self.coeffs[1]) < _LEADING_TOL:
-            raise DegenerateJet("functional inverse requires f'(0) != 0")
-        n = self.order
         f = self.coeffs
-        g = np.zeros(n + 1, dtype=complex)
+        if abs(f[0]) > _LEADING_TOL:
+            raise ValueError("functional inverse requires f(0) = 0")
+        if abs(f[1]) < _LEADING_TOL:
+            raise DegenerateJet("functional inverse requires f'(0) != 0")
+        g = np.zeros(self.order + 1, dtype=complex)
         g[1] = 1.0 / f[1]
-        # solve f(g(t)) = t order by order
-        for m in range(2, n + 1):
-            gm = TruncatedSeries(g[: m + 1], m)
-            val = TruncatedSeries(f[: m + 1], m).compose(gm).coeffs[m]
-            # with g[m] still zero, the t^m coefficient of f(g) misses f1*g[m]
-            g[m] = -val / f[1]
-        return TruncatedSeries(g)
+        # solve f(g(t)) = t order by order; with g[m] still zero, the t^m
+        # coefficient of f(g) misses f1*g[m]
+        for m in range(2, self.order + 1):
+            g[m] = -_compose(f[: m + 1], g[: m + 1])[m] / f[1]
+        return self._of(g)
 
     def unit_root(self, k, branch=0):
         """k-th root of a series with nonzero constant term.
 
         branch selects among the k roots of the constant term.
         """
-        if abs(self.coeffs[0]) < _LEADING_TOL:
+        c = self.coeffs
+        if abs(c[0]) < _LEADING_TOL:
             raise DegenerateJet("unit_root requires a nonzero constant term")
         n = self.order
-        r0 = self.coeffs[0] ** (1.0 / k) * cmath.exp(2j * cmath.pi * branch / k)
-        r = TruncatedSeries.constant(r0, n)
+        one, r = np.zeros((2, n + 1), dtype=complex)
+        one[0] = 1.0
+        r[0] = c[0] ** (1.0 / k) * cmath.exp(2j * cmath.pi * branch / k)
         for _ in range(n + 2):  # Newton on r^k = self
-            rk1 = TruncatedSeries.constant(1.0, n)
+            rk1 = one
             for _ in range(k - 1):
-                rk1 = rk1 * r
-            r = r - (rk1 * r - self) / (k * rk1)
-        return r
+                rk1 = np.convolve(rk1, r)[: n + 1]
+            step = np.convolve(rk1, r)[: n + 1] - c
+            r = r - np.convolve(step, _reciprocal(rk1 * k))[: n + 1]
+        return self._of(r)
 
     def evaluate(self, t):
         """Horner evaluation; t may be a scalar or ndarray."""
@@ -199,6 +176,28 @@ class TruncatedSeries:
         even = self.coeffs[0::2]
         scale = max(np.abs(self.coeffs).max(), 1.0)
         return bool(np.all(np.abs(even) <= tol * scale))
+
+
+def _reciprocal(a):
+    a0 = a[0]
+    if abs(a0) < _LEADING_TOL:
+        raise DegenerateJet(
+            f"reciprocal of series with leading coefficient {a0!r}")
+    out = np.zeros(a.size, dtype=complex)
+    out[0] = 1.0 / a0
+    for k in range(1, a.size):
+        out[k] = -np.dot(a[1 : k + 1], out[k - 1 :: -1]) / a0
+    return out
+
+
+def _compose(f, g):
+    # f(g(t)) by Horner in series, for arrays of one length with g[0] = 0
+    acc = np.zeros_like(f)
+    acc[0] = f[-1]
+    for k in range(f.size - 2, -1, -1):
+        acc = np.convolve(acc, g)[: f.size]
+        acc[0] += f[k]
+    return acc
 
 
 class BivariateSeries:
@@ -227,22 +226,18 @@ class BivariateSeries:
         """Return H with (t1 - t2)^2 * H = self, as exact jets.
 
         Requires self to vanish to second order on the diagonal t1 = t2;
-        the overdetermined coefficient recurrence is solved row by row and
-        the residual is checked.
+        of the overdetermined recurrence only the equations with a >= 2
+        are solved, and the others are not checked.
         """
         k = self.coeffs
         n = self.order
         h = np.zeros((n + 1, n + 1), dtype=complex)
-        # k[a,b] = h[a-2,b] - 2 h[a-1,b-1] + h[a,b-2]
-        # solve along anti-diagonals of h (total degree d), using the
-        # equations with a >= 2 which are lower-triangular in that order
-        # h[a,b] depends on entries with larger first index on the same
-        # anti-diagonal, so sweep a downwards
-        for d in range(0, 2 * n - 1):
-            for a in range(min(n, d), max(0, d - n) - 1, -1):
+        # k[a,b] = h[a-2,b] - 2 h[a-1,b-1] + h[a,b-2]; along an
+        # anti-diagonal of h (total degree d) h[a,b] depends on entries
+        # with larger first index, so sweep a downwards
+        for d in range(2 * n - 1):
+            for a in range(min(n - 2, d), max(0, d - n) - 1, -1):
                 b = d - a
-                if a + 2 > n or b > n:
-                    continue
                 prev = 0.0 + 0.0j
                 if b - 1 >= 0:
                     prev += -2.0 * h[a + 1, b - 1]
@@ -293,7 +288,10 @@ class QuadratureConfig:
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n):
+    # read-only: every caller shares the cached nodes and weights
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
@@ -329,9 +327,7 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
     (n, k).  With lift, f takes (points, y) and lift(a, b, y_a, points)
     continues y to points on the current segment [a, b] from its start a,
     where it has the value y_a, beginning with y0 at the first vertex.
-    A subinterval is accepted when the largest component gap between the
-    two rules is at most max(tol, 1e-10 * the largest component of the
-    20-point value).
+    _embedded_gauss decides whether a subinterval is accepted.
     budget caps the bisections over the whole path; an integral that
     needs more raises NonConvergence.  Returns (value, error, y_end),
     where error sums the accepted gaps and y_end is y continued to the

@@ -377,6 +377,45 @@ class TestRootProduct:
         assert metric_area(curve, cone_point, cfg) == total.real
 
 
+def _direct_loop_nodes(curve, i0, i1, panels):
+    """loop_nodes with its panel rule built in place on every call."""
+    e0, e1 = curve.branch_points[i0], curve.branch_points[i1]
+    rest = np.delete(curve.branch_points, [i0, i1])
+    mid, half = (e0 + e1) / 2.0, (e1 - e0) / 2.0
+    xg, wg = gauss_legendre(10)
+    edges = np.linspace(-np.pi / 2, np.pi / 2, panels + 1)
+    thetas = np.concatenate(
+        [(a + b) / 2 + (b - a) / 2 * xg for a, b in zip(edges[:-1], edges[1:])])
+    weights = np.concatenate(
+        [(b - a) / 2 * wg for a, b in zip(edges[:-1], edges[1:])])
+    lams = mid + half * np.sin(thetas)
+    g0 = cmath.sqrt(complex(np.prod(lams[0] - rest)))
+    gs = _continue_sqrt(rest, lams[0], lams[-1], g0, lams)
+    y_plus = 1j * half * np.cos(thetas) * gs
+    w = weights * half * np.cos(thetas)
+    return lams, w, y_plus
+
+
+class TestLoopNodes:
+    @pytest.mark.parametrize("panels", [16, 24, 32, 64, 128])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_equals_direct_formula(self, name, panels):
+        curve = CURVES[name]
+        order = curveperiods._angle_sorted(curve)
+        for i in range(6):
+            i0, i1 = order[i], order[(i + 1) % 6]
+            for got, ref in zip(curveperiods.loop_nodes(curve, i0, i1, panels),
+                                _direct_loop_nodes(curve, i0, i1, panels)):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_cached_panel_rule_refuses_writes(self):
+        rule = curveperiods._loop_panels(16)
+        assert curveperiods._loop_panels(16)[0] is rule[0]
+        for a in rule:
+            with pytest.raises(ValueError):
+                a[0] = a[0]  # the same value: a failing check corrupts nothing
+
+
 class TestPeriodData:
     def setup_method(self):
         self.curve = make_z5_curve()

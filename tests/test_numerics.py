@@ -1,12 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conespectra import numerics
-from conespectra.curveperiods import make_curve, make_z5_curve
+from conespectra import bidiff, numerics
+from conespectra.curveperiods import make_curve, make_z5_curve, period_data
 from conespectra.errors import DegenerateJet, NonConvergence, SingularityOnGrid
 from conespectra.numerics import (
     BivariateSeries,
@@ -66,6 +67,159 @@ class TestSeriesArithmetic:
     def test_odd_detection(self):
         assert TruncatedSeries([0, 1, 0, -2, 0, 3]).is_odd()
         assert not TruncatedSeries([0, 1, 0.5]).is_odd()
+
+    def test_zero_dim_array_operand_is_a_scalar(self):
+        f = TruncatedSeries([1, 2, 3])
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a / b):
+            got = op(f, np.array(2.0))
+            np.testing.assert_array_equal(got.coeffs, op(f, 2.0).coeffs)
+            assert got.order == f.order
+
+    def test_constructor_pads_truncates_and_freezes(self):
+        c = np.array([1.0, 2.0, 3.0])
+        f = TruncatedSeries(c, order=4)
+        np.testing.assert_array_equal(f.coeffs, [1, 2, 3, 0, 0])
+        assert f.coeffs.dtype == complex and f.order == 4
+        np.testing.assert_array_equal(TruncatedSeries(c, 1).coeffs, [1, 2])
+        with pytest.raises(ValueError):
+            f.coeffs[0] = 0.0
+        with pytest.raises(ValueError):
+            TruncatedSeries([])
+        with pytest.raises(ValueError):
+            f.truncate(-1)
+
+
+# ---------------------------------------------------------------------------
+# object-path reference for the array loops of TruncatedSeries: the series
+# algorithms as they were written on the series operators, one series per
+# step; the array loops must equal them bit for bit
+# ---------------------------------------------------------------------------
+
+def _ref_constant(value, order):
+    c = np.zeros(order + 1, dtype=complex)
+    c[0] = value
+    return TruncatedSeries(c)
+
+
+def ref_reciprocal(f):
+    n, a = f.order, f.coeffs
+    if abs(a[0]) < 1e-13:
+        raise DegenerateJet("reciprocal of a series with leading zero")
+    out = np.zeros(n + 1, dtype=complex)
+    out[0] = 1.0 / a[0]
+    for k in range(1, n + 1):
+        out[k] = -np.dot(a[1 : k + 1], out[k - 1 :: -1]) / a[0]
+    return TruncatedSeries(out)
+
+
+def ref_compose(f, inner):
+    n = min(f.order, inner.order)
+    g = TruncatedSeries(inner.coeffs[: n + 1], n)
+    acc = _ref_constant(f.coeffs[n], n)
+    for k in range(n - 1, -1, -1):  # Horner in series
+        acc = acc * g + f.coeffs[k]
+    return acc
+
+
+def ref_inverse(f):
+    n, c = f.order, f.coeffs
+    g = np.zeros(n + 1, dtype=complex)
+    g[1] = 1.0 / c[1]
+    for m in range(2, n + 1):
+        gm = TruncatedSeries(g[: m + 1], m)
+        val = ref_compose(TruncatedSeries(c[: m + 1], m), gm).coeffs[m]
+        g[m] = -val / c[1]
+    return TruncatedSeries(g)
+
+
+def ref_unit_root(f, k, branch=0):
+    n = f.order
+    r0 = f.coeffs[0] ** (1.0 / k) * cmath.exp(2j * cmath.pi * branch / k)
+    r = _ref_constant(r0, n)
+    for _ in range(n + 2):  # Newton on r^k = f
+        rk1 = _ref_constant(1.0, n)
+        for _ in range(k - 1):
+            rk1 = rk1 * r
+        r = r - (rk1 * r - f) * ref_reciprocal(k * rk1)
+    return r
+
+
+def _same(got, ref):
+    assert got.order == ref.order
+    assert np.array_equal(got.coeffs, ref.coeffs)
+
+
+unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
+complex_coeff = st.builds(complex, unit, unit)
+
+
+@st.composite
+def complex_series(draw, lead=None, order=None):
+    """Random complex series of order 14..32; lead fixes the constant
+    term: 0 (a series compose and inverse accept as inner or f, with a
+    linear term of modulus 0.75..1.5) or None (a constant term of modulus
+    0.5..2, as unit_root and reciprocal need)."""
+    n = draw(st.integers(14, 32)) if order is None else order
+    rest = draw(st.lists(complex_coeff, min_size=n + 1, max_size=n + 1))
+    if lead is None:
+        rest[0] = cmath.rect(draw(st.floats(0.5, 2.0)),
+                             draw(st.floats(-math.pi, math.pi)))
+    else:
+        rest[0] = lead
+        rest[1] = cmath.rect(draw(st.floats(0.75, 1.5)),
+                             draw(st.floats(-math.pi, math.pi)))
+    return TruncatedSeries(rest)
+
+
+# a bit-level mismatch needs no minimal witness, and shrinking these
+# examples takes minutes and hundreds of MB: the failing draw is reported
+# as found
+bitwise = settings(max_examples=30, deadline=None,
+                   phases=[Phase.explicit, Phase.reuse, Phase.generate])
+
+
+class TestArrayLoopsMatchObjectPath:
+    @bitwise
+    @given(complex_series())
+    def test_unit_root_every_branch(self, f):
+        for k in (2, 3):
+            for branch in range(k):
+                _same(f.unit_root(k, branch), ref_unit_root(f, k, branch))
+
+    @bitwise
+    @given(complex_series())
+    def test_reciprocal(self, f):
+        _same(f.reciprocal(), ref_reciprocal(f))
+
+    @bitwise
+    @given(complex_series(), complex_series(lead=0.0))
+    def test_compose(self, f, inner):
+        _same(f.compose(inner), ref_compose(f, inner))
+
+    @bitwise
+    @given(complex_series(lead=0.0))
+    def test_inverse(self, f):
+        _same(f.inverse(), ref_inverse(f))
+
+    @pytest.mark.parametrize("name", ["z5", "generic"])
+    def test_distinguished_frame(self, name, monkeypatch):
+        # all six cone points at order 20, then again with the object-path
+        # algorithms patched into the series class
+        curve = GRID_CURVES[name]
+        pds = [period_data(curve, cp) for cp in range(6)]
+        frames = [bidiff.distinguished_frame(curve, pd, cp, order=20)
+                  for cp, pd in enumerate(pds)]
+        for meth, ref in [("unit_root", ref_unit_root),
+                          ("reciprocal", ref_reciprocal),
+                          ("compose", ref_compose),
+                          ("inverse", ref_inverse)]:
+            monkeypatch.setattr(TruncatedSeries, meth, ref)
+        for cp, (pd, frame) in enumerate(zip(pds, frames)):
+            ref = bidiff.distinguished_frame(curve, pd, cp, order=20)
+            _same(frame.xi_of_zeta, ref.xi_of_zeta)
+            _same(frame.zeta_of_xi, ref.zeta_of_xi)
+            _same(frame.g_series, ref.g_series)
 
 
 coeff = st.floats(min_value=-2, max_value=2, allow_nan=False)
@@ -167,6 +321,15 @@ class TestGamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma(-1.0)
+
+
+class TestGaussLegendre:
+    def test_cached_rule_refuses_writes(self):
+        x, w = numerics.gauss_legendre(10)
+        assert numerics.gauss_legendre(10)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = a[0]  # the same value: a failing check corrupts nothing
 
 
 class TestPathQuadrature:
@@ -304,16 +467,37 @@ class TestSurfaceQuadrature:
         np.testing.assert_array_equal(g.weights, ref.weights)
         assert g.center == ref.center
 
+    @pytest.mark.parametrize("name", sorted(GRID_CURVES))
+    def test_large_grid_matches_reference(self, name):
+        bp = GRID_CURVES[name].branch_points
+        cfg = QuadratureConfig(surface_grid=(192, 256, None))
+        g = build_surface_grid(bp, cfg)
+        ref = _reference_surface_grid(bp, cfg)
+        np.testing.assert_array_equal(g.nodes, ref.nodes)
+        np.testing.assert_array_equal(g.weights, ref.weights)
+
     @pytest.mark.parametrize("patch", [2, 6, 7],
                              ids=["branch-disk", "main-disk", "exterior-chart"])
     def test_node_on_branch_point_raises(self, patch, monkeypatch):
+        self._check_moved_node_raises(patch, 0.0, monkeypatch)
+
+    @pytest.mark.parametrize("patch", [2, 6, 7],
+                             ids=["branch-disk", "main-disk", "exterior-chart"])
+    def test_node_next_to_branch_point_raises(self, patch, monkeypatch):
+        # 1e-13 from the branch point, below the 1e-12 * span threshold
+        self._check_moved_node_raises(patch, 1e-13, monkeypatch)
+
+    @staticmethod
+    def _check_moved_node_raises(patch, offset, monkeypatch):
         # the grid's _polar_patch calls are the six branch disks, the main
         # disk and the exterior chart, in that order; one node of the
-        # chosen patch moves onto a branch point: disk 2's own, or branch
-        # point 4 (mu = 1 / (lambda - center) on the exterior chart)
+        # chosen patch moves onto a branch point, or offset from it: disk
+        # 2's own, or branch point 4 (mu = 1 / (lambda - center) on the
+        # exterior chart)
         bp = GRID_CURVES["generic"].branch_points
         cfg = QuadratureConfig(surface_grid=(6, 8, None))
-        onto = {2: bp[2], 6: bp[4], 7: 1.0 / (bp[4] - bp.mean())}[patch]
+        mu4 = 1.0 / (bp[4] + offset - bp.mean())
+        onto = {2: bp[2] + offset, 6: bp[4] + offset, 7: mu4}[patch]
         polar_patch = numerics._polar_patch
         calls = []
 
