@@ -56,12 +56,10 @@ class Curve:
         """prod(lambda - lambda_j) over the branch points (_root_product)."""
         return _root_product(lam, self.branch_points)
 
-    def reference_y(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        return np.prod(np.sqrt(lam[..., None] - self.branch_points), axis=-1)
-
     def y_at(self, lam, sheet=1):
-        return sheet * self.reference_y(lam)
+        lam = np.asarray(lam, dtype=complex)
+        return sheet * np.prod(np.sqrt(lam[..., None] - self.branch_points),
+                               axis=-1)
 
 
 # _root_product takes np.prod below this many points, where it is cheaper
@@ -70,11 +68,11 @@ _BULK_POINTS = 1024
 
 def _root_product(z, roots):
     """prod(z - r) over roots on the last axis, equal bit for bit to
-    np.prod(z[..., None] - roots, axis=-1): that call below _BULK_POINTS
-    points, _real_product from there on."""
+    np.prod(z[..., None] - roots, axis=-1): its reduction below
+    _BULK_POINTS points, _real_product from there on."""
     z = np.asarray(z, dtype=complex)
     if z.size < _BULK_POINTS:
-        return np.prod(z[..., None] - roots, axis=-1)
+        return np.multiply.reduce(z[..., None] - roots, axis=-1)
     return _real_product(z, roots)
 
 
@@ -184,27 +182,22 @@ def _continue_sqrt(roots, a, b, val, targets):
 
     a, b and val may be arrays of segments, all of one shape Q; the
     targets then have shape (..., *Q), each continued along the segment
-    it is aligned with on the trailing axes.  A call with arrays of starts equals the
-    per-start scalar calls bit for bit.
+    it is aligned with on the trailing axes.  A call with arrays of
+    starts equals the per-start scalar calls bit for bit.
     """
     targets = np.asarray(targets, dtype=complex)
-    a, b, val = (np.asarray(v).ravel() for v in (a, b, val))
+    a, b, val = np.ravel(a), np.ravel(b), np.ravel(val)
     tgt = targets.reshape(-1, a.size)
     exact = np.sqrt(_root_product(tgt, roots))
     from_a = a[:, None] - roots
     ratio = (b[:, None] - roots) / from_a
     rule = np.abs(np.arctan2(ratio.imag, ratio.real)).sum(axis=-1) \
         < _TURN_BOUND
-    n_rule = np.count_nonzero(rule)
-    keep = np.empty(exact.shape, dtype=bool)
-    # each path takes its segments' columns, all of them as a view
-    if n_rule:
-        cols = rule if n_rule < rule.size else slice(None)
-        ex, v = exact[:, cols], val[cols]
-        # Re(exact * conj(val)) > 0
-        keep[:, cols] = ex.real * v.real + ex.imag * v.imag > 0
-    if n_rule < rule.size:
-        cols = ~rule if n_rule else slice(None)
+    # the sign rule on every column, Re(exact * conj(val)) > 0; the
+    # columns past the turn bound are then overwritten
+    keep = exact.real * val.real + exact.imag * val.imag > 0
+    if not rule.all():
+        cols = ~rule
         ex = exact[:, cols]
         diff = tgt[:, cols][..., None] - roots
         cont = val[cols] * np.prod(np.sqrt(diff / from_a[cols]), axis=-1)

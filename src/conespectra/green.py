@@ -21,6 +21,7 @@ averaged form Omega_bar_y is A(z,y) + P_y(lambda_z) / y_z minus that sum
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -39,8 +40,8 @@ from .errors import (
     PathTooCloseToBranchPoint,
     StepTooSmall,
 )
-from .numerics import (QuadratureConfig, _embedded_gauss, build_surface_grid,
-                       gauss_legendre, integrate_path)
+from .numerics import (QuadratureConfig, _embedded_gauss, _path_nodes,
+                       build_surface_grid, integrate_path)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,10 @@ def build_path(curve, lam_from, lam_to, depth=0):
     """Polyline from lam_from to lam_to whose every segment keeps clear of
     the branch points by _blocked's rule: a segment that passes too close
     to one is split at a detour point min_gap / 2 from it, on the side of
-    its foot."""
+    its foot.  A segment shorter than g / 2, g the larger endpoint gap,
+    returns at once if g / 2 > 2e-9 scale: its points lie over g / 2 from
+    every branch point, above both floors of _blocked (0.3 times the
+    smaller gap, 1e-9 scale), so _blocked would pass it too."""
     a, b = complex(lam_from), complex(lam_to)
     if depth > 12:
         raise PathTooCloseToBranchPoint(
@@ -83,7 +87,10 @@ def build_path(curve, lam_from, lam_to, depth=0):
     if a == b:
         return [a]
     bps = curve.branch_points
-    gap_a, gap_b = (float(np.abs(z - bps).min()) for z in (a, b))
+    gap_a, gap_b = np.abs(np.array([[a], [b]]) - bps).min(axis=1).tolist()
+    half_gap = 0.5 * max(gap_a, gap_b)
+    if abs(b - a) < half_gap and half_gap > 2e-9 * curve.scale:
+        return [a, b]
     bad, feet, d = _blocked(curve, a, b, gap_a, gap_b)
     if not bad.any():
         return [a, b]
@@ -101,19 +108,17 @@ def _flip_loop(curve, lam_at):
     """Closed polyline from lam_at around the first branch point and back;
     the y-continuation along it ends on the other sheet.
 
-    Within min_gap / 2 of that branch point it is the 16-gon about the
-    branch point through lam_at itself, which encloses no other branch
-    point; farther out, build_path legs lead from lam_at to the 16-gon of
-    radius min_gap / 3 and back."""
+    It is the 16-gon about that branch point through lam_at, within
+    min_gap / 2 of it (the tree hubs and the moment base point are, on
+    every build_surface_grid grid; a farther start is a ConsistencyFailure),
+    so it encloses no other branch point."""
     bp = complex(curve.branch_points[0])
-    r = curve.min_gap / 3.0
     direction = lam_at - bp
+    if not abs(direction) < 1.5 * (curve.min_gap / 3.0):
+        raise ConsistencyFailure(
+            f"sheet connector start {lam_at} is not next to {bp}")
     turns = [cmath.exp(2j * np.pi * k / 16) for k in range(1, 16)]
-    if abs(direction) < 1.5 * r:
-        return [lam_at] + [bp + direction * w for w in turns] + [lam_at]
-    start = bp + direction / abs(direction) * r
-    approach = build_path(curve, lam_at, start)
-    return approach + [bp + (start - bp) * w for w in turns] + approach[::-1]
+    return [lam_at] + [bp + direction * w for w in turns] + [lam_at]
 
 
 def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
@@ -130,8 +135,12 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
 
 def _arrival(curve, y_end, point: SurfacePoint):
     """1 if a path ending at y_end arrives on the other sheet of the point,
-    0 if on its own; ConsistencyFailure if at neither +-y within 1e-6."""
-    y_t = complex(curve.y_at(np.asarray(point.lam, complex), point.sheet))
+    0 if on its own; ConsistencyFailure if at neither +-y within 1e-6.
+    y(point), Curve.y_at's product of principal roots, is only compared,
+    so it is taken in scalar arithmetic."""
+    lam = complex(point.lam)
+    y_t = point.sheet * math.prod(
+        [cmath.sqrt(lam - r) for r in curve.branch_points.tolist()])
     miss = (abs(y_end - y_t), abs(y_end + y_t))
     s = int(miss[1] < miss[0])
     if miss[s] > 1e-6 * max(1.0, abs(y_t)):
@@ -186,24 +195,28 @@ def _moments_at(curve, base, m_conn, point: SurfacePoint):
     return m_conn - val if s else val
 
 
-def _form_values(lam, ys, t_lam, t_y, pcoef):
+def _form_values(lam, ys, t_lam, t_y, pcoef, both=False):
     """A(z, t) + P(lambda_z) / y_z at the points z = (lam, ys), with
     A(z, t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and pcoef the
     coefficients of P, lowest first.  For n second arguments pcoef is
     (5, n), and lam[:, None] gives one column per argument; an empty
     pcoef gives A alone.
 
-    A pair ys = (y, -y) gives the form on both sheets over lam, stacked on
-    a new last axis; P / y_z is then divided out once and negated for -y
-    (negation is exact in IEEE complex division)."""
-    sheets = ys if isinstance(ys, tuple) else (ys,)
-    poly = np.zeros(np.broadcast(lam, sheets[0], t_lam).shape, dtype=complex)
+    With h = 1 / (2 (lambda_z - lambda_t)) and g = (y_t h + P) / y_z the
+    form is h + g at y_z and h - g at -y_z, so two complex divisions, one
+    for h and one for g, serve one sheet or both.  both=True gives the
+    sheets ys and -ys stacked on a new last axis, written into one array."""
+    h = 0.5 / (lam - t_lam)
+    poly = 0.0
     for c in pcoef[::-1]:
         poly = poly * lam + c
-    p_y = poly / sheets[0]
-    forms = [(y + t_y) / (2.0 * y * (lam - t_lam)) + (-p_y if k else p_y)
-             for k, y in enumerate(sheets)]
-    return np.stack(forms, axis=-1) if len(forms) > 1 else forms[0]
+    g = (t_y * h + poly) / ys
+    if not both:
+        return h + g
+    out = np.empty(np.broadcast(h, g).shape + (2,), dtype=complex)
+    np.add(h, g, out=out[..., 0])
+    np.subtract(h, g, out=out[..., 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +480,8 @@ def _gauss_nodes(a, b):
     20-point, then the 10-point Gauss-Legendre nodes of
     numerics.integrate_path.  Cheap, so they are rebuilt rather than kept
     with a lift."""
-    x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
     half = (b - a) / 2.0
-    return (a + b) / 2.0 + half * x30[:, None], half
+    return (a + b) / 2.0 + half * _path_nodes()[:30, None], half
 
 
 def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
@@ -743,7 +755,8 @@ class GreenSolver:
         """The averaged form without its Cauchy sum (see
         GreenContext.omega_bar_values) on the tree sheet and on the other
         sheet."""
-        return _form_values(zs, (ys, -ys), self.y.lam, self.y_val, self.pcoef)
+        return _form_values(zs, ys, self.y.lam, self.y_val, self.pcoef,
+                            both=True)
 
     def u_at(self, x: SurfacePoint):
         """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with

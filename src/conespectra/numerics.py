@@ -295,6 +295,14 @@ def gauss_legendre(n):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _path_nodes():
+    """integrate_path's 20- then 10-point Gauss nodes, then 1.0; read-only."""
+    x = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0], [1.0]])
+    x.setflags(write=False)
+    return x
+
+
 def _embedded_gauss(half, vals, tol):
     """The embedded 20/10-point Gauss rules of integrate_path on one or
     more intervals.
@@ -302,17 +310,17 @@ def _embedded_gauss(half, vals, tol):
     vals holds the integrand along axis 0 at the 20-point and then the
     10-point Gauss-Legendre nodes of each interval; half is the interval
     half-length, a scalar or one per interval on the next axes of vals.
-    Returns the 20-point estimates, each interval's gap (the largest
-    component difference between the two rules) and whether the interval
-    is accepted: a gap of at most max(tol, 1e-10 * the largest component
-    of its 20-point estimate)."""
-    _, w10 = gauss_legendre(10)
-    _, w20 = gauss_legendre(20)
+    Each rule is np.tensordot's own np.dot call, on vals flattened past
+    axis 0.  Returns the 20-point estimates, each interval's gap (the
+    largest component difference between the two rules) and whether the
+    interval is accepted: a gap of at most max(tol, 1e-10 * the largest
+    component of its 20-point estimate)."""
+    w10, w20 = gauss_legendre(10)[1], gauss_legendre(20)[1]
     half = np.asarray(half)
-    hi_est = np.tensordot(w20, vals[:20], axes=(0, 0))
-    scale = half.reshape(half.shape + (1,) * (hi_est.ndim - half.ndim))
-    hi_est = scale * hi_est
-    lo_est = scale * np.tensordot(w10, vals[20:], axes=(0, 0))
+    rest = vals.shape[1:]
+    scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
+    hi_est = scale * np.dot(w20, vals[:20].reshape(20, -1)).reshape(rest)
+    lo_est = scale * np.dot(w10, vals[20:].reshape(10, -1)).reshape(rest)
     per_interval = half.shape + (-1,)
     gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
     top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
@@ -327,13 +335,14 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
     (n, k).  With lift, f takes (points, y) and lift(a, b, y_a, points)
     continues y to points on the current segment [a, b] from its start a,
     where it has the value y_a, beginning with y0 at the first vertex.
-    _embedded_gauss decides whether a subinterval is accepted.
-    budget caps the bisections over the whole path; an integral that
-    needs more raises NonConvergence.  Returns (value, error, y_end),
-    where error sums the accepted gaps and y_end is y continued to the
-    last vertex (y0 without lift).
+    _embedded_gauss decides whether a subinterval is accepted; a pass
+    lifts its nodes and b in one array, mid + half * _path_nodes() with
+    the last entry set to b.  budget caps the bisections over the whole
+    path; an integral that needs more raises NonConvergence.  Returns
+    (value, error, y_end), where error sums the accepted gaps and y_end is
+    y continued to the last vertex (y0 without lift).
     """
-    x30 = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0]])
+    x31 = _path_nodes()
     pts = [complex(p) for p in path]
     total = None
     total_err = 0.0
@@ -346,13 +355,14 @@ def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
         while stack:
             lo, hi = stack.pop()
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            zs = mid + half * x30
+            zs = mid + half * x31
             if lift is None:
-                vals = f(zs)
+                vals = f(zs[:30])
             else:
-                ys = lift(a, b, y_a, np.append(zs, b))
-                y_b = ys[-1]
-                vals = f(zs, ys[:30])
+                zs[30] = b
+                ys = lift(a, b, y_a, zs)
+                y_b = ys[30]
+                vals = f(zs[:30], ys[:30])
             hi_est, err, accepted = _embedded_gauss(half, vals, tol)
             err = float(err)
             if accepted:

@@ -42,15 +42,32 @@ def _continue_to(curve, a, y_a, b):
                                                y_a, [b])[0])
 
 
+_FLIP_LOOP = green._flip_loop
+
+
+def _reference_flip_loop(curve, lam_at):
+    """green._flip_loop from any start: the 16-gon through lam_at within
+    1.5 r of the first branch point (r = min_gap / 3), else build_path
+    legs from lam_at to the 16-gon of radius r and back."""
+    bp = complex(curve.branch_points[0])
+    r = curve.min_gap / 3.0
+    direction = lam_at - bp
+    if abs(direction) < 1.5 * r:
+        return _FLIP_LOOP(curve, lam_at)
+    start = bp + direction / abs(direction) * r
+    approach = green.build_path(curve, lam_at, start)
+    return approach + _FLIP_LOOP(curve, start)[1:-1] + approach[::-1]
+
+
 def _integrate_to(curve, lam0, y0, point, f):
     """Reference route: the integral of f from (lam0, y0) to the
     sheet-resolved point, with its error, along build_path, then once
-    around _flip_loop if the path arrives on the other sheet."""
+    around _reference_flip_loop if the path arrives on the other sheet."""
     val, err, y_end = green.integrate_vector_path(
         curve, green.build_path(curve, lam0, point.lam), y0, f)
     if green._arrival(curve, y_end, point):
         tail, e1, y_end = green.integrate_vector_path(
-            curve, green._flip_loop(curve, point.lam), y_end, f)
+            curve, _reference_flip_loop(curve, point.lam), y_end, f)
         val, err = val + tail, err + e1
         assert not green._arrival(curve, y_end, point)
     return val, err
@@ -94,6 +111,91 @@ def generic():
 @pytest.fixture(scope="module")
 def third_kind_models(z5, generic):
     return {"z5": z5[0], "generic": generic[0]}
+
+
+def _three_division_form(lam, ys, t_lam, t_y, pcoef):
+    """Reference for green._form_values: the three-division form it
+    replaced, (y + y_t) / (2 y (lambda - lambda_t)) + P / y per sheet,
+    a pair ys = (y, -y) stacked on a new last axis."""
+    sheets = ys if isinstance(ys, tuple) else (ys,)
+    poly = np.zeros(np.broadcast(lam, sheets[0], t_lam).shape, dtype=complex)
+    for c in pcoef[::-1]:
+        poly = poly * lam + c
+    p_y = poly / sheets[0]
+    forms = [(y + t_y) / (2.0 * y * (lam - t_lam)) + (-p_y if k else p_y)
+             for k, y in enumerate(sheets)]
+    return np.stack(forms, axis=-1) if len(forms) > 1 else forms[0]
+
+
+def _form_size(lam, ys, t_lam, t_y, pcoef):
+    """S = |h| + |y_t h / y| + |P / y|, h = 1 / (2 (lambda - lambda_t)):
+    the size of the terms both forms round."""
+    h = 0.5 / (lam - t_lam)
+    poly = 0.0
+    for c in pcoef[::-1]:
+        poly = poly * lam + c
+    return np.abs(h) + np.abs(t_y * h / ys) + np.abs(poly / ys)
+
+
+# Taking a complex multiply to round by at most 2 eps of its result's
+# modulus, a (Smith) division by 8 eps and an add by eps / 2, the
+# three-division form is within 11 eps S of the exact value and the
+# two-division form within 19 eps S, to first order; they differ by at
+# most 30 eps S
+FORM_ROUNDING = 32 * np.finfo(float).eps
+
+
+class TestFormKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           t=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+           t_sheet=st.sampled_from([1, -1]),
+           near=st.sampled_from(["y", "antipode", "free"]),
+           log_r=st.floats(-8.0, -3.0),
+           phase=st.floats(0.0, 2.0 * np.pi),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_three_division_form(self, name, t, t_sheet, near,
+                                         log_r, phase, seed):
+        # one sheet, the pair (y, -y) and a (5, n) pcoef with column
+        # arguments, at points next to y (the pole), next to its antipode
+        # (y_z + y_t cancels) or anywhere, on both curves
+        curve = CURVES[name]
+        rng = np.random.default_rng(seed)
+        t_lam = complex(*t)
+        assume(np.abs(t_lam - curve.branch_points).min() > 1e-3)
+        t_y = complex(curve.y_at(np.asarray(t_lam), t_sheet))
+        if near == "free":
+            lam = rng.uniform(-1.6, 1.6, 12) + 1j * rng.uniform(-1.6, 1.6, 12)
+            sheet = t_sheet
+        else:
+            lam = t_lam + 10.0 ** (log_r + rng.uniform(0.0, 1.0, 12)) \
+                * np.exp(1j * (phase + np.arange(12)))
+            sheet = t_sheet if near == "y" else -t_sheet
+        ys = curve.y_at(lam, sheet)
+        pcoef = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal(
+            (5, 3))) * 10.0 ** rng.uniform(-3, 3, (5, 3))
+        cases = []
+        # one sheet
+        size = _form_size(lam, ys, t_lam, t_y, pcoef[:, 0])
+        cases.append((green._form_values(lam, ys, t_lam, t_y, pcoef[:, 0]),
+                      _three_division_form(lam, ys, t_lam, t_y, pcoef[:, 0]),
+                      size))
+        # both sheets, stacked
+        cases.append((green._form_values(lam, ys, t_lam, t_y, pcoef[:, 0],
+                                         both=True),
+                      _three_division_form(lam, (ys, -ys), t_lam, t_y,
+                                           pcoef[:, 0]),
+                      np.stack([size, size], axis=-1)))
+        # one column per second argument: t, and two points next to it
+        t_cols = t_lam + np.array([0.0, 1e-2, 2e-2j])
+        ty_cols = curve.y_at(t_cols, t_sheet)
+        args = (lam[:, None], ys[:, None], t_cols, ty_cols, pcoef)
+        cases.append((green._form_values(*args), _three_division_form(*args),
+                      _form_size(*args)))
+        for got, ref, size in cases:
+            assert got.shape == ref.shape
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - ref) <= FORM_ROUNDING * size)
 
 
 class TestThirdKind:
@@ -148,7 +250,7 @@ class TestThirdKind:
                 curve, verts, y0, lambda z, y: form.values(z, y)[:, None])
             y_t = complex(curve.y_at(np.asarray(to.lam, complex), to.sheet))
             if abs(y_end - y_t) > abs(y_end + y_t):
-                loop = green._flip_loop(curve, to.lam)
+                loop = _reference_flip_loop(curve, to.lam)
                 tail, _, _ = green.integrate_vector_path(
                     curve, loop, y_end,
                     lambda z, y: form.values(z, y)[:, None])
@@ -262,6 +364,36 @@ class TestBuildPath:
             assert clr >= _clearance_floor(curve, u, v), (u, v)
             assert clr > 1e-9 * curve.scale
 
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           ends=st.lists(st.tuples(st.integers(0, 5), st.floats(-6.0, 0.0),
+                                   st.floats(0.0, 2.0 * np.pi)),
+                         min_size=2, max_size=2),
+           step=st.one_of(st.none(), st.floats(0.0, 0.7)))
+    @example(name="z5", ends=[(0, -6.0, 0.0), (0, -6.0, 0.0)], step=0.49)
+    def test_early_return_is_unblocked(self, name, ends, step):
+        # ends 1e-6 to 1 from a branch point; with a step, the second end
+        # is the first moved by step times its gap, so the early return
+        # often applies.  Wherever it does, the path is [a, b]; and every
+        # segment of every path passes _blocked, as the full route's do
+        curve = CURVES[name]
+        bps = curve.branch_points
+        a, b = (complex(bps[j] + 10.0 ** k * np.exp(1j * phi))
+                for j, k, phi in ends)
+        if step is not None:
+            phi = ends[1][2]
+            b = a + step * float(np.abs(a - bps).min()) * np.exp(1j * phi)
+        # build_path cannot route an end that sits on a branch point
+        assume(a != b and min(np.abs(z - bps).min() for z in (a, b)) >= 1e-6)
+        path = green.build_path(curve, a, b)
+        gaps = [float(np.abs(z - bps).min()) for z in path]
+        for k in range(len(path) - 1):
+            assert not green._blocked(curve, path[k], path[k + 1], gaps[k],
+                                      gaps[k + 1])[0].any()
+        half_gap = 0.5 * max(gaps[0], gaps[-1])
+        if abs(b - a) < half_gap and half_gap > 2e-9 * curve.scale:
+            assert path == [a, b]
+
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_subnormal_segment(self, name):
         # a segment one subnormal step long, from the base point on the
@@ -273,6 +405,10 @@ class TestBuildPath:
         with np.errstate(all="raise"):
             assert green.build_path(curve, lam, lam + 1e-310j) \
                 == [lam, lam + 1e-310j]
+            # build_path returns early here, so _blocked is checked alone
+            gap = float(np.abs(lam - curve.branch_points).min())
+            assert not green._blocked(curve, lam, lam + 1e-310j, gap,
+                                      gap)[0].any()
 
 
 def _surface_grid(name, grid, stagger):
@@ -372,7 +508,8 @@ def _two_chain_grid():
     """A hand-built grid whose tree is deep and whose depth does not rise
     along the visit order: from the root 5, a chain of 100 steps of 0.02
     towards -1-1j and a chain of 10 steps of 0.3 towards 0, both clear of
-    the branch points."""
+    the branch points.  Its hub is far from branch point 0, so its trees
+    take _reference_flip_loop."""
     step = np.exp(1j * 1.25 * np.pi)
     nodes = np.concatenate([[5.0], 5.0 + 0.02 * step * np.arange(1, 101),
                             5.0 - 0.3 * np.arange(1, 11)]).astype(complex)
@@ -391,9 +528,11 @@ class TestSurfaceTree:
         _assert_reference_tree(CURVES[name], _surface_grid(name, grid,
                                                            stagger))
 
-    def test_parent_across_branch_point(self):
+    def test_parent_across_branch_point(self, monkeypatch):
         # node x's nearest visited node a lies across branch point 1.0, so
-        # x hangs from c, the next nearest, through the 16-candidate search
+        # x hangs from c, the next nearest, through the 16-candidate search;
+        # the hub is far from branch point 0 on this hand-built grid
+        monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         curve = CURVES["generic"]
         root, a, c, x = 10.0, 1.02, 1.0 + 0.035j, 0.98
         nodes = np.array([x, c, 1.0 + 0.5j, a, root, 0.95 + 0.3j], complex)
@@ -403,7 +542,8 @@ class TestSurfaceTree:
         assert nodes[visited[np.argmin(np.abs(nodes[visited] - x))]] == a
         assert nodes[tree.parent[0]] == c
 
-    def test_two_chain_tree(self):
+    def test_two_chain_tree(self, monkeypatch):
+        monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         tree = _assert_reference_tree(CURVES["generic"], _two_chain_grid())
         assert tree.depth.max() >= 100
         assert (np.diff(tree.depth[tree.order]) < 0).any()
@@ -418,6 +558,8 @@ class TestSurfaceTree:
         # reference is the per-node loop over tree.order, one edge at a
         # time in visit order, so every parent is summed before its kids
         curve = CURVES[name]
+        if grid is None:
+            monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         tree = green.build_surface_tree(
             curve, _two_chain_grid() if grid is None
             else _surface_grid(name, grid, stagger))
@@ -711,12 +853,13 @@ class TestGreenRead:
 
 def _reference_flip(curve, tree, f, tol=1e-8):
     """Reference for accumulate_tree's flip vector: the route it replaced,
-    once around _flip_loop from the tree root at budget 200, with its
-    error."""
+    once around _reference_flip_loop from the tree root at budget 200,
+    with its error."""
     lam = complex(tree.grid.nodes[tree.root])
     y_root = tree.y_plus[tree.root]
     val, err, y_end = green.integrate_vector_path(
-        curve, green._flip_loop(curve, lam), y_root, f, tol=tol, budget=200)
+        curve, _reference_flip_loop(curve, lam), y_root, f, tol=tol,
+        budget=200)
     assert abs(y_end + y_root) <= 1e-6 * max(1.0, abs(y_root))
     return val, err
 
@@ -1056,6 +1199,33 @@ class TestSheetConnector:
             np.testing.assert_array_equal(tree.y_plus[conn], chain)
             assert tree.lam[conn[-1]] == tree.lam[tree.hub]
             assert y == -y_hub
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_far_start_rejected(self, name):
+        curve = CURVES[name]
+        bp = complex(curve.branch_points[0])
+        r = curve.min_gap / 3.0
+        loop = green._flip_loop(curve, bp + 1.4 * r)
+        assert len(loop) == 17 and loop[0] == loop[-1] == bp + 1.4 * r
+        with pytest.raises(ConsistencyFailure, match="not next to"):
+            green._flip_loop(curve, bp + 1.6 * r)
+
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 2), (3, 5), (8, 1),
+                                      (9, 7), (17, 3)],
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    @pytest.mark.parametrize("stagger", [0.0, 0.31, 0.61])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_hub_next_to_branch_point(self, name, grid, stagger):
+        # every grid has at least one angle per radius and one 8-point
+        # Gauss panel in the disk of radius r = min_gap / 3 about branch
+        # point 0, whose outer radius lies within 2% of r; so the hub, the
+        # node closest to distance r, starts a connector with no legs
+        curve = CURVES[name]
+        tree = green.build_surface_tree(curve,
+                                        _surface_grid(name, grid, stagger))
+        r = curve.min_gap / 3.0
+        d = abs(tree.lam[tree.hub] - curve.branch_points[0])
+        assert abs(d - r) <= 0.02 * r
 
     def test_connector_must_flip(self, z5, monkeypatch):
         # a connector that encloses no branch point ends on its own sheet,

@@ -332,7 +332,51 @@ class TestGaussLegendre:
                 a[0] = a[0]  # the same value: a failing check corrupts nothing
 
 
+def _tensordot_gauss(half, vals, tol):
+    """Reference for numerics._embedded_gauss: the np.tensordot form it
+    replaced."""
+    _, w10 = numerics.gauss_legendre(10)
+    _, w20 = numerics.gauss_legendre(20)
+    half = np.asarray(half)
+    hi_est = np.tensordot(w20, vals[:20], axes=(0, 0))
+    scale = half.reshape(half.shape + (1,) * (hi_est.ndim - half.ndim))
+    hi_est = scale * hi_est
+    lo_est = scale * np.tensordot(w10, vals[20:], axes=(0, 0))
+    per_interval = half.shape + (-1,)
+    gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
+    top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
+    return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
+
+
 class TestPathQuadrature:
+    @pytest.mark.parametrize("shape, per_interval", [
+        pytest.param(shape, per, id="x".join(map(str, shape))
+                     + ("-per-interval" if per else "-scalar"))
+        for shape in [(30,), (30, 1), (30, 2), (30, 5), (30, 7, 1),
+                      (30, 7, 2), (30, 7, 5)]
+        for per in ([False, True] if len(shape) > 1 else [False])])
+    def test_embedded_gauss_matches_tensordot(self, shape, per_interval):
+        # np.dot on the flattened trailing axes is the call np.tensordot
+        # makes, so every output is the same bits; a per-interval half
+        # runs along axis 1, as in accumulate_tree
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        x30 = numerics._path_nodes()[:30]
+        for trial in range(20):
+            half = (rng.standard_normal(shape[1]) if per_interval
+                    else rng.standard_normal()) * (1 + 1j) / 7.0
+            a = rng.standard_normal() + 1j * rng.standard_normal()
+            # smooth and near-singular integrands, so some intervals fail
+            z = (a + np.multiply.outer(x30, np.ones(shape[1:]))
+                 * (1.0 + 0.3 * trial))
+            vals = 1.0 / (z - 0.05j * trial) \
+                + rng.standard_normal(shape) * 1e-12
+            for tol in (1e-9, 1e-14):
+                got = numerics._embedded_gauss(half, vals, tol)
+                ref = _tensordot_gauss(half, vals, tol)
+                for g, r in zip(got, ref):
+                    assert np.shape(g) == np.shape(r)
+                    np.testing.assert_array_equal(g, r)
+
     def test_beta_integral_with_endpoint_singularities(self):
         def f(t):
             u = t * (1 - t)
