@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._core import bidiff_values
-from .curveperiods import Curve, PeriodData, SurfacePoint, cycle_integral
+from .curveperiods import Curve, PeriodData, SurfacePoint
 from .errors import (
     ConsistencyFailure,
     DegenerateZero,
@@ -192,15 +192,15 @@ class BidiffModel:
         return complex(self.w_values(x1.lam, y1, x2.lam, y2))
 
 
-def normalize_bidifferential(curve: Curve, periods: PeriodData,
-                             raw: RawBidifferential | None = None) -> BidiffModel:
+def normalize_bidifferential(curve: Curve,
+                             periods: PeriodData) -> BidiffModel:
     """Fill the a-period correction c_ab in closed form.
 
     The a-periods of W0 reduce to (Q Pi); rows k >= 2 of that product must
     vanish (they would carry poles at infinity), and the remaining rows give
     c = -(1/4) Pi^T Q Pi, necessarily symmetric.
     """
-    raw = raw or RawBidifferential(curve)
+    raw = RawBidifferential(curve)
     qpi = raw.q @ periods.Pi
     scale = max(1.0, np.abs(qpi).max())
     if np.abs(qpi[2:]).max() > 1e-8 * scale:

@@ -21,6 +21,7 @@ from .curveperiods import (
     SurfacePoint,
     curve_from_json,
     curve_to_json,
+    json_complex,
     json_int,
     make_curve,
     metric_area,
@@ -44,11 +45,6 @@ EXIT_INTERNAL = 4
 
 _VALIDATION_ERRORS = (DuplicateBranchPoints, BaseOnBranchPoint,
                       NotABranchPoint, DomainError)
-
-
-def _c2l(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
 
 
 def _check(name, value, tol):
@@ -90,11 +86,15 @@ def _stage(name, build):
     return _stages[name]
 
 
+def _surface_grid(cfg):
+    return _stage("surface_grid", lambda: _quad_config(cfg))
+
+
 def _period_data(cfg):
     if "curve" not in cfg:
         raise DomainError("config lacks a 'curve' entry")
     return _stage("period_data", lambda: period_data(
-        *curve_from_json(cfg["curve"]), _quad_config(cfg)))
+        *curve_from_json(cfg["curve"])))
 
 
 def _model(cfg, pd=None):
@@ -130,7 +130,7 @@ def cmd_periods(cfg, tol_scale=1.0):
     ]
     return {
         "curve": curve_to_json(pd.curve, pd.cone_point),
-        "period_matrix": [[_c2l(z) for z in row] for row in b],
+        "period_matrix": [[json_complex(z) for z in row] for row in b],
         "area": area2,
         "area_error_estimate": abs(area2 - area1),
         "checks": checks,
@@ -192,7 +192,7 @@ def cmd_green(cfg, tol_scale=1.0):
     model, frame = _model(cfg)
     pts = _points(cfg)
     x, y = pts[0], pts[1]
-    ctx = green.green_context(model, frame, _quad_config(cfg))
+    ctx = green.green_context(model, frame, _surface_grid(cfg))
     sol_y = green.GreenSolver(ctx, y)
     g_xy = sol_y.green(x)
     g_yx = green.GreenSolver(ctx, x).green(y)
@@ -204,15 +204,15 @@ def cmd_green(cfg, tol_scale=1.0):
     e2_gap = abs(rl - 2.0 * np.pi * match["g0"]) / max(abs(rl), 1e-30)
     evals = [sol_y.green(p) for p in pts if p is not y
              and abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
-    values = [{"x": _c2l(g.x.lam), "x_sheet": g.x.sheet,
+    values = [{"x": json_complex(g.x.lam), "x_sheet": g.x.sheet,
                "value": g.value, "error_estimate": g.error_estimate}
               for g in evals]
     return {
-        "y": {"lam": _c2l(y.lam), "sheet": y.sheet},
+        "y": {"lam": json_complex(y.lam), "sheet": y.sheet},
         "green_values": values,
         "reg_log_limit": rl,
-        "special_solution_xi": _c2l(g1),
-        "special_solution_xi2": _c2l(g2),
+        "special_solution_xi": json_complex(g1),
+        "special_solution_xi2": json_complex(g2),
         "checks": [
             _check("symmetry", abs(g_xy.value - g_yx.value),
                    1e-2 * tol_scale),
@@ -253,8 +253,7 @@ def cmd_z5_audit(cfg, tol_scale=1.0):
     shift = float(cfg.get("perturbation", 0.05))
     bp = list(curve.branch_points.copy())
     bp[(cone_point + 3) % 6] += shift
-    model2, _ = _model(cfg, period_data(make_curve(bp), cone_point,
-                                        _quad_config(cfg)))
+    model2, _ = _model(cfg, period_data(make_curve(bp), cone_point))
     sm2 = smatrix.t_matrix_zero(model2)
     ndet2 = smatrix.normalized_det(sm2)
     checks.append({"name": "perturbation_lifts_degeneracy",
@@ -301,6 +300,8 @@ def run(cfg, commands, tol_scale=1.0):
     results = {}
     _stages = {}
     try:
+        # every command checks the grid entry, used or not
+        _surface_grid(cfg)
         for name in commands:
             if name not in _COMMANDS:
                 raise DomainError(f"unknown command '{name}'")

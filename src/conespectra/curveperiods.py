@@ -23,7 +23,6 @@ from .errors import (
     DuplicateBranchPoints,
     NonConvergence,
     NotABranchPoint,
-    PathTooCloseToBranchPoint,
 )
 from .numerics import QuadratureConfig, gauss_legendre, integrate_surface
 
@@ -205,32 +204,6 @@ def _continue_sqrt(roots, a, b, val, targets):
     return np.where(keep, exact, -exact).reshape(targets.shape)
 
 
-def _segment_clearance(curve, a, b):
-    """Distance from segment [a, b] to the branch locus."""
-    seg = b - a
-    if seg == 0:
-        return float(np.abs(a - curve.branch_points).min())
-    t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
-    return float(np.abs(a + t * seg - curve.branch_points).min())
-
-
-def continue_y(curve, path):
-    """Analytic continuation of y along a polyline from the base point."""
-    pts = [complex(p) for p in path]
-    tol = 1e-8 * curve.scale
-    y = curve.base_sheet_value
-    if abs(pts[0] - curve.base_point) > tol:
-        pts = [curve.base_point] + pts
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        if _segment_clearance(curve, a, b) < tol:
-            raise PathTooCloseToBranchPoint(
-                f"segment {a} -> {b} passes within {tol} of a branch point")
-        y = complex(_continue_sqrt(curve.branch_points, a, b, y, [b])[0])
-    return y
-
-
 # ---------------------------------------------------------------------------
 # loop periods
 # ---------------------------------------------------------------------------
@@ -316,7 +289,6 @@ class PeriodData:
     C: np.ndarray
     Bmat: np.ndarray
     Pi: np.ndarray
-    cfg: QuadratureConfig
     basis: str = "std"
     pairs: tuple = ()
     signs: tuple = ()
@@ -326,10 +298,18 @@ class PeriodData:
     def im_b_inverse(self):
         return np.linalg.inv(self.Bmat.imag)
 
-    @cached_property
+    @property
     def area(self):
-        """Metric area on the surface grid of cfg, integrated on first read."""
-        return metric_area(self.curve, self.cone_point, self.cfg)
+        """Metric area by Riemann's bilinear relation, Re sum (i/2)(a conj(b)
+        - b conj(a)), a and b the a- and b-periods of (lambda - lambda_P)
+        dlambda / y; ConsistencyFailure unless it is positive."""
+        lam_p = self.curve.branch_points[self.cone_point]
+        a = self.A[1] - lam_p * self.A[0]
+        b = self.B[1] - lam_p * self.B[0]
+        area = float(np.sum(0.5j * (a * b.conj() - b * a.conj())).real)
+        if not area > 0:
+            raise ConsistencyFailure(f"nonpositive area {area}")
+        return area
 
 
 _BASES = {
@@ -339,11 +319,9 @@ _BASES = {
 }
 
 
-def period_data(curve, cone_point, cfg: QuadratureConfig | None = None,
-                basis="std", panels=16) -> PeriodData:
+def period_data(curve, cone_point, basis="std", panels=16) -> PeriodData:
     if not 0 <= cone_point < 6:
         raise NotABranchPoint(f"cone point index {cone_point} out of range")
-    cfg = cfg or QuadratureConfig()
     order = _angle_sorted(curve)
     pairs = [(order[i], order[(i + 1) % 6]) for i in range(6)]
     powers = list(range(5))
@@ -383,7 +361,7 @@ def period_data(curve, cone_point, cfg: QuadratureConfig | None = None,
     Pi = np.array([[cycle_period(c, signs, m) for c in spec["a"]]
                    for m in powers])
     return PeriodData(curve=curve, cone_point=cone_point, A=A, B=B, C=C,
-                      Bmat=Bmat, Pi=Pi, cfg=cfg, basis=basis,
+                      Bmat=Bmat, Pi=Pi, basis=basis,
                       pairs=tuple(pairs[:5]), signs=tuple(signs), bsign=bsign)
 
 
@@ -483,6 +461,12 @@ def json_int(value, what):
             or not float(value).is_integer():
         raise DomainError(f"{what} must be a whole number, got {value!r}")
     return int(value)
+
+
+def json_complex(z):
+    """A complex number as the JSON pair [re, im]."""
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def curve_from_json(obj):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .errors import (
     ConsistencyFailure,
     FitIllConditioned,
     GridTooCoarse,
+    NonConvergence,
     PathTooCloseToBranchPoint,
     StepTooSmall,
 )
-from .numerics import (QuadratureConfig, _embedded_gauss, _path_nodes,
-                       build_surface_grid, integrate_path)
+from .numerics import QuadratureConfig, build_surface_grid, gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,10 @@ def _blocked(curve, a, b, gap_a, gap_b):
 
     A segment must keep at least 0.3 times the smaller endpoint gap (an
     endpoint's distance to the nearest branch point), capped at
-    min_gap / 4, and more than 1e-9 scale from every branch point (the
-    clearance of curveperiods._segment_clearance), so a segment that
-    heads away from a nearby branch point passes and one through it does
-    not.  a, b, gap_a and gap_b broadcast."""
+    min_gap / 4, so a segment that heads away from a nearby branch point
+    passes and one through it does not; and more than 1e-9 scale from
+    every branch point, a floor of its own that still blocks a segment
+    whose endpoint gaps are tiny.  a, b, gap_a and gap_b broadcast."""
     bp = curve.branch_points
     a = np.asarray(a)[..., None]
     seg = np.asarray(b)[..., None] - a
@@ -122,15 +122,54 @@ def _flip_loop(curve, lam_at):
 
 
 def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
-    """numerics.integrate_path of the k-vector f(lam, y) along a polyline,
-    with y continued on the curve from y0 at the first vertex.
+    """Adaptive integral of the k-vector f(lam, y) along a polyline given
+    by complex vertices, with y continued on the curve from y0 at the
+    first vertex, by bisection with embedded 10/20-point Gauss rules.
 
-    f maps (lam array, y array) to an (n, k) array.  Returns (value,
-    error, y_end); a path that needs more than budget bisections raises
-    NonConvergence.
+    f maps (lam array, y array) to an (n,) or (n, k) array.
+    _embedded_gauss decides whether a subinterval is accepted.  A pass
+    lifts its nodes and the end b of the current segment [a, b] in one
+    _continue_sqrt call from y at a: mid + half * _path_nodes() with the
+    last entry set to b.  budget caps the bisections over the whole path;
+    an integral that needs more raises NonConvergence.  Returns (value,
+    error, y_end), where error sums the accepted gaps and y_end is y
+    continued to the last vertex.
     """
-    return integrate_path(f, verts, tol=tol, budget=budget, y0=y0,
-                          lift=partial(_continue_sqrt, curve.branch_points))
+    x31 = _path_nodes()
+    pts = [complex(p) for p in verts]
+    total = None
+    total_err = 0.0
+    y_a = y0
+    used = 0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if a == b:
+            continue
+        stack = [(a, b)]
+        while stack:
+            lo, hi = stack.pop()
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            zs = mid + half * x31
+            zs[30] = b
+            ys = _continue_sqrt(curve.branch_points, a, b, y_a, zs)
+            y_b = ys[30]
+            hi_est, err, accepted = _embedded_gauss(
+                half, f(zs[:30], ys[:30]), tol)
+            err = float(err)
+            if accepted:
+                total = hi_est if total is None else total + hi_est
+                total_err += err
+            elif used >= budget:
+                raise NonConvergence(
+                    f"path integral: {budget} subdivisions exhausted on "
+                    f"[{lo}, {hi}] (error {err:.3e})")
+            else:
+                used += 1
+                stack.append((lo, mid))
+                stack.append((mid, hi))
+        y_a = complex(y_b)
+    if total is None:
+        raise NonConvergence("empty integration path")
+    return total, total_err, y_a
 
 
 def _arrival(curve, y_end, point: SurfacePoint):
@@ -475,10 +514,43 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
 _LIFT_EDGES = 256
 
 
+@lru_cache(maxsize=None)
+def _path_nodes():
+    """integrate_vector_path's 20- then 10-point Gauss nodes, then 1.0;
+    read-only."""
+    x = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0], [1.0]])
+    x.setflags(write=False)
+    return x
+
+
+def _embedded_gauss(half, vals, tol):
+    """The embedded 20/10-point Gauss rules of integrate_vector_path on one
+    or more intervals.
+
+    vals holds the integrand along axis 0 at the 20-point and then the
+    10-point Gauss-Legendre nodes of each interval; half is the interval
+    half-length, a scalar or one per interval on the next axes of vals.
+    Each rule is np.tensordot's own np.dot call, on vals flattened past
+    axis 0.  Returns the 20-point estimates, each interval's gap (the
+    largest component difference between the two rules) and whether the
+    interval is accepted: a gap of at most max(tol, 1e-10 * the largest
+    component of its 20-point estimate)."""
+    w10, w20 = gauss_legendre(10)[1], gauss_legendre(20)[1]
+    half = np.asarray(half)
+    rest = vals.shape[1:]
+    scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
+    hi_est = scale * np.dot(w20, vals[:20].reshape(20, -1)).reshape(rest)
+    lo_est = scale * np.dot(w10, vals[20:].reshape(10, -1)).reshape(rest)
+    per_interval = half.shape + (-1,)
+    gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
+    top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
+    return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
+
+
 def _gauss_nodes(a, b):
     """(30, edges) nodes of the edges [a, b], and their half-lengths: the
     20-point, then the 10-point Gauss-Legendre nodes of
-    numerics.integrate_path.  Cheap, so they are rebuilt rather than kept
+    integrate_vector_path.  Cheap, so they are rebuilt rather than kept
     with a lift."""
     half = (b - a) / 2.0
     return (a + b) / 2.0 + half * _path_nodes()[:30, None], half
@@ -491,9 +563,9 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
 
     f, which must act pointwise on flat arrays, is evaluated once, on the
     Gauss nodes of every edge at their lifted y (tree.ys), in one
-    vectorised pass of integrate_path's embedded 20/10-point Gauss rules
-    (numerics._embedded_gauss).  An edge that fails integrate_path's
-    acceptance rule goes through integrate_vector_path from y_plus at its
+    vectorised pass of integrate_vector_path's embedded 20/10-point Gauss
+    rules (_embedded_gauss).  An edge that fails their acceptance rule
+    goes through integrate_vector_path from y_plus at its
     parent, with the same per-edge budget, so a spent budget raises
     NonConvergence.  The edge values, with each edge's accepted gap as one
     more column, are summed down the tree one depth level at a time

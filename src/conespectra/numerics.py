@@ -1,4 +1,4 @@
-"""Numeric substrate: truncated power series, adaptive path quadrature,
+"""Numeric substrate: truncated power series, Gauss-Legendre rules,
 two-sheet surface quadrature with desingularizing patches, Schwarzian
 derivative of a jet, and the gamma function.
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DegenerateJet,
-    NonConvergence,
     SingularityOnGrid,
 )
 
@@ -277,7 +276,7 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# path quadrature
+# Gauss-Legendre rules and surface quadrature
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -294,98 +293,6 @@ def gauss_legendre(n):
     w.setflags(write=False)
     return x, w
 
-
-@lru_cache(maxsize=None)
-def _path_nodes():
-    """integrate_path's 20- then 10-point Gauss nodes, then 1.0; read-only."""
-    x = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0], [1.0]])
-    x.setflags(write=False)
-    return x
-
-
-def _embedded_gauss(half, vals, tol):
-    """The embedded 20/10-point Gauss rules of integrate_path on one or
-    more intervals.
-
-    vals holds the integrand along axis 0 at the 20-point and then the
-    10-point Gauss-Legendre nodes of each interval; half is the interval
-    half-length, a scalar or one per interval on the next axes of vals.
-    Each rule is np.tensordot's own np.dot call, on vals flattened past
-    axis 0.  Returns the 20-point estimates, each interval's gap (the
-    largest component difference between the two rules) and whether the
-    interval is accepted: a gap of at most max(tol, 1e-10 * the largest
-    component of its 20-point estimate)."""
-    w10, w20 = gauss_legendre(10)[1], gauss_legendre(20)[1]
-    half = np.asarray(half)
-    rest = vals.shape[1:]
-    scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
-    hi_est = scale * np.dot(w20, vals[:20].reshape(20, -1)).reshape(rest)
-    lo_est = scale * np.dot(w10, vals[20:].reshape(10, -1)).reshape(rest)
-    per_interval = half.shape + (-1,)
-    gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
-    top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
-    return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
-
-
-def integrate_path(f, path, tol=1e-12, budget=4000, y0=None, lift=None):
-    """Adaptive integral of f along a polyline given by complex vertices,
-    by bisection with embedded 10/20-point Gauss rules.
-
-    Without lift, f maps an array of points to values of shape (n,) or
-    (n, k).  With lift, f takes (points, y) and lift(a, b, y_a, points)
-    continues y to points on the current segment [a, b] from its start a,
-    where it has the value y_a, beginning with y0 at the first vertex.
-    _embedded_gauss decides whether a subinterval is accepted; a pass
-    lifts its nodes and b in one array, mid + half * _path_nodes() with
-    the last entry set to b.  budget caps the bisections over the whole
-    path; an integral that needs more raises NonConvergence.  Returns
-    (value, error, y_end), where error sums the accepted gaps and y_end is
-    y continued to the last vertex (y0 without lift).
-    """
-    x31 = _path_nodes()
-    pts = [complex(p) for p in path]
-    total = None
-    total_err = 0.0
-    y_a = y0
-    used = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        stack = [(a, b)]
-        while stack:
-            lo, hi = stack.pop()
-            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            zs = mid + half * x31
-            if lift is None:
-                vals = f(zs[:30])
-            else:
-                zs[30] = b
-                ys = lift(a, b, y_a, zs)
-                y_b = ys[30]
-                vals = f(zs[:30], ys[:30])
-            hi_est, err, accepted = _embedded_gauss(half, vals, tol)
-            err = float(err)
-            if accepted:
-                total = hi_est if total is None else total + hi_est
-                total_err += err
-            elif used >= budget:
-                raise NonConvergence(
-                    f"path integral: {budget} subdivisions exhausted on "
-                    f"[{lo}, {hi}] (error {err:.3e})")
-            else:
-                used += 1
-                stack.append((lo, mid))
-                stack.append((mid, hi))
-        if lift is not None:
-            y_a = complex(y_b)
-    if total is None:
-        raise NonConvergence("empty integration path")
-    return total, total_err, y_a
-
-
-# ---------------------------------------------------------------------------
-# surface quadrature
-# ---------------------------------------------------------------------------
 
 def _smooth_step(t):
     """C^inf step: 0 for t<=0, 1 for t>=1."""
@@ -417,23 +324,14 @@ class SurfaceGrid:
         return self.nodes.size
 
 
-def _radii(r_lo, r_hi, n_rad, breakpoints=None):
-    """Panelled 8-point Gauss radii on [r_lo, r_hi], split at the
-    breakpoints inside it, and their weights times r (the polar area
-    element)."""
-    edges = [r_lo, r_hi] if not breakpoints else sorted(
-        {r_lo, r_hi, *[b for b in breakpoints if r_lo < b < r_hi]}
-    )
-    panels = max(1, n_rad // 8)
+def _radii(r_lo, r_hi, n_rad):
+    """Panelled 8-point Gauss radii on [r_lo, r_hi] and their weights
+    times r (the polar area element)."""
     xg, wg = gauss_legendre(8)
-    rs, wr = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(lo, hi, panels + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            rs.append((a + b) / 2 + (b - a) / 2 * xg)
-            wr.append((b - a) / 2 * wg)
-    r = np.concatenate(rs)
-    return r, r * np.concatenate(wr)
+    edges = np.linspace(r_lo, r_hi, max(1, n_rad // 8) + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    r = ((lo + hi) / 2 + (hi - lo) / 2 * xg).ravel()
+    return r, r * ((hi - lo) / 2 * wg).ravel()
 
 
 def _polar_patch(center, r, rw, n_ang, angle_shift, pts, w):
@@ -451,7 +349,7 @@ def _polar_patch(center, r, rw, n_ang, angle_shift, pts, w):
 
 
 def build_surface_grid(branch_points, cfg: QuadratureConfig,
-                       radial_breakpoints=None, stagger=0.0) -> SurfaceGrid:
+                       stagger=0.0) -> SurfaceGrid:
     """stagger shifts every angular node by that fraction of a cell, so two
     grids with different stagger share no nodes (used for double surface
     integrals with weakly singular kernels).
@@ -473,8 +371,7 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     # (center, radii, radii times weights, angular count) of each patch:
     # the branch-point disks, the main disk and the exterior chart's disk
     patches = [(b, *_radii(0.0, disk_r, n_rad), n_ang) for b in bp]
-    patches.append((center, *_radii(0.0, radius, 2 * n_rad,
-                                    radial_breakpoints), 2 * n_ang))
+    patches.append((center, *_radii(0.0, radius, 2 * n_rad), 2 * n_ang))
     patches.append((0.0, *_radii(0.0, 1.0 / radius, n_rad), n_ang))
     sizes = [r.size * k for _, r, _, k in patches]
     ends = np.cumsum(sizes)
@@ -531,8 +428,7 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     return SurfaceGrid(nodes, weights, center)
 
 
-def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points,
-                      radial_breakpoints=None):
+def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points):
     """Two-sheet surface integral of f(lambda, sheet) * weight(lambda) on
     the surface grid that cfg sets for the branch points.
 
@@ -541,8 +437,7 @@ def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points,
     sheets is summed over the grid once and that sum added for each
     sheet, which gives the two-pass total bit for bit.
     """
-    grid = build_surface_grid(branch_points, cfg,
-                              radial_breakpoints=radial_breakpoints)
+    grid = build_surface_grid(branch_points, cfg)
     lam, w = grid.nodes, grid.weights
     dens = weight(lam)
     total = 0.0 + 0.0j

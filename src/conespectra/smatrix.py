@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiff import BidiffModel
+from .curveperiods import json_complex
 from .errors import MissingJet
 
 DET_PREFACTOR = 2.0 * np.pi ** 2 / 27.0
@@ -155,34 +156,30 @@ def kernel_diagnostics(sm: SMatrixZero, tol: float = 1e-6) -> dict:
     }
 
 
-def _c2l(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def report(sm: SMatrixZero, tol: float = 1e-6) -> dict:
     """JSON-ready report of the assembled matrices and diagnostics."""
     diag = kernel_diagnostics(sm, tol)
     ratio_sing, ratio_hol, flags = det_ratios(sm)
     audit = {
-        "T11": _c2l(sm.T0[0, 0]),
-        "T12": _c2l(sm.T0[0, 1]),
-        "T21": _c2l(sm.T0[1, 0]),
-        "T22": _c2l(sm.T0[1, 1]),
-        "T32": _c2l(sm.T0[2, 1]),
-        "T41": _c2l(sm.T0[3, 0]),
-        "T42": _c2l(sm.T0[3, 1]),
-        "piB00": _c2l(sm.T0[2, 0]),
+        "T11": json_complex(sm.T0[0, 0]),
+        "T12": json_complex(sm.T0[0, 1]),
+        "T21": json_complex(sm.T0[1, 0]),
+        "T22": json_complex(sm.T0[1, 1]),
+        "T32": json_complex(sm.T0[2, 1]),
+        "T41": json_complex(sm.T0[3, 0]),
+        "T42": json_complex(sm.T0[3, 1]),
+        "piB00": json_complex(sm.T0[2, 0]),
         "row2_residual": diag["row2_residual"],
         "row4_residual": diag["row4_residual"],
         "detT0_imag_residual": diag["detT0_imag_residual"],
     }
     return {
-        "T0": [[_c2l(z) for z in row] for row in sm.T0],
-        "P0": [[_c2l(z) for z in row] for row in sm.P0],
-        "detT0": _c2l(sm.detT0),
-        "detP0": _c2l(sm.detP0),
-        "ratio_sing": _c2l(ratio_sing),
-        "ratio_hol": _c2l(ratio_hol),
+        "T0": [[json_complex(z) for z in row] for row in sm.T0],
+        "P0": [[json_complex(z) for z in row] for row in sm.P0],
+        "detT0": json_complex(sm.detT0),
+        "detP0": json_complex(sm.detP0),
+        "ratio_sing": json_complex(ratio_sing),
+        "ratio_hol": json_complex(ratio_hol),
         "normalized_detT0": diag["normalized_detT0"],
         "normalized_detP0": diag["normalized_detP0"],
         "classification": diag["classification"],

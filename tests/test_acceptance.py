@@ -47,7 +47,7 @@ def _line(n, ok, detail):
 
 
 def _full_model(curve, cone_point, h_order=8):
-    pd = period_data(curve, cone_point, QuadratureConfig())
+    pd = period_data(curve, cone_point)
     model = bidiff.normalize_bidifferential(curve, pd)
     frame = bidiff.distinguished_frame(curve, pd, cone_point, order=20)
     model = bidiff.h_expansion(model, frame, order=h_order)
@@ -86,7 +86,7 @@ def test_criterion_1_period_pipeline():
     worst_sym = worst_norm = worst_area = 0.0
     spd = True
     for curve in curves:
-        pd = period_data(curve, 0, QuadratureConfig())
+        pd = period_data(curve, 0)
         b = pd.Bmat
         worst_sym = max(worst_sym, float(np.abs(b - b.T).max()))
         eig = np.linalg.eigvalsh((b.imag + b.imag.T) / 2.0)

@@ -17,16 +17,15 @@ from conespectra.errors import (
     InsufficientOrder,
     NotABranchPoint,
 )
-from conespectra.numerics import QuadratureConfig, TruncatedSeries
+from conespectra.numerics import TruncatedSeries
 
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
-CFG = QuadratureConfig()
 
 
 @pytest.fixture(scope="module")
 def z5_setup():
     curve = make_z5_curve(0.1 + 0.05j, 1.0)
-    pd = period_data(curve, 0, CFG)
+    pd = period_data(curve, 0)
     model = bidiff.normalize_bidifferential(curve, pd)
     frame = bidiff.distinguished_frame(curve, pd, 0, order=20)
     return bidiff.h_expansion(model, frame, order=10)
@@ -35,7 +34,7 @@ def z5_setup():
 @pytest.fixture(scope="module")
 def generic_setup():
     curve = make_curve(GENERIC_BP)
-    pd = period_data(curve, 2, CFG)
+    pd = period_data(curve, 2)
     model = bidiff.normalize_bidifferential(curve, pd)
     frame = bidiff.distinguished_frame(curve, pd, 2, order=20)
     return bidiff.h_expansion(model, frame, order=8)
@@ -190,13 +189,13 @@ class TestFrame:
 
     def test_low_order_rejected(self):
         curve = make_curve(GENERIC_BP)
-        pd = period_data(curve, 2, CFG)
+        pd = period_data(curve, 2)
         with pytest.raises(InsufficientOrder):
             bidiff.distinguished_frame(curve, pd, 2, order=10)
 
     def test_bad_index_rejected(self):
         curve = make_curve(GENERIC_BP)
-        pd = period_data(curve, 2, CFG)
+        pd = period_data(curve, 2)
         with pytest.raises(NotABranchPoint):
             bidiff.distinguished_frame(curve, pd, 6)
 
@@ -310,7 +309,7 @@ class TestConnections:
             curve, cp = make_curve(GENERIC_BP), 2
         out = {}
         for basis in ("std", "alt"):
-            pd = period_data(curve, cp, CFG, basis=basis)
+            pd = period_data(curve, cp, basis=basis)
             m = bidiff.normalize_bidifferential(curve, pd)
             f = bidiff.distinguished_frame(curve, pd, cp, order=20)
             m = bidiff.h_expansion(m, f, order=6)

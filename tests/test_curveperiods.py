@@ -11,7 +11,6 @@ from conespectra import curveperiods, green
 from conespectra.curveperiods import (
     SurfacePoint,
     _continue_sqrt,
-    continue_y,
     curve_from_json,
     curve_to_json,
     make_curve,
@@ -31,9 +30,16 @@ from conespectra.errors import (
 from conespectra.numerics import (QuadratureConfig, build_surface_grid,
                                   gauss_legendre)
 
-COARSE = QuadratureConfig(surface_grid=(24, 32, None))
-
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
+
+
+def _segment_clearance(curve, a, b):
+    """Distance from segment [a, b] to the branch locus."""
+    seg = b - a
+    if seg == 0:
+        return float(np.abs(a - curve.branch_points).min())
+    t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
+    return float(np.abs(a + t * seg - curve.branch_points).min())
 
 
 def circle_path(center, radius, n=24, closed=True):
@@ -69,37 +75,51 @@ class TestConstruction:
 
 
 class TestContinuation:
+    """y continued along a polyline from the base point: the y_end of
+    green.integrate_vector_path, here of a zero integrand."""
+
     def setup_method(self):
         self.curve = make_curve(GENERIC_BP)
+
+    def continue_y(self, path):
+        curve = self.curve
+        return green.integrate_vector_path(
+            curve, [curve.base_point, *path], curve.base_sheet_value,
+            lambda z, y: np.zeros(z.size))[2]
 
     def test_trivial_loop(self):
         path = list(circle_path(self.curve.base_point, 0.3)) + [
             self.curve.base_point]
-        y = continue_y(self.curve, path)
+        y = self.continue_y(path)
         assert abs(y - self.curve.base_sheet_value) < 1e-9 * abs(y)
 
     def test_single_branch_point_flips_sheet(self):
         loop = circle_path(0.0, 0.35)
-        path = [self.curve.base_point, 0.35 + 0j] + list(loop) + [
-            self.curve.base_point]
-        y = continue_y(self.curve, path)
+        path = [0.35 + 0j] + list(loop) + [self.curve.base_point]
+        y = self.continue_y(path)
         assert abs(y + self.curve.base_sheet_value) < 1e-9 * abs(y)
 
     def test_two_branch_points_restore_sheet(self):
         # 0 and 1 are both inside |lam - 0.5| = 0.62
         loop = circle_path(0.5, 0.62, n=48)
-        path = [self.curve.base_point, 0.5 + 0.62j] + list(np.roll(loop, -12)) + [
+        path = [0.5 + 0.62j] + list(np.roll(loop, -12)) + [
             self.curve.base_point]
-        y = continue_y(self.curve, path)
+        y = self.continue_y(path)
         assert abs(y - self.curve.base_sheet_value) < 1e-8 * abs(y)
 
     def test_path_through_branch_point_rejected(self):
+        # a vertex 1e-12 from branch point 1: a segment from it passes
+        # under _blocked's 1e-9 scale floor, and no path reaches it
+        a, b = 1.0 - 1e-12j, 2.0
+        gaps = [float(np.abs(z - self.curve.branch_points).min())
+                for z in (a, b)]
+        assert green._blocked(self.curve, a, b, *gaps)[0].any()
         with pytest.raises(PathTooCloseToBranchPoint):
-            continue_y(self.curve, [self.curve.base_point, 1.0 - 1e-12j, 2.0])
+            green.build_path(self.curve, self.curve.base_point, a)
 
     def test_result_squares_to_poly(self):
         end = -2.0 + 0.1j
-        y = continue_y(self.curve, [self.curve.base_point, end])
+        y = self.continue_y([end])
         assert abs(y ** 2 - self.curve.poly(end)) < 1e-10 * abs(y) ** 2
 
 
@@ -191,7 +211,7 @@ class TestContinueSqrt:
         curve = CURVES[name]
         a, b = complex(ax, ay), complex(bx, by)
         assume(abs(b - a) > 1e-3)
-        assume(curveperiods._segment_clearance(curve, a, b) > 0.05)
+        assume(_segment_clearance(curve, a, b) > 0.05)
         _assert_matches_stepping(curve, a, b, ts, sign)
 
     @settings(max_examples=60, deadline=None)
@@ -290,7 +310,7 @@ class TestContinueSqrt:
             with _ratio_only():
                 np.testing.assert_array_equal(
                     out, _continue_sqrt(roots, a, b, val, targets))
-        if np.isfinite(s) and curveperiods._segment_clearance(curve, a, b) \
+        if np.isfinite(s) and _segment_clearance(curve, a, b) \
                 > 0.05:
             _assert_matches_stepping(curve, a, b, ts, sign)
 
@@ -419,7 +439,7 @@ class TestLoopNodes:
 class TestPeriodData:
     def setup_method(self):
         self.curve = make_z5_curve()
-        self.pd = period_data(self.curve, 0, COARSE)
+        self.pd = period_data(self.curve, 0)
 
     def test_period_matrix_symmetric(self):
         assert np.abs(self.pd.Bmat - self.pd.Bmat.T).max() < 1e-8
@@ -432,27 +452,25 @@ class TestPeriodData:
         np.testing.assert_allclose(self.pd.C @ self.pd.A, np.eye(2), atol=1e-8)
 
     def test_area_positive_and_stable(self):
-        fine = period_data(self.curve, 0,
-                           QuadratureConfig(surface_grid=(48, 64, None)))
-        finer = period_data(self.curve, 0,
-                            QuadratureConfig(surface_grid=(96, 128, None)))
-        assert fine.area > 0
-        assert abs(fine.area - finer.area) < 1e-4 * finer.area
+        # the bilinear area against the surface integral on a fine grid
+        fine = QuadratureConfig(surface_grid=(192, 256, None))
+        for curve, cone_point in ((self.curve, 0),
+                                  (make_curve(GENERIC_BP), 2)):
+            area = period_data(curve, cone_point).area
+            assert area > 0
+            ref = metric_area(curve, cone_point, fine)
+            assert abs(area - ref) < 1e-6 * ref
 
     def test_area_computed_on_first_read(self, monkeypatch):
+        # read off the periods: neither period_data nor reading the area
+        # integrates over the surface
         calls = []
-        integrate = curveperiods.integrate_surface
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
-        monkeypatch.setattr(curveperiods, "integrate_surface", counted)
-        pd = period_data(self.curve, 0, COARSE)
-        assert calls == []
+        monkeypatch.setattr(curveperiods, "integrate_surface",
+                            lambda *args, **kwargs: calls.append(args))
+        pd = period_data(self.curve, 0)
         area = pd.area
         assert pd.area == area
-        assert len(calls) == 1
-        assert area == metric_area(self.curve, 0, COARSE)
+        assert calls == []
 
     def test_metric_density_blocks(self):
         # more than three row blocks: each row's value is the unblocked
@@ -471,18 +489,18 @@ class TestPeriodData:
         assert metric_density(self.curve, lam_p, lam[5]) == dense[5]
 
     def test_alternative_basis_agrees_on_invariants(self):
-        alt = period_data(self.curve, 0, COARSE, basis="alt")
+        alt = period_data(self.curve, 0, basis="alt")
         # different matrices, same Riemann-gated structure and same area
         assert np.abs(alt.Bmat - alt.Bmat.T).max() < 1e-8
         assert np.linalg.eigvalsh(alt.Bmat.imag).min() > 0
         assert abs(alt.area - self.pd.area) < 1e-10
 
     def test_regression_against_refined_run(self):
-        fine = period_data(self.curve, 0, COARSE, panels=64)
+        fine = period_data(self.curve, 0, panels=64)
         assert np.abs(fine.Bmat - self.pd.Bmat).max() < 1e-7
 
     def test_generic_curve(self):
-        pd = period_data(make_curve(GENERIC_BP), 0, COARSE)
+        pd = period_data(make_curve(GENERIC_BP), 0)
         assert np.abs(pd.Bmat - pd.Bmat.T).max() < 1e-8
         assert np.linalg.eigvalsh(pd.Bmat.imag).min() > 0
 
@@ -491,13 +509,13 @@ class TestPeriodData:
 
     def test_cone_point_validation(self):
         with pytest.raises(NotABranchPoint):
-            period_data(self.curve, 7, COARSE)
+            period_data(self.curve, 7)
 
 
 class TestNormalizedDifferentials:
     def setup_method(self):
         self.curve = make_z5_curve()
-        self.pd = period_data(self.curve, 0, COARSE)
+        self.pd = period_data(self.curve, 0)
         self.v = normalized_differentials(self.pd)
 
     def test_a_periods_are_kronecker(self):

@@ -2,12 +2,13 @@
 growing solutions at the cone point."""
 
 import json
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conespectra import bidiff, curveperiods, green, smatrix
@@ -77,7 +78,7 @@ def build_model(branch_points, cone_point):
     curve = (make_curve(branch_points)
              if not isinstance(branch_points, tuple)
              else make_z5_curve(*branch_points))
-    pd = period_data(curve, cone_point, QuadratureConfig())
+    pd = period_data(curve, cone_point)
     model = bidiff.normalize_bidifferential(curve, pd)
     frame = bidiff.distinguished_frame(curve, pd, cone_point, order=20)
     model = bidiff.h_expansion(model, frame, order=8)
@@ -332,6 +333,16 @@ class TestThirdKind:
                 lambda z, y: (np.abs(z - c) ** -0.5)[:, None], budget=2)
 
 
+def _segment_clearance(curve, a, b):
+    """Reference for green._blocked's distances: the distance from the
+    segment [a, b] to the branch locus, one segment at a time."""
+    seg = b - a
+    if seg == 0:
+        return float(np.abs(a - curve.branch_points).min())
+    t = np.clip(((curve.branch_points - a) / seg).real, 0.0, 1.0)
+    return float(np.abs(a + t * seg - curve.branch_points).min())
+
+
 def _clearance_floor(curve, a, b):
     """The clearance every path segment [a, b] must keep, written out from
     green._clear_edges's rule: 0.3 times the smaller endpoint distance to
@@ -360,7 +371,7 @@ class TestBuildPath:
         path = green.build_path(curve, a, b)
         assert path[0] == a and path[-1] == b
         for u, v in zip(path[:-1], path[1:]):
-            clr = curveperiods._segment_clearance(curve, u, v)
+            clr = _segment_clearance(curve, u, v)
             assert clr >= _clearance_floor(curve, u, v), (u, v)
             assert clr > 1e-9 * curve.scale
 
@@ -411,6 +422,85 @@ class TestBuildPath:
                                       gap)[0].any()
 
 
+def _reference_integrate_path(f, path, tol, budget, y0, lift):
+    """Reference for green.integrate_vector_path: the callback form it
+    replaced, with lift(a, b, y_a, points) continuing y from y_a at a to
+    points on the segment [a, b]."""
+    x31 = green._path_nodes()
+    pts = [complex(p) for p in path]
+    total = None
+    total_err = 0.0
+    y_a = y0
+    used = 0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if a == b:
+            continue
+        stack = [(a, b)]
+        while stack:
+            lo, hi = stack.pop()
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            zs = mid + half * x31
+            zs[30] = b
+            ys = lift(a, b, y_a, zs)
+            y_b = ys[30]
+            vals = f(zs[:30], ys[:30])
+            hi_est, err, accepted = green._embedded_gauss(half, vals, tol)
+            err = float(err)
+            if accepted:
+                total = hi_est if total is None else total + hi_est
+                total_err += err
+            elif used >= budget:
+                raise NonConvergence("budget spent")
+            else:
+                used += 1
+                stack.append((lo, mid))
+                stack.append((mid, hi))
+        y_a = complex(y_b)
+    if total is None:
+        raise NonConvergence("empty integration path")
+    return total, total_err, y_a
+
+
+class TestIntegrateVectorPath:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           verts=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                    st.floats(-2.0, 2.0)),
+                          min_size=1, max_size=5),
+           k=st.sampled_from([1, 2, 5]), sheet=st.sampled_from([1, -1]),
+           tol=st.sampled_from([1e-9, 1e-6]),
+           budget=st.sampled_from([4, 200]))
+    def test_matches_lift_callback_reference(self, name, verts, k, sheet,
+                                             tol, budget):
+        # the same bits as the callback form: value, error and y_end, or
+        # NonConvergence from both; no vertex sits on a branch point
+        curve = CURVES[name]
+        path = [complex(*v) for v in verts]
+        assume(min(np.abs(z - curve.branch_points).min() for z in path)
+               > 1e-3)
+        y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
+
+        def f(z, y):
+            return np.power.outer(z, np.arange(k)) \
+                * (1.0 / y + 0.1 * y)[:, None]
+
+        try:
+            ref = _reference_integrate_path(
+                f, path, tol, budget, y0,
+                partial(curveperiods._continue_sqrt, curve.branch_points))
+        except NonConvergence:
+            event("NonConvergence")
+            with pytest.raises(NonConvergence):
+                green.integrate_vector_path(curve, path, y0, f, tol=tol,
+                                            budget=budget)
+            return
+        got = green.integrate_vector_path(curve, path, y0, f, tol=tol,
+                                          budget=budget)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+            assert type(g) is type(r)
+
+
 def _surface_grid(name, grid, stagger):
     return build_surface_grid(CURVES[name].branch_points,
                               QuadratureConfig(surface_grid=(*grid, None)),
@@ -434,7 +524,7 @@ def _reference_tree(curve, grid):
         vi = np.flatnonzero(visited)
         d = np.abs(lam[vi] - lam[i])
         for j in vi[np.argsort(d, kind="stable")[:16]]:
-            clr = curveperiods._segment_clearance(curve, lam[j], lam[i])
+            clr = _segment_clearance(curve, lam[j], lam[i])
             floor = 0.3 * min(
                 float(np.abs(lam[i] - curve.branch_points).min()),
                 float(np.abs(lam[j] - curve.branch_points).min()))

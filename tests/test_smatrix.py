@@ -8,17 +8,15 @@ import pytest
 from conespectra import bidiff, smatrix
 from conespectra.curveperiods import make_curve, make_z5_curve, period_data
 from conespectra.errors import MissingJet
-from conespectra.numerics import QuadratureConfig
 
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
-CFG = QuadratureConfig()
 
 
 def build_model(branch_points, cone_point, eta=0):
     curve = (make_curve(branch_points)
              if not isinstance(branch_points, tuple)
              else make_z5_curve(*branch_points))
-    pd = period_data(curve, cone_point, CFG)
+    pd = period_data(curve, cone_point)
     model = bidiff.normalize_bidifferential(curve, pd)
     frame = bidiff.distinguished_frame(curve, pd, cone_point, order=20, eta=eta)
     model = bidiff.h_expansion(model, frame, order=8)
@@ -92,7 +90,7 @@ class TestStructure:
 
     def test_missing_jets_rejected(self):
         curve = make_curve(GENERIC_BP)
-        pd = period_data(curve, 2, CFG)
+        pd = period_data(curve, 2)
         model = bidiff.normalize_bidifferential(curve, pd)
         with pytest.raises(MissingJet):
             smatrix.t_matrix_zero(model)
