@@ -187,9 +187,8 @@ class BidiffModel:
         tol = 1e-12 * self.curve.scale
         if abs(complex(x1.lam) - complex(x2.lam)) < tol and x1.sheet == x2.sheet:
             raise DiagonalEvaluation("W has a double pole on the diagonal")
-        y1 = complex(self.curve.y_at(np.asarray(x1.lam, complex), x1.sheet))
-        y2 = complex(self.curve.y_at(np.asarray(x2.lam, complex), x2.sheet))
-        return complex(self.w_values(x1.lam, y1, x2.lam, y2))
+        return complex(self.w_values(x1.lam, self.curve.y_of(x1),
+                                     x2.lam, self.curve.y_of(x2)))
 
 
 def normalize_bidifferential(curve: Curve,
@@ -345,8 +344,8 @@ def bergman_kernel(model: BidiffModel, x: SurfacePoint | None = None,
                 raise ConsistencyFailure("H expansion must run before "
                                          "cone-point kernel values")
             return model.jets["v0"]
-        yv = complex(model.curve.y_at(np.asarray(p.lam, complex), p.sheet))
-        return model.v_values(np.asarray([p.lam], complex), yv)[0]
+        return model.v_values(np.asarray([p.lam], complex),
+                              model.curve.y_of(p))[0]
 
     vx, vy = v_of(x), v_of(y)
     return complex(vx @ imb @ np.conj(vy))

@@ -180,8 +180,9 @@ def _points(cfg):
         if sheet not in (1, -1):
             raise DomainError(f"a point's sheet must be 1 or -1, got {sheet}")
         lam = p["lam"]
-        if len(lam) != 2:
-            raise DomainError(f"a point's lam must be [re, im], got {lam!r}")
+        if len(lam) != 2 or not np.isfinite(complex(*lam)):
+            raise DomainError(
+                f"a point's lam must be a finite [re, im], got {lam!r}")
         out.append(SurfacePoint(complex(lam[0], lam[1]), sheet))
     return out
 
@@ -202,8 +203,8 @@ def cmd_green(cfg, tol_scale=1.0):
     rl = green.reg_log_limit(sol_y)
     g1, g2 = sol_y.special_solutions()
     e2_gap = abs(rl - 2.0 * np.pi * match["g0"]) / max(abs(rl), 1e-30)
-    evals = [sol_y.green(p) for p in pts if p is not y
-             and abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
+    evals = [g_xy if p is x else sol_y.green(p) for p in pts
+             if abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
     values = [{"x": json_complex(g.x.lam), "x_sheet": g.x.sheet,
                "value": g.value, "error_estimate": g.error_estimate}
               for g in evals]

@@ -105,12 +105,20 @@ def phi_expansion(nu, lam):
 
 
 def asymptotic_entries(lam):
-    """Leading scattering entries and determinants as lambda -> -infinity."""
-    if not lam <= -1:
-        raise DomainError(f"asymptotics require lambda <= -1, got {lam}")
+    """Leading scattering entries and determinants as lambda -> -infinity;
+    DomainError unless lambda is finite and <= -1 and every entry a finite
+    float (det_t, quadratic in lambda, overflows first, near -1e154)."""
+    if not -math.inf < lam <= -1:
+        raise DomainError(
+            f"asymptotics require a finite lambda <= -1, got {lam}")
     s1 = -C1 * (-lam) ** (1.0 / 3.0)
     s2 = -C2 * (-lam) ** (2.0 / 3.0)
-    det_t = DET_P_SLOPE ** 2 * lam ** 2
+    try:
+        det_t = DET_P_SLOPE ** 2 * lam ** 2
+    except OverflowError:
+        det_t = math.inf
+    if not math.isfinite(det_t):
+        raise DomainError(f"det_t overflows at lambda = {lam}")
     det_p = -DET_P_SLOPE * lam
     return AsymptoticEntries(lam=lam, s1=s1, s2=s2, det_t=det_t, det_p=det_p)
 

@@ -60,6 +60,10 @@ class Curve:
         return sheet * np.prod(np.sqrt(lam[..., None] - self.branch_points),
                                axis=-1)
 
+    def y_of(self, point):
+        """y at a SurfacePoint, as a Python complex (y_at on its sheet)."""
+        return complex(self.y_at(np.asarray(point.lam, complex), point.sheet))
+
 
 # _root_product takes np.prod below this many points, where it is cheaper
 _BULK_POINTS = 1024
@@ -109,11 +113,6 @@ def _real_product(z, roots):
 class SurfacePoint:
     lam: complex
     sheet: int = 1
-    branch_index: int | None = None
-
-    @property
-    def is_branch_point(self):
-        return self.branch_index is not None
 
 
 def make_curve(branch_points, base=None) -> Curve:

@@ -204,7 +204,7 @@ def _moment_base(curve):
     """(lambda_b, y_b), where every moment route starts:
     branch_points[0] + min_gap / 3 on sheet +1."""
     lam = complex(curve.branch_points[0]) + curve.min_gap / 3.0
-    return lam, complex(curve.y_at(np.asarray(lam), 1))
+    return lam, curve.y_of(SurfacePoint(lam, 1))
 
 
 def _connector_moments(curve, base):
@@ -296,21 +296,19 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
                     q: SurfacePoint) -> ThirdKindForm:
     """Unique differential of the third kind with poles p (+1) and q (-1)
     and purely imaginary periods, in closed form up to five line moments,
-    M(p) - M(q) on GreenContext's route (_moments_at); another route
-    differs by a cycle, which the period normalization removes."""
+    M(p) - M(q) on the route of GreenContext.form (_moments_at); another
+    route differs by a cycle, which the period normalization removes."""
     curve = model.curve
     if abs(complex(p.lam) - complex(q.lam)) < 1e-12 * curve.scale \
             and p.sheet == q.sheet:
         raise CoincidentPoles("third-kind poles coincide")
-    y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
-    y_p = complex(curve.y_at(np.asarray(p.lam, complex), p.sheet))
     base = _moment_base(curve)
     m_conn = _connector_moments(curve, base)
     pcoef = _correction_pcoef(
         model, _moments_at(curve, base, m_conn, p)
         - _moments_at(curve, base, m_conn, q))
-    return ThirdKindForm(p=p, q=q, curve=curve, y_p=y_p, y_q=y_q,
-                         pcoef=pcoef)
+    return ThirdKindForm(p=p, q=q, curve=curve, y_p=curve.y_of(p),
+                         y_q=curve.y_of(q), pcoef=pcoef)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +619,15 @@ _POTENTIAL_ROWS = 16
 class GreenContext:
     """Precomputed q-side data: staggered grids, Cauchy weights, area.
 
-    omega_bar_values is the one evaluator of the averaged form; its
-    correction comes from averaged_pcoef for one second argument (moments
-    on third_kind_form's route, _moments_at from the cached base and
-    m_conn), or from q_forms for every q node on both sheets (moments
-    over the q tree).  Those and the p-side data that every GreenSolver
-    shares (p_tree, the closed tree with its one lift, and t_nodes) are
-    built on first read: a context plus its solvers builds one tree, the
-    p tree.  q_forms reads q_tree.y_plus on the grid nodes only, the
-    vertices before the tree's closing ones."""
+    omega_bar_values is the one evaluator of the averaged form; its second
+    argument, the triple (lambda, y, pcoef), comes from form for one
+    surface point (moments on third_kind_form's route, _moments_at from
+    the cached base and m_conn), or from q_forms for every q node on both
+    sheets (moments over the q tree).  Those and the p-side data that
+    every GreenSolver shares (p_tree, the closed tree with its one lift,
+    and t_nodes) are built on first read: a context plus its solvers
+    builds one tree, the p tree.  q_forms reads q_tree.y_plus on the grid
+    nodes only, the vertices before the tree's closing ones."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -645,18 +643,22 @@ class GreenContext:
     m_conn = cached_property(
         lambda self: _connector_moments(self.curve, self.base))
 
-    def averaged_pcoef(self, y: SurfacePoint):
-        """Correction polynomial of the q-averaged form Omega_bar_y.
+    def form(self, y: SurfacePoint):
+        """(lambda, y, pcoef) of the q-averaged form Omega_bar_y, the
+        second argument of omega_bar_values for the one point y (q_forms
+        gives it for every q node); ConeArgument at the cone point.
 
-        Averaging the moments over the grid leaves M(y) - M_conn / 2: the
-        per-node moments cancel pairwise between sheets, each node pair
-        contributing the sheet-connector moments once.  Both start at the
-        base point here (_moments_at, m_conn); another common start moves
-        the polynomial only by the computed form's real periods."""
+        pcoef is the correction polynomial.  Averaging the moments over
+        the grid leaves M(y) - M_conn / 2: the per-node moments cancel
+        pairwise between sheets, each node pair contributing the
+        sheet-connector moments once.  Both start at the base point here
+        (_moments_at, m_conn); another common start moves the polynomial
+        only by the computed form's real periods."""
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
         m_y = _moments_at(self.curve, self.base, self.m_conn, y)
-        return _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)
+        return y.lam, self.curve.y_of(y), \
+            _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)
 
     def omega_bar_values(self, lam, ys, t_lam, t_y, pcoef):
         """Omega_bar_t(z) / dlambda at sheet-resolved points z = (lam, ys):
@@ -674,24 +676,19 @@ class GreenContext:
         return build_surface_tree(self.curve, self.q_grid)
 
     @cached_property
-    def _q_moments(self):
-        """m_plus, the (n, 5) moments from the q-tree root to the q nodes at
-        q_tree.y_plus, and m_flip, from the root to its other sheet."""
-        return accumulate_tree(self.curve, self.q_tree, _moment_integrand,
-                               5)[:2]
-
-    m_plus = property(lambda self: self._q_moments[0])
-    m_flip = property(lambda self: self._q_moments[1])
-
-    @cached_property
     def q_forms(self):
         """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree
-        sheet (q_tree.y_plus), then on the other sheet; as averaged_pcoef,
-        from M(q) - M_conn / 2, all from the q-tree root (M_conn = m_flip)."""
-        m = np.concatenate([self.m_plus, self.m_flip - self.m_plus])
+        sheet (q_tree.y_plus), then on the other sheet; as form, from
+        M(q) - M_conn / 2, all from the q-tree root.  One accumulate_tree
+        pass gives m_node, the (n, 5) moments to the q nodes at
+        q_tree.y_plus, and M_conn = m_conn, to the root's other sheet;
+        M(q) is m_node on the tree sheet and m_conn - m_node on the other."""
+        m_node, m_conn = accumulate_tree(self.curve, self.q_tree,
+                                         _moment_integrand, 5)[:2]
+        m = np.concatenate([m_node, m_conn - m_node])
         y = self.q_tree.y_plus[:self.q_grid.n_nodes]
         return (np.tile(self.q_grid.nodes, 2), np.concatenate([y, -y]),
-                _correction_pcoef(self.model, (m - 0.5 * self.m_flip).T))
+                _correction_pcoef(self.model, (m - 0.5 * m_conn).T))
 
     @cached_property
     def p_tree(self) -> SurfaceTree:
@@ -802,20 +799,18 @@ class GreenSolver:
     G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
     quadrature error on the same two sheets.  The closed p-grid tree, with
     its sheet connector and lift, and the log potential at its nodes are
-    the context's (p_tree is ctx.p_tree).  Only the correction polynomial
-    (ctx.averaged_pcoef, one path from the context's base point) and one
-    accumulation over the p tree depend on y; a solver reads no q tree.
+    the context's (p_tree is ctx.p_tree).  Only form = ctx.form(y) (one
+    path from the context's base point) and one accumulation over the p
+    tree depend on y; a solver reads no q tree.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
         self.ctx = ctx
-        curve = ctx.curve
         self.y = y
-        self.y_val = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
-        self.pcoef = ctx.averaged_pcoef(y)
+        self.form = ctx.form(y)
         self.p_tree = ctx.p_tree
         vals, flip, err, self.node_err = accumulate_tree(
-            curve, self.p_tree, self._harm_both, 2)
+            ctx.curve, self.p_tree, self._harm_both, 2)
         self.u_plus = vals[:, 0].real + ctx.t_nodes
         self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
@@ -827,8 +822,7 @@ class GreenSolver:
         """The averaged form without its Cauchy sum (see
         GreenContext.omega_bar_values) on the tree sheet and on the other
         sheet."""
-        return _form_values(zs, ys, self.y.lam, self.y_val, self.pcoef,
-                            both=True)
+        return _form_values(zs, ys, *self.form, both=True)
 
     def u_at(self, x: SurfacePoint):
         """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with
@@ -881,18 +875,9 @@ class GreenSolver:
         return g.value, g.error_estimate
 
     def special_solutions(self):
-        """(G_{1/xi}, G_{1/xi^2})(y; 0) from this solver's correction
-        polynomial (_special_solutions)."""
-        return tuple(complex(g) for g in _special_solutions(
-            self.ctx, self.y.lam, self.y_val, self.pcoef))
-
-
-def roelcke_green(model: BidiffModel, frame: DistinguishedFrame,
-                  x: SurfacePoint, y: SurfacePoint,
-                  cfg: QuadratureConfig | None = None) -> GreenEvaluation:
-    """One-shot Roelcke Green value; build a GreenSolver for repeated x."""
-    ctx = green_context(model, frame, cfg)
-    return GreenSolver(ctx, y).green(x)
+        """(G_{1/xi}, G_{1/xi^2})(y; 0) from this solver's form
+        (_special_solutions)."""
+        return tuple(map(complex, _special_solutions(self.ctx, *self.form)))
 
 
 # ---------------------------------------------------------------------------
@@ -955,35 +940,18 @@ def special_solution_zero(ctx: GreenContext, l: int,
     """G_{1/xi^l}(y; 0) for l in {1, 2} (_special_solutions)."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    pcoef = ctx.averaged_pcoef(y)
-    y_val = complex(ctx.curve.y_at(np.asarray(y.lam, complex), y.sheet))
-    return complex(_special_solutions(ctx, y.lam, y_val, pcoef)[l - 1])
-
-
-def special_solution_conjugate(ctx: GreenContext, l: int,
-                               y: SurfacePoint) -> complex:
-    """G_{1/conj(xi)^l}(y; 0) = conj(G_{1/xi^l}(y; 0))."""
-    return complex(np.conj(special_solution_zero(ctx, l, y)))
-
-
-def special_solution_grid(ctx: GreenContext):
-    """G_{1/xi} and G_{1/xi^2} at every q-grid node on both sheets: one
-    _special_solutions call over GreenContext.q_forms.
-
-    Returns ((g1_plus, g1_minus), (g2_plus, g2_minus), weights); "plus"
-    is the node at y = q_tree.y_plus (the tree sheet, which need not be
-    reference sheet +1), "minus" the node at -q_tree.y_plus."""
-    g1, g2 = _special_solutions(ctx, *ctx.q_forms)
-    n = ctx.q_grid.n_nodes
-    return (g1[:n], g1[n:]), (g2[:n], g2[n:]), ctx.cauchy_w
+    return complex(_special_solutions(ctx, *ctx.form(y))[l - 1])
 
 
 def special_solution_means(ctx: GreenContext):
-    """Surface means of G_{1/xi} and G_{1/xi^2}; both vanish in theory."""
-    (g1p, g1m), (g2p, g2m), w = special_solution_grid(ctx)
-    mean1 = complex((w * (g1p + g1m)).sum() / ctx.area)
-    mean2 = complex((w * (g2p + g2m)).sum() / ctx.area)
-    return mean1, mean2
+    """Surface means of G_{1/xi} and G_{1/xi^2}; both vanish in theory.
+
+    One _special_solutions call over GreenContext.q_forms gives both at
+    every q node on the tree sheet and then on the other; each node's two
+    sheets are summed with its Cauchy weight."""
+    n = ctx.q_grid.n_nodes
+    return tuple(complex((ctx.cauchy_w * (g[:n] + g[n:])).sum() / ctx.area)
+                 for g in _special_solutions(ctx, *ctx.q_forms))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,17 +1002,14 @@ def smatrix_expansion_check(ctx: GreenContext) -> dict:
     their sign; the conjugate-sector coefficients come out as the
     negated entries, fixing the sign convention of the conjugate block
     relative to the Bergman-kernel sum.  Each of the 16 points per circle
-    costs one averaged_pcoef.
+    costs one GreenContext.form.
     """
     rmax = _xi_circle_radius(ctx, ctx.q_grid.nodes)
     rows, rhs1, rhs2 = [], [], []
     for r0 in (0.3 * rmax, 0.55 * rmax):
         xi, pts = _cone_circle_points(ctx, r0, 16)
         for z, p in zip(xi, pts):
-            y_val = complex(ctx.curve.y_at(np.asarray(p.lam, complex),
-                                           p.sheet))
-            g1, g2 = _special_solutions(ctx, p.lam, y_val,
-                                        ctx.averaged_pcoef(p))
+            g1, g2 = _special_solutions(ctx, *ctx.form(p))
             rows.append([1 / z ** 2, 1 / z, 1.0, z, z ** 2,
                          np.conj(z), np.conj(z) ** 2])
             rhs1.append(complex(g1))
@@ -1094,10 +1059,7 @@ def bergman_consistency(solver: GreenSolver, x: SurfacePoint,
 
     def dxg(dy):
         yy = SurfacePoint(complex(y.lam) + dy, y.sheet)
-        y_val = complex(ctx.curve.y_at(np.asarray(yy.lam, complex),
-                                       yy.sheet))
-        om = ctx.omega_bar_values(lam_x, y_x, yy.lam, y_val,
-                                  ctx.averaged_pcoef(yy))[0]
+        om = ctx.omega_bar_values(lam_x, y_x, *ctx.form(yy))[0]
         return -om / (4.0 * np.pi)
 
     d_re = (dxg(h) - dxg(-h)) / (2 * h)
@@ -1121,9 +1083,7 @@ def g_hol(ctx: GreenContext, x: SurfacePoint, y: SurfacePoint) -> complex:
     """
     if ctx.q_grid.n_nodes < 600:
         raise GridTooCoarse("g_hol needs a denser surface grid")
-    curve = ctx.curve
-    y_x = complex(curve.y_at(np.asarray(x.lam, complex), x.sheet))
-    y_y = complex(curve.y_at(np.asarray(y.lam, complex), y.sheet))
+    y_x, y_y = ctx.curve.y_of(x), ctx.curve.y_of(y)
     gx = ctx.omega_bar_values(x.lam, y_x, *ctx.q_forms) / (4.0 * np.pi)
     gy = ctx.omega_bar_values(y.lam, y_y, *ctx.q_forms) / (4.0 * np.pi)
     total = (np.tile(ctx.cauchy_w, 2) * gx * np.conj(gy)).sum()

@@ -107,6 +107,32 @@ class TestGreenCommand:
         assert names["bergman_consistency"]
         assert len(res["green_values"]) == 1
 
+    def test_one_green_call_per_point(self, tmp_path, monkeypatch):
+        # G(x, y) serves the symmetry check and the first green value, so
+        # no solver evaluates one point twice
+        from conespectra import green
+
+        calls = []
+        solve = green.GreenSolver.green
+
+        def counted(self, x):
+            calls.append((self.y, x))
+            return solve(self, x)
+
+        monkeypatch.setattr(green.GreenSolver, "green", counted)
+        lams = [[-0.7, 0.4], [0.9, 1.3], [0.2, -0.6]]
+        cfg = write_cfg(tmp_path, {
+            "commands": ["green"], "surface_grid": [6, 8],
+            "points": [{"lam": lam, "sheet": 1} for lam in lams]})
+        out = tmp_path / "green.json"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == len(set(calls))
+        x, y, z = (cli.SurfacePoint(complex(*lam), 1) for lam in lams)
+        assert {(y, x), (y, z), (x, y)} <= set(calls)
+        values = json.loads(out.read_text())["results"]["green"][
+            "green_values"]
+        assert [v["x"] for v in values] == [lams[0], lams[2]]
+
     def test_too_few_points(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"commands": ["green"], "points": []})
         assert cli.main(["--config", cfg]) == cli.EXIT_VALIDATION
@@ -186,6 +212,14 @@ class TestExitCodes:
             "branch_points": [[float("nan"), 0], [1, 0], [0.3, 1.1],
                               [-0.8, 0.7], [-1.1, -0.4], [0.5, -0.9]],
             "cone_point": 2}}, id="nan-branch-point"),
+        *(pytest.param({"commands": ["cone"], "lambdas": [lam]},
+                       id=f"lambda-{lam}") for lam in (-float("inf"),
+                                                       -1e308)),
+        *(pytest.param({"commands": ["green"],
+                        "points": [{"lam": [-0.7, 0.4]},
+                                   {"lam": [bad, 0.0]}]},
+                       id=f"point-lam-{bad}") for bad in (float("inf"),
+                                                          float("nan"))),
     ])
     def test_bad_input_exit(self, tmp_path, extra):
         cfg = write_cfg(tmp_path, {"surface_grid": [6, 8], **extra})

@@ -201,3 +201,15 @@ class TestAsymptoticEntries:
     def test_domain(self):
         with pytest.raises(DomainError):
             asymptotic_entries(-0.5)
+
+    @pytest.mark.parametrize("lam", [-math.inf, math.nan, -1e308, -1.3e154,
+                                     -1e154])
+    def test_non_finite_or_overflowing_rejected(self, lam):
+        # -1.3e154 squares to a finite float, but det_t overflows; beyond
+        # about -1.34e154 lam ** 2 alone overflows
+        with pytest.raises(DomainError):
+            asymptotic_entries(lam)
+
+    def test_largest_finite_entries(self):
+        e = asymptotic_entries(-9.7e153)
+        assert all(math.isfinite(v) for v in (e.s1, e.s2, e.det_t, e.det_p))

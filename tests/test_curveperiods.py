@@ -70,8 +70,8 @@ class TestConstruction:
 
     def test_surface_point(self):
         p = SurfacePoint(lam=0.5 + 0.5j, sheet=-1)
-        assert not p.is_branch_point
-        assert SurfacePoint(lam=0.0, branch_index=0).is_branch_point
+        assert (p.lam, p.sheet) == (0.5 + 0.5j, -1)
+        assert SurfacePoint(lam=0.0).sheet == 1
 
 
 class TestContinuation:

@@ -810,8 +810,7 @@ def _reference_u_at(solver, x):
     tree = solver.p_tree
 
     def harm(zs, ys):
-        return green._form_values(zs, ys, solver.y.lam, solver.y_val,
-                                  solver.pcoef)[:, None]
+        return green._form_values(zs, ys, *solver.form)[:, None]
 
     val, err = _integrate_to(solver.ctx.curve, tree.grid.nodes[tree.root],
                              tree.y_plus[tree.root], x, harm)
@@ -841,7 +840,7 @@ def _real_period_defect(model, values):
 def _solver_period_defect(sol):
     """_real_period_defect of a solver's averaged form."""
     def harm(lam, ys):
-        return green._form_values(lam, ys, sol.y.lam, sol.y_val, sol.pcoef)
+        return green._form_values(lam, ys, *sol.form)
 
     return _real_period_defect(sol.ctx.model, harm)
 
@@ -977,20 +976,22 @@ def _reference_moments(ctx, point):
                          green._moment_integrand)
 
 
-def _nearest_node_moments(ctx, point, node_err):
-    """Reference for GreenContext.moments_at: the nearest-q-node route it
-    replaced, with its error.
+def _nearest_node_moments(ctx, point, q_moments):
+    """Reference for the moments of GreenContext.form: the nearest-q-node
+    route it replaced, with its error.
 
-    One build_path from the q node k nearest to the point, started at
-    q_tree.y_plus[k], gives val: M = m_plus[k] + val if it arrives at
-    y(point), (m_flip - m_plus[k]) - val if at -y(point); a q node itself
-    takes no path.  The error is the path's plus node_err[k] on the sheet
-    the route starts from, node_err being the q tree's accumulate_tree
-    node_err (column 1 includes the flip error)."""
+    q_moments is (m_plus, m_flip, node_err), the q tree's accumulate_tree
+    output (q_moments fixture).  One build_path from the q node k nearest
+    to the point, started at q_tree.y_plus[k], gives val: M = m_plus[k] +
+    val if it arrives at y(point), (m_flip - m_plus[k]) - val if at
+    -y(point); a q node itself takes no path.  The error is the path's
+    plus node_err[k] on the sheet the route starts from (column 1
+    includes the flip error)."""
+    m_plus, m_flip, node_err = q_moments
     tree = ctx.q_tree
     nodes = tree.grid.nodes
     k = int(np.argmin(np.abs(nodes - point.lam)))
-    node = (ctx.m_plus[k], ctx.m_flip - ctx.m_plus[k])
+    node = (m_plus[k], m_flip - m_plus[k])
     if nodes[k] == point.lam:
         s = green._arrival(ctx.curve, tree.y_plus[k], point)
         return node[s].copy(), node_err[k, s]
@@ -1033,14 +1034,17 @@ def _pcoef_gap(p, q):
 
 
 @pytest.fixture(scope="module")
-def q_node_err(read_solvers):
-    """node_err of the q-tree accumulation of every read_solvers context
-    (green_context does not keep it)."""
+def q_moments(read_solvers):
+    """(m_plus, m_flip, node_err) of the q-tree accumulation of every
+    read_solvers context, which GreenContext.q_forms folds into its
+    correction polynomials and does not keep: the moments from the root
+    to the q nodes on the tree sheet, from the root to its other sheet,
+    and each node's error."""
     out = {}
     for key, (sol, _) in read_solvers.items():
-        curve, tree = sol.ctx.curve, sol.ctx.q_tree
-        out[key] = green.accumulate_tree(curve, tree,
-                                         green._moment_integrand, 5)[3]
+        m_plus, m_flip, _, node_err = green.accumulate_tree(
+            sol.ctx.curve, sol.ctx.q_tree, green._moment_integrand, 5)
+        out[key] = m_plus, m_flip, node_err
     return out
 
 
@@ -1071,30 +1075,31 @@ class TestSheetConnector:
         ctx = sol.ctx
         model, frame = ctx.model, ctx.frame
         cfg = QuadratureConfig(surface_grid=(*grid, None))
-        q_errs = []
+        q_passes = []
         accumulate = green.accumulate_tree
 
         def recording(acc):
             def accumulate_q(*args, **kwargs):
                 out = acc(*args, **kwargs)
-                q_errs.append(out[2])
+                q_passes.append(out)
                 return out
             return accumulate_q
 
         # the context on the root routes: root flip loop, root moments;
-        # the q-tree pass runs on the first read of m_flip
+        # the q-tree pass runs on the first read of q_forms
         with monkeypatch.context() as m:
             m.setattr(green, "accumulate_tree",
                       recording(_root_flip_accumulate(accumulate)))
             ref_ctx = green.green_context(model, frame, cfg)
-            ref_ctx.m_flip
+            ref_ctx.q_forms
         with monkeypatch.context() as m:
             m.setattr(green, "accumulate_tree", recording(accumulate))
-            green.green_context(model, frame, cfg).m_flip
-        assert len(q_errs) == 2
+            green.green_context(model, frame, cfg).q_forms
+        assert len(q_passes) == 2
+        q_errs = [out[2] for out in q_passes]
+        ref_plus, ref_flip = q_passes[0][:2]
         m_ref, err_ref = _reference_moments(ref_ctx, sol.y)
-        ref_pcoef = green._correction_pcoef(model,
-                                            m_ref - 0.5 * ref_ctx.m_flip)
+        ref_pcoef = green._correction_pcoef(model, m_ref - 0.5 * ref_flip)
         path_errs = [err_ref, _conn_err(ctx)]
         per_path = green.integrate_vector_path
 
@@ -1105,13 +1110,15 @@ class TestSheetConnector:
 
         with monkeypatch.context() as m:
             m.setattr(green, "integrate_vector_path", recorded)
-            pcoef = ctx.averaged_pcoef(sol.y)
+            pcoef = ctx.form(sol.y)[2]
         # every moment route's error: both q trees' (node and flip errors
         # included), the paths to y and the base point's connector
         bound = _pcoef_norm(model) * (sum(q_errs) + sum(path_errs)) + defect
         assert _pcoef_gap(pcoef, ref_pcoef) <= bound
         assert _pcoef_gap(ctx.q_forms[2], ref_ctx.q_forms[2]) <= bound
-        np.testing.assert_array_equal(ctx.m_plus, ref_ctx.m_plus)
+        np.testing.assert_array_equal(
+            green.accumulate_tree(ctx.curve, ctx.q_tree,
+                                  green._moment_integrand, 5)[0], ref_plus)
         means = np.subtract(green.special_solution_means(ctx),
                             green.special_solution_means(ref_ctx))
         assert np.abs(means).max() <= bound
@@ -1163,11 +1170,11 @@ class TestSheetConnector:
            sheet=st.sampled_from([1, -1]))
     @example(name="generic", grid=(12, 16), near="branch", index=1,
              r=0.03125, phase=0.0, free=(0.0, 0.0), sheet=-1)
-    def test_moments_match_root_route(self, read_solvers, q_node_err, name,
+    def test_moments_match_root_route(self, read_solvers, q_moments, name,
                                       grid, near, index, r, phase, free,
                                       sheet):
         # the base-point start against the root route, through
-        # averaged_pcoef: the routes differ by a cycle, which the
+        # GreenContext.form: the routes differ by a cycle, which the
         # normalized form does not see, so the polynomials agree within
         # the paths' and connectors' errors plus the real-period defect
         sol, defect = read_solvers[name, grid]
@@ -1185,12 +1192,13 @@ class TestSheetConnector:
             return out
 
         with mock.patch.object(green, "integrate_vector_path", recorded):
-            pcoef = ctx.averaged_pcoef(x)
+            pcoef = ctx.form(x)[2]
         assert len(short) == 1
+        _, m_flip, node_err = q_moments[name, grid]
         m_ref, err_ref = _reference_moments(ctx, x)
-        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)
+        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * m_flip)
         # the q tree's flip error, the error of m_flip
-        flip_err = q_node_err[name, grid][ctx.q_tree.root, 1]
+        flip_err = node_err[ctx.q_tree.root, 1]
         err = short[0] + _conn_err(ctx) + err_ref + flip_err
         assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
 
@@ -1210,10 +1218,10 @@ class TestSheetConnector:
     @example(name="z5", grid=(12, 16), near="far", index=0, r=0.0,
              phase=2.0, far=150.0, sheet=-1)
     def test_base_point_matches_nearest_node_route(
-            self, read_solvers, q_node_err, name, grid, near, index, r,
+            self, read_solvers, q_moments, name, grid, near, index, r,
             phase, far, sheet):
         # the base-point start against the nearest-q-node route it
-        # replaced, through averaged_pcoef, at points next to every branch
+        # replaced, through GreenContext.form, at points next to every branch
         # point, the cone point, the base point and its 16-gon, and far
         # out: the routes differ by a cycle, which the normalized form
         # does not see, so the polynomials agree within both routes'
@@ -1237,11 +1245,11 @@ class TestSheetConnector:
             return out
 
         with mock.patch.object(green, "integrate_vector_path", recorded):
-            pcoef = ctx.averaged_pcoef(x)
+            pcoef = ctx.form(x)[2]
         assert len(short) == int(x.lam != ctx.base[0])
-        node_err = q_node_err[name, grid]
-        m_ref, err_ref = _nearest_node_moments(ctx, x, node_err)
-        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * ctx.m_flip)
+        _, m_flip, node_err = q_moments[name, grid]
+        m_ref, err_ref = _nearest_node_moments(ctx, x, q_moments[name, grid])
+        ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * m_flip)
         # new route: its path and m_conn; old route: its path, the q
         # node's tree path and m_flip's flip error
         err = sum(short) + _conn_err(ctx) + err_ref \
@@ -1425,15 +1433,6 @@ class TestRoelckeGreen:
                                       1))
         assert (gp, err) == (g.value, g.error_estimate)
 
-    def test_one_shot_matches_solver(self, z5):
-        model, frame = z5
-        cfg = QuadratureConfig(surface_grid=(6, 8, None))
-        x = SurfacePoint(-0.7 + 0.4j, 1)
-        y = SurfacePoint(0.9 + 1.3j, 1)
-        one = green.roelcke_green(model, frame, x, y, cfg)
-        sol = green.GreenSolver(green.green_context(model, frame, cfg), y)
-        assert one.value == sol.green(x).value
-
 
 class TestSpecialSolutions:
     def test_means_vanish(self, ctx):
@@ -1441,17 +1440,13 @@ class TestSpecialSolutions:
         assert abs(m1) < 1e-6
         assert abs(m2) < 1e-6
 
-    def test_conjugate_is_conjugate(self, ctx):
-        y = SurfacePoint(0.9 + 1.3j, 1)
-        v = green.special_solution_zero(ctx, 1, y)
-        vc = green.special_solution_conjugate(ctx, 1, y)
-        assert vc == np.conj(v)
-
     def test_grid_matches_pointwise(self, ctx):
-        # both columns: "plus" is the tree sheet of each node, read off
-        # q_tree.y_plus, and "minus" the other sheet
-        (g1p, g1m), (g2p, g2m), _ = green.special_solution_grid(ctx)
+        # both halves of q_forms: "plus" is the tree sheet of each node,
+        # read off q_tree.y_plus, and "minus" the other sheet
+        g1, g2 = green._special_solutions(ctx, *ctx.q_forms)
         nodes = ctx.q_grid.nodes
+        n = nodes.size
+        g1p, g1m, g2p, g2m = g1[:n], g1[n:], g2[:n], g2[n:]
         picks = [int(np.argmin(np.abs(nodes - (0.8 + 0.8j))))] + list(
             np.linspace(0, nodes.size - 1, 11, dtype=int))
         for i in picks:
@@ -1464,18 +1459,18 @@ class TestSpecialSolutions:
                     < 1e-8, (i, sheet)
 
     def test_one_averaged_pcoef_per_point(self, ctx, solver, monkeypatch):
-        # the special-solution pair comes from one correction polynomial
-        # per second argument; a solver already holds its own
+        # the special-solution pair comes from one form (and correction
+        # polynomial) per second argument; a solver already holds its own
         pairs = [green.special_solution_zero(ctx, l, solver.y)
                  for l in (1, 2)]
         calls = []
-        averaged = green.GreenContext.averaged_pcoef
+        form = green.GreenContext.form
 
         def counted(self, y):
             calls.append(y)
-            return averaged(self, y)
+            return form(self, y)
 
-        monkeypatch.setattr(green.GreenContext, "averaged_pcoef", counted)
+        monkeypatch.setattr(green.GreenContext, "form", counted)
         green.coefficient_matching(solver)
         assert calls == []
         green.smatrix_expansion_check(ctx)
