@@ -11,6 +11,7 @@ part), and everything consumed downstream is basis-independent.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -182,8 +183,28 @@ def _continue_sqrt(roots, a, b, val, targets):
     targets then have shape (..., *Q), each continued along the segment
     it is aligned with on the trailing axes.  A call with arrays of
     starts equals the per-start scalar calls bit for bit.
+
+    One scalar segment, as integrate_vector_path and loop_nodes pass,
+    takes its turn in scalar cmath; below the bound it then needs only
+    exact, the sign rule and np.where.  That is bit for bit the array
+    path on the same segment: the sign rule's arithmetic is the same
+    elementwise, and a turn rounded differently near the bound only
+    picks the other of two rules that decide the same sign.  A start on
+    a root, or a turn at or past the bound, takes the array path.
     """
     targets = np.asarray(targets, dtype=complex)
+    if np.isscalar(a) and np.isscalar(b) and np.isscalar(val):
+        a, b = complex(a), complex(b)
+        try:
+            turn = sum([abs(cmath.phase((b - r) / (a - r)))
+                        for r in roots.tolist()])
+        except ZeroDivisionError:
+            turn = math.inf
+        if turn < _TURN_BOUND:
+            exact = np.sqrt(_root_product(targets, roots))
+            val = complex(val)
+            keep = exact.real * val.real + exact.imag * val.imag > 0
+            return np.where(keep, exact, -exact)
     a, b, val = np.ravel(a), np.ravel(b), np.ravel(val)
     tgt = targets.reshape(-1, a.size)
     exact = np.sqrt(_root_product(tgt, roots))

@@ -87,7 +87,7 @@ def build_path(curve, lam_from, lam_to, depth=0):
     if a == b:
         return [a]
     bps = curve.branch_points
-    gap_a, gap_b = np.abs(np.array([[a], [b]]) - bps).min(axis=1).tolist()
+    gap_a, gap_b = map(min, np.abs(np.array([[a], [b]]) - bps).tolist())
     half_gap = 0.5 * max(gap_a, gap_b)
     if abs(b - a) < half_gap and half_gap > 2e-9 * curve.scale:
         return [a, b]
@@ -131,7 +131,10 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
     lifts its nodes and the end b of the current segment [a, b] in one
     _continue_sqrt call from y at a: mid + half * _path_nodes() with the
     last entry set to b.  budget caps the bisections over the whole path;
-    an integral that needs more raises NonConvergence.  Returns (value,
+    an integral that needs more raises NonConvergence, and so does a
+    pass with a node on a branch point (y = 0 there), before f is
+    evaluated: bisection toward a branch point on the path shrinks the
+    subintervals until their nodes round onto it.  Returns (value,
     error, y_end), where error sums the accepted gaps and y_end is y
     continued to the last vertex.
     """
@@ -151,6 +154,10 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
             zs = mid + half * x31
             zs[30] = b
             ys = _continue_sqrt(curve.branch_points, a, b, y_a, zs)
+            if np.count_nonzero(ys[:30]) < 30:
+                raise NonConvergence(
+                    f"path integral: a node of [{lo}, {hi}] lies on a "
+                    f"branch point")
             y_b = ys[30]
             hi_est, err, accepted = _embedded_gauss(
                 half, f(zs[:30], ys[:30]), tol)
@@ -246,13 +253,13 @@ def _form_values(lam, ys, t_lam, t_y, pcoef, both=False):
     for h and one for g, serve one sheet or both.  both=True gives the
     sheets ys and -ys stacked on a new last axis, written into one array."""
     h = 0.5 / (lam - t_lam)
-    poly = 0.0
-    for c in pcoef[::-1]:
+    poly = pcoef[-1] if len(pcoef) else 0.0
+    for c in pcoef[-2::-1]:
         poly = poly * lam + c
     g = (t_y * h + poly) / ys
     if not both:
         return h + g
-    out = np.empty(np.broadcast(h, g).shape + (2,), dtype=complex)
+    out = np.empty(g.shape + (2,), dtype=complex)
     np.add(h, g, out=out[..., 0])
     np.subtract(h, g, out=out[..., 1])
     return out
@@ -532,8 +539,17 @@ def _embedded_gauss(half, vals, tol):
     axis 0.  Returns the 20-point estimates, each interval's gap (the
     largest component difference between the two rules) and whether the
     interval is accepted: a gap of at most max(tol, 1e-10 * the largest
-    component of its 20-point estimate)."""
+    component of its 20-point estimate).
+
+    One interval's (30, k) block with a scalar half, as every
+    integrate_vector_path pass gives, takes the same two np.dot calls
+    and reductions with no reshapes, bit for bit the batched form."""
     w10, w20 = gauss_legendre(10)[1], gauss_legendre(20)[1]
+    if np.isscalar(half) and vals.ndim == 2:
+        hi_est = half * np.dot(w20, vals[:20])
+        gap = np.abs(hi_est - half * np.dot(w10, vals[20:])).max()
+        top = np.abs(hi_est).max()
+        return hi_est, gap, gap <= max(tol, 1e-10 * top)
     half = np.asarray(half)
     rest = vals.shape[1:]
     scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
@@ -606,6 +622,30 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
 # ---------------------------------------------------------------------------
 # grid-averaged third-kind data, independent of both Green arguments
 # ---------------------------------------------------------------------------
+
+def _parts(nodes):
+    """Real and imaginary parts of complex nodes, each contiguous."""
+    return np.ascontiguousarray(nodes.real), np.ascontiguousarray(nodes.imag)
+
+
+def _squared_distances(lam, parts):
+    """|lam - node|^2 from one point to nodes given by _parts, in
+    log_potential's block arithmetic: the squared real difference plus
+    the squared imaginary difference, with no hypot."""
+    re, im = parts
+    r2 = lam.real - re
+    r2 *= r2
+    d = lam.imag - im
+    d *= d
+    r2 += d
+    return r2
+
+
+def _bump_phi(u, c0):
+    """log_potential's phi inside a bump, at u = r^2 / eps^2 (c0 is
+    log eps^2 - 37 / 12)."""
+    return u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) + c0
+
 
 # rows of log_potential evaluated together: its two float buffers and one
 # bool buffer hold this many rows times the q-grid size.  Timed over 8-64
@@ -703,8 +743,12 @@ class GreenContext:
     @cached_property
     def _q_parts(self):
         """Real and imaginary parts of the q nodes, contiguous."""
-        return (np.ascontiguousarray(self.q_grid.nodes.real),
-                np.ascontiguousarray(self.q_grid.nodes.imag))
+        return _parts(self.q_grid.nodes)
+
+    @cached_property
+    def _p_parts(self):
+        """Real and imaginary parts of the p nodes, contiguous."""
+        return _parts(self.p_grid.nodes)
 
     def log_potential(self, lam):
         """-(1/Area) sum_i W_i log|lam - lam_i|, each node mollified over
@@ -726,13 +770,28 @@ class GreenContext:
         pairwise over the q nodes in the same order whatever the block,
         so a point gets the same value alone or in any array; a BLAS
         matrix-vector product would not (its per-row bits depend on the
-        row count).  A scalar lam gives a float."""
+        row count).
+
+        A scalar lam gives a float, from the same arithmetic on 1-D
+        arrays, with no 1e-300 floor: only a near pair can have r^2 = 0,
+        so the near entries are set to 1 before the log and to the bump
+        after it.  The floor changes no other phi, so the value is bit
+        for bit the one an array of points gives."""
         lam = np.asarray(lam, dtype=complex)
+        eps2 = self.moll_radius ** 2
+        c0 = np.log(eps2) - 37.0 / 12.0
+        if lam.ndim == 0:
+            r2 = _squared_distances(complex(lam), self._q_parts)
+            near = (r2 < eps2).nonzero()[0]
+            u = r2[near] / eps2
+            r2[near] = 1.0
+            np.log(r2, out=r2)
+            r2[near] = _bump_phi(u, c0)
+            r2 *= self.cauchy_w
+            return np.add.reduce(r2) * (-0.5 / self.area)
         flat = lam.reshape(-1)
         out = np.empty(flat.size)
         q_re, q_im = self._q_parts
-        eps2 = self.moll_radius ** 2
-        c0 = np.log(eps2) - 37.0 / 12.0
         shape = (min(flat.size, _POTENTIAL_ROWS), q_re.size)
         r2_buf, d_buf = np.empty(shape), np.empty(shape)
         near_buf = np.empty(shape, dtype=bool)
@@ -749,7 +808,7 @@ class GreenContext:
             u = r2[m] / eps2
             np.maximum(r2, 1e-300, out=r2)
             np.log(r2, out=r2)
-            r2[m] = u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) + c0
+            r2[m] = _bump_phi(u, c0)
             r2 *= self.cauchy_w
             out[s:s + k] = r2.sum(axis=-1)
         out *= -0.5 / self.area
@@ -824,14 +883,21 @@ class GreenSolver:
         sheet."""
         return _form_values(zs, ys, *self.form, both=True)
 
+    def _nearest_node(self, lam):
+        """Index of the p node nearest to lam, by squared distance on the
+        context's contiguous real and imaginary parts (no hypot pass),
+        ties to the lower index (argmin).  It is the hypot argmin unless
+        two distances agree to rounding."""
+        return int(_squared_distances(lam, self.ctx._p_parts).argmin())
+
     def u_at(self, x: SurfacePoint):
         """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with
         its quadrature error.
 
-        Starts from the p node j nearest to x, where u is known on both
-        sheets: one build_path from lam_j to x carries the form on the
-        tree sheet of j and on the other sheet (_harm_both), and the
-        column whose sheet arrives at y(x) adds its real part and
+        Starts from the p node j nearest to x (_nearest_node), where u is
+        known on both sheets: one build_path from lam_j to x carries the
+        form on the tree sheet of j and on the other sheet (_harm_both),
+        and the column whose sheet arrives at y(x) adds its real part and
         log_potential(x) - t_nodes[j] to that sheet's node value.  The
         real part is path independent (all loop integrals of the
         averaged form are purely imaginary; the computed form's real
@@ -840,7 +906,7 @@ class GreenSolver:
         the node value's (node_err)."""
         curve = self.ctx.curve
         nodes = self.p_tree.grid.nodes
-        j = int(np.argmin(np.abs(nodes - x.lam)))
+        j = self._nearest_node(complex(x.lam))
         y_j = self.p_tree.y_plus[j]
         if nodes[j] == x.lam:
             s = _arrival(curve, y_j, x)

@@ -387,9 +387,9 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
         """Indices of the points where the bump of disk j is not 0, and
         its values there: 1 inside disk_r/2, 0 outside disk_r, and the
         smooth step only in between.  Adds the points' smallest distance
-        to branch point j to near."""
+        to branch point j to near (+inf for no points)."""
         r = np.abs(pts - bp[j])
-        near.append(r.min())
+        near.append(r.min() if r.size else np.inf)
         # the bump's argument (disk_r - r) / (disk_r / 2) is > 0 exactly
         # where r < disk_r
         inside = np.flatnonzero(r < disk_r)
@@ -409,11 +409,26 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
         w[inside] = part
 
     # main disk with complementary partition factor; the bumps' supports
-    # (r < disk_r) are disjoint, so each node takes at most one factor
+    # (r < disk_r) are disjoint, so each node takes at most one factor.
+    # The disk is radius-major in 8-point radial panels (_radii), so it
+    # splits into tiles of one panel at one angle.  Bump j is taken only
+    # on the tiles whose bounding box, from the nodes themselves, comes
+    # within disk_r of bp[j], widened by a margin far above the rounding
+    # of the distances: no node within disk_r of bp[j] is left out
     pts, w = views[bp.size]
-    for j in range(bp.size):
-        inside, val = bump_at(pts, j)
-        w[inside] *= 1.0 - val
+    k = patches[bp.size][3]
+    tiles = pts.reshape(-1, 8, k)
+    re_lo, re_hi = tiles.real.min(axis=1), tiles.real.max(axis=1)
+    im_lo, im_hi = tiles.imag.min(axis=1), tiles.imag.max(axis=1)
+    reach = disk_r + 1e-12 * (abs(center) + radius)
+    down = k * np.arange(8)[:, None]
+    for j, b in enumerate(bp.tolist()):
+        panel, col = np.nonzero(
+            (re_lo < b.real + reach) & (re_hi > b.real - reach)
+            & (im_lo < b.imag + reach) & (im_hi > b.imag - reach))
+        cand = (8 * k * panel + col + down).ravel()
+        inside, val = bump_at(pts[cand], j)
+        w[cand[inside]] *= 1.0 - val
 
     # exterior chart mu = 1/(lambda - center), area element |mu|^-4 dA_mu;
     # a radius set below span can bring its nodes near a branch point
@@ -435,7 +450,9 @@ def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points):
     weight is the conformal density |omega/dlambda|^2 (sheet-independent);
     f may depend on the sheet.  An f that returns the same scalar on both
     sheets is summed over the grid once and that sum added for each
-    sheet, which gives the two-pass total bit for bit.
+    sheet, which gives the two-pass total bit for bit.  The weighted
+    integrand is formed in one temporary, multiplied in place, so the
+    product keeps vals * dens * w's order and bits.
     """
     grid = build_surface_grid(branch_points, cfg)
     lam, w = grid.nodes, grid.weights
@@ -445,7 +462,9 @@ def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points):
     for sheet in (+1, -1):
         vals = np.asarray(f(lam, sheet), dtype=complex)
         if vals.ndim or last is None or vals != last[0]:
-            last = vals, np.sum(vals * dens * w)
+            t = vals * dens
+            t *= w
+            last = vals, np.sum(t)
         total += last[1]
     if abs(total.imag) < 1e-12 * max(1.0, abs(total.real)):
         return total.real

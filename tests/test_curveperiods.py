@@ -164,6 +164,26 @@ def _ratio_only():
     return mock.patch.object(curveperiods, "_TURN_BOUND", 0.0)
 
 
+def _turns_across_the_bound(roots, j):
+    """Two segments about root j, from 0.3 to 0.4 away from it, whose
+    turns S lie on either side of _TURN_BOUND and within a few ulps of
+    it: bisection in the angle they sweep about the root."""
+    r = complex(roots[j])
+    a = r + 0.3
+
+    def seg(phi):
+        return a, r + 0.4 * cmath.exp(1j * phi)
+
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _turn(roots, *seg(mid)) < curveperiods._TURN_BOUND:
+            lo = mid
+        else:
+            hi = mid
+    return seg(lo), seg(hi)
+
+
 def _assert_matches_stepping(curve, a, b, ts, sign):
     """The closed form equals the stepping reference bit for bit on the
     targets a + ts (b - a), given in the order of ts."""
@@ -313,6 +333,44 @@ class TestContinueSqrt:
         if np.isfinite(s) and _segment_clearance(curve, a, b) \
                 > 0.05:
             _assert_matches_stepping(curve, a, b, ts, sign)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_scalar_segment_matches_one_element_arrays(self, name):
+        # one scalar segment takes its turn in cmath and, below the bound,
+        # only the sign rule; the same segment as 1-element arrays takes
+        # the array path.  Seeded segments, segments whose turn lies just
+        # below and just above _TURN_BOUND, and the loop_nodes segments
+        curve = CURVES[name]
+        roots = curve.branch_points
+        rng = np.random.default_rng(14)
+        cases = []
+        for _ in range(40):
+            a, b = rng.uniform(-2.0, 2.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
+            cases.append((roots, a, b, a + np.linspace(0.0, 1.0, 31)
+                          * (b - a)))
+        for j in range(roots.size):
+            below, above = _turns_across_the_bound(roots, j)
+            assert _turn(roots, *below) < curveperiods._TURN_BOUND \
+                <= _turn(roots, *above)
+            for a, b in (below, above):
+                cases.append((roots, a, b, a + rng.uniform(0.0, 1.0, 31)
+                              * (b - a)))
+        order = curveperiods._angle_sorted(curve)
+        for i in range(6):
+            i0, i1 = order[i], order[(i + 1) % 6]
+            rest = np.delete(roots, [i0, i1])
+            # 160 and 1280 targets: both _root_product routes
+            for panels in (16, 128):
+                lams = curveperiods.loop_nodes(curve, i0, i1, panels)[0]
+                cases.append((rest, lams[0], lams[-1], lams))
+        for rts, a, b, targets in cases:
+            for sign in (1, -1):
+                val = sign * cmath.sqrt(complex(np.prod(a - rts)))
+                got = _continue_sqrt(rts, a, b, val, targets)
+                ref = _continue_sqrt(rts, np.array([a]), np.array([b]),
+                                     np.array([val]), targets[:, None])
+                assert got.shape == targets.shape
+                np.testing.assert_array_equal(got, ref[:, 0])
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_loop_segments_on_both_sides_of_the_bound(self, name):

@@ -442,6 +442,8 @@ def _reference_integrate_path(f, path, tol, budget, y0, lift):
             zs = mid + half * x31
             zs[30] = b
             ys = lift(a, b, y_a, zs)
+            if not ys[:30].all():
+                raise NonConvergence("a node on a branch point")
             y_b = ys[30]
             vals = f(zs[:30], ys[:30])
             hi_est, err, accepted = green._embedded_gauss(half, vals, tol)
@@ -499,6 +501,27 @@ class TestIntegrateVectorPath:
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
             assert type(g) is type(r)
+
+    @pytest.mark.parametrize("sheet", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_path_through_branch_point_raises_before_dividing(self, k,
+                                                              sheet):
+        # the path (2, 0) -> (0.5, 0) runs through branch point 1 of the
+        # generic curve; bisection toward it shrinks the subintervals
+        # until a Gauss node rounds onto lambda = 1, where 1 / y would
+        # divide by zero
+        curve = CURVES["generic"]
+        path = [2.0 + 0j, 0.5 + 0j]
+        y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
+
+        def f(z, y):
+            return np.power.outer(z, np.arange(k)) \
+                * (1.0 / y + 0.1 * y)[:, None]
+
+        with np.errstate(all="raise"), pytest.raises(NonConvergence,
+                                                     match="branch point"):
+            green.integrate_vector_path(curve, path, y0, f, tol=1e-9,
+                                        budget=200)
 
 
 def _surface_grid(name, grid, stagger):
@@ -721,16 +744,22 @@ class TestSurfaceTree:
 
     def test_log_potential_blocks(self, ctx):
         # more than three row blocks; each point's value must not depend
-        # on the block it is evaluated in
-        pts = ctx.p_grid.nodes[:3 * green._POTENTIAL_ROWS + 5]
+        # on the block it is evaluated in, and a single point, which runs
+        # on 1-D arrays with no 1e-300 floor, gets the same bits.  The
+        # last point is a q node: r^2 = 0 there, overwritten by the bump
+        # with no divide warning
+        q = ctx.q_grid.nodes
+        pts = np.append(ctx.p_grid.nodes[:3 * green._POTENTIAL_ROWS + 5],
+                        q[q.size // 3])
         block = ctx.log_potential(pts)
-        single = np.array([ctx.log_potential(z) for z in pts])
+        with np.errstate(all="raise"):
+            single = np.array([ctx.log_potential(z) for z in pts])
         np.testing.assert_array_equal(block, single)
+        assert np.isfinite(single).all()
         assert isinstance(ctx.log_potential(complex(pts[0])), float)
         assert ctx.log_potential(pts.reshape(-1, 1)).shape == (pts.size, 1)
         # the dense formula in the same squared-distance arithmetic, bump
         # on every pair
-        q = ctx.q_grid.nodes
         r2 = (pts.real[:, None] - q.real) ** 2 \
             + (pts.imag[:, None] - q.imag) ** 2
         eps2 = ctx.moll_radius ** 2
@@ -897,6 +926,28 @@ class TestGreenRead:
         u, err = sol.u_at(x)
         u_ref, err_ref = _reference_u_at(sol, x)
         assert abs(u - u_ref) <= err + err_ref + defect + 1e-12
+
+    def test_nearest_node_matches_hypot_argmin(self, read_solvers):
+        # u_at's squared-distance nearest node against the hypot argmin
+        # it replaced: the same node on a seeded pool, the stored
+        # green-query points and the p nodes themselves.  Midpoints of
+        # neighbouring nodes are ties, which either rounding may break
+        # its own way; there both nodes lie at the same distance to
+        # rounding
+        rng = np.random.default_rng(2019)
+        stored = [complex(re, im) for re, im, *_ in
+                  json.loads(GREEN_QUERY_REFERENCE.read_text())["pool"]]
+        for sol, _ in read_solvers.values():
+            nodes = sol.ctx.p_grid.nodes
+            pool = np.concatenate([
+                rng.uniform(-2.0, 2.0, 400) + 1j * rng.uniform(-2.0, 2.0, 400),
+                stored, nodes[::7]])
+            for lam in pool.tolist():
+                assert sol._nearest_node(lam) \
+                    == int(np.argmin(np.abs(nodes - lam)))
+            for lam in (0.5 * (nodes[:-1:5] + nodes[1::5])).tolist():
+                d = np.abs(nodes - lam)
+                assert d[sol._nearest_node(lam)] <= d.min() * (1 + 1e-15)
 
     def test_p_node_needs_no_path(self, ctx, solver, monkeypatch):
         calls = []

@@ -363,8 +363,8 @@ class TestPathQuadrature:
     @pytest.mark.parametrize("shape, per_interval", [
         pytest.param(shape, per, id="x".join(map(str, shape))
                      + ("-per-interval" if per else "-scalar"))
-        for shape in [(30,), (30, 1), (30, 2), (30, 5), (30, 7, 1),
-                      (30, 7, 2), (30, 7, 5)]
+        for shape in [(30,), (30, 1), (30, 2), (30, 3), (30, 5), (30, 10),
+                      (30, 7, 1), (30, 7, 2), (30, 7, 5)]
         for per in ([False, True] if len(shape) > 1 else [False])])
     def test_embedded_gauss_matches_tensordot(self, shape, per_interval):
         # np.dot on the flattened trailing axes is the call np.tensordot
@@ -387,6 +387,35 @@ class TestPathQuadrature:
                 for g, r in zip(got, ref):
                     assert np.shape(g) == np.shape(r)
                     np.testing.assert_array_equal(g, r)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+    def test_one_interval_matches_batched_form(self, k):
+        # the one-interval branch (scalar half, a (30, k) block), as
+        # integrate_vector_path calls it, against the batched form it
+        # bypasses on the same interval: a (1,) half over (30, 1, k), and
+        # a 0-d array half over (30, k).  (A batch of many edges is not
+        # the reference: BLAS may round each column of a wider np.dot
+        # differently.)
+        rng = np.random.default_rng(21 + k)
+        x30 = green._path_nodes()[:30]
+        accepted = set()
+        for trial in range(40):
+            half = complex(rng.standard_normal(), rng.standard_normal()) / 7
+            a = complex(rng.standard_normal(), rng.standard_normal())
+            z = np.multiply.outer(a + half * x30, np.ones(k))
+            vals = 1.0 / (z - 0.1j * np.arange(1, k + 1)) \
+                + rng.standard_normal((30, k)) * 1e-12
+            for tol in (1e-9, 1e-14):
+                got = green._embedded_gauss(half, vals, tol)
+                accepted.add(bool(got[2]))
+                batched = green._embedded_gauss(np.array([half]),
+                                                vals[:, None], tol)
+                plain = green._embedded_gauss(np.asarray(half), vals, tol)
+                for g, r, p in zip(got, batched, plain):
+                    assert np.shape(g) == np.shape(p) == np.shape(r[0])
+                    np.testing.assert_array_equal(g, r[0])
+                    np.testing.assert_array_equal(g, p)
+        assert accepted == {True, False}
 
     def test_beta_integral_with_endpoint_singularities(self):
         def f(t):
