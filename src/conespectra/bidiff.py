@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import bidiff_values
 from .curveperiods import Curve, PeriodData, SurfacePoint
 from .errors import (
     ConsistencyFailure,
@@ -66,15 +65,19 @@ def kleinian_coefficients(curve: Curve):
     return fm[:5, :5].copy(), q[:5, :5].copy()
 
 
-class RawBidifferential:
-    """Evaluator for W0 / (dlambda1 dlambda2)."""
+def _raw_values(fm, lam1, y1, lam2, y2):
+    """Raw bidifferential values (F(l1,l2) + 2 y1 y2) / (4 y1 y2 (l1-l2)^2).
 
-    def __init__(self, curve: Curve):
-        self.curve = curve
-        self.fm, self.q = kleinian_coefficients(curve)
-
-    def values(self, lam1, y1, lam2, y2):
-        return bidiff_values(self.fm, lam1, y1, lam2, y2)
+    fm is the square coefficient matrix of the symmetric polynomial F.
+    All point arguments broadcast together.
+    """
+    lam1 = np.asarray(lam1, dtype=complex)
+    lam2 = np.asarray(lam2, dtype=complex)
+    n = fm.shape[0]
+    p1 = np.power.outer(lam1, np.arange(n))
+    p2 = np.power.outer(lam2, np.arange(n))
+    f = np.einsum("...a,ab,...b->...", p1, fm, p2)
+    return (f + 2.0 * y1 * y2) / (4.0 * y1 * y2 * (lam1 - lam2) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +163,16 @@ def distinguished_frame(curve: Curve, periods: PeriodData, cone_point: int,
 
 @dataclass
 class BidiffModel:
-    """Normalized bidifferential W = W0 + sum c_ab v_a v_b with its jets."""
+    """Normalized bidifferential W = W0 + sum c_ab v_a v_b with its jets.
+
+    fm and q are kleinian_coefficients(curve): fm is the kernel polynomial
+    of W0, which w_values evaluates, and q its a-period residue, which
+    fixes c and the third-kind correction polynomial (green)."""
 
     curve: Curve
     periods: PeriodData
-    raw: RawBidifferential
+    fm: np.ndarray
+    q: np.ndarray
     c: np.ndarray
     frame: DistinguishedFrame | None = None
     H: BivariateSeries | None = None
@@ -180,7 +188,7 @@ class BidiffModel:
         """Normalized W / (dlambda1 dlambda2)."""
         v1 = self.v_values(np.asarray(lam1, complex), y1)
         v2 = self.v_values(np.asarray(lam2, complex), y2)
-        return (self.raw.values(lam1, y1, lam2, y2)
+        return (_raw_values(self.fm, lam1, y1, lam2, y2)
                 + np.einsum("...a,ab,...b->...", v1, self.c, v2))
 
     def w_value(self, x1: SurfacePoint, x2: SurfacePoint):
@@ -199,17 +207,17 @@ def normalize_bidifferential(curve: Curve,
     vanish (they would carry poles at infinity), and the remaining rows give
     c = -(1/4) Pi^T Q Pi, necessarily symmetric.
     """
-    raw = RawBidifferential(curve)
-    qpi = raw.q @ periods.Pi
+    fm, q = kleinian_coefficients(curve)
+    qpi = q @ periods.Pi
     scale = max(1.0, np.abs(qpi).max())
     if np.abs(qpi[2:]).max() > 1e-8 * scale:
         raise SingularNormalizationSystem(
             "a-periods of the raw kernel are not expressible in v")
-    c = -0.25 * periods.Pi.T @ raw.q @ periods.Pi
+    c = -0.25 * periods.Pi.T @ q @ periods.Pi
     if np.abs(c - c.T).max() > 1e-8 * max(1.0, np.abs(c).max()):
         raise SingularNormalizationSystem("correction matrix is not symmetric")
     c = (c + c.T) / 2.0
-    return BidiffModel(curve=curve, periods=periods, raw=raw, c=c)
+    return BidiffModel(curve=curve, periods=periods, fm=fm, q=q, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +308,13 @@ def h_expansion(model: BidiffModel, frame: DistinguishedFrame,
 
     model.frame = frame
     model.H = H
-    imb = model.periods.im_b_inverse
-    v0 = np.array([v.coeffs[0] for v in v_series])
-    v1 = np.array([v.coeffs[1] for v in v_series])
     model.jets = {
         "h00": complex(H.coeffs[0, 0]),
         "h10": complex(H.coeffs[1, 0]),
         "h01": complex(H.coeffs[0, 1]),
         "h11": complex(H.coeffs[1, 1]),
-        "v0": v0,
-        "v1": v1,
-        "b00": complex(v0 @ imb @ np.conj(v0)),
+        "v0": np.array([v.coeffs[0] for v in v_series]),
+        "v1": np.array([v.coeffs[1] for v in v_series]),
         "radius": r,
     }
     return model
@@ -390,6 +394,5 @@ def projective_connections(model: BidiffModel, rel_tol: float = 1e-8):
     imb = model.periods.im_b_inverse
     v0 = model.jets["v0"]
     s_sch = s_b - 6.0 * np.pi * complex(v0 @ imb @ v0)
-    model.jets["s_b"] = complex(s_b)
     model.jets["s_sch"] = complex(s_sch)
     return complex(s_b), complex(s_sch)

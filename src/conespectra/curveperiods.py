@@ -434,35 +434,6 @@ def cycle_integral(pd: PeriodData, kind, idx, integrand, panels=24):
     return total
 
 
-def normalized_differentials(pd: PeriodData):
-    """Evaluator for v = C (omega_1, omega_2): returns v_alpha / dlambda.
-
-    The result is an array of shape (..., 2); the sheet enters through y.
-    """
-    def v_over_dlam(lam, sheet=1):
-        lam = np.asarray(lam, dtype=complex)
-        y = pd.curve.y_at(lam, sheet)
-        basis = np.stack([1.0 / y, lam / y], axis=-1)
-        return basis @ pd.C.T
-    return v_over_dlam
-
-
-def singular_differential(curve, cone_point):
-    """Evaluator for omega = (lambda - lambda_P) dlambda / y.
-
-    omega has a double zero at P in the local parameter zeta^2 = lambda - lambda_P
-    and is odd under the sheet involution.
-    """
-    if not 0 <= cone_point < 6:
-        raise NotABranchPoint(f"cone point index {cone_point} out of range")
-    lam_p = curve.branch_points[cone_point]
-
-    def omega_over_dlam(lam, sheet=1):
-        lam = np.asarray(lam, dtype=complex)
-        return (lam - lam_p) / curve.y_at(lam, sheet)
-    return omega_over_dlam
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

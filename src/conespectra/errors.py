@@ -84,7 +84,3 @@ class FitIllConditioned(ConeSpectraError):
 
 class StepTooSmall(ConeSpectraError):
     pass
-
-
-class GridTooCoarse(ConeSpectraError):
-    pass

@@ -36,7 +36,6 @@ from .errors import (
     ConeArgument,
     ConsistencyFailure,
     FitIllConditioned,
-    GridTooCoarse,
     NonConvergence,
     PathTooCloseToBranchPoint,
     StepTooSmall,
@@ -131,12 +130,14 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
     lifts its nodes and the end b of the current segment [a, b] in one
     _continue_sqrt call from y at a: mid + half * _path_nodes() with the
     last entry set to b.  budget caps the bisections over the whole path;
-    an integral that needs more raises NonConvergence, and so does a
-    pass with a node on a branch point (y = 0 there), before f is
-    evaluated: bisection toward a branch point on the path shrinks the
-    subintervals until their nodes round onto it.  Returns (value,
-    error, y_end), where error sums the accepted gaps and y_end is y
-    continued to the last vertex.
+    an integral that needs more raises NonConvergence.  So does a
+    rejected subinterval with half-length at most 128 ulp of its
+    midpoint, instead of being split: the nodes' smallest gap is 0.0099
+    half-lengths, so below about 101 ulp they stop being distinct floats
+    and the error estimate means nothing.  A pass with a node on a
+    branch point (y = 0 there) raises before f is evaluated.  Returns
+    (value, error, y_end), where error sums the accepted gaps and y_end
+    is y continued to the last vertex.
     """
     x31 = _path_nodes()
     pts = [complex(p) for p in verts]
@@ -169,6 +170,10 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
                 raise NonConvergence(
                     f"path integral: {budget} subdivisions exhausted on "
                     f"[{lo}, {hi}] (error {err:.3e})")
+            elif abs(half) <= 128 * math.ulp(abs(mid)):
+                raise NonConvergence(
+                    f"path integral: [{lo}, {hi}] is too short to split, "
+                    f"its Gauss nodes are not distinct (error {err:.3e})")
             else:
                 used += 1
                 stack.append((lo, mid))
@@ -291,7 +296,7 @@ def _correction_pcoef(model, moments):
     """Degree-4 polynomial coefficients carried by the moment vector
     M_k = int_q^p lambda^k dlambda / y (a (5, n) matrix gives one column
     per node), including the imaginary-period normalization term."""
-    pcoef = 0.25 * (model.raw.q @ moments)
+    pcoef = 0.25 * (model.q @ moments)
     cn = model.periods.C
     abel = cn @ moments[:2]
     e = model.c @ abel - 2j * np.pi * (model.periods.im_b_inverse @ abel.imag)
@@ -663,11 +668,12 @@ class GreenContext:
     argument, the triple (lambda, y, pcoef), comes from form for one
     surface point (moments on third_kind_form's route, _moments_at from
     the cached base and m_conn), or from q_forms for every q node on both
-    sheets (moments over the q tree).  Those and the p-side data that
-    every GreenSolver shares (p_tree, the closed tree with its one lift,
-    and t_nodes) are built on first read: a context plus its solvers
-    builds one tree, the p tree.  q_forms reads q_tree.y_plus on the grid
-    nodes only, the vertices before the tree's closing ones."""
+    sheets (moments over the q tree), which special_solution_means reads.
+    Those and the p-side data that every GreenSolver shares (p_tree, the
+    closed tree with its one lift, and t_nodes) are built on first read:
+    a context plus its solvers builds one tree, the p tree.  q_forms
+    reads q_tree.y_plus on the grid nodes only, the vertices before the
+    tree's closing ones."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -718,11 +724,12 @@ class GreenContext:
     @cached_property
     def q_forms(self):
         """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree
-        sheet (q_tree.y_plus), then on the other sheet; as form, from
-        M(q) - M_conn / 2, all from the q-tree root.  One accumulate_tree
-        pass gives m_node, the (n, 5) moments to the q nodes at
-        q_tree.y_plus, and M_conn = m_conn, to the root's other sheet;
-        M(q) is m_node on the tree sheet and m_conn - m_node on the other."""
+        sheet (q_tree.y_plus), then on the other sheet, for
+        special_solution_means; as form, from M(q) - M_conn / 2, all from
+        the q-tree root.  One accumulate_tree pass gives m_node, the
+        (n, 5) moments to the q nodes at q_tree.y_plus, and M_conn =
+        m_conn, to the root's other sheet; M(q) is m_node on the tree
+        sheet and m_conn - m_node on the other."""
         m_node, m_conn = accumulate_tree(self.curve, self.q_tree,
                                          _moment_integrand, 5)[:2]
         m = np.concatenate([m_node, m_conn - m_node])
@@ -1137,22 +1144,3 @@ def bergman_consistency(solver: GreenSolver, x: SurfacePoint,
         "minus_quarter_bergman": complex(target),
         "rel_err": float(abs(mixed - target) / max(abs(target), 1e-30)),
     }
-
-
-def g_hol(ctx: GreenContext, x: SurfacePoint, y: SurfacePoint) -> complex:
-    """Holomorphic-kernel entry G_hol(x, y): surface quadrature of
-    d_x G_F(x,z) d_conj(y) G_F(z,y) / (omega(x) conj(omega(y))).
-
-    Uses the gradient identity d_x G(x,z) = Omega_bar_z(x) / 4 pi,
-    vectorized over the grid nodes z on both sheets (GreenContext.q_forms);
-    omega is the metric differential (lambda - lambda_P) dlambda / y.
-    """
-    if ctx.q_grid.n_nodes < 600:
-        raise GridTooCoarse("g_hol needs a denser surface grid")
-    y_x, y_y = ctx.curve.y_of(x), ctx.curve.y_of(y)
-    gx = ctx.omega_bar_values(x.lam, y_x, *ctx.q_forms) / (4.0 * np.pi)
-    gy = ctx.omega_bar_values(y.lam, y_y, *ctx.q_forms) / (4.0 * np.pi)
-    total = (np.tile(ctx.cauchy_w, 2) * gx * np.conj(gy)).sum()
-    om_x = (x.lam - ctx.frame.lam_p) / y_x
-    om_y = (y.lam - ctx.frame.lam_p) / y_y
-    return complex(total / (om_x * np.conj(om_y)))

@@ -217,10 +217,6 @@ class BivariateSeries:
         p2 = np.power.outer(np.asarray(t2, dtype=complex), np.arange(self.order + 1))
         return np.einsum("...a,ab,...b->...", p1, self.coeffs, p2)
 
-    def is_symmetric(self, tol=1e-8):
-        scale = max(np.abs(self.coeffs).max(), 1.0)
-        return bool(np.all(np.abs(self.coeffs - self.coeffs.T) <= tol * scale))
-
     def divide_by_diagonal_square(self):
         """Return H with (t1 - t2)^2 * H = self, as exact jets.
 

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conespectra import curveperiods, green
+from conespectra import bidiff, curveperiods, green
 from conespectra.curveperiods import (
     SurfacePoint,
     _continue_sqrt,
     curve_from_json,
     curve_to_json,
+    cycle_integral,
     make_curve,
     make_z5_curve,
     metric_area,
     metric_density,
-    normalized_differentials,
     period_data,
-    singular_differential,
 )
 from conespectra.errors import (
     BaseOnBranchPoint,
@@ -571,51 +570,39 @@ class TestPeriodData:
 
 
 class TestNormalizedDifferentials:
-    def setup_method(self):
-        self.curve = make_z5_curve()
-        self.pd = period_data(self.curve, 0)
-        self.v = normalized_differentials(self.pd)
+    """BidiffModel.v_values, the one evaluator of v = C (omega_1,
+    omega_2) / dlambda."""
+
+    @staticmethod
+    def _model(curve):
+        return bidiff.normalize_bidifferential(curve, period_data(curve, 0))
 
     def test_a_periods_are_kronecker(self):
-        # integrate v over the a-cycles rebuilt from the stored data:
-        # C Pi[:2] columns give the delta by construction, so check against
-        # a quadrature of v over an explicit loop around one branch pair
-        order = np.argsort(np.angle(self.curve.branch_points
-                                    - self.curve.branch_points.mean()))
-        e0 = self.curve.branch_points[order[0]]
-        e1 = self.curve.branch_points[order[1]]
-        mid, half = (e0 + e1) / 2, (e1 - e0) / 2
-        xg, wg = gauss_legendre(40)
-        th = np.pi / 2 * xg
-        lams = mid + half * np.sin(th)
-        rest = np.delete(self.curve.branch_points,
-                         [order[0], order[1]])
-        g = np.sqrt(np.prod(lams[:, None] - rest, axis=1))
-        # enforce continuity of g along the segment
-        for k in range(1, g.size):
-            if abs(g[k] - g[k - 1]) > abs(g[k] + g[k - 1]):
-                g[k:] = -g[k:]
-        vals = np.stack([1.0 / (1j * g), lams / (1j * g)], axis=-1) @ self.pd.C.T
-        per = 2.0 * np.sum(wg[:, None] * (np.pi / 2) * vals, axis=0)
-        # the loop is one of the a-cycles up to sign
-        match = min(np.abs(per - [1, 0]).max(), np.abs(per + [1, 0]).max(),
-                    np.abs(per - [0, 1]).max(), np.abs(per + [0, 1]).max())
-        assert match < 1e-6
+        # cycle_integral over the stored a-cycles gives the identity, on
+        # a curve with symmetry and on one without
+        for curve in (make_z5_curve(), make_curve(GENERIC_BP)):
+            model = self._model(curve)
+            per = np.array([[cycle_integral(
+                model.periods, "a", beta,
+                lambda lams, y, a=alpha: model.v_values(lams, y)[:, a])
+                for beta in range(2)] for alpha in range(2)])
+            assert np.abs(per - np.eye(2)).max() < 1e-12
 
     def test_parity_at_branch_point(self):
         # v expanded in zeta = sqrt(lam - e_j) has only even powers: v on the
         # two sheets at equal lam agrees near the branch point after the
         # involution, i.e. v(zeta) dzeta is even <=> v/dlam odd in y
-        lam = self.curve.branch_points[2] + 1e-3 * np.exp(0.7j)
-        up = self.v(np.array([lam]), sheet=1)
-        dn = self.v(np.array([lam]), sheet=-1)
+        curve = make_z5_curve()
+        model = self._model(curve)
+        lam = np.array([curve.branch_points[2] + 1e-3 * np.exp(0.7j)])
+        up = model.v_values(lam, curve.y_at(lam, 1))
+        dn = model.v_values(lam, curve.y_at(lam, -1))
         np.testing.assert_allclose(up, -dn, rtol=1e-12)
 
 
 class TestSingularDifferential:
     def setup_method(self):
         self.curve = make_z5_curve()
-        self.omega = singular_differential(self.curve, 0)
 
     @staticmethod
     def _omega_dzeta(curve, zeta):
@@ -642,14 +629,6 @@ class TestSingularDifferential:
             val = complex(self._omega_dzeta(self.curve, zeta)[0])
             dev = abs(val / (c * zeta[0] ** 2) - 1)
             assert dev < 5 * r ** 10
-
-    def test_odd_under_sheet_swap(self):
-        lam = np.array([0.4 + 0.2j])
-        assert np.allclose(self.omega(lam, 1), -self.omega(lam, -1))
-
-    def test_not_a_branch_point(self):
-        with pytest.raises(NotABranchPoint):
-            singular_differential(self.curve, 9)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 growing solutions at the cone point."""
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,6 @@ from conespectra.errors import (
     ConeArgument,
     ConsistencyFailure,
     FitIllConditioned,
-    GridTooCoarse,
     NonConvergence,
     StepTooSmall,
 )
@@ -453,6 +453,8 @@ def _reference_integrate_path(f, path, tol, budget, y0, lift):
                 total_err += err
             elif used >= budget:
                 raise NonConvergence("budget spent")
+            elif abs(half) <= 128 * math.ulp(abs(mid)):
+                raise NonConvergence("nodes not distinct")
             else:
                 used += 1
                 stack.append((lo, mid))
@@ -508,8 +510,9 @@ class TestIntegrateVectorPath:
                                                               sheet):
         # the path (2, 0) -> (0.5, 0) runs through branch point 1 of the
         # generic curve; bisection toward it shrinks the subintervals
-        # until a Gauss node rounds onto lambda = 1, where 1 / y would
-        # divide by zero
+        # until their Gauss nodes are no longer distinct floats, and the
+        # integrator refuses to split further before a node rounds onto
+        # lambda = 1, where 1 / y would divide by zero
         curve = CURVES["generic"]
         path = [2.0 + 0j, 0.5 + 0j]
         y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
@@ -519,9 +522,29 @@ class TestIntegrateVectorPath:
                 * (1.0 / y + 0.1 * y)[:, None]
 
         with np.errstate(all="raise"), pytest.raises(NonConvergence,
-                                                     match="branch point"):
+                                                     match="not distinct"):
             green.integrate_vector_path(curve, path, y0, f, tol=1e-9,
                                         budget=200)
+
+    def test_first_pass_node_on_branch_point_raises(self):
+        # the segment of half-length 1 centred at 1 - x_3, x_3 the fourth
+        # path node, puts that node of the first pass exactly on branch
+        # point 1 of the generic curve, where y = 0: the pass raises
+        # before f divides by y
+        curve = CURVES["generic"]
+        x31 = green._path_nodes()
+        mid = 1.0 - x31[3].real
+        path = [complex(mid - 1.0), complex(mid + 1.0)]
+        assert ((path[0] + path[1]) / 2.0
+                + (path[1] - path[0]) / 2.0 * x31)[3] == 1.0
+        y0 = complex(curve.y_at(np.asarray(path[0]), 1))
+
+        def f(z, y):
+            return 1.0 / y
+
+        with np.errstate(all="raise"), pytest.raises(
+                NonConvergence, match="lies on a branch point"):
+            green.integrate_vector_path(curve, path, y0, f)
 
 
 def _surface_grid(name, grid, stagger):
@@ -1572,24 +1595,6 @@ class TestBergmanConsistency:
         b = green.bergman_consistency(solver, x, h=1e-4)
         assert abs(a["mixed_derivative"] - b["mixed_derivative"]) \
             < 1e-4 * abs(b["mixed_derivative"]) + 1e-12
-
-
-class TestGHol:
-    def test_hermitian(self, ctx):
-        x = SurfacePoint(-0.7 + 0.4j, 1)
-        y = SurfacePoint(0.9 + 1.3j, -1)
-        gxy = green.g_hol(ctx, x, y)
-        gyx = green.g_hol(ctx, y, x)
-        assert np.isfinite(gxy)
-        assert abs(gxy - np.conj(gyx)) < 1e-10 * max(1.0, abs(gxy))
-
-    def test_coarse_grid_rejected(self, z5):
-        model, frame = z5
-        tiny = green.green_context(
-            model, frame, QuadratureConfig(surface_grid=(2, 3, None)))
-        with pytest.raises(GridTooCoarse):
-            green.g_hol(tiny, SurfacePoint(-0.7 + 0.4j, 1),
-                        SurfacePoint(0.9 + 1.3j, 1))
 
 
 class TestSMatrixCrossCheck:

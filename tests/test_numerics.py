@@ -293,10 +293,6 @@ class TestBivariateSeries:
         h = BivariateSeries([[1, 2], [3, 4]])
         assert abs(h.evaluate(0.5, 0.25) - (1 + 0.5 + 1.5 + 0.5)) < 1e-14
 
-    def test_symmetry_check(self):
-        assert BivariateSeries([[1, 2], [2, 1]]).is_symmetric()
-        assert not BivariateSeries([[1, 2], [3, 1]]).is_symmetric()
-
     def test_divide_by_diagonal_square(self):
         rng = np.random.default_rng(7)
         n = 10
@@ -418,14 +414,18 @@ class TestPathQuadrature:
         assert accepted == {True, False}
 
     def test_beta_integral_with_endpoint_singularities(self):
+        # at tol 1e-12, bisection toward the endpoint singularities of
+        # 1 / sqrt(t (1 - t)) reaches subintervals whose Gauss nodes are
+        # no longer distinct floats; accepting one would report an error
+        # of 1.8e-11 for a true error of 2.2e-8, so it must raise
         def f(t):
             u = t * (1 - t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = 1.0 / np.sqrt(u)
             return np.where(np.isfinite(r), r, 0.0)
 
-        val, _, _ = path_integral(f, [0.0, 1.0])
-        assert abs(val - math.pi) < 1e-6
+        with pytest.raises(NonConvergence, match="not distinct"):
+            path_integral(f, [0.0, 1.0])
 
     def test_unit_circle_residue(self):
         path = [1, 1j, -1, -1j, 1]
