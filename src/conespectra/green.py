@@ -54,9 +54,13 @@ def _blocked(curve, a, b, gap_a, gap_b):
     A segment must keep at least 0.3 times the smaller endpoint gap (an
     endpoint's distance to the nearest branch point), capped at
     min_gap / 4, so a segment that heads away from a nearby branch point
-    passes and one through it does not; and more than 1e-9 scale from
-    every branch point, a floor of its own that still blocks a segment
-    whose endpoint gaps are tiny.  a, b, gap_a and gap_b broadcast."""
+    passes and one through it does not; and, where the foot lies inside
+    the segment (0 < t < 1), more than 1e-9 scale from the branch point,
+    a floor of its own that still blocks a segment through it whose
+    endpoint gaps are tiny.  A foot at an end point is that end point,
+    whose own gap the first rule already bounds, so an end point closer
+    than the floor does not block its segments.  a, b, gap_a and gap_b
+    broadcast."""
     bp = curve.branch_points
     a = np.asarray(a)[..., None]
     seg = np.asarray(b)[..., None] - a
@@ -67,8 +71,9 @@ def _blocked(curve, a, b, gap_a, gap_b):
     feet = a + t * seg
     d = np.abs(feet - bp)
     floor = np.minimum(0.3 * np.minimum(gap_a, gap_b), curve.min_gap / 4.0)
-    return (d < np.asarray(floor)[..., None]) | (d <= 1e-9 * curve.scale), \
-        feet, d
+    inside = (t > 0.0) & (t < 1.0)
+    return (d < np.asarray(floor)[..., None]) \
+        | (inside & (d <= 1e-9 * curve.scale)), feet, d
 
 
 def build_path(curve, lam_from, lam_to, depth=0):
@@ -634,9 +639,10 @@ def _parts(nodes):
 
 
 def _squared_distances(lam, parts):
-    """|lam - node|^2 from one point to nodes given by _parts, in
-    log_potential's block arithmetic: the squared real difference plus
-    the squared imaginary difference, with no hypot."""
+    """|lam - node|^2 from one point to nodes given by _parts: the squared
+    real difference plus the squared imaginary difference, with no hypot.
+    It is the direct square of log_potential's scalar path, exact to the
+    rounding of each difference, unlike the array path's Gram form."""
     re, im = parts
     r2 = lam.real - re
     r2 *= r2
@@ -652,11 +658,15 @@ def _bump_phi(u, c0):
     return u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) + c0
 
 
-# rows of log_potential evaluated together: its two float buffers and one
-# bool buffer hold this many rows times the q-grid size.  Timed over 8-64
-# rows on a 2-vCPU Xeon with 2 MB of L2 per core: at (24,32) 8 and 16
-# rows were fastest (32 rows of the three buffers outgrow L2); at (12,16)
-# 16-64 rows tied and 8 paid 15% in per-block calls
+# rows of log_potential's array path per block: one BLAS product of
+# fixed shape writes this many rows times the q-grid size into its float
+# buffer, with a bool buffer of the same size.  16 is a multiple of the
+# row unroll of the OpenBLAS dgemm kernels checked (Haswell, SkylakeX,
+# Sandybridge), so with one shape for every product a row's bits do not
+# depend on its place in the block.  Re-timed over 8-64
+# rows on a 2-vCPU Xeon with 2 MB of L2 per core: at (12,16) 16-64 rows
+# tied within 5% and 8 paid 10-15% in per-block calls; at (24,32) 8 and
+# 16 tied and 32-64 paid about 10% (their buffers outgrow L2)
 _POTENTIAL_ROWS = 16
 
 
@@ -753,6 +763,15 @@ class GreenContext:
         return _parts(self.q_grid.nodes)
 
     @cached_property
+    def _q_gram(self):
+        """(4, n_q) q-side factor of log_potential's Gram form: rows 1,
+        |q'|^2, Re q' and Im q' of q' = lam_q - c, c the branch-point
+        mean."""
+        q = self.q_grid.nodes - self.curve.branch_points.mean()
+        return np.stack([np.ones(q.size), q.real * q.real + q.imag * q.imag,
+                         q.real, q.imag])
+
+    @cached_property
     def _p_parts(self):
         """Real and imaginary parts of the p nodes, contiguous."""
         return _parts(self.p_grid.nodes)
@@ -768,22 +787,35 @@ class GreenContext:
         mass and vanishing second moment, so the smeared density matches
         the metric density to fourth order in eps.
 
-        The sum runs in squared distances with no hypot: phi = log r^2
-        (floored at 1e-300, so a point on a q node warns of no divide),
+        The sum runs in squared distances with no hypot: phi = log r^2,
         or twice the bump potential plus log eps^2 where r^2 < eps^2, and
-        the result is -(1/2) sum_i W_i phi_i / Area.  Points are taken
-        _POTENTIAL_ROWS at a time through two float buffers and one bool
-        buffer allocated once per call.  Each point's row is summed
-        pairwise over the q nodes in the same order whatever the block,
-        so a point gets the same value alone or in any array; a BLAS
-        matrix-vector product would not (its per-row bits depend on the
-        row count).
+        the result is -(1/2) sum_i W_i phi_i / Area, each point's row
+        summed pairwise over the q nodes.
 
-        A scalar lam gives a float, from the same arithmetic on 1-D
-        arrays, with no 1e-300 floor: only a near pair can have r^2 = 0,
-        so the near entries are set to 1 before the log and to the bump
-        after it.  The floor changes no other phi, so the value is bit
-        for bit the one an array of points gives."""
+        A scalar lam, the query path of GreenSolver.u_at, is the direct
+        sum: r^2 is _squared_distances from lam to the q nodes, and the
+        near entries are set to 1 before the log and to the bump after
+        it, so a point on a q node warns of no divide.
+
+        An array lam (t_nodes) takes r^2 in the Gram form about c, the
+        branch-point mean: with x = lam - c and q' = lam_i - c, r^2 =
+        [|x|^2, 1, -2 Re x, -2 Im x] . [1, |q'|^2, Re q', Im q'], one BLAS
+        product per block of _POTENTIAL_ROWS points against the cached
+        (4, n_q) q side (_q_gram), into one float and one bool buffer
+        allocated once per call.  Every product has the same shape (the
+        last block is padded with zero rows), so a point gets the same
+        bits whatever its block, alone or in any array.  phi is floored at
+        log 1e-300, so a near pair whose r^2 rounds to zero or below warns
+        of nothing before its bump replaces it.
+
+        The Gram form cancels where r is small against |x| + |q'|.
+        Rounding x, q', |x|^2, |q'|^2 and the four-term product leaves r^2
+        within 4 ulp of (|x| + |q'|)^2 of the direct square (ulp = 2^-52),
+        and phi's slope in r^2 is at most 1/r^2 outside a bump and 8/eps^2
+        inside one.  So each phi_i is within 32 ulp of (|x| + |q'_i|)^2 /
+        max(r_i^2, eps^2), and the array path within (16 ulp / Area)
+        sum_i W_i (|x| + |q'_i|)^2 / max(r_i^2, eps^2) of the direct sum,
+        beyond the rounding of the sum itself."""
         lam = np.asarray(lam, dtype=complex)
         eps2 = self.moll_radius ** 2
         c0 = np.log(eps2) - 37.0 / 12.0
@@ -796,21 +828,19 @@ class GreenContext:
             r2[near] = _bump_phi(u, c0)
             r2 *= self.cauchy_w
             return np.add.reduce(r2) * (-0.5 / self.area)
-        flat = lam.reshape(-1)
+        flat = lam.reshape(-1) - self.curve.branch_points.mean()
+        x = np.zeros((-(-flat.size // _POTENTIAL_ROWS) * _POTENTIAL_ROWS, 4))
+        x[:flat.size] = np.stack([flat.real * flat.real
+                                  + flat.imag * flat.imag, np.ones(flat.size),
+                                  -2.0 * flat.real, -2.0 * flat.imag], axis=1)
         out = np.empty(flat.size)
-        q_re, q_im = self._q_parts
-        shape = (min(flat.size, _POTENTIAL_ROWS), q_re.size)
-        r2_buf, d_buf = np.empty(shape), np.empty(shape)
-        near_buf = np.empty(shape, dtype=bool)
+        gram = self._q_gram
+        r2_buf = np.empty((_POTENTIAL_ROWS, gram.shape[1]))
+        near_buf = np.empty(r2_buf.shape, dtype=bool)
         for s in range(0, flat.size, _POTENTIAL_ROWS):
-            pts = flat[s:s + _POTENTIAL_ROWS]
-            k = pts.size
-            r2, d, m = r2_buf[:k], d_buf[:k], near_buf[:k]
-            np.subtract(pts.real[:, None], q_re, out=r2)
-            np.multiply(r2, r2, out=r2)
-            np.subtract(pts.imag[:, None], q_im, out=d)
-            np.multiply(d, d, out=d)
-            r2 += d
+            np.matmul(x[s:s + _POTENTIAL_ROWS], gram, out=r2_buf)
+            k = min(_POTENTIAL_ROWS, flat.size - s)
+            r2, m = r2_buf[:k], near_buf[:k]
             np.less(r2, eps2, out=m)
             u = r2[m] / eps2
             np.maximum(r2, 1e-300, out=r2)

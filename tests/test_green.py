@@ -3,7 +3,8 @@ growing solutions at the cone point."""
 
 import json
 import math
-from functools import partial
+import warnings
+from functools import lru_cache, partial
 from pathlib import Path
 from unittest import mock
 
@@ -107,6 +108,15 @@ def generic():
     model, frame = build_model(GENERIC_BP, 2)
     gctx = green.green_context(model, frame)
     return model, frame, gctx
+
+
+@pytest.fixture(scope="module")
+def potential_contexts(z5, generic):
+    """green_context for a curve name and grid, each built once."""
+    models = {"z5": z5, "generic": generic[:2]}
+    return lru_cache(maxsize=None)(
+        lambda name, grid: green.green_context(
+            *models[name], QuadratureConfig(surface_grid=(*grid, None))))
 
 
 @pytest.fixture(scope="module")
@@ -652,6 +662,35 @@ def _two_chain_grid():
     return SurfaceGrid(nodes, np.ones(nodes.size), 0.0)
 
 
+def _direct_log_potential(ctx, pts):
+    """log_potential's direct sum at pts in the scalar path's arithmetic
+    (squared real plus squared imaginary difference, bump on every near
+    pair), and the bound its docstring states for the array path's Gram
+    form against it: (16 eps / Area) sum_i W_i (|x| + |q'_i|)^2 /
+    max(r_i^2, eps_m^2), x and q' taken about the branch-point mean,
+    plus 16 eps of sum_i |W_i phi_i| / Area for the rounding of the sum
+    itself.  Rows go 128 at a time, each summed alone."""
+    q = ctx.q_grid.nodes
+    c = ctx.curve.branch_points.mean()
+    eps2 = ctx.moll_radius ** 2
+    dense, bound = [], []
+    for s in range(0, pts.size, 128):
+        x = pts[s:s + 128]
+        r2 = (x.real[:, None] - q.real) ** 2 + (x.imag[:, None] - q.imag) ** 2
+        u = r2 / eps2
+        inside = u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) \
+            + (np.log(eps2) - 37.0 / 12.0)
+        wphi = ctx.cauchy_w * np.where(r2 < eps2, inside,
+                                       np.log(np.maximum(r2, 1e-300)))
+        size = (np.abs(x - c)[:, None] + np.abs(q - c)) ** 2 \
+            / np.maximum(r2, eps2)
+        dense.append(wphi.sum(axis=-1) * (-0.5 / ctx.area))
+        bound.append(16 * np.finfo(float).eps / ctx.area
+                     * ((ctx.cauchy_w * size).sum(axis=-1)
+                        + np.abs(wphi).sum(axis=-1)))
+    return np.concatenate(dense), np.concatenate(bound)
+
+
 class TestSurfaceTree:
     @pytest.mark.parametrize("name, grid, stagger", [
         *(pytest.param(name, grid, stagger, id=f"{name}-grid{k}-{stagger}")
@@ -766,33 +805,74 @@ class TestSurfaceTree:
                                   tol=1e-12, budget=0)
 
     def test_log_potential_blocks(self, ctx):
-        # more than three row blocks; each point's value must not depend
-        # on the block it is evaluated in, and a single point, which runs
-        # on 1-D arrays with no 1e-300 floor, gets the same bits.  The
-        # last point is a q node: r^2 = 0 there, overwritten by the bump
-        # with no divide warning
+        # more than three row blocks.  A single point runs the direct sum
+        # on 1-D arrays, with no 1e-300 floor, and gets the bits of the
+        # dense direct sum; the array path's Gram form stays within its
+        # stated bound of it, and gives each point the same bits whatever
+        # block it falls in.  The last point is a q node: r^2 = 0 there,
+        # overwritten by the bump with no divide warning
         q = ctx.q_grid.nodes
         pts = np.append(ctx.p_grid.nodes[:3 * green._POTENTIAL_ROWS + 5],
                         q[q.size // 3])
         block = ctx.log_potential(pts)
         with np.errstate(all="raise"):
             single = np.array([ctx.log_potential(z) for z in pts])
-        np.testing.assert_array_equal(block, single)
         assert np.isfinite(single).all()
         assert isinstance(ctx.log_potential(complex(pts[0])), float)
         assert ctx.log_potential(pts.reshape(-1, 1)).shape == (pts.size, 1)
-        # the dense formula in the same squared-distance arithmetic, bump
-        # on every pair
-        r2 = (pts.real[:, None] - q.real) ** 2 \
-            + (pts.imag[:, None] - q.imag) ** 2
+        dense, bound = _direct_log_potential(ctx, pts)
         eps2 = ctx.moll_radius ** 2
-        assert (r2 < eps2).any(axis=1).all()
-        u = r2 / eps2
-        inside = u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) \
-            + (np.log(eps2) - 37.0 / 12.0)
-        phi = np.where(r2 < eps2, inside, np.log(np.maximum(r2, 1e-300)))
-        dense = (ctx.cauchy_w * phi).sum(axis=-1) * (-0.5 / ctx.area)
-        np.testing.assert_array_equal(block, dense)
+        assert (np.abs(pts[:, None] - q) ** 2 < eps2).any(axis=1).all()
+        np.testing.assert_array_equal(single, dense)
+        assert np.all(np.abs(block - dense) <= bound)
+        rows = green._POTENTIAL_ROWS
+        for start in (0, 1, rows - 1, rows + 3):
+            for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3):
+                part = ctx.log_potential(pts[start:start + n])
+                np.testing.assert_array_equal(part, block[start:start + n])
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16), (24, 32)]),
+           picks=st.lists(st.one_of(
+               st.tuples(st.just("q"), st.integers(0, 10 ** 6)),
+               st.tuples(st.just("exterior"), st.integers(0, 10 ** 6)),
+               st.tuples(st.just("far"), st.floats(2.0, 3.5),
+                         st.floats(0.0, 2.0 * np.pi)),
+               st.tuples(st.just("box"), st.floats(-3.0, 3.0),
+                         st.floats(-3.0, 3.0))), min_size=1, max_size=40))
+    def test_log_potential_gram_bound(self, potential_contexts, name, grid,
+                                      picks):
+        # random point sets: q nodes, exterior-chart p nodes (|lambda| up
+        # to about 480 at (24,32)), points at |lambda| = 10^2 to 10^3.5 and
+        # points in a box round the branch points; the array path is
+        # within the stated Gram bound of the dense direct sum
+        c = potential_contexts(name, grid)
+        q, p = c.q_grid.nodes, c.p_grid.nodes
+        n_ext = grid[0] * grid[1]
+        pts = []
+        for kind, a, *b in picks:
+            if kind == "q":
+                pts.append(q[a % q.size])
+            elif kind == "exterior":
+                pts.append(p[p.size - n_ext + a % n_ext])
+            elif kind == "far":
+                pts.append(10.0 ** a * np.exp(1j * b[0]))
+            else:
+                pts.append(complex(a, b[0]))
+        pts = np.array(pts, dtype=complex)
+        dense, bound = _direct_log_potential(c, pts)
+        assert np.all(np.abs(c.log_potential(pts) - dense) <= bound)
+
+    @pytest.mark.parametrize("name", ["z5", "generic"])
+    def test_t_nodes_match_scalar(self, ctx, generic, name):
+        # at (12,16), every p node's t_nodes entry is within the Gram
+        # bound of the scalar direct sum at that node
+        c = ctx if name == "z5" else generic[2]
+        p = c.p_grid.nodes
+        scalar = np.array([c.log_potential(z) for z in p])
+        _, bound = _direct_log_potential(c, p)
+        assert np.all(np.abs(c.t_nodes - scalar) <= bound)
 
     @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (24, 32)],
                              ids=lambda g: f"{g[0]}x{g[1]}")
@@ -1488,6 +1568,27 @@ class TestRoelckeGreen:
             for idx in (0, 1):
                 per = cycle_integral(model.periods, kind, idx, form.values)
                 assert abs(per.real) < 1e-6, (kind, idx)
+
+    @pytest.mark.parametrize("name, j", [
+        *(("z5", j) for j in (1, 2, 3, 4, 5)),
+        *(("generic", j) for j in (0, 1, 3, 4, 5))])
+    def test_next_to_a_non_cone_branch_point(self, solver, generic, name, j):
+        # x = b + 10^-k for every non-cone branch point b, at (12,16): the
+        # last leg ends inside _blocked's 1e-9 scale floor from k = 9 on,
+        # which blocks only feet inside a segment, so G is finite with no
+        # RuntimeWarning and settles as k grows
+        if name == "z5":
+            sol = solver
+        else:
+            sol = green.GreenSolver(generic[2], SurfacePoint(0.9 + 1.3j, 1))
+        b = complex(sol.ctx.curve.branch_points[j])
+        assert abs(b - sol.ctx.frame.lam_p) > 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = {k: sol.green(SurfacePoint(b + 10.0 ** -k, 1)).value
+                 for k in (6, 9, 12)}
+        assert all(np.isfinite(v) for v in g.values()), g
+        assert abs(g[12] - g[9]) <= 1e-4, g
 
     def test_coincident_arguments(self, solver):
         with pytest.raises(CoincidentArguments):
