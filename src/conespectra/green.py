@@ -351,18 +351,15 @@ class SurfaceTree:
     generic curve's (12, 16) grid about 30% of the nodes sit on reference
     sheet -1.
 
-    depth counts the edges from the root to each vertex; a vertex's parent
-    is one level up, so sums along root paths run one level at a time
-    (_levels).
-
     hub is the grid node whose distance to the first branch point is
     closest to min_gap / 3 (ties to the lower index), where the sheet
     connector starts: on every build_surface_grid grid, the 16-gon about
     that branch point through the hub, with no legs.
 
-    ys holds y at the Gauss nodes (_gauss_nodes) of every edge, in the
-    order of kids, lifted with the tree, so every integrand over one tree
-    shares one lift."""
+    zs and half are the Gauss nodes and half-lengths of every edge
+    (_gauss_nodes), in the order of kids, and ys holds y at those nodes,
+    lifted with the tree, so every integrand over one tree shares one
+    geometry and one lift."""
 
     grid: object
     lam: np.ndarray            # vertex positions, the grid nodes first
@@ -370,15 +367,19 @@ class SurfaceTree:
     order: np.ndarray          # grid-node visit order, root first
     kids: np.ndarray           # order[1:], then the closing vertices
     y_plus: np.ndarray         # y continued along the tree at every vertex
-    ys: np.ndarray = field(repr=False)   # (30, edges), edges as kids
+    zs: np.ndarray = field(repr=False)   # (30, edges), edges as kids
+    half: np.ndarray = field(repr=False)  # (edges,)
+    ys: np.ndarray = field(repr=False)   # y at zs
     root: int
-    depth: np.ndarray          # edges from the root, 0 at the root
     hub: int                   # start of the sheet connector
 
 
 # elements of one block of the nearest-visited search (rows times window
-# width), and the previous nodes in the visit order that bound a row's window
-_SEARCH_BLOCK = 1 << 16
+# width; no bit depends on it), and the previous nodes in the visit order
+# that bound a row's window.  Generic/z5 p grids on a 2-vCPU Xeon (2 MB L2),
+# 1 << 12..16, ms: (12,16) 3.2/2.8, 3.2/2.7, 3.4/2.7, 4.5/3.5, 6.9/7.8;
+# (24,32) 28/27, 25/24, 23/21, 26/24, 47/46
+_SEARCH_BLOCK = 1 << 14
 _LOOKBACK = 64
 
 
@@ -428,26 +429,20 @@ def _nearest_visited(lam_ord, order, rho):
 
 
 def _path_counts(parent, root, counts):
-    """Sums of the integer counts of the edges on every node's path from
-    the root, counts[i] being the count of the edge from node i to its
-    parent (0 at the root; extra axes are summed alike), by pointer
-    jumping: up[i] starts at the parent of i and jumps to up[up[i]] in
-    every pass, total[i] summing the edges from i to up[i], until every
-    up[i] is the root, about log2 of the largest depth passes."""
+    """Sums of the values of the edges on every node's path from the
+    root, counts[i] being the value (an integer count, or accumulate_tree's
+    complex integrals) of the edge from node i to its parent (0 at the
+    root; extra axes are summed alike), by pointer jumping: up[i] starts
+    at the parent of i and jumps to up[up[i]] in every pass, total[i]
+    summing the edges from i to up[i], until every up[i] is the root,
+    about log2 of the largest depth passes.  So a path of d edges is
+    summed in at most ceil(log2 d) rounds; later passes add exact zeros."""
     total = counts.copy()
     up = np.where(parent >= 0, parent, root)
     while (up != root).any():
         total += total[up]
         up = up[up]
     return total
-
-
-def _levels(depth):
-    """Positions of depth grouped by equal value, lowest first: the tree
-    edges by the depth of their end node, so every edge's parent edge
-    lies in an earlier group."""
-    idx = np.argsort(depth, kind="stable")
-    return np.split(idx, np.flatnonzero(np.diff(depth[idx])) + 1)
 
 
 def build_surface_tree(curve, grid) -> SurfaceTree:
@@ -464,11 +459,11 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     in closed form: every y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)),
     and the sign sigma_i is the parent's times the edge's sign flip.  The
     flips of all edges, the closing ones included, come from one
-    _continue_sqrt call; one _path_counts pass counts the flips and the
-    edges (the depth recorded on the tree) on every root path.  The
-    connector must end at -y_plus[hub] (else ConsistencyFailure).  The
-    Gauss nodes of every edge are then lifted from y_plus at its parent,
-    _LIFT_EDGES edges per _continue_sqrt call."""
+    _continue_sqrt call; one _path_counts pass counts the flips on every
+    root path.  The connector must end at -y_plus[hub] (else
+    ConsistencyFailure).  The Gauss nodes of every edge, kept on the tree,
+    are then lifted from y_plus at its parent, _LIFT_EDGES edges per
+    _continue_sqrt call."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -504,24 +499,23 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     # each edge keeps the sign or flips it: continuing +exact at the
     # parent gives +exact or -exact at the vertex
     up = parent[kids]
-    edges = np.zeros((lam.size, 2), dtype=int)
-    edges[kids, 0] = 1
-    edges[kids, 1] = _continue_sqrt(bp, lam[up], lam[kids], exact[up],
-                                    lam[kids]) != exact[kids]
-    depth, flips = _path_counts(parent, root, edges).T
+    edge_flips = np.zeros(lam.size, dtype=int)
+    edge_flips[kids] = _continue_sqrt(bp, lam[up], lam[kids], exact[up],
+                                      lam[kids]) != exact[kids]
+    flips = _path_counts(parent, root, edge_flips)
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     y_plus = np.where(flips % 2 != flip_root, -exact, exact)
     if y_plus[n + loop.size - 1] != -y_plus[hub]:
         raise ConsistencyFailure("sheet connector did not flip the sheet")
-    zs = _gauss_nodes(lam[up], lam[kids])[0]
+    zs, half = _gauss_nodes(lam[up], lam[kids])
     ys = np.empty_like(zs)
     for s in range(0, kids.size, _LIFT_EDGES):
         cut = slice(s, s + _LIFT_EDGES)
         ys[:, cut] = _continue_sqrt(bp, lam[up[cut]], lam[kids[cut]],
                                     y_plus[up[cut]], zs[:, cut])
     return SurfaceTree(grid=grid, lam=lam, parent=parent, order=order,
-                       kids=kids, y_plus=y_plus, ys=ys, root=root,
-                       depth=depth, hub=hub)
+                       kids=kids, y_plus=y_plus, zs=zs, half=half, ys=ys,
+                       root=root, hub=hub)
 
 
 # edges lifted together by build_surface_tree; bounds _continue_sqrt's
@@ -574,8 +568,7 @@ def _embedded_gauss(half, vals, tol):
 def _gauss_nodes(a, b):
     """(30, edges) nodes of the edges [a, b], and their half-lengths: the
     20-point, then the 10-point Gauss-Legendre nodes of
-    integrate_vector_path.  Cheap, so they are rebuilt rather than kept
-    with a lift."""
+    integrate_vector_path."""
     half = (b - a) / 2.0
     return (a + b) / 2.0 + half * _path_nodes()[:30, None], half
 
@@ -592,9 +585,14 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     goes through integrate_vector_path from y_plus at its
     parent, with the same per-edge budget, so a spent budget raises
     NonConvergence.  The edge values, with each edge's accepted gap as one
-    more column, are summed down the tree one depth level at a time
-    (_levels), the same additions in the same order as a per-vertex walk;
-    the gaps' real parts add exactly as floats would.
+    more column, are written into the rows of their end vertices and
+    summed along every root path by pointer jumping (_path_counts); the
+    gaps' real parts add as floats would.  A path of d edges takes at
+    most ceil(log2 d) rounds of additions of partial sums, against a
+    per-vertex walk's d - 1, so with S the sum of its |edge values| its
+    sum is within ceil(log2 d) 2^-53 S of the exact one (first order, in
+    real and imaginary parts) and (ceil(log2 d) + d - 1) 2^-53 S of the
+    walk's.
 
     The flip vector is the sum at the last vertex, the integral of f from
     (root, y_plus[root]) to (root, -y_plus[root]): down the tree to the
@@ -609,18 +607,17 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     on the other sheet)."""
     lam, kids = tree.lam, tree.kids
     up = tree.parent[kids]
-    zs, half = _gauss_nodes(lam[up], lam[kids])
-    fv = f(zs.ravel(), tree.ys.ravel()).reshape(30, kids.size, k)
-    hi_est, gap, ok = _embedded_gauss(half, fv, tol)
+    fv = f(tree.zs.ravel(), tree.ys.ravel()).reshape(30, kids.size, k)
+    hi_est, gap, ok = _embedded_gauss(tree.half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
         hi_est[e], edge_err[e], _ = integrate_vector_path(
             curve, [lam[up[e]], lam[kids[e]]], tree.y_plus[up[e]], f,
             tol=tol, budget=budget)
-    est = np.concatenate([hi_est, edge_err[:, None]], axis=1)
     sums = np.zeros((lam.size, k + 1), dtype=complex)
-    for e in _levels(tree.depth[kids]):
-        sums[kids[e]] = sums[up[e]] + est[e]
+    sums[kids, :k] = hi_est
+    sums[kids, k] = edge_err
+    sums = _path_counts(tree.parent, tree.root, sums)
     n = tree.order.size
     path_err = sums[:n, k].real
     flip_err = float(sums[-1, k].real)
@@ -789,8 +786,7 @@ class GreenContext:
 
         The sum runs in squared distances with no hypot: phi = log r^2,
         or twice the bump potential plus log eps^2 where r^2 < eps^2, and
-        the result is -(1/2) sum_i W_i phi_i / Area, each point's row
-        summed pairwise over the q nodes.
+        the result is -(1/2) sum_i W_i phi_i / Area.
 
         A scalar lam, the query path of GreenSolver.u_at, is the direct
         sum: r^2 is _squared_distances from lam to the q nodes, and the
@@ -806,7 +802,9 @@ class GreenContext:
         last block is padded with zero rows), so a point gets the same
         bits whatever its block, alone or in any array.  phi is floored at
         log 1e-300, so a near pair whose r^2 rounds to zero or below warns
-        of nothing before its bump replaces it.
+        of nothing before its bump replaces it.  A second fixed-shape
+        product per block, phi times W, sums the rows; padded rows are
+        neither logged nor returned.
 
         The Gram form cancels where r is small against |x| + |q'|.
         Rounding x, q', |x|^2, |q'|^2 and the four-term product leaves r^2
@@ -833,7 +831,7 @@ class GreenContext:
         x[:flat.size] = np.stack([flat.real * flat.real
                                   + flat.imag * flat.imag, np.ones(flat.size),
                                   -2.0 * flat.real, -2.0 * flat.imag], axis=1)
-        out = np.empty(flat.size)
+        out = np.empty(x.shape[0])
         gram = self._q_gram
         r2_buf = np.empty((_POTENTIAL_ROWS, gram.shape[1]))
         near_buf = np.empty(r2_buf.shape, dtype=bool)
@@ -842,12 +840,13 @@ class GreenContext:
             k = min(_POTENTIAL_ROWS, flat.size - s)
             r2, m = r2_buf[:k], near_buf[:k]
             np.less(r2, eps2, out=m)
-            u = r2[m] / eps2
+            u = r2[m]
+            u /= eps2
             np.maximum(r2, 1e-300, out=r2)
             np.log(r2, out=r2)
             r2[m] = _bump_phi(u, c0)
-            r2 *= self.cauchy_w
-            out[s:s + k] = r2.sum(axis=-1)
+            np.matmul(r2_buf, self.cauchy_w, out=out[s:s + _POTENTIAL_ROWS])
+        out = out[:flat.size]
         out *= -0.5 / self.area
         return out.reshape(lam.shape)[()]
 

@@ -603,6 +603,16 @@ def _reference_tree(curve, grid):
     return parent, np.asarray(order), y_plus, root, depth
 
 
+def _tree_depth(tree):
+    """Edges from the root to every vertex of a SurfaceTree, one vertex
+    at a time: the grid nodes in visit order, then the closing vertices,
+    each one more than its parent."""
+    depth = np.zeros(tree.lam.size, dtype=int)
+    for v in tree.kids:
+        depth[v] = depth[tree.parent[v]] + 1
+    return depth
+
+
 def _reference_accumulate(curve, tree, f, k, tol, budget):
     """Reference for accumulate_tree's edges: one integrate_vector_path per
     edge.  Returns the cumulative values and, per node, the summed error
@@ -632,7 +642,8 @@ def _assert_reference_tree(curve, grid):
     np.testing.assert_array_equal(tree.parent[:n], parent)
     np.testing.assert_array_equal(tree.order, order)
     np.testing.assert_array_equal(tree.y_plus[:n], y_plus)
-    np.testing.assert_array_equal(tree.depth[:n], depth)
+    tree_depth = _tree_depth(tree)
+    np.testing.assert_array_equal(tree_depth[:n], depth)
     np.testing.assert_array_equal(tree.lam[:n], grid.nodes)
     np.testing.assert_array_equal(
         tree.kids, np.concatenate([order[1:], np.arange(n, tree.lam.size)]))
@@ -646,7 +657,7 @@ def _assert_reference_tree(curve, grid):
     assert tree.y_plus[hub_back] == -y_plus[hub]
     assert tree.y_plus[-1] == -y_plus[root]
     assert tree.lam[-1] == grid.nodes[root]
-    assert tree.depth[-1] == 2 * depth[hub] + len(loop) - 1
+    assert tree_depth[-1] == 2 * depth[hub] + len(loop) - 1
     return tree
 
 
@@ -720,8 +731,9 @@ class TestSurfaceTree:
     def test_two_chain_tree(self, monkeypatch):
         monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         tree = _assert_reference_tree(CURVES["generic"], _two_chain_grid())
-        assert tree.depth.max() >= 100
-        assert (np.diff(tree.depth[tree.order]) < 0).any()
+        depth = _tree_depth(tree)
+        assert depth.max() >= 100
+        assert (np.diff(depth[tree.order]) < 0).any()
 
     @pytest.mark.parametrize("name, grid, stagger", [
         pytest.param("generic", (6, 8), 0.31, id="generic-grid0"),
@@ -729,28 +741,87 @@ class TestSurfaceTree:
         pytest.param("generic", None, 0.0, id="two-chain")])
     def test_level_sums_match_per_node_loop(self, name, grid, stagger,
                                             monkeypatch):
-        # accumulate_tree sums down the tree one depth level at a time; the
-        # reference is the per-node loop over tree.order, one edge at a
-        # time in visit order, so every parent is summed before its kids
+        # accumulate_tree sums the edges along every root path by pointer
+        # jumping (_path_counts); the reference is the per-node loop over
+        # tree.order, then the closing vertices, one edge at a time in
+        # visit order, on the same edge values.  On a path of d edges the
+        # two are within (ceil(log2 d) + d - 1) 2^-53 of the sum of the
+        # |edge values| on it (real and imaginary parts alike), the bound
+        # accumulate_tree states
         curve = CURVES[name]
         if grid is None:
             monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         tree = green.build_surface_tree(
             curve, _two_chain_grid() if grid is None
             else _surface_grid(name, grid, stagger))
+        edges = []
+        path_sums = green._path_counts
 
-        def accumulate():
-            vals, _, _, node_err = green.accumulate_tree(
-                curve, tree, green._moment_integrand, 5)
-            return vals, node_err
+        def recorded(parent, root, counts):
+            edges.append(counts.copy())
+            return path_sums(parent, root, counts)
 
-        vals, node_err = accumulate()
-        assert len(green._levels(tree.depth[tree.kids])) == tree.depth.max()
-        monkeypatch.setattr(green, "_levels",
-                            lambda depth: np.arange(depth.size)[:, None])
-        ref_vals, ref_err = accumulate()
-        np.testing.assert_array_equal(vals, ref_vals)
-        np.testing.assert_array_equal(node_err, ref_err)
+        monkeypatch.setattr(green, "_path_counts", recorded)
+        vals, flip, _, node_err = green.accumulate_tree(
+            curve, tree, green._moment_integrand, 5)
+        (est,) = edges
+        n = tree.order.size
+        walk = np.zeros_like(est)
+        size = np.zeros(est.shape)
+        for v in [*tree.order[1:], *range(n, tree.lam.size)]:
+            j = tree.parent[v]
+            walk[v] = walk[j] + est[v]
+            size[v] = size[j] + np.abs(est[v])
+        depth = _tree_depth(tree)
+        if grid is None:
+            assert depth.max() >= 100
+        u = 2.0 ** -53
+        m = np.ceil(np.log2(np.maximum(depth, 1))) + np.maximum(depth - 1, 0)
+        bound = (m * u / (1.0 - m * u))[:, None] * size
+
+        def within(got, ref, tol):
+            return (np.abs(got.real - ref.real) <= tol).all() \
+                and (np.abs(got.imag - ref.imag) <= tol).all()
+
+        assert within(vals, walk[:n, :5], bound[:n, :5])
+        assert within(flip, walk[-1, :5], bound[-1, :5])
+        path_err, flip_err = walk[:n, 5].real, walk[-1, 5].real
+        assert within(node_err[:, 0], path_err, bound[:n, 5])
+        ref = path_err + flip_err
+        assert within(node_err[:, 1], ref,
+                      bound[:n, 5] + bound[-1, 5] + 2 * u * ref)
+
+    @pytest.mark.parametrize("name, grid, stagger", [
+        *(pytest.param(name, (12, 16), stagger, id=f"{name}-grid1-{stagger}")
+          for name in sorted(CURVES) for stagger in [0.0, 0.31]),
+        # the widest search windows of the visit order
+        *(pytest.param("generic", (24, 32), stagger,
+                       id=f"generic-grid2-{stagger}")
+          for stagger in [0.0, 0.31])])
+    def test_search_block_is_bit_neutral(self, name, grid, stagger,
+                                         monkeypatch):
+        # the nearest-visited search takes its rows in blocks of about
+        # _SEARCH_BLOCK elements; the block size moves no bit of the search
+        # or of the tree built on it
+        curve = CURVES[name]
+        surface_grid = _surface_grid(name, grid, stagger)
+        search = green._nearest_visited
+        found = []
+
+        def recorded(*args):
+            found.append(search(*args))
+            return found[-1]
+
+        monkeypatch.setattr(green, "_nearest_visited", recorded)
+        trees = []
+        for size in (1 << 8, 1 << 14, 1 << 16):
+            monkeypatch.setattr(green, "_SEARCH_BLOCK", size)
+            trees.append(green.build_surface_tree(curve, surface_grid))
+        for near, tree in zip(found[1:], trees[1:]):
+            np.testing.assert_array_equal(near, found[0])
+            for key in ("parent", "order", "y_plus", "ys"):
+                np.testing.assert_array_equal(getattr(tree, key),
+                                              getattr(trees[0], key))
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("name", sorted(CURVES))
@@ -1589,6 +1660,28 @@ class TestRoelckeGreen:
                  for k in (6, 9, 12)}
         assert all(np.isfinite(v) for v in g.values()), g
         assert abs(g[12] - g[9]) <= 1e-4, g
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), index=st.integers(0, 4),
+           theta=st.floats(0.0, 2.0 * np.pi), k=st.integers(6, 13),
+           sheet=st.sampled_from([1, -1]))
+    def test_next_to_a_branch_point_any_direction(self, read_solvers, name,
+                                                  index, theta, k, sheet):
+        # x = b + 10^-k e^{i theta} next to a non-cone branch point b, on
+        # the (12,16) solvers: G is finite with no RuntimeWarning, and
+        # G(k) - G(k + 2) shrinks like 10^(-k/2), as G is smooth in the
+        # local parameter s = sqrt(lambda - b).  At k + 2 = 16 the offset
+        # is near the ulp of |b| and the last leg is too short to split
+        sol = read_solvers[name, (12, 16)][0]
+        b = [complex(e) for e in sol.ctx.curve.branch_points
+             if abs(e - sol.ctx.frame.lam_p) > 0.1][index]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = [sol.green(SurfacePoint(
+                b + 10.0 ** -m * np.exp(1j * theta), sheet)).value
+                 for m in (k, k + 2)]
+        assert np.isfinite(g).all(), g
+        assert abs(g[0] - g[1]) <= 10.0 ** (-k / 2), g
 
     def test_coincident_arguments(self, solver):
         with pytest.raises(CoincidentArguments):
