@@ -655,16 +655,259 @@ def _bump_phi(u, c0):
     return u * (8.0 + u * (-9.0 + u * (16.0 / 3.0 - 1.25 * u))) + c0
 
 
-# rows of log_potential's array path per block: one BLAS product of
-# fixed shape writes this many rows times the q-grid size into its float
-# buffer, with a bool buffer of the same size.  16 is a multiple of the
-# row unroll of the OpenBLAS dgemm kernels checked (Haswell, SkylakeX,
-# Sandybridge), so with one shape for every product a row's bits do not
-# depend on its place in the block.  Re-timed over 8-64
-# rows on a 2-vCPU Xeon with 2 MB of L2 per core: at (12,16) 16-64 rows
-# tied within 5% and 8 paid 10-15% in per-block calls; at (24,32) 8 and
-# 16 tied and 32-64 paid about 10% (their buffers outgrow L2)
+def _phi(r2, eps2, c0, near):
+    """Overwrite the squared distances r2 with log_potential's phi: log r^2,
+    floored at log 1e-300, or the bump where r^2 < eps^2, which the bool
+    buffer near (of r2's shape) marks."""
+    np.less(r2, eps2, out=near)
+    u = r2[near]
+    u /= eps2
+    np.maximum(r2, 1e-300, out=r2)
+    np.log(r2, out=r2)
+    r2[near] = _bump_phi(u, c0)
+
+
+def _gram_rows(x):
+    """(n, 4) point side of the Gram form of r^2 for points x taken about
+    the Gram centre: rows [|x|^2, 1, -2 Re x, -2 Im x]."""
+    return np.stack([x.real * x.real + x.imag * x.imag, np.ones(x.size),
+                     -2.0 * x.real, -2.0 * x.imag], axis=1)
+
+
+def _gram_cols(q):
+    """(4, m) node side of the Gram form for nodes q taken about the Gram
+    centre: rows 1, |q|^2, Re q and Im q."""
+    return np.stack([np.ones(q.size), q.real * q.real + q.imag * q.imag,
+                     q.real, q.imag])
+
+
+# rows of a Gram block come in multiples of _POTENTIAL_ROWS: one BLAS
+# product of fixed shape writes the block's rows times the node count
+# into a float buffer, with a bool buffer of the same size.  16 is a
+# multiple of the row unroll of the OpenBLAS dgemm kernels checked
+# (Haswell, SkylakeX, Sandybridge), so with one shape for every product
+# a row's bits do not depend on its place in the block.  Re-timed over
+# 8-64 rows on a 2-vCPU Xeon with 2 MB of L2 per core: at (12,16) 16-64
+# rows tied within 5% and 8 paid 10-15% in per-block calls; at (24,32) 8
+# and 16 tied and 32-64 paid about 10% (their buffers outgrow L2).  A
+# block takes as many multiples as fit in _POTENTIAL_BLOCK entries, so a
+# product against a few hundred nodes (t_nodes' near pairs) is not a
+# dozen NumPy calls per 16 rows
 _POTENTIAL_ROWS = 16
+_POTENTIAL_BLOCK = 1 << 15
+
+
+def _gram_sums(x, cols, w, eps2):
+    """sum_i w_i phi_i for every row of x (_gram_rows) against the nodes
+    given by cols (_gram_cols) with weights w, phi as _phi of the squared
+    distance r^2 = x @ cols.
+
+    The rows go in blocks of a fixed shape, which depends on the node
+    count alone (_POTENTIAL_BLOCK); the last is padded with zero rows,
+    which are neither logged nor returned.  A second fixed-shape product
+    per block, phi times w, sums the rows.  So against the same nodes a
+    row gets the same bits whatever its block, alone or among any rows."""
+    n, m = x.shape[0], cols.shape[1]
+    rows = _POTENTIAL_ROWS * max(1, _POTENTIAL_BLOCK
+                                 // (_POTENTIAL_ROWS * m))
+    xs = np.zeros((-(-n // rows) * rows, 4))
+    xs[:n] = x
+    out = np.empty(xs.shape[0])
+    c0 = np.log(eps2) - 37.0 / 12.0
+    r2_buf = np.empty((rows, m))
+    near_buf = np.empty(r2_buf.shape, dtype=bool)
+    for s in range(0, n, rows):
+        np.matmul(xs[s:s + rows], cols, out=r2_buf)
+        k = min(rows, n - s)
+        _phi(r2_buf[:k], eps2, c0, near_buf[:k])
+        np.matmul(r2_buf, w, out=out[s:s + rows])
+    return out[:n]
+
+
+def _log_terms(kappa):
+    """Terms L of a log expansion whose ratio is at most kappa < 1: the
+    least L with kappa^(L+1) / ((L+1)(1 - kappa)) <= 2^-53, which bounds
+    the tail sum_{l>L} kappa^l / l of log(1 - t), |t| <= kappa."""
+    n = 1
+    while kappa ** (n + 1) > 2.0 ** -53 * (n + 1) * (1.0 - kappa):
+        n += 1
+    return n
+
+
+# entries of a power table (_powers) of _power_sums and _power_series,
+# complex, so a table stays about 1 MB whatever the node count
+_POWER_BLOCK = 1 << 16
+
+
+def _powers(z, n):
+    """(n, z.size) table of z, z^2, ..., z^n, each power block the
+    product of the one below it and an earlier row: about log2 n whole
+    products, not n."""
+    t = np.empty((n, z.size), dtype=complex)
+    t[0] = z
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        np.multiply(t[:k], t[m - 1], out=t[m:m + k])
+        m += k
+    return t
+
+
+def _power_sums(z, w, n):
+    """sum_i w_i z_i^l / l for l = 1..n."""
+    out = np.zeros(n, dtype=complex)
+    step = max(1, _POWER_BLOCK // n)
+    for s in range(0, z.size, step):
+        out += _powers(z[s:s + step], n) @ w[s:s + step]
+    return out / np.arange(1, n + 1)
+
+
+def _power_series(z, coef):
+    """Re sum_l coef[l - 1] z^l at every z."""
+    out = np.empty(z.size)
+    step = max(1, _POWER_BLOCK // coef.size)
+    for s in range(0, z.size, step):
+        out[s:s + step] = (coef @ _powers(z[s:s + step], coef.size)).real
+    return out
+
+
+def _ring_tables(pair, eps2, c0):
+    """The phi table of two polar patches P, Q about one centre, whose
+    angle counts divide n = the larger one, in the angle index of that
+    n-gon, and its FFT along the angles.
+
+    A node's angle, 2 pi (j + shift) / n_ang, or minus that on the
+    inverted chart (its node is centre + (1/r) e^{-i theta}), is
+    2 pi (sign a j + sign a shift) / n with a = n / n_ang, and its
+    distance from the centre is r, or 1/r inverted.  So a P node at index
+    m_P = sign_P a_P j and a Q node at m_Q = sign_Q a_Q j' are
+    2 pi (m_P - m_Q + delta) / n apart in angle, and their squared
+    distance, (r - r')^2 + 4 r r' sin^2(half that angle), a sum of two
+    non-negative terms, depends on m_P - m_Q mod n alone.  Returns n, the
+    index maps of P's and Q's angles, and the FFT of phi on (P radius,
+    Q radius, m_P - m_Q)."""
+    out = []
+    n = max(pair[0].n_ang, pair[1].n_ang)
+    delta = 0.0
+    for patch, sign in zip(pair, (1.0, -1.0)):
+        a = n // patch.n_ang
+        turn = -1 if patch.inverted else 1
+        out.append((1.0 / patch.radii if patch.inverted else patch.radii,
+                    turn * a * np.arange(patch.n_ang) % n))
+        delta += sign * turn * a * patch.shift
+    (r_p, m_p), (r_q, m_q) = out
+    s2 = np.sin(np.pi * (np.arange(n) + delta) / n)
+    s2 *= s2
+    dr = r_p[:, None] - r_q
+    r2 = (4.0 * np.multiply.outer(r_p, r_q))[..., None] * s2
+    r2 += (dr * dr)[..., None]
+    _phi(r2, eps2, c0, np.empty(r2.shape, dtype=bool))
+    return n, m_p, m_q, np.fft.rfft(r2)
+
+
+def _patch_sums(p_grid, q_grid, w, eps, centre):
+    """sum_i w_i phi(|lam - lam_i|^2) at every p node lam, over the q nodes
+    lam_i, patch by patch from both grids' layouts (SurfaceGrid.patches);
+    phi is log_potential's, eps the mollification radius.
+
+    Each pair of a p patch P and a q patch Q takes one of three routes.
+
+    - Same centre, one angle count dividing the other (a branch disk with
+      itself; the main disk and the exterior chart with each other): a
+      circular convolution along the angles of the phi table of every
+      radius pair (_ring_tables) with Q's weights, by FFT, bump included.
+    - Other centres: the smaller plain (not inverted) patch, P where it is
+      plain and no larger than Q or Q is inverted, else Q, takes an
+      expansion about its centre c, of radius R (its largest radius).
+      The other patch's nodes at least R + max(eps, R) from c are
+      separated: their distance from any node of the patch exceeds eps,
+      so phi there is log r^2 exactly, and the ratio kappa of R to their
+      distance from c is at most 1/2.  A separated q node enters P's
+      local expansion, log|z - w|^2 = log|w|^2 - 2 Re sum_l (z/w)^l / l
+      with z = lam - c, w = lam_i - c; a separated p node takes Q's
+      multipole expansion, the same series with z and w swapped.  Each
+      takes L = _log_terms(kappa) terms, so each pair's phi is within
+      2 kappa^(L+1) / ((L+1)(1 - kappa)) <= 2^-52 of the exact one.
+    - The rest, the near pairs (and two inverted patches about two
+      centres, which no build_surface_grid grid has), take the Gram form
+      about centre (_gram_sums) against their q nodes of non-zero weight.
+
+    So the truncation leaves the sums within 2^-52 sum_i |w_i| of the
+    pair-by-pair sum.  Beyond it they differ by rounding: the ring
+    tables' squared distances add two non-negative terms and cancel
+    nowhere, the near pairs round as log_potential's Gram form does, and
+    the FFTs and expansions round in proportion to the sums they form."""
+    p, q = p_grid.nodes, q_grid.nodes
+    eps2 = eps * eps
+    c0 = np.log(eps2) - 37.0 / 12.0
+    out = np.zeros(p.size)
+    p_at = np.cumsum([0] + [P.size for P in p_grid.patches]).tolist()
+    q_at = np.cumsum([0] + [Q.size for Q in q_grid.patches]).tolist()
+    p_reach = [float(P.radii.max()) for P in p_grid.patches]
+    q_reach = [float(Q.radii.max()) for Q in q_grid.patches]
+    # ring pairs by the shape of both patches; the q columns of each p
+    # patch's local expansion and the p rows of each q patch's multipole
+    # one; the near p rows and q columns
+    rings, local, multipole, near = {}, {}, {}, []
+    for i, P in enumerate(p_grid.patches):
+        rows = np.arange(p_at[i], p_at[i + 1])
+        for j, Q in enumerate(q_grid.patches):
+            cols = np.arange(q_at[j], q_at[j + 1])
+            small, large = sorted((P.n_ang, Q.n_ang))
+            if P.center == Q.center and large % small == 0:
+                key = tuple((X.radii.tobytes(), X.n_ang, X.shift, X.inverted)
+                            for X in (P, Q))
+                rings.setdefault(key, ((P, Q), []))[1].append((i, j))
+            elif not P.inverted and (Q.inverted or p_reach[i] <= q_reach[j]):
+                local.setdefault(i, []).append(cols)
+            elif not Q.inverted:
+                multipole.setdefault(j, []).append(rows)
+            else:
+                near.append((rows, cols))
+    for pair, ij in rings.values():
+        n, m_p, m_q, table = _ring_tables(pair, eps2, c0)
+        v = np.zeros((len(ij), pair[1].radii.size, n))
+        for k, (_, j) in enumerate(ij):
+            v[k][:, m_q] = w[q_at[j]:q_at[j + 1]].reshape(v.shape[1], -1)
+        conv = np.fft.irfft(
+            np.einsum("gjk,ijk->gik", np.fft.rfft(v), table), n)
+        for k, (i, _) in enumerate(ij):
+            out[p_at[i]:p_at[i + 1]] += conv[k][:, m_p].ravel()
+    for i, cols in local.items():
+        own = np.arange(p_at[i], p_at[i + 1])
+        c = p_grid.patches[i].center
+        cols = np.concatenate(cols)
+        cols = cols[w[cols] != 0.0]
+        d = q[cols] - c
+        r2 = d.real * d.real + d.imag * d.imag
+        far = r2 >= (p_reach[i] + max(eps, p_reach[i])) ** 2
+        near.append((own, cols[~far]))
+        if far.any():
+            wf, r2 = w[cols[far]], r2[far]
+            coef = _power_sums(1.0 / d[far], wf, _log_terms(
+                p_reach[i] / math.sqrt(r2.min())))
+            out[own] += wf @ np.log(r2) - 2.0 * _power_series(p[own] - c,
+                                                               coef)
+    for j, rows in multipole.items():
+        own = np.arange(q_at[j], q_at[j + 1])
+        c = q_grid.patches[j].center
+        rows = np.concatenate(rows)
+        d = p[rows] - c
+        r2 = d.real * d.real + d.imag * d.imag
+        far = r2 >= (q_reach[j] + max(eps, q_reach[j])) ** 2
+        near.append((rows[~far], own))
+        if far.any():
+            r2 = r2[far]
+            coef = _power_sums(q[own] - c, w[own], _log_terms(
+                q_reach[j] / math.sqrt(r2.min())))
+            out[rows[far]] += w[own].sum() * np.log(r2) - 2.0 \
+                * _power_series(1.0 / d[far], coef)
+    x, gram = _gram_rows(p - centre), _gram_cols(q - centre)
+    for rows, cols in near:
+        cols = cols[w[cols] != 0.0]
+        if rows.size and cols.size:
+            out[rows] += _gram_sums(x[rows], gram[:, cols], w[cols], eps2)
+    return out
 
 
 @dataclass
@@ -679,8 +922,7 @@ class GreenContext:
     Those and the p-side data that every GreenSolver shares (p_tree, the
     closed tree with its one lift, and t_nodes) are built on first read:
     a context plus its solvers builds one tree, the p tree.  q_forms
-    reads q_tree.y_plus on the grid nodes only, the vertices before the
-    tree's closing ones."""
+    builds the q tree for its one pass and keeps none of it."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -724,23 +966,21 @@ class GreenContext:
         return _form_values(lam, ys, t_lam, t_y, pcoef) - cauchy / self.area
 
     @cached_property
-    def q_tree(self) -> SurfaceTree:
-        """Spanning tree over the q grid; only q_forms reads it."""
-        return build_surface_tree(self.curve, self.q_grid)
-
-    @cached_property
     def q_forms(self):
         """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree
-        sheet (q_tree.y_plus), then on the other sheet, for
-        special_solution_means; as form, from M(q) - M_conn / 2, all from
-        the q-tree root.  One accumulate_tree pass gives m_node, the
-        (n, 5) moments to the q nodes at q_tree.y_plus, and M_conn =
-        m_conn, to the root's other sheet; M(q) is m_node on the tree
-        sheet and m_conn - m_node on the other."""
-        m_node, m_conn = accumulate_tree(self.curve, self.q_tree,
+        sheet (the y_plus of the q grid's build_surface_tree), then on the
+        other sheet, for special_solution_means; as form, from M(q) -
+        M_conn / 2, all from the q-tree root.  One accumulate_tree pass
+        gives m_node, the (n, 5) moments to the q nodes at y_plus, and
+        M_conn = m_conn, to the root's other sheet; M(q) is m_node on the
+        tree sheet and m_conn - m_node on the other.  y_plus is read on
+        the grid nodes only, the vertices before the tree's closing ones;
+        the tree is a local, freed on return."""
+        tree = build_surface_tree(self.curve, self.q_grid)
+        m_node, m_conn = accumulate_tree(self.curve, tree,
                                          _moment_integrand, 5)[:2]
         m = np.concatenate([m_node, m_conn - m_node])
-        y = self.q_tree.y_plus[:self.q_grid.n_nodes]
+        y = tree.y_plus[:self.q_grid.n_nodes]
         return (np.tile(self.q_grid.nodes, 2), np.concatenate([y, -y]),
                 _correction_pcoef(self.model, (m - 0.5 * m_conn).T))
 
@@ -751,8 +991,25 @@ class GreenContext:
 
     @cached_property
     def t_nodes(self) -> np.ndarray:
-        """log_potential at the p-grid nodes."""
-        return self.log_potential(self.p_grid.nodes)
+        """log_potential at the p-grid nodes, patch by patch from the two
+        grids' layouts (_patch_sums) where both have one, else
+        log_potential's array path itself.
+
+        On the layout route each entry is within t_bound of the direct
+        sum, beyond rounding: t_bound covers the truncated expansions,
+        and the near pairs round as the array path's Gram form does."""
+        if not (self.p_grid.patches and self.q_grid.patches):
+            return self.log_potential(self.p_grid.nodes)
+        out = _patch_sums(self.p_grid, self.q_grid, self.cauchy_w,
+                          self.moll_radius, self.curve.branch_points.mean())
+        out *= -0.5 / self.area
+        return out
+
+    @property
+    def t_bound(self) -> float:
+        """Truncation bound of t_nodes: 2^-53 sum_i |W_i| / Area, which is
+        (1/2) / Area times _patch_sums' 2^-52 sum_i |W_i|."""
+        return 2.0 ** -53 * float(np.abs(self.cauchy_w).sum()) / self.area
 
     @cached_property
     def _q_parts(self):
@@ -761,12 +1018,10 @@ class GreenContext:
 
     @cached_property
     def _q_gram(self):
-        """(4, n_q) q-side factor of log_potential's Gram form: rows 1,
-        |q'|^2, Re q' and Im q' of q' = lam_q - c, c the branch-point
-        mean."""
-        q = self.q_grid.nodes - self.curve.branch_points.mean()
-        return np.stack([np.ones(q.size), q.real * q.real + q.imag * q.imag,
-                         q.real, q.imag])
+        """(4, n_q) q-side factor of log_potential's Gram form
+        (_gram_cols) of q' = lam_q - c, c the branch-point mean."""
+        return _gram_cols(self.q_grid.nodes
+                          - self.curve.branch_points.mean())
 
     @cached_property
     def _p_parts(self):
@@ -793,18 +1048,16 @@ class GreenContext:
         near entries are set to 1 before the log and to the bump after
         it, so a point on a q node warns of no divide.
 
-        An array lam (t_nodes) takes r^2 in the Gram form about c, the
-        branch-point mean: with x = lam - c and q' = lam_i - c, r^2 =
-        [|x|^2, 1, -2 Re x, -2 Im x] . [1, |q'|^2, Re q', Im q'], one BLAS
-        product per block of _POTENTIAL_ROWS points against the cached
-        (4, n_q) q side (_q_gram), into one float and one bool buffer
-        allocated once per call.  Every product has the same shape (the
-        last block is padded with zero rows), so a point gets the same
+        An array lam takes r^2 in the Gram form about c, the branch-point
+        mean: with x = lam - c and q' = lam_i - c, r^2 = [|x|^2, 1,
+        -2 Re x, -2 Im x] . [1, |q'|^2, Re q', Im q'], one BLAS product
+        per block of points against the cached (4, n_q) q side (_q_gram),
+        and one more for the row sums (_gram_sums): a point gets the same
         bits whatever its block, alone or in any array.  phi is floored at
         log 1e-300, so a near pair whose r^2 rounds to zero or below warns
-        of nothing before its bump replaces it.  A second fixed-shape
-        product per block, phi times W, sums the rows; padded rows are
-        neither logged nor returned.
+        of nothing before its bump replaces it.  t_nodes runs this path
+        on its near pairs only (_patch_sums) and adds its truncation bound
+        t_bound to what is stated here.
 
         The Gram form cancels where r is small against |x| + |q'|.
         Rounding x, q', |x|^2, |q'|^2 and the four-term product leaves r^2
@@ -826,27 +1079,9 @@ class GreenContext:
             r2[near] = _bump_phi(u, c0)
             r2 *= self.cauchy_w
             return np.add.reduce(r2) * (-0.5 / self.area)
-        flat = lam.reshape(-1) - self.curve.branch_points.mean()
-        x = np.zeros((-(-flat.size // _POTENTIAL_ROWS) * _POTENTIAL_ROWS, 4))
-        x[:flat.size] = np.stack([flat.real * flat.real
-                                  + flat.imag * flat.imag, np.ones(flat.size),
-                                  -2.0 * flat.real, -2.0 * flat.imag], axis=1)
-        out = np.empty(x.shape[0])
-        gram = self._q_gram
-        r2_buf = np.empty((_POTENTIAL_ROWS, gram.shape[1]))
-        near_buf = np.empty(r2_buf.shape, dtype=bool)
-        for s in range(0, flat.size, _POTENTIAL_ROWS):
-            np.matmul(x[s:s + _POTENTIAL_ROWS], gram, out=r2_buf)
-            k = min(_POTENTIAL_ROWS, flat.size - s)
-            r2, m = r2_buf[:k], near_buf[:k]
-            np.less(r2, eps2, out=m)
-            u = r2[m]
-            u /= eps2
-            np.maximum(r2, 1e-300, out=r2)
-            np.log(r2, out=r2)
-            r2[m] = _bump_phi(u, c0)
-            np.matmul(r2_buf, self.cauchy_w, out=out[s:s + _POTENTIAL_ROWS])
-        out = out[:flat.size]
+        out = _gram_sums(
+            _gram_rows(lam.reshape(-1) - self.curve.branch_points.mean()),
+            self._q_gram, self.cauchy_w, eps2)
         out *= -0.5 / self.area
         return out.reshape(lam.shape)[()]
 
@@ -896,7 +1131,11 @@ class GreenSolver:
     its sheet connector and lift, and the log potential at its nodes are
     the context's (p_tree is ctx.p_tree).  Only form = ctx.form(y) (one
     path from the context's base point) and one accumulation over the p
-    tree depend on y; a solver reads no q tree.
+    tree depend on y; a solver reads no q tree.  tree_err bounds each
+    node value's error from the tree's quadrature (all its edge errors)
+    and from t_nodes' truncation (ctx.t_bound), so it bounds mean_u's;
+    u_at takes t_nodes[j] back out of its node value, so the truncation
+    reaches G through mean_u alone.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
@@ -911,7 +1150,7 @@ class GreenSolver:
         w = ctx.p_grid.weights * ctx.dens_p
         self.mean_u = float((w * (self.u_plus + self.u_minus)).sum()
                             / ctx.area)
-        self.tree_err = err
+        self.tree_err = err + ctx.t_bound
 
     def _harm_both(self, zs, ys):
         """The averaged form without its Cauchy sum (see
@@ -957,8 +1196,8 @@ class GreenSolver:
 
     def green(self, x: SurfacePoint) -> GreenEvaluation:
         """G(x, y) from u_at.  The error estimate is u_at's error (short
-        path and node value) plus the tree's total error over
-        max(1, Area), all over 2 pi."""
+        path and node value) plus tree_err (the tree's total error and
+        t_nodes' truncation bound) over max(1, Area), all over 2 pi."""
         if abs(complex(x.lam) - complex(self.y.lam)) \
                 < 1e-10 * self.ctx.curve.scale and x.sheet == self.y.sheet:
             raise CoincidentArguments("Green arguments coincide")

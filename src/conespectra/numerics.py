@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,6 +300,25 @@ def _smooth_step(t):
     return h0 / (h0 + h1)
 
 
+class PolarPatch(NamedTuple):
+    """The layout of one polar patch of a SurfaceGrid.
+
+    Its radii.size * n_ang nodes are center + r e^{i theta}, radius-major,
+    for r in radii and theta = 2 pi (j + shift) / n_ang, j < n_ang; on the
+    inverted chart they are center + 1 / (r e^{i theta}) instead.
+    """
+
+    center: complex
+    radii: np.ndarray
+    n_ang: int
+    shift: float
+    inverted: bool
+
+    @property
+    def size(self):
+        return self.radii.size * self.n_ang
+
+
 @dataclass
 class SurfaceGrid:
     """Deterministic quadrature nodes for the two-sheet surface.
@@ -308,12 +328,15 @@ class SurfaceGrid:
     carrying the complementary bump, and an inverted chart for |lambda| > R.
     Weights include the partition factor and the flat area element of the
     chart (not the conformal weight of the metric, which callers multiply in).
-    Node order is fixed, so reductions are bit-reproducible.
+    Node order is fixed, so reductions are bit-reproducible.  patches, when
+    given, lays the nodes out: patch after patch, in that order, as each
+    PolarPatch describes; a grid built node by node has none.
     """
 
     nodes: np.ndarray          # complex lambda values (one sheet's worth)
     weights: np.ndarray        # real, includes partition & chart Jacobian
     center: complex
+    patches: tuple = ()        # PolarPatch per patch, in node order
 
     @property
     def n_nodes(self):
@@ -351,7 +374,8 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     integrals with weakly singular kernels).
 
     Each patch is written in place into the one nodes and weights array
-    of the grid, so a large grid holds no second copy of its nodes."""
+    of the grid, so a large grid holds no second copy of its nodes, and
+    its layout is recorded in the grid's patches."""
     bp = np.asarray(branch_points, dtype=complex)
     shift = 0.5 + stagger
     n_rad, n_ang, radius = cfg.surface_grid
@@ -359,23 +383,29 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     span = float(np.abs(bp - center).max())
     if radius is None:
         radius = span + 2.0
-    if radius <= float(np.abs(bp).max()) + 1.0:
-        raise ValueError("truncation radius must exceed max|branch point| + 1")
+    if radius <= span + 1.0:
+        raise ValueError(
+            "truncation radius must exceed max|branch point - center| + 1")
     gaps = [abs(a - b) for i, a in enumerate(bp) for b in bp[i + 1:]]
     disk_r = min(gaps) / 3.0
 
-    # (center, radii, radii times weights, angular count) of each patch:
-    # the branch-point disks, the main disk and the exterior chart's disk
-    patches = [(b, *_radii(0.0, disk_r, n_rad), n_ang) for b in bp]
-    patches.append((center, *_radii(0.0, radius, 2 * n_rad), 2 * n_ang))
-    patches.append((0.0, *_radii(0.0, 1.0 / radius, n_rad), n_ang))
-    sizes = [r.size * k for _, r, _, k in patches]
+    # (center, radii, radii times weights, angular count, inverted) of
+    # each patch: the branch-point disks, the main disk and the exterior
+    # chart, whose disk is built about 0 and inverted below
+    patches = [(complex(b), *_radii(0.0, disk_r, n_rad), n_ang, False)
+               for b in bp]
+    patches.append((center, *_radii(0.0, radius, 2 * n_rad), 2 * n_ang,
+                    False))
+    patches.append((center, *_radii(0.0, 1.0 / radius, n_rad), n_ang, True))
+    layout = tuple(PolarPatch(c, r, k, shift, inv)
+                   for c, r, _, k, inv in patches)
+    sizes = [p.size for p in layout]
     ends = np.cumsum(sizes)
     nodes = np.empty(ends[-1], dtype=complex)
     weights = np.empty(ends[-1])
     views = [(nodes[e - n:e], weights[e - n:e]) for n, e in zip(sizes, ends)]
-    for (c, r, rw, k), view in zip(patches, views):
-        _polar_patch(c, r, rw, k, shift, *view)
+    for (c, r, rw, k, inv), view in zip(patches, views):
+        _polar_patch(0.0 if inv else c, r, rw, k, shift, *view)
     # smallest node distances to the branch points, for the check below
     near = []
 
@@ -412,7 +442,7 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
     # within disk_r of bp[j], widened by a margin far above the rounding
     # of the distances: no node within disk_r of bp[j] is left out
     pts, w = views[bp.size]
-    k = patches[bp.size][3]
+    k = layout[bp.size].n_ang
     tiles = pts.reshape(-1, 8, k)
     re_lo, re_hi = tiles.real.min(axis=1), tiles.real.max(axis=1)
     im_lo, im_hi = tiles.imag.min(axis=1), tiles.imag.max(axis=1)
@@ -436,7 +466,7 @@ def build_surface_grid(branch_points, cfg: QuadratureConfig,
 
     if min(near) < 1e-12 * max(1.0, span):
         raise SingularityOnGrid("a quadrature node coincides with a branch point")
-    return SurfaceGrid(nodes, weights, center)
+    return SurfaceGrid(nodes, weights, center, layout)
 
 
 def integrate_surface(f, weight, cfg: QuadratureConfig, branch_points):

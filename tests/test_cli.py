@@ -137,6 +137,22 @@ class TestGreenCommand:
         cfg = write_cfg(tmp_path, {"commands": ["green"], "points": []})
         assert cli.main(["--config", cfg]) == cli.EXIT_VALIDATION
 
+    def test_translated_curve_periods(self, tmp_path):
+        # the surface grid's truncation radius is checked against the
+        # branch points' distance from their centre: the z5 curve centred
+        # at 5 reports the area of the one centred at 0, within its
+        # estimate, where a check against |branch point| refused it
+        areas = []
+        for lam1 in ([0.0, 0.0], [5.0, 0.0]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"commands": ["periods"],
+                                       "curve": {"z5": {"lambda1": lam1}}}))
+            out = tmp_path / "report.json"
+            assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+            res = json.loads(out.read_text())["results"]["periods"]
+            areas.append((res["area"], res["area_error_estimate"]))
+        assert abs(areas[1][0] - areas[0][0]) <= areas[0][1]
+
 
 class TestExitCodes:
     def test_duplicate_branch_points(self, tmp_path):

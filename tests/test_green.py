@@ -1,6 +1,7 @@
 """Third-kind differentials, the Roelcke Green function, and the special
 growing solutions at the cone point."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -945,6 +946,107 @@ class TestSurfaceTree:
         _, bound = _direct_log_potential(c, p)
         assert np.all(np.abs(c.t_nodes - scalar) <= bound)
 
+    @pytest.mark.parametrize("grid", [(6, 8, None), (12, 16, None),
+                                      (24, 32, None), (12, 16, 2.5),
+                                      (12, 16, 8.0)],
+                             ids=lambda g: "x".join(map(str, g)))
+    @pytest.mark.parametrize("name", ["z5", "generic"])
+    def test_t_nodes_patch_sums(self, z5, generic, name, grid, monkeypatch):
+        # t_nodes, patch by patch from the grids' layouts, is within the
+        # Gram bound of the dense direct sum plus its truncation bound,
+        # with the default truncation radius and explicit ones (2.5 brings
+        # the exterior chart within 1.5 of the branch points); from
+        # (12,16) on, every route runs: ring convolutions, expansions and
+        # near pairs
+        model, frame = (z5 if name == "z5" else generic)[:2]
+        c = green.green_context(model, frame,
+                                QuadratureConfig(surface_grid=grid))
+        routes = set()
+        for route in ("_ring_tables", "_power_sums", "_gram_sums"):
+            monkeypatch.setattr(green, route, partial(
+                lambda f, r, *a: routes.add(r) or f(*a),
+                getattr(green, route), route))
+        dense, bound = _direct_log_potential(c, c.p_grid.nodes)
+        assert np.all(np.abs(c.t_nodes - dense) <= bound + c.t_bound)
+        assert c.t_bound <= 2.0 ** -53
+        if grid[0] >= 12:
+            assert routes == {"_ring_tables", "_power_sums", "_gram_sums"}
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01, 0.16, 0.31, 0.45, 0.5])
+    def test_log_terms_bound_the_tail(self, kappa):
+        # the expansions of t_nodes keep L = _log_terms(kappa) terms: the
+        # tail sum_{l>L} kappa^l / l of log(1 - t), |t| <= kappa, summed
+        # term by term (no cancellation), is at most 2^-53, and it is not
+        # with one term fewer unless L = 1
+        n = green._log_terms(kappa)
+
+        def tail(m):
+            return math.fsum(kappa ** l / l for l in range(m + 1, m + 400))
+
+        assert tail(n) <= 2.0 ** -53
+        assert n == 1 or tail(n - 1) > 2.0 ** -53 * (1.0 - kappa)
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (8, 12), (12, 16), (16, 20)]),
+           stagger=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 0.9))
+    def test_t_nodes_any_layout_and_weights(self, potential_contexts, name,
+                                            grid, stagger, seed, zeros):
+        # any stagger of either grid, any grid size and any non-negative
+        # weights, a share of them 0: t_nodes is within the Gram bound of
+        # the dense direct sum plus its truncation bound
+        c = potential_contexts(name, grid)
+        cfg = QuadratureConfig(surface_grid=(*grid, None))
+        p_grid, q_grid = (build_surface_grid(c.curve.branch_points, cfg, s)
+                          for s in stagger)
+        rng = np.random.default_rng(seed)
+        w = rng.random(q_grid.n_nodes) * (rng.random(q_grid.n_nodes)
+                                          >= zeros)
+        c = dataclasses.replace(c, p_grid=p_grid, q_grid=q_grid, cauchy_w=w)
+        dense, bound = _direct_log_potential(c, p_grid.nodes)
+        assert np.all(np.abs(c.t_nodes - dense) <= bound + c.t_bound)
+
+    @pytest.mark.parametrize("eps", [0.4, 1.2])
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16)])
+    def test_patch_sums_branch_point_at_centre(self, grid, eps):
+        # branch point 0 is the exact mean of the others, so its disk
+        # shares the main disk's and the exterior chart's centre and
+        # convolves with both (16 against 32 angles, and with the
+        # inverted chart); random non-negative weights
+        bp = np.array([0.0, 2.0, -1.0 + 1.0j, -1.0 - 1.0j, 3.0, -3.0])
+        assert bp.mean() == 0.0
+        cfg = QuadratureConfig(surface_grid=(*grid, None))
+        p_grid, q_grid = (build_surface_grid(bp, cfg, s) for s in (0, 0.31))
+        w = np.random.default_rng(7).random(q_grid.n_nodes)
+        c = green.GreenContext(
+            model=None, frame=None, curve=make_curve(list(bp)),
+            p_grid=p_grid, q_grid=q_grid, cauchy_w=w, moll_radius=eps,
+            dens_p=None, area=2.0 * float(w.sum()))
+        calls = []
+        tables = green._ring_tables
+        with mock.patch.object(green, "_ring_tables",
+                               lambda pair, *a: calls.append(pair)
+                               or tables(pair, *a)):
+            t = c.t_nodes
+        assert any(P.center == 0.0 and P.n_ang != Q.n_ang
+                   for P, Q in calls)
+        dense, bound = _direct_log_potential(c, p_grid.nodes)
+        assert np.all(np.abs(t - dense) <= bound + c.t_bound)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_t_nodes_without_layout_is_gram(self, ctx, side):
+        # a grid with no recorded patches (one built node by node) sends
+        # every pair through the Gram kernel: log_potential's array path,
+        # bit for bit
+        key = f"{side}_grid"
+        g = getattr(ctx, key)
+        c = dataclasses.replace(ctx, **{key: SurfaceGrid(g.nodes, g.weights,
+                                                         g.center)})
+        np.testing.assert_array_equal(c.t_nodes,
+                                      c.log_potential(c.p_grid.nodes))
+
     @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (24, 32)],
                              ids=lambda g: f"{g[0]}x{g[1]}")
     @pytest.mark.parametrize("name", ["z5", "generic"])
@@ -992,11 +1094,14 @@ class TestSurfaceTree:
         solvers = [green.GreenSolver(c, y) for y in ys]
         assert built == [c.p_grid]
         assert all(s.p_tree is c.p_tree for s in solvers)
-        assert "q_tree" not in vars(c)
-        # the q tree comes with the first q_forms reader, once
+        assert "q_forms" not in vars(c)
+        # the q tree comes with the first q_forms reader, once, and the
+        # context keeps none of it
         green.special_solution_means(c)
         green.special_solution_means(c)
         assert built == [c.p_grid, c.q_grid]
+        assert not any(isinstance(v, green.SurfaceTree) and v.grid is c.q_grid
+                       for v in vars(c).values())
         # a solver sharing the tree's lift equals one built alone
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
@@ -1195,7 +1300,7 @@ def _reference_moments(ctx, point):
     """Reference for GreenContext.moments_at: the root route, build_path
     from the q-tree root and around _flip_loop if it arrives on the other
     sheet, with its error."""
-    tree = ctx.q_tree
+    tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
     return _integrate_to(ctx.curve, tree.grid.nodes[tree.root],
                          tree.y_plus[tree.root], point,
                          green._moment_integrand)
@@ -1212,8 +1317,8 @@ def _nearest_node_moments(ctx, point, q_moments):
     -y(point); a q node itself takes no path.  The error is the path's
     plus node_err[k] on the sheet the route starts from (column 1
     includes the flip error)."""
-    m_plus, m_flip, node_err = q_moments
-    tree = ctx.q_tree
+    m_plus, m_flip, node_err, _ = q_moments
+    tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
     nodes = tree.grid.nodes
     k = int(np.argmin(np.abs(nodes - point.lam)))
     node = (m_plus[k], m_flip - m_plus[k])
@@ -1260,16 +1365,18 @@ def _pcoef_gap(p, q):
 
 @pytest.fixture(scope="module")
 def q_moments(read_solvers):
-    """(m_plus, m_flip, node_err) of the q-tree accumulation of every
-    read_solvers context, which GreenContext.q_forms folds into its
+    """(m_plus, m_flip, node_err, flip_err) of the q-tree accumulation of
+    every read_solvers context, which GreenContext.q_forms folds into its
     correction polynomials and does not keep: the moments from the root
     to the q nodes on the tree sheet, from the root to its other sheet,
-    and each node's error."""
+    each node's error and the root's on the other sheet (the flip
+    error)."""
     out = {}
     for key, (sol, _) in read_solvers.items():
+        tree = green.build_surface_tree(sol.ctx.curve, sol.ctx.q_grid)
         m_plus, m_flip, _, node_err = green.accumulate_tree(
-            sol.ctx.curve, sol.ctx.q_tree, green._moment_integrand, 5)
-        out[key] = m_plus, m_flip, node_err
+            sol.ctx.curve, tree, green._moment_integrand, 5)
+        out[key] = m_plus, m_flip, node_err, node_err[tree.root, 1]
     return out
 
 
@@ -1342,8 +1449,9 @@ class TestSheetConnector:
         assert _pcoef_gap(pcoef, ref_pcoef) <= bound
         assert _pcoef_gap(ctx.q_forms[2], ref_ctx.q_forms[2]) <= bound
         np.testing.assert_array_equal(
-            green.accumulate_tree(ctx.curve, ctx.q_tree,
-                                  green._moment_integrand, 5)[0], ref_plus)
+            green.accumulate_tree(
+                ctx.curve, green.build_surface_tree(ctx.curve, ctx.q_grid),
+                green._moment_integrand, 5)[0], ref_plus)
         means = np.subtract(green.special_solution_means(ctx),
                             green.special_solution_means(ref_ctx))
         assert np.abs(means).max() <= bound
@@ -1419,11 +1527,10 @@ class TestSheetConnector:
         with mock.patch.object(green, "integrate_vector_path", recorded):
             pcoef = ctx.form(x)[2]
         assert len(short) == 1
-        _, m_flip, node_err = q_moments[name, grid]
+        _, m_flip, _, flip_err = q_moments[name, grid]
         m_ref, err_ref = _reference_moments(ctx, x)
         ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * m_flip)
-        # the q tree's flip error, the error of m_flip
-        flip_err = node_err[ctx.q_tree.root, 1]
+        # the q tree's flip error (flip_err) is the error of m_flip
         err = short[0] + _conn_err(ctx) + err_ref + flip_err
         assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
 
@@ -1472,13 +1579,12 @@ class TestSheetConnector:
         with mock.patch.object(green, "integrate_vector_path", recorded):
             pcoef = ctx.form(x)[2]
         assert len(short) == int(x.lam != ctx.base[0])
-        _, m_flip, node_err = q_moments[name, grid]
+        _, m_flip, _, flip_err = q_moments[name, grid]
         m_ref, err_ref = _nearest_node_moments(ctx, x, q_moments[name, grid])
         ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * m_flip)
         # new route: its path and m_conn; old route: its path, the q
         # node's tree path and m_flip's flip error
-        err = sum(short) + _conn_err(ctx) + err_ref \
-            + node_err[ctx.q_tree.root, 1]
+        err = sum(short) + _conn_err(ctx) + err_ref + flip_err
         assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
 
     def test_base_point_needs_no_path(self, ctx, generic, monkeypatch):
@@ -1508,7 +1614,8 @@ class TestSheetConnector:
         # both trees
         ctx = read_solvers[name, grid][0].ctx
         curve = ctx.curve
-        for tree in (ctx.p_tree, ctx.q_tree):
+        for tree in (ctx.p_tree,
+                     green.build_surface_tree(curve, ctx.q_grid)):
             n = tree.order.size
             conn = np.arange(n, n + 16)
             np.testing.assert_array_equal(tree.parent[conn[1:]], conn[:-1])
@@ -1710,15 +1817,16 @@ class TestSpecialSolutions:
 
     def test_grid_matches_pointwise(self, ctx):
         # both halves of q_forms: "plus" is the tree sheet of each node,
-        # read off q_tree.y_plus, and "minus" the other sheet
+        # read off the q tree's y_plus, and "minus" the other sheet
         g1, g2 = green._special_solutions(ctx, *ctx.q_forms)
         nodes = ctx.q_grid.nodes
         n = nodes.size
         g1p, g1m, g2p, g2m = g1[:n], g1[n:], g2[:n], g2[n:]
         picks = [int(np.argmin(np.abs(nodes - (0.8 + 0.8j))))] + list(
             np.linspace(0, nodes.size - 1, 11, dtype=int))
+        q_tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
         for i in picks:
-            s = _tree_sheet(ctx.curve, ctx.q_tree, i)
+            s = _tree_sheet(ctx.curve, q_tree, i)
             for sheet, g1, g2 in ((s, g1p, g2p), (-s, g1m, g2m)):
                 pt = SurfacePoint(complex(nodes[i]), sheet)
                 assert abs(g1[i] - green.special_solution_zero(ctx, 1, pt)) \

@@ -562,6 +562,36 @@ class TestSurfaceQuadrature:
         np.testing.assert_array_equal(g.weights, ref.weights)
         assert g.center == ref.center
 
+    @pytest.mark.parametrize("breakpoints", [None, [0.5, 1.5]])
+    @pytest.mark.parametrize("stagger", [0.0, 0.31])
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (24, 32)])
+    @pytest.mark.parametrize("name", sorted(GRID_CURVES))
+    def test_patches_rebuild_nodes(self, name, grid, stagger, breakpoints,
+                                   monkeypatch):
+        # each recorded patch, read on its own (centre, radii, angle count,
+        # shift, chart), gives its nodes bit for bit, in node order; the
+        # split radial rule changes the main disk's radii, which the patch
+        # records as used
+        if breakpoints:
+            monkeypatch.setattr(numerics, "_radii",
+                                _split_radii(breakpoints))
+        bp = GRID_CURVES[name].branch_points
+        g = build_surface_grid(bp, QuadratureConfig(surface_grid=(*grid,
+                                                                  None)),
+                               stagger)
+        parts = []
+        for patch in g.patches:
+            th = 2 * np.pi * (np.arange(patch.n_ang) + patch.shift) \
+                / patch.n_ang
+            z = np.multiply.outer(patch.radii, np.exp(1j * th)).ravel()
+            # the exterior chart is laid out about 0, then inverted
+            parts.append(1.0 / (z + 0.0) + patch.center if patch.inverted
+                         else z + patch.center)
+        assert [p.inverted for p in g.patches] == [False] * (bp.size + 1) \
+            + [True]
+        assert all(p.center == g.center for p in g.patches[bp.size:])
+        np.testing.assert_array_equal(np.concatenate(parts), g.nodes)
+
     @pytest.mark.parametrize("name", sorted(GRID_CURVES))
     def test_large_grid_matches_reference(self, name):
         bp = GRID_CURVES[name].branch_points
@@ -613,6 +643,23 @@ class TestSurfaceQuadrature:
         cfg = QuadratureConfig(surface_grid=(24, 32, 1.05))
         with pytest.raises(ValueError):
             build_surface_grid(HEX, cfg)
+
+    def test_radius_check_follows_the_centre(self):
+        # the check reads the branch points' distance from their centre,
+        # not from 0: HEX moved to 5 + 5i builds HEX's grid moved, with
+        # the automatic radius or an explicit one above span + 1 = 1.1,
+        # and refuses 1.05 as for HEX itself
+        moved = HEX + (5.0 + 5.0j)
+        for radius in (None, 1.2):
+            cfg = QuadratureConfig(surface_grid=(6, 8, radius))
+            g, ref = build_surface_grid(moved, cfg), build_surface_grid(HEX,
+                                                                        cfg)
+            np.testing.assert_allclose(g.nodes - (5.0 + 5.0j), ref.nodes,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(g.weights, ref.weights, rtol=1e-9)
+        with pytest.raises(ValueError):
+            build_surface_grid(moved, QuadratureConfig(surface_grid=(6, 8,
+                                                                     1.05)))
 
     def test_grid_doubling_consistency(self):
         w = lambda lam: 1.0 / (1.0 + np.abs(lam) ** 4)
