@@ -306,7 +306,11 @@ def run(cfg, commands, tol_scale=1.0):
         for name in commands:
             if name not in _COMMANDS:
                 raise DomainError(f"unknown command '{name}'")
-            results[name] = _COMMANDS[name](cfg, tol_scale)
+            try:
+                results[name] = _COMMANDS[name](cfg, tol_scale)
+            except ConeSpectraError as exc:
+                exc.command = name
+                raise
     finally:
         _stages = None
     echo = {k: v for k, v in cfg.items() if k != "out"}
@@ -317,6 +321,13 @@ def run(cfg, commands, tol_scale=1.0):
         "tol_scale": tol_scale,
         "results": results,
     }
+
+
+def _failure(exc):
+    """Exit-3/4 message: the error, the command that raised it (run
+    records it on the error) and the error's own message."""
+    where = f" in {exc.command}" if hasattr(exc, "command") else ""
+    return f"error: {type(exc).__name__}{where}: {exc}"
 
 
 def _tol_scale(text):
@@ -364,10 +375,10 @@ def main(argv=None):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NonConvergence as exc:
-        print(f"error: NonConvergence: {exc}", file=sys.stderr)
+        print(_failure(exc), file=sys.stderr)
         return EXIT_CONVERGENCE
     except (ConsistencyFailure, ConeSpectraError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_failure(exc), file=sys.stderr)
         return EXIT_INTERNAL
 
     blob = json.dumps(report, sort_keys=True, indent=2)

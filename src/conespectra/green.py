@@ -76,14 +76,19 @@ def _blocked(curve, a, b, gap_a, gap_b):
         | (inside & (d <= 1e-9 * curve.scale)), feet, d
 
 
+def _short(curve, a, b, gap_a, gap_b):
+    """Whether the segments [a, b] are shorter than g / 2 > 2e-9 scale, g
+    the larger endpoint gap: their points lie over g / 2 (and their
+    length) from every branch point, so _blocked passes them too."""
+    half_gap = 0.5 * np.maximum(gap_a, gap_b)
+    return (abs(b - a) < half_gap) & (half_gap > 2e-9 * curve.scale)
+
+
 def build_path(curve, lam_from, lam_to, depth=0):
     """Polyline from lam_from to lam_to whose every segment keeps clear of
     the branch points by _blocked's rule: a segment that passes too close
     to one is split at a detour point min_gap / 2 from it, on the side of
-    its foot.  A segment shorter than g / 2, g the larger endpoint gap,
-    returns at once if g / 2 > 2e-9 scale: its points lie over g / 2 from
-    every branch point, above both floors of _blocked (0.3 times the
-    smaller gap, 1e-9 scale), so _blocked would pass it too."""
+    its foot.  A _short segment returns at once."""
     a, b = complex(lam_from), complex(lam_to)
     if depth > 12:
         raise PathTooCloseToBranchPoint(
@@ -92,8 +97,7 @@ def build_path(curve, lam_from, lam_to, depth=0):
         return [a]
     bps = curve.branch_points
     gap_a, gap_b = map(min, np.abs(np.array([[a], [b]]) - bps).tolist())
-    half_gap = 0.5 * max(gap_a, gap_b)
-    if abs(b - a) < half_gap and half_gap > 2e-9 * curve.scale:
+    if _short(curve, a, b, gap_a, gap_b):
         return [a, b]
     bad, feet, d = _blocked(curve, a, b, gap_a, gap_b)
     if not bad.any():
@@ -356,15 +360,15 @@ class SurfaceTree:
     connector starts: on every build_surface_grid grid, the 16-gon about
     that branch point through the hub, with no legs.
 
-    zs and half are the Gauss nodes and half-lengths of every edge
-    (_gauss_nodes), in the order of kids, and ys holds y at those nodes,
-    lifted with the tree, so every integrand over one tree shares one
-    geometry and one lift."""
+    zs and half are the Gauss nodes of every edge (integrate_vector_path's
+    20-, then 10-point rule) and its half-length, in the order of kids,
+    and ys holds y at those nodes, lifted with the tree, so every
+    integrand over one tree shares one geometry and one lift."""
 
     grid: object
     lam: np.ndarray            # vertex positions, the grid nodes first
     parent: np.ndarray         # -1 at the root
-    order: np.ndarray          # grid-node visit order, root first
+    order: np.ndarray          # grid nodes, root and parents first
     kids: np.ndarray           # order[1:], then the closing vertices
     y_plus: np.ndarray         # y continued along the tree at every vertex
     zs: np.ndarray = field(repr=False)   # (30, edges), edges as kids
@@ -374,58 +378,68 @@ class SurfaceTree:
     hub: int                   # start of the sheet connector
 
 
-# elements of one block of the nearest-visited search (rows times window
-# width; no bit depends on it), and the previous nodes in the visit order
-# that bound a row's window.  Generic/z5 p grids on a 2-vCPU Xeon (2 MB L2),
-# 1 << 12..16, ms: (12,16) 3.2/2.8, 3.2/2.7, 3.4/2.7, 4.5/3.5, 6.9/7.8;
-# (24,32) 28/27, 25/24, 23/21, 26/24, 47/46
-_SEARCH_BLOCK = 1 << 14
-_LOOKBACK = 64
+def _layout_tree(curve, grid, root, gap):
+    """Visit order and parents (-1: for _nearest_clear) on a grid's layout.
+
+    Patches go from the last, the exterior chart, whose outermost ring in
+    lambda holds the root, to the first; rings outermost first, each from
+    the spine (the spoke through the outer ring's node nearest the root)
+    along both arcs.  A node hangs from the nearer of its neighbours
+    before it, out on its spoke or toward the spine, if their edge is
+    _short.  A node whose edge is not, inside a patch visited later (a
+    main-disk node by a branch point), follows every patch with the
+    nodes below it, so its parent can come from that patch."""
+    lam = grid.nodes
+    ends = np.cumsum([P.size for P in grid.patches])
+    parts = []
+    for P, e in zip(grid.patches[::-1], ends[::-1].tolist()):
+        k = P.n_ang
+        rings = e - P.size + k * np.arange(P.radii.size)[:, None]
+        rings = rings if P.inverted else rings[::-1]
+        head = np.argmin(np.abs(lam[rings[0] + np.arange(k)] - lam[root]))
+        # arc offsets 0, 1, -1, 2, -2, ... from the spine
+        off = np.arange(1, k + 1) // 2 * (-1) ** np.arange(1, k + 1)
+        nodes = rings + (head + off) % k
+        up = rings + (head + off - np.sign(off)) % k
+        out = np.abs(lam[nodes[:-1]] - lam[nodes[1:]]) \
+            < np.abs(lam[up[1:]] - lam[nodes[1:]])
+        up[1:] = np.where(out | (off == 0), nodes[:-1], up[1:])
+        up[0, 0] = -1
+        parts.append((nodes.ravel(), up.ravel()))
+    order, parent = map(np.concatenate, zip(*parts))
+    parent = parent[np.argsort(order)]
+    kid, up = order[1:], parent[order[1:]]
+    fail = kid[(up >= 0) & ~_short(curve, lam[up], lam[kid], gap[up],
+                                   gap[kid])]
+    own = np.searchsorted(ends, fail, side="right")
+    late = np.zeros(lam.size, dtype=int)
+    for j, P in enumerate(grid.patches):
+        late[fail] |= (own > j) & (abs(lam[fail] - P.center) < P.radii.max())
+    late = _path_counts(parent, root, late)[order] > 0
+    parent[fail] = -1
+    return np.concatenate([order[~late], order[late]]), parent
 
 
-def _clear_edges(curve, lam, gap, kid, cand):
-    """Whether the edges [lam[cand], lam[kid]] keep clear of the branch
-    points by _blocked's rule, gap being every node's distance to the
-    nearest branch point.  kid and cand broadcast."""
-    return ~_blocked(curve, lam[cand], lam[kid], gap[cand],
-                     gap[kid])[0].any(axis=-1)
-
-
-def _nearest_visited(lam_ord, order, rho):
-    """Node index of the nearest visited node for every position k >= 1 of
-    the visit order (the nodes order[:k]), distance ties going to the
-    lower node index; entry 0 is -1.
-
-    rho, the distance from the root, rises along the order, so a visited
-    node within distance R of node k has rho >= rho_k - R.  R is the
-    distance to the nearest of the _LOOKBACK previous nodes, which bounds
-    each row's search to a window of the order; rows are taken in blocks
-    of similar window width."""
-    n = lam_ord.size
-    reach = np.full(n, np.inf)
-    for m in range(1, min(_LOOKBACK, n - 1) + 1):
-        np.minimum(reach[m:], np.abs(lam_ord[m:] - lam_ord[:-m]),
-                   out=reach[m:])
-    # the slack covers the rounding of rho and of the distances, each a
-    # few ulps of the largest |lambda|
-    lo = np.searchsorted(rho, rho - reach - 1e-12 * np.abs(lam_ord).max())
-    width = np.arange(n) - lo
-    rows = 1 + np.argsort(width[1:], kind="stable")
-    ws = width[rows]
-    near = np.full(n, -1)
-    s = 0
-    while s < rows.size:
-        # widths rise along rows, so a block's last row is its widest
-        cost = np.arange(1, rows.size - s + 1) * ws[s:]
-        e = s + max(1, int(np.searchsorted(cost, _SEARCH_BLOCK, "right")))
-        k = rows[s:e, None]
-        # windows shorter than the block's are padded with node k - 1
-        pos = np.minimum(lo[k] + np.arange(ws[e - 1]), k - 1)
-        d = np.abs(lam_ord[pos] - lam_ord[k])
-        tie = d == d.min(axis=1, keepdims=True)
-        near[rows[s:e]] = np.where(tie, order[pos], n).min(axis=1)
-        s = e
-    return near
+def _nearest_clear(curve, lam, gap, order, kids):
+    """Parents of the nodes kids (listed as in order) from the nodes before
+    each in order: the nearest of its 16 nearest whose edge passes
+    _blocked, else the nearest, ties to the lower node index; rows go in
+    blocks of about _POWER_BLOCK distances."""
+    pos = np.argsort(order)
+    kth = min(15, lam.size - 1)
+    step = max(1, _POWER_BLOCK // lam.size)
+    out = np.empty(kids.size, dtype=int)
+    for s in range(0, kids.size, step):
+        kid = kids[s:s + step, None]
+        d = np.abs(lam - lam[kid])
+        d[pos >= pos[kid]] = np.inf
+        d[d > np.partition(d, kth)[:, kth, None]] = np.inf
+        # a stable sort of the few finite distances keeps ties in node order
+        cand = np.argsort(d, kind="stable")[:, :16]
+        ok = (np.take_along_axis(d, cand, 1) < np.inf) & ~_blocked(
+            curve, lam[cand], lam[kid], gap[cand], gap[kid])[0].any(axis=-1)
+        out[s:s + step] = cand[np.arange(cand.shape[0]), ok.argmax(axis=1)]
+    return out
 
 
 def _path_counts(parent, root, counts):
@@ -446,45 +460,37 @@ def _path_counts(parent, root, counts):
 
 
 def build_surface_tree(curve, grid) -> SurfaceTree:
-    """Visit the nodes by distance from the root (the node farthest from
-    the grid center); each new node hangs from the nearest of its 16
-    nearest visited nodes whose edge keeps clear of the branch points
-    (the nearest of all if none does), distance ties going to the lower
-    node index.  The closing vertices (SurfaceTree) then hang in a chain
-    from the hub.
+    """The root is the node farthest from the grid center.  A grid with a
+    recorded layout is visited patch by patch, a node hanging from a
+    layout neighbour where it can (_layout_tree); one without, by
+    distance from the root, ties to the lower index.  A node left without
+    a parent takes one from the nodes before it in one batched search
+    (_nearest_clear), so a layout-less grid gets the nearest-visited
+    tree.  The closing vertices (SurfaceTree) then hang from the hub.
 
-    The nearest visited node comes from _nearest_visited, and its edge is
-    tested alone; only a node whose nearest edge fails the clearance test
-    searches its 16 nearest visited nodes.  y is continued along the tree
-    in closed form: every y_plus[i] is sigma_i * sqrt(prod(lam_i - bp)),
-    and the sign sigma_i is the parent's times the edge's sign flip.  The
-    flips of all edges, the closing ones included, come from one
-    _continue_sqrt call; one _path_counts pass counts the flips on every
-    root path.  The connector must end at -y_plus[hub] (else
-    ConsistencyFailure).  The Gauss nodes of every edge, kept on the tree,
-    are then lifted from y_plus at its parent, _LIFT_EDGES edges per
-    _continue_sqrt call."""
+    y is continued in closed form, y_plus[i] = sigma_i sqrt(prod(lam_i -
+    bp)) with sigma_i the parent's sign times the edge's flip: one
+    _continue_sqrt call flips every edge, the closing ones included, and
+    one _path_counts pass sums the flips.  The connector must end at
+    -y_plus[hub] (else ConsistencyFailure).  Every edge's Gauss nodes,
+    kept on the tree, are lifted from y_plus at its parent, _LIFT_EDGES
+    edges per _continue_sqrt call."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
     root = int(np.argmax(np.abs(lam - grid.center)))
-    # scalar abs, not np.abs: the two differ by an ulp on some nodes,
-    # enough to swap two nodes of equal distance in the visit order
-    rho = np.array([abs(z) for z in (lam - lam[root]).tolist()])
-    order = np.lexsort((np.arange(n), rho))
-    lam_ord = lam[order]
     dist = np.abs(lam[:, None] - bp)
     gap = dist.min(axis=1)
-    parent = np.full(n, -1, dtype=int)
-    parent[order[1:]] = _nearest_visited(lam_ord, order, rho[order])[1:]
-    for k in 1 + np.flatnonzero(~_clear_edges(curve, lam, gap, order[1:],
-                                              parent[order[1:]])):
-        d = np.abs(lam_ord[:k] - lam_ord[k])
-        sel = np.flatnonzero(d <= np.partition(d, 15)[15]) if k > 16 \
-            else np.arange(k)
-        cand = order[sel[np.lexsort((order[sel], d[sel]))[:16]]]
-        ok = _clear_edges(curve, lam, gap, order[k], cand)
-        parent[order[k]] = cand[ok.argmax()] if ok.any() else cand[0]
+    if grid.patches:
+        order, parent = _layout_tree(curve, grid, root, gap)
+    else:
+        # scalar abs, not np.abs: the two differ by an ulp on some nodes,
+        # enough to swap two nodes of equal distance in the visit order
+        rho = np.array([abs(z) for z in (lam - lam[root]).tolist()])
+        order = np.lexsort((np.arange(n), rho))
+        parent = np.full(n, -1, dtype=int)
+    search = order[1:][parent[order[1:]] < 0]
+    parent[search] = _nearest_clear(curve, lam, gap, order, search)
     hub = int(np.argmin(np.abs(dist[:, 0] - curve.min_gap / 3.0)))
     back = [hub]
     while back[-1] != root:
@@ -507,7 +513,8 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     y_plus = np.where(flips % 2 != flip_root, -exact, exact)
     if y_plus[n + loop.size - 1] != -y_plus[hub]:
         raise ConsistencyFailure("sheet connector did not flip the sheet")
-    zs, half = _gauss_nodes(lam[up], lam[kids])
+    half = (lam[kids] - lam[up]) / 2.0
+    zs = (lam[up] + lam[kids]) / 2.0 + half * _path_nodes()[:30, None]
     ys = np.empty_like(zs)
     for s in range(0, kids.size, _LIFT_EDGES):
         cut = slice(s, s + _LIFT_EDGES)
@@ -563,14 +570,6 @@ def _embedded_gauss(half, vals, tol):
     gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
     top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
     return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
-
-
-def _gauss_nodes(a, b):
-    """(30, edges) nodes of the edges [a, b], and their half-lengths: the
-    20-point, then the 10-point Gauss-Legendre nodes of
-    integrate_vector_path."""
-    half = (b - a) / 2.0
-    return (a + b) / 2.0 + half * _path_nodes()[:30, None], half
 
 
 def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
@@ -734,8 +733,8 @@ def _log_terms(kappa):
     return n
 
 
-# entries of a power table (_powers) of _power_sums and _power_series,
-# complex, so a table stays about 1 MB whatever the node count
+# complex entries of one power table (_powers) or _nearest_clear block, so
+# a block stays about 1 MB whatever the node count
 _POWER_BLOCK = 1 << 16
 
 

@@ -255,19 +255,24 @@ class TestExitCodes:
             cli.main(["--config", cfg, "--tol-scale", scale])
         assert exc.value.code == cli.EXIT_VALIDATION
 
-    def test_nonconvergence_exit(self, tmp_path, monkeypatch):
+    def test_nonconvergence_exit(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, tol_scale=1.0):
             raise NonConvergence("stalled")
         monkeypatch.setitem(cli._COMMANDS, "cone", boom)
-        cfg = write_cfg(tmp_path, {"commands": ["cone"]})
+        cfg = write_cfg(tmp_path, {"commands": ["periods", "cone"]})
         assert cli.main(["--config", cfg]) == cli.EXIT_CONVERGENCE
+        # the message names the command that raised
+        assert capsys.readouterr().err.strip().splitlines()[-1] \
+            == "error: NonConvergence in cone: stalled"
 
-    def test_internal_inconsistency_exit(self, tmp_path, monkeypatch):
+    def test_internal_inconsistency_exit(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, tol_scale=1.0):
             raise ConsistencyFailure("route mismatch")
         monkeypatch.setitem(cli._COMMANDS, "cone", boom)
         cfg = write_cfg(tmp_path, {"commands": ["cone"]})
         assert cli.main(["--config", cfg]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err.strip().splitlines()[-1] \
+            == "error: ConsistencyFailure in cone: route mismatch"
 
 
 def count_calls(monkeypatch, module, name):

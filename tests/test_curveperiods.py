@@ -282,9 +282,10 @@ class TestContinueSqrt:
     def test_rule_matches_ratio_on_tree_edges(self, name, grid, stagger):
         # the sign flips of the tree build and the lift to the Gauss nodes
         # of every edge; from (12, 16) on, every edge takes the sign rule.
-        # The (6, 8) grid's exterior ring has edges 45 degrees apart seen
-        # from the branch points, a turn of about 6 pi / 4, so those take
-        # the ratio product
+        # On the (6, 8) grid the arcs of the exterior chart's three outer
+        # rings join nodes 45 degrees apart seen from the branch points, a
+        # turn of about 6 pi / 4, so those take the ratio product (with one
+        # branch-disk edge on z5): 3.4-3.6% of the edges
         curve = CURVES[name]
         surface = build_surface_grid(
             curve.branch_points, QuadratureConfig(surface_grid=(*grid, None)),

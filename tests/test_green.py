@@ -356,7 +356,7 @@ def _segment_clearance(curve, a, b):
 
 def _clearance_floor(curve, a, b):
     """The clearance every path segment [a, b] must keep, written out from
-    green._clear_edges's rule: 0.3 times the smaller endpoint distance to
+    green._blocked's rule: 0.3 times the smaller endpoint distance to
     the branch points, capped at min_gap / 4."""
     gap = [float(np.abs(z - curve.branch_points).min()) for z in (a, b)]
     return min(0.3 * min(gap), curve.min_gap / 4.0)
@@ -564,35 +564,106 @@ def _surface_grid(name, grid, stagger):
                               stagger=stagger)
 
 
+def _reference_search(curve, lam, before, i):
+    """The parent of node i among the nodes before (node indices) that
+    green.build_surface_tree's search gives, one node at a time: the
+    first of the 16 nearest (ties to the lower index) whose segment keeps
+    _clearance_floor and 1e-9 scale clear of the branch points, else the
+    nearest."""
+    vi = np.sort(np.asarray(before))
+    d = np.abs(lam[vi] - lam[i])
+    for j in vi[np.argsort(d, kind="stable")[:16]]:
+        clr = _segment_clearance(curve, lam[j], lam[i])
+        if clr >= _clearance_floor(curve, lam[j], lam[i]) \
+                and clr > 1e-9 * curve.scale:
+            return int(j)
+    return int(vi[np.argmin(d)])
+
+
+def _reference_layout(curve, grid, root):
+    """Reference for green._layout_tree, one node at a time: the visit
+    order and the layout parents of a grid with a recorded layout, -1
+    where the search is to find the parent.
+
+    Patches go last to first; in each, the rings go from the outermost in
+    lambda (the first on the inverted exterior chart, the last on the
+    others), each at offsets 0, 1, -1, 2, -2, ... from the spine, the
+    outermost ring's node nearest the root.  A node's layout parent is
+    the next one out on its spoke if that is nearer than the next one
+    toward the spine on its ring (always, on the spine); a spine's head
+    has none.  A parent is kept if the edge is shorter than half the
+    larger endpoint distance to the branch points (build_path's early
+    return).  A node whose edge is not kept and that lies within the
+    largest radius of a patch visited after its own goes, with every node
+    whose layout path to the root passes it, after all the others."""
+    lam = grid.nodes
+    bps = curve.branch_points
+    starts = np.cumsum([0] + [P.size for P in grid.patches])
+    order, parent, patch, fail = [], {}, {}, set()
+    for i in reversed(range(len(grid.patches))):
+        P = grid.patches[i]
+        k = P.n_ang
+        rings = list(range(P.radii.size))
+        if not P.inverted:
+            rings.reverse()
+
+        def at(r, j):
+            return int(starts[i] + r * k + j % k)
+
+        head = int(np.argmin(np.abs(
+            lam[[at(rings[0], j) for j in range(k)]] - lam[root])))
+        offsets = [0] + [s * m for m in range(1, k) for s in (1, -1)]
+        for q, r in enumerate(rings):
+            for t in offsets[:k]:
+                v = at(r, head + t)
+                up = at(r, head + t - int(np.sign(t)))
+                if q > 0:
+                    out = at(rings[q - 1], head + t)
+                    if t == 0 or np.abs(lam[out] - lam[v]) \
+                            < np.abs(lam[up] - lam[v]):
+                        up = out
+                elif t == 0:
+                    up = -1
+                if up >= 0:
+                    half_gap = 0.5 * max(np.abs(lam[v] - bps).min(),
+                                         np.abs(lam[up] - bps).min())
+                    if not (np.abs(lam[v] - lam[up]) < half_gap
+                            and half_gap > 2e-9 * curve.scale):
+                        fail.add(v)
+                order.append(v)
+                parent[v] = up
+                patch[v] = i
+    late = set()
+    for v in order:
+        inside = any(j < patch[v] and np.abs(lam[v] - P.center)
+                     < P.radii.max() for j, P in enumerate(grid.patches))
+        if parent[v] in late or (v in fail and inside):
+            late.add(v)
+    order = [v for v in order if v not in late] \
+        + [v for v in order if v in late]
+    return order, {v: (-1 if v in fail else u) for v, u in parent.items()}
+
+
 def _reference_tree(curve, grid):
-    """Reference for green.build_surface_tree: the per-node parent search
-    and chained segment-by-segment sheet continuation it replaced."""
+    """Reference for green.build_surface_tree, one node at a time: the
+    layout parents (_reference_layout) on a grid with a recorded layout,
+    else the nodes by distance from the root; a node with no parent
+    there takes _reference_search's among the nodes before it.  y is
+    continued segment by segment."""
     lam = grid.nodes
     n = lam.size
     root = int(np.argmax(np.abs(lam - grid.center)))
+    if grid.patches:
+        order, layout = _reference_layout(curve, grid, root)
+    else:
+        order = sorted(range(n), key=lambda i: (abs(lam[i] - lam[root]), i))
+        layout = {}
+    assert order[0] == root
     parent = np.full(n, -1, dtype=int)
-    visited = np.zeros(n, dtype=bool)
-    visited[root] = True
-    order = [root]
-    todo = sorted(range(n), key=lambda i: (abs(lam[i] - lam[root]), i))
-    for i in todo:
-        if visited[i]:
-            continue
-        vi = np.flatnonzero(visited)
-        d = np.abs(lam[vi] - lam[i])
-        for j in vi[np.argsort(d, kind="stable")[:16]]:
-            clr = _segment_clearance(curve, lam[j], lam[i])
-            floor = 0.3 * min(
-                float(np.abs(lam[i] - curve.branch_points).min()),
-                float(np.abs(lam[j] - curve.branch_points).min()))
-            if clr >= min(floor, curve.min_gap / 4.0) \
-                    and clr > 1e-9 * curve.scale:
-                parent[i] = j
-                break
-        else:
-            parent[i] = int(vi[np.argmin(d)])
-        visited[i] = True
-        order.append(i)
+    for k, i in enumerate(order[1:], 1):
+        parent[i] = layout.get(i, -1)
+        if parent[i] < 0:
+            parent[i] = _reference_search(curve, lam, order[:k], i)
     y_plus = np.empty(n, dtype=complex)
     y_plus[root] = _continue_to(curve, curve.base_point,
                                 curve.base_sheet_value, lam[root])
@@ -632,8 +703,10 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
 
 
 def _assert_reference_tree(curve, grid):
-    """The grid-node part of build_surface_tree against _reference_tree,
-    bit for bit, and the closing vertices: the hub on the other sheet at
+    """The grid-node part of build_surface_tree against _reference_tree
+    (the layout reference on a grid with a recorded layout, the
+    nearest-visited one on a hand-built grid), bit for bit, and the
+    closing vertices: the hub on the other sheet at
     -y_plus[hub], then its root path up to the root at -y_plus[root], the
     last vertex."""
     tree = green.build_surface_tree(curve, grid)
@@ -709,7 +782,7 @@ class TestSurfaceTree:
           for name in sorted(CURVES)
           for k, grid in enumerate([(6, 8), (12, 16)])
           for stagger in [0.0, 0.31]),
-        # the widest search windows of the visit order
+        # a finer grid, with more of its nodes by the branch points
         pytest.param("generic", (24, 32), 0.31, id="generic-grid2-0.31")])
     def test_matches_reference_tree(self, name, grid, stagger):
         _assert_reference_tree(CURVES[name], _surface_grid(name, grid,
@@ -735,6 +808,43 @@ class TestSurfaceTree:
         depth = _tree_depth(tree)
         assert depth.max() >= 100
         assert (np.diff(depth[tree.order]) < 0).any()
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           stagger=st.floats(0.0, 0.5, exclude_max=True))
+    def test_layout_tree_matches_nearest_visited(self, read_solvers, name,
+                                                 grid, stagger):
+        # the layout tree against the nearest-visited tree it replaced,
+        # which the same grid without its layout gets: a spanning tree
+        # listed parents first, with the same root and hub, and u at every
+        # node on both sheets (a solver's averaged form, summed from the
+        # root as GreenSolver does) within both trees' node errors plus
+        # the period defect, since the two root paths differ by a cycle
+        sol, defect = read_solvers[name, grid]
+        curve = CURVES[name]
+        surface = _surface_grid(name, grid, stagger)
+        trees = [green.build_surface_tree(curve, g) for g in
+                 (surface, dataclasses.replace(surface, patches=()))]
+        n = surface.n_nodes
+        layout, nearest = trees
+        np.testing.assert_array_equal(np.sort(layout.order), np.arange(n))
+        pos = np.argsort(layout.order)
+        assert layout.order[0] == layout.root
+        assert (pos[layout.parent[layout.order[1:]]]
+                < np.arange(1, n)).all()
+        assert (layout.root, layout.hub) == (nearest.root, nearest.hub)
+        u, err = [], []
+        for tree in trees:
+            vals, flip, _, node_err = green.accumulate_tree(
+                curve, tree, sol._harm_both, 2)
+            # both sheets, the layout tree's sheet of each node first
+            same = (tree.y_plus[:n] == layout.y_plus[:n])[:, None]
+            both = np.stack([vals[:, 0], flip[0] + vals[:, 1]], axis=1).real
+            u.append(np.where(same, both, both[:, ::-1]))
+            err.append(np.where(same, node_err, node_err[:, ::-1]))
+        assert (np.abs(u[0] - u[1]) <= err[0] + err[1] + defect
+                + 1e-12).all()
 
     @pytest.mark.parametrize("name, grid, stagger", [
         pytest.param("generic", (6, 8), 0.31, id="generic-grid0"),
@@ -791,38 +901,6 @@ class TestSurfaceTree:
         ref = path_err + flip_err
         assert within(node_err[:, 1], ref,
                       bound[:n, 5] + bound[-1, 5] + 2 * u * ref)
-
-    @pytest.mark.parametrize("name, grid, stagger", [
-        *(pytest.param(name, (12, 16), stagger, id=f"{name}-grid1-{stagger}")
-          for name in sorted(CURVES) for stagger in [0.0, 0.31]),
-        # the widest search windows of the visit order
-        *(pytest.param("generic", (24, 32), stagger,
-                       id=f"generic-grid2-{stagger}")
-          for stagger in [0.0, 0.31])])
-    def test_search_block_is_bit_neutral(self, name, grid, stagger,
-                                         monkeypatch):
-        # the nearest-visited search takes its rows in blocks of about
-        # _SEARCH_BLOCK elements; the block size moves no bit of the search
-        # or of the tree built on it
-        curve = CURVES[name]
-        surface_grid = _surface_grid(name, grid, stagger)
-        search = green._nearest_visited
-        found = []
-
-        def recorded(*args):
-            found.append(search(*args))
-            return found[-1]
-
-        monkeypatch.setattr(green, "_nearest_visited", recorded)
-        trees = []
-        for size in (1 << 8, 1 << 14, 1 << 16):
-            monkeypatch.setattr(green, "_SEARCH_BLOCK", size)
-            trees.append(green.build_surface_tree(curve, surface_grid))
-        for near, tree in zip(found[1:], trees[1:]):
-            np.testing.assert_array_equal(near, found[0])
-            for key in ("parent", "order", "y_plus", "ys"):
-                np.testing.assert_array_equal(getattr(tree, key),
-                                              getattr(trees[0], key))
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("name", sorted(CURVES))
