@@ -203,6 +203,15 @@ def cmd_green(cfg, tol_scale=1.0):
     rl = green.reg_log_limit(sol_y)
     g1, g2 = sol_y.special_solutions()
     e2_gap = abs(rl - 2.0 * np.pi * match["g0"]) / max(abs(rl), 1e-30)
+    bridge = green.smatrix_expansion_check(ctx)
+    t0 = smatrix.t_matrix_zero(model).T0
+    c1, c2 = bridge["coeffs_1"], bridge["coeffs_2"]
+    sing_gap = max(abs(bridge["sing_1"] - 1.0), abs(bridge["sing_2"] - 1.0),
+                   abs(bridge["spurious_1"]), abs(bridge["spurious_2"]))
+    # the conjugate sector comes out negated (smatrix_expansion_check)
+    t0_gap = max(abs(c1["xi"] - t0[0, 0]), abs(c1["xi2"] - t0[1, 0]),
+                 abs(c2["xi2"] - t0[1, 1]), abs(c1["conj_xi"] + t0[2, 0]),
+                 abs(c2["conj_xi2"] + t0[3, 1])) / np.abs(t0).max()
     evals = [g_xy if p is x else sol_y.green(p) for p in pts
              if abs(p.lam - y.lam) > 1e-10 * model.curve.scale]
     values = [{"x": json_complex(g.x.lam), "x_sheet": g.x.sheet,
@@ -226,6 +235,8 @@ def cmd_green(cfg, tol_scale=1.0):
             _check("reg_log_vs_fit", e2_gap, 0.1 * tol_scale),
             _check("bergman_consistency", berg["rel_err"],
                    0.05 * tol_scale),
+            _check("expansion_singular", sing_gap, 1e-6 * tol_scale),
+            _check("expansion_vs_t0", t0_gap, 1e-3 * tol_scale),
         ],
     }
 

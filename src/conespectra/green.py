@@ -14,8 +14,9 @@ M = int_q^p lambda^k dlambda / y (k = 0..4).  Averaging over a surface
 grid in q therefore only needs the weighted average of M, and the grid
 sum of the A terms collapses to one real-weighted Cauchy sum because
 the sheet-odd part cancels between the two sheets of each node.  The
-averaged form Omega_bar_y is A(z,y) + P_y(lambda_z) / y_z minus that sum
-(GreenContext.omega_bar_values), the x-gradient of G(., y).
+averaged form Omega_bar_y = A(z,y) + P_y(lambda_z) / y_z minus that sum
+is the x-gradient of G(., y); the sum enters G through log_potential and
+the special solutions through GreenContext.cone_cauchy.
 """
 
 from __future__ import annotations
@@ -913,11 +914,11 @@ def _patch_sums(p_grid, q_grid, w, eps, centre):
 class GreenContext:
     """Precomputed q-side data: staggered grids, Cauchy weights, area.
 
-    omega_bar_values is the one evaluator of the averaged form; its second
-    argument, the triple (lambda, y, pcoef), comes from form for one
-    surface point (moments on third_kind_form's route, _moments_at from
-    the cached base and m_conn), or from q_forms for every q node on both
-    sheets (moments over the q tree), which special_solution_means reads.
+    The averaged form is _form_values for a second argument, the triple
+    (lambda, y, pcoef), less the Cauchy sum: G reads the sum through
+    t_nodes and log_potential, the special solutions through cone_cauchy.
+    The triple comes from form for one surface point, or from q_forms for
+    every q node on both sheets, which special_solution_means reads.
     Those and the p-side data that every GreenSolver shares (p_tree, the
     closed tree with its one lift, and t_nodes) are built on first read:
     a context plus its solvers builds one tree, the p tree.  q_forms
@@ -939,7 +940,7 @@ class GreenContext:
 
     def form(self, y: SurfacePoint):
         """(lambda, y, pcoef) of the q-averaged form Omega_bar_y, the
-        second argument of omega_bar_values for the one point y (q_forms
+        second argument of _form_values for the one point y (q_forms
         gives it for every q node); ConeArgument at the cone point.
 
         pcoef is the correction polynomial.  Averaging the moments over
@@ -954,15 +955,12 @@ class GreenContext:
         return y.lam, self.curve.y_of(y), \
             _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)
 
-    def omega_bar_values(self, lam, ys, t_lam, t_y, pcoef):
-        """Omega_bar_t(z) / dlambda at sheet-resolved points z = (lam, ys):
-        _form_values for the second argument(s) t = (t_lam, t_y) with
-        correction pcoef, minus the Cauchy sum over the q nodes.  The real
-        part of the integral of that sum is the closed-form log_potential
-        below, so the p-tree integrates _form_values alone."""
-        cauchy = (self.cauchy_w / (np.asarray(lam)[..., None]
-                                   - self.q_grid.nodes)).sum(axis=-1)
-        return _form_values(lam, ys, t_lam, t_y, pcoef) - cauchy / self.area
+    @cached_property
+    def cone_cauchy(self) -> complex:
+        """S = sum_q W_q / (lambda_P - lambda_q) / Area, the Cauchy sum
+        at the cone point, all that _special_solutions reads of it."""
+        s = (self.cauchy_w / (self.frame.lam_p - self.q_grid.nodes)).sum()
+        return complex(s / self.area)
 
     @cached_property
     def q_forms(self):
@@ -1152,9 +1150,8 @@ class GreenSolver:
         self.tree_err = err + ctx.t_bound
 
     def _harm_both(self, zs, ys):
-        """The averaged form without its Cauchy sum (see
-        GreenContext.omega_bar_values) on the tree sheet and on the other
-        sheet."""
+        """The averaged form less its Cauchy sum (see t_nodes) on the tree
+        sheet and on the other sheet."""
         return _form_values(zs, ys, *self.form, both=True)
 
     def _nearest_node(self, lam):
@@ -1224,16 +1221,15 @@ class GreenSolver:
 # special growing solutions at lambda = 0
 # ---------------------------------------------------------------------------
 
-def _xi_circle_radius(ctx: GreenContext, t_lam):
-    """Sampling radius in xi strictly inside the nearest pole of
-    Omega_bar_t: a q node, or the second argument t_lam.  An array t_lam
-    holds q nodes, which add no nearer pole."""
+def _xi_circle_radius(ctx: GreenContext, t_lam=()):
+    """Sampling radius in xi of the special-solution FFT: 0.9 |xi(zeta)|
+    at zeta = 0.65 sqrt(d), d a quarter of the distance from the cone
+    point to the nearest pole of _form_values (a second argument in t_lam:
+    scalar, array or none) or edge of the frame chart (a branch point)."""
     lam_p = ctx.frame.lam_p
-    d = np.abs(ctx.q_grid.nodes - lam_p)
-    dmin = float(d[d > 0].min())
-    if np.ndim(t_lam) == 0:
-        dmin = min(dmin, abs(complex(t_lam) - lam_p))
-    zeta_r = 0.65 * np.sqrt(dmin)
+    d = 0.25 * np.min(np.abs(np.asarray(t_lam) - lam_p),
+                      initial=np.abs(ctx.frame.rest - lam_p).min())
+    zeta_r = 0.65 * np.sqrt(d)
     return 0.9 * abs(complex(ctx.frame.xi_of_zeta.evaluate(
         np.asarray([zeta_r], complex))[0]))
 
@@ -1260,19 +1256,22 @@ def _cone_circle_points(ctx: GreenContext, r, n):
 def _special_solutions(ctx: GreenContext, t_lam, t_y, pcoef):
     """(G_{1/xi}, G_{1/xi^2})(t; 0) for one second argument t = (t_lam,
     t_y) with correction pcoef, or for an array of them with one pcoef
-    column each (as GreenContext.omega_bar_values).
+    column each (as _form_values).
 
     They are minus the xi-Taylor coefficients of orders 0 and 1 of the
-    averaged form Omega_bar_t / dxi at the cone point, read off one FFT on
-    a circle inside every pole."""
+    averaged form Omega_bar_t / dxi at the cone point: one FFT of
+    _form_values on a circle inside its poles, and the Cauchy sum C in
+    closed form.  With zeta = c1 xi + O(xi^2), C dlambda/dxi = 2 c1^2
+    C(lambda_P) xi + O(xi^2) adds -2 c1^2 cone_cauchy at order 1 alone."""
     n = 32
     r = _xi_circle_radius(ctx, t_lam)
     shape = (n,) + (1,) * np.ndim(t_lam)
     lam, yv, dlam_dxi = (v.reshape(shape)
                          for v in _cone_circle(ctx, r, n)[1:])
-    samples = ctx.omega_bar_values(lam, yv, t_lam, t_y, pcoef) * dlam_dxi
+    samples = _form_values(lam, yv, t_lam, t_y, pcoef) * dlam_dxi
     coef = np.fft.fft(samples, axis=0) / n
-    return -coef[0], -coef[1] / r
+    c1 = complex(ctx.frame.zeta_of_xi.coeffs[1])
+    return -coef[0], 2.0 * c1 * c1 * ctx.cone_cauchy - coef[1] / r
 
 
 def special_solution_zero(ctx: GreenContext, l: int,
@@ -1342,9 +1341,9 @@ def smatrix_expansion_check(ctx: GreenContext) -> dict:
     their sign; the conjugate-sector coefficients come out as the
     negated entries, fixing the sign convention of the conjugate block
     relative to the Bergman-kernel sum.  Each of the 16 points per circle
-    costs one GreenContext.form.
+    costs one GreenContext.form; the frame chart alone sizes the circles.
     """
-    rmax = _xi_circle_radius(ctx, ctx.q_grid.nodes)
+    rmax = _xi_circle_radius(ctx)
     rows, rhs1, rhs2 = [], [], []
     for r0 in (0.3 * rmax, 0.55 * rmax):
         xi, pts = _cone_circle_points(ctx, r0, 16)
@@ -1387,8 +1386,8 @@ def bergman_consistency(solver: GreenSolver, x: SurfacePoint,
     The Friedrichs kernel (inverse of the positive Laplacian on mean-zero
     functions) is minus the Roelcke G of this module, whose log
     coefficient is +1/(2 pi).  Only the u(x) term of G depends on x, so
-    the mixed derivative needs the averaged form alone; the conj(y)
-    derivative is taken by central differences.
+    the mixed derivative needs _form_values alone (the Cauchy sum does not
+    depend on y); the conj(y) derivative is taken by central differences.
     """
     ctx = solver.ctx
     if h <= 0 or h < 1e-10 * ctx.curve.scale:
@@ -1399,7 +1398,7 @@ def bergman_consistency(solver: GreenSolver, x: SurfacePoint,
 
     def dxg(dy):
         yy = SurfacePoint(complex(y.lam) + dy, y.sheet)
-        om = ctx.omega_bar_values(lam_x, y_x, *ctx.form(yy))[0]
+        om = _form_values(lam_x, y_x, *ctx.form(yy))[0]
         return -om / (4.0 * np.pi)
 
     d_re = (dxg(h) - dxg(-h)) / (2 * h)

@@ -105,6 +105,9 @@ class TestGreenCommand:
         assert names["symmetry"]
         assert names["coefficient_matching_xi"]
         assert names["bergman_consistency"]
+        # the paper's bridge: the special solutions' expansion against T(0)
+        assert names["expansion_singular"]
+        assert names["expansion_vs_t0"]
         assert len(res["green_values"]) == 1
 
     def test_one_green_call_per_point(self, tmp_path, monkeypatch):

@@ -1887,6 +1887,33 @@ class TestRoelckeGreen:
         assert (gp, err) == (g.value, g.error_estimate)
 
 
+def _q_bounded_radius(ctx, t_lam=()):
+    """Sampling radius of the removed Cauchy-sum evaluator: 0.9 |xi(zeta)|
+    at zeta = 0.65 sqrt(d), d the distance from the cone point to the
+    nearest q node (a pole of the Cauchy sum) or second argument."""
+    d = np.abs(np.append(ctx.q_grid.nodes, t_lam) - ctx.frame.lam_p)
+    zeta_r = 0.65 * np.sqrt(d[d > 0].min())
+    return 0.9 * abs(complex(ctx.frame.xi_of_zeta.evaluate(
+        np.asarray([zeta_r], complex))[0]))
+
+
+def _reference_special_solutions(ctx, t_lam, t_y, pcoef):
+    """Reference for green._special_solutions: the 32-point FFT of the
+    whole averaged form, _form_values minus the q-grid Cauchy sum
+    sum_q W_q / (lambda - lambda_q) / Area at every sample, on the circle
+    of _q_bounded_radius, inside every pole."""
+    n = 32
+    r = _q_bounded_radius(ctx, t_lam)
+    shape = (n,) + (1,) * np.ndim(t_lam)
+    lam, yv, dlam_dxi = (v.reshape(shape)
+                         for v in green._cone_circle(ctx, r, n)[1:])
+    cauchy = (ctx.cauchy_w / (lam[..., None] - ctx.q_grid.nodes)).sum(-1)
+    omega_bar = green._form_values(lam, yv, t_lam, t_y, pcoef) \
+        - cauchy / ctx.area
+    coef = np.fft.fft(omega_bar * dlam_dxi, axis=0) / n
+    return -coef[0], -coef[1] / r
+
+
 class TestSpecialSolutions:
     def test_means_vanish(self, ctx):
         m1, m2 = green.special_solution_means(ctx)
@@ -1911,6 +1938,36 @@ class TestSpecialSolutions:
                     < 1e-8, (i, sheet)
                 assert abs(g2[i] - green.special_solution_zero(ctx, 2, pt)) \
                     < 1e-8, (i, sheet)
+
+    @pytest.mark.parametrize("name", ["z5", "generic"])
+    @pytest.mark.parametrize("grid", [(12, 16), (24, 32)])
+    def test_closed_form_matches_cauchy_sum(self, potential_contexts, name,
+                                            grid, monkeypatch):
+        # the Cauchy sum in closed form (cone_cauchy) against the removed
+        # evaluator's FFT of the whole averaged form, on its circle;
+        # relative to the largest value of each order, since q nodes next
+        # to the cone point give values 1e4 times the smallest
+        ctx = potential_contexts(name, grid)
+        monkeypatch.setattr(green, "_xi_circle_radius", _q_bounded_radius)
+        args = [ctx.form(SurfacePoint(lam, s)) for lam, s in
+                ((0.9 + 1.3j, 1), (-0.4 - 0.2j, -1), (1.3 - 0.5j, 1))]
+        for t in args + [ctx.q_forms]:
+            got = green._special_solutions(ctx, *t)
+            for g, ref in zip(got, _reference_special_solutions(ctx, *t)):
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_radius_inside_frame_chart(self, generic, monkeypatch):
+        # a far second argument leaves the circle to the frame chart's
+        # disk, whose edge is the nearest other branch point: halving the
+        # radius moves nothing beyond rounding
+        gctx = generic[2]
+        form = gctx.form(SurfacePoint(0.9 + 1.3j, 1))
+        full = green._special_solutions(gctx, *form)
+        radius = green._xi_circle_radius
+        monkeypatch.setattr(green, "_xi_circle_radius",
+                            lambda ctx, t_lam=(): 0.5 * radius(ctx, t_lam))
+        for a, b in zip(full, green._special_solutions(gctx, *form)):
+            assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_one_averaged_pcoef_per_point(self, ctx, solver, monkeypatch):
         # the special-solution pair comes from one form (and correction
@@ -1994,6 +2051,26 @@ class TestSMatrixCrossCheck:
         # assembled block; determinant-level invariants are unaffected
         assert abs(out["coeffs_1"]["conj_xi"] + t[2, 0]) < 1e-3 * scale
         assert abs(out["coeffs_2"]["conj_xi2"] + t[3, 1]) < 1e-3 * scale
+
+    @pytest.mark.parametrize("grid", [(12, 16), (24, 32)])
+    def test_expansion_independent_of_grid(self, generic, potential_contexts,
+                                           grid):
+        # the sampling circles follow the frame chart, not the q nodes, so
+        # a finer grid leaves the T(0) route at rounding
+        t = smatrix.t_matrix_zero(generic[0]).T0
+        out = green.smatrix_expansion_check(potential_contexts("generic",
+                                                               grid))
+        scale = np.abs(t).max()
+        for key in ("sing_1", "sing_2"):
+            assert abs(out[key] - 1.0) < 1e-12
+        for key in ("spurious_1", "spurious_2"):
+            assert abs(out[key]) < 1e-12
+        c1, c2 = out["coeffs_1"], out["coeffs_2"]
+        assert abs(c1["xi"] - t[0, 0]) < 1e-9 * scale
+        assert abs(c1["xi2"] - t[1, 0]) < 1e-9 * scale
+        assert abs(c2["xi2"] - t[1, 1]) < 1e-9 * scale
+        assert abs(c1["conj_xi"] + t[2, 0]) < 1e-9 * scale
+        assert abs(c2["conj_xi2"] + t[3, 1]) < 1e-9 * scale
 
     def test_perturbed_z5_t22(self):
         # off z5 the degeneracy lifts through T22, which grows linearly in
