@@ -16,7 +16,9 @@ sum of the A terms collapses to one real-weighted Cauchy sum because
 the sheet-odd part cancels between the two sheets of each node.  The
 averaged form Omega_bar_y = A(z,y) + P_y(lambda_z) / y_z minus that sum
 is the x-gradient of G(., y); the sum enters G through log_potential and
-the special solutions through GreenContext.cone_cauchy.
+the special solutions through GreenContext.cone_cauchy.  The same
+cancellation leaves the Cauchy sum alone in the special solutions'
+surface means (special_solution_means).
 """
 
 from __future__ import annotations
@@ -259,9 +261,8 @@ def _moments_at(curve, base, m_conn, point: SurfacePoint):
 def _form_values(lam, ys, t_lam, t_y, pcoef, both=False):
     """A(z, t) + P(lambda_z) / y_z at the points z = (lam, ys), with
     A(z, t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and pcoef the
-    coefficients of P, lowest first.  For n second arguments pcoef is
-    (5, n), and lam[:, None] gives one column per argument; an empty
-    pcoef gives A alone.
+    coefficients of P, lowest first, along its first axis; an empty pcoef
+    gives A alone.
 
     With h = 1 / (2 (lambda_z - lambda_t)) and g = (y_t h + P) / y_z the
     form is h + g at y_z and h - g at -y_z, so two complex divisions, one
@@ -915,14 +916,12 @@ class GreenContext:
     """Precomputed q-side data: staggered grids, Cauchy weights, area.
 
     The averaged form is _form_values for a second argument, the triple
-    (lambda, y, pcoef), less the Cauchy sum: G reads the sum through
-    t_nodes and log_potential, the special solutions through cone_cauchy.
-    The triple comes from form for one surface point, or from q_forms for
-    every q node on both sheets, which special_solution_means reads.
-    Those and the p-side data that every GreenSolver shares (p_tree, the
-    closed tree with its one lift, and t_nodes) are built on first read:
-    a context plus its solvers builds one tree, the p tree.  q_forms
-    builds the q tree for its one pass and keeps none of it."""
+    (lambda, y, pcoef) that form gives for one surface point, less the
+    Cauchy sum: G reads the sum through t_nodes and log_potential, the
+    special solutions through cone_cauchy.  The p-side data that every
+    GreenSolver shares (p_tree, the closed tree with its one lift, and
+    t_nodes) are built on first read: a context, its solvers and its
+    checks build one tree, the p tree."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -940,8 +939,8 @@ class GreenContext:
 
     def form(self, y: SurfacePoint):
         """(lambda, y, pcoef) of the q-averaged form Omega_bar_y, the
-        second argument of _form_values for the one point y (q_forms
-        gives it for every q node); ConeArgument at the cone point.
+        second argument of _form_values for the one point y;
+        ConeArgument at the cone point.
 
         pcoef is the correction polynomial.  Averaging the moments over
         the grid leaves M(y) - M_conn / 2: the per-node moments cancel
@@ -961,25 +960,6 @@ class GreenContext:
         at the cone point, all that _special_solutions reads of it."""
         s = (self.cauchy_w / (self.frame.lam_p - self.q_grid.nodes)).sum()
         return complex(s / self.area)
-
-    @cached_property
-    def q_forms(self):
-        """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree
-        sheet (the y_plus of the q grid's build_surface_tree), then on the
-        other sheet, for special_solution_means; as form, from M(q) -
-        M_conn / 2, all from the q-tree root.  One accumulate_tree pass
-        gives m_node, the (n, 5) moments to the q nodes at y_plus, and
-        M_conn = m_conn, to the root's other sheet; M(q) is m_node on the
-        tree sheet and m_conn - m_node on the other.  y_plus is read on
-        the grid nodes only, the vertices before the tree's closing ones;
-        the tree is a local, freed on return."""
-        tree = build_surface_tree(self.curve, self.q_grid)
-        m_node, m_conn = accumulate_tree(self.curve, tree,
-                                         _moment_integrand, 5)[:2]
-        m = np.concatenate([m_node, m_conn - m_node])
-        y = tree.y_plus[:self.q_grid.n_nodes]
-        return (np.tile(self.q_grid.nodes, 2), np.concatenate([y, -y]),
-                _correction_pcoef(self.model, (m - 0.5 * m_conn).T))
 
     @cached_property
     def p_tree(self) -> SurfaceTree:
@@ -1128,11 +1108,10 @@ class GreenSolver:
     its sheet connector and lift, and the log potential at its nodes are
     the context's (p_tree is ctx.p_tree).  Only form = ctx.form(y) (one
     path from the context's base point) and one accumulation over the p
-    tree depend on y; a solver reads no q tree.  tree_err bounds each
-    node value's error from the tree's quadrature (all its edge errors)
-    and from t_nodes' truncation (ctx.t_bound), so it bounds mean_u's;
-    u_at takes t_nodes[j] back out of its node value, so the truncation
-    reaches G through mean_u alone.
+    tree depend on y.  tree_err bounds each node value's error from the
+    tree's quadrature (all its edge errors) and from t_nodes' truncation
+    (ctx.t_bound), so it bounds mean_u's; u_at takes t_nodes[j] back out
+    of its node value, so the truncation reaches G through mean_u alone.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
@@ -1253,25 +1232,27 @@ def _cone_circle_points(ctx: GreenContext, r, n):
     return xi, pts
 
 
-def _special_solutions(ctx: GreenContext, t_lam, t_y, pcoef):
-    """(G_{1/xi}, G_{1/xi^2})(t; 0) for one second argument t = (t_lam,
-    t_y) with correction pcoef, or for an array of them with one pcoef
-    column each (as _form_values).
-
-    They are minus the xi-Taylor coefficients of orders 0 and 1 of the
-    averaged form Omega_bar_t / dxi at the cone point: one FFT of
-    _form_values on a circle inside its poles, and the Cauchy sum C in
-    closed form.  With zeta = c1 xi + O(xi^2), C dlambda/dxi = 2 c1^2
-    C(lambda_P) xi + O(xi^2) adds -2 c1^2 cone_cauchy at order 1 alone."""
+def _cone_orders(ctx: GreenContext, r, form):
+    """Minus the xi-Taylor coefficients of orders 0 and 1 at the cone point
+    of (form - C) dlambda/dxi, form(lam, y) a form over dlambda regular
+    inside |xi| = r and C the Cauchy sum: one 32-point FFT of form on that
+    circle, and C in closed form.  With zeta = c1 xi + O(xi^2), C
+    dlambda/dxi = 2 c1^2 C(lambda_P) xi + O(xi^2) adds -2 c1^2 cone_cauchy
+    at order 1 alone."""
     n = 32
-    r = _xi_circle_radius(ctx, t_lam)
-    shape = (n,) + (1,) * np.ndim(t_lam)
-    lam, yv, dlam_dxi = (v.reshape(shape)
-                         for v in _cone_circle(ctx, r, n)[1:])
-    samples = _form_values(lam, yv, t_lam, t_y, pcoef) * dlam_dxi
-    coef = np.fft.fft(samples, axis=0) / n
+    _, lam, yv, dlam_dxi = _cone_circle(ctx, r, n)
+    coef = np.fft.fft(form(lam, yv) * dlam_dxi) / n
     c1 = complex(ctx.frame.zeta_of_xi.coeffs[1])
     return -coef[0], 2.0 * c1 * c1 * ctx.cone_cauchy - coef[1] / r
+
+
+def _special_solutions(ctx: GreenContext, t_lam, t_y, pcoef):
+    """(G_{1/xi}, G_{1/xi^2})(t; 0) for the second argument t = (t_lam,
+    t_y) with correction pcoef: _cone_orders of _form_values, the averaged
+    form Omega_bar_t without its Cauchy sum, on a circle inside its
+    poles."""
+    return _cone_orders(ctx, _xi_circle_radius(ctx, t_lam), lambda lam, yv:
+                        _form_values(lam, yv, t_lam, t_y, pcoef))
 
 
 def special_solution_zero(ctx: GreenContext, l: int,
@@ -1285,12 +1266,19 @@ def special_solution_zero(ctx: GreenContext, l: int,
 def special_solution_means(ctx: GreenContext):
     """Surface means of G_{1/xi} and G_{1/xi^2}; both vanish in theory.
 
-    One _special_solutions call over GreenContext.q_forms gives both at
-    every q node on the tree sheet and then on the other; each node's two
-    sheets are summed with its Cauchy weight."""
-    n = ctx.q_grid.n_nodes
-    return tuple(complex((ctx.cauchy_w * (g[:n] + g[n:])).sum() / ctx.area)
-                 for g in _special_solutions(ctx, *ctx.q_forms))
+    The mean is the Cauchy-weighted sum of _special_solutions over the q
+    nodes on both sheets, over Area.  A node's two sheets carry opposite
+    y and opposite correction polynomials (M(q-) = M_conn - M(q+), and
+    _correction_pcoef is real-linear), so their two _form_values sum to
+    1 / (lambda - lambda_q), and the weighted sum of those, with Area =
+    2 sum_q W_q, is C itself.  So the means are _cone_orders of C, on the
+    circle that stays inside every q node: what they check is the closed
+    form of C at the cone point against the FFT of C."""
+    def cauchy(lam, _):
+        return (ctx.cauchy_w / (lam[:, None] - ctx.q_grid.nodes)).sum(1) \
+            / ctx.area
+    return tuple(map(complex, _cone_orders(
+        ctx, _xi_circle_radius(ctx, ctx.q_grid.nodes), cauchy)))
 
 
 # ---------------------------------------------------------------------------

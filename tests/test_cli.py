@@ -309,6 +309,30 @@ class TestStageSharing:
         assert cli.main(["--config", cfg, "--out", out]) == 0
         assert calls == []
 
+    def test_green_builds_one_tree(self, monkeypatch):
+        # the green command's Green function, special-solution means and
+        # expansion check share one spanning tree, over the p grid
+        from conespectra import green
+
+        contexts, built = [], []
+        build, make_context = green.build_surface_tree, green.green_context
+
+        def recorded(*args, **kwargs):
+            contexts.append(make_context(*args, **kwargs))
+            return contexts[-1]
+
+        def counted(curve, grid):
+            built.append(grid)
+            return build(curve, grid)
+
+        monkeypatch.setattr(green, "green_context", recorded)
+        monkeypatch.setattr(green, "build_surface_tree", counted)
+        cfg = dict(Z5_CFG, surface_grid=[6, 8], points=[
+            {"lam": [-0.7, 0.4], "sheet": 1}, {"lam": [0.9, 1.3], "sheet": 1}])
+        cli.run(cfg, ["green"])
+        assert len(contexts) == 1
+        assert built == [contexts[0].p_grid]
+
     @pytest.mark.parametrize("name", [f"cli_batch_{k}" for k in range(4)])
     def test_report_matches_stored_reference(self, tmp_path, name):
         ref = (REFERENCE_DIR / f"{name}.json").read_bytes()

@@ -1172,14 +1172,11 @@ class TestSurfaceTree:
         solvers = [green.GreenSolver(c, y) for y in ys]
         assert built == [c.p_grid]
         assert all(s.p_tree is c.p_tree for s in solvers)
-        assert "q_forms" not in vars(c)
-        # the q tree comes with the first q_forms reader, once, and the
-        # context keeps none of it
+        # the special-solution means and the expansion check build no
+        # tree of their own, and none over the q grid
         green.special_solution_means(c)
-        green.special_solution_means(c)
-        assert built == [c.p_grid, c.q_grid]
-        assert not any(isinstance(v, green.SurfaceTree) and v.grid is c.q_grid
-                       for v in vars(c).values())
+        green.smatrix_expansion_check(c)
+        assert built == [c.p_grid]
         # a solver sharing the tree's lift equals one built alone
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
@@ -1374,6 +1371,34 @@ def _root_flip_accumulate(accumulate):
     return accumulate_ref
 
 
+def _q_forms(ctx):
+    """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree sheet
+    (the y_plus of the q grid's build_surface_tree), then on the other
+    sheet: the q-node second arguments that special_solution_means sums
+    in closed form.  As GreenContext.form, from M(q) - M_conn / 2, all
+    from the q-tree root.  One accumulate_tree pass gives m_node, the
+    (n, 5) moments to the q nodes at y_plus, and M_conn = m_conn, to the
+    root's other sheet; M(q) is m_node on the tree sheet and m_conn -
+    m_node on the other.  y_plus is read on the grid nodes only, the
+    vertices before the tree's closing ones."""
+    tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
+    m_node, m_conn = green.accumulate_tree(ctx.curve, tree,
+                                           green._moment_integrand, 5)[:2]
+    m = np.concatenate([m_node, m_conn - m_node])
+    y = tree.y_plus[:ctx.q_grid.n_nodes]
+    return (np.tile(ctx.q_grid.nodes, 2), np.concatenate([y, -y]),
+            green._correction_pcoef(ctx.model, (m - 0.5 * m_conn).T))
+
+
+def _sheet_pair_means(ctx, g):
+    """Surface means from special-solution values g = (G_{1/xi},
+    G_{1/xi^2}) at the q nodes on both sheets, as _q_forms lists them:
+    each node's two sheets summed with its Cauchy weight, over Area."""
+    n = ctx.q_grid.n_nodes
+    return np.array([(ctx.cauchy_w * (v[:n] + v[n:])).sum() / ctx.area
+                     for v in g])
+
+
 def _reference_moments(ctx, point):
     """Reference for GreenContext.moments_at: the root route, build_path
     from the q-tree root and around _flip_loop if it arrives on the other
@@ -1444,11 +1469,10 @@ def _pcoef_gap(p, q):
 @pytest.fixture(scope="module")
 def q_moments(read_solvers):
     """(m_plus, m_flip, node_err, flip_err) of the q-tree accumulation of
-    every read_solvers context, which GreenContext.q_forms folds into its
-    correction polynomials and does not keep: the moments from the root
-    to the q nodes on the tree sheet, from the root to its other sheet,
-    each node's error and the root's on the other sheet (the flip
-    error)."""
+    every read_solvers context, which _q_forms folds into its correction
+    polynomials: the moments from the root to the q nodes on the tree
+    sheet, from the root to its other sheet, each node's error and the
+    root's on the other sheet (the flip error)."""
     out = {}
     for key, (sol, _) in read_solvers.items():
         tree = green.build_surface_tree(sol.ctx.curve, sol.ctx.q_grid)
@@ -1496,15 +1520,15 @@ class TestSheetConnector:
             return accumulate_q
 
         # the context on the root routes: root flip loop, root moments;
-        # the q-tree pass runs on the first read of q_forms
+        # each _q_forms makes one q-tree pass
         with monkeypatch.context() as m:
             m.setattr(green, "accumulate_tree",
                       recording(_root_flip_accumulate(accumulate)))
             ref_ctx = green.green_context(model, frame, cfg)
-            ref_ctx.q_forms
+            ref_forms = _q_forms(ref_ctx)
         with monkeypatch.context() as m:
             m.setattr(green, "accumulate_tree", recording(accumulate))
-            green.green_context(model, frame, cfg).q_forms
+            forms = _q_forms(ctx)
         assert len(q_passes) == 2
         q_errs = [out[2] for out in q_passes]
         ref_plus, ref_flip = q_passes[0][:2]
@@ -1525,13 +1549,15 @@ class TestSheetConnector:
         # included), the paths to y and the base point's connector
         bound = _pcoef_norm(model) * (sum(q_errs) + sum(path_errs)) + defect
         assert _pcoef_gap(pcoef, ref_pcoef) <= bound
-        assert _pcoef_gap(ctx.q_forms[2], ref_ctx.q_forms[2]) <= bound
+        assert _pcoef_gap(forms[2], ref_forms[2]) <= bound
         np.testing.assert_array_equal(
             green.accumulate_tree(
                 ctx.curve, green.build_surface_tree(ctx.curve, ctx.q_grid),
                 green._moment_integrand, 5)[0], ref_plus)
-        means = np.subtract(green.special_solution_means(ctx),
-                            green.special_solution_means(ref_ctx))
+        means = _sheet_pair_means(
+            ctx, _reference_special_solutions(ctx, *forms)) \
+            - _sheet_pair_means(
+                ref_ctx, _reference_special_solutions(ref_ctx, *ref_forms))
         assert np.abs(means).max() <= bound
         # the solver on the root flip loop, with the same correction
         # polynomial: u_plus is the same tree sum, u_minus moves by Re of
@@ -1920,23 +1946,59 @@ class TestSpecialSolutions:
         assert abs(m1) < 1e-6
         assert abs(m2) < 1e-6
 
+    @pytest.mark.parametrize("name", ["z5", "generic"])
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16)])
+    def test_means_match_sheet_pair_sum(self, potential_contexts, name,
+                                        grid, monkeypatch):
+        # the closed form against the sum it stands for: _special_solutions
+        # at every q node on both sheets (_q_forms), each on the circle
+        # inside every q node, summed with the Cauchy weights
+        ctx = potential_contexts(name, grid)
+        means = green.special_solution_means(ctx)
+        t_lam, t_y, pcoef = _q_forms(ctx)
+        radius = green._xi_circle_radius
+        with monkeypatch.context() as m:
+            m.setattr(green, "_xi_circle_radius", lambda c, t_lam=():
+                      radius(c, c.q_grid.nodes))
+            g = np.array([green._special_solutions(ctx, t_lam[k], t_y[k],
+                                                   pcoef[:, k])
+                          for k in range(t_lam.size)]).T
+        assert np.abs(_sheet_pair_means(ctx, g) - means).max() <= 1e-15
+        # the two sheets' correction polynomials are opposite: their
+        # moment vectors m_node - m_conn / 2 and (m_conn - m_node) -
+        # m_conn / 2 round apart by a few ulp of the moments' largest part
+        tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
+        m_node, m_conn = green.accumulate_tree(ctx.curve, tree,
+                                               green._moment_integrand, 5)[:2]
+        parts = np.concatenate([m_node.ravel(), m_conn])
+        size = max(np.abs(parts.real).max(), np.abs(parts.imag).max())
+        n = ctx.q_grid.n_nodes
+        assert _pcoef_gap(pcoef[:, :n], -pcoef[:, n:]) \
+            <= 8 * np.finfo(float).eps * size * _pcoef_norm(ctx.model)
+        # without the Cauchy sum's cone term the means do not vanish
+        monkeypatch.setattr(green.GreenContext, "cone_cauchy",
+                            property(lambda self: 0.0))
+        if name == "generic":
+            assert np.abs(green.special_solution_means(ctx)).max() > 1e-6
+
     def test_grid_matches_pointwise(self, ctx):
-        # both halves of q_forms: "plus" is the tree sheet of each node,
+        # both halves of _q_forms: "plus" is the tree sheet of each node,
         # read off the q tree's y_plus, and "minus" the other sheet
-        g1, g2 = green._special_solutions(ctx, *ctx.q_forms)
+        t_lam, t_y, pcoef = _q_forms(ctx)
         nodes = ctx.q_grid.nodes
         n = nodes.size
-        g1p, g1m, g2p, g2m = g1[:n], g1[n:], g2[:n], g2[n:]
         picks = [int(np.argmin(np.abs(nodes - (0.8 + 0.8j))))] + list(
             np.linspace(0, nodes.size - 1, 11, dtype=int))
         q_tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
         for i in picks:
             s = _tree_sheet(ctx.curve, q_tree, i)
-            for sheet, g1, g2 in ((s, g1p, g2p), (-s, g1m, g2m)):
+            for sheet, k in ((s, i), (-s, n + i)):
+                g1, g2 = green._special_solutions(ctx, t_lam[k], t_y[k],
+                                                  pcoef[:, k])
                 pt = SurfacePoint(complex(nodes[i]), sheet)
-                assert abs(g1[i] - green.special_solution_zero(ctx, 1, pt)) \
+                assert abs(g1 - green.special_solution_zero(ctx, 1, pt)) \
                     < 1e-8, (i, sheet)
-                assert abs(g2[i] - green.special_solution_zero(ctx, 2, pt)) \
+                assert abs(g2 - green.special_solution_zero(ctx, 2, pt)) \
                     < 1e-8, (i, sheet)
 
     @pytest.mark.parametrize("name", ["z5", "generic"])
@@ -1951,10 +2013,24 @@ class TestSpecialSolutions:
         monkeypatch.setattr(green, "_xi_circle_radius", _q_bounded_radius)
         args = [ctx.form(SurfacePoint(lam, s)) for lam, s in
                 ((0.9 + 1.3j, 1), (-0.4 - 0.2j, -1), (1.3 - 0.5j, 1))]
-        for t in args + [ctx.q_forms]:
+        for t in args:
             got = green._special_solutions(ctx, *t)
             for g, ref in zip(got, _reference_special_solutions(ctx, *t)):
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the q-node arguments on both sheets, one call each at 64 nodes
+        # spread over the grid and the 4 next to the cone point, against
+        # the reference on all of them at once (one circle for all: the
+        # q-bounded radius of a q node is every q node's)
+        t_lam, t_y, pcoef = _q_forms(ctx)
+        refs = _reference_special_solutions(ctx, t_lam, t_y, pcoef)
+        n = ctx.q_grid.n_nodes
+        picks = np.union1d(np.linspace(0, n - 1, 64, dtype=int), np.argsort(
+            np.abs(ctx.q_grid.nodes - ctx.frame.lam_p))[:4])
+        for k in np.concatenate([picks, n + picks]):
+            got = green._special_solutions(ctx, t_lam[k], t_y[k],
+                                           pcoef[:, k])
+            for g, ref in zip(got, refs):
+                assert abs(g - ref[k]) <= 1e-12 * np.abs(ref).max(), k
 
     def test_radius_inside_frame_chart(self, generic, monkeypatch):
         # a far second argument leaves the circle to the frame chart's
