@@ -10,10 +10,14 @@ and the residue polynomial Q of the raw bidifferential,
     Omega_{p-q}(z) / dlambda = A(z,p) - A(z,q) + P(lambda_z) / y_z,
 
 where the degree-4 polynomial P is linear in the moment vector
-M = int_q^p lambda^k dlambda / y (k = 0..4).  Averaging over a surface
-grid in q therefore only needs the weighted average of M, and the grid
-sum of the A terms collapses to one real-weighted Cauchy sum because
-the sheet-odd part cancels between the two sheets of each node.  The
+M = int_q^p lambda^k dlambda / y (k = 0..4).  Moments are taken from
+branch point 0, b0: M = R(p) - R(q) with R(z) = int_b0^z, which is odd
+in the sheet, so the grid average of M over both sheets of every node
+is R(p).  The leg into b0, regular in the local parameter s =
+sqrt(lambda - b0), is the one route between the sheets (_branch_leg):
+the moments' and the Green solvers' alike.  The grid sum of the A terms
+collapses to one real-weighted Cauchy sum because the sheet-odd part
+cancels between the two sheets of each node.  The
 averaged form Omega_bar_y = A(z,y) + P_y(lambda_z) / y_z minus that sum
 is the x-gradient of G(., y); the sum enters G through log_potential and
 the special solutions through GreenContext.cone_cauchy.  The same
@@ -115,27 +119,12 @@ def build_path(curve, lam_from, lam_to, depth=0):
     return left + right[1:]
 
 
-def _flip_loop(curve, lam_at):
-    """Closed polyline from lam_at around the first branch point and back;
-    the y-continuation along it ends on the other sheet.
-
-    It is the 16-gon about that branch point through lam_at, within
-    min_gap / 2 of it (the tree hubs and the moment base point are, on
-    every build_surface_grid grid; a farther start is a ConsistencyFailure),
-    so it encloses no other branch point."""
-    bp = complex(curve.branch_points[0])
-    direction = lam_at - bp
-    if not abs(direction) < 1.5 * (curve.min_gap / 3.0):
-        raise ConsistencyFailure(
-            f"sheet connector start {lam_at} is not next to {bp}")
-    turns = [cmath.exp(2j * np.pi * k / 16) for k in range(1, 16)]
-    return [lam_at] + [bp + direction * w for w in turns] + [lam_at]
-
-
-def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
+def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     """Adaptive integral of the k-vector f(lam, y) along a polyline given
-    by complex vertices, with y continued on the curve from y0 at the
-    first vertex, by bisection with embedded 10/20-point Gauss rules.
+    by complex vertices, with y = sqrt(prod(lam - roots)) continued from
+    y0 at the first vertex, by bisection with embedded 10/20-point Gauss
+    rules.  roots are a curve's branch points, or _branch_leg's roots in
+    its local parameter.
 
     f maps (lam array, y array) to an (n,) or (n, k) array.
     _embedded_gauss decides whether a subinterval is accepted.  A pass
@@ -166,7 +155,7 @@ def integrate_vector_path(curve, verts, y0, f, tol=1e-9, budget=200):
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
             zs = mid + half * x31
             zs[30] = b
-            ys = _continue_sqrt(curve.branch_points, a, b, y_a, zs)
+            ys = _continue_sqrt(roots, a, b, y_a, zs)
             if np.count_nonzero(ys[:30]) < 30:
                 raise NonConvergence(
                     f"path integral: a node of [{lo}, {hi}] lies on a "
@@ -216,8 +205,33 @@ def _path_to(curve, lam0, y0, point: SurfacePoint, f):
     """Integral of f along build_path from (lam0, y0) to the point, its
     error, and the sheet it arrives on (_arrival)."""
     val, err, y_end = integrate_vector_path(
-        curve, build_path(curve, lam0, point.lam), y0, f)
+        curve.branch_points, build_path(curve, lam0, point.lam), y0, f)
     return val, err, _arrival(curve, y_end, point)
+
+
+def _branch_leg(curve, lam, y, f):
+    """Integral of the k-vector f dlambda from branch point 0, b0, to
+    (lam, y), with its error: the one route between the sheets.
+
+    In the local parameter s = sqrt(lambda - b0), lambda = b0 + s^2 and
+    y = s g(s), g^2 = prod(s - rho) over the ten roots rho = +-sqrt(e_j -
+    b0), j != 0, so f(b0 + s^2, s g) 2 s is regular at s = 0 and the leg
+    is one integrate_vector_path over those roots, from s_end = sqrt(lam -
+    b0), where g = y / s_end exactly, to 0, negated.  The other sheet is
+    s -> -s, so (lam, -y) takes the same leg with f(lambda, -y).  |lam -
+    b0| must be below min_gap / 2 (else ConsistencyFailure), so the
+    segment keeps over 1 - 1/sqrt(2) of |rho| from every root.  f maps
+    (lam array, y array) to an (n, k) array."""
+    bp = curve.branch_points
+    b0 = complex(bp[0])
+    if not abs(lam - b0) < curve.min_gap / 2.0:
+        raise ConsistencyFailure(f"branch leg end {lam} is not next to {b0}")
+    rho = np.sqrt(bp[1:] - b0)
+    s_end = cmath.sqrt(lam - b0)
+    val, err, _ = integrate_vector_path(
+        np.concatenate([rho, -rho]), [s_end, 0.0], y / s_end,
+        lambda s, g: f(b0 + s * s, s * g) * (2.0 * s)[:, None])
+    return -val, err
 
 
 def _moment_integrand(zs, ys):
@@ -225,37 +239,30 @@ def _moment_integrand(zs, ys):
 
 
 def _moment_base(curve):
-    """(lambda_b, y_b), where every moment route starts:
-    branch_points[0] + min_gap / 3 on sheet +1."""
+    """(lambda_b, y_b, R_b), where every moment route starts:
+    branch_points[0] + min_gap / 3 on sheet +1, and the moments R(z) =
+    int_b0^z lambda^k dlambda / y there (_branch_leg)."""
     lam = complex(curve.branch_points[0]) + curve.min_gap / 3.0
-    return lam, curve.y_of(SurfacePoint(lam, 1))
+    y = curve.y_of(SurfacePoint(lam, 1))
+    return lam, y, _branch_leg(curve, lam, y, _moment_integrand)[0]
 
 
-def _connector_moments(curve, base):
-    """M_conn, the moments once around the 16-gon _flip_loop(curve,
-    lambda_b), from base = (lambda_b, y_b) to (lambda_b, -y_b)."""
-    lam, y = base
-    val, _, y_end = integrate_vector_path(
-        curve, _flip_loop(curve, lam), y, _moment_integrand)
-    if abs(y_end + y) > 1e-6 * max(1.0, abs(y)):
-        raise ConsistencyFailure("sheet connector did not flip the sheet")
-    return val
-
-
-def _moments_at(curve, base, m_conn, point: SurfacePoint):
-    """Moment vector M = int lambda^k dlambda / y from base = (lambda_b,
-    y_b) to the point: one build_path from lambda_b, started at y_b, gives
-    val, and M = val if the path arrives at y(point).  If it arrives at
-    -y(point), the path from -y_b arrives at y(point) with -val (the
-    integrand is odd in y), so M = m_conn - val (_connector_moments).
-    lambda_b itself takes no path; ConsistencyFailure if the path ends at
-    neither +-y(point) within 1e-6 (_arrival)."""
-    lam_b, y_b = base
+def _moments_at(curve, base, point: SurfacePoint):
+    """Moment vector R = int_b0^point lambda^k dlambda / y from branch
+    point 0, b0, by way of base = (lambda_b, y_b, R_b): one build_path from
+    lambda_b, started at y_b, gives val, and R = R_b + val if the path
+    arrives at y(point).  R is odd in the sheet (the leg from b0 to the
+    other sheet is the same leg with -y), so if the path arrives at
+    -y(point), R = -(R_b + val).  lambda_b itself takes no path;
+    ConsistencyFailure if the path ends at neither +-y(point) within 1e-6
+    (_arrival)."""
+    lam_b, y_b, r_b = base
     if lam_b == point.lam:
         val, s = np.zeros(5, dtype=complex), _arrival(curve, y_b, point)
     else:
         val, _, s = _path_to(curve, lam_b, y_b, point, _moment_integrand)
-    return m_conn - val if s else val
+    r = r_b + val
+    return -r if s else r
 
 
 def _form_values(lam, ys, t_lam, t_y, pcoef, both=False):
@@ -319,17 +326,15 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
                     q: SurfacePoint) -> ThirdKindForm:
     """Unique differential of the third kind with poles p (+1) and q (-1)
     and purely imaginary periods, in closed form up to five line moments,
-    M(p) - M(q) on the route of GreenContext.form (_moments_at); another
+    R(p) - R(q) on the route of GreenContext.form (_moments_at); another
     route differs by a cycle, which the period normalization removes."""
     curve = model.curve
     if abs(complex(p.lam) - complex(q.lam)) < 1e-12 * curve.scale \
             and p.sheet == q.sheet:
         raise CoincidentPoles("third-kind poles coincide")
     base = _moment_base(curve)
-    m_conn = _connector_moments(curve, base)
     pcoef = _correction_pcoef(
-        model, _moments_at(curve, base, m_conn, p)
-        - _moments_at(curve, base, m_conn, q))
+        model, _moments_at(curve, base, p) - _moments_at(curve, base, q))
     return ThirdKindForm(p=p, q=q, curve=curve, y_p=curve.y_of(p),
                          y_q=curve.y_of(q), pcoef=pcoef)
 
@@ -340,44 +345,34 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
 
 @dataclass
 class SurfaceTree:
-    """Spanning tree over the nodes of a surface grid, closed on itself,
-    with sheet-tracked straight edges; construction is deterministic.
+    """Spanning tree over the nodes of a surface grid, with sheet-tracked
+    straight edges; construction is deterministic.  Every node but the
+    root hangs from its parent by one straight edge.
 
-    Its vertices are the grid nodes, then the closing vertices: the sheet
-    connector _flip_loop(curve, lam[hub])[1:], whose last vertex is the
-    hub on the other sheet, then the hub's root path back up on that
-    sheet, whose last vertex, the last of the tree, is the root on the
-    other sheet.  Every vertex but the root hangs from its parent by one
-    straight edge, so the sum along the last vertex's root path is the
-    flip (accumulate_tree).
+    y_plus is y continued from the base point along the tree.  Its sheet,
+    called +1 by the tree users, is the sheet of that continuation, not
+    the reference sheet of Curve.y_at(lam, +1): on the generic curve's
+    (12, 16) grid about 30% of the nodes sit on reference sheet -1.
 
-    y_plus is y continued from the base point along the tree.  Its sheet
-    on the grid nodes, called +1 by the tree users, is the sheet of that
-    continuation, not the reference sheet of Curve.y_at(lam, +1): on the
-    generic curve's (12, 16) grid about 30% of the nodes sit on reference
-    sheet -1.
-
-    hub is the grid node whose distance to the first branch point is
-    closest to min_gap / 3 (ties to the lower index), where the sheet
-    connector starts: on every build_surface_grid grid, the 16-gon about
-    that branch point through the hub, with no legs.
+    hub is the node whose distance to the first branch point is closest
+    to min_gap / 3 (ties to the lower index), where a solver's one
+    _branch_leg ends: on every build_surface_grid grid it lies within
+    min_gap / 2 of that branch point.
 
     zs and half are the Gauss nodes of every edge (integrate_vector_path's
-    20-, then 10-point rule) and its half-length, in the order of kids,
-    and ys holds y at those nodes, lifted with the tree, so every
-    integrand over one tree shares one geometry and one lift."""
+    20-, then 10-point rule) and its half-length, in the order of
+    order[1:], and ys holds y at those nodes, lifted with the tree, so
+    every integrand over one tree shares one geometry and one lift."""
 
     grid: object
-    lam: np.ndarray            # vertex positions, the grid nodes first
     parent: np.ndarray         # -1 at the root
     order: np.ndarray          # grid nodes, root and parents first
-    kids: np.ndarray           # order[1:], then the closing vertices
-    y_plus: np.ndarray         # y continued along the tree at every vertex
-    zs: np.ndarray = field(repr=False)   # (30, edges), edges as kids
+    y_plus: np.ndarray         # y continued along the tree at every node
+    zs: np.ndarray = field(repr=False)   # (30, edges), edges as order[1:]
     half: np.ndarray = field(repr=False)  # (edges,)
     ys: np.ndarray = field(repr=False)   # y at zs
     root: int
-    hub: int                   # start of the sheet connector
+    hub: int                   # end of the solvers' branch leg
 
 
 def _layout_tree(curve, grid, root, gap):
@@ -468,15 +463,14 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     distance from the root, ties to the lower index.  A node left without
     a parent takes one from the nodes before it in one batched search
     (_nearest_clear), so a layout-less grid gets the nearest-visited
-    tree.  The closing vertices (SurfaceTree) then hang from the hub.
+    tree.
 
     y is continued in closed form, y_plus[i] = sigma_i sqrt(prod(lam_i -
     bp)) with sigma_i the parent's sign times the edge's flip: one
-    _continue_sqrt call flips every edge, the closing ones included, and
-    one _path_counts pass sums the flips.  The connector must end at
-    -y_plus[hub] (else ConsistencyFailure).  Every edge's Gauss nodes,
-    kept on the tree, are lifted from y_plus at its parent, _LIFT_EDGES
-    edges per _continue_sqrt call."""
+    _continue_sqrt call flips every edge and one _path_counts pass sums
+    the flips.  Every edge's Gauss nodes, kept on the tree, are lifted
+    from y_plus at its parent, _LIFT_EDGES edges per _continue_sqrt
+    call."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -494,27 +488,19 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     search = order[1:][parent[order[1:]] < 0]
     parent[search] = _nearest_clear(curve, lam, gap, order, search)
     hub = int(np.argmin(np.abs(dist[:, 0] - curve.min_gap / 3.0)))
-    back = [hub]
-    while back[-1] != root:
-        back.append(parent[back[-1]])
-    loop = np.asarray(_flip_loop(curve, lam[hub]))[1:]
-    lam = np.concatenate([lam, loop, lam[back[1:]]])
-    kids = np.concatenate([order[1:], np.arange(n, lam.size)])
-    parent = np.concatenate([parent, [hub], kids[n - 1:-1]])
     exact = np.sqrt(curve.poly(lam))
     y_root = _continue_sqrt(bp, curve.base_point, lam[root],
                             curve.base_sheet_value, lam[root:root + 1])[0]
     # each edge keeps the sign or flips it: continuing +exact at the
-    # parent gives +exact or -exact at the vertex
+    # parent gives +exact or -exact at the node
+    kids = order[1:]
     up = parent[kids]
-    edge_flips = np.zeros(lam.size, dtype=int)
+    edge_flips = np.zeros(n, dtype=int)
     edge_flips[kids] = _continue_sqrt(bp, lam[up], lam[kids], exact[up],
                                       lam[kids]) != exact[kids]
     flips = _path_counts(parent, root, edge_flips)
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     y_plus = np.where(flips % 2 != flip_root, -exact, exact)
-    if y_plus[n + loop.size - 1] != -y_plus[hub]:
-        raise ConsistencyFailure("sheet connector did not flip the sheet")
     half = (lam[kids] - lam[up]) / 2.0
     zs = (lam[up] + lam[kids]) / 2.0 + half * _path_nodes()[:30, None]
     ys = np.empty_like(zs)
@@ -522,9 +508,8 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
         cut = slice(s, s + _LIFT_EDGES)
         ys[:, cut] = _continue_sqrt(bp, lam[up[cut]], lam[kids[cut]],
                                     y_plus[up[cut]], zs[:, cut])
-    return SurfaceTree(grid=grid, lam=lam, parent=parent, order=order,
-                       kids=kids, y_plus=y_plus, zs=zs, half=half, ys=ys,
-                       root=root, hub=hub)
+    return SurfaceTree(grid=grid, parent=parent, order=order, y_plus=y_plus,
+                       zs=zs, half=half, ys=ys, root=root, hub=hub)
 
 
 # edges lifted together by build_surface_tree; bounds _continue_sqrt's
@@ -576,8 +561,7 @@ def _embedded_gauss(half, vals, tol):
 
 def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     """Cumulative integrals int_root^node of the k-vector f(lam, y) along
-    the tree edges, on the sheet of the tree continuation (tree.y_plus),
-    and the flip vector.
+    the tree edges, on the sheet of the tree continuation (tree.y_plus).
 
     f, which must act pointwise on flat arrays, is evaluated once, on the
     Gauss nodes of every edge at their lifted y (tree.ys), in one
@@ -586,45 +570,33 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     goes through integrate_vector_path from y_plus at its
     parent, with the same per-edge budget, so a spent budget raises
     NonConvergence.  The edge values, with each edge's accepted gap as one
-    more column, are written into the rows of their end vertices and
+    more column, are written into the rows of their end nodes and
     summed along every root path by pointer jumping (_path_counts); the
     gaps' real parts add as floats would.  A path of d edges takes at
     most ceil(log2 d) rounds of additions of partial sums, against a
-    per-vertex walk's d - 1, so with S the sum of its |edge values| its
+    per-node walk's d - 1, so with S the sum of its |edge values| its
     sum is within ceil(log2 d) 2^-53 S of the exact one (first order, in
     real and imaginary parts) and (ceil(log2 d) + d - 1) 2^-53 S of the
     walk's.
 
-    The flip vector is the sum at the last vertex, the integral of f from
-    (root, y_plus[root]) to (root, -y_plus[root]): down the tree to the
-    hub, around the connector and back up the hub's root path on the other
-    sheet.  A caller that needs the other sheet stacks f(lam, -y) as extra
-    columns and adds the flip of the matching columns.  Returns (vals,
-    flip_vector, error, node_err), vals and node_err over the grid nodes.
-    The flip error sums the accepted gaps on the last vertex's root path;
-    error sums those of every edge, plus the hub's root path again, which
-    the flip runs down; node_err is (n, 2), the accepted gaps on each
-    node's root path, then that plus the flip error (the route to the node
-    on the other sheet)."""
-    lam, kids = tree.lam, tree.kids
+    A caller that needs the other sheet stacks f(lam, -y) as extra
+    columns and crosses over by _branch_leg (GreenSolver).  Returns
+    (vals, error, path_err): error sums the accepted gaps of every edge,
+    and path_err those on each node's root path."""
+    lam, kids = tree.grid.nodes, tree.order[1:]
     up = tree.parent[kids]
     fv = f(tree.zs.ravel(), tree.ys.ravel()).reshape(30, kids.size, k)
     hi_est, gap, ok = _embedded_gauss(tree.half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
         hi_est[e], edge_err[e], _ = integrate_vector_path(
-            curve, [lam[up[e]], lam[kids[e]]], tree.y_plus[up[e]], f,
-            tol=tol, budget=budget)
+            curve.branch_points, [lam[up[e]], lam[kids[e]]],
+            tree.y_plus[up[e]], f, tol=tol, budget=budget)
     sums = np.zeros((lam.size, k + 1), dtype=complex)
     sums[kids, :k] = hi_est
     sums[kids, k] = edge_err
     sums = _path_counts(tree.parent, tree.root, sums)
-    n = tree.order.size
-    path_err = sums[:n, k].real
-    flip_err = float(sums[-1, k].real)
-    err = float(edge_err.sum() + sums[tree.hub, k].real)
-    return sums[:n, :k], sums[-1, :k], err, \
-        np.stack([path_err, path_err + flip_err], axis=1)
+    return sums[:, :k], float(edge_err.sum()), sums[:, k].real
 
 
 # ---------------------------------------------------------------------------
@@ -919,9 +891,9 @@ class GreenContext:
     (lambda, y, pcoef) that form gives for one surface point, less the
     Cauchy sum: G reads the sum through t_nodes and log_potential, the
     special solutions through cone_cauchy.  The p-side data that every
-    GreenSolver shares (p_tree, the closed tree with its one lift, and
-    t_nodes) are built on first read: a context, its solvers and its
-    checks build one tree, the p tree."""
+    GreenSolver shares (p_tree, the tree with its one lift, and t_nodes)
+    are built on first read: a context, its solvers and its checks build
+    one tree, the p tree."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -934,25 +906,21 @@ class GreenContext:
     area: float
 
     base = cached_property(lambda self: _moment_base(self.curve))
-    m_conn = cached_property(
-        lambda self: _connector_moments(self.curve, self.base))
 
     def form(self, y: SurfacePoint):
         """(lambda, y, pcoef) of the q-averaged form Omega_bar_y, the
         second argument of _form_values for the one point y;
         ConeArgument at the cone point.
 
-        pcoef is the correction polynomial.  Averaging the moments over
-        the grid leaves M(y) - M_conn / 2: the per-node moments cancel
-        pairwise between sheets, each node pair contributing the
-        sheet-connector moments once.  Both start at the base point here
-        (_moments_at, m_conn); another common start moves the polynomial
-        only by the computed form's real periods."""
+        pcoef is the correction polynomial of the moments R(y) from
+        branch point 0 (_moments_at).  Averaging the moments R(y) - R(q)
+        over the grid leaves R(y): R is odd in the sheet, so R(q) cancels
+        between the two sheets of each node.  Another start moves the
+        polynomial only by the computed form's real periods."""
         if abs(complex(y.lam) - self.frame.lam_p) < 1e-10 * self.curve.scale:
             raise ConeArgument("argument coincides with the cone point")
-        m_y = _moments_at(self.curve, self.base, self.m_conn, y)
-        return y.lam, self.curve.y_of(y), \
-            _correction_pcoef(self.model, m_y - 0.5 * self.m_conn)
+        return y.lam, self.curve.y_of(y), _correction_pcoef(
+            self.model, _moments_at(self.curve, self.base, y))
 
     @cached_property
     def cone_cauchy(self) -> complex:
@@ -1104,12 +1072,21 @@ class GreenSolver:
     Omega_bar_y + log_potential at every p node on both sheets (u_plus,
     u_minus), so each new x costs one short path from its nearest p node:
     G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
-    quadrature error on the same two sheets.  The closed p-grid tree, with
-    its sheet connector and lift, and the log potential at its nodes are
-    the context's (p_tree is ctx.p_tree).  Only form = ctx.form(y) (one
-    path from the context's base point) and one accumulation over the p
-    tree depend on y.  tree_err bounds each node value's error from the
-    tree's quadrature (all its edge errors) and from t_nodes' truncation
+    quadrature error on the same two sheets.  The p-grid tree, with its
+    lift, and the log potential at its nodes are the context's (p_tree is
+    ctx.p_tree).  Only form = ctx.form(y) (one path from the context's
+    base point), one accumulation over the p tree and one _branch_leg
+    depend on y.
+
+    The root's two sheets are joined through branch point 0: with vals
+    the tree sums of the form on both sheets and L the leg of both to
+    (lambda_hub, y_plus[hub]), the integral from the root on the tree
+    sheet to the root on the other one is flip = vals[hub, 0] -
+    vals[hub, 1] + L[1] - L[0], down to the hub, into b0 and out on the
+    other sheet (the leg of -y), and back up.  Its error, 2
+    path_err[hub] plus the leg's, is the other sheet's share of node_err.
+    tree_err bounds each node value's error from the tree's quadrature
+    (all its edge errors and the flip's) and from t_nodes' truncation
     (ctx.t_bound), so it bounds mean_u's; u_at takes t_nodes[j] back out
     of its node value, so the truncation reaches G through mean_u alone.
     """
@@ -1118,15 +1095,21 @@ class GreenSolver:
         self.ctx = ctx
         self.y = y
         self.form = ctx.form(y)
-        self.p_tree = ctx.p_tree
-        vals, flip, err, self.node_err = accumulate_tree(
-            ctx.curve, self.p_tree, self._harm_both, 2)
+        tree = self.p_tree = ctx.p_tree
+        vals, err, path_err = accumulate_tree(ctx.curve, tree,
+                                              self._harm_both, 2)
+        hub = tree.hub
+        leg, leg_err = _branch_leg(ctx.curve, tree.grid.nodes[hub],
+                                   tree.y_plus[hub], self._harm_both)
+        flip = vals[hub, 0] - vals[hub, 1] + leg[1] - leg[0]
+        flip_err = float(2.0 * path_err[hub] + leg_err)
+        self.node_err = np.stack([path_err, path_err + flip_err], axis=1)
         self.u_plus = vals[:, 0].real + ctx.t_nodes
-        self.u_minus = (flip[0] + vals[:, 1]).real + ctx.t_nodes
+        self.u_minus = (flip + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
         self.mean_u = float((w * (self.u_plus + self.u_minus)).sum()
                             / ctx.area)
-        self.tree_err = err + ctx.t_bound
+        self.tree_err = err + flip_err + ctx.t_bound
 
     def _harm_both(self, zs, ys):
         """The averaged form less its Cauchy sum (see t_nodes) on the tree
@@ -1151,7 +1134,7 @@ class GreenSolver:
         log_potential(x) - t_nodes[j] to that sheet's node value.  The
         real part is path independent (all loop integrals of the
         averaged form are purely imaginary; the computed form's real
-        periods are about 1e-11), so no flip loop is needed.  A p node
+        periods are about 1e-11), so no route closes a loop.  A p node
         itself returns its node value.  The error is the short path's plus
         the node value's (node_err)."""
         curve = self.ctx.curve
@@ -1268,12 +1251,13 @@ def special_solution_means(ctx: GreenContext):
 
     The mean is the Cauchy-weighted sum of _special_solutions over the q
     nodes on both sheets, over Area.  A node's two sheets carry opposite
-    y and opposite correction polynomials (M(q-) = M_conn - M(q+), and
-    _correction_pcoef is real-linear), so their two _form_values sum to
-    1 / (lambda - lambda_q), and the weighted sum of those, with Area =
-    2 sum_q W_q, is C itself.  So the means are _cone_orders of C, on the
-    circle that stays inside every q node: what they check is the closed
-    form of C at the cone point against the FFT of C."""
+    y and opposite correction polynomials, exactly: R(q-) = -R(q+)
+    (_moments_at) and _correction_pcoef is real-linear.  So their two
+    _form_values sum to 1 / (lambda - lambda_q), and the weighted sum of
+    those, with Area = 2 sum_q W_q, is C itself.  So the means are
+    _cone_orders of C, on the circle that stays inside every q node: what
+    they check is the closed form of C at the cone point against the FFT
+    of C."""
     def cauchy(lam, _):
         return (ctx.cauchy_w / (lam[:, None] - ctx.q_grid.nodes)).sum(1) \
             / ctx.area

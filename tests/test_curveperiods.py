@@ -82,7 +82,8 @@ class TestContinuation:
     def continue_y(self, path):
         curve = self.curve
         return green.integrate_vector_path(
-            curve, [curve.base_point, *path], curve.base_sheet_value,
+            curve.branch_points, [curve.base_point, *path],
+            curve.base_sheet_value,
             lambda z, y: np.zeros(z.size))[2]
 
     def test_trivial_loop(self):
@@ -285,19 +286,19 @@ class TestContinueSqrt:
         # On the (6, 8) grid the arcs of the exterior chart's three outer
         # rings join nodes 45 degrees apart seen from the branch points, a
         # turn of about 6 pi / 4, so those take the ratio product (with one
-        # branch-disk edge on z5): 3.4-3.6% of the edges
+        # branch-disk edge on z5): 3.7-3.8% of the edges
         curve = CURVES[name]
         surface = build_surface_grid(
             curve.branch_points, QuadratureConfig(surface_grid=(*grid, None)),
             stagger=stagger)
         tree = green.build_surface_tree(curve, surface)
-        kids = tree.kids
-        past = _turn(curve.branch_points, tree.lam[tree.parent[kids]],
-                     tree.lam[kids]) >= curveperiods._TURN_BOUND
+        kids = tree.order[1:]
+        past = _turn(curve.branch_points, surface.nodes[tree.parent[kids]],
+                     surface.nodes[kids]) >= curveperiods._TURN_BOUND
         assert past.any() == (grid == (6, 8)) and past.mean() < 0.05
         with _ratio_only():
             ratio_tree = green.build_surface_tree(curve, surface)
-        for field in ("lam", "kids", "y_plus", "ys"):
+        for field in ("parent", "order", "y_plus", "ys"):
             np.testing.assert_array_equal(getattr(tree, field),
                                           getattr(ratio_tree, field))
 

@@ -45,21 +45,30 @@ def _continue_to(curve, a, y_a, b):
                                                y_a, [b])[0])
 
 
-_FLIP_LOOP = green._flip_loop
+def _flip_gon(curve, lam_at):
+    """The 16-gon about the first branch point through lam_at, closed at
+    lam_at: y continued once around it ends on the other sheet.  It
+    encloses no other branch point within 1.5 r of the first (r =
+    min_gap / 3)."""
+    bp = complex(curve.branch_points[0])
+    direction = lam_at - bp
+    turns = [np.exp(2j * np.pi * k / 16) for k in range(1, 16)]
+    return [lam_at] + [bp + direction * w for w in turns] + [lam_at]
 
 
 def _reference_flip_loop(curve, lam_at):
-    """green._flip_loop from any start: the 16-gon through lam_at within
-    1.5 r of the first branch point (r = min_gap / 3), else build_path
-    legs from lam_at to the 16-gon of radius r and back."""
+    """A closed route from lam_at to the other sheet over it, with no
+    branch leg: the 16-gon through lam_at within 1.5 r of the first
+    branch point (r = min_gap / 3), else build_path legs from lam_at to
+    the 16-gon of radius r and back."""
     bp = complex(curve.branch_points[0])
     r = curve.min_gap / 3.0
     direction = lam_at - bp
     if abs(direction) < 1.5 * r:
-        return _FLIP_LOOP(curve, lam_at)
+        return _flip_gon(curve, lam_at)
     start = bp + direction / abs(direction) * r
     approach = green.build_path(curve, lam_at, start)
-    return approach + _FLIP_LOOP(curve, start)[1:-1] + approach[::-1]
+    return approach + _flip_gon(curve, start)[1:-1] + approach[::-1]
 
 
 def _integrate_to(curve, lam0, y0, point, f):
@@ -67,10 +76,11 @@ def _integrate_to(curve, lam0, y0, point, f):
     sheet-resolved point, with its error, along build_path, then once
     around _reference_flip_loop if the path arrives on the other sheet."""
     val, err, y_end = green.integrate_vector_path(
-        curve, green.build_path(curve, lam0, point.lam), y0, f)
+        curve.branch_points, green.build_path(curve, lam0, point.lam), y0, f)
     if green._arrival(curve, y_end, point):
         tail, e1, y_end = green.integrate_vector_path(
-            curve, _reference_flip_loop(curve, point.lam), y_end, f)
+            curve.branch_points, _reference_flip_loop(curve, point.lam),
+            y_end, f)
         val, err = val + tail, err + e1
         assert not green._arrival(curve, y_end, point)
     return val, err
@@ -259,12 +269,13 @@ class TestThirdKind:
             y0 = complex(curve.y_at(np.asarray(frm.lam, complex), frm.sheet))
             verts = green.build_path(curve, frm.lam, to.lam)
             val, _, y_end = green.integrate_vector_path(
-                curve, verts, y0, lambda z, y: form.values(z, y)[:, None])
+                curve.branch_points, verts, y0,
+                lambda z, y: form.values(z, y)[:, None])
             y_t = complex(curve.y_at(np.asarray(to.lam, complex), to.sheet))
             if abs(y_end - y_t) > abs(y_end + y_t):
                 loop = _reference_flip_loop(curve, to.lam)
                 tail, _, _ = green.integrate_vector_path(
-                    curve, loop, y_end,
+                    curve.branch_points, loop, y_end,
                     lambda z, y: form.values(z, y)[:, None])
                 val = val + tail
             return float(val[0].real)
@@ -315,7 +326,7 @@ class TestThirdKind:
 
         with mock.patch.object(green, "integrate_vector_path", recorded):
             form = green.third_kind_form(model, p, q)
-        # the base point's connector and one path to each pole
+        # the base point's branch leg and one path to each pole
         assert len(errs) == 3
         y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
         m_ref, err_ref = _integrate_to(curve, q.lam, y_q, p,
@@ -328,8 +339,9 @@ class TestThirdKind:
     def test_empty_path_rejected(self, z5):
         model, _ = z5
         with pytest.raises(NonConvergence):
-            green.integrate_vector_path(model.curve, [0.4 + 0.9j],
-                                        1.0, lambda z, y: z[:, None])
+            green.integrate_vector_path(model.curve.branch_points,
+                                        [0.4 + 0.9j], 1.0,
+                                        lambda z, y: z[:, None])
 
     def test_spent_budget_raises(self, z5):
         # an interior inverse-square-root singularity needs more than two
@@ -340,7 +352,7 @@ class TestThirdKind:
         y0 = complex(model.curve.y_at(np.asarray(a, complex)))
         with pytest.raises(NonConvergence):
             green.integrate_vector_path(
-                model.curve, [a, b], y0,
+                model.curve.branch_points, [a, b], y0,
                 lambda z, y: (np.abs(z - c) ** -0.5)[:, None], budget=2)
 
 
@@ -506,11 +518,11 @@ class TestIntegrateVectorPath:
         except NonConvergence:
             event("NonConvergence")
             with pytest.raises(NonConvergence):
-                green.integrate_vector_path(curve, path, y0, f, tol=tol,
-                                            budget=budget)
+                green.integrate_vector_path(curve.branch_points, path, y0,
+                                            f, tol=tol, budget=budget)
             return
-        got = green.integrate_vector_path(curve, path, y0, f, tol=tol,
-                                          budget=budget)
+        got = green.integrate_vector_path(curve.branch_points, path, y0, f,
+                                          tol=tol, budget=budget)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
             assert type(g) is type(r)
@@ -534,8 +546,8 @@ class TestIntegrateVectorPath:
 
         with np.errstate(all="raise"), pytest.raises(NonConvergence,
                                                      match="not distinct"):
-            green.integrate_vector_path(curve, path, y0, f, tol=1e-9,
-                                        budget=200)
+            green.integrate_vector_path(curve.branch_points, path, y0, f,
+                                        tol=1e-9, budget=200)
 
     def test_first_pass_node_on_branch_point_raises(self):
         # the segment of half-length 1 centred at 1 - x_3, x_3 the fourth
@@ -555,7 +567,7 @@ class TestIntegrateVectorPath:
 
         with np.errstate(all="raise"), pytest.raises(
                 NonConvergence, match="lies on a branch point"):
-            green.integrate_vector_path(curve, path, y0, f)
+            green.integrate_vector_path(curve.branch_points, path, y0, f)
 
 
 def _surface_grid(name, grid, stagger):
@@ -676,11 +688,10 @@ def _reference_tree(curve, grid):
 
 
 def _tree_depth(tree):
-    """Edges from the root to every vertex of a SurfaceTree, one vertex
-    at a time: the grid nodes in visit order, then the closing vertices,
-    each one more than its parent."""
-    depth = np.zeros(tree.lam.size, dtype=int)
-    for v in tree.kids:
+    """Edges from the root to every node of a SurfaceTree, one node at a
+    time in visit order, each one more than its parent."""
+    depth = np.zeros(tree.order.size, dtype=int)
+    for v in tree.order[1:]:
         depth[v] = depth[tree.parent[v]] + 1
     return depth
 
@@ -695,43 +706,46 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
     for i in tree.order[1:]:
         j = tree.parent[i]
         v, e, _ = green.integrate_vector_path(
-            curve, [lam[j], lam[i]], tree.y_plus[j], f, tol=tol,
-            budget=budget)
+            curve.branch_points, [lam[j], lam[i]], tree.y_plus[j], f,
+            tol=tol, budget=budget)
         vals[i] = vals[j] + v
         path_err[i] = path_err[j] + e
     return vals, path_err
 
 
+def _both_sheets(curve, tree, f):
+    """The integrals of f, a solver's averaged form on both sheets
+    (_harm_both), from the tree root to every node on its tree sheet and
+    on the other one, with their errors, crossed over as GreenSolver
+    does: the tree sums, and on the other sheet the flip down to the hub,
+    through the branch leg and back up."""
+    vals, _, path_err = green.accumulate_tree(curve, tree, f, 2)
+    hub = tree.hub
+    leg, leg_err = green._branch_leg(curve, tree.grid.nodes[hub],
+                                     tree.y_plus[hub], f)
+    flip = vals[hub, 0] - vals[hub, 1] + leg[1] - leg[0]
+    flip_err = 2.0 * path_err[hub] + leg_err
+    return (np.stack([vals[:, 0], flip + vals[:, 1]], axis=1),
+            np.stack([path_err, path_err + flip_err], axis=1))
+
+
 def _assert_reference_tree(curve, grid):
-    """The grid-node part of build_surface_tree against _reference_tree
-    (the layout reference on a grid with a recorded layout, the
-    nearest-visited one on a hand-built grid), bit for bit, and the
-    closing vertices: the hub on the other sheet at
-    -y_plus[hub], then its root path up to the root at -y_plus[root], the
-    last vertex."""
+    """build_surface_tree against _reference_tree (the layout reference on
+    a grid with a recorded layout, the nearest-visited one on a
+    hand-built grid), bit for bit: a tree over the grid nodes alone, one
+    edge per node but the root, with no vertex of its own."""
     tree = green.build_surface_tree(curve, grid)
     parent, order, y_plus, root, depth = _reference_tree(curve, grid)
     n = grid.nodes.size
     assert tree.root == root
-    np.testing.assert_array_equal(tree.parent[:n], parent)
+    np.testing.assert_array_equal(tree.parent, parent)
     np.testing.assert_array_equal(tree.order, order)
-    np.testing.assert_array_equal(tree.y_plus[:n], y_plus)
-    tree_depth = _tree_depth(tree)
-    np.testing.assert_array_equal(tree_depth[:n], depth)
-    np.testing.assert_array_equal(tree.lam[:n], grid.nodes)
+    np.testing.assert_array_equal(tree.y_plus, y_plus)
+    np.testing.assert_array_equal(_tree_depth(tree), depth)
+    assert tree.zs.shape == (30, n - 1) and tree.half.shape == (n - 1,)
     np.testing.assert_array_equal(
-        tree.kids, np.concatenate([order[1:], np.arange(n, tree.lam.size)]))
-    hub = tree.hub
-    loop = green._flip_loop(curve, grid.nodes[hub])
-    hub_back = n + len(loop) - 2
-    np.testing.assert_array_equal(tree.lam[n:hub_back + 1], loop[1:])
-    assert tree.parent[n] == hub
-    np.testing.assert_array_equal(tree.parent[n + 1:],
-                                  np.arange(n, tree.lam.size - 1))
-    assert tree.y_plus[hub_back] == -y_plus[hub]
-    assert tree.y_plus[-1] == -y_plus[root]
-    assert tree.lam[-1] == grid.nodes[root]
-    assert tree_depth[-1] == 2 * depth[hub] + len(loop) - 1
+        tree.half, (grid.nodes[order[1:]] - grid.nodes[parent[order[1:]]])
+        / 2.0)
     return tree
 
 
@@ -739,8 +753,8 @@ def _two_chain_grid():
     """A hand-built grid whose tree is deep and whose depth does not rise
     along the visit order: from the root 5, a chain of 100 steps of 0.02
     towards -1-1j and a chain of 10 steps of 0.3 towards 0, both clear of
-    the branch points.  Its hub is far from branch point 0, so its trees
-    take _reference_flip_loop."""
+    the branch points.  Its hub is far from branch point 0, which only a
+    solver's branch leg would need."""
     step = np.exp(1j * 1.25 * np.pi)
     nodes = np.concatenate([[5.0], 5.0 + 0.02 * step * np.arange(1, 101),
                             5.0 - 0.3 * np.arange(1, 11)]).astype(complex)
@@ -788,11 +802,10 @@ class TestSurfaceTree:
         _assert_reference_tree(CURVES[name], _surface_grid(name, grid,
                                                            stagger))
 
-    def test_parent_across_branch_point(self, monkeypatch):
+    def test_parent_across_branch_point(self):
         # node x's nearest visited node a lies across branch point 1.0, so
         # x hangs from c, the next nearest, through the 16-candidate search;
         # the hub is far from branch point 0 on this hand-built grid
-        monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         curve = CURVES["generic"]
         root, a, c, x = 10.0, 1.02, 1.0 + 0.035j, 0.98
         nodes = np.array([x, c, 1.0 + 0.5j, a, root, 0.95 + 0.3j], complex)
@@ -802,8 +815,7 @@ class TestSurfaceTree:
         assert nodes[visited[np.argmin(np.abs(nodes[visited] - x))]] == a
         assert nodes[tree.parent[0]] == c
 
-    def test_two_chain_tree(self, monkeypatch):
-        monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
+    def test_two_chain_tree(self):
         tree = _assert_reference_tree(CURVES["generic"], _two_chain_grid())
         depth = _tree_depth(tree)
         assert depth.max() >= 100
@@ -836,12 +848,10 @@ class TestSurfaceTree:
         assert (layout.root, layout.hub) == (nearest.root, nearest.hub)
         u, err = [], []
         for tree in trees:
-            vals, flip, _, node_err = green.accumulate_tree(
-                curve, tree, sol._harm_both, 2)
-            # both sheets, the layout tree's sheet of each node first
-            same = (tree.y_plus[:n] == layout.y_plus[:n])[:, None]
-            both = np.stack([vals[:, 0], flip[0] + vals[:, 1]], axis=1).real
-            u.append(np.where(same, both, both[:, ::-1]))
+            both, node_err = _both_sheets(curve, tree, sol._harm_both)
+            # the layout tree's sheet of each node first
+            same = (tree.y_plus == layout.y_plus)[:, None]
+            u.append(np.where(same, both.real, both.real[:, ::-1]))
             err.append(np.where(same, node_err, node_err[:, ::-1]))
         assert (np.abs(u[0] - u[1]) <= err[0] + err[1] + defect
                 + 1e-12).all()
@@ -854,14 +864,11 @@ class TestSurfaceTree:
                                             monkeypatch):
         # accumulate_tree sums the edges along every root path by pointer
         # jumping (_path_counts); the reference is the per-node loop over
-        # tree.order, then the closing vertices, one edge at a time in
-        # visit order, on the same edge values.  On a path of d edges the
-        # two are within (ceil(log2 d) + d - 1) 2^-53 of the sum of the
-        # |edge values| on it (real and imaginary parts alike), the bound
-        # accumulate_tree states
+        # tree.order, one edge at a time in visit order, on the same edge
+        # values.  On a path of d edges the two are within (ceil(log2 d)
+        # + d - 1) 2^-53 of the sum of the |edge values| on it (real and
+        # imaginary parts alike), the bound accumulate_tree states
         curve = CURVES[name]
-        if grid is None:
-            monkeypatch.setattr(green, "_flip_loop", _reference_flip_loop)
         tree = green.build_surface_tree(
             curve, _two_chain_grid() if grid is None
             else _surface_grid(name, grid, stagger))
@@ -873,13 +880,12 @@ class TestSurfaceTree:
             return path_sums(parent, root, counts)
 
         monkeypatch.setattr(green, "_path_counts", recorded)
-        vals, flip, _, node_err = green.accumulate_tree(
+        vals, _, path_err = green.accumulate_tree(
             curve, tree, green._moment_integrand, 5)
         (est,) = edges
-        n = tree.order.size
         walk = np.zeros_like(est)
         size = np.zeros(est.shape)
-        for v in [*tree.order[1:], *range(n, tree.lam.size)]:
+        for v in tree.order[1:]:
             j = tree.parent[v]
             walk[v] = walk[j] + est[v]
             size[v] = size[j] + np.abs(est[v])
@@ -894,13 +900,8 @@ class TestSurfaceTree:
             return (np.abs(got.real - ref.real) <= tol).all() \
                 and (np.abs(got.imag - ref.imag) <= tol).all()
 
-        assert within(vals, walk[:n, :5], bound[:n, :5])
-        assert within(flip, walk[-1, :5], bound[-1, :5])
-        path_err, flip_err = walk[:n, 5].real, walk[-1, 5].real
-        assert within(node_err[:, 0], path_err, bound[:n, 5])
-        ref = path_err + flip_err
-        assert within(node_err[:, 1], ref,
-                      bound[:n, 5] + bound[-1, 5] + 2 * u * ref)
+        assert within(vals, walk[:, :5], bound[:, :5])
+        assert within(path_err, walk[:, 5].real, bound[:, 5])
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("name", sorted(CURVES))
@@ -920,31 +921,26 @@ class TestSurfaceTree:
             return per_path(*args, **kwargs)
 
         monkeypatch.setattr(green, "integrate_vector_path", counted)
-        vals, _, err, node_err = green.accumulate_tree(
+        vals, err, node_err = green.accumulate_tree(
             curve, tree, green._moment_integrand, 5, tol=tol)
         gap = np.abs(vals - ref).max(axis=1)
         bound = path_err + 1e-13 * np.abs(ref).max(axis=1)
         assert (gap <= bound).all(), int(np.argmax(gap - bound))
         assert err >= path_err.max()
         # per-node errors: the same edges' gaps (to their rounding) summed
-        # along the root path; the other sheet adds the flip error
-        np.testing.assert_allclose(node_err[:, 0], path_err, rtol=1e-3,
+        # along the root path
+        np.testing.assert_allclose(node_err, path_err, rtol=1e-3,
                                    atol=1e-11)
-        flip_err = node_err[:, 1] - node_err[:, 0]
-        assert flip_err.min() > 0
-        np.testing.assert_allclose(flip_err, flip_err[tree.root], rtol=1e-12)
-        assert err >= node_err[:, 1].max()
+        assert err >= node_err.max()
         if tol == 1e-12:
-            # at least one tree edge fell back, at the per-edge budget; a
-            # tree-edge fallback starts at a node on its tree sheet, so
-            # the connector's (its 16-gon and the hub's root path on the
-            # other sheet) are the rest, and there are none
+            # at least one tree edge fell back, at the per-edge budget,
+            # each from a node on its tree sheet
             assert {budget for _, _, budget in calls} == {30}
             node = {(complex(lam), complex(y)) for lam, y in
                     zip(tree.grid.nodes, tree.y_plus)}
             on_tree = [(a, y) in node for a, y, _ in calls]
             assert sum(on_tree) >= 1
-            assert len(calls) - sum(on_tree) == 0
+            assert all(on_tree)
 
     def test_spent_edge_budget_raises(self):
         curve = CURVES["z5"]
@@ -1346,48 +1342,44 @@ class TestGreenRead:
 
 
 def _reference_flip(curve, tree, f, tol=1e-8):
-    """Reference for accumulate_tree's flip vector: the route it replaced,
-    once around _reference_flip_loop from the tree root at budget 200,
-    with its error."""
+    """Oracle for the crossing through the branch leg: the integral of f
+    from the tree root to the root's other sheet once around
+    _reference_flip_loop, at budget 200, with its error."""
     lam = complex(tree.grid.nodes[tree.root])
     y_root = tree.y_plus[tree.root]
     val, err, y_end = green.integrate_vector_path(
-        curve, _reference_flip_loop(curve, lam), y_root, f, tol=tol,
-        budget=200)
+        curve.branch_points, _reference_flip_loop(curve, lam), y_root, f,
+        tol=tol, budget=200)
     assert abs(y_end + y_root) <= 1e-6 * max(1.0, abs(y_root))
     return val, err
 
 
-def _root_flip_accumulate(accumulate):
-    """accumulate_tree with the flip vector, its error and node_err[:, 1]
-    from _reference_flip."""
-    def accumulate_ref(curve, tree, f, k, tol=1e-8, budget=30):
-        vals, flip, err, node_err = accumulate(curve, tree, f, k, tol=tol,
-                                               budget=budget)
-        ref, ref_err = _reference_flip(curve, tree, f, tol)
-        flip_err = node_err[tree.root, 1]
-        node_err = np.stack([node_err[:, 0], node_err[:, 0] + ref_err], 1)
-        return vals, ref, err - flip_err + ref_err, node_err
-    return accumulate_ref
+def _tree_moments(curve, tree):
+    """(m_node, m_flip, node_err, flip_err): the moments from the tree
+    root to every node on the tree sheet (accumulate_tree) and to the
+    root's other sheet (_reference_flip), each node's error on both
+    sheets (the other adds the flip's) and m_flip's."""
+    m_node, _, path_err = green.accumulate_tree(
+        curve, tree, green._moment_integrand, 5)
+    m_flip, flip_err = _reference_flip(curve, tree, green._moment_integrand)
+    return (m_node, m_flip, np.stack([path_err, path_err + flip_err], 1),
+            flip_err)
 
 
 def _q_forms(ctx):
     """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree sheet
     (the y_plus of the q grid's build_surface_tree), then on the other
     sheet: the q-node second arguments that special_solution_means sums
-    in closed form.  As GreenContext.form, from M(q) - M_conn / 2, all
-    from the q-tree root.  One accumulate_tree pass gives m_node, the
-    (n, 5) moments to the q nodes at y_plus, and M_conn = m_conn, to the
-    root's other sheet; M(q) is m_node on the tree sheet and m_conn -
-    m_node on the other.  y_plus is read on the grid nodes only, the
-    vertices before the tree's closing ones."""
+    in closed form, on the root routes that GreenContext.form replaced.
+    With m_node and M_flip = m_flip from the q-tree root (_tree_moments),
+    M(q) is m_node on the tree sheet and m_flip - m_node on the other,
+    and pcoef carries M(q) - M_flip / 2."""
     tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
-    m_node, m_conn = green.accumulate_tree(ctx.curve, tree,
-                                           green._moment_integrand, 5)[:2]
-    m = np.concatenate([m_node, m_conn - m_node])
-    y = tree.y_plus[:ctx.q_grid.n_nodes]
+    m_node, m_flip = _tree_moments(ctx.curve, tree)[:2]
+    m = np.concatenate([m_node, m_flip - m_node])
+    y = tree.y_plus
     return (np.tile(ctx.q_grid.nodes, 2), np.concatenate([y, -y]),
-            green._correction_pcoef(ctx.model, (m - 0.5 * m_conn).T))
+            green._correction_pcoef(ctx.model, (m - 0.5 * m_flip).T))
 
 
 def _sheet_pair_means(ctx, g):
@@ -1400,9 +1392,9 @@ def _sheet_pair_means(ctx, g):
 
 
 def _reference_moments(ctx, point):
-    """Reference for GreenContext.moments_at: the root route, build_path
-    from the q-tree root and around _flip_loop if it arrives on the other
-    sheet, with its error."""
+    """Reference for the moments of GreenContext.form: the root route,
+    build_path from the q-tree root and around _reference_flip_loop if it
+    arrives on the other sheet, with its error."""
     tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
     return _integrate_to(ctx.curve, tree.grid.nodes[tree.root],
                          tree.y_plus[tree.root], point,
@@ -1413,8 +1405,8 @@ def _nearest_node_moments(ctx, point, q_moments):
     """Reference for the moments of GreenContext.form: the nearest-q-node
     route it replaced, with its error.
 
-    q_moments is (m_plus, m_flip, node_err), the q tree's accumulate_tree
-    output (q_moments fixture).  One build_path from the q node k nearest
+    q_moments is (m_plus, m_flip, node_err), the q tree's _tree_moments
+    (q_moments fixture).  One build_path from the q node k nearest
     to the point, started at q_tree.y_plus[k], gives val: M = m_plus[k] +
     val if it arrives at y(point), (m_flip - m_plus[k]) - val if at
     -y(point); a q node itself takes no path.  The error is the path's
@@ -1429,20 +1421,20 @@ def _nearest_node_moments(ctx, point, q_moments):
         s = green._arrival(ctx.curve, tree.y_plus[k], point)
         return node[s].copy(), node_err[k, s]
     val, err, y_end = green.integrate_vector_path(
-        ctx.curve, green.build_path(ctx.curve, nodes[k], point.lam),
-        tree.y_plus[k], green._moment_integrand)
+        ctx.curve.branch_points,
+        green.build_path(ctx.curve, nodes[k], point.lam), tree.y_plus[k],
+        green._moment_integrand)
     s = green._arrival(ctx.curve, y_end, point)
     return (node[s] - val if s else node[s] + val), err + node_err[k, s]
 
 
-def _conn_err(ctx):
-    """Quadrature error of GreenContext.m_conn, which the context does not
-    keep: the same integral again, checked to give the same moments."""
-    lam, y = ctx.base
-    val, err, _ = green.integrate_vector_path(
-        ctx.curve, green._flip_loop(ctx.curve, lam), y,
-        green._moment_integrand)
-    np.testing.assert_array_equal(val, ctx.m_conn)
+def _leg_err(ctx):
+    """Quadrature error of the base point's moments R_b (ctx.base), which
+    the context does not keep: the same leg again, checked to give the
+    same moments."""
+    lam, y, r_b = ctx.base
+    val, err = green._branch_leg(ctx.curve, lam, y, green._moment_integrand)
+    np.testing.assert_array_equal(val, r_b)
     return err
 
 
@@ -1468,133 +1460,191 @@ def _pcoef_gap(p, q):
 
 @pytest.fixture(scope="module")
 def q_moments(read_solvers):
-    """(m_plus, m_flip, node_err, flip_err) of the q-tree accumulation of
-    every read_solvers context, which _q_forms folds into its correction
-    polynomials: the moments from the root to the q nodes on the tree
-    sheet, from the root to its other sheet, each node's error and the
-    root's on the other sheet (the flip error)."""
-    out = {}
-    for key, (sol, _) in read_solvers.items():
-        tree = green.build_surface_tree(sol.ctx.curve, sol.ctx.q_grid)
-        m_plus, m_flip, _, node_err = green.accumulate_tree(
-            sol.ctx.curve, tree, green._moment_integrand, 5)
-        out[key] = m_plus, m_flip, node_err, node_err[tree.root, 1]
-    return out
+    """_tree_moments of the q tree of every read_solvers context, which
+    _q_forms folds into its correction polynomials."""
+    return {key: _tree_moments(sol.ctx.curve, green.build_surface_tree(
+        sol.ctx.curve, sol.ctx.q_grid))
+        for key, (sol, _) in read_solvers.items()}
 
 
 READ_KEYS = [pytest.param(name, grid, id=f"{name}-{grid[0]}x{grid[1]}")
              for name in sorted(CURVES) for grid in [(6, 8), (12, 16)]]
 
 
+def _recording(calls, fn):
+    """fn that appends each call's result to calls."""
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return out
+    return recorded
+
+
+def _route_clearance(tree, b0, lam):
+    """Distance from lam to the solver routes: every tree edge and the
+    branch leg, the segment from the hub to b0."""
+    nodes = tree.grid.nodes
+    kids = tree.order[1:]
+    a = np.append(nodes[tree.parent[kids]], nodes[tree.hub])
+    seg = np.append(nodes[kids], b0) - a
+    t = np.clip(((lam - a) / seg).real, 0.0, 1.0)
+    return float(np.abs(a + t * seg - lam).min())
+
+
 class TestSheetConnector:
+    """The branch leg into branch point 0 (green._branch_leg), the one
+    route between the sheets, against the 16-gon about that branch point
+    (_reference_flip_loop) it replaced."""
+
     @pytest.mark.parametrize("name, grid", READ_KEYS)
     def test_flip_matches_root_loop(self, read_solvers, name, grid):
-        # the connector at the hub against the root flip loop: the routes
-        # differ by a cycle, so Re of the averaged form's flip agrees
-        # within both errors plus the real-period defect
+        # the solver's crossing at the hub against the root flip loop: the
+        # routes differ by a cycle, so Re of the averaged form's flip
+        # agrees within both errors plus the real-period defect
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
         curve, tree = sol.ctx.curve, sol.p_tree
-        _, flip, _, node_err = green.accumulate_tree(
-            curve, tree, sol._harm_both, 2)
+        t_nodes = sol.ctx.t_nodes
+        # the test-side crossing (_both_sheets) is the solver's, bit for
+        # bit; Re of the flip is u_minus at the root, where the tree sum is
+        # zero, less t_nodes there
+        both, node_err = _both_sheets(curve, tree, sol._harm_both)
+        np.testing.assert_array_equal(both[:, 0].real + t_nodes, sol.u_plus)
+        np.testing.assert_array_equal(both[:, 1].real + t_nodes,
+                                      sol.u_minus)
+        np.testing.assert_array_equal(node_err, sol.node_err)
+        flip = sol.u_minus[tree.root] - t_nodes[tree.root]
         ref, ref_err = _reference_flip(curve, tree, sol._harm_both)
-        gap = np.abs((flip - ref).real)
-        assert (gap <= node_err[tree.root, 1] + ref_err + defect).all(), gap
+        gap = abs(flip - ref[0].real)
+        assert gap <= node_err[tree.root, 1] + ref_err + defect, gap
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           near=st.sampled_from(["b0", "free"]),
+           r=st.floats(0.02, 1.0),
+           phase=st.floats(0.0, 2.0 * np.pi),
+           free=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+           sheet=st.sampled_from([1, -1]))
+    # inside the retired 16-gon, on both sheets
+    @example(name="generic", grid=(12, 16), near="free", r=0.02, phase=0.0,
+             free=(0.05, 0.02), sheet=-1)
+    @example(name="z5", grid=(12, 16), near="free", r=0.02, phase=0.0,
+             free=(0.05, 0.02), sheet=1)
+    def test_solver_flip_matches_reference(self, read_solvers, name, grid,
+                                           near, r, phase, free, sheet):
+        # a solver's flip, Re of the integral of its averaged form from
+        # the p-tree root to the root's other sheet (u_minus there, where
+        # the tree sum is zero, less t_nodes), against _reference_flip,
+        # for second arguments y on either sheet, within min_gap / 3 of
+        # branch point 0 (r in units of that) or anywhere: within both
+        # routes' errors plus the real-period defect.  A y inside the
+        # 16-gon moves Im of the flip by 2 pi i, which u does not read.
+        # y is kept off the routes, where the form's pole would sit on
+        # them: a y on a tree edge or on the leg raises NonConvergence
+        sol, _ = read_solvers[name, grid]
+        ctx = sol.ctx
+        b0 = complex(ctx.curve.branch_points[0])
+        lam = (b0 + r * ctx.curve.min_gap / 3.0 * np.exp(1j * phase)
+               if near == "b0" else complex(*free))
+        assume(np.abs(lam - ctx.curve.branch_points).min() > 1e-3)
+        assume(abs(lam - ctx.frame.lam_p) > 1e-3)
+        assume(_route_clearance(sol.p_tree, b0, lam) > 1e-4)
+        other = green.GreenSolver(ctx, SurfacePoint(lam, sheet))
+        tree = other.p_tree
+        flip = other.u_minus[tree.root] - ctx.t_nodes[tree.root]
+        ref, ref_err = _reference_flip(ctx.curve, tree, other._harm_both)
+        gap = abs(flip - ref[0].real)
+        bound = other.node_err[tree.root, 1] + ref_err \
+            + _solver_period_defect(other) + 1e-12
+        assert gap <= bound, (gap, bound)
 
     @pytest.mark.parametrize("name, grid", READ_KEYS)
     def test_context_and_solver_match_root_routes(self, read_solvers,
-                                                  monkeypatch, name, grid):
+                                                  q_moments, name, grid):
+        # the context's moments from branch point 0 against the root
+        # routes they replaced: the q tree's moments from its root, whose
+        # other sheet is reached once around the root flip loop
+        # (_q_forms), and one root route to y
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
         ctx = sol.ctx
-        model, frame = ctx.model, ctx.frame
-        cfg = QuadratureConfig(surface_grid=(*grid, None))
-        q_passes = []
-        accumulate = green.accumulate_tree
-
-        def recording(acc):
-            def accumulate_q(*args, **kwargs):
-                out = acc(*args, **kwargs)
-                q_passes.append(out)
-                return out
-            return accumulate_q
-
-        # the context on the root routes: root flip loop, root moments;
-        # each _q_forms makes one q-tree pass
-        with monkeypatch.context() as m:
-            m.setattr(green, "accumulate_tree",
-                      recording(_root_flip_accumulate(accumulate)))
-            ref_ctx = green.green_context(model, frame, cfg)
-            ref_forms = _q_forms(ref_ctx)
-        with monkeypatch.context() as m:
-            m.setattr(green, "accumulate_tree", recording(accumulate))
-            forms = _q_forms(ctx)
-        assert len(q_passes) == 2
-        q_errs = [out[2] for out in q_passes]
-        ref_plus, ref_flip = q_passes[0][:2]
-        m_ref, err_ref = _reference_moments(ref_ctx, sol.y)
-        ref_pcoef = green._correction_pcoef(model, m_ref - 0.5 * ref_flip)
-        path_errs = [err_ref, _conn_err(ctx)]
-        per_path = green.integrate_vector_path
-
-        def recorded(*args, **kwargs):
-            out = per_path(*args, **kwargs)
-            path_errs.append(out[1])
-            return out
-
-        with monkeypatch.context() as m:
-            m.setattr(green, "integrate_vector_path", recorded)
+        model = ctx.model
+        _, m_flip, node_err, _ = q_moments[name, grid]
+        m_ref, err_ref = _reference_moments(ctx, sol.y)
+        ref_pcoef = green._correction_pcoef(model, m_ref - 0.5 * m_flip)
+        path_errs = [err_ref, _leg_err(ctx)]
+        calls = []
+        recorded = _recording(calls, green.integrate_vector_path)
+        with mock.patch.object(green, "integrate_vector_path", recorded):
             pcoef = ctx.form(sol.y)[2]
-        # every moment route's error: both q trees' (node and flip errors
-        # included), the paths to y and the base point's connector
-        bound = _pcoef_norm(model) * (sum(q_errs) + sum(path_errs)) + defect
+        path_errs += [out[1] for out in calls]
+        # every moment route's error: the q tree's (node and flip errors
+        # included), the paths to y and the base point's leg
+        q_err = node_err[:, 1].max()
+        bound = _pcoef_norm(model) * (q_err + sum(path_errs)) + defect
         assert _pcoef_gap(pcoef, ref_pcoef) <= bound
-        assert _pcoef_gap(forms[2], ref_forms[2]) <= bound
-        np.testing.assert_array_equal(
-            green.accumulate_tree(
-                ctx.curve, green.build_surface_tree(ctx.curve, ctx.q_grid),
-                green._moment_integrand, 5)[0], ref_plus)
-        means = _sheet_pair_means(
-            ctx, _reference_special_solutions(ctx, *forms)) \
-            - _sheet_pair_means(
-                ref_ctx, _reference_special_solutions(ref_ctx, *ref_forms))
+        # the q-node second arguments on the root routes (_q_forms)
+        # against GreenContext.form at 24 q nodes on both sheets, each one
+        # path from the base point
+        t_lam, t_y, ref_forms = _q_forms(ctx)
+        tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
+        n = ctx.q_grid.n_nodes
+        for i in np.linspace(0, n - 1, 12, dtype=int):
+            s = _tree_sheet(ctx.curve, tree, i)
+            for sheet, k in ((s, i), (-s, n + i)):
+                calls.clear()
+                with mock.patch.object(green, "integrate_vector_path",
+                                       recorded):
+                    _, y_k, got = ctx.form(
+                        SurfacePoint(complex(t_lam[k]), sheet))
+                assert abs(y_k - t_y[k]) <= 1e-12 * abs(t_y[k])
+                err = q_err + path_errs[1] + sum(out[1] for out in calls)
+                assert _pcoef_gap(got, ref_forms[:, k]) \
+                    <= _pcoef_norm(model) * err + defect, k
+        # the closed-form means against the root routes' sheet-pair sum
+        means = green.special_solution_means(ctx) - _sheet_pair_means(
+            ctx, _reference_special_solutions(ctx, t_lam, t_y, ref_forms))
         assert np.abs(means).max() <= bound
-        # the solver on the root flip loop, with the same correction
-        # polynomial: u_plus is the same tree sum, u_minus moves by Re of
-        # the flip change, mean_u by half of it
-        with monkeypatch.context() as m:
-            m.setattr(green, "accumulate_tree",
-                      _root_flip_accumulate(accumulate))
-            ref_sol = green.GreenSolver(ctx, sol.y)
-        np.testing.assert_array_equal(sol.u_plus, ref_sol.u_plus)
-        flip_errs = sol.node_err[0, 1] - sol.node_err[0, 0] \
-            + ref_sol.node_err[0, 1] - ref_sol.node_err[0, 0]
-        assert np.abs(sol.u_minus - ref_sol.u_minus).max() \
-            <= flip_errs + defect
-        assert abs(sol.mean_u - ref_sol.mean_u) <= flip_errs + defect
+        # the solver against the root flip loop, with the same correction
+        # polynomial: u_plus is the tree sum, u_minus moves by Re of the
+        # flip change, mean_u by half of it
+        vals, _, _ = green.accumulate_tree(ctx.curve, sol.p_tree,
+                                           sol._harm_both, 2)
+        ref, ref_err = _reference_flip(ctx.curve, sol.p_tree, sol._harm_both)
+        np.testing.assert_array_equal(sol.u_plus,
+                                      vals[:, 0].real + ctx.t_nodes)
+        ref_minus = (ref[0] + vals[:, 1]).real + ctx.t_nodes
+        w = ctx.p_grid.weights * ctx.dens_p
+        ref_mean = float((w * (sol.u_plus + ref_minus)).sum() / ctx.area)
+        flip_errs = sol.node_err[0, 1] - sol.node_err[0, 0] + ref_err
+        assert np.abs(sol.u_minus - ref_minus).max() <= flip_errs + defect
+        assert abs(sol.mean_u - ref_mean) <= flip_errs + defect
 
     def test_solver_runs_no_flip_loop(self, z5, monkeypatch):
-        # the p tree's connector is lifted once per context, from its hub,
-        # and the moment connector runs once, from the base point; a solver
-        # integrates no loop of its own
+        # a context runs one branch leg, for its base point's moments, and
+        # none to build its p tree; each solver runs one, at the hub
         model, frame = z5
         c = green.green_context(model, frame,
                                 QuadratureConfig(surface_grid=(6, 8, None)))
-        loops = []
-        flip_loop = green._flip_loop
+        legs = []
+        leg = green._branch_leg
 
-        def counted(curve, lam_at):
-            loops.append(lam_at)
-            return flip_loop(curve, lam_at)
+        def counted(curve, lam, y, f):
+            legs.append((lam, y, f))
+            return leg(curve, lam, y, f)
 
-        monkeypatch.setattr(green, "_flip_loop", counted)
+        monkeypatch.setattr(green, "_branch_leg", counted)
         c.p_tree
-        c.m_conn
-        assert loops == [c.p_grid.nodes[c.p_tree.hub], c.base[0]]
-        loops.clear()
+        c.base
+        assert [(lam, f) for lam, _, f in legs] \
+            == [(c.base[0], green._moment_integrand)]
+        legs.clear()
         for y in (SurfacePoint(0.9 + 1.3j, 1), SurfacePoint(1.03125, -1)):
             green.GreenSolver(c, y)
-        assert loops == []
+        hub = c.p_tree.hub
+        assert [(lam, y) for lam, y, _ in legs] == 2 * [
+            (c.p_grid.nodes[hub], c.p_tree.y_plus[hub])]
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)),
@@ -1613,7 +1663,7 @@ class TestSheetConnector:
         # the base-point start against the root route, through
         # GreenContext.form: the routes differ by a cycle, which the
         # normalized form does not see, so the polynomials agree within
-        # the paths' and connectors' errors plus the real-period defect
+        # the paths' and legs' errors plus the real-period defect
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
         ctx = sol.ctx
@@ -1621,21 +1671,15 @@ class TestSheetConnector:
                   "cone": ctx.frame.lam_p, "free": complex(*free)}[near]
         x = SurfacePoint(complex(centre) + r * np.exp(1j * phase), sheet)
         short = []
-        per_path = green.integrate_vector_path
-
-        def recorded(*args, **kwargs):
-            out = per_path(*args, **kwargs)
-            short.append(out[1])
-            return out
-
-        with mock.patch.object(green, "integrate_vector_path", recorded):
+        with mock.patch.object(green, "integrate_vector_path", _recording(
+                short, green.integrate_vector_path)):
             pcoef = ctx.form(x)[2]
         assert len(short) == 1
         _, m_flip, _, flip_err = q_moments[name, grid]
         m_ref, err_ref = _reference_moments(ctx, x)
         ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * m_flip)
         # the q tree's flip error (flip_err) is the error of m_flip
-        err = short[0] + _conn_err(ctx) + err_ref + flip_err
+        err = short[0][1] + _leg_err(ctx) + err_ref + flip_err
         assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
 
     @settings(max_examples=60, deadline=None)
@@ -1658,14 +1702,14 @@ class TestSheetConnector:
             phase, far, sheet):
         # the base-point start against the nearest-q-node route it
         # replaced, through GreenContext.form, at points next to every branch
-        # point, the cone point, the base point and its 16-gon, and far
-        # out: the routes differ by a cycle, which the normalized form
-        # does not see, so the polynomials agree within both routes'
-        # errors plus the real-period defect
+        # point, the cone point, the base point and the retired 16-gon
+        # through it, and far out: the routes differ by a cycle, which the
+        # normalized form does not see, so the polynomials agree within
+        # both routes' errors plus the real-period defect
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
         ctx = sol.ctx
-        gon = green._flip_loop(ctx.curve, ctx.base[0])
+        gon = _flip_gon(ctx.curve, ctx.base[0])
         centre = {"branch": ctx.curve.branch_points[index % 6],
                   "cone": ctx.frame.lam_p, "base": ctx.base[0],
                   "gon": gon[index], "far": far * np.exp(1j * phase)}[near]
@@ -1673,76 +1717,117 @@ class TestSheetConnector:
             r = max(r, 1e-4)
         x = SurfacePoint(complex(centre) + r * np.exp(1j * phase), sheet)
         short = []
-        per_path = green.integrate_vector_path
-
-        def recorded(*args, **kwargs):
-            out = per_path(*args, **kwargs)
-            short.append(out[1])
-            return out
-
-        with mock.patch.object(green, "integrate_vector_path", recorded):
+        with mock.patch.object(green, "integrate_vector_path", _recording(
+                short, green.integrate_vector_path)):
             pcoef = ctx.form(x)[2]
         assert len(short) == int(x.lam != ctx.base[0])
         _, m_flip, _, flip_err = q_moments[name, grid]
         m_ref, err_ref = _nearest_node_moments(ctx, x, q_moments[name, grid])
         ref = green._correction_pcoef(ctx.model, m_ref - 0.5 * m_flip)
-        # new route: its path and m_conn; old route: its path, the q
+        # new route: its path and the leg; old route: its path, the q
         # node's tree path and m_flip's flip error
-        err = sum(short) + _conn_err(ctx) + err_ref + flip_err
+        err = sum(out[1] for out in short) + _leg_err(ctx) + err_ref \
+            + flip_err
         assert _pcoef_gap(pcoef, ref) <= _pcoef_norm(ctx.model) * err + defect
 
     def test_base_point_needs_no_path(self, ctx, generic, monkeypatch):
-        # at lambda_b the moments are 0 on the sheet of y_b and m_conn on
+        # at lambda_b the moments are R_b on the sheet of y_b and -R_b on
         # the other, with no path
         ctxs = (ctx, generic[2])
         for c in ctxs:
-            c.m_conn
+            c.base
         calls = []
         monkeypatch.setattr(green, "integrate_vector_path",
                             lambda *a, **k: calls.append(a))
         for c in ctxs:
-            lam_b, y_b = c.base
+            lam_b, y_b, r_b = c.base
             assert lam_b == c.curve.branch_points[0] + c.curve.min_gap / 3.0
             assert y_b == c.curve.y_at(np.asarray(lam_b), 1)
-            for sheet, want in ((1, np.zeros(5)), (-1, c.m_conn)):
+            for sheet, want in ((1, r_b), (-1, -r_b)):
                 np.testing.assert_array_equal(green._moments_at(
-                    c.curve, c.base, c.m_conn, SurfacePoint(lam_b, sheet)),
-                    want)
+                    c.curve, c.base, SurfacePoint(lam_b, sheet)), want)
         assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_leg_moments_are_half_the_gon(self, name):
+        # R_b, the moments from branch point 0 to the base point, against
+        # the 16-gon through the base point, which runs from the base
+        # point to its other sheet: that integral is -2 R_b
+        curve = CURVES[name]
+        lam_b, y_b, r_b = green._moment_base(curve)
+        gon, _, y_end = green.integrate_vector_path(
+            curve.branch_points, _flip_gon(curve, lam_b), y_b,
+            green._moment_integrand)
+        assert abs(y_end + y_b) <= 1e-6 * abs(y_b)
+        assert np.abs(r_b + 0.5 * gon).max() <= 1e-15 * np.abs(gon).max()
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_moments_odd_in_sheet(self, name):
+        # R(z-) = -R(z+) bit for bit: at lambda_b, where no path is taken,
+        # and away from it, where the same path arrives on either sheet
+        curve = CURVES[name]
+        base = green._moment_base(curve)
+        for lam in (base[0], 0.9 + 1.3j, -0.4 - 0.2j, 1.03125,
+                    complex(curve.branch_points[3]) + 0.01j, 40.0 - 30.0j):
+            up, down = (green._moments_at(curve, base, SurfacePoint(lam, s))
+                        for s in (1, -1))
+            np.testing.assert_array_equal(down, -up)
 
     @pytest.mark.parametrize("name, grid", READ_KEYS)
     def test_connector_lift_matches_scalar_chain(self, read_solvers, name,
                                                  grid):
-        # the connector's vertices, signed by the tree's one batched sign
-        # pass, equal the chain of scalar continuations bit for bit, on
-        # both trees
+        # the leg runs straight from the hub into branch point 0 in
+        # lambda (lambda = b0 + s^2, s on a segment to 0): y = s g at its
+        # nodes equals y continued from y_plus[hub] node by node along
+        # that segment, one scalar step at a time, to rounding; the leg on
+        # the other sheet (s -> -s) takes -y at the same nodes, exactly.
+        # On both trees
         ctx = read_solvers[name, grid][0].ctx
         curve = ctx.curve
+        b0 = complex(curve.branch_points[0])
         for tree in (ctx.p_tree,
                      green.build_surface_tree(curve, ctx.q_grid)):
-            n = tree.order.size
-            conn = np.arange(n, n + 16)
-            np.testing.assert_array_equal(tree.parent[conn[1:]], conn[:-1])
-            assert tree.parent[n] == tree.hub
-            y_hub = y = tree.y_plus[tree.hub]
+            lam_hub = complex(tree.grid.nodes[tree.hub])
+            nodes = []
+            for y_hub in (tree.y_plus[tree.hub], -tree.y_plus[tree.hub]):
+                seen = []
+
+                def f(lam, y):
+                    seen.append((lam.copy(), y.copy()))
+                    return green._moment_integrand(lam, y)
+
+                green._branch_leg(curve, lam_hub, y_hub, f)
+                nodes.append((np.concatenate([z for z, _ in seen]),
+                              np.concatenate([y for _, y in seen])))
+            (lam, y), (lam_o, y_o) = nodes
+            np.testing.assert_array_equal(lam_o, lam)
+            np.testing.assert_array_equal(y_o, -y)
+            assert np.abs(np.angle((lam - b0) / (lam_hub - b0))).max() \
+                <= 1e-12
             chain = []
-            for i in conn:
-                y = _continue_to(curve, tree.lam[tree.parent[i]], y,
-                                 tree.lam[i])
-                chain.append(y)
-            np.testing.assert_array_equal(tree.y_plus[conn], chain)
-            assert tree.lam[conn[-1]] == tree.lam[tree.hub]
-            assert y == -y_hub
+            at, y_at = lam_hub, tree.y_plus[tree.hub]
+            for k in np.argsort(-np.abs(lam - b0), kind="stable"):
+                y_at = _continue_to(curve, at, y_at, lam[k])
+                at = lam[k]
+                chain.append((k, y_at))
+            for k, y_k in chain:
+                assert abs(y[k] - y_k) <= 1e-12 * abs(y_k), k
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_far_start_rejected(self, name):
+        # the leg's contract: an end within min_gap / 2 of branch point 0,
+        # so its segment in s keeps clear of the ten other roots
         curve = CURVES[name]
         bp = complex(curve.branch_points[0])
         r = curve.min_gap / 3.0
-        loop = green._flip_loop(curve, bp + 1.4 * r)
-        assert len(loop) == 17 and loop[0] == loop[-1] == bp + 1.4 * r
+        lam = bp + 1.4 * r
+        y = complex(curve.y_at(np.asarray(lam), 1))
+        val, err = green._branch_leg(curve, lam, y, green._moment_integrand)
+        assert np.isfinite(val).all() and err < 1e-9
+        lam = bp + 1.6 * r
         with pytest.raises(ConsistencyFailure, match="not next to"):
-            green._flip_loop(curve, bp + 1.6 * r)
+            green._branch_leg(curve, lam, complex(curve.y_at(
+                np.asarray(lam), 1)), green._moment_integrand)
 
     @pytest.mark.parametrize("grid", [(1, 1), (1, 2), (3, 5), (8, 1),
                                       (9, 7), (17, 3)],
@@ -1753,26 +1838,14 @@ class TestSheetConnector:
         # every grid has at least one angle per radius and one 8-point
         # Gauss panel in the disk of radius r = min_gap / 3 about branch
         # point 0, whose outer radius lies within 2% of r; so the hub, the
-        # node closest to distance r, starts a connector with no legs
+        # node closest to distance r, ends a branch leg well inside its
+        # min_gap / 2 contract
         curve = CURVES[name]
         tree = green.build_surface_tree(curve,
                                         _surface_grid(name, grid, stagger))
         r = curve.min_gap / 3.0
-        d = abs(tree.lam[tree.hub] - curve.branch_points[0])
+        d = abs(tree.grid.nodes[tree.hub] - curve.branch_points[0])
         assert abs(d - r) <= 0.02 * r
-
-    def test_connector_must_flip(self, z5, monkeypatch):
-        # a connector that encloses no branch point ends on its own sheet,
-        # back at the hub itself
-        curve = z5[0].curve
-        rho = curve.min_gap / 10.0
-        monkeypatch.setattr(
-            green, "_flip_loop", lambda curve, lam: list(
-                lam + rho * (np.exp(2j * np.pi * np.arange(16) / 16) - 1))
-            + [lam])
-        with pytest.raises(ConsistencyFailure, match="did not flip"):
-            green.build_surface_tree(curve,
-                                     _surface_grid("z5", (6, 8), 0.31))
 
 
 class TestRoelckeGreen:
@@ -1965,12 +2038,11 @@ class TestSpecialSolutions:
                           for k in range(t_lam.size)]).T
         assert np.abs(_sheet_pair_means(ctx, g) - means).max() <= 1e-15
         # the two sheets' correction polynomials are opposite: their
-        # moment vectors m_node - m_conn / 2 and (m_conn - m_node) -
-        # m_conn / 2 round apart by a few ulp of the moments' largest part
+        # moment vectors m_node - m_flip / 2 and (m_flip - m_node) -
+        # m_flip / 2 round apart by a few ulp of the moments' largest part
         tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
-        m_node, m_conn = green.accumulate_tree(ctx.curve, tree,
-                                               green._moment_integrand, 5)[:2]
-        parts = np.concatenate([m_node.ravel(), m_conn])
+        m_node, m_flip = _tree_moments(ctx.curve, tree)[:2]
+        parts = np.concatenate([m_node.ravel(), m_flip])
         size = max(np.abs(parts.real).max(), np.abs(parts.imag).max())
         n = ctx.q_grid.n_nodes
         assert _pcoef_gap(pcoef[:, :n], -pcoef[:, n:]) \

@@ -350,7 +350,8 @@ FAR = make_curve(10.0 * np.exp(2j * np.pi * np.arange(6) / 6))
 def path_integral(f, path, tol=1e-12, budget=4000):
     """green.integrate_vector_path of an integrand f(z) that ignores y, at
     the tolerance and budget these tests were written for."""
-    return green.integrate_vector_path(FAR, path, FAR.y_at(path[0]),
+    return green.integrate_vector_path(FAR.branch_points, path,
+                                       FAR.y_at(path[0]),
                                        lambda z, y: f(z), tol=tol,
                                        budget=budget)
 
