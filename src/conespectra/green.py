@@ -10,19 +10,21 @@ and the residue polynomial Q of the raw bidifferential,
     Omega_{p-q}(z) / dlambda = A(z,p) - A(z,q) + P(lambda_z) / y_z,
 
 where the degree-4 polynomial P is linear in the moment vector
-M = int_q^p lambda^k dlambda / y (k = 0..4).  Moments are taken from
-branch point 0, b0: M = R(p) - R(q) with R(z) = int_b0^z, which is odd
-in the sheet, so the grid average of M over both sheets of every node
-is R(p).  The leg into b0, regular in the local parameter s =
-sqrt(lambda - b0), is the one route between the sheets (_branch_leg):
-the moments' and the Green solvers' alike.  The grid sum of the A terms
-collapses to one real-weighted Cauchy sum because the sheet-odd part
-cancels between the two sheets of each node.  The
-averaged form Omega_bar_y = A(z,y) + P_y(lambda_z) / y_z minus that sum
-is the x-gradient of G(., y); the sum enters G through log_potential and
-the special solutions through GreenContext.cone_cauchy.  The same
-cancellation leaves the Cauchy sum alone in the special solutions'
-surface means (special_solution_means).
+M = int_q^p lambda^k dlambda / y (k = 0..4).  A(z,t) + P / y_z is h + g:
+h = 1 / (2 (lambda_z - lambda_t)) is even in the sheet of z, with the
+real integral (1/2) log|lambda_z - lambda_t|, and g (_odd_part) is odd.
+Every odd integral is taken from branch point 0, b0, by way of a known
+point and signed by the sheet it arrives on (_odd_at): the moments R(z) =
+int_b0^z lambda^k dlambda / y, with M = R(p) - R(q), and the Green
+solvers' int_b0^z g alike.  The leg into b0, regular in the local
+parameter s = sqrt(lambda - b0), is the one route between the sheets
+(_branch_leg).  R is odd, so the grid average of M over both sheets of
+every node is R(p), and the grid sum of the A terms collapses to one
+real-weighted Cauchy sum.  The averaged form Omega_bar_y = A(z,y) +
+P_y(lambda_z) / y_z minus that sum is the x-gradient of G(., y); the sum
+enters G through log_potential and the special solutions through
+GreenContext.cone_cauchy.  The same cancellation leaves the Cauchy sum
+alone in the special solutions' surface means (special_solution_means).
 """
 
 from __future__ import annotations
@@ -201,12 +203,23 @@ def _arrival(curve, y_end, point: SurfacePoint):
     return s
 
 
-def _path_to(curve, lam0, y0, point: SurfacePoint, f):
-    """Integral of f along build_path from (lam0, y0) to the point, its
-    error, and the sheet it arrives on (_arrival)."""
-    val, err, y_end = integrate_vector_path(
-        curve.branch_points, build_path(curve, lam0, point.lam), y0, f)
-    return val, err, _arrival(curve, y_end, point)
+def _odd_at(curve, lam0, y0, v0, point: SurfacePoint, f):
+    """An integral of the sheet-odd form f from branch point 0, b0, at the
+    point, by way of a known point: v0 is its value at (lam0, y0).  One
+    build_path from lam0, started at y0, gives val, and the integral is v0
+    + val if the path arrives at y(point).  It is odd in the sheet (the leg
+    from b0 to the other sheet is the same leg with -y), so if the path
+    arrives at -y(point) it is -(v0 + val).  lam0 itself takes no path.
+    Returns the integral, the path's error and the sheet it arrives on
+    (_arrival: ConsistencyFailure at neither +-y(point) within 1e-6)."""
+    if lam0 == point.lam:
+        val, err, s = 0.0, 0.0, _arrival(curve, y0, point)
+    else:
+        val, err, y_end = integrate_vector_path(
+            curve.branch_points, build_path(curve, lam0, point.lam), y0, f)
+        s = _arrival(curve, y_end, point)
+    r = v0 + val
+    return (-r if s else r), err, s
 
 
 def _branch_leg(curve, lam, y, f):
@@ -249,43 +262,28 @@ def _moment_base(curve):
 
 def _moments_at(curve, base, point: SurfacePoint):
     """Moment vector R = int_b0^point lambda^k dlambda / y from branch
-    point 0, b0, by way of base = (lambda_b, y_b, R_b): one build_path from
-    lambda_b, started at y_b, gives val, and R = R_b + val if the path
-    arrives at y(point).  R is odd in the sheet (the leg from b0 to the
-    other sheet is the same leg with -y), so if the path arrives at
-    -y(point), R = -(R_b + val).  lambda_b itself takes no path;
-    ConsistencyFailure if the path ends at neither +-y(point) within 1e-6
-    (_arrival)."""
-    lam_b, y_b, r_b = base
-    if lam_b == point.lam:
-        val, s = np.zeros(5, dtype=complex), _arrival(curve, y_b, point)
-    else:
-        val, _, s = _path_to(curve, lam_b, y_b, point, _moment_integrand)
-    r = r_b + val
-    return -r if s else r
+    point 0, b0, by way of base = (lambda_b, y_b, R_b) (_odd_at)."""
+    return _odd_at(curve, *base, point, _moment_integrand)[0]
 
 
-def _form_values(lam, ys, t_lam, t_y, pcoef, both=False):
-    """A(z, t) + P(lambda_z) / y_z at the points z = (lam, ys), with
-    A(z, t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and pcoef the
-    coefficients of P, lowest first, along its first axis; an empty pcoef
-    gives A alone.
-
-    With h = 1 / (2 (lambda_z - lambda_t)) and g = (y_t h + P) / y_z the
-    form is h + g at y_z and h - g at -y_z, so two complex divisions, one
-    for h and one for g, serve one sheet or both.  both=True gives the
-    sheets ys and -ys stacked on a new last axis, written into one array."""
+def _odd_part(lam, ys, t_lam, t_y, pcoef):
+    """g = (y_t h + P(lambda_z)) / y_z, h = 1 / (2 (lambda_z - lambda_t)),
+    at the points z = (lam, ys): the part of _form_values that is odd in
+    the sheet of z.  pcoef holds the coefficients of P, lowest first,
+    along its first axis; an empty pcoef gives P = 0."""
     h = 0.5 / (lam - t_lam)
     poly = pcoef[-1] if len(pcoef) else 0.0
     for c in pcoef[-2::-1]:
         poly = poly * lam + c
-    g = (t_y * h + poly) / ys
-    if not both:
-        return h + g
-    out = np.empty(g.shape + (2,), dtype=complex)
-    np.add(h, g, out=out[..., 0])
-    np.subtract(h, g, out=out[..., 1])
-    return out
+    return (t_y * h + poly) / ys
+
+
+def _form_values(lam, ys, t_lam, t_y, pcoef):
+    """A(z, t) + P(lambda_z) / y_z at the points z = (lam, ys), with
+    A(z, t) = (y_z + y_t) / (2 y_z (lambda_z - lambda_t)) and pcoef as in
+    _odd_part: h = 1 / (2 (lambda_z - lambda_t)), even in the sheet of z,
+    plus g = _odd_part, odd in it."""
+    return 0.5 / (lam - t_lam) + _odd_part(lam, ys, t_lam, t_y, pcoef)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +577,8 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     real and imaginary parts) and (ceil(log2 d) + d - 1) 2^-53 S of the
     walk's.
 
-    A caller that needs the other sheet stacks f(lam, -y) as extra
-    columns and crosses over by _branch_leg (GreenSolver).  Returns
+    A caller that needs the other sheet integrates a sheet-odd f and
+    crosses over by _branch_leg (GreenSolver).  Returns
     (vals, error, path_err): error sums the accepted gaps of every edge,
     and path_err those on each node's root path."""
     lam, kids = tree.grid.nodes, tree.order[1:]
@@ -1068,27 +1066,28 @@ class GreenEvaluation:
 class GreenSolver:
     """Green function G(., y) for one fixed second argument.
 
-    Carries the q-averaged differential Omega_bar_y and u = Re int
-    Omega_bar_y + log_potential at every p node on both sheets (u_plus,
-    u_minus), so each new x costs one short path from its nearest p node:
-    G(x, y) = (u(x) - mean_p u) / 2 pi.  node_err holds each node value's
-    quadrature error on the same two sheets.  The p-grid tree, with its
-    lift, and the log potential at its nodes are the context's (p_tree is
-    ctx.p_tree).  Only form = ctx.form(y) (one path from the context's
-    base point), one accumulation over the p tree and one _branch_leg
-    depend on y.
+    The averaged form less its Cauchy sum (see t_nodes) is h + g
+    (_form_values).  With Gamma(z) = int_b0^z g dlambda, odd in the sheet
+    as the moments are, u = (1/2) log|lambda - lambda_y| +- Re Gamma + t +
+    c (+ on the tree sheet of a point, - on the other; t is t_nodes at a
+    p node, log_potential elsewhere) is the real integral of the averaged
+    form from the p-tree root, plus t, and G(x, y) = (u(x) - mean_p u) /
+    2 pi.  Only g is integrated: one accumulation over the p tree and one
+    _branch_leg from b0 to the hub, which give Gamma(root) = leg - (the
+    tree sum at the hub) and gamma, Re Gamma at every p node on the tree
+    sheet.  c = -(1/2) log|lambda_root - lambda_y| - Re Gamma(root)
+    reaches G only because mean_u divides a p-grid sum by the q-grid area,
+    ctx.area; with the p-grid area it would cancel.
 
-    The root's two sheets are joined through branch point 0: with vals
-    the tree sums of the form on both sheets and L the leg of both to
-    (lambda_hub, y_plus[hub]), the integral from the root on the tree
-    sheet to the root on the other one is flip = vals[hub, 0] -
-    vals[hub, 1] + L[1] - L[0], down to the hub, into b0 and out on the
-    other sheet (the leg of -y), and back up.  Its error, 2
-    path_err[hub] plus the leg's, is the other sheet's share of node_err.
+    node_err holds each node value's quadrature error on the tree sheet,
+    its tree path's, and on the other, which adds twice Gamma(root)'s.
     tree_err bounds each node value's error from the tree's quadrature
-    (all its edge errors and the flip's) and from t_nodes' truncation
-    (ctx.t_bound), so it bounds mean_u's; u_at takes t_nodes[j] back out
-    of its node value, so the truncation reaches G through mean_u alone.
+    (all its edge errors and the crossing's) and from t_nodes' truncation
+    (ctx.t_bound), so it bounds mean_u's; u_at reads log_potential, so the
+    truncation reaches G through mean_u alone.  The p tree, with its
+    lift, and t_nodes are the context's.  Only form = ctx.form(y) (one
+    path from the context's base point), one accumulation over the p tree
+    and one _branch_leg depend on y.
     """
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
@@ -1096,25 +1095,25 @@ class GreenSolver:
         self.y = y
         self.form = ctx.form(y)
         tree = self.p_tree = ctx.p_tree
-        vals, err, path_err = accumulate_tree(ctx.curve, tree,
-                                              self._harm_both, 2)
-        hub = tree.hub
-        leg, leg_err = _branch_leg(ctx.curve, tree.grid.nodes[hub],
-                                   tree.y_plus[hub], self._harm_both)
-        flip = vals[hub, 0] - vals[hub, 1] + leg[1] - leg[0]
-        flip_err = float(2.0 * path_err[hub] + leg_err)
-        self.node_err = np.stack([path_err, path_err + flip_err], axis=1)
-        self.u_plus = vals[:, 0].real + ctx.t_nodes
-        self.u_minus = (flip + vals[:, 1]).real + ctx.t_nodes
+        vals, err, path_err = accumulate_tree(ctx.curve, tree, self._odd, 1)
+        hub, lam = tree.hub, tree.grid.nodes
+        leg, leg_err = _branch_leg(ctx.curve, lam[hub], tree.y_plus[hub],
+                                   self._odd)
+        gamma_root = (leg[0] - vals[hub, 0]).real
+        self.gamma = vals[:, 0].real + gamma_root
+        half_log = 0.5 * np.log(np.abs(lam - self.form[0]))
+        self.c = float(-half_log[tree.root] - gamma_root)
+        cross_err = float(2.0 * (path_err[hub] + leg_err))
+        self.node_err = np.stack([path_err, path_err + cross_err], axis=1)
+        # u's two sheets sum to 2 (half_log + c + t_nodes): gamma cancels
         w = ctx.p_grid.weights * ctx.dens_p
-        self.mean_u = float((w * (self.u_plus + self.u_minus)).sum()
-                            / ctx.area)
-        self.tree_err = err + flip_err + ctx.t_bound
+        self.mean_u = float(
+            2.0 * (w * (half_log + self.c + ctx.t_nodes)).sum() / ctx.area)
+        self.tree_err = err + cross_err + ctx.t_bound
 
-    def _harm_both(self, zs, ys):
-        """The averaged form less its Cauchy sum (see t_nodes) on the tree
-        sheet and on the other sheet."""
-        return _form_values(zs, ys, *self.form, both=True)
+    def _odd(self, zs, ys):
+        """The odd part g of the averaged form (_odd_part), one column."""
+        return _odd_part(zs, ys, *self.form)[:, None]
 
     def _nearest_node(self, lam):
         """Index of the p node nearest to lam, by squared distance on the
@@ -1124,32 +1123,26 @@ class GreenSolver:
         return int(_squared_distances(lam, self.ctx._p_parts).argmin())
 
     def u_at(self, x: SurfacePoint):
-        """u(x) = Re int_root^x of Omega_bar_y plus log_potential(x), with
-        its quadrature error.
+        """u(x) = (1/2) log|lambda_x - lambda_y| + Re Gamma(x) +
+        log_potential(x) + c, with its quadrature error.
 
-        Starts from the p node j nearest to x (_nearest_node), where u is
-        known on both sheets: one build_path from lam_j to x carries the
-        form on the tree sheet of j and on the other sheet (_harm_both),
-        and the column whose sheet arrives at y(x) adds its real part and
-        log_potential(x) - t_nodes[j] to that sheet's node value.  The
-        real part is path independent (all loop integrals of the
-        averaged form are purely imaginary; the computed form's real
-        periods are about 1e-11), so no route closes a loop.  A p node
-        itself returns its node value.  The error is the short path's plus
-        the node value's (node_err)."""
-        curve = self.ctx.curve
-        nodes = self.p_tree.grid.nodes
-        j = self._nearest_node(complex(x.lam))
-        y_j = self.p_tree.y_plus[j]
-        if nodes[j] == x.lam:
-            s = _arrival(curve, y_j, x)
-            return (float((self.u_plus, self.u_minus)[s][j]),
-                    float(self.node_err[j, s]))
-        # column s arrives on the sheet of x: s = 1 is the other sheet
-        val, err, s = _path_to(curve, nodes[j], y_j, x, self._harm_both)
-        u_j = (self.u_plus, self.u_minus)[s][j] - self.ctx.t_nodes[j]
-        t_x = float(self.ctx.log_potential(np.asarray(x.lam, complex)))
-        return (float(u_j + val[s].real) + t_x,
+        Gamma(x) starts from the p node j nearest to x (_nearest_node),
+        where gamma[j] is known on the tree sheet: one build_path from
+        lambda_j, started at y_plus[j], and signed by the sheet it arrives
+        on (_odd_at); a p node itself takes no path.  The real part is
+        path independent (all loop integrals of the averaged form are
+        purely imaginary; the computed form's real periods are about
+        1e-11), so no route closes a loop.  The error is the short path's
+        plus the node value's on the sheet of x (node_err)."""
+        tree = self.p_tree
+        lam = complex(x.lam)
+        j = self._nearest_node(lam)
+        odd, err, s = _odd_at(self.ctx.curve, tree.grid.nodes[j],
+                              tree.y_plus[j], self.gamma[j:j + 1], x,
+                              self._odd)
+        t_x = float(self.ctx.log_potential(np.asarray(lam, complex)))
+        even = 0.5 * math.log(abs(lam - self.form[0]))
+        return (even + float(odd[0].real) + t_x + self.c,
                 float(err + self.node_err[j, s]))
 
     def green(self, x: SurfacePoint) -> GreenEvaluation:
@@ -1166,12 +1159,18 @@ class GreenSolver:
                                error_estimate=float(est))
 
     def green_at_cone(self):
-        """G(P, y) and its error estimate: green at a point just off the
-        cone point; the averaged form is integrable there, so no
-        quadrature node sits at P."""
-        eps = 1e-5 * self.ctx.curve.scale
-        g = self.green(SurfacePoint(self.ctx.frame.lam_p + eps, 1))
-        return g.value, g.error_estimate
+        """G(P, y) and its error estimate by the mean-value property: the
+        mean of green over six equispaced points of the xi-circle |xi| =
+        1e-3 about the cone point (_cone_circle_points), with the largest
+        of their estimates.  In the frame chart G(P) + 2 Re sum_l b_l xi^l
+        is G up to O(|xi|^6) (the metric density vanishes like |xi|^4 at
+        P), and the six points average every xi^l, l < 6, out; one point
+        would keep 2 Re(b1 xi), three 2 Re(b3 xi^3).  No quadrature node
+        sits at P."""
+        gs = [self.green(p) for p in _cone_circle_points(self.ctx, 1e-3,
+                                                         6)[1]]
+        return (float(np.mean([g.value for g in gs])),
+                max(g.error_estimate for g in gs))
 
     def special_solutions(self):
         """(G_{1/xi}, G_{1/xi^2})(y; 0) from this solver's form

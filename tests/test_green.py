@@ -203,10 +203,20 @@ class TestFormKernel:
                       _three_division_form(lam, ys, t_lam, t_y, pcoef[:, 0]),
                       size))
         # both sheets, stacked
-        cases.append((green._form_values(lam, ys, t_lam, t_y, pcoef[:, 0],
-                                         both=True),
+        cases.append((np.stack([green._form_values(lam, v, t_lam, t_y,
+                                                   pcoef[:, 0])
+                                for v in (ys, -ys)], axis=-1),
                       _three_division_form(lam, (ys, -ys), t_lam, t_y,
                                            pcoef[:, 0]),
+                      np.stack([size, size], axis=-1)))
+        # the even part h and the odd part g: the form is h + g at y and
+        # h - g at -y, within the two-division form's rounding
+        h = 0.5 / (lam - t_lam)
+        odd = green._odd_part(lam, ys, t_lam, t_y, pcoef[:, 0])
+        cases.append((np.stack([h + odd, h - odd], axis=-1),
+                      np.stack([green._form_values(lam, v, t_lam, t_y,
+                                                   pcoef[:, 0])
+                                for v in (ys, -ys)], axis=-1),
                       np.stack([size, size], axis=-1)))
         # one column per second argument: t, and two points next to it
         t_cols = t_lam + np.array([0.0, 1e-2, 2e-2j])
@@ -713,12 +723,29 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
     return vals, path_err
 
 
+def _harm_both(sol):
+    """A solver's averaged form (less its Cauchy sum) at y and at -y, as
+    two columns: the integrand of the two-column route, the oracle for
+    the solver's odd route."""
+    def f(zs, ys):
+        return np.stack([green._form_values(zs, v, *sol.form)
+                         for v in (ys, -ys)], axis=-1)
+    return f
+
+
+def _node_u(sol):
+    """u less t_nodes at every p node of a solver, on the tree sheet and
+    on the other one: (1/2) log|lambda - lambda_y| + c +- gamma."""
+    even = 0.5 * np.log(np.abs(sol.p_tree.grid.nodes - sol.form[0])) + sol.c
+    return np.stack([even + sol.gamma, even - sol.gamma], axis=1)
+
+
 def _both_sheets(curve, tree, f):
     """The integrals of f, a solver's averaged form on both sheets
     (_harm_both), from the tree root to every node on its tree sheet and
-    on the other one, with their errors, crossed over as GreenSolver
-    does: the tree sums, and on the other sheet the flip down to the hub,
-    through the branch leg and back up."""
+    on the other one, with their errors, on the two-column route: the
+    tree sums, and on the other sheet the flip down to the hub, through
+    the branch leg and back up."""
     vals, _, path_err = green.accumulate_tree(curve, tree, f, 2)
     hub = tree.hub
     leg, leg_err = green._branch_leg(curve, tree.grid.nodes[hub],
@@ -829,15 +856,19 @@ class TestSurfaceTree:
                                                  grid, stagger):
         # the layout tree against the nearest-visited tree it replaced,
         # which the same grid without its layout gets: a spanning tree
-        # listed parents first, with the same root and hub, and u at every
-        # node on both sheets (a solver's averaged form, summed from the
-        # root as GreenSolver does) within both trees' node errors plus
-        # the period defect, since the two root paths differ by a cycle
+        # listed parents first, with the same root and hub, and u less
+        # t_nodes at every node on both sheets (a GreenSolver for the same
+        # y on a context with that grid as its p grid) within both trees'
+        # node errors plus the period defect, since the two root paths
+        # differ by a cycle
         sol, defect = read_solvers[name, grid]
-        curve = CURVES[name]
+        ctx = sol.ctx
         surface = _surface_grid(name, grid, stagger)
-        trees = [green.build_surface_tree(curve, g) for g in
-                 (surface, dataclasses.replace(surface, patches=()))]
+        sols = [green.GreenSolver(dataclasses.replace(
+            ctx, p_grid=g, dens_p=metric_density(ctx.curve, ctx.frame.lam_p,
+                                                 g.nodes)), sol.y)
+            for g in (surface, dataclasses.replace(surface, patches=()))]
+        trees = [s.p_tree for s in sols]
         n = surface.n_nodes
         layout, nearest = trees
         np.testing.assert_array_equal(np.sort(layout.order), np.arange(n))
@@ -847,11 +878,11 @@ class TestSurfaceTree:
                 < np.arange(1, n)).all()
         assert (layout.root, layout.hub) == (nearest.root, nearest.hub)
         u, err = [], []
-        for tree in trees:
-            both, node_err = _both_sheets(curve, tree, sol._harm_both)
+        for s, tree in zip(sols, trees):
+            both, node_err = _node_u(s), s.node_err
             # the layout tree's sheet of each node first
             same = (tree.y_plus == layout.y_plus)[:, None]
-            u.append(np.where(same, both.real, both.real[:, ::-1]))
+            u.append(np.where(same, both, both[:, ::-1]))
             err.append(np.where(same, node_err, node_err[:, ::-1]))
         assert (np.abs(u[0] - u[1]) <= err[0] + err[1] + defect
                 + 1e-12).all()
@@ -1177,7 +1208,7 @@ class TestSurfaceTree:
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
                                       y)
-            for field in ("u_plus", "u_minus", "node_err", "tree_err"):
+            for field in ("gamma", "c", "node_err", "mean_u", "tree_err"):
                 np.testing.assert_array_equal(getattr(s, field),
                                               getattr(alone, field))
 
@@ -1250,7 +1281,7 @@ class TestGreenRead:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)),
            grid=st.sampled_from([(6, 8), (12, 16)]),
-           near=st.sampled_from(["branch", "cone", "y", "free"]),
+           near=st.sampled_from(["branch", "cone", "y", "node", "free"]),
            index=st.integers(0, 5),
            r=st.floats(1e-4, 0.05),
            phase=st.floats(0.0, 2.0 * np.pi),
@@ -1265,17 +1296,29 @@ class TestGreenRead:
     def test_matches_root_path(self, read_solvers, name, grid, near, index,
                                r, phase, free, sheet):
         # the nearest-node start against the root path it replaced, on
-        # both sheets and near the singular points of the integrand; the
-        # two routes differ by a cycle, so by up to the period defect
+        # both sheets, near the singular points of the integrand and on p
+        # nodes; the two routes differ by a cycle, so by up to the period
+        # defect
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
-        centre = {"branch": sol.ctx.curve.branch_points[index],
-                  "cone": sol.ctx.frame.lam_p, "y": sol.y.lam,
+        ctx = sol.ctx
+        centre = {"branch": ctx.curve.branch_points[index],
+                  "cone": ctx.frame.lam_p, "y": sol.y.lam,
+                  "node": ctx.p_grid.nodes[index * 97],
                   "free": complex(*free)}[near]
-        x = SurfacePoint(complex(centre) + r * np.exp(1j * phase), sheet)
+        lam = complex(centre) + (0.0 if near == "node" else
+                                 r * np.exp(1j * phase))
+        x = SurfacePoint(lam, sheet)
         u, err = sol.u_at(x)
         u_ref, err_ref = _reference_u_at(sol, x)
         assert abs(u - u_ref) <= err + err_ref + defect + 1e-12
+        # u(x) + u(x on the other sheet) = log|lambda_x - lambda_y| +
+        # 2 log_potential(x) + 2c: the odd part Re Gamma cancels between
+        # the sheets, within both reads' errors
+        u_other, err_other = sol.u_at(SurfacePoint(lam, -sheet))
+        t = float(ctx.log_potential(np.asarray(lam)))
+        even = math.log(abs(lam - sol.y.lam)) + 2.0 * t + 2.0 * sol.c
+        assert abs(u + u_other - even) <= err + err_other + 1e-12
 
     def test_nearest_node_matches_hypot_argmin(self, read_solvers):
         # u_at's squared-distance nearest node against the hypot argmin
@@ -1300,17 +1343,25 @@ class TestGreenRead:
                 assert d[sol._nearest_node(lam)] <= d.min() * (1 + 1e-15)
 
     def test_p_node_needs_no_path(self, ctx, solver, monkeypatch):
+        # at a p node u is its node value (_node_u) with log_potential
+        # for t_nodes, to the rounding of the four terms, and its error
+        # is the node's, with no path
         calls = []
         monkeypatch.setattr(green, "integrate_vector_path",
                             lambda *a, **k: calls.append(a))
         tree = solver.p_tree
+        node_u = _node_u(solver)
         for i in (0, tree.root, ctx.p_grid.n_nodes // 2):
             lam = complex(ctx.p_grid.nodes[i])
+            t = float(ctx.log_potential(np.asarray(lam)))
             s = _tree_sheet(ctx.curve, tree, i)
-            u, err = solver.u_at(SurfacePoint(lam, s))
-            assert u == solver.u_plus[i] and err == solver.node_err[i, 0]
-            u, err = solver.u_at(SurfacePoint(lam, -s))
-            assert u == solver.u_minus[i] and err == solver.node_err[i, 1]
+            for k, sheet in enumerate((s, -s)):
+                u, err = solver.u_at(SurfacePoint(lam, sheet))
+                size = abs(0.5 * math.log(abs(lam - solver.y.lam))) \
+                    + abs(solver.gamma[i]) + abs(solver.c) + abs(t)
+                assert abs(u - (node_u[i, k] + t)) \
+                    <= 8 * np.finfo(float).eps * size
+                assert err == solver.node_err[i, k]
         assert calls == []
 
     def test_pool_within_path_only_estimate(self, ctx, monkeypatch):
@@ -1504,19 +1555,18 @@ class TestSheetConnector:
         sol, defect = read_solvers[name, grid]
         assert defect < 1e-9
         curve, tree = sol.ctx.curve, sol.p_tree
-        t_nodes = sol.ctx.t_nodes
-        # the test-side crossing (_both_sheets) is the solver's, bit for
-        # bit; Re of the flip is u_minus at the root, where the tree sum is
-        # zero, less t_nodes there
-        both, node_err = _both_sheets(curve, tree, sol._harm_both)
-        np.testing.assert_array_equal(both[:, 0].real + t_nodes, sol.u_plus)
-        np.testing.assert_array_equal(both[:, 1].real + t_nodes,
-                                      sol.u_minus)
-        np.testing.assert_array_equal(node_err, sol.node_err)
-        flip = sol.u_minus[tree.root] - t_nodes[tree.root]
-        ref, ref_err = _reference_flip(curve, tree, sol._harm_both)
+        # the solver's node values against the two-column route it
+        # replaced (_both_sheets), the same tree paths and crossing with h
+        # integrated by quadrature, within both routes' node errors
+        both, node_err = _both_sheets(curve, tree, _harm_both(sol))
+        assert (np.abs(both.real - _node_u(sol))
+                <= node_err + sol.node_err + 1e-12).all()
+        # the flip, root to root over the crossing, is -2 Gamma(root): u
+        # on the other sheet less u on the tree sheet at the root
+        flip = -2.0 * sol.gamma[tree.root]
+        ref, ref_err = _reference_flip(curve, tree, _harm_both(sol))
         gap = abs(flip - ref[0].real)
-        assert gap <= node_err[tree.root, 1] + ref_err + defect, gap
+        assert gap <= sol.node_err[tree.root, 1] + ref_err + defect, gap
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)),
@@ -1534,12 +1584,13 @@ class TestSheetConnector:
     def test_solver_flip_matches_reference(self, read_solvers, name, grid,
                                            near, r, phase, free, sheet):
         # a solver's flip, Re of the integral of its averaged form from
-        # the p-tree root to the root's other sheet (u_minus there, where
-        # the tree sum is zero, less t_nodes), against _reference_flip,
-        # for second arguments y on either sheet, within min_gap / 3 of
-        # branch point 0 (r in units of that) or anywhere: within both
-        # routes' errors plus the real-period defect.  A y inside the
-        # 16-gon moves Im of the flip by 2 pi i, which u does not read.
+        # the p-tree root to the root's other sheet (-2 Re Gamma(root), u
+        # on the other sheet less u on the tree sheet), against
+        # _reference_flip, for second arguments y on either sheet, within
+        # min_gap / 3 of branch point 0 (r in units of that) or anywhere:
+        # within both routes' errors plus the real-period defect.  A y
+        # inside the 16-gon moves Im of the flip by 2 pi i, which u does
+        # not read.
         # y is kept off the routes, where the form's pole would sit on
         # them: a y on a tree edge or on the leg raises NonConvergence
         sol, _ = read_solvers[name, grid]
@@ -1552,8 +1603,8 @@ class TestSheetConnector:
         assume(_route_clearance(sol.p_tree, b0, lam) > 1e-4)
         other = green.GreenSolver(ctx, SurfacePoint(lam, sheet))
         tree = other.p_tree
-        flip = other.u_minus[tree.root] - ctx.t_nodes[tree.root]
-        ref, ref_err = _reference_flip(ctx.curve, tree, other._harm_both)
+        flip = -2.0 * other.gamma[tree.root]
+        ref, ref_err = _reference_flip(ctx.curve, tree, _harm_both(other))
         gap = abs(flip - ref[0].real)
         bound = other.node_err[tree.root, 1] + ref_err \
             + _solver_period_defect(other) + 1e-12
@@ -1607,19 +1658,26 @@ class TestSheetConnector:
             ctx, _reference_special_solutions(ctx, t_lam, t_y, ref_forms))
         assert np.abs(means).max() <= bound
         # the solver against the root flip loop, with the same correction
-        # polynomial: u_plus is the tree sum, u_minus moves by Re of the
-        # flip change, mean_u by half of it
-        vals, _, _ = green.accumulate_tree(ctx.curve, sol.p_tree,
-                                           sol._harm_both, 2)
-        ref, ref_err = _reference_flip(ctx.curve, sol.p_tree, sol._harm_both)
-        np.testing.assert_array_equal(sol.u_plus,
-                                      vals[:, 0].real + ctx.t_nodes)
+        # polynomial, on the two-column route: u on the tree sheet is the
+        # tree sum, on the other it moves by Re of the flip change, mean_u
+        # by half of it; the solver integrates h in closed form, so each
+        # node also moves within both routes' tree-path errors (bound)
+        vals, _, path_err = green.accumulate_tree(ctx.curve, sol.p_tree,
+                                                  _harm_both(sol), 2)
+        ref, ref_err = _reference_flip(ctx.curve, sol.p_tree,
+                                       _harm_both(sol))
+        u = _node_u(sol) + ctx.t_nodes[:, None]
+        ref_plus = vals[:, 0].real + ctx.t_nodes
         ref_minus = (ref[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
-        ref_mean = float((w * (sol.u_plus + ref_minus)).sum() / ctx.area)
+        ref_mean = float((w * (ref_plus + ref_minus)).sum() / ctx.area)
+        bound = sol.node_err[:, 0] + path_err + 1e-12
+        assert (np.abs(u[:, 0] - ref_plus) <= bound).all()
         flip_errs = sol.node_err[0, 1] - sol.node_err[0, 0] + ref_err
-        assert np.abs(sol.u_minus - ref_minus).max() <= flip_errs + defect
-        assert abs(sol.mean_u - ref_mean) <= flip_errs + defect
+        assert (np.abs(u[:, 1] - ref_minus)
+                <= flip_errs + bound + defect).all()
+        assert abs(sol.mean_u - ref_mean) \
+            <= flip_errs + 2.0 * bound.max() * w.sum() / ctx.area + defect
 
     def test_solver_runs_no_flip_loop(self, z5, monkeypatch):
         # a context runs one branch leg, for its base point's moments, and
@@ -1856,18 +1914,20 @@ class TestRoelckeGreen:
         assert abs(g_xy - g_yx) < 1e-2
 
     def test_tree_values_match_path_integrals(self, ctx, solver):
-        # u_plus / u_minus hold u at the tree sheet and at the other one;
-        # the tree sheet is read off y_plus, not assumed to be sheet +1
+        # the node values (_node_u, plus t_nodes) hold u at the tree sheet
+        # and at the other one; the tree sheet is read off y_plus, not
+        # assumed to be sheet +1
         tree = solver.p_tree
+        u = _node_u(solver) + ctx.t_nodes[:, None]
         nodes = [i for i in np.linspace(0, ctx.p_grid.n_nodes - 1, 9,
                                         dtype=int) if i != tree.root][:8]
         for i in nodes:
             lam = complex(ctx.p_grid.nodes[i])
             s = _tree_sheet(ctx.curve, tree, i)
-            assert abs(solver.u_plus[i]
+            assert abs(u[i, 0]
                        - _reference_u_at(solver, SurfacePoint(lam, s))[0]) \
                 < 1e-8, i
-            assert abs(solver.u_minus[i]
+            assert abs(u[i, 1]
                        - _reference_u_at(solver, SurfacePoint(lam, -s))[0]) \
                 < 1e-8, i
 
@@ -1980,10 +2040,28 @@ class TestRoelckeGreen:
         assert np.isfinite(gp)
         assert abs(gp) < 10.0
         assert err < 1e-3
-        # the value and error estimate of green just off the cone point
-        g = solver.green(SurfacePoint(ctx.frame.lam_p + 1e-5 * ctx.curve.scale,
-                                      1))
-        assert (gp, err) == (g.value, g.error_estimate)
+        # the mean of green over six equispaced points of the xi-circle
+        # |xi| = 1e-3, with the largest of their estimates
+        gs = [solver.green(p)
+              for p in green._cone_circle_points(ctx, 1e-3, 6)[1]]
+        assert (gp, err) == (np.mean([g.value for g in gs]),
+                             max(g.error_estimate for g in gs))
+
+    @pytest.mark.parametrize("name, grid", READ_KEYS)
+    @pytest.mark.parametrize("y", [None, (0.05 + 0.02j, -1)],
+                             ids=["read", "near-b0"])
+    def test_cone_mean_settles(self, read_solvers, name, grid, y):
+        # G(P, y) by the mean-value property does not depend on the
+        # circle: the means at |xi| = 1e-3 and 1e-4 agree within their
+        # estimates, for the read solvers' y and a y next to branch point 0
+        sol = read_solvers[name, grid][0]
+        if y is not None:
+            sol = green.GreenSolver(sol.ctx, SurfacePoint(*y))
+        gp, err = sol.green_at_cone()
+        gs = [sol.green(p)
+              for p in green._cone_circle_points(sol.ctx, 1e-4, 6)[1]]
+        assert abs(gp - np.mean([g.value for g in gs])) \
+            <= err + max(g.error_estimate for g in gs)
 
 
 def _q_bounded_radius(ctx, t_lam=()):
