@@ -49,7 +49,7 @@ from .errors import (
     PathTooCloseToBranchPoint,
     StepTooSmall,
 )
-from .numerics import QuadratureConfig, build_surface_grid, gauss_legendre
+from .numerics import QuadratureConfig, build_surface_grid
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +124,26 @@ def build_path(curve, lam_from, lam_to, depth=0):
 def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     """Adaptive integral of the k-vector f(lam, y) along a polyline given
     by complex vertices, with y = sqrt(prod(lam - roots)) continued from
-    y0 at the first vertex, by bisection with embedded 10/20-point Gauss
-    rules.  roots are a curve's branch points, or _branch_leg's roots in
-    its local parameter.
+    y0 at the first vertex, by bisection with the nested 10/21-point
+    Gauss-Kronrod rule.  roots are a curve's branch points, or
+    _branch_leg's roots in its local parameter.
 
     f maps (lam array, y array) to an (n,) or (n, k) array.
     _embedded_gauss decides whether a subinterval is accepted.  A pass
     lifts its nodes and the end b of the current segment [a, b] in one
-    _continue_sqrt call from y at a: mid + half * _path_nodes() with the
-    last entry set to b.  budget caps the bisections over the whole path;
-    an integral that needs more raises NonConvergence.  So does a
-    rejected subinterval with half-length at most 128 ulp of its
-    midpoint, instead of being split: the nodes' smallest gap is 0.0099
-    half-lengths, so below about 101 ulp they stop being distinct floats
-    and the error estimate means nothing.  A pass with a node on a
-    branch point (y = 0 there) raises before f is evaluated.  Returns
-    (value, error, y_end), where error sums the accepted gaps and y_end
-    is y continued to the last vertex.
-    """
-    x31 = _path_nodes()
+    _continue_sqrt call from y at a: mid + half * _path_rule()[0] with
+    the last entry set to b.  budget caps the bisections over the whole
+    path; an integral that needs more raises NonConvergence.  So does a
+    pass, before f is evaluated, with a node on a branch point (y = 0),
+    or split from a rejected pass with nodes not distinct from each
+    other and from both ends of [lo, hi], as bisection toward an
+    integrand singular at an end would divide by zero there (a first
+    pass a few ulp long has coinciding nodes and a fine estimate).  The
+    nodes lie 0.0218 half-lengths apart and 0.0043 from an end or more,
+    each within about 2 ulp of |mid| per part, so only passes shorter
+    than 4096 ulp of |mid| are compared.  Returns (value, error, y_end):
+    error sums the accepted gaps, and y_end is y at the last vertex."""
+    x = _path_rule()[0]
     pts = [complex(p) for p in verts]
     total = None
     total_err = 0.0
@@ -151,20 +152,24 @@ def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     for a, b in zip(pts[:-1], pts[1:]):
         if a == b:
             continue
-        stack = [(a, b)]
+        stack = [(a, b, False)]
         while stack:
-            lo, hi = stack.pop()
+            lo, hi, split = stack.pop()
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            zs = mid + half * x31
-            zs[30] = b
+            zs = mid + half * x
+            zs[_NODES] = b
+            if split and abs(half) < 4096 * math.ulp(abs(mid)) and np.unique(
+                    np.r_[lo, hi, zs[:_NODES]]).size < _NODES + 2:
+                raise NonConvergence(
+                    f"path integral: [{lo}, {hi}] has nodes not distinct")
             ys = _continue_sqrt(roots, a, b, y_a, zs)
-            if np.count_nonzero(ys[:30]) < 30:
+            if np.count_nonzero(ys[:_NODES]) < _NODES:
                 raise NonConvergence(
                     f"path integral: a node of [{lo}, {hi}] lies on a "
                     f"branch point")
-            y_b = ys[30]
+            y_b = ys[_NODES]
             hi_est, err, accepted = _embedded_gauss(
-                half, f(zs[:30], ys[:30]), tol)
+                half, f(zs[:_NODES], ys[:_NODES]), tol)
             err = float(err)
             if accepted:
                 total = hi_est if total is None else total + hi_est
@@ -173,14 +178,10 @@ def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
                 raise NonConvergence(
                     f"path integral: {budget} subdivisions exhausted on "
                     f"[{lo}, {hi}] (error {err:.3e})")
-            elif abs(half) <= 128 * math.ulp(abs(mid)):
-                raise NonConvergence(
-                    f"path integral: [{lo}, {hi}] is too short to split, "
-                    f"its Gauss nodes are not distinct (error {err:.3e})")
             else:
                 used += 1
-                stack.append((lo, mid))
-                stack.append((mid, hi))
+                stack.append((lo, mid, True))
+                stack.append((mid, hi, True))
         y_a = complex(y_b)
     if total is None:
         raise NonConvergence("empty integration path")
@@ -357,8 +358,8 @@ class SurfaceTree:
     _branch_leg ends: on every build_surface_grid grid it lies within
     min_gap / 2 of that branch point.
 
-    zs and half are the Gauss nodes of every edge (integrate_vector_path's
-    20-, then 10-point rule) and its half-length, in the order of
+    zs and half are the nodes of every edge (integrate_vector_path's
+    Gauss-Kronrod rule, _path_rule) and its half-length, in the order of
     order[1:], and ys holds y at those nodes, lifted with the tree, so
     every integrand over one tree shares one geometry and one lift."""
 
@@ -366,7 +367,7 @@ class SurfaceTree:
     parent: np.ndarray         # -1 at the root
     order: np.ndarray          # grid nodes, root and parents first
     y_plus: np.ndarray         # y continued along the tree at every node
-    zs: np.ndarray = field(repr=False)   # (30, edges), edges as order[1:]
+    zs: np.ndarray = field(repr=False)   # (_NODES, edges) as order[1:]
     half: np.ndarray = field(repr=False)  # (edges,)
     ys: np.ndarray = field(repr=False)   # y at zs
     root: int
@@ -500,7 +501,7 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     y_plus = np.where(flips % 2 != flip_root, -exact, exact)
     half = (lam[kids] - lam[up]) / 2.0
-    zs = (lam[up] + lam[kids]) / 2.0 + half * _path_nodes()[:30, None]
+    zs = (lam[up] + lam[kids]) / 2.0 + half * _path_rule()[0][:_NODES, None]
     ys = np.empty_like(zs)
     for s in range(0, kids.size, _LIFT_EDGES):
         cut = slice(s, s + _LIFT_EDGES)
@@ -511,46 +512,81 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
 
 
 # edges lifted together by build_surface_tree; bounds _continue_sqrt's
-# temporaries to 30 nodes times this many edges times the branch points
+# temporaries to _NODES nodes times this many edges times the branch points
 _LIFT_EDGES = 256
+
+# QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
+# 1983): the Kronrod abscissae xgk in [0, 1], outermost first, every second
+# one (xgk[1::2]) a node of the 10-point Gauss rule; their 21-point Kronrod
+# weights wgk; and the 10-point Gauss weights wg of xgk[1::2]
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_NODES = 21   # integrand nodes per interval
 
 
 @lru_cache(maxsize=None)
-def _path_nodes():
-    """integrate_vector_path's 20- then 10-point Gauss nodes, then 1.0;
-    read-only."""
-    x = np.concatenate([gauss_legendre(20)[0], gauss_legendre(10)[0], [1.0]])
-    x.setflags(write=False)
-    return x
+def _path_rule():
+    """integrate_vector_path's nodes on [-1, 1], the 10 Gauss nodes and
+    then the other 11, each ascending, then 1.0, with the Kronrod weights
+    of the first _NODES and the Gauss weights of the first 10; read-only."""
+    x, w = np.array(_XGK), np.array(_WGK)
+    first = np.r_[1:_NODES:2, 0:_NODES:2]   # the Gauss nodes first
+    rule = (np.r_[np.r_[-x[:-1], x[::-1]][first], 1.0],
+            np.r_[w[:-1], w[::-1]][first], np.r_[_WG, _WG[::-1]])
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _embedded_gauss(half, vals, tol):
-    """The embedded 20/10-point Gauss rules of integrate_vector_path on one
-    or more intervals.
-
-    vals holds the integrand along axis 0 at the 20-point and then the
-    10-point Gauss-Legendre nodes of each interval; half is the interval
-    half-length, a scalar or one per interval on the next axes of vals.
-    Each rule is np.tensordot's own np.dot call, on vals flattened past
-    axis 0.  Returns the 20-point estimates, each interval's gap (the
-    largest component difference between the two rules) and whether the
-    interval is accepted: a gap of at most max(tol, 1e-10 * the largest
-    component of its 20-point estimate).
-
-    One interval's (30, k) block with a scalar half, as every
-    integrate_vector_path pass gives, takes the same two np.dot calls
-    and reductions with no reshapes, bit for bit the batched form."""
-    w10, w20 = gauss_legendre(10)[1], gauss_legendre(20)[1]
+    """The nested 10/21-point Gauss-Kronrod rule of integrate_vector_path
+    on one or more intervals: vals holds the integrand along axis 0 at
+    the _NODES nodes of each (_path_rule), half the half-length, a scalar
+    or one per interval on the next axes of vals.  Each rule is one
+    np.dot call on vals flattened past axis 0.  Returns the Kronrod
+    estimates (exact to degree 31), each interval's gap (the largest
+    component difference from the Gauss estimate, exact to degree 19)
+    and whether it is accepted: a gap of at most max(tol, 1e-10 * the
+    largest component of its Kronrod estimate).  A scalar half over a
+    (_NODES, k) block, as every integrate_vector_path pass gives, takes
+    the same np.dot calls with no reshapes, bit for bit the batched form."""
+    _, wk, wg = _path_rule()
     if np.isscalar(half) and vals.ndim == 2:
-        hi_est = half * np.dot(w20, vals[:20])
-        gap = np.abs(hi_est - half * np.dot(w10, vals[20:])).max()
+        hi_est = half * np.dot(wk, vals)
+        gap = np.abs(hi_est - half * np.dot(wg, vals[:wg.size])).max()
         top = np.abs(hi_est).max()
         return hi_est, gap, gap <= max(tol, 1e-10 * top)
     half = np.asarray(half)
     rest = vals.shape[1:]
     scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
-    hi_est = scale * np.dot(w20, vals[:20].reshape(20, -1)).reshape(rest)
-    lo_est = scale * np.dot(w10, vals[20:].reshape(10, -1)).reshape(rest)
+    flat = vals.reshape(_NODES, -1)
+    hi_est = scale * np.dot(wk, flat).reshape(rest)
+    lo_est = scale * np.dot(wg, flat[:wg.size]).reshape(rest)
     per_interval = half.shape + (-1,)
     gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
     top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
@@ -562,20 +598,19 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     the tree edges, on the sheet of the tree continuation (tree.y_plus).
 
     f, which must act pointwise on flat arrays, is evaluated once, on the
-    Gauss nodes of every edge at their lifted y (tree.ys), in one
-    vectorised pass of integrate_vector_path's embedded 20/10-point Gauss
-    rules (_embedded_gauss).  An edge that fails their acceptance rule
-    goes through integrate_vector_path from y_plus at its
-    parent, with the same per-edge budget, so a spent budget raises
-    NonConvergence.  The edge values, with each edge's accepted gap as one
-    more column, are written into the rows of their end nodes and
-    summed along every root path by pointer jumping (_path_counts); the
-    gaps' real parts add as floats would.  A path of d edges takes at
-    most ceil(log2 d) rounds of additions of partial sums, against a
-    per-node walk's d - 1, so with S the sum of its |edge values| its
-    sum is within ceil(log2 d) 2^-53 S of the exact one (first order, in
-    real and imaginary parts) and (ceil(log2 d) + d - 1) 2^-53 S of the
-    walk's.
+    nodes of every edge at their lifted y (tree.ys), in one vectorised
+    pass of integrate_vector_path's nested 10/21-point Gauss-Kronrod rule
+    (_embedded_gauss).  An edge that fails its acceptance rule goes
+    through integrate_vector_path from y_plus at its parent, with the
+    same per-edge budget, so a spent budget raises NonConvergence.  The
+    edge values, with each edge's accepted gap as one more column, are
+    written into the rows of their end nodes and summed along every root
+    path by pointer jumping (_path_counts); the gaps' real parts add as
+    floats would.  A path of d edges takes at most ceil(log2 d) rounds of
+    additions of partial sums, against a per-node walk's d - 1, so with S
+    the sum of its |edge values| its sum is within ceil(log2 d) 2^-53 S of
+    the exact one (first order, in real and imaginary parts) and
+    (ceil(log2 d) + d - 1) 2^-53 S of the walk's.
 
     A caller that needs the other sheet integrates a sheet-odd f and
     crosses over by _branch_leg (GreenSolver).  Returns
@@ -583,7 +618,7 @@ def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     and path_err those on each node's root path."""
     lam, kids = tree.grid.nodes, tree.order[1:]
     up = tree.parent[kids]
-    fv = f(tree.zs.ravel(), tree.ys.ravel()).reshape(30, kids.size, k)
+    fv = f(tree.zs.ravel(), tree.ys.ravel()).reshape(*tree.zs.shape, k)
     hi_est, gap, ok = _embedded_gauss(tree.half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):

@@ -1,6 +1,7 @@
 """Third-kind differentials, the Roelcke Green function, and the special
 growing solutions at the cone point."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -33,7 +34,7 @@ from conespectra.errors import (
     StepTooSmall,
 )
 from conespectra.numerics import (QuadratureConfig, SurfaceGrid,
-                                  build_surface_grid)
+                                  build_surface_grid, gauss_legendre)
 
 GENERIC_BP = [0.0, 1.0, 0.3 + 1.1j, -0.8 + 0.7j, -1.1 - 0.4j, 0.5 - 0.9j]
 CURVES = {"z5": make_z5_curve(0.0, 1.0), "generic": make_curve(GENERIC_BP)}
@@ -308,6 +309,10 @@ class TestThirdKind:
         ("free", 0, 0.0, 0.0, (-1.3, -0.9), 1)])
     @example(name="z5", ends=[("free", 0, 0.0, 0.0, (1.2, 0.8), -1),
                               ("free", 0, 0.0, 0.0, (-1.4, 0.5), 1)])
+    # q on the base point itself, 1/3 on the generic curve
+    @example(name="generic", ends=[
+        ("branch", 0, 0.03125, 0.0, (0.0, 0.0), 1),
+        ("free", 0, 0.03125, 0.0, (1.0 / 3.0, 0.0), 1)])
     def test_base_route_matches_reference_route(self, third_kind_models,
                                                 name, ends):
         # moments M(p) - M(q) from the base point against the integral
@@ -328,6 +333,7 @@ class TestThirdKind:
                    for z in (p.lam, q.lam)) >= 1e-4)
         errs = []
         per_path = green.integrate_vector_path
+        lam_b = green._moment_base(curve)[0]
 
         def recorded(*args, **kwargs):
             out = per_path(*args, **kwargs)
@@ -336,8 +342,9 @@ class TestThirdKind:
 
         with mock.patch.object(green, "integrate_vector_path", recorded):
             form = green.third_kind_form(model, p, q)
-        # the base point's branch leg and one path to each pole
-        assert len(errs) == 3
+        # the base point's branch leg and one path to each pole but one on
+        # the base point itself
+        assert len(errs) == 1 + (p.lam != lam_b) + (q.lam != lam_b)
         y_q = complex(curve.y_at(np.asarray(q.lam, complex), q.sheet))
         m_ref, err_ref = _integrate_to(curve, q.lam, y_q, p,
                                        green._moment_integrand)
@@ -458,8 +465,10 @@ class TestBuildPath:
 def _reference_integrate_path(f, path, tol, budget, y0, lift):
     """Reference for green.integrate_vector_path: the callback form it
     replaced, with lift(a, b, y_a, points) continuing y from y_a at a to
-    points on the segment [a, b]."""
-    x31 = green._path_nodes()
+    points on the segment [a, b], and every split pass's nodes compared
+    with each other and both ends, short or long."""
+    x = green._path_rule()[0]
+    n = green._NODES
     pts = [complex(p) for p in path]
     total = None
     total_err = 0.0
@@ -468,17 +477,19 @@ def _reference_integrate_path(f, path, tol, budget, y0, lift):
     for a, b in zip(pts[:-1], pts[1:]):
         if a == b:
             continue
-        stack = [(a, b)]
+        stack = [(a, b, False)]
         while stack:
-            lo, hi = stack.pop()
+            lo, hi, split = stack.pop()
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            zs = mid + half * x31
-            zs[30] = b
+            zs = mid + half * x
+            zs[n] = b
+            if split and len(set(np.r_[lo, hi, zs[:n]].tolist())) < n + 2:
+                raise NonConvergence("nodes not distinct")
             ys = lift(a, b, y_a, zs)
-            if not ys[:30].all():
+            if not ys[:n].all():
                 raise NonConvergence("a node on a branch point")
-            y_b = ys[30]
-            vals = f(zs[:30], ys[:30])
+            y_b = ys[n]
+            vals = f(zs[:n], ys[:n])
             hi_est, err, accepted = green._embedded_gauss(half, vals, tol)
             err = float(err)
             if accepted:
@@ -486,16 +497,43 @@ def _reference_integrate_path(f, path, tol, budget, y0, lift):
                 total_err += err
             elif used >= budget:
                 raise NonConvergence("budget spent")
-            elif abs(half) <= 128 * math.ulp(abs(mid)):
-                raise NonConvergence("nodes not distinct")
             else:
                 used += 1
-                stack.append((lo, mid))
-                stack.append((mid, hi))
+                stack.append((lo, mid, True))
+                stack.append((mid, hi, True))
         y_a = complex(y_b)
     if total is None:
         raise NonConvergence("empty integration path")
     return total, total_err, y_a
+
+
+def _oracle_rule():
+    """The 20/10-point Gauss-Legendre pair, the oracle of the nested
+    10/21-point rule, in green._path_rule's layout: the 10-point nodes,
+    the 20-point nodes, then 1.0; the 20-point weights, zero on the
+    10-point rows; the 10-point weights.  Its estimate is the 20-point
+    one (exact to degree 39) and its gap the 20-point less the 10-point
+    estimate."""
+    (x10, w10), (x20, w20) = gauss_legendre(10), gauss_legendre(20)
+    return np.r_[x10, x20, 1.0], np.r_[np.zeros(10), w20], w10
+
+
+@contextlib.contextmanager
+def _oracle():
+    """green's path integrals, trees and solvers on _oracle_rule: 30
+    integrand nodes per interval.  A tree built here keeps its nodes."""
+    rule = _oracle_rule()
+    with mock.patch.multiple(green, _path_rule=lambda: rule,
+                             _NODES=rule[1].size):
+        yield
+
+
+def _path_f(k):
+    """A k-vector integrand with y in the denominator and numerator."""
+    def f(z, y):
+        return np.power.outer(z, np.arange(k)) \
+            * (1.0 / y + 0.1 * y)[:, None]
+    return f
 
 
 class TestIntegrateVectorPath:
@@ -516,11 +554,7 @@ class TestIntegrateVectorPath:
         assume(min(np.abs(z - curve.branch_points).min() for z in path)
                > 1e-3)
         y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
-
-        def f(z, y):
-            return np.power.outer(z, np.arange(k)) \
-                * (1.0 / y + 0.1 * y)[:, None]
-
+        f = _path_f(k)
         try:
             ref = _reference_integrate_path(
                 f, path, tol, budget, y0,
@@ -560,16 +594,16 @@ class TestIntegrateVectorPath:
                                         tol=1e-9, budget=200)
 
     def test_first_pass_node_on_branch_point_raises(self):
-        # the segment of half-length 1 centred at 1 - x_3, x_3 the fourth
+        # the segment of half-length 1 centred at 1 - x_2, x_2 the third
         # path node, puts that node of the first pass exactly on branch
         # point 1 of the generic curve, where y = 0: the pass raises
         # before f divides by y
         curve = CURVES["generic"]
-        x31 = green._path_nodes()
-        mid = 1.0 - x31[3].real
+        x = green._path_rule()[0]
+        mid = 1.0 - x[2].real
         path = [complex(mid - 1.0), complex(mid + 1.0)]
         assert ((path[0] + path[1]) / 2.0
-                + (path[1] - path[0]) / 2.0 * x31)[3] == 1.0
+                + (path[1] - path[0]) / 2.0 * x)[2] == 1.0
         y0 = complex(curve.y_at(np.asarray(path[0]), 1))
 
         def f(z, y):
@@ -578,6 +612,63 @@ class TestIntegrateVectorPath:
         with np.errstate(all="raise"), pytest.raises(
                 NonConvergence, match="lies on a branch point"):
             green.integrate_vector_path(curve.branch_points, path, y0, f)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_singular_end_raises_before_dividing(self, name):
+        # f = 1 / ((lambda - b) y) on [a, b]: bisection toward b shrinks
+        # the last subinterval until a node would round onto b, and the
+        # pass raises before f divides by zero there, so no
+        # RuntimeWarning; 200 random segments clear of the branch points
+        curve = CURVES[name]
+        rng = np.random.default_rng(7)
+        done = 0
+        while done < 200:
+            a, b = (complex(*v) for v in rng.uniform(-1.6, 1.6, (2, 2)))
+            if _segment_clearance(curve, a, b) < 0.05:
+                continue
+            done += 1
+
+            def f(z, y, b=b):
+                return 1.0 / ((z - b) * y)
+
+            with pytest.raises(NonConvergence, match="not distinct"):
+                green.integrate_vector_path(
+                    curve.branch_points, [a, b],
+                    complex(curve.y_at(np.asarray(a), 1)), f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           verts=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                    st.floats(-2.0, 2.0)),
+                          min_size=2, max_size=5),
+           k=st.sampled_from([1, 2, 5]), sheet=st.sampled_from([1, -1]),
+           tol=st.sampled_from([1e-9, 1e-6]))
+    def test_agrees_with_gauss_20_10_oracle(self, name, verts, k, sheet,
+                                            tol):
+        # the nested 10/21-point rule against the 20/10-point pair it
+        # replaced: the values within the sum of both error estimates
+        # (plus 64 ulp of the larger of 1 and the largest component, for
+        # rounding where both rules are exact), and y_end on the same
+        # sheet
+        curve = CURVES[name]
+        path = [complex(*v) for v in verts]
+        assume(min(np.abs(z - curve.branch_points).min() for z in path)
+               > 1e-3)
+        y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
+        try:
+            with _oracle():
+                ref = green.integrate_vector_path(curve.branch_points, path,
+                                                  y0, _path_f(k), tol=tol)
+        except NonConvergence:
+            event("oracle NonConvergence")
+            return
+        got = green.integrate_vector_path(curve.branch_points, path, y0,
+                                          _path_f(k), tol=tol)
+        size = max(1.0, float(np.abs(ref[0]).max()))
+        assert np.abs(got[0] - ref[0]).max() \
+            <= got[1] + ref[1] + 64 * np.finfo(float).eps * size
+        assert abs(got[2] - ref[2]) <= 1e-12 * abs(ref[2])
 
 
 def _surface_grid(name, grid, stagger):
@@ -769,7 +860,8 @@ def _assert_reference_tree(curve, grid):
     np.testing.assert_array_equal(tree.order, order)
     np.testing.assert_array_equal(tree.y_plus, y_plus)
     np.testing.assert_array_equal(_tree_depth(tree), depth)
-    assert tree.zs.shape == (30, n - 1) and tree.half.shape == (n - 1,)
+    assert tree.zs.shape == tree.ys.shape == (green._NODES, n - 1)
+    assert tree.half.shape == (n - 1,)
     np.testing.assert_array_equal(
         tree.half, (grid.nodes[order[1:]] - grid.nodes[parent[order[1:]]])
         / 2.0)
@@ -1755,6 +1847,9 @@ class TestSheetConnector:
              r=0.03125, phase=0.0, far=2.0, sheet=-1)
     @example(name="z5", grid=(12, 16), near="far", index=0, r=0.0,
              phase=2.0, far=150.0, sheet=-1)
+    # a path one subnormal step long, whose nodes all round onto its ends
+    @example(name="z5", grid=(6, 8), near="base", index=0, r=5e-324,
+             phase=math.pi / 2, far=2.0, sheet=1)
     def test_base_point_matches_nearest_node_route(
             self, read_solvers, q_moments, name, grid, near, index, r,
             phase, far, sheet):
@@ -1930,6 +2025,33 @@ class TestRoelckeGreen:
             assert abs(u[i, 1]
                        - _reference_u_at(solver, SurfacePoint(lam, -s))[0]) \
                 < 1e-8, i
+
+    @pytest.mark.parametrize("grid", [(6, 8), (12, 16)])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_solver_matches_gauss_20_10_oracle(self, read_solvers, name,
+                                               grid):
+        # a solver on the nested 10/21-point rule against one whose
+        # context, tree and paths all run the 20/10-point pair it
+        # replaced: the node values Re Gamma and G on both sheets agree
+        # to rounding (measured: 1.8e-15 and 2.2e-16 up to (24,32)), and
+        # the error estimates to 1e-6 relative (measured: 3.4e-7)
+        sol = read_solvers[name, grid][0]
+        ctx = sol.ctx
+        xs = [SurfacePoint(complex(*v), s) for v in
+              [(-0.7, 0.4), (0.6, 0.5), (1.2, -0.3), (-0.2, -1.1),
+               (0.05, 0.02), (0.31, 1.05)] for s in (1, -1)]
+        with _oracle():
+            ref = green.GreenSolver(green.green_context(
+                ctx.model, ctx.frame,
+                QuadratureConfig(surface_grid=(*grid, None))), sol.y)
+            want = [ref.green(x) for x in xs]
+        assert ref.p_tree.zs.shape[0] == 30
+        assert np.abs(sol.gamma - ref.gamma).max() <= 1e-14
+        for x, g in zip(xs, want):
+            got = sol.green(x)
+            assert abs(got.value - g.value) <= 1e-15, x
+            assert abs(got.error_estimate / g.error_estimate - 1) <= 1e-6, x
+        assert abs(sol.tree_err / ref.tree_err - 1) <= 1e-6
 
     def test_mean_zero_independent_grid(self, ctx, solver):
         # quadrature over a third staggered grid that shares no nodes

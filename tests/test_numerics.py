@@ -328,15 +328,14 @@ class TestGaussLegendre:
 
 
 def _tensordot_gauss(half, vals, tol):
-    """Reference for green._embedded_gauss: the np.tensordot form it
-    replaced."""
-    _, w10 = numerics.gauss_legendre(10)
-    _, w20 = numerics.gauss_legendre(20)
+    """Reference for green._embedded_gauss: the np.tensordot form of the
+    nested Gauss-Kronrod rule, the Gauss nodes in the first rows."""
+    _, wk, wg = green._path_rule()
     half = np.asarray(half)
-    hi_est = np.tensordot(w20, vals[:20], axes=(0, 0))
+    hi_est = np.tensordot(wk, vals, axes=(0, 0))
     scale = half.reshape(half.shape + (1,) * (hi_est.ndim - half.ndim))
     hi_est = scale * hi_est
-    lo_est = scale * np.tensordot(w10, vals[20:], axes=(0, 0))
+    lo_est = scale * np.tensordot(wg, vals[:wg.size], axes=(0, 0))
     per_interval = half.shape + (-1,)
     gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
     top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
@@ -357,24 +356,28 @@ def path_integral(f, path, tol=1e-12, budget=4000):
 
 
 class TestPathQuadrature:
-    @pytest.mark.parametrize("shape, per_interval", [
-        pytest.param(shape, per, id="x".join(map(str, shape))
+    # a case is named by the shape it had when the path rule was the
+    # 20/10-point Gauss pair on 30 rows, so names stay stable; the rows
+    # are green._NODES
+    @pytest.mark.parametrize("rest, per_interval", [
+        pytest.param(rest, per, id="x".join(map(str, (30,) + rest))
                      + ("-per-interval" if per else "-scalar"))
-        for shape in [(30,), (30, 1), (30, 2), (30, 3), (30, 5), (30, 10),
-                      (30, 7, 1), (30, 7, 2), (30, 7, 5)]
-        for per in ([False, True] if len(shape) > 1 else [False])])
-    def test_embedded_gauss_matches_tensordot(self, shape, per_interval):
+        for rest in [(), (1,), (2,), (3,), (5,), (10,), (7, 1), (7, 2),
+                     (7, 5)]
+        for per in ([False, True] if rest else [False])])
+    def test_embedded_gauss_matches_tensordot(self, rest, per_interval):
         # np.dot on the flattened trailing axes is the call np.tensordot
         # makes, so every output is the same bits; a per-interval half
         # runs along axis 1, as in accumulate_tree
+        shape = (green._NODES,) + rest
         rng = np.random.default_rng(len(shape) * 10 + shape[-1])
-        x30 = green._path_nodes()[:30]
+        x = green._path_rule()[0][:green._NODES]
         for trial in range(20):
             half = (rng.standard_normal(shape[1]) if per_interval
                     else rng.standard_normal()) * (1 + 1j) / 7.0
             a = rng.standard_normal() + 1j * rng.standard_normal()
             # smooth and near-singular integrands, so some intervals fail
-            z = (a + np.multiply.outer(x30, np.ones(shape[1:]))
+            z = (a + np.multiply.outer(x, np.ones(shape[1:]))
                  * (1.0 + 0.3 * trial))
             vals = 1.0 / (z - 0.05j * trial) \
                 + rng.standard_normal(shape) * 1e-12
@@ -387,21 +390,21 @@ class TestPathQuadrature:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
     def test_one_interval_matches_batched_form(self, k):
-        # the one-interval branch (scalar half, a (30, k) block), as
+        # the one-interval branch (scalar half, a (_NODES, k) block), as
         # integrate_vector_path calls it, against the batched form it
-        # bypasses on the same interval: a (1,) half over (30, 1, k), and
-        # a 0-d array half over (30, k).  (A batch of many edges is not
-        # the reference: BLAS may round each column of a wider np.dot
-        # differently.)
+        # bypasses on the same interval: a (1,) half over (_NODES, 1, k),
+        # and a 0-d array half over (_NODES, k).  (A batch of many edges
+        # is not the reference: BLAS may round each column of a wider
+        # np.dot differently.)
         rng = np.random.default_rng(21 + k)
-        x30 = green._path_nodes()[:30]
+        x = green._path_rule()[0][:green._NODES]
         accepted = set()
         for trial in range(40):
             half = complex(rng.standard_normal(), rng.standard_normal()) / 7
             a = complex(rng.standard_normal(), rng.standard_normal())
-            z = np.multiply.outer(a + half * x30, np.ones(k))
+            z = np.multiply.outer(a + half * x, np.ones(k))
             vals = 1.0 / (z - 0.1j * np.arange(1, k + 1)) \
-                + rng.standard_normal((30, k)) * 1e-12
+                + rng.standard_normal((green._NODES, k)) * 1e-12
             for tol in (1e-9, 1e-14):
                 got = green._embedded_gauss(half, vals, tol)
                 accepted.add(bool(got[2]))
@@ -413,6 +416,37 @@ class TestPathQuadrature:
                     np.testing.assert_array_equal(g, r[0])
                     np.testing.assert_array_equal(g, p)
         assert accepted == {True, False}
+
+    def test_kronrod_rule_constants(self):
+        # the nested rule: the Kronrod weights integrate x^m exactly for
+        # m <= 31 and the Gauss weights for m <= 19, to 4 ulp of 1, and
+        # neither the next even degree; the 10 Gauss nodes, first and
+        # ascending, are gauss_legendre(10)'s to 2 ulp; both weight sets
+        # sum to 2 within 2 ulp of 2
+        x, wk, wg = green._path_rule()
+        n = green._NODES
+        assert x.shape == (n + 1,) and x[n] == 1.0
+        assert wk.shape == (n,) and wg.shape == (10,)
+        assert np.all(np.diff(x[:10]) > 0) and np.all(np.diff(x[10:n]) > 0)
+        assert np.abs(x[:n]).max() < 1.0
+        assert np.unique(x).size == n + 1
+        for m in range(34):
+            exact = (1.0 + (-1) ** m) / (m + 1)
+            k_err = abs(float(wk @ x[:n] ** m) - exact)
+            g_err = abs(float(wg @ x[:10] ** m) - exact)
+            # odd powers integrate to 0 by symmetry alone
+            assert (k_err <= 4 * math.ulp(1.0)) == (m <= 31 or m % 2), \
+                (m, k_err)
+            assert (g_err <= 4 * math.ulp(1.0)) == (m <= 19 or m % 2), \
+                (m, g_err)
+        xg, w10 = numerics.gauss_legendre(10)
+        assert np.abs(x[:10] - xg).max() <= 2 * math.ulp(1.0)
+        assert np.abs(wg - w10).max() <= 2 * math.ulp(1.0)
+        for w in (wk, wg):
+            assert abs(float(w.sum()) - 2.0) <= 2 * math.ulp(2.0)
+        for a in (x, wk, wg):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
 
     def test_beta_integral_with_endpoint_singularities(self):
         # at tol 1e-12, bisection toward the endpoint singularities of
