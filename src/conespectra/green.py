@@ -25,6 +25,7 @@ P_y(lambda_z) / y_z minus that sum is the x-gradient of G(., y); the sum
 enters G through log_potential and the special solutions through
 GreenContext.cone_cauchy.  The same cancellation leaves the Cauchy sum
 alone in the special solutions' surface means (special_solution_means).
+Solvers integrate g only on the p-tree root paths they read (settle).
 """
 
 from __future__ import annotations
@@ -346,7 +347,9 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
 class SurfaceTree:
     """Spanning tree over the nodes of a surface grid, with sheet-tracked
     straight edges; construction is deterministic.  Every node but the
-    root hangs from its parent by one straight edge.
+    root hangs from its parent by one straight edge, the edge into it,
+    whose Gauss nodes (_path_rule) get y on first use (lift), kept in the
+    node's row of ys for every integrand over the tree.
 
     y_plus is y continued from the base point along the tree.  Its sheet,
     called +1 by the tree users, is the sheet of that continuation, not
@@ -356,22 +359,39 @@ class SurfaceTree:
     hub is the node whose distance to the first branch point is closest
     to min_gap / 3 (ties to the lower index), where a solver's one
     _branch_leg ends: on every build_surface_grid grid it lies within
-    min_gap / 2 of that branch point.
-
-    zs and half are the nodes of every edge (integrate_vector_path's
-    Gauss-Kronrod rule, _path_rule) and its half-length, in the order of
-    order[1:], and ys holds y at those nodes, lifted with the tree, so
-    every integrand over one tree shares one geometry and one lift."""
+    min_gap / 2 of that branch point."""
 
     grid: object
+    branch_points: np.ndarray
     parent: np.ndarray         # -1 at the root
     order: np.ndarray          # grid nodes, root and parents first
     y_plus: np.ndarray         # y continued along the tree at every node
-    zs: np.ndarray = field(repr=False)   # (_NODES, edges) as order[1:]
-    half: np.ndarray = field(repr=False)  # (edges,)
-    ys: np.ndarray = field(repr=False)   # y at zs
     root: int
     hub: int                   # end of the solvers' branch leg
+    ys: np.ndarray = field(init=False, repr=False)   # (nodes, _NODES)
+    lifted: np.ndarray = field(init=False, repr=False)   # rows of ys set
+
+    def __post_init__(self):
+        self.ys = np.empty((self.parent.size, _NODES), dtype=complex)
+        self.lifted = np.zeros(self.parent.size, dtype=bool)
+
+    def lift(self, kids):
+        """(zs, ys, half) of the edges into the nodes kids (no root): Gauss
+        nodes as rows, y there, half-lengths.  Unlifted edges are lifted
+        from y_plus at their parents and kept; _continue_sqrt equals its
+        per-segment calls, so each gets the bits of a whole-tree lift."""
+        lam = self.grid.nodes
+        up = self.parent[kids]
+        half = (lam[kids] - lam[up]) / 2.0
+        zs = ((lam[up] + lam[kids]) / 2.0)[:, None] \
+            + half[:, None] * _path_rule()[0][:_NODES]
+        e = np.flatnonzero(~self.lifted[kids])
+        if e.size:
+            self.ys[kids[e]] = _continue_sqrt(
+                self.branch_points, lam[up[e]], lam[kids[e]],
+                self.y_plus[up[e]], zs[e].T).T
+            self.lifted[kids] = True
+        return zs, self.ys[kids], half
 
 
 def _layout_tree(curve, grid, root, gap):
@@ -439,14 +459,12 @@ def _nearest_clear(curve, lam, gap, order, kids):
 
 
 def _path_counts(parent, root, counts):
-    """Sums of the values of the edges on every node's path from the
-    root, counts[i] being the value (an integer count, or accumulate_tree's
-    complex integrals) of the edge from node i to its parent (0 at the
-    root; extra axes are summed alike), by pointer jumping: up[i] starts
-    at the parent of i and jumps to up[up[i]] in every pass, total[i]
-    summing the edges from i to up[i], until every up[i] is the root,
-    about log2 of the largest depth passes.  So a path of d edges is
-    summed in at most ceil(log2 d) rounds; later passes add exact zeros."""
+    """Sums of the integer counts on the edges of every node's root path,
+    counts[i] on the edge from node i to its parent (0 at the root), by
+    pointer jumping: up[i] starts at the parent of i and jumps to
+    up[up[i]] in every pass, total[i] summing the edges from i to up[i],
+    until every up[i] is the root, about log2 of the largest depth
+    passes."""
     total = counts.copy()
     up = np.where(parent >= 0, parent, root)
     while (up != root).any():
@@ -461,15 +479,12 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     layout neighbour where it can (_layout_tree); one without, by
     distance from the root, ties to the lower index.  A node left without
     a parent takes one from the nodes before it in one batched search
-    (_nearest_clear), so a layout-less grid gets the nearest-visited
-    tree.
+    (_nearest_clear), so a layout-less grid gets the nearest-visited tree.
 
     y is continued in closed form, y_plus[i] = sigma_i sqrt(prod(lam_i -
     bp)) with sigma_i the parent's sign times the edge's flip: one
     _continue_sqrt call flips every edge and one _path_counts pass sums
-    the flips.  Every edge's Gauss nodes, kept on the tree, are lifted
-    from y_plus at its parent, _LIFT_EDGES edges per _continue_sqrt
-    call."""
+    the flips; no edge is lifted yet."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -500,20 +515,9 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     flips = _path_counts(parent, root, edge_flips)
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     y_plus = np.where(flips % 2 != flip_root, -exact, exact)
-    half = (lam[kids] - lam[up]) / 2.0
-    zs = (lam[up] + lam[kids]) / 2.0 + half * _path_rule()[0][:_NODES, None]
-    ys = np.empty_like(zs)
-    for s in range(0, kids.size, _LIFT_EDGES):
-        cut = slice(s, s + _LIFT_EDGES)
-        ys[:, cut] = _continue_sqrt(bp, lam[up[cut]], lam[kids[cut]],
-                                    y_plus[up[cut]], zs[:, cut])
-    return SurfaceTree(grid=grid, parent=parent, order=order, y_plus=y_plus,
-                       zs=zs, half=half, ys=ys, root=root, hub=hub)
+    return SurfaceTree(grid=grid, branch_points=bp, parent=parent,
+                       order=order, y_plus=y_plus, root=root, hub=hub)
 
-
-# edges lifted together by build_surface_tree; bounds _continue_sqrt's
-# temporaries to _NODES nodes times this many edges times the branch points
-_LIFT_EDGES = 256
 
 # QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
 # 1983): the Kronrod abscissae xgk in [0, 1], outermost first, every second
@@ -567,14 +571,14 @@ def _embedded_gauss(half, vals, tol):
     """The nested 10/21-point Gauss-Kronrod rule of integrate_vector_path
     on one or more intervals: vals holds the integrand along axis 0 at
     the _NODES nodes of each (_path_rule), half the half-length, a scalar
-    or one per interval on the next axes of vals.  Each rule is one
-    np.dot call on vals flattened past axis 0.  Returns the Kronrod
+    or one per interval on the next axes of vals.  Returns the Kronrod
     estimates (exact to degree 31), each interval's gap (the largest
     component difference from the Gauss estimate, exact to degree 19)
     and whether it is accepted: a gap of at most max(tol, 1e-10 * the
     largest component of its Kronrod estimate).  A scalar half over a
-    (_NODES, k) block, as every integrate_vector_path pass gives, takes
-    the same np.dot calls with no reshapes, bit for bit the batched form."""
+    (_NODES, k) block, an integrate_vector_path pass, takes np.dot; else
+    (GreenSolver.settle's edges) each column is summed row by row
+    (np.cumsum), bits that, unlike BLAS's, do not depend on the batch."""
     _, wk, wg = _path_rule()
     if np.isscalar(half) and vals.ndim == 2:
         hi_est = half * np.dot(wk, vals)
@@ -585,51 +589,13 @@ def _embedded_gauss(half, vals, tol):
     rest = vals.shape[1:]
     scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
     flat = vals.reshape(_NODES, -1)
-    hi_est = scale * np.dot(wk, flat).reshape(rest)
-    lo_est = scale * np.dot(wg, flat[:wg.size]).reshape(rest)
+    hi_est = scale * np.cumsum(wk[:, None] * flat, axis=0)[-1].reshape(rest)
+    lo_est = scale * np.cumsum(wg[:, None] * flat[:wg.size],
+                               axis=0)[-1].reshape(rest)
     per_interval = half.shape + (-1,)
     gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
     top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
     return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
-
-
-def accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
-    """Cumulative integrals int_root^node of the k-vector f(lam, y) along
-    the tree edges, on the sheet of the tree continuation (tree.y_plus).
-
-    f, which must act pointwise on flat arrays, is evaluated once, on the
-    nodes of every edge at their lifted y (tree.ys), in one vectorised
-    pass of integrate_vector_path's nested 10/21-point Gauss-Kronrod rule
-    (_embedded_gauss).  An edge that fails its acceptance rule goes
-    through integrate_vector_path from y_plus at its parent, with the
-    same per-edge budget, so a spent budget raises NonConvergence.  The
-    edge values, with each edge's accepted gap as one more column, are
-    written into the rows of their end nodes and summed along every root
-    path by pointer jumping (_path_counts); the gaps' real parts add as
-    floats would.  A path of d edges takes at most ceil(log2 d) rounds of
-    additions of partial sums, against a per-node walk's d - 1, so with S
-    the sum of its |edge values| its sum is within ceil(log2 d) 2^-53 S of
-    the exact one (first order, in real and imaginary parts) and
-    (ceil(log2 d) + d - 1) 2^-53 S of the walk's.
-
-    A caller that needs the other sheet integrates a sheet-odd f and
-    crosses over by _branch_leg (GreenSolver).  Returns
-    (vals, error, path_err): error sums the accepted gaps of every edge,
-    and path_err those on each node's root path."""
-    lam, kids = tree.grid.nodes, tree.order[1:]
-    up = tree.parent[kids]
-    fv = f(tree.zs.ravel(), tree.ys.ravel()).reshape(*tree.zs.shape, k)
-    hi_est, gap, ok = _embedded_gauss(tree.half, fv, tol)
-    edge_err = np.where(ok, gap, 0.0)
-    for e in np.flatnonzero(~ok):
-        hi_est[e], edge_err[e], _ = integrate_vector_path(
-            curve.branch_points, [lam[up[e]], lam[kids[e]]],
-            tree.y_plus[up[e]], f, tol=tol, budget=budget)
-    sums = np.zeros((lam.size, k + 1), dtype=complex)
-    sums[kids, :k] = hi_est
-    sums[kids, k] = edge_err
-    sums = _path_counts(tree.parent, tree.root, sums)
-    return sums[:, :k], float(edge_err.sum()), sums[:, k].real
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +890,7 @@ class GreenContext:
     (lambda, y, pcoef) that form gives for one surface point, less the
     Cauchy sum: G reads the sum through t_nodes and log_potential, the
     special solutions through cone_cauchy.  The p-side data that every
-    GreenSolver shares (p_tree, the tree with its one lift, and t_nodes)
+    GreenSolver shares (p_tree, with every edge lifted so far, and t_nodes)
     are built on first read: a context, its solvers and its checks build
     one tree, the p tree."""
 
@@ -1106,49 +1072,85 @@ class GreenSolver:
     as the moments are, u = (1/2) log|lambda - lambda_y| +- Re Gamma + t +
     c (+ on the tree sheet of a point, - on the other; t is t_nodes at a
     p node, log_potential elsewhere) is the real integral of the averaged
-    form from the p-tree root, plus t, and G(x, y) = (u(x) - mean_p u) /
-    2 pi.  Only g is integrated: one accumulation over the p tree and one
-    _branch_leg from b0 to the hub, which give Gamma(root) = leg - (the
-    tree sum at the hub) and gamma, Re Gamma at every p node on the tree
-    sheet.  c = -(1/2) log|lambda_root - lambda_y| - Re Gamma(root)
-    reaches G only because mean_u divides a p-grid sum by the q-grid area,
-    ctx.area; with the p-grid area it would cancel.
-
-    node_err holds each node value's quadrature error on the tree sheet,
-    its tree path's, and on the other, which adds twice Gamma(root)'s.
-    tree_err bounds each node value's error from the tree's quadrature
-    (all its edge errors and the crossing's) and from t_nodes' truncation
-    (ctx.t_bound), so it bounds mean_u's; u_at reads log_potential, so the
-    truncation reaches G through mean_u alone.  The p tree, with its
-    lift, and t_nodes are the context's.  Only form = ctx.form(y) (one
-    path from the context's base point), one accumulation over the p tree
-    and one _branch_leg depend on y.
-    """
+    form from the p-tree root, plus t, and G(x, y) = (u(x) - mean_u) /
+    2 pi.  Only g is integrated, where it is read: at a p node Re Gamma(j)
+    = gamma_root + S(j), the tree sum of g on its root path (settle), and
+    gamma_root = Re Gamma(root) = Re leg - S(hub), leg the _branch_leg of
+    g from b0 to the hub, so construction settles the hub's root path.
+    c = -(1/2) log|lambda_root - lambda_y| - gamma_root reaches G only as
+    mean_u divides a p-grid sum by the q-grid area, ctx.area.  Errors,
+    e(j) being S(j)'s: c is within e(hub) + leg_err.  u_at adds
+    c + gamma_root, exact, on the tree sheet, so its error is e(j) plus
+    its short path's, and c - gamma_root on the other, adding cross_err =
+    2 (e(hub) + leg_err).  In mean_u = (2 / Area) sum_p w_p ((1/2)
+    log|lambda_p - lambda_y| + c + t_p) the sheets' Re Gamma cancel: with
+    s = 2 sum_p w_p / Area it is within tree_err = s (e(hub) + leg_err +
+    ctx.t_bound), t_bound bounding each t_nodes entry, which reaches G
+    through mean_u alone (u_at reads log_potential)."""
 
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
         self.ctx = ctx
         self.y = y
         self.form = ctx.form(y)
         tree = self.p_tree = ctx.p_tree
-        vals, err, path_err = accumulate_tree(ctx.curve, tree, self._odd, 1)
         hub, lam = tree.hub, tree.grid.nodes
+        self._sums = np.zeros((lam.size, 2))   # (S, e) where settled
+        self._known = np.arange(lam.size) == tree.root
+        s_hub, e_hub = self.settle([hub])[0]
         leg, leg_err = _branch_leg(ctx.curve, lam[hub], tree.y_plus[hub],
                                    self._odd)
-        gamma_root = (leg[0] - vals[hub, 0]).real
-        self.gamma = vals[:, 0].real + gamma_root
+        self.gamma_root = float(leg[0].real - s_hub)
         half_log = 0.5 * np.log(np.abs(lam - self.form[0]))
-        self.c = float(-half_log[tree.root] - gamma_root)
-        cross_err = float(2.0 * (path_err[hub] + leg_err))
-        self.node_err = np.stack([path_err, path_err + cross_err], axis=1)
+        self.c = float(-half_log[tree.root] - self.gamma_root)
+        self.cross_err = float(2.0 * (e_hub + leg_err))
+        # u_at's constant on the tree sheet and the other
+        self._offset = (self.c + self.gamma_root, self.c - self.gamma_root)
         # u's two sheets sum to 2 (half_log + c + t_nodes): gamma cancels
         w = ctx.p_grid.weights * ctx.dens_p
         self.mean_u = float(
             2.0 * (w * (half_log + self.c + ctx.t_nodes)).sum() / ctx.area)
-        self.tree_err = err + cross_err + ctx.t_bound
+        self.tree_err = float(2.0 * w.sum() / ctx.area
+                              * (e_hub + leg_err + ctx.t_bound))
 
     def _odd(self, zs, ys):
         """The odd part g of the averaged form (_odd_part), one column."""
         return _odd_part(zs, ys, *self.form)[:, None]
+
+    def settle(self, nodes):
+        """(S, e) at the p nodes in nodes, (m, 2): S(j) = Re int_root^j g
+        along the tree on its sheet, e(j) its error.  Unsettled root-path
+        edges take one batched pass of the nested rule on the tree's lift
+        (_embedded_gauss), a rejected edge integrate_vector_path at tol
+        1e-8 and budget 30.  S and e are prefix sums (np.cumsum) seeded
+        with the deepest settled ancestor: a node gets the bits of the walk
+        from the root, whatever was settled before."""
+        tree, known, sums = self.p_tree, self._known, self._sums
+        parent, lam = tree.parent, tree.grid.nodes
+        paths, new = [], set()
+        for j in map(int, nodes):
+            path = []
+            while not (known[j] or j in new):
+                path.append(j)
+                new.add(j)
+                j = int(parent[j])
+            paths.append((j, path[::-1]))
+        if new:
+            kids = np.array(sorted(new))
+            zs, ys, half = tree.lift(kids)
+            fv = self._odd(zs.ravel(), ys.ravel()).reshape(zs.shape).T
+            hi_est, gap, ok = _embedded_gauss(half, fv, 1e-8)
+            for e in np.flatnonzero(~ok):
+                up = parent[kids[e]]
+                hi_est[e:e + 1], gap[e], _ = integrate_vector_path(
+                    self.ctx.curve.branch_points, [lam[up], lam[kids[e]]],
+                    tree.y_plus[up], self._odd, tol=1e-8, budget=30)
+            edges = np.stack([hi_est.real, gap], axis=1)
+            for j, path in paths:
+                sums[path] = np.cumsum(np.vstack(
+                    [sums[j], edges[np.searchsorted(kids, path)]]),
+                    axis=0)[1:]
+            known[kids] = True
+        return sums[nodes]
 
     def _nearest_node(self, lam):
         """Index of the p node nearest to lam, by squared distance on the
@@ -1159,37 +1161,35 @@ class GreenSolver:
 
     def u_at(self, x: SurfacePoint):
         """u(x) = (1/2) log|lambda_x - lambda_y| + Re Gamma(x) +
-        log_potential(x) + c, with its quadrature error.
-
-        Gamma(x) starts from the p node j nearest to x (_nearest_node),
-        where gamma[j] is known on the tree sheet: one build_path from
-        lambda_j, started at y_plus[j], and signed by the sheet it arrives
-        on (_odd_at); a p node itself takes no path.  The real part is
-        path independent (all loop integrals of the averaged form are
-        purely imaginary; the computed form's real periods are about
-        1e-11), so no route closes a loop.  The error is the short path's
-        plus the node value's on the sheet of x (node_err)."""
+        log_potential(x) + c and its error.  Gamma(x) starts from the p
+        node j nearest to x (_nearest_node), settled first if it is not:
+        one build_path from (lambda_j, y_plus[j]) from S(j), signed by its
+        arrival sheet (_odd_at), plus +- gamma_root; a p node takes no
+        path.  Re Gamma is path independent (loop integrals of the form
+        are imaginary, to real periods of about 1e-11).  The error is the
+        short path's plus e(j), plus cross_err on the other sheet."""
         tree = self.p_tree
         lam = complex(x.lam)
         j = self._nearest_node(lam)
+        if not self._known[j]:
+            self.settle([j])
         odd, err, s = _odd_at(self.ctx.curve, tree.grid.nodes[j],
-                              tree.y_plus[j], self.gamma[j:j + 1], x,
+                              tree.y_plus[j], self._sums[j, :1], x,
                               self._odd)
         t_x = float(self.ctx.log_potential(np.asarray(lam, complex)))
         even = 0.5 * math.log(abs(lam - self.form[0]))
-        return (even + float(odd[0].real) + t_x + self.c,
-                float(err + self.node_err[j, s]))
+        return (even + float(odd[0].real) + t_x + self._offset[s],
+                float(err + self._sums[j, 1] + s * self.cross_err))
 
     def green(self, x: SurfacePoint) -> GreenEvaluation:
         """G(x, y) from u_at.  The error estimate is u_at's error (short
-        path and node value) plus tree_err (the tree's total error and
-        t_nodes' truncation bound) over max(1, Area), all over 2 pi."""
+        path and root path) plus tree_err (mean_u's), over 2 pi."""
         if abs(complex(x.lam) - complex(self.y.lam)) \
                 < 1e-10 * self.ctx.curve.scale and x.sheet == self.y.sheet:
             raise CoincidentArguments("Green arguments coincide")
         ux, err = self.u_at(x)
         val = (ux - self.mean_u) / (2.0 * np.pi)
-        est = (err + self.tree_err / max(1.0, self.ctx.area)) / (2.0 * np.pi)
+        est = (err + self.tree_err) / (2.0 * np.pi)
         return GreenEvaluation(x=x, y=self.y, value=val,
                                error_estimate=float(est))
 

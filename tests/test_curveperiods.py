@@ -298,9 +298,11 @@ class TestContinueSqrt:
         assert past.any() == (grid == (6, 8)) and past.mean() < 0.05
         with _ratio_only():
             ratio_tree = green.build_surface_tree(curve, surface)
-        for field in ("parent", "order", "y_plus", "ys"):
+            ratio_ys = ratio_tree.lift(kids)[1]
+        for field in ("parent", "order", "y_plus"):
             np.testing.assert_array_equal(getattr(tree, field),
                                           getattr(ratio_tree, field))
+        np.testing.assert_array_equal(tree.lift(kids)[1], ratio_ys)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(CURVES)), st.integers(0, 5),

@@ -797,8 +797,53 @@ def _tree_depth(tree):
     return depth
 
 
+def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
+    """Whole-tree reference for GreenSolver.settle: cumulative integrals
+    int_root^node of the k-vector f(lam, y) along the tree edges, on the
+    sheet of the tree continuation (tree.y_plus).
+
+    f is evaluated once, on the nodes of every edge at their lifted y
+    (SurfaceTree.lift of every edge), in one batched pass of the nested
+    rule (green._embedded_gauss); an edge that fails its acceptance rule
+    goes through integrate_vector_path from y_plus at its parent, with
+    the same per-edge budget.  The edge values, with each edge's
+    accepted gap as one more column, are summed along every root path by
+    pointer jumping (green._path_counts), in at most ceil(log2 d) rounds
+    on a path of d edges: with S the sum of its |edge values| each sum is
+    within (ceil(log2 d) + d - 1) 2^-53 S of the per-node walk (first
+    order, in real and imaginary parts).  Returns (vals, error,
+    path_err): error sums the accepted gaps of every edge, and path_err
+    those on each node's root path."""
+    lam, kids = tree.grid.nodes, tree.order[1:]
+    up = tree.parent[kids]
+    zs, ys, half = tree.lift(kids)
+    fv = f(zs.T.ravel(), ys.T.ravel()).reshape(*zs.T.shape, k)
+    hi_est, gap, ok = green._embedded_gauss(half, fv, tol)
+    edge_err = np.where(ok, gap, 0.0)
+    for e in np.flatnonzero(~ok):
+        hi_est[e], edge_err[e], _ = green.integrate_vector_path(
+            curve.branch_points, [lam[up[e]], lam[kids[e]]],
+            tree.y_plus[up[e]], f, tol=tol, budget=budget)
+    sums = np.zeros((lam.size, k + 1), dtype=complex)
+    sums[kids, :k] = hi_est
+    sums[kids, k] = edge_err
+    sums = green._path_counts(tree.parent, tree.root, sums)
+    return sums[:, :k], float(edge_err.sum()), sums[:, k].real
+
+
+def _node_values(sol, nodes=None):
+    """(gamma, node_err) of a solver at p nodes (all by default), read
+    through GreenSolver.settle: gamma = Re Gamma on the tree sheet, S +
+    Re Gamma(root), and node_err the error of u less its closed-form
+    terms on the tree sheet, e, and on the other one, e + cross_err."""
+    if nodes is None:
+        nodes = np.arange(sol.p_tree.grid.nodes.size)
+    s, e = sol.settle(nodes).T
+    return s + sol.gamma_root, np.stack([e, e + sol.cross_err], axis=1)
+
+
 def _reference_accumulate(curve, tree, f, k, tol, budget):
-    """Reference for accumulate_tree's edges: one integrate_vector_path per
+    """Reference for _accumulate_tree's edges: one integrate_vector_path per
     edge.  Returns the cumulative values and, per node, the summed error
     of the edges on its path from the root."""
     lam = tree.grid.nodes
@@ -828,7 +873,8 @@ def _node_u(sol):
     """u less t_nodes at every p node of a solver, on the tree sheet and
     on the other one: (1/2) log|lambda - lambda_y| + c +- gamma."""
     even = 0.5 * np.log(np.abs(sol.p_tree.grid.nodes - sol.form[0])) + sol.c
-    return np.stack([even + sol.gamma, even - sol.gamma], axis=1)
+    gamma = _node_values(sol)[0]
+    return np.stack([even + gamma, even - gamma], axis=1)
 
 
 def _both_sheets(curve, tree, f):
@@ -837,7 +883,7 @@ def _both_sheets(curve, tree, f):
     on the other one, with their errors, on the two-column route: the
     tree sums, and on the other sheet the flip down to the hub, through
     the branch leg and back up."""
-    vals, _, path_err = green.accumulate_tree(curve, tree, f, 2)
+    vals, _, path_err = _accumulate_tree(curve, tree, f, 2)
     hub = tree.hub
     leg, leg_err = green._branch_leg(curve, tree.grid.nodes[hub],
                                      tree.y_plus[hub], f)
@@ -860,11 +906,11 @@ def _assert_reference_tree(curve, grid):
     np.testing.assert_array_equal(tree.order, order)
     np.testing.assert_array_equal(tree.y_plus, y_plus)
     np.testing.assert_array_equal(_tree_depth(tree), depth)
-    assert tree.zs.shape == tree.ys.shape == (green._NODES, n - 1)
-    assert tree.half.shape == (n - 1,)
+    assert not tree.lifted.any()
+    zs, ys, half = tree.lift(order[1:])
+    assert zs.shape == ys.shape == (n - 1, green._NODES)
     np.testing.assert_array_equal(
-        tree.half, (grid.nodes[order[1:]] - grid.nodes[parent[order[1:]]])
-        / 2.0)
+        half, (grid.nodes[order[1:]] - grid.nodes[parent[order[1:]]]) / 2.0)
     return tree
 
 
@@ -971,7 +1017,7 @@ class TestSurfaceTree:
         assert (layout.root, layout.hub) == (nearest.root, nearest.hub)
         u, err = [], []
         for s, tree in zip(sols, trees):
-            both, node_err = _node_u(s), s.node_err
+            both, node_err = _node_u(s), _node_values(s)[1]
             # the layout tree's sheet of each node first
             same = (tree.y_plus == layout.y_plus)[:, None]
             u.append(np.where(same, both, both[:, ::-1]))
@@ -985,12 +1031,12 @@ class TestSurfaceTree:
         pytest.param("generic", None, 0.0, id="two-chain")])
     def test_level_sums_match_per_node_loop(self, name, grid, stagger,
                                             monkeypatch):
-        # accumulate_tree sums the edges along every root path by pointer
-        # jumping (_path_counts); the reference is the per-node loop over
-        # tree.order, one edge at a time in visit order, on the same edge
-        # values.  On a path of d edges the two are within (ceil(log2 d)
-        # + d - 1) 2^-53 of the sum of the |edge values| on it (real and
-        # imaginary parts alike), the bound accumulate_tree states
+        # _accumulate_tree, the whole-tree reference, sums the edges along
+        # every root path by pointer jumping (_path_counts); against the
+        # per-node loop over tree.order, one edge at a time in visit
+        # order, on the same edge values, a path of d edges is within
+        # (ceil(log2 d) + d - 1) 2^-53 of the sum of the |edge values| on
+        # it (real and imaginary parts alike), the bound it states
         curve = CURVES[name]
         tree = green.build_surface_tree(
             curve, _two_chain_grid() if grid is None
@@ -1003,7 +1049,7 @@ class TestSurfaceTree:
             return path_sums(parent, root, counts)
 
         monkeypatch.setattr(green, "_path_counts", recorded)
-        vals, _, path_err = green.accumulate_tree(
+        vals, _, path_err = _accumulate_tree(
             curve, tree, green._moment_integrand, 5)
         (est,) = edges
         walk = np.zeros_like(est)
@@ -1044,7 +1090,7 @@ class TestSurfaceTree:
             return per_path(*args, **kwargs)
 
         monkeypatch.setattr(green, "integrate_vector_path", counted)
-        vals, err, node_err = green.accumulate_tree(
+        vals, err, node_err = _accumulate_tree(
             curve, tree, green._moment_integrand, 5, tol=tol)
         gap = np.abs(vals - ref).max(axis=1)
         bound = path_err + 1e-13 * np.abs(ref).max(axis=1)
@@ -1065,13 +1111,30 @@ class TestSurfaceTree:
             assert sum(on_tree) >= 1
             assert all(on_tree)
 
-    def test_spent_edge_budget_raises(self):
-        curve = CURVES["z5"]
-        tree = green.build_surface_tree(curve, _surface_grid("z5", (6, 8),
-                                                             0.31))
+    def test_spent_edge_budget_raises(self, z5):
+        # a second argument on a p-tree edge, 0.3 of the way along it and
+        # so on no Gauss-Kronrod node, puts the form's pole on it: the
+        # batched pass rejects the edge and its integrate_vector_path
+        # fallback spends the per-edge budget.  The edge is off the hub's
+        # root path, so the solver builds and settles the edge's start;
+        # settling its end node raises
+        model, frame = z5
+        c = green.green_context(model, frame,
+                                QuadratureConfig(surface_grid=(6, 8, None)))
+        tree = c.p_tree
+        lam = tree.grid.nodes
+        hub_path, j = set(), tree.hub
+        while j != tree.root:
+            hub_path.add(j)
+            j = tree.parent[j]
+        mid = lam[tree.parent] + 0.3 * (lam - lam[tree.parent])
+        kid = next(k for k in tree.order[1:].tolist() if k not in hub_path
+                   and 0.5 < abs(mid[k]) < 1.5
+                   and np.abs(mid[k] - c.curve.branch_points).min() > 0.2)
+        sol = green.GreenSolver(c, SurfacePoint(complex(mid[kid]), 1))
+        sol.settle([tree.parent[kid]])
         with pytest.raises(NonConvergence):
-            green.accumulate_tree(curve, tree, green._moment_integrand, 5,
-                                  tol=1e-12, budget=0)
+            sol.settle([kid])
 
     def test_log_potential_blocks(self, ctx):
         # more than three row blocks.  A single point runs the direct sum
@@ -1296,13 +1359,17 @@ class TestSurfaceTree:
         green.special_solution_means(c)
         green.smatrix_expansion_check(c)
         assert built == [c.p_grid]
-        # a solver sharing the tree's lift equals one built alone
+        # a solver sharing the tree's lift equals one built alone, at
+        # every node read through settle
+        nodes = np.arange(c.p_grid.n_nodes)
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
                                       y)
-            for field in ("gamma", "c", "node_err", "mean_u", "tree_err"):
-                np.testing.assert_array_equal(getattr(s, field),
-                                              getattr(alone, field))
+            np.testing.assert_array_equal(s.settle(nodes),
+                                          alone.settle(nodes))
+            for field in ("gamma_root", "c", "cross_err", "mean_u",
+                          "tree_err"):
+                assert getattr(s, field) == getattr(alone, field), field
 
 
 def _reference_u_at(solver, x):
@@ -1438,11 +1505,13 @@ class TestGreenRead:
         # at a p node u is its node value (_node_u) with log_potential
         # for t_nodes, to the rounding of the four terms, and its error
         # is the node's, with no path
+        # (every node settled first: settling may integrate an edge)
+        tree = solver.p_tree
+        node_u = _node_u(solver)
+        gamma, node_err = _node_values(solver)
         calls = []
         monkeypatch.setattr(green, "integrate_vector_path",
                             lambda *a, **k: calls.append(a))
-        tree = solver.p_tree
-        node_u = _node_u(solver)
         for i in (0, tree.root, ctx.p_grid.n_nodes // 2):
             lam = complex(ctx.p_grid.nodes[i])
             t = float(ctx.log_potential(np.asarray(lam)))
@@ -1450,10 +1519,10 @@ class TestGreenRead:
             for k, sheet in enumerate((s, -s)):
                 u, err = solver.u_at(SurfacePoint(lam, sheet))
                 size = abs(0.5 * math.log(abs(lam - solver.y.lam))) \
-                    + abs(solver.gamma[i]) + abs(solver.c) + abs(t)
+                    + abs(gamma[i]) + abs(solver.c) + abs(t)
                 assert abs(u - (node_u[i, k] + t)) \
                     <= 8 * np.finfo(float).eps * size
-                assert err == solver.node_err[i, k]
+                assert err == node_err[i, k]
         assert calls == []
 
     def test_pool_within_path_only_estimate(self, ctx, monkeypatch):
@@ -1465,6 +1534,8 @@ class TestGreenRead:
         re_y, im_y, sheet_y = ref["y"]
         sol = green.GreenSolver(ctx, SurfacePoint(complex(re_y, im_y),
                                                   sheet_y))
+        # every node settled first: settling may integrate an edge
+        sol.settle(np.arange(ctx.p_grid.n_nodes))
         short = []
         path = green.integrate_vector_path
 
@@ -1474,7 +1545,7 @@ class TestGreenRead:
             return out
 
         monkeypatch.setattr(green, "integrate_vector_path", recorded)
-        tree_part = sol.tree_err / max(1.0, ctx.area)
+        tree_part = sol.tree_err
         for re_x, im_x, sheet, value, _ in ref["pool"]:
             short.clear()
             g = sol.green(SurfacePoint(complex(re_x, im_x), int(sheet)))
@@ -1499,10 +1570,10 @@ def _reference_flip(curve, tree, f, tol=1e-8):
 
 def _tree_moments(curve, tree):
     """(m_node, m_flip, node_err, flip_err): the moments from the tree
-    root to every node on the tree sheet (accumulate_tree) and to the
+    root to every node on the tree sheet (_accumulate_tree) and to the
     root's other sheet (_reference_flip), each node's error on both
     sheets (the other adds the flip's) and m_flip's."""
-    m_node, _, path_err = green.accumulate_tree(
+    m_node, _, path_err = _accumulate_tree(
         curve, tree, green._moment_integrand, 5)
     m_flip, flip_err = _reference_flip(curve, tree, green._moment_integrand)
     return (m_node, m_flip, np.stack([path_err, path_err + flip_err], 1),
@@ -1634,6 +1705,126 @@ def _route_clearance(tree, b0, lam):
     return float(np.abs(a + t * seg - lam).min())
 
 
+def _clear_point(sol, pt):
+    """Whether pt lies over 1e-3 from every branch point, the cone point
+    and the solver's second argument."""
+    lam = complex(pt.lam)
+    return (np.abs(lam - sol.ctx.curve.branch_points).min() > 1e-3
+            and abs(lam - sol.ctx.frame.lam_p) > 1e-3
+            and abs(lam - sol.y.lam) > 1e-3)
+
+
+class TestSettle:
+    """GreenSolver.settle, the tree sums on the root paths a solver
+    reads, and SurfaceTree.lift, the edges' lift on first use."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           before=st.lists(st.tuples(st.floats(-1.6, 1.6),
+                                     st.floats(-1.6, 1.6),
+                                     st.sampled_from([1, -1])),
+                           max_size=6),
+           x=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6),
+                       st.sampled_from([1, -1])))
+    def test_green_independent_of_query_order(self, read_solvers, name,
+                                              grid, before, x):
+        # G(x) and its error estimate on a fresh solver (on a fresh
+        # context, whose tree is lifted nowhere) and on one that answered
+        # other queries first, settling their root paths and lifting
+        # their edges: the same bits
+        sol = read_solvers[name, grid][0]
+        pts = [SurfacePoint(complex(a, b), s) for a, b, s in before + [x]]
+        assume(all(_clear_point(sol, p) for p in pts))
+        fresh, used = (green.GreenSolver(dataclasses.replace(sol.ctx), sol.y)
+                       for _ in range(2))
+        for p in pts[:-1]:
+            used.green(p)
+        assert fresh.green(pts[-1]) == used.green(pts[-1])
+
+    @settings(max_examples=15, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           seed=st.integers(0, 2 ** 32 - 1), parts=st.integers(1, 6))
+    def test_lift_subsets_match_whole_tree(self, name, grid, seed, parts):
+        # random subsets of the edges, overlapping and in random order,
+        # lifted one after another: every edge gets the bits of one
+        # whole-tree lift, those lifted first and the rest alike
+        curve = CURVES[name]
+        surface = _surface_grid(name, grid, 0.31)
+        kids = green.build_surface_tree(curve, surface).order[1:]
+        whole = green.build_surface_tree(curve, surface).lift(kids)
+        tree = green.build_surface_tree(curve, surface)
+        rng = np.random.default_rng(seed)
+        for _ in range(parts):
+            tree.lift(rng.choice(kids, rng.integers(1, kids.size // 2),
+                                 replace=False))
+        done = kids[tree.lifted[kids]]
+        pos = np.searchsorted(kids, done, sorter=np.argsort(kids))
+        pos = np.argsort(kids)[pos]
+        for got, ref in zip(tree.lift(done), whole):
+            np.testing.assert_array_equal(got, ref[pos])
+        for got, ref in zip(tree.lift(kids), whole):
+            np.testing.assert_array_equal(got, ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 64))
+    def test_edge_rule_independent_of_batch(self, seed, m):
+        # the batched nested rule, as settle runs it on (_NODES, edges):
+        # each edge's estimate, gap and acceptance are the same bits alone
+        # and inside any batch (np.dot over the block is not: BLAS rounds
+        # a column by the batch it sits in)
+        rng = np.random.default_rng(seed)
+        x = green._path_rule()[0][:green._NODES, None]
+        half = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / 7.0
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vals = 1.0 / (a + half * x - 0.05j) \
+            + rng.standard_normal((green._NODES, m)) * 1e-12
+        batch = green._embedded_gauss(half, vals, 1e-9)
+        sub = rng.permutation(m)[:rng.integers(1, m + 1)]
+        part = green._embedded_gauss(half[sub], vals[:, sub], 1e-9)
+        for got, ref in zip(part, batch):
+            np.testing.assert_array_equal(got, ref[sub])
+        for e in range(m):
+            alone = green._embedded_gauss(half[e:e + 1], vals[:, e:e + 1],
+                                          1e-9)
+            for got, ref in zip(alone, batch):
+                np.testing.assert_array_equal(got, ref[e:e + 1])
+
+    @pytest.mark.parametrize("name, grid", READ_KEYS)
+    def test_settled_values_match_whole_tree(self, read_solvers, name, grid,
+                                             monkeypatch):
+        # every node settled against the whole-tree reference
+        # (_accumulate_tree) of the same integrand: the same edge values,
+        # walked from the root one edge at a time instead of summed by
+        # pointer jumping, so within (ceil(log2 d) + d - 1) 2^-53 of the
+        # sum of the |edge values| on a path of d edges
+        sol = read_solvers[name, grid][0]
+        tree = sol.p_tree
+        edges = []
+        path_sums = green._path_counts
+
+        def recorded(parent, root, counts):
+            edges.append(counts.copy())
+            return path_sums(parent, root, counts)
+
+        monkeypatch.setattr(green, "_path_counts", recorded)
+        vals, _, path_err = _accumulate_tree(sol.ctx.curve, tree, sol._odd,
+                                             1)
+        monkeypatch.undo()
+        (est,) = edges
+        size = np.zeros(est.shape)
+        for v in tree.order[1:]:
+            size[v] = size[tree.parent[v]] + np.abs(est[v].real)
+        depth = _tree_depth(tree)
+        u = 2.0 ** -53
+        m = np.ceil(np.log2(np.maximum(depth, 1))) + np.maximum(depth - 1, 0)
+        bound = (m * u / (1.0 - m * u))[:, None] * size
+        got = sol.settle(np.arange(depth.size))
+        assert (np.abs(got[:, 0] - vals[:, 0].real) <= bound[:, 0]).all()
+        assert (np.abs(got[:, 1] - path_err) <= bound[:, 1]).all()
+
+
 class TestSheetConnector:
     """The branch leg into branch point 0 (green._branch_leg), the one
     route between the sheets, against the 16-gon about that branch point
@@ -1652,13 +1843,14 @@ class TestSheetConnector:
         # integrated by quadrature, within both routes' node errors
         both, node_err = _both_sheets(curve, tree, _harm_both(sol))
         assert (np.abs(both.real - _node_u(sol))
-                <= node_err + sol.node_err + 1e-12).all()
+                <= node_err + _node_values(sol)[1] + 1e-12).all()
         # the flip, root to root over the crossing, is -2 Gamma(root): u
         # on the other sheet less u on the tree sheet at the root
-        flip = -2.0 * sol.gamma[tree.root]
+        gamma, sol_err = _node_values(sol, [tree.root])
+        flip = -2.0 * gamma[0]
         ref, ref_err = _reference_flip(curve, tree, _harm_both(sol))
         gap = abs(flip - ref[0].real)
-        assert gap <= sol.node_err[tree.root, 1] + ref_err + defect, gap
+        assert gap <= sol_err[0, 1] + ref_err + defect, gap
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)),
@@ -1695,10 +1887,11 @@ class TestSheetConnector:
         assume(_route_clearance(sol.p_tree, b0, lam) > 1e-4)
         other = green.GreenSolver(ctx, SurfacePoint(lam, sheet))
         tree = other.p_tree
-        flip = -2.0 * other.gamma[tree.root]
+        gamma, other_err = _node_values(other, [tree.root])
+        flip = -2.0 * gamma[0]
         ref, ref_err = _reference_flip(ctx.curve, tree, _harm_both(other))
         gap = abs(flip - ref[0].real)
-        bound = other.node_err[tree.root, 1] + ref_err \
+        bound = other_err[0, 1] + ref_err \
             + _solver_period_defect(other) + 1e-12
         assert gap <= bound, (gap, bound)
 
@@ -1754,8 +1947,8 @@ class TestSheetConnector:
         # tree sum, on the other it moves by Re of the flip change, mean_u
         # by half of it; the solver integrates h in closed form, so each
         # node also moves within both routes' tree-path errors (bound)
-        vals, _, path_err = green.accumulate_tree(ctx.curve, sol.p_tree,
-                                                  _harm_both(sol), 2)
+        vals, _, path_err = _accumulate_tree(ctx.curve, sol.p_tree,
+                                             _harm_both(sol), 2)
         ref, ref_err = _reference_flip(ctx.curve, sol.p_tree,
                                        _harm_both(sol))
         u = _node_u(sol) + ctx.t_nodes[:, None]
@@ -1763,9 +1956,10 @@ class TestSheetConnector:
         ref_minus = (ref[0] + vals[:, 1]).real + ctx.t_nodes
         w = ctx.p_grid.weights * ctx.dens_p
         ref_mean = float((w * (ref_plus + ref_minus)).sum() / ctx.area)
-        bound = sol.node_err[:, 0] + path_err + 1e-12
+        sol_err = _node_values(sol)[1]
+        bound = sol_err[:, 0] + path_err + 1e-12
         assert (np.abs(u[:, 0] - ref_plus) <= bound).all()
-        flip_errs = sol.node_err[0, 1] - sol.node_err[0, 0] + ref_err
+        flip_errs = sol_err[0, 1] - sol_err[0, 0] + ref_err
         assert (np.abs(u[:, 1] - ref_minus)
                 <= flip_errs + bound + defect).all()
         assert abs(sol.mean_u - ref_mean) \
@@ -2045,8 +2239,9 @@ class TestRoelckeGreen:
                 ctx.model, ctx.frame,
                 QuadratureConfig(surface_grid=(*grid, None))), sol.y)
             want = [ref.green(x) for x in xs]
-        assert ref.p_tree.zs.shape[0] == 30
-        assert np.abs(sol.gamma - ref.gamma).max() <= 1e-14
+            ref_gamma = _node_values(ref)[0]
+        assert ref.p_tree.ys.shape[1] == 30
+        assert np.abs(_node_values(sol)[0] - ref_gamma).max() <= 1e-14
         for x, g in zip(xs, want):
             got = sol.green(x)
             assert abs(got.value - g.value) <= 1e-15, x

@@ -342,6 +342,27 @@ def _tensordot_gauss(half, vals, tol):
     return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
 
 
+def _rowwise_gauss(half, vals, tol):
+    """Reference for the batched form of green._embedded_gauss: each
+    interval's rules summed row by row in order, one column at a time in
+    Python complex arithmetic, so no column depends on another."""
+    _, wk, wg = green._path_rule()
+    half = np.asarray(half)
+    cols = vals.reshape(vals.shape[0], -1).T
+    sums = np.array([[sum((complex(w) * v
+                           for w, v in zip(rule[1:], col[1:])),
+                          complex(rule[0]) * col[0])
+                      for rule in (wk, wg)] for col in cols.tolist()])
+    rest = vals.shape[1:]
+    scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
+    hi_est = scale * sums[:, 0].reshape(rest)
+    lo_est = scale * sums[:, 1].reshape(rest)
+    per_interval = half.shape + (-1,)
+    gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
+    top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
+    return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
+
+
 # branch points far from every test path, so y is smooth along each
 FAR = make_curve(10.0 * np.exp(2j * np.pi * np.arange(6) / 6))
 
@@ -366,9 +387,12 @@ class TestPathQuadrature:
                      (7, 5)]
         for per in ([False, True] if rest else [False])])
     def test_embedded_gauss_matches_tensordot(self, rest, per_interval):
-        # np.dot on the flattened trailing axes is the call np.tensordot
-        # makes, so every output is the same bits; a per-interval half
-        # runs along axis 1, as in accumulate_tree
+        # the one-interval branch (scalar half, a (_NODES, k) block) makes
+        # the np.dot call np.tensordot makes, so every output is the same
+        # bits; every other shape takes the batched form, each column
+        # summed row by row, the bits of _rowwise_gauss and within
+        # rounding of np.tensordot.  A per-interval half runs along axis
+        # 1, as for the edges of GreenSolver.settle
         shape = (green._NODES,) + rest
         rng = np.random.default_rng(len(shape) * 10 + shape[-1])
         x = green._path_rule()[0][:green._NODES]
@@ -384,6 +408,11 @@ class TestPathQuadrature:
             for tol in (1e-9, 1e-14):
                 got = green._embedded_gauss(half, vals, tol)
                 ref = _tensordot_gauss(half, vals, tol)
+                if per_interval or len(rest) != 1:
+                    size = np.abs(half).max() * np.abs(vals).max() * 2.0
+                    np.testing.assert_allclose(got[0], ref[0], rtol=0,
+                                               atol=64 * 2.0 ** -53 * size)
+                    ref = _rowwise_gauss(half, vals, tol)
                 for g, r in zip(got, ref):
                     assert np.shape(g) == np.shape(r)
                     np.testing.assert_array_equal(g, r)
@@ -393,9 +422,10 @@ class TestPathQuadrature:
         # the one-interval branch (scalar half, a (_NODES, k) block), as
         # integrate_vector_path calls it, against the batched form it
         # bypasses on the same interval: a (1,) half over (_NODES, 1, k),
-        # and a 0-d array half over (_NODES, k).  (A batch of many edges
-        # is not the reference: BLAS may round each column of a wider
-        # np.dot differently.)
+        # and a 0-d array half over (_NODES, k), the same bits as each
+        # other.  The batched form sums row by row and the one-interval
+        # branch by np.dot, so their estimates agree to rounding and,
+        # on these intervals, their acceptance exactly
         rng = np.random.default_rng(21 + k)
         x = green._path_rule()[0][:green._NODES]
         accepted = set()
@@ -411,10 +441,12 @@ class TestPathQuadrature:
                 batched = green._embedded_gauss(np.array([half]),
                                                 vals[:, None], tol)
                 plain = green._embedded_gauss(np.asarray(half), vals, tol)
+                size = abs(half) * np.abs(vals).max() * 2.0
                 for g, r, p in zip(got, batched, plain):
                     assert np.shape(g) == np.shape(p) == np.shape(r[0])
-                    np.testing.assert_array_equal(g, r[0])
-                    np.testing.assert_array_equal(g, p)
+                    np.testing.assert_array_equal(p, r[0])
+                    np.testing.assert_allclose(g, p, rtol=0,
+                                               atol=64 * 2.0 ** -53 * size)
         assert accepted == {True, False}
 
     def test_kronrod_rule_constants(self):
