@@ -123,29 +123,32 @@ def build_path(curve, lam_from, lam_to, depth=0):
 
 
 def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
-    """Adaptive integral of the k-vector f(lam, y) along a polyline given
-    by complex vertices, with y = sqrt(prod(lam - roots)) continued from
-    y0 at the first vertex, by bisection with the nested 10/21-point
-    Gauss-Kronrod rule.  roots are a curve's branch points, or
-    _branch_leg's roots in its local parameter.
+    """Adaptive integral of the k-vector f(lam, y) (an (n,) or (n, k)
+    array at n nodes) along a polyline of complex vertices, with y =
+    sqrt(prod(lam - roots)) continued from y0 at the first vertex, by
+    bisection with the nested 10/21-point Gauss-Kronrod rule.  roots are
+    a curve's branch points, or _branch_leg's roots in its local parameter.
 
-    f maps (lam array, y array) to an (n,) or (n, k) array.
-    _embedded_gauss decides whether a subinterval is accepted.  A pass
-    lifts its nodes and the end b of the current segment [a, b] in one
-    _continue_sqrt call from y at a: mid + half * _path_rule()[0] with
-    the last entry set to b.  budget caps the bisections over the whole
-    path; an integral that needs more raises NonConvergence.  So does a
-    pass, before f is evaluated, with a node on a branch point (y = 0),
-    or split from a rejected pass with nodes not distinct from each
-    other and from both ends of [lo, hi], as bisection toward an
-    integrand singular at an end would divide by zero there (a first
-    pass a few ulp long has coinciding nodes and a fine estimate).  The
-    nodes lie 0.0218 half-lengths apart and 0.0043 from an end or more,
-    each within about 2 ulp of |mid| per part, so only passes shorter
-    than 4096 ulp of |mid| are compared.  Returns (value, error, y_end):
-    error sums the accepted gaps, and y_end is y at the last vertex."""
+    _embedded_gauss accepts a subinterval or not, but no pass within
+    1e-9 |b - a| of the foot of a root that its segment [a, b] runs
+    through (the foot inside it and as close to the root) is accepted:
+    the integrand is singular there, the gap under-counts its error and y
+    has no sheet beyond, so such a path ends in NonConvergence.  A pass
+    lifts its nodes mid + half * _path_rule()[0], and b as the last
+    entry, in one _continue_sqrt call from y at a.  NonConvergence is
+    raised past budget bisections over the whole path, and by a pass,
+    before f is evaluated, with a node on a branch point (y = 0) or split
+    from a rejected pass with nodes not distinct from each other and from
+    both ends of [lo, hi], as bisection toward an integrand singular at an
+    end would divide by zero there (a first pass a few ulp long has
+    coinciding nodes and a fine estimate).  The nodes lie 0.0218
+    half-lengths apart and 0.0043 from an end or more, each within about
+    2 ulp of |mid| per part, so only passes shorter than 4096 ulp of |mid|
+    are compared.  Returns (value, error, y_end): error sums the accepted
+    gaps, and y_end is y at the last vertex."""
     x = _path_rule()[0]
     pts = [complex(p) for p in verts]
+    rs = np.asarray(roots).tolist()
     total = None
     total_err = 0.0
     y_a = y0
@@ -153,6 +156,9 @@ def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     for a, b in zip(pts[:-1], pts[1:]):
         if a == b:
             continue
+        feet = [a + w.real * (b - a) for r in rs
+                if abs((w := (r - a) / (b - a)).imag) <= 1e-9
+                and 0.0 < w.real < 1.0]
         stack = [(a, b, False)]
         while stack:
             lo, hi, split = stack.pop()
@@ -172,7 +178,9 @@ def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
             hi_est, err, accepted = _embedded_gauss(
                 half, f(zs[:_NODES], ys[:_NODES]), tol)
             err = float(err)
-            if accepted:
+            if accepted and not (feet and any(
+                    abs(p - mid) - abs(half) <= 1e-9 * abs(b - a)
+                    for p in feet)):
                 total = hi_est if total is None else total + hi_est
                 total_err += err
             elif used >= budget:
