@@ -123,32 +123,29 @@ def build_path(curve, lam_from, lam_to, depth=0):
 
 
 def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
-    """Adaptive integral of the k-vector f(lam, y) (an (n,) or (n, k)
-    array at n nodes) along a polyline of complex vertices, with y =
-    sqrt(prod(lam - roots)) continued from y0 at the first vertex, by
-    bisection with the nested 10/21-point Gauss-Kronrod rule.  roots are
-    a curve's branch points, or _branch_leg's roots in its local parameter.
+    """Adaptive integral of the k-vector f(lam, y) along a polyline given
+    by complex vertices, with y = sqrt(prod(lam - roots)) continued from
+    y0 at the first vertex, by bisection with the nested 10/21-point
+    Gauss-Kronrod rule.  roots are a curve's branch points, or
+    _branch_leg's roots in its local parameter.
 
-    _embedded_gauss accepts a subinterval or not, but no pass within
-    1e-9 |b - a| of the foot of a root that its segment [a, b] runs
-    through (the foot inside it and as close to the root) is accepted:
-    the integrand is singular there, the gap under-counts its error and y
-    has no sheet beyond, so such a path ends in NonConvergence.  A pass
-    lifts its nodes mid + half * _path_rule()[0], and b as the last
-    entry, in one _continue_sqrt call from y at a.  NonConvergence is
-    raised past budget bisections over the whole path, and by a pass,
-    before f is evaluated, with a node on a branch point (y = 0) or split
-    from a rejected pass with nodes not distinct from each other and from
-    both ends of [lo, hi], as bisection toward an integrand singular at an
-    end would divide by zero there (a first pass a few ulp long has
-    coinciding nodes and a fine estimate).  The nodes lie 0.0218
-    half-lengths apart and 0.0043 from an end or more, each within about
-    2 ulp of |mid| per part, so only passes shorter than 4096 ulp of |mid|
-    are compared.  Returns (value, error, y_end): error sums the accepted
-    gaps, and y_end is y at the last vertex."""
+    f maps (lam array, y array) to an (n,) or (n, k) array.
+    _embedded_gauss decides whether a subinterval is accepted.  A pass
+    lifts its nodes and the end b of the current segment [a, b] in one
+    _continue_sqrt call from y at a: mid + half * _path_rule()[0] with
+    the last entry set to b.  budget caps the bisections over the whole
+    path; an integral that needs more raises NonConvergence.  So does a
+    pass, before f is evaluated, with a node on a branch point (y = 0),
+    or split from a rejected pass with nodes not distinct from each
+    other and from both ends of [lo, hi], as bisection toward an
+    integrand singular at an end would divide by zero there (a first
+    pass a few ulp long has coinciding nodes and a fine estimate).  The
+    nodes lie 0.0218 half-lengths apart and 0.0043 from an end or more,
+    each within about 2 ulp of |mid| per part, so only passes shorter
+    than 4096 ulp of |mid| are compared.  Returns (value, error, y_end):
+    error sums the accepted gaps, and y_end is y at the last vertex."""
     x = _path_rule()[0]
     pts = [complex(p) for p in verts]
-    rs = np.asarray(roots).tolist()
     total = None
     total_err = 0.0
     y_a = y0
@@ -156,9 +153,6 @@ def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     for a, b in zip(pts[:-1], pts[1:]):
         if a == b:
             continue
-        feet = [a + w.real * (b - a) for r in rs
-                if abs((w := (r - a) / (b - a)).imag) <= 1e-9
-                and 0.0 < w.real < 1.0]
         stack = [(a, b, False)]
         while stack:
             lo, hi, split = stack.pop()
@@ -178,9 +172,7 @@ def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
             hi_est, err, accepted = _embedded_gauss(
                 half, f(zs[:_NODES], ys[:_NODES]), tol)
             err = float(err)
-            if accepted and not (feet and any(
-                    abs(p - mid) - abs(half) <= 1e-9 * abs(b - a)
-                    for p in feet)):
+            if accepted:
                 total = hi_est if total is None else total + hi_est
                 total_err += err
             elif used >= budget:
@@ -575,6 +567,16 @@ def _path_rule():
     return rule
 
 
+@lru_cache(maxsize=None)
+def _rule_weights():
+    """_path_rule's Kronrod and Gauss weights as the columns of one
+    read-only (_NODES, 2, 1) block, the Gauss column zero past row 10."""
+    block = np.zeros((_NODES, 2, 1))
+    block[:, 0, 0], block[:10, 1, 0] = _path_rule()[1:]
+    block.setflags(write=False)
+    return block
+
+
 def _embedded_gauss(half, vals, tol):
     """The nested 10/21-point Gauss-Kronrod rule of integrate_vector_path
     on one or more intervals: vals holds the integrand along axis 0 at
@@ -583,27 +585,17 @@ def _embedded_gauss(half, vals, tol):
     estimates (exact to degree 31), each interval's gap (the largest
     component difference from the Gauss estimate, exact to degree 19)
     and whether it is accepted: a gap of at most max(tol, 1e-10 * the
-    largest component of its Kronrod estimate).  A scalar half over a
-    (_NODES, k) block, an integrate_vector_path pass, takes np.dot; else
-    (GreenSolver.settle's edges) each column is summed row by row
-    (np.cumsum), bits that, unlike BLAS's, do not depend on the batch."""
-    _, wk, wg = _path_rule()
-    if np.isscalar(half) and vals.ndim == 2:
-        hi_est = half * np.dot(wk, vals)
-        gap = np.abs(hi_est - half * np.dot(wg, vals[:wg.size])).max()
-        top = np.abs(hi_est).max()
-        return hi_est, gap, gap <= max(tol, 1e-10 * top)
-    half = np.asarray(half)
-    rest = vals.shape[1:]
-    scale = half.reshape(half.shape + (1,) * (len(rest) - half.ndim))
-    flat = vals.reshape(_NODES, -1)
-    hi_est = scale * np.cumsum(wk[:, None] * flat, axis=0)[-1].reshape(rest)
-    lo_est = scale * np.cumsum(wg[:, None] * flat[:wg.size],
-                               axis=0)[-1].reshape(rest)
-    per_interval = half.shape + (-1,)
-    gap = np.abs(hi_est - lo_est).reshape(per_interval).max(axis=-1)
-    top = np.abs(hi_est).reshape(per_interval).max(axis=-1)
-    return hi_est, gap, gap <= np.maximum(tol, 1e-10 * top)
+    largest component of its Kronrod estimate).  Each column is summed
+    row by row (np.add.accumulate), so unlike a BLAS product no bit
+    depends on the batch: a path's pass and a settled edge agree."""
+    half = np.asarray(half)[..., None]
+    sums = np.add.accumulate(_rule_weights() * vals.reshape(_NODES, 1, -1))
+    per_interval = half.shape[:-1] + (-1,)
+    hi_est = half * sums[-1, 0].reshape(per_interval)
+    gap = np.abs(hi_est - half * sums[9, 1].reshape(per_interval))
+    gap = gap.max(axis=-1)
+    return (hi_est.reshape(vals.shape[1:]), gap,
+            gap <= np.maximum(tol, 1e-10 * np.abs(hi_est).max(axis=-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,9 @@ class TestGaussLegendre:
 
 
 def _tensordot_gauss(half, vals, tol):
-    """Reference for green._embedded_gauss: the np.tensordot form of the
-    nested Gauss-Kronrod rule, the Gauss nodes in the first rows."""
+    """The np.tensordot form of green._embedded_gauss's nested
+    Gauss-Kronrod rule, the Gauss nodes in the first rows: a BLAS product,
+    so its estimates agree with the rule's to rounding."""
     _, wk, wg = green._path_rule()
     half = np.asarray(half)
     hi_est = np.tensordot(wk, vals, axes=(0, 0))
@@ -343,9 +344,9 @@ def _tensordot_gauss(half, vals, tol):
 
 
 def _rowwise_gauss(half, vals, tol):
-    """Reference for the batched form of green._embedded_gauss: each
-    interval's rules summed row by row in order, one column at a time in
-    Python complex arithmetic, so no column depends on another."""
+    """Reference for green._embedded_gauss: each interval's rules summed
+    row by row in order, one column at a time in Python complex
+    arithmetic, so no column depends on another."""
     _, wk, wg = green._path_rule()
     half = np.asarray(half)
     cols = vals.reshape(vals.shape[0], -1).T
@@ -387,12 +388,10 @@ class TestPathQuadrature:
                      (7, 5)]
         for per in ([False, True] if rest else [False])])
     def test_embedded_gauss_matches_tensordot(self, rest, per_interval):
-        # the one-interval branch (scalar half, a (_NODES, k) block) makes
-        # the np.dot call np.tensordot makes, so every output is the same
-        # bits; every other shape takes the batched form, each column
-        # summed row by row, the bits of _rowwise_gauss and within
-        # rounding of np.tensordot.  A per-interval half runs along axis
-        # 1, as for the edges of GreenSolver.settle
+        # every shape sums each column row by row: the bits of
+        # _rowwise_gauss, and estimates within rounding of np.tensordot
+        # (a BLAS product); a per-interval half runs along axis 1, as for
+        # the edges of GreenSolver.settle
         shape = (green._NODES,) + rest
         rng = np.random.default_rng(len(shape) * 10 + shape[-1])
         x = green._path_rule()[0][:green._NODES]
@@ -407,25 +406,20 @@ class TestPathQuadrature:
                 + rng.standard_normal(shape) * 1e-12
             for tol in (1e-9, 1e-14):
                 got = green._embedded_gauss(half, vals, tol)
-                ref = _tensordot_gauss(half, vals, tol)
-                if per_interval or len(rest) != 1:
-                    size = np.abs(half).max() * np.abs(vals).max() * 2.0
-                    np.testing.assert_allclose(got[0], ref[0], rtol=0,
-                                               atol=64 * 2.0 ** -53 * size)
-                    ref = _rowwise_gauss(half, vals, tol)
-                for g, r in zip(got, ref):
+                size = np.abs(half).max() * np.abs(vals).max() * 2.0
+                np.testing.assert_allclose(
+                    got[0], _tensordot_gauss(half, vals, tol)[0], rtol=0,
+                    atol=64 * 2.0 ** -53 * size)
+                for g, r in zip(got, _rowwise_gauss(half, vals, tol)):
                     assert np.shape(g) == np.shape(r)
                     np.testing.assert_array_equal(g, r)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
     def test_one_interval_matches_batched_form(self, k):
-        # the one-interval branch (scalar half, a (_NODES, k) block), as
-        # integrate_vector_path calls it, against the batched form it
-        # bypasses on the same interval: a (1,) half over (_NODES, 1, k),
-        # and a 0-d array half over (_NODES, k), the same bits as each
-        # other.  The batched form sums row by row and the one-interval
-        # branch by np.dot, so their estimates agree to rounding and,
-        # on these intervals, their acceptance exactly
+        # a scalar half over a (_NODES, k) block, as integrate_vector_path
+        # calls it, against the batched forms on the same interval: a (1,)
+        # half over (_NODES, 1, k), and a 0-d array half over (_NODES, k),
+        # all the same bits
         rng = np.random.default_rng(21 + k)
         x = green._path_rule()[0][:green._NODES]
         accepted = set()
@@ -441,12 +435,10 @@ class TestPathQuadrature:
                 batched = green._embedded_gauss(np.array([half]),
                                                 vals[:, None], tol)
                 plain = green._embedded_gauss(np.asarray(half), vals, tol)
-                size = abs(half) * np.abs(vals).max() * 2.0
                 for g, r, p in zip(got, batched, plain):
                     assert np.shape(g) == np.shape(p) == np.shape(r[0])
-                    np.testing.assert_array_equal(p, r[0])
-                    np.testing.assert_allclose(g, p, rtol=0,
-                                               atol=64 * 2.0 ** -53 * size)
+                    np.testing.assert_array_equal(g, r[0])
+                    np.testing.assert_array_equal(g, p)
         assert accepted == {True, False}
 
     def test_kronrod_rule_constants(self):
