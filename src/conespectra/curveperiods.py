@@ -171,6 +171,10 @@ def _continue_sqrt(roots, a, b, val, targets):
 
         y(t) = sign(Re(exact(t) * conj(val))) * exact(t).
 
+    That real part keeps cos(0.45 pi) |exact(t)| |val|, over 0.15 of the
+    product of the moduli, away from zero, so the rounding of the one
+    complex product that takes it never decides a sign.
+
     A segment with a larger or non-finite turn (it passes through a root
     or starts on one) takes the ratio product instead: each ratio
     (t - r) / (a - r) moves on a line that starts at 1 and reaches the
@@ -184,17 +188,20 @@ def _continue_sqrt(roots, a, b, val, targets):
     it is aligned with on the trailing axes.  A call with arrays of
     starts equals the per-start scalar calls bit for bit.
 
-    One scalar segment, as integrate_vector_path and loop_nodes pass,
-    takes its turn in scalar cmath; below the bound it then needs only
-    exact, the sign rule and np.where.  That is bit for bit the array
-    path on the same segment: the sign rule's arithmetic is the same
-    elementwise, and a turn rounded differently near the bound only
-    picks the other of two rules that decide the same sign.  A start on
-    a root, or a turn at or past the bound, takes the array path.
+    One segment, given as scalars (loop_nodes, the tree root, a pass of
+    one row in green.integrate_paths) or as 1-element arrays, takes its
+    turn in scalar cmath; below the bound it then needs only exact, the
+    sign rule and np.where.  That is bit for bit the array path on the
+    same segment: the sign rule decides the same sign, and a turn
+    rounded differently near the bound only picks the other of two rules
+    that decide the same sign.  A start on a root, or a turn at or past
+    the bound, takes the array path.
     """
     targets = np.asarray(targets, dtype=complex)
-    if np.isscalar(a) and np.isscalar(b) and np.isscalar(val):
-        a, b = complex(a), complex(b)
+    if np.isscalar(a) or a.size == 1:
+        if not np.isscalar(a):
+            a, b, val = a.item(), b.item(), val.item()
+        a, b, val = complex(a), complex(b), complex(val)
         try:
             turn = sum([abs(cmath.phase((b - r) / (a - r)))
                         for r in roots.tolist()])
@@ -202,8 +209,7 @@ def _continue_sqrt(roots, a, b, val, targets):
             turn = math.inf
         if turn < _TURN_BOUND:
             exact = np.sqrt(_root_product(targets, roots))
-            val = complex(val)
-            keep = exact.real * val.real + exact.imag * val.imag > 0
+            keep = (exact * val.conjugate()).real > 0
             return np.where(keep, exact, -exact)
     a, b, val = np.ravel(a), np.ravel(b), np.ravel(val)
     tgt = targets.reshape(-1, a.size)
@@ -214,7 +220,7 @@ def _continue_sqrt(roots, a, b, val, targets):
         < _TURN_BOUND
     # the sign rule on every column, Re(exact * conj(val)) > 0; the
     # columns past the turn bound are then overwritten
-    keep = exact.real * val.real + exact.imag * val.imag > 0
+    keep = (exact * val.conj()).real > 0
     if not rule.all():
         cols = ~rule
         ex = exact[:, cols]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -122,71 +122,99 @@ def build_path(curve, lam_from, lam_to, depth=0):
     return left + right[1:]
 
 
-def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
-    """Adaptive integral of the k-vector f(lam, y) along a polyline given
-    by complex vertices, with y = sqrt(prod(lam - roots)) continued from
-    y0 at the first vertex, by bisection with the nested 10/21-point
-    Gauss-Kronrod rule.  roots are a curve's branch points, or
+def integrate_paths(roots, paths, y0s, f, tol=1e-9, budget=200):
+    """Adaptive integrals of the k-vector f(lam, y) along polylines of
+    complex vertices, with y = sqrt(prod(lam - roots)) continued along
+    path i from y0s[i] at its first vertex, by bisection with the nested
+    10/21-point Gauss-Kronrod rule.  roots are a curve's branch points, or
     _branch_leg's roots in its local parameter.
 
-    f maps (lam array, y array) to an (n,) or (n, k) array.
-    _embedded_gauss decides whether a subinterval is accepted.  A pass
-    lifts its nodes and the end b of the current segment [a, b] in one
-    _continue_sqrt call from y at a: mid + half * _path_rule()[0] with
-    the last entry set to b.  budget caps the bisections over the whole
-    path; an integral that needs more raises NonConvergence.  So does a
-    pass, before f is evaluated, with a node on a branch point (y = 0),
-    or split from a rejected pass with nodes not distinct from each
-    other and from both ends of [lo, hi], as bisection toward an
-    integrand singular at an end would divide by zero there (a first
-    pass a few ulp long has coinciding nodes and a fine estimate).  The
-    nodes lie 0.0218 half-lengths apart and 0.0043 from an end or more,
-    each within about 2 ulp of |mid| per part, so only passes shorter
-    than 4096 ulp of |mid| are compared.  Returns (value, error, y_end):
-    error sums the accepted gaps, and y_end is y at the last vertex."""
-    x = _path_rule()[0]
-    pts = [complex(p) for p in verts]
-    total = None
-    total_err = 0.0
-    y_a = y0
-    used = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        stack = [(a, b, False)]
-        while stack:
-            lo, hi, split = stack.pop()
-            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            zs = mid + half * x
-            zs[_NODES] = b
-            if split and abs(half) < 4096 * math.ulp(abs(mid)) and np.unique(
-                    np.r_[lo, hi, zs[:_NODES]]).size < _NODES + 2:
-                raise NonConvergence(
-                    f"path integral: [{lo}, {hi}] has nodes not distinct")
-            ys = _continue_sqrt(roots, a, b, y_a, zs)
-            if np.count_nonzero(ys[:_NODES]) < _NODES:
-                raise NonConvergence(
-                    f"path integral: a node of [{lo}, {hi}] lies on a "
-                    f"branch point")
-            y_b = ys[_NODES]
-            hi_est, err, accepted = _embedded_gauss(
-                half, f(zs[:_NODES], ys[:_NODES]), tol)
-            err = float(err)
+    Each path keeps a work list of pieces [lo, hi] of its segments [a, b].
+    A pass lifts the nodes and segment end b of one piece per live path,
+    mid + half * _path_rule()[0] with the last entry set to b, from y at
+    a in one _continue_sqrt call, evaluates f (mapping (lam array, y
+    array) to an (n,) or (n, k) array) in one call and decides them in
+    one _embedded_gauss call.  A rejected piece goes back as its two
+    halves, the one at b on top; a next segment starts from y at the end
+    of the last pass.  So a path takes and sums its pieces in one order,
+    segments in turn, each from its end back to its start: it gets the
+    same bits alone or in any batch.
+
+    budget caps the bisections on each path; a path that needs more
+    raises NonConvergence.  So does a piece, before f is evaluated, with
+    a node on a branch point (y = 0), or split from a rejected one with
+    nodes not distinct from each other and from both ends of [lo, hi], as
+    bisection toward an integrand singular at an end would divide by zero
+    there (a first pass a few ulp long has coinciding nodes and a fine
+    estimate).  The nodes lie 0.0218 half-lengths apart and 0.0043 from
+    an end or more, each within about 2 ulp of |mid| per part, so only
+    pieces shorter than 4096 ulp of |mid| are compared.  Returns lists of
+    the values, the errors (sums of the accepted gaps) and y at the last
+    vertex, one entry per path."""
+    # pieces (mid, half, a, b, y at a, lo, hi, split), the next last; y
+    # at a is None in a segment's first piece, which takes y_end, the y
+    # where its path's last pass ended
+    todo = []
+    for v in paths:
+        v = list(map(complex, v))
+        todo.append([((a + b) / 2.0, (b - a) / 2.0, a, b, None, a, b, False)
+                     for a, b in zip(v[-2::-1], v[:0:-1]) if a != b])
+    if not all(todo):
+        raise NonConvergence("empty integration path")
+    y_end = list(map(complex, y0s))
+    used, value, error = [0] * len(todo), [None] * len(todo), [0.0] * len(todo)
+    live = range(len(todo))
+    while live:
+        pieces = [todo[p].pop() for p in live]
+        rows = [q[:4] + (y_end[p] if q[4] is None else q[4],)
+                for p, q in zip(live, pieces)]
+        # (mid, half, a, b, y at a) per row; a lone row keeps them as
+        # Python scalars, which NumPy takes faster than 1-element arrays
+        if len(rows) == 1:
+            (mid, half, a, b, y_a), x = rows[0], _path_rule()[0]
+        else:
+            mid, half, a, b, y_a = np.array(rows).T
+            x = _path_rule()[0][:, None]
+        zs = mid + half * x
+        zs[_NODES] = b
+        for i, q in enumerate(pieces):
+            if q[7] and abs(q[1]) < 4096 * math.ulp(abs(q[0])) and np.unique(
+                    np.r_[q[5:7], zs.reshape(_NODES + 1, -1)[:_NODES, i]]
+            ).size < _NODES + 2:
+                raise NonConvergence(f"path integral: [{q[5]}, {q[6]}] has "
+                                     f"nodes not distinct")
+        ys = _continue_sqrt(roots, a, b, y_a, zs)
+        inner = ys[:_NODES]
+        if np.count_nonzero(inner) < inner.size:
+            q = pieces[int((inner == 0).reshape(_NODES, -1).any(0).argmax())]
+            raise NonConvergence(f"path integral: a node of [{q[5]}, {q[6]}] "
+                                 f"lies on a branch point")
+        vals = f(zs[:_NODES].ravel(), inner.ravel())
+        hi_est, gap, ok = _embedded_gauss(
+            half, vals.reshape((_NODES, len(rows)) + vals.shape[1:]), tol)
+        for p, q, (m, _, a, b, y), est, err, accepted, y_b in zip(
+                live, pieces, rows, hi_est, gap.reshape(-1).tolist(),
+                ok.reshape(-1).tolist(), ys[_NODES:].ravel().tolist()):
             if accepted:
-                total = hi_est if total is None else total + hi_est
-                total_err += err
-            elif used >= budget:
+                value[p] = est if value[p] is None else value[p] + est
+                error[p] += err
+            elif used[p] >= budget:
                 raise NonConvergence(
                     f"path integral: {budget} subdivisions exhausted on "
-                    f"[{lo}, {hi}] (error {err:.3e})")
+                    f"[{q[5]}, {q[6]}] (error {err:.3e})")
             else:
-                used += 1
-                stack.append((lo, mid, True))
-                stack.append((mid, hi, True))
-        y_a = complex(y_b)
-    if total is None:
-        raise NonConvergence("empty integration path")
-    return total, total_err, y_a
+                used[p] += 1
+                todo[p] += [((u + v) / 2.0, (v - u) / 2.0, a, b, y, u, v, True)
+                            for u, v in ((q[5], m), (m, q[6]))]
+            y_end[p] = y_b
+        live = [p for p in live if todo[p]]
+    return value, error, y_end
+
+
+def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
+    """(value, error, y_end) of integrate_paths on the one polyline verts."""
+    out = integrate_paths(roots, [verts], [y0], f, tol, budget)
+    return out[0][0], out[1][0], out[2][0]
 
 
 def _arrival(curve, y_end, point: SurfacePoint):
@@ -347,9 +375,7 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
 class SurfaceTree:
     """Spanning tree over the nodes of a surface grid, with sheet-tracked
     straight edges; construction is deterministic.  Every node but the
-    root hangs from its parent by one straight edge, the edge into it,
-    whose Gauss nodes (_path_rule) get y on first use (lift), kept in the
-    node's row of ys for every integrand over the tree.
+    root hangs from its parent by one straight edge, the edge into it.
 
     y_plus is y continued from the base point along the tree.  Its sheet,
     called +1 by the tree users, is the sheet of that continuation, not
@@ -362,36 +388,11 @@ class SurfaceTree:
     min_gap / 2 of that branch point."""
 
     grid: object
-    branch_points: np.ndarray
     parent: np.ndarray         # -1 at the root
     order: np.ndarray          # grid nodes, root and parents first
     y_plus: np.ndarray         # y continued along the tree at every node
     root: int
     hub: int                   # end of the solvers' branch leg
-    ys: np.ndarray = field(init=False, repr=False)   # (nodes, _NODES)
-    lifted: np.ndarray = field(init=False, repr=False)   # rows of ys set
-
-    def __post_init__(self):
-        self.ys = np.empty((self.parent.size, _NODES), dtype=complex)
-        self.lifted = np.zeros(self.parent.size, dtype=bool)
-
-    def lift(self, kids):
-        """(zs, ys, half) of the edges into the nodes kids (no root): Gauss
-        nodes as rows, y there, half-lengths.  Unlifted edges are lifted
-        from y_plus at their parents and kept; _continue_sqrt equals its
-        per-segment calls, so each gets the bits of a whole-tree lift."""
-        lam = self.grid.nodes
-        up = self.parent[kids]
-        half = (lam[kids] - lam[up]) / 2.0
-        zs = ((lam[up] + lam[kids]) / 2.0)[:, None] \
-            + half[:, None] * _path_rule()[0][:_NODES]
-        e = np.flatnonzero(~self.lifted[kids])
-        if e.size:
-            self.ys[kids[e]] = _continue_sqrt(
-                self.branch_points, lam[up[e]], lam[kids[e]],
-                self.y_plus[up[e]], zs[e].T).T
-            self.lifted[kids] = True
-        return zs, self.ys[kids], half
 
 
 def _layout_tree(curve, grid, root, gap):
@@ -484,7 +485,7 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     y is continued in closed form, y_plus[i] = sigma_i sqrt(prod(lam_i -
     bp)) with sigma_i the parent's sign times the edge's flip: one
     _continue_sqrt call flips every edge and one _path_counts pass sums
-    the flips; no edge is lifted yet."""
+    the flips."""
     lam = grid.nodes
     bp = curve.branch_points
     n = lam.size
@@ -515,8 +516,8 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     flips = _path_counts(parent, root, edge_flips)
     flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
     y_plus = np.where(flips % 2 != flip_root, -exact, exact)
-    return SurfaceTree(grid=grid, branch_points=bp, parent=parent,
-                       order=order, y_plus=y_plus, root=root, hub=hub)
+    return SurfaceTree(grid=grid, parent=parent, order=order, y_plus=y_plus,
+                       root=root, hub=hub)
 
 
 # QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
@@ -555,7 +556,7 @@ _NODES = 21   # integrand nodes per interval
 
 @lru_cache(maxsize=None)
 def _path_rule():
-    """integrate_vector_path's nodes on [-1, 1], the 10 Gauss nodes and
+    """integrate_paths' nodes on [-1, 1], the 10 Gauss nodes and
     then the other 11, each ascending, then 1.0, with the Kronrod weights
     of the first _NODES and the Gauss weights of the first 10; read-only."""
     x, w = np.array(_XGK), np.array(_WGK)
@@ -578,24 +579,26 @@ def _rule_weights():
 
 
 def _embedded_gauss(half, vals, tol):
-    """The nested 10/21-point Gauss-Kronrod rule of integrate_vector_path
-    on one or more intervals: vals holds the integrand along axis 0 at
-    the _NODES nodes of each (_path_rule), half the half-length, a scalar
-    or one per interval on the next axes of vals.  Returns the Kronrod
+    """The nested 10/21-point Gauss-Kronrod rule of integrate_paths on
+    one or more intervals: vals holds the integrand along axis 0 at the
+    _NODES nodes of each (_path_rule), half the half-length, a scalar or
+    one per interval on the next axes of vals.  Returns the Kronrod
     estimates (exact to degree 31), each interval's gap (the largest
     component difference from the Gauss estimate, exact to degree 19)
     and whether it is accepted: a gap of at most max(tol, 1e-10 * the
     largest component of its Kronrod estimate).  Each column is summed
     row by row (np.add.accumulate), so unlike a BLAS product no bit
-    depends on the batch: a path's pass and a settled edge agree."""
+    depends on the batch: a piece gets the same bits in any pass."""
     half = np.asarray(half)[..., None]
     sums = np.add.accumulate(_rule_weights() * vals.reshape(_NODES, 1, -1))
     per_interval = half.shape[:-1] + (-1,)
     hi_est = half * sums[-1, 0].reshape(per_interval)
     gap = np.abs(hi_est - half * sums[9, 1].reshape(per_interval))
-    gap = gap.max(axis=-1)
+    size = np.abs(hi_est)   # then the largest component of each interval
+    gap, size = ((gap[..., 0], size[..., 0]) if gap.shape[-1] == 1
+                 else (gap.max(axis=-1), size.max(axis=-1)))
     return (hi_est.reshape(vals.shape[1:]), gap,
-            gap <= np.maximum(tol, 1e-10 * np.abs(hi_est).max(axis=-1)))
+            gap <= np.maximum(tol, 1e-10 * size))
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +893,8 @@ class GreenContext:
     (lambda, y, pcoef) that form gives for one surface point, less the
     Cauchy sum: G reads the sum through t_nodes and log_potential, the
     special solutions through cone_cauchy.  The p-side data that every
-    GreenSolver shares (p_tree, with every edge lifted so far, and t_nodes)
-    are built on first read: a context, its solvers and its checks build
-    one tree, the p tree."""
+    GreenSolver shares (p_tree and t_nodes) are built on first read: a
+    context, its solvers and its checks build one tree, the p tree."""
 
     model: BidiffModel
     frame: DistinguishedFrame
@@ -1118,12 +1120,12 @@ class GreenSolver:
 
     def settle(self, nodes):
         """(S, e) at the p nodes in nodes, (m, 2): S(j) = Re int_root^j g
-        along the tree on its sheet, e(j) its error.  Unsettled root-path
-        edges take one batched pass of the nested rule on the tree's lift
-        (_embedded_gauss), a rejected edge integrate_vector_path at tol
-        1e-8 and budget 30.  S and e are prefix sums (np.cumsum) seeded
-        with the deepest settled ancestor: a node gets the bits of the walk
-        from the root, whatever was settled before."""
+        along the tree on its sheet, e(j) its error.  The unsettled
+        root-path edges, each a two-vertex path from y_plus at its parent,
+        take one integrate_paths call at tol 1e-8 and budget 30.  S and e
+        are prefix sums (np.cumsum) seeded with the deepest settled
+        ancestor: a node gets the bits of the walk from the root, whatever
+        was settled before."""
         tree, known, sums = self.p_tree, self._known, self._sums
         parent, lam = tree.parent, tree.grid.nodes
         paths, new = [], set()
@@ -1136,15 +1138,11 @@ class GreenSolver:
             paths.append((j, path[::-1]))
         if new:
             kids = np.array(sorted(new))
-            zs, ys, half = tree.lift(kids)
-            fv = self._odd(zs.ravel(), ys.ravel()).reshape(zs.shape).T
-            hi_est, gap, ok = _embedded_gauss(half, fv, 1e-8)
-            for e in np.flatnonzero(~ok):
-                up = parent[kids[e]]
-                hi_est[e:e + 1], gap[e], _ = integrate_vector_path(
-                    self.ctx.curve.branch_points, [lam[up], lam[kids[e]]],
-                    tree.y_plus[up], self._odd, tol=1e-8, budget=30)
-            edges = np.stack([hi_est.real, gap], axis=1)
+            up = parent[kids]
+            vals, gap, _ = integrate_paths(self.ctx.curve.branch_points, zip(
+                lam[up].tolist(), lam[kids].tolist()), tree.y_plus[up],
+                self._odd, tol=1e-8, budget=30)
+            edges = np.column_stack([np.real(vals)[:, 0], gap])
             for j, path in paths:
                 sums[path] = np.cumsum(np.vstack(
                     [sums[j], edges[np.searchsorted(kids, path)]]),

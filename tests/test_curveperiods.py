@@ -296,13 +296,23 @@ class TestContinueSqrt:
         past = _turn(curve.branch_points, surface.nodes[tree.parent[kids]],
                      surface.nodes[kids]) >= curveperiods._TURN_BOUND
         assert past.any() == (grid == (6, 8)) and past.mean() < 0.05
+        up = tree.parent[kids]
+        zs = ((surface.nodes[up] + surface.nodes[kids]) / 2.0)[:, None] \
+            + ((surface.nodes[kids] - surface.nodes[up]) / 2.0)[:, None] \
+            * green._path_rule()[0][:green._NODES]
+
+        def lift(t):
+            # y at the Gauss nodes of every edge, from y_plus at its parent
+            return _continue_sqrt(curve.branch_points, surface.nodes[up],
+                                  surface.nodes[kids], t.y_plus[up], zs.T)
+
         with _ratio_only():
             ratio_tree = green.build_surface_tree(curve, surface)
-            ratio_ys = ratio_tree.lift(kids)[1]
+            ratio_ys = lift(ratio_tree)
         for field in ("parent", "order", "y_plus"):
             np.testing.assert_array_equal(getattr(tree, field),
                                           getattr(ratio_tree, field))
-        np.testing.assert_array_equal(tree.lift(kids)[1], ratio_ys)
+        np.testing.assert_array_equal(lift(tree), ratio_ys)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(CURVES)), st.integers(0, 5),
@@ -340,10 +350,11 @@ class TestContinueSqrt:
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_scalar_segment_matches_one_element_arrays(self, name):
-        # one scalar segment takes its turn in cmath and, below the bound,
-        # only the sign rule; the same segment as 1-element arrays takes
-        # the array path.  Seeded segments, segments whose turn lies just
-        # below and just above _TURN_BOUND, and the loop_nodes segments
+        # one segment, as scalars or as 1-element arrays, takes its turn
+        # in cmath and, below the bound, only the sign rule; the same
+        # segment twice over, as 2-element arrays, takes the array path.
+        # Seeded segments, segments whose turn lies just below and just
+        # above _TURN_BOUND, and the loop_nodes segments
         curve = CURVES[name]
         roots = curve.branch_points
         rng = np.random.default_rng(14)
@@ -371,10 +382,14 @@ class TestContinueSqrt:
             for sign in (1, -1):
                 val = sign * cmath.sqrt(complex(np.prod(a - rts)))
                 got = _continue_sqrt(rts, a, b, val, targets)
-                ref = _continue_sqrt(rts, np.array([a]), np.array([b]),
+                one = _continue_sqrt(rts, np.array([a]), np.array([b]),
                                      np.array([val]), targets[:, None])
+                ref = _continue_sqrt(rts, np.array([a, a]), np.array([b, b]),
+                                     np.array([val, val]),
+                                     np.stack([targets, targets], axis=1))
                 assert got.shape == targets.shape
                 np.testing.assert_array_equal(got, ref[:, 0])
+                np.testing.assert_array_equal(one, ref[:, :1])
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_loop_segments_on_both_sides_of_the_bound(self, name):

@@ -507,6 +507,71 @@ def _reference_integrate_path(f, path, tol, budget, y0, lift):
     return total, total_err, y_a
 
 
+def _reference_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
+    """Reference for green.integrate_paths: the one-path loop it replaced,
+    verbatim.  Each segment's pieces go on a stack, the half at its end
+    popped first, so the accepted pieces are summed from the segment's
+    end back to its start; budget caps the bisections on the path."""
+    x = green._path_rule()[0]
+    n = green._NODES
+    pts = [complex(p) for p in verts]
+    total = None
+    total_err = 0.0
+    y_a = y0
+    used = 0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if a == b:
+            continue
+        stack = [(a, b, False)]
+        while stack:
+            lo, hi, split = stack.pop()
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            zs = mid + half * x
+            zs[n] = b
+            if split and abs(half) < 4096 * math.ulp(abs(mid)) and np.unique(
+                    np.r_[lo, hi, zs[:n]]).size < n + 2:
+                raise NonConvergence(
+                    f"path integral: [{lo}, {hi}] has nodes not distinct")
+            ys = curveperiods._continue_sqrt(roots, a, b, y_a, zs)
+            if np.count_nonzero(ys[:n]) < n:
+                raise NonConvergence(
+                    f"path integral: a node of [{lo}, {hi}] lies on a "
+                    f"branch point")
+            y_b = ys[n]
+            hi_est, err, accepted = green._embedded_gauss(
+                half, f(zs[:n], ys[:n]), tol)
+            err = float(err)
+            if accepted:
+                total = hi_est if total is None else total + hi_est
+                total_err += err
+            elif used >= budget:
+                raise NonConvergence(
+                    f"path integral: {budget} subdivisions exhausted on "
+                    f"[{lo}, {hi}] (error {err:.3e})")
+            else:
+                used += 1
+                stack.append((lo, mid, True))
+                stack.append((mid, hi, True))
+        y_a = complex(y_b)
+    if total is None:
+        raise NonConvergence("empty integration path")
+    return total, total_err, y_a
+
+
+def _lift_edges(curve, tree, kids):
+    """(zs, ys, half) of the tree edges into the nodes kids: the Gauss
+    nodes of each edge as a row (_path_rule), y there continued from
+    y_plus at its parent in one _continue_sqrt call, half-lengths."""
+    lam = tree.grid.nodes
+    up = tree.parent[kids]
+    half = (lam[kids] - lam[up]) / 2.0
+    zs = ((lam[up] + lam[kids]) / 2.0)[:, None] \
+        + half[:, None] * green._path_rule()[0][:green._NODES]
+    ys = curveperiods._continue_sqrt(curve.branch_points, lam[up], lam[kids],
+                                     tree.y_plus[up], zs.T).T
+    return zs, ys, half
+
+
 def _oracle_rule():
     """The 20/10-point Gauss-Legendre pair, the oracle of the nested
     10/21-point rule, in green._path_rule's layout: the 10-point nodes,
@@ -673,6 +738,93 @@ class TestIntegrateVectorPath:
         assert abs(got[2] - ref[2]) <= 1e-12 * abs(ref[2])
 
 
+class TestIntegratePaths:
+    """green.integrate_paths, the one adaptive path integrator, against
+    the one-path loop it replaced (_reference_vector_path)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)), odd=st.booleans(),
+           ends=st.lists(st.tuples(st.floats(-1.8, 1.8), st.floats(-1.8, 1.8),
+                                   st.floats(-1.8, 1.8), st.floats(-1.8, 1.8),
+                                   st.sampled_from([1, -1])),
+                         min_size=1, max_size=6),
+           tol=st.floats(1e-14, 1e-8))
+    def test_batch_matches_reference(self, read_solvers, name, odd, ends,
+                                     tol):
+        # a batch of build_path polylines, with the moments or a solver's
+        # odd part g as the integrand: every path's value, error and end
+        # y with the bits of the one-path loop, or NonConvergence from the
+        # batch wherever the loop raises on one of its paths
+        sol = read_solvers[name, (6, 8)][0]
+        curve = sol.ctx.curve
+        bp = curve.branch_points
+        f = sol._odd if odd else green._moment_integrand
+        paths, y0s = [], []
+        for ax, ay, bx, by, sheet in ends:
+            a, b = complex(ax, ay), complex(bx, by)
+            assume(a != b and min(np.abs(z - bp).min() for z in (a, b))
+                   > 1e-3)
+            paths.append(green.build_path(curve, a, b))
+            y0s.append(complex(curve.y_at(np.asarray(a), sheet)))
+        refs = []
+        for path, y0 in zip(paths, y0s):
+            try:
+                refs.append(_reference_vector_path(bp, path, y0, f, tol))
+            except NonConvergence:
+                event("NonConvergence")
+                with pytest.raises(NonConvergence):
+                    green.integrate_paths(bp, paths, y0s, f, tol)
+                return
+        rejected = []
+        with mock.patch.object(green, "_embedded_gauss",
+                               _recording(rejected, green._embedded_gauss)):
+            got = green.integrate_paths(bp, paths, y0s, f, tol)
+        event("bisected" if any((~ok).any() for *_, ok in rejected)
+              else "no bisection")
+        assert [len(out) for out in got] == [len(paths)] * 3
+        for out, ref in zip(zip(*got), refs):
+            for g, r in zip(out, ref):
+                assert type(g) is type(r)
+                assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+    def test_budget_is_per_path(self):
+        # f singular 1e-3 off the path [a, b] takes the path `need`
+        # bisections, and the path far from it none.  One batch at budget
+        # need - 1 raises, though the far paths in it converge; three
+        # copies of [a, b] at budget need, 3 need bisections together,
+        # pass with the bits of each alone
+        curve = CURVES["z5"]
+        bp = curve.branch_points
+        a, b = -1.5 + 1.4j, 1.5 + 1.4j
+        c = a + 0.371 * (b - a) + 1e-3j
+
+        def f(z, y):
+            return (np.abs(z - c) ** -0.5)[:, None]
+
+        y0 = complex(curve.y_at(np.asarray(a)))
+        far = [1.5 - 1.4j, 1.4 - 1.2j]
+        y_far = complex(curve.y_at(np.asarray(far[0])))
+
+        def alone(budget):
+            try:
+                return _reference_vector_path(bp, [a, b], y0, f,
+                                              budget=budget)
+            except NonConvergence:
+                return None
+
+        need = next(k for k in range(200) if alone(k) is not None)
+        assert need >= 2
+        ref_far = _reference_vector_path(bp, far, y_far, f, budget=0)
+        with pytest.raises(NonConvergence, match="subdivisions exhausted"):
+            green.integrate_paths(bp, [far, [a, b], far], [y_far, y0, y_far],
+                                  f, budget=need - 1)
+        got = green.integrate_paths(bp, [[a, b]] * 3 + [far],
+                                    [y0] * 3 + [y_far], f, budget=need)
+        for out, ref in zip(zip(*got), [alone(need)] * 3 + [ref_far]):
+            for g, r in zip(out, ref):
+                assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+
 def _surface_grid(name, grid, stagger):
     return build_surface_grid(CURVES[name].branch_points,
                               QuadratureConfig(surface_grid=(*grid, None)),
@@ -805,8 +957,8 @@ def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     sheet of the tree continuation (tree.y_plus).
 
     f is evaluated once, on the nodes of every edge at their lifted y
-    (SurfaceTree.lift of every edge), in one batched pass of the nested
-    rule (green._embedded_gauss); an edge that fails its acceptance rule
+    (_lift_edges of every edge), in one batched pass of the nested rule
+    (green._embedded_gauss); an edge that fails its acceptance rule
     goes through integrate_vector_path from y_plus at its parent, with
     the same per-edge budget.  The edge values, with each edge's
     accepted gap as one more column, are summed along every root path by
@@ -818,7 +970,7 @@ def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     those on each node's root path."""
     lam, kids = tree.grid.nodes, tree.order[1:]
     up = tree.parent[kids]
-    zs, ys, half = tree.lift(kids)
+    zs, ys, half = _lift_edges(curve, tree, kids)
     fv = f(zs.T.ravel(), ys.T.ravel()).reshape(*zs.T.shape, k)
     hi_est, gap, ok = green._embedded_gauss(half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
@@ -908,8 +1060,7 @@ def _assert_reference_tree(curve, grid):
     np.testing.assert_array_equal(tree.order, order)
     np.testing.assert_array_equal(tree.y_plus, y_plus)
     np.testing.assert_array_equal(_tree_depth(tree), depth)
-    assert not tree.lifted.any()
-    zs, ys, half = tree.lift(order[1:])
+    zs, ys, half = _lift_edges(curve, tree, order[1:])
     assert zs.shape == ys.shape == (n - 1, green._NODES)
     np.testing.assert_array_equal(
         half, (grid.nodes[order[1:]] - grid.nodes[parent[order[1:]]]) / 2.0)
@@ -1116,8 +1267,8 @@ class TestSurfaceTree:
     def test_spent_edge_budget_raises(self, z5):
         # a second argument on a p-tree edge, 0.3 of the way along it and
         # so on no Gauss-Kronrod node, puts the form's pole on it: the
-        # batched pass rejects the edge and its integrate_vector_path
-        # fallback spends the per-edge budget.  The edge is off the hub's
+        # edge's bisection in settle's integrate_paths call spends the
+        # per-edge budget.  The edge is off the hub's
         # root path, so the solver builds and settles the edge's start;
         # settling its end node raises
         model, frame = z5
@@ -1351,7 +1502,7 @@ class TestSurfaceTree:
         cfg = QuadratureConfig(surface_grid=(6, 8, None))
         c = green.green_context(model, frame, cfg)
         assert built == []
-        # a context plus its solvers builds (and so lifts) the p tree alone
+        # a context plus its solvers builds the p tree alone
         ys = [SurfacePoint(z, 1) for z in (0.9 + 1.3j, -0.7 + 0.4j)]
         solvers = [green.GreenSolver(c, y) for y in ys]
         assert built == [c.p_grid]
@@ -1361,8 +1512,8 @@ class TestSurfaceTree:
         green.special_solution_means(c)
         green.smatrix_expansion_check(c)
         assert built == [c.p_grid]
-        # a solver sharing the tree's lift equals one built alone, at
-        # every node read through settle
+        # a solver sharing the tree equals one built alone, at every node
+        # read through settle
         nodes = np.arange(c.p_grid.n_nodes)
         for s, y in zip(solvers, ys):
             alone = green.GreenSolver(green.green_context(model, frame, cfg),
@@ -1718,7 +1869,7 @@ def _clear_point(sol, pt):
 
 class TestSettle:
     """GreenSolver.settle, the tree sums on the root paths a solver
-    reads, and SurfaceTree.lift, the edges' lift on first use."""
+    reads."""
 
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)),
@@ -1732,9 +1883,8 @@ class TestSettle:
     def test_green_independent_of_query_order(self, read_solvers, name,
                                               grid, before, x):
         # G(x) and its error estimate on a fresh solver (on a fresh
-        # context, whose tree is lifted nowhere) and on one that answered
-        # other queries first, settling their root paths and lifting
-        # their edges: the same bits
+        # context) and on one that answered other queries first, settling
+        # their root paths: the same bits
         sol = read_solvers[name, grid][0]
         pts = [SurfacePoint(complex(a, b), s) for a, b, s in before + [x]]
         assume(all(_clear_point(sol, p) for p in pts))
@@ -1744,38 +1894,13 @@ class TestSettle:
             used.green(p)
         assert fresh.green(pts[-1]) == used.green(pts[-1])
 
-    @settings(max_examples=15, deadline=None)
-    @given(name=st.sampled_from(sorted(CURVES)),
-           grid=st.sampled_from([(6, 8), (12, 16)]),
-           seed=st.integers(0, 2 ** 32 - 1), parts=st.integers(1, 6))
-    def test_lift_subsets_match_whole_tree(self, name, grid, seed, parts):
-        # random subsets of the edges, overlapping and in random order,
-        # lifted one after another: every edge gets the bits of one
-        # whole-tree lift, those lifted first and the rest alike
-        curve = CURVES[name]
-        surface = _surface_grid(name, grid, 0.31)
-        kids = green.build_surface_tree(curve, surface).order[1:]
-        whole = green.build_surface_tree(curve, surface).lift(kids)
-        tree = green.build_surface_tree(curve, surface)
-        rng = np.random.default_rng(seed)
-        for _ in range(parts):
-            tree.lift(rng.choice(kids, rng.integers(1, kids.size // 2),
-                                 replace=False))
-        done = kids[tree.lifted[kids]]
-        pos = np.searchsorted(kids, done, sorter=np.argsort(kids))
-        pos = np.argsort(kids)[pos]
-        for got, ref in zip(tree.lift(done), whole):
-            np.testing.assert_array_equal(got, ref[pos])
-        for got, ref in zip(tree.lift(kids), whole):
-            np.testing.assert_array_equal(got, ref)
-
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 64))
     def test_edge_rule_independent_of_batch(self, seed, m):
-        # the batched nested rule, as settle runs it on (_NODES, edges):
-        # each edge's estimate, gap and acceptance are the same bits alone
-        # and inside any batch (np.dot over the block is not: BLAS rounds
-        # a column by the batch it sits in)
+        # the batched nested rule, as an integrate_paths pass runs it on
+        # (_NODES, rows): each row's estimate, gap and acceptance are the
+        # same bits alone and inside any batch (np.dot over the block is
+        # not: BLAS rounds a column by the batch it sits in)
         rng = np.random.default_rng(seed)
         x = green._path_rule()[0][:green._NODES, None]
         half = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / 7.0
@@ -2236,13 +2361,22 @@ class TestRoelckeGreen:
         xs = [SurfacePoint(complex(*v), s) for v in
               [(-0.7, 0.4), (0.6, 0.5), (1.2, -0.3), (-0.2, -1.1),
                (0.05, 0.02), (0.31, 1.05)] for s in (1, -1)]
-        with _oracle():
+        rules = []
+        rule = green._embedded_gauss
+
+        def recorded(half, vals, tol):
+            rules.append(vals.shape[0])
+            return rule(half, vals, tol)
+
+        with _oracle(), mock.patch.object(green, "_embedded_gauss",
+                                          recorded):
             ref = green.GreenSolver(green.green_context(
                 ctx.model, ctx.frame,
                 QuadratureConfig(surface_grid=(*grid, None))), sol.y)
             want = [ref.green(x) for x in xs]
             ref_gamma = _node_values(ref)[0]
-        assert ref.p_tree.ys.shape[1] == 30
+        # every pass, the tree's and the paths', ran on the 30-node pair
+        assert set(rules) == {30}
         assert np.abs(_node_values(sol)[0] - ref_gamma).max() <= 1e-14
         for x, g in zip(xs, want):
             got = sol.green(x)
