@@ -48,6 +48,7 @@ from .errors import (
     FitIllConditioned,
     NonConvergence,
     PathTooCloseToBranchPoint,
+    SingularityOnGrid,
     StepTooSmall,
 )
 from .numerics import QuadratureConfig, build_surface_grid
@@ -373,13 +374,13 @@ def third_kind_form(model: BidiffModel, p: SurfacePoint,
 
 @dataclass
 class SurfaceTree:
-    """Spanning tree over the nodes of a surface grid, with sheet-tracked
-    straight edges; construction is deterministic.  Every node but the
-    root hangs from its parent by one straight edge, the edge into it.
+    """Spanning tree over the nodes of a surface grid, with straight edges;
+    construction is deterministic.  Every node but the root hangs from its
+    parent by one straight edge, the edge into it.
 
-    y_plus is y continued from the base point along the tree.  Its sheet,
-    called +1 by the tree users, is the sheet of that continuation, not
-    the reference sheet of Curve.y_at(lam, +1): on the generic curve's
+    y_root is y continued from the base point to the root.  Its sheet, the
+    tree sheet, runs on along the root paths (GreenSolver.settle), and is
+    not the reference sheet of Curve.y_at(lam, +1): on the generic curve's
     (12, 16) grid about 30% of the nodes sit on reference sheet -1.
 
     hub is the node whose distance to the first branch point is closest
@@ -390,7 +391,7 @@ class SurfaceTree:
     grid: object
     parent: np.ndarray         # -1 at the root
     order: np.ndarray          # grid nodes, root and parents first
-    y_plus: np.ndarray         # y continued along the tree at every node
+    y_root: complex            # y continued from the base point to the root
     root: int
     hub: int                   # end of the solvers' branch leg
 
@@ -460,12 +461,12 @@ def _nearest_clear(curve, lam, gap, order, kids):
 
 
 def _path_counts(parent, root, counts):
-    """Sums of the integer counts on the edges of every node's root path,
-    counts[i] on the edge from node i to its parent (0 at the root), by
-    pointer jumping: up[i] starts at the parent of i and jumps to
-    up[up[i]] in every pass, total[i] summing the edges from i to up[i],
-    until every up[i] is the root, about log2 of the largest depth
-    passes."""
+    """Sums of the counts on the edges of every node's root path, counts[i]
+    on the edge from node i to its parent (0 at the root), by pointer
+    jumping: up[i] starts at the parent of i and jumps to up[up[i]] in
+    every pass, total[i] summing the edges from i to up[i], until every
+    up[i] is the root, about log2 of the largest depth passes.
+    _layout_tree counts the late nodes on each root path with it."""
     total = counts.copy()
     up = np.where(parent >= 0, parent, root)
     while (up != root).any():
@@ -481,16 +482,10 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     distance from the root, ties to the lower index.  A node left without
     a parent takes one from the nodes before it in one batched search
     (_nearest_clear), so a layout-less grid gets the nearest-visited tree.
-
-    y is continued in closed form, y_plus[i] = sigma_i sqrt(prod(lam_i -
-    bp)) with sigma_i the parent's sign times the edge's flip: one
-    _continue_sqrt call flips every edge and one _path_counts pass sums
-    the flips."""
+    y_root is one _continue_sqrt call from the base point to the root."""
     lam = grid.nodes
-    bp = curve.branch_points
-    n = lam.size
     root = int(np.argmax(np.abs(lam - grid.center)))
-    dist = np.abs(lam[:, None] - bp)
+    dist = np.abs(lam[:, None] - curve.branch_points)
     gap = dist.min(axis=1)
     if grid.patches:
         order, parent = _layout_tree(curve, grid, root, gap)
@@ -498,25 +493,15 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
         # scalar abs, not np.abs: the two differ by an ulp on some nodes,
         # enough to swap two nodes of equal distance in the visit order
         rho = np.array([abs(z) for z in (lam - lam[root]).tolist()])
-        order = np.lexsort((np.arange(n), rho))
-        parent = np.full(n, -1, dtype=int)
+        order = np.lexsort((np.arange(lam.size), rho))
+        parent = np.full(lam.size, -1, dtype=int)
     search = order[1:][parent[order[1:]] < 0]
     parent[search] = _nearest_clear(curve, lam, gap, order, search)
     hub = int(np.argmin(np.abs(dist[:, 0] - curve.min_gap / 3.0)))
-    exact = np.sqrt(curve.poly(lam))
-    y_root = _continue_sqrt(bp, curve.base_point, lam[root],
-                            curve.base_sheet_value, lam[root:root + 1])[0]
-    # each edge keeps the sign or flips it: continuing +exact at the
-    # parent gives +exact or -exact at the node
-    kids = order[1:]
-    up = parent[kids]
-    edge_flips = np.zeros(n, dtype=int)
-    edge_flips[kids] = _continue_sqrt(bp, lam[up], lam[kids], exact[up],
-                                      lam[kids]) != exact[kids]
-    flips = _path_counts(parent, root, edge_flips)
-    flip_root = abs(y_root - exact[root]) >= abs(y_root + exact[root])
-    y_plus = np.where(flips % 2 != flip_root, -exact, exact)
-    return SurfaceTree(grid=grid, parent=parent, order=order, y_plus=y_plus,
+    y_root = complex(_continue_sqrt(
+        curve.branch_points, curve.base_point, lam[root],
+        curve.base_sheet_value, lam[root:root + 1])[0])
+    return SurfaceTree(grid=grid, parent=parent, order=order, y_root=y_root,
                        root=root, hub=hub)
 
 
@@ -1075,10 +1060,12 @@ class GreenSolver:
     c (+ on the tree sheet of a point, - on the other; t is t_nodes at a
     p node, log_potential elsewhere) is the real integral of the averaged
     form from the p-tree root, plus t, and G(x, y) = (u(x) - mean_u) /
-    2 pi.  Only g is integrated, where it is read: at a p node Re Gamma(j)
-    = gamma_root + S(j), the tree sum of g on its root path (settle), and
-    gamma_root = Re Gamma(root) = Re leg - S(hub), leg the _branch_leg of
-    g from b0 to the hub, so construction settles the hub's root path.
+    2 pi; a y on a p node raises SingularityOnGrid.  Only g is integrated,
+    where it is read: at a p node Re Gamma(j) = gamma_root + S(j), the
+    tree sum of g on its root path (settle, which takes y there, _y(j),
+    from the same edges), and gamma_root = Re Gamma(root) = Re leg -
+    S(hub), leg the _branch_leg of g from b0 to _y(hub), so construction
+    settles the hub's root path.
     c = -(1/2) log|lambda_root - lambda_y| - gamma_root reaches G only as
     mean_u divides a p-grid sum by the q-grid area, ctx.area.  Errors,
     e(j) being S(j)'s: c is within e(hub) + leg_err.  u_at adds
@@ -1093,16 +1080,20 @@ class GreenSolver:
     def __init__(self, ctx: GreenContext, y: SurfacePoint):
         self.ctx = ctx
         self.y = y
+        dist = np.abs(ctx.p_grid.nodes - y.lam)
+        if dist.min() < 1e-12 * ctx.curve.scale:
+            raise SingularityOnGrid(f"y = {y.lam} lies on a p-grid node")
         self.form = ctx.form(y)
         tree = self.p_tree = ctx.p_tree
         hub, lam = tree.hub, tree.grid.nodes
         self._sums = np.zeros((lam.size, 2))   # (S, e) where settled
         self._known = np.arange(lam.size) == tree.root
+        self._y = np.where(self._known, tree.y_root, 0j)   # where settled
         s_hub, e_hub = self.settle([hub])[0]
-        leg, leg_err = _branch_leg(ctx.curve, lam[hub], tree.y_plus[hub],
+        leg, leg_err = _branch_leg(ctx.curve, lam[hub], self._y[hub],
                                    self._odd)
         self.gamma_root = float(leg[0].real - s_hub)
-        half_log = 0.5 * np.log(np.abs(lam - self.form[0]))
+        half_log = 0.5 * np.log(dist)
         self.c = float(-half_log[tree.root] - self.gamma_root)
         self.cross_err = float(2.0 * (e_hub + leg_err))
         # u_at's constant on the tree sheet and the other
@@ -1120,13 +1111,16 @@ class GreenSolver:
 
     def settle(self, nodes):
         """(S, e) at the p nodes in nodes, (m, 2): S(j) = Re int_root^j g
-        along the tree on its sheet, e(j) its error.  The unsettled
-        root-path edges, each a two-vertex path from y_plus at its parent,
-        take one integrate_paths call at tol 1e-8 and budget 30.  S and e
-        are prefix sums (np.cumsum) seeded with the deepest settled
-        ancestor: a node gets the bits of the walk from the root, whatever
-        was settled before."""
-        tree, known, sums = self.p_tree, self._known, self._sums
+        along the tree on its sheet, e(j) its error, and _y(j), y on that
+        sheet.  The unsettled root-path edges, each a two-vertex path from
+        +sqrt(P) at its parent, take one integrate_paths call at tol 1e-8
+        and budget 30.  Its value v and end y are odd in the start y, bit
+        for bit, so walking each path from the root down, with sigma = +-1
+        as _y at the parent is +-sqrt(P), a node takes S = S(parent) +
+        sigma v and _y = sigma y_end.  S and e are prefix sums (np.cumsum)
+        seeded with the deepest settled ancestor: a node gets the bits of
+        the walk from the root, whatever was settled before."""
+        tree, known, sums, ys = self.p_tree, self._known, self._sums, self._y
         parent, lam = tree.parent, tree.grid.nodes
         paths, new = [], set()
         for j in map(int, nodes):
@@ -1139,14 +1133,20 @@ class GreenSolver:
         if new:
             kids = np.array(sorted(new))
             up = parent[kids]
-            vals, gap, _ = integrate_paths(self.ctx.curve.branch_points, zip(
-                lam[up].tolist(), lam[kids].tolist()), tree.y_plus[up],
-                self._odd, tol=1e-8, budget=30)
+            y_up = np.sqrt(self.ctx.curve.poly(lam[up]))
+            vals, gap, y_end = integrate_paths(
+                self.ctx.curve.branch_points,
+                zip(lam[up].tolist(), lam[kids].tolist()), y_up, self._odd,
+                tol=1e-8, budget=30)
             edges = np.column_stack([np.real(vals)[:, 0], gap])
             for j, path in paths:
-                sums[path] = np.cumsum(np.vstack(
-                    [sums[j], edges[np.searchsorted(kids, path)]]),
-                    axis=0)[1:]
+                rows = np.searchsorted(kids, path)
+                for k, r in zip(path, rows.tolist()):
+                    if ys[parent[k]] != y_up[r]:   # parent on -sqrt(P)
+                        edges[r, 0], y_end[r] = -edges[r, 0], -y_end[r]
+                    ys[k] = y_end[r]
+                sums[path] = np.cumsum(np.vstack([sums[j], edges[rows]]),
+                                       axis=0)[1:]
             known[kids] = True
         return sums[nodes]
 
@@ -1161,7 +1161,7 @@ class GreenSolver:
         """u(x) = (1/2) log|lambda_x - lambda_y| + Re Gamma(x) +
         log_potential(x) + c and its error.  Gamma(x) starts from the p
         node j nearest to x (_nearest_node), settled first if it is not:
-        one build_path from (lambda_j, y_plus[j]) from S(j), signed by its
+        one build_path from (lambda_j, _y[j]) from S(j), signed by its
         arrival sheet (_odd_at), plus +- gamma_root; a p node takes no
         path.  Re Gamma is path independent (loop integrals of the form
         are imaginary, to real periods of about 1e-11).  The error is the
@@ -1172,8 +1172,7 @@ class GreenSolver:
         if not self._known[j]:
             self.settle([j])
         odd, err, s = _odd_at(self.ctx.curve, tree.grid.nodes[j],
-                              tree.y_plus[j], self._sums[j, :1], x,
-                              self._odd)
+                              self._y[j], self._sums[j, :1], x, self._odd)
         t_x = float(self.ctx.log_potential(np.asarray(lam, complex)))
         even = 0.5 * math.log(abs(lam - self.form[0]))
         return (even + float(odd[0].real) + t_x + self._offset[s],

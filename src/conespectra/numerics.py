@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,13 +33,15 @@ class TruncatedSeries:
     """Polynomial jet c0 + c1 t + ... + cN t^N with exact arithmetic
     through order N.
 
-    Instances are immutable.  The constructor checks its input, and so
-    does truncate, which takes an order; every other operation builds its
-    result with _of, which does not.  Binary operations truncate to the
-    smaller order; a non-series operand is a scalar.  unit_root, inverse,
-    compose and reciprocal loop on arrays with the np.convolve and np.dot
-    calls of the series operators, in their order: the CLI reports pinned
-    in stagebench/reference need these bits.
+    Instances are immutable.  The constructor checks its input (a
+    non-empty 1-d coefficient sequence, an order that is a whole number
+    >= 0), and so does truncate, which takes an order; every other
+    operation builds its result with _of, which does not.  Binary
+    operations truncate to the smaller order; a non-series operand is a
+    scalar.  unit_root, inverse, compose and reciprocal loop on arrays
+    with the np.convolve and np.dot calls of the series operators, in
+    their order: the CLI reports pinned in stagebench/reference need these
+    bits.
     """
 
     __slots__ = ("coeffs", "order")
@@ -47,7 +50,12 @@ class TruncatedSeries:
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
-        self.order = c.size - 1 if order is None else order
+        if order is None:
+            order = c.size - 1
+        elif not (isinstance(order, numbers.Integral) and order >= 0):
+            raise ValueError(f"order must be a whole number >= 0, got "
+                             f"{order!r}")
+        self.order = int(order)
         self.coeffs = np.zeros(self.order + 1, dtype=complex)
         self.coeffs[: c.size] = c[: self.order + 1]
         self.coeffs.setflags(write=False)

@@ -277,6 +277,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip().splitlines()[-1] \
             == "error: ConsistencyFailure in cone: route mismatch"
 
+    def test_green_second_argument_on_grid_node_exit(self, tmp_path):
+        # y on a p-grid node of z5 at (6, 8), where the solver's
+        # (1/2) log|lambda - lambda_y| would be -inf: exit 4 with the
+        # error named, under RuntimeWarnings as errors, and no report
+        cfg = write_cfg(tmp_path, {
+            "commands": ["green"], "surface_grid": [6, 8],
+            "points": [{"lam": [0.9, 1.3], "sheet": 1},
+                       {"lam": [-0.7335368558799493, 0.4055600782480495],
+                        "sheet": 1}]})
+        out = tmp_path / "green.json"
+        src = os.path.dirname(os.path.dirname(conespectra.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "conespectra.cli", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_INTERNAL, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines()[-1].startswith(
+            "error: SingularityOnGrid in green: ")
+        assert not out.exists()
+
 
 def count_calls(monkeypatch, module, name):
     calls = []

@@ -281,12 +281,14 @@ class TestContinueSqrt:
     @pytest.mark.parametrize("grid", [(6, 8), (12, 16), (24, 32)])
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_rule_matches_ratio_on_tree_edges(self, name, grid, stagger):
-        # the sign flips of the tree build and the lift to the Gauss nodes
-        # of every edge; from (12, 16) on, every edge takes the sign rule.
-        # On the (6, 8) grid the arcs of the exterior chart's three outer
-        # rings join nodes 45 degrees apart seen from the branch points, a
-        # turn of about 6 pi / 4, so those take the ratio product (with one
-        # branch-disk edge on z5): 3.7-3.8% of the edges
+        # the tree's y at the root and the lift of every edge, as a
+        # solver's settle runs it: from +sqrt(P) at the parent to the
+        # edge's Gauss nodes and its end; from (12, 16) on, every edge
+        # takes the sign rule.  On the (6, 8) grid the arcs of the exterior
+        # chart's three outer rings join nodes 45 degrees apart seen from
+        # the branch points, a turn of about 6 pi / 4, so those take the
+        # ratio product (with one branch-disk edge on z5): 3.7-3.8% of the
+        # edges
         curve = CURVES[name]
         surface = build_surface_grid(
             curve.branch_points, QuadratureConfig(surface_grid=(*grid, None)),
@@ -299,20 +301,22 @@ class TestContinueSqrt:
         up = tree.parent[kids]
         zs = ((surface.nodes[up] + surface.nodes[kids]) / 2.0)[:, None] \
             + ((surface.nodes[kids] - surface.nodes[up]) / 2.0)[:, None] \
-            * green._path_rule()[0][:green._NODES]
+            * green._path_rule()[0]
+        zs[:, -1] = surface.nodes[kids]
 
-        def lift(t):
-            # y at the Gauss nodes of every edge, from y_plus at its parent
+        def lift():
             return _continue_sqrt(curve.branch_points, surface.nodes[up],
-                                  surface.nodes[kids], t.y_plus[up], zs.T)
+                                  surface.nodes[kids],
+                                  np.sqrt(curve.poly(surface.nodes[up])),
+                                  zs.T)
 
         with _ratio_only():
             ratio_tree = green.build_surface_tree(curve, surface)
-            ratio_ys = lift(ratio_tree)
-        for field in ("parent", "order", "y_plus"):
+            ratio_ys = lift()
+        for field in ("parent", "order", "y_root"):
             np.testing.assert_array_equal(getattr(tree, field),
                                           getattr(ratio_tree, field))
-        np.testing.assert_array_equal(lift(tree), ratio_ys)
+        np.testing.assert_array_equal(lift(), ratio_ys)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(CURVES)), st.integers(0, 5),

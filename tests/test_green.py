@@ -31,6 +31,7 @@ from conespectra.errors import (
     ConsistencyFailure,
     FitIllConditioned,
     NonConvergence,
+    SingularityOnGrid,
     StepTooSmall,
 )
 from conespectra.numerics import (QuadratureConfig, SurfaceGrid,
@@ -558,17 +559,38 @@ def _reference_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     return total, total_err, y_a
 
 
-def _lift_edges(curve, tree, kids):
+def _tree_y_plus(curve, tree):
+    """y continued along a SurfaceTree from y_root to every node in one
+    vectorised pass: one _continue_sqrt call continues +sqrt(P) at the
+    parent of every edge to its node, keeping or flipping the sign, and
+    green._path_counts sums the flips along every root path.  The
+    reference for GreenSolver._y, and the start y of the whole-tree
+    references here."""
+    lam, bp = tree.grid.nodes, curve.branch_points
+    exact = np.sqrt(curve.poly(lam))
+    kids = tree.order[1:]
+    up = tree.parent[kids]
+    flips = np.zeros(lam.size, dtype=int)
+    flips[kids] = curveperiods._continue_sqrt(
+        bp, lam[up], lam[kids], exact[up], lam[kids]) != exact[kids]
+    flips = green._path_counts(tree.parent, tree.root, flips)
+    at_root = exact[tree.root]
+    flip_root = abs(tree.y_root - at_root) >= abs(tree.y_root + at_root)
+    return np.where(flips % 2 != flip_root, -exact, exact)
+
+
+def _lift_edges(curve, tree, kids, y_plus):
     """(zs, ys, half) of the tree edges into the nodes kids: the Gauss
     nodes of each edge as a row (_path_rule), y there continued from
-    y_plus at its parent in one _continue_sqrt call, half-lengths."""
+    y_plus (_tree_y_plus) at its parent in one _continue_sqrt call,
+    half-lengths."""
     lam = tree.grid.nodes
     up = tree.parent[kids]
     half = (lam[kids] - lam[up]) / 2.0
     zs = ((lam[up] + lam[kids]) / 2.0)[:, None] \
         + half[:, None] * green._path_rule()[0][:green._NODES]
     ys = curveperiods._continue_sqrt(curve.branch_points, lam[up], lam[kids],
-                                     tree.y_plus[up], zs.T).T
+                                     y_plus[up], zs.T).T
     return zs, ys, half
 
 
@@ -954,12 +976,12 @@ def _tree_depth(tree):
 def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     """Whole-tree reference for GreenSolver.settle: cumulative integrals
     int_root^node of the k-vector f(lam, y) along the tree edges, on the
-    sheet of the tree continuation (tree.y_plus).
+    sheet of the tree continuation (_tree_y_plus).
 
     f is evaluated once, on the nodes of every edge at their lifted y
     (_lift_edges of every edge), in one batched pass of the nested rule
     (green._embedded_gauss); an edge that fails its acceptance rule
-    goes through integrate_vector_path from y_plus at its parent, with
+    goes through integrate_vector_path from y at its parent, with
     the same per-edge budget.  The edge values, with each edge's
     accepted gap as one more column, are summed along every root path by
     pointer jumping (green._path_counts), in at most ceil(log2 d) rounds
@@ -970,14 +992,15 @@ def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     those on each node's root path."""
     lam, kids = tree.grid.nodes, tree.order[1:]
     up = tree.parent[kids]
-    zs, ys, half = _lift_edges(curve, tree, kids)
+    y_plus = _tree_y_plus(curve, tree)
+    zs, ys, half = _lift_edges(curve, tree, kids, y_plus)
     fv = f(zs.T.ravel(), ys.T.ravel()).reshape(*zs.T.shape, k)
     hi_est, gap, ok = green._embedded_gauss(half, fv, tol)
     edge_err = np.where(ok, gap, 0.0)
     for e in np.flatnonzero(~ok):
         hi_est[e], edge_err[e], _ = green.integrate_vector_path(
             curve.branch_points, [lam[up[e]], lam[kids[e]]],
-            tree.y_plus[up[e]], f, tol=tol, budget=budget)
+            y_plus[up[e]], f, tol=tol, budget=budget)
     sums = np.zeros((lam.size, k + 1), dtype=complex)
     sums[kids, :k] = hi_est
     sums[kids, k] = edge_err
@@ -1001,12 +1024,13 @@ def _reference_accumulate(curve, tree, f, k, tol, budget):
     edge.  Returns the cumulative values and, per node, the summed error
     of the edges on its path from the root."""
     lam = tree.grid.nodes
+    y_plus = _tree_y_plus(curve, tree)
     vals = np.zeros((lam.size, k), dtype=complex)
     path_err = np.zeros(lam.size)
     for i in tree.order[1:]:
         j = tree.parent[i]
         v, e, _ = green.integrate_vector_path(
-            curve.branch_points, [lam[j], lam[i]], tree.y_plus[j], f,
+            curve.branch_points, [lam[j], lam[i]], y_plus[j], f,
             tol=tol, budget=budget)
         vals[i] = vals[j] + v
         path_err[i] = path_err[j] + e
@@ -1040,7 +1064,7 @@ def _both_sheets(curve, tree, f):
     vals, _, path_err = _accumulate_tree(curve, tree, f, 2)
     hub = tree.hub
     leg, leg_err = green._branch_leg(curve, tree.grid.nodes[hub],
-                                     tree.y_plus[hub], f)
+                                     _tree_y_plus(curve, tree)[hub], f)
     flip = vals[hub, 0] - vals[hub, 1] + leg[1] - leg[0]
     flip_err = 2.0 * path_err[hub] + leg_err
     return (np.stack([vals[:, 0], flip + vals[:, 1]], axis=1),
@@ -1051,16 +1075,18 @@ def _assert_reference_tree(curve, grid):
     """build_surface_tree against _reference_tree (the layout reference on
     a grid with a recorded layout, the nearest-visited one on a
     hand-built grid), bit for bit: a tree over the grid nodes alone, one
-    edge per node but the root, with no vertex of its own."""
+    edge per node but the root, with no vertex of its own, and y at the
+    root; the reference's y at every node is _tree_y_plus's."""
     tree = green.build_surface_tree(curve, grid)
     parent, order, y_plus, root, depth = _reference_tree(curve, grid)
     n = grid.nodes.size
     assert tree.root == root
     np.testing.assert_array_equal(tree.parent, parent)
     np.testing.assert_array_equal(tree.order, order)
-    np.testing.assert_array_equal(tree.y_plus, y_plus)
+    assert tree.y_root == y_plus[root]
+    np.testing.assert_array_equal(_tree_y_plus(curve, tree), y_plus)
     np.testing.assert_array_equal(_tree_depth(tree), depth)
-    zs, ys, half = _lift_edges(curve, tree, order[1:])
+    zs, ys, half = _lift_edges(curve, tree, order[1:], y_plus)
     assert zs.shape == ys.shape == (n - 1, green._NODES)
     np.testing.assert_array_equal(
         half, (grid.nodes[order[1:]] - grid.nodes[parent[order[1:]]]) / 2.0)
@@ -1169,10 +1195,11 @@ class TestSurfaceTree:
                 < np.arange(1, n)).all()
         assert (layout.root, layout.hub) == (nearest.root, nearest.hub)
         u, err = [], []
+        y_layout = _tree_y_plus(ctx.curve, layout)
         for s, tree in zip(sols, trees):
             both, node_err = _node_u(s), _node_values(s)[1]
             # the layout tree's sheet of each node first
-            same = (tree.y_plus == layout.y_plus)[:, None]
+            same = (_tree_y_plus(ctx.curve, tree) == y_layout)[:, None]
             u.append(np.where(same, both, both[:, ::-1]))
             err.append(np.where(same, node_err, node_err[:, ::-1]))
         assert (np.abs(u[0] - u[1]) <= err[0] + err[1] + defect
@@ -1204,7 +1231,8 @@ class TestSurfaceTree:
         monkeypatch.setattr(green, "_path_counts", recorded)
         vals, _, path_err = _accumulate_tree(
             curve, tree, green._moment_integrand, 5)
-        (est,) = edges
+        # the sheet flips of _tree_y_plus, then the edge values
+        flips, est = edges
         walk = np.zeros_like(est)
         size = np.zeros(est.shape)
         for v in tree.order[1:]:
@@ -1259,7 +1287,7 @@ class TestSurfaceTree:
             # each from a node on its tree sheet
             assert {budget for _, _, budget in calls} == {30}
             node = {(complex(lam), complex(y)) for lam, y in
-                    zip(tree.grid.nodes, tree.y_plus)}
+                    zip(tree.grid.nodes, _tree_y_plus(curve, tree))}
             on_tree = [(a, y) in node for a, y, _ in calls]
             assert sum(on_tree) >= 1
             assert all(on_tree)
@@ -1535,7 +1563,7 @@ def _reference_u_at(solver, x):
         return green._form_values(zs, ys, *solver.form)[:, None]
 
     val, err = _integrate_to(solver.ctx.curve, tree.grid.nodes[tree.root],
-                             tree.y_plus[tree.root], x, harm)
+                             tree.y_root, x, harm)
     t_x = float(solver.ctx.log_potential(np.asarray(x.lam, complex)))
     return float(val[0].real) + t_x, err
 
@@ -1544,7 +1572,8 @@ def _tree_sheet(curve, tree, i):
     """Reference sheet (+1 or -1) of the tree continuation at node i."""
     lam = complex(tree.grid.nodes[i])
     ref = complex(curve.y_at(np.asarray(lam), 1))
-    return 1 if abs(tree.y_plus[i] - ref) < abs(tree.y_plus[i] + ref) else -1
+    y = _tree_y_plus(curve, tree)[i]
+    return 1 if abs(y - ref) < abs(y + ref) else -1
 
 
 def _real_period_defect(model, values):
@@ -1583,6 +1612,22 @@ def read_solvers(z5, solver, generic):
         ("generic", (12, 16)): green.GreenSolver(gen_ctx, y_gen),
     }
     return {k: (sol, _solver_period_defect(sol)) for k, sol in sols.items()}
+
+
+@pytest.fixture(scope="module")
+def settle_solvers(read_solvers):
+    """The read_solvers second arguments on their contexts (layout True)
+    and on copies whose p grid drops its layout (False), each solver with
+    every p node settled in one call."""
+    out = {}
+    for (name, grid), (sol, _) in read_solvers.items():
+        bare = dataclasses.replace(sol.ctx.p_grid, patches=())
+        for layout, ctx in ((True, sol.ctx),
+                            (False, dataclasses.replace(sol.ctx,
+                                                        p_grid=bare))):
+            whole = out[name, grid, layout] = green.GreenSolver(ctx, sol.y)
+            whole.settle(np.arange(bare.n_nodes))
+    return out
 
 
 GREEN_QUERY_REFERENCE = (Path(__file__).resolve().parents[1] / "stagebench"
@@ -1713,7 +1758,7 @@ def _reference_flip(curve, tree, f, tol=1e-8):
     from the tree root to the root's other sheet once around
     _reference_flip_loop, at budget 200, with its error."""
     lam = complex(tree.grid.nodes[tree.root])
-    y_root = tree.y_plus[tree.root]
+    y_root = tree.y_root
     val, err, y_end = green.integrate_vector_path(
         curve.branch_points, _reference_flip_loop(curve, lam), y_root, f,
         tol=tol, budget=200)
@@ -1735,7 +1780,7 @@ def _tree_moments(curve, tree):
 
 def _q_forms(ctx):
     """(lambda, y, pcoef) of Omega_bar_q for the q nodes on the tree sheet
-    (the y_plus of the q grid's build_surface_tree), then on the other
+    (_tree_y_plus of the q grid's build_surface_tree), then on the other
     sheet: the q-node second arguments that special_solution_means sums
     in closed form, on the root routes that GreenContext.form replaced.
     With m_node and M_flip = m_flip from the q-tree root (_tree_moments),
@@ -1744,7 +1789,7 @@ def _q_forms(ctx):
     tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
     m_node, m_flip = _tree_moments(ctx.curve, tree)[:2]
     m = np.concatenate([m_node, m_flip - m_node])
-    y = tree.y_plus
+    y = _tree_y_plus(ctx.curve, tree)
     return (np.tile(ctx.q_grid.nodes, 2), np.concatenate([y, -y]),
             green._correction_pcoef(ctx.model, (m - 0.5 * m_flip).T))
 
@@ -1764,8 +1809,7 @@ def _reference_moments(ctx, point):
     arrives on the other sheet, with its error."""
     tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
     return _integrate_to(ctx.curve, tree.grid.nodes[tree.root],
-                         tree.y_plus[tree.root], point,
-                         green._moment_integrand)
+                         tree.y_root, point, green._moment_integrand)
 
 
 def _nearest_node_moments(ctx, point, q_moments):
@@ -1773,23 +1817,24 @@ def _nearest_node_moments(ctx, point, q_moments):
     route it replaced, with its error.
 
     q_moments is (m_plus, m_flip, node_err), the q tree's _tree_moments
-    (q_moments fixture).  One build_path from the q node k nearest
-    to the point, started at q_tree.y_plus[k], gives val: M = m_plus[k] +
-    val if it arrives at y(point), (m_flip - m_plus[k]) - val if at
-    -y(point); a q node itself takes no path.  The error is the path's
-    plus node_err[k] on the sheet the route starts from (column 1
-    includes the flip error)."""
+    (q_moments fixture).  One build_path from the q node k nearest to
+    the point, started at y there on the tree sheet (_tree_y_plus), gives
+    val: M = m_plus[k] + val if it arrives at y(point), (m_flip -
+    m_plus[k]) - val if at -y(point); a q node itself takes no path.  The
+    error is the path's plus node_err[k] on the sheet the route starts
+    from (column 1 includes the flip error)."""
     m_plus, m_flip, node_err, _ = q_moments
     tree = green.build_surface_tree(ctx.curve, ctx.q_grid)
     nodes = tree.grid.nodes
     k = int(np.argmin(np.abs(nodes - point.lam)))
+    y_k = _tree_y_plus(ctx.curve, tree)[k]
     node = (m_plus[k], m_flip - m_plus[k])
     if nodes[k] == point.lam:
-        s = green._arrival(ctx.curve, tree.y_plus[k], point)
+        s = green._arrival(ctx.curve, y_k, point)
         return node[s].copy(), node_err[k, s]
     val, err, y_end = green.integrate_vector_path(
         ctx.curve.branch_points,
-        green.build_path(ctx.curve, nodes[k], point.lam), tree.y_plus[k],
+        green.build_path(ctx.curve, nodes[k], point.lam), y_k,
         green._moment_integrand)
     s = green._arrival(ctx.curve, y_end, point)
     return (node[s] - val if s else node[s] + val), err + node_err[k, s]
@@ -1939,7 +1984,8 @@ class TestSettle:
         vals, _, path_err = _accumulate_tree(sol.ctx.curve, tree, sol._odd,
                                              1)
         monkeypatch.undo()
-        (est,) = edges
+        # the sheet flips of _tree_y_plus, then the edge values
+        flips, est = edges
         size = np.zeros(est.shape)
         for v in tree.order[1:]:
             size[v] = size[tree.parent[v]] + np.abs(est[v].real)
@@ -1950,6 +1996,41 @@ class TestSettle:
         got = sol.settle(np.arange(depth.size))
         assert (np.abs(got[:, 0] - vals[:, 0].real) <= bound[:, 0]).all()
         assert (np.abs(got[:, 1] - path_err) <= bound[:, 1]).all()
+
+    @settings(max_examples=16, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(6, 8), (12, 16)]),
+           layout=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           batches=st.integers(1, 8))
+    def test_batches_match_one_settle(self, settle_solvers, name, grid,
+                                      layout, seed, batches):
+        # a fresh solver settling a random subset of the p nodes in random
+        # batches against one that settled every node in one call, on the
+        # layout tree and on the nearest-visited tree of the same grid
+        # without its layout: the same (S, e) and y (_y) bits, nothing
+        # settled off the root paths read, and every settled y the
+        # reference's (_tree_y_plus), bit for bit
+        whole = settle_solvers[name, grid, layout]
+        tree = whole.p_tree
+        n = tree.grid.n_nodes
+        rng = np.random.default_rng(seed)
+        subset = rng.permutation(n)[:rng.integers(1, n + 1)]
+        cuts = np.sort(rng.choice(np.arange(1, subset.size), replace=False,
+                                  size=min(batches, subset.size) - 1))
+        fresh = green.GreenSolver(whole.ctx, whole.y)
+        for batch in np.split(subset, cuts):
+            np.testing.assert_array_equal(fresh.settle(batch),
+                                          whole._sums[batch])
+        read = np.zeros(n, dtype=bool)
+        for j in [tree.hub, *subset.tolist()]:
+            while j >= 0 and not read[j]:
+                read[j] = True
+                j = tree.parent[j]
+        np.testing.assert_array_equal(fresh._known, read)
+        np.testing.assert_array_equal(fresh._sums[read], whole._sums[read])
+        np.testing.assert_array_equal(fresh._y[read], whole._y[read])
+        np.testing.assert_array_equal(
+            whole._y, _tree_y_plus(whole.ctx.curve, tree))
 
 
 class TestSheetConnector:
@@ -2115,7 +2196,7 @@ class TestSheetConnector:
             green.GreenSolver(c, y)
         hub = c.p_tree.hub
         assert [(lam, y) for lam, y, _ in legs] == 2 * [
-            (c.p_grid.nodes[hub], c.p_tree.y_plus[hub])]
+            (c.p_grid.nodes[hub], _tree_y_plus(c.curve, c.p_tree)[hub])]
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CURVES)),
@@ -2252,7 +2333,7 @@ class TestSheetConnector:
                                                  grid):
         # the leg runs straight from the hub into branch point 0 in
         # lambda (lambda = b0 + s^2, s on a segment to 0): y = s g at its
-        # nodes equals y continued from y_plus[hub] node by node along
+        # nodes equals y continued from y at the hub node by node along
         # that segment, one scalar step at a time, to rounding; the leg on
         # the other sheet (s -> -s) takes -y at the same nodes, exactly.
         # On both trees
@@ -2262,8 +2343,9 @@ class TestSheetConnector:
         for tree in (ctx.p_tree,
                      green.build_surface_tree(curve, ctx.q_grid)):
             lam_hub = complex(tree.grid.nodes[tree.hub])
+            y_tree = _tree_y_plus(curve, tree)[tree.hub]
             nodes = []
-            for y_hub in (tree.y_plus[tree.hub], -tree.y_plus[tree.hub]):
+            for y_hub in (y_tree, -y_tree):
                 seen = []
 
                 def f(lam, y):
@@ -2279,7 +2361,7 @@ class TestSheetConnector:
             assert np.abs(np.angle((lam - b0) / (lam_hub - b0))).max() \
                 <= 1e-12
             chain = []
-            at, y_at = lam_hub, tree.y_plus[tree.hub]
+            at, y_at = lam_hub, y_tree
             for k in np.argsort(-np.abs(lam - b0), kind="stable"):
                 y_at = _continue_to(curve, at, y_at, lam[k])
                 at = lam[k]
@@ -2331,8 +2413,8 @@ class TestRoelckeGreen:
 
     def test_tree_values_match_path_integrals(self, ctx, solver):
         # the node values (_node_u, plus t_nodes) hold u at the tree sheet
-        # and at the other one; the tree sheet is read off y_plus, not
-        # assumed to be sheet +1
+        # and at the other one; the tree sheet is read off _tree_y_plus,
+        # not assumed to be sheet +1
         tree = solver.p_tree
         u = _node_u(solver) + ctx.t_nodes[:, None]
         nodes = [i for i in np.linspace(0, ctx.p_grid.n_nodes - 1, 9,
@@ -2484,6 +2566,23 @@ class TestRoelckeGreen:
         with pytest.raises(CoincidentArguments):
             solver.green(solver.y)
 
+    @pytest.mark.parametrize("name, grid", READ_KEYS)
+    def test_second_argument_on_p_node_rejected(self, read_solvers, name,
+                                                grid, monkeypatch):
+        # a y on a p node, where (1/2) log|lambda - lambda_y| is infinite,
+        # raises SingularityOnGrid before anything is settled or logged
+        ctx = read_solvers[name, grid][0].ctx
+        calls = []
+        monkeypatch.setattr(green, "integrate_paths",
+                            lambda *a, **k: calls.append(a))
+        for i in (0, ctx.p_grid.n_nodes // 3, ctx.p_tree.hub):
+            for sheet in (1, -1):
+                y = SurfacePoint(complex(ctx.p_grid.nodes[i]), sheet)
+                with np.errstate(all="raise"), \
+                        pytest.raises(SingularityOnGrid, match="p-grid node"):
+                    green.GreenSolver(ctx, y)
+        assert calls == []
+
     def test_cone_second_argument_rejected(self, ctx):
         with pytest.raises(ConeArgument):
             green.GreenSolver(ctx, SurfacePoint(ctx.frame.lam_p, 1))
@@ -2586,7 +2685,7 @@ class TestSpecialSolutions:
 
     def test_grid_matches_pointwise(self, ctx):
         # both halves of _q_forms: "plus" is the tree sheet of each node,
-        # read off the q tree's y_plus, and "minus" the other sheet
+        # read off the q tree's _tree_y_plus, and "minus" the other sheet
         t_lam, t_y, pcoef = _q_forms(ctx)
         nodes = ctx.q_grid.nodes
         n = nodes.size

@@ -88,6 +88,13 @@ class TestSeriesArithmetic:
         with pytest.raises(ValueError):
             f.truncate(-1)
 
+    @pytest.mark.parametrize("order", [-1, 2.5])
+    def test_constructor_rejects_order(self, order):
+        # an order that is not a whole number >= 0 raises at once, not as
+        # an IndexError in a later evaluate or reciprocal
+        with pytest.raises(ValueError, match="whole number"):
+            TruncatedSeries([1.0, 2.0], order)
+
 
 # ---------------------------------------------------------------------------
 # object-path reference for the array loops of TruncatedSeries: the series
