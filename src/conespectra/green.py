@@ -142,24 +142,33 @@ def integrate_paths(roots, paths, y0s, f, tol=1e-9, budget=200):
     same bits alone or in any batch.
 
     budget caps the bisections on each path; a path that needs more
-    raises NonConvergence.  So does a piece, before f is evaluated, with
-    a node on a branch point (y = 0), or split from a rejected one with
-    nodes not distinct from each other and from both ends of [lo, hi], as
-    bisection toward an integrand singular at an end would divide by zero
-    there (a first pass a few ulp long has coinciding nodes and a fine
-    estimate).  The nodes lie 0.0218 half-lengths apart and 0.0043 from
-    an end or more, each within about 2 ulp of |mid| per part, so only
-    pieces shorter than 4096 ulp of |mid| are compared.  Returns lists of
-    the values, the errors (sums of the accepted gaps) and y at the last
-    vertex, one entry per path."""
+    raises NonConvergence.  So does, before any pass, a segment [a, b]
+    through a root r (seen from r at an angle within 1e-12 of pi), where
+    f is singular inside a piece and no accepted gap bounds the error;
+    and a piece, before f is evaluated, with a node on a branch point
+    (y = 0), or split from a rejected one with nodes not distinct from
+    each other and from both ends of [lo, hi], as bisection toward an
+    integrand singular at an end would divide by zero there (a first
+    pass a few ulp long has coinciding nodes and a fine estimate).  The
+    nodes lie 0.0218 half-lengths apart and 0.0043 from an end or more,
+    each within about 2 ulp of |mid| per part, so only pieces shorter
+    than 4096 ulp of |mid| are compared.  Returns lists of the values,
+    the errors (sums of the accepted gaps) and y at the last vertex, one
+    entry per path."""
     # pieces (mid, half, a, b, y at a, lo, hi, split), the next last; y
     # at a is None in a segment's first piece, which takes y_end, the y
     # where its path's last pass ended
-    todo = []
+    todo, rs = [], roots.tolist()
     for v in paths:
         v = list(map(complex, v))
         todo.append([((a + b) / 2.0, (b - a) / 2.0, a, b, None, a, b, False)
                      for a, b in zip(v[-2::-1], v[:0:-1]) if a != b])
+        for q in todo[-1]:
+            for r in rs:
+                w = (q[3] - r) / (q[2] - r) if r != q[2] else 1.0
+                if w.real < 0 and abs(w.imag) <= 1e-12 * abs(w):
+                    raise NonConvergence(f"path integral: [{q[2]}, {q[3]}] "
+                                         f"runs through branch point {r}")
     if not all(todo):
         raise NonConvergence("empty integration path")
     y_end = list(map(complex, y0s))

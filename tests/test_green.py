@@ -1,6 +1,7 @@
 """Third-kind differentials, the Roelcke Green function, and the special
 growing solutions at the cone point."""
 
+import cmath
 import contextlib
 import dataclasses
 import json
@@ -384,6 +385,14 @@ def _segment_clearance(curve, a, b):
     return float(np.abs(a + t * seg - curve.branch_points).min())
 
 
+def _runs_through(curve, a, b):
+    """Reference for green._root_across: some branch point r sees the
+    segment [a, b] at an angle within 1e-12 of pi, neither end on r."""
+    return any(r not in (a, b)
+               and abs(cmath.phase((b - r) / (a - r))) >= math.pi - 1e-12
+               for r in curve.branch_points.tolist())
+
+
 def _clearance_floor(curve, a, b):
     """The clearance every path segment [a, b] must keep, written out from
     green._blocked's rule: 0.3 times the smaller endpoint distance to
@@ -634,16 +643,26 @@ class TestIntegrateVectorPath:
            k=st.sampled_from([1, 2, 5]), sheet=st.sampled_from([1, -1]),
            tol=st.sampled_from([1e-9, 1e-6]),
            budget=st.sampled_from([4, 200]))
+    @example(name="generic", verts=[(2.0, 0.0), (-1.0, 0.0)], k=1, sheet=1,
+             tol=1e-6, budget=200)
     def test_matches_lift_callback_reference(self, name, verts, k, sheet,
                                              tol, budget):
         # the same bits as the callback form: value, error and y_end, or
-        # NonConvergence from both; no vertex sits on a branch point
+        # NonConvergence from both; no vertex sits on a branch point.  A
+        # segment through one is refused before the callback form would
+        # start (_runs_through)
         curve = CURVES[name]
         path = [complex(*v) for v in verts]
         assume(min(np.abs(z - curve.branch_points).min() for z in path)
                > 1e-3)
         y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
         f = _path_f(k)
+        if any(_runs_through(curve, a, b) for a, b in zip(path, path[1:])):
+            event("runs through a branch point")
+            with pytest.raises(NonConvergence, match="runs through"):
+                green.integrate_vector_path(curve.branch_points, path, y0,
+                                            f, tol=tol, budget=budget)
+            return
         try:
             ref = _reference_integrate_path(
                 f, path, tol, budget, y0,
@@ -665,10 +684,9 @@ class TestIntegrateVectorPath:
     def test_path_through_branch_point_raises_before_dividing(self, k,
                                                               sheet):
         # the path (2, 0) -> (0.5, 0) runs through branch point 1 of the
-        # generic curve; bisection toward it shrinks the subintervals
-        # until their Gauss nodes are no longer distinct floats, and the
-        # integrator refuses to split further before a node rounds onto
-        # lambda = 1, where 1 / y would divide by zero
+        # generic curve, where f is singular inside a piece and y has no
+        # continuation: the first pass refuses the segment before f is
+        # evaluated, so nothing divides by y = 0
         curve = CURVES["generic"]
         path = [2.0 + 0j, 0.5 + 0j]
         y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
@@ -677,22 +695,25 @@ class TestIntegrateVectorPath:
             return np.power.outer(z, np.arange(k)) \
                 * (1.0 / y + 0.1 * y)[:, None]
 
-        with np.errstate(all="raise"), pytest.raises(NonConvergence,
-                                                     match="not distinct"):
+        with np.errstate(all="raise"), pytest.raises(
+                NonConvergence, match="runs through branch point"):
             green.integrate_vector_path(curve.branch_points, path, y0, f,
                                         tol=1e-9, budget=200)
 
     def test_first_pass_node_on_branch_point_raises(self):
-        # the segment of half-length 1 centred at 1 - x_2, x_2 the third
-        # path node, puts that node of the first pass exactly on branch
-        # point 1 of the generic curve, where y = 0: the pass raises
+        # a segment 2e-6 long about branch point r = 0.3+1.1i of the
+        # generic curve, its end one ulp higher than its start: it misses
+        # r by half an ulp, 2.2e-10 of its half-length, so it is not
+        # refused as running through r, but its centre, the middle node
+        # of the first pass, rounds onto r, where y = 0: the pass raises
         # before f divides by y
         curve = CURVES["generic"]
+        r = complex(curve.branch_points[2])
+        path = [complex(r.real - 1e-6, r.imag),
+                complex(r.real + 1e-6, math.nextafter(r.imag, 2.0))]
         x = green._path_rule()[0]
-        mid = 1.0 - x[2].real
-        path = [complex(mid - 1.0), complex(mid + 1.0)]
         assert ((path[0] + path[1]) / 2.0
-                + (path[1] - path[0]) / 2.0 * x)[2] == 1.0
+                + (path[1] - path[0]) / 2.0 * x)[x == 0] == r
         y0 = complex(curve.y_at(np.asarray(path[0]), 1))
 
         def f(z, y):
@@ -733,26 +754,25 @@ class TestIntegrateVectorPath:
                           min_size=2, max_size=5),
            k=st.sampled_from([1, 2, 5]), sheet=st.sampled_from([1, -1]),
            tol=st.sampled_from([1e-9, 1e-6]))
+    @example(name="generic", verts=[(0.0, 1.0), (0.0, -2.0)], k=1, sheet=1,
+             tol=1e-6)
+    @example(name="generic", verts=[(0.0, 1.0), (0.0, -1.0)], k=1, sheet=1,
+             tol=1e-9)
+    @example(name="generic", verts=[(2.0, 0.0), (0.5, 0.0)], k=1, sheet=1,
+             tol=1e-6)
     def test_agrees_with_gauss_20_10_oracle(self, name, verts, k, sheet,
                                             tol):
         # the nested 10/21-point rule against the 20/10-point pair it
         # replaced: the values within the sum of both error estimates
         # (plus 64 ulp of the larger of 1 and the largest component, for
         # rounding where both rules are exact), and y_end on the same
-        # sheet.  Every segment keeps clear of the branch points, not
-        # only its ends: on a segment through one, such as i -> -2i
-        # through 0 on the generic curve, the integrand is singular inside
-        # a piece and neither rule's error estimate bounds its error (the
-        # path-through-branch-point tests above cover that case).  A
-        # segment no longer than 1e-3 with both ends 1e-3 clear keeps
-        # 0.8e-3 clear, and is not measured: _segment_clearance divides by
-        # its length
+        # sheet.  The examples run through branch points 0 and 1, where
+        # both rules must refuse the segment: accepted, their gaps
+        # under-counted the error, or only the 10/21 rule put a node on 0
         curve = CURVES[name]
         path = [complex(*v) for v in verts]
         assume(min(np.abs(z - curve.branch_points).min() for z in path)
                > 1e-3)
-        assume(all(_segment_clearance(curve, a, b) > 1e-3
-                   for a, b in zip(path, path[1:]) if abs(b - a) > 1e-3))
         y0 = complex(curve.y_at(np.asarray(path[0]), sheet))
         try:
             with _oracle():
