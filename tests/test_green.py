@@ -386,8 +386,9 @@ def _segment_clearance(curve, a, b):
 
 
 def _runs_through(curve, a, b):
-    """Reference for green._root_across: some branch point r sees the
-    segment [a, b] at an angle within 1e-12 of pi, neither end on r."""
+    """Reference for integrate_paths' through-root refusal: some branch
+    point r sees the segment [a, b] at an angle within 1e-12 of pi,
+    neither end on r."""
     return any(r not in (a, b)
                and abs(cmath.phase((b - r) / (a - r))) >= math.pi - 1e-12
                for r in curve.branch_points.tolist())
