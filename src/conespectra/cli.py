@@ -168,7 +168,14 @@ def cmd_cone(cfg, tol_scale=1.0):
     }
 
 
-def _points(cfg):
+# a green point may lie at most this many curve scales from the
+# branch-point centre: there the product of its six distances to the
+# branch points stays finite (about 1e300 scale^6), as do its squared
+# distances to the grid nodes
+_POINT_REACH = 1e50
+
+
+def _points(cfg, curve):
     pts = cfg.get("points")
     if not pts or len(pts) < 2:
         raise DomainError("green command needs at least two points")
@@ -183,7 +190,12 @@ def _points(cfg):
         if len(lam) != 2 or not np.isfinite(complex(*lam)):
             raise DomainError(
                 f"a point's lam must be a finite [re, im], got {lam!r}")
-        out.append(SurfacePoint(complex(lam[0], lam[1]), sheet))
+        lam = complex(lam[0], lam[1])
+        reach = _POINT_REACH * curve.scale
+        if not abs(lam - complex(curve.branch_points.mean())) <= reach:
+            raise DomainError(f"a point's lam must lie within {reach:.3g} of "
+                              f"the branch-point centre, got {lam!r}")
+        out.append(SurfacePoint(lam, sheet))
     return out
 
 
@@ -191,7 +203,7 @@ def cmd_green(cfg, tol_scale=1.0):
     from . import green
 
     model, frame = _model(cfg)
-    pts = _points(cfg)
+    pts = _points(cfg, model.curve)
     x, y = pts[0], pts[1]
     ctx = green.green_context(model, frame, _surface_grid(cfg))
     sol_y = green.GreenSolver(ctx, y)

@@ -149,7 +149,20 @@ def make_z5_curve(lambda1=0.0, r=1.0) -> Curve:
 _TURN_BOUND = 0.9 * np.pi
 
 
-def _continue_sqrt(roots, a, b, val, targets):
+def _segment_turn(roots, a, b):
+    """(S, ratios) of the scalar segment [a, b]: the ratios (b - r) /
+    (a - r), one per root r of the list roots, and _continue_sqrt's turn
+    S = sum_r |Arg((b - r) / (a - r))|.  A start on a root has no ratio
+    there (None) and an infinite turn."""
+    try:
+        ratios = [(b - r) / (a - r) for r in roots]
+    except ZeroDivisionError:
+        return math.inf, [(b - r) / (a - r) if r != a else None
+                          for r in roots]
+    return sum([abs(cmath.phase(w)) for w in ratios]), ratios
+
+
+def _continue_sqrt(roots, a, b, val, targets, turn=None):
     """Analytic continuation of sqrt(prod(lambda - roots)) from (a, val)
     along the straight segment [a, b] to each target, which must lie on
     that segment, in closed form.
@@ -186,27 +199,23 @@ def _continue_sqrt(roots, a, b, val, targets):
     a, b and val may be arrays of segments, all of one shape Q; the
     targets then have shape (..., *Q), each continued along the segment
     it is aligned with on the trailing axes.  A call with arrays of
-    starts equals the per-start scalar calls bit for bit.
+    starts equals the per-start scalar calls bit for bit: every segment
+    takes its turn in scalar cmath (_segment_turn), or from the caller,
+    one per segment (green.integrate_paths has it from the ratios of its
+    through-root refusal).
 
     One segment, given as scalars (loop_nodes, the tree root, a pass of
-    one row in green.integrate_paths) or as 1-element arrays, takes its
-    turn in scalar cmath; below the bound it then needs only exact, the
-    sign rule and np.where.  That is bit for bit the array path on the
-    same segment: the sign rule decides the same sign, and a turn
-    rounded differently near the bound only picks the other of two rules
-    that decide the same sign.  A start on a root, or a turn at or past
-    the bound, takes the array path.
+    one row in green.integrate_paths) or as 1-element arrays, below the
+    bound needs only exact, the sign rule and np.where.  A start on a
+    root, or a turn at or past the bound, takes the array path.
     """
     targets = np.asarray(targets, dtype=complex)
     if np.isscalar(a) or a.size == 1:
         if not np.isscalar(a):
             a, b, val = a.item(), b.item(), val.item()
         a, b, val = complex(a), complex(b), complex(val)
-        try:
-            turn = sum([abs(cmath.phase((b - r) / (a - r)))
-                        for r in roots.tolist()])
-        except ZeroDivisionError:
-            turn = math.inf
+        if turn is None:
+            turn = _segment_turn(roots.tolist(), a, b)[0]
         if turn < _TURN_BOUND:
             exact = np.sqrt(_root_product(targets, roots))
             keep = (exact * val.conjugate()).real > 0
@@ -214,18 +223,19 @@ def _continue_sqrt(roots, a, b, val, targets):
     a, b, val = np.ravel(a), np.ravel(b), np.ravel(val)
     tgt = targets.reshape(-1, a.size)
     exact = np.sqrt(_root_product(tgt, roots))
-    from_a = a[:, None] - roots
-    ratio = (b[:, None] - roots) / from_a
-    rule = np.abs(np.arctan2(ratio.imag, ratio.real)).sum(axis=-1) \
-        < _TURN_BOUND
+    if turn is None:
+        rs = roots.tolist()
+        turn = [_segment_turn(rs, p, q)[0]
+                for p, q in zip(a.tolist(), b.tolist())]
     # the sign rule on every column, Re(exact * conj(val)) > 0; the
     # columns past the turn bound are then overwritten
     keep = (exact * val.conj()).real > 0
-    if not rule.all():
-        cols = ~rule
+    cols = ~(np.ravel(turn) < _TURN_BOUND)
+    if cols.any():
         ex = exact[:, cols]
         diff = tgt[:, cols][..., None] - roots
-        cont = val[cols] * np.prod(np.sqrt(diff / from_a[cols]), axis=-1)
+        cont = val[cols] * np.prod(
+            np.sqrt(diff / (a[cols, None] - roots)), axis=-1)
         keep[:, cols] = np.abs(cont - ex) < np.abs(cont + ex)
     return np.where(keep, exact, -exact).reshape(targets.shape)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .bidiff import BidiffModel, DistinguishedFrame, bergman_kernel
 from .curveperiods import (Curve, SurfacePoint, _continue_sqrt,
-                           metric_density)
+                           _segment_turn, metric_density)
 from .errors import (
     CoincidentArguments,
     CoincidentPoles,
@@ -123,6 +123,57 @@ def build_path(curve, lam_from, lam_to, depth=0):
     return left + right[1:]
 
 
+def _segments(roots, verts):
+    """(a, b, turn) of each segment [a, b], a != b, of the polyline verts,
+    in path order, with its turn from its ratios (b - r) / (a - r)
+    (curveperiods._segment_turn), taken once for both uses: NonConvergence
+    for a segment through a root r, seen from r at an angle within 1e-12
+    of pi (a start on r does not count), checked from the last segment."""
+    v = list(map(complex, verts))
+    out = []
+    for a, b in zip(v[-2::-1], v[:0:-1]):
+        if a != b:
+            turn, ratios = _segment_turn(roots, a, b)
+            # only a turn over pi / 2 has a ratio left of the imaginary axis
+            for r, w in zip(roots, ratios) if not turn <= np.pi / 2 else ():
+                if w is not None and w.real < 0 \
+                        and abs(w.imag) <= 1e-12 * abs(w):
+                    raise NonConvergence(f"path integral: [{a}, {b}] runs "
+                                         f"through branch point {r}")
+            out.append((a, b, turn))
+    return out[::-1]
+
+
+def _pass(roots, lo, hi, mid, half, a, b, y_a, turn, x, f, tol):
+    """One pass over pieces [lo, hi] of segments [a, b], Python scalars (one
+    row) or arrays (a row per entry) alike: the nodes mid + half * x, the
+    last set to b, lifted from y at a in one _continue_sqrt call, f in one
+    call and the rule in one _embedded_gauss call.  Returns the estimates,
+    gaps, acceptance and y at b; NonConvergence, before f, if a node lies
+    on a branch point (y = 0)."""
+    zs = mid + half * x
+    zs[_NODES] = b
+    ys = _continue_sqrt(roots, a, b, y_a, zs, turn)
+    inner = ys[:_NODES]
+    if np.count_nonzero(inner) < inner.size:
+        i = int((inner == 0).reshape(_NODES, -1).any(0).argmax())
+        raise NonConvergence(f"path integral: a node of [{np.ravel(lo)[i]}, "
+                             f"{np.ravel(hi)[i]}] lies on a branch point")
+    vals = f(zs[:_NODES].ravel(), inner.ravel())
+    return _embedded_gauss(half, vals.reshape(inner.shape + vals.shape[1:]),
+                           tol) + (ys[_NODES],)
+
+
+def _not_distinct(lo, hi, mid, half, x):
+    """Whether the nodes mid + half * x of a piece [lo, hi] split from a
+    rejected one are not distinct from each other and both ends.  They lie
+    0.0218 half-lengths apart and 0.0043 from an end or more, each within
+    about 2 ulp of |mid| per part, so only pieces shorter than 4096 ulp of
+    |mid| are compared."""
+    return abs(half) < 4096 * math.ulp(abs(mid)) and np.unique(
+        np.r_[lo, hi, (mid + half * x)[:_NODES]]).size < _NODES + 2
+
+
 def integrate_paths(roots, paths, y0s, f, tol=1e-9, budget=200):
     """Adaptive integrals of the k-vector f(lam, y) along polylines of
     complex vertices, with y = sqrt(prod(lam - roots)) continued along
@@ -130,101 +181,124 @@ def integrate_paths(roots, paths, y0s, f, tol=1e-9, budget=200):
     10/21-point Gauss-Kronrod rule.  roots are a curve's branch points, or
     _branch_leg's roots in its local parameter.
 
-    Each path keeps a work list of pieces [lo, hi] of its segments [a, b].
-    A pass lifts the nodes and segment end b of one piece per live path,
-    mid + half * _path_rule()[0] with the last entry set to b, from y at
-    a in one _continue_sqrt call, evaluates f (mapping (lam array, y
-    array) to an (n,) or (n, k) array) in one call and decides them in
-    one _embedded_gauss call.  A rejected piece goes back as its two
-    halves, the one at b on top; a next segment starts from y at the end
-    of the last pass.  So a path takes and sums its pieces in one order,
-    segments in turn, each from its end back to its start: it gets the
-    same bits alone or in any batch.
+    Each path takes the pieces [lo, hi] of its segments [a, b] depth first
+    in one fixed order: segments in turn, a rejected piece giving way to
+    its halves, the one at b first, so each segment is summed from its end
+    back to its start.  A pass (_pass) takes the next piece of every live
+    path, with f mapping (lam array, y array) to an (n,) or (n, k) array;
+    a next segment starts from y where its path's last pass ended.  One
+    path (integrate_vector_path) runs on Python scalars.  A batch holds
+    one row per live path in arrays (lo, hi, y at a, segment, split),
+    decides accepted and rejected rows with masks and sums the accepted
+    ones per path; only the lower halves of rejected pieces go to Python
+    stacks, one per path, until the upper half is done.  So every path
+    gets the same bits alone or in any batch.  (Breadth first would spend
+    the budget before a piece that must raise, and lose the order.)
 
     budget caps the bisections on each path; a path that needs more
-    raises NonConvergence.  So does, before any pass, a segment [a, b]
-    through a root r (seen from r at an angle within 1e-12 of pi), where
-    f is singular inside a piece and no accepted gap bounds the error;
-    and a piece, before f is evaluated, with a node on a branch point
-    (y = 0), or split from a rejected one with nodes not distinct from
-    each other and from both ends of [lo, hi], as bisection toward an
-    integrand singular at an end would divide by zero there (a first
-    pass a few ulp long has coinciding nodes and a fine estimate).  The
-    nodes lie 0.0218 half-lengths apart and 0.0043 from an end or more,
-    each within about 2 ulp of |mid| per part, so only pieces shorter
-    than 4096 ulp of |mid| are compared.  Returns lists of the values,
-    the errors (sums of the accepted gaps) and y at the last vertex, one
-    entry per path."""
-    # pieces (mid, half, a, b, y at a, lo, hi, split), the next last; y
-    # at a is None in a segment's first piece, which takes y_end, the y
-    # where its path's last pass ended
-    todo, rs = [], roots.tolist()
-    for v in paths:
-        v = list(map(complex, v))
-        todo.append([((a + b) / 2.0, (b - a) / 2.0, a, b, None, a, b, False)
-                     for a, b in zip(v[-2::-1], v[:0:-1]) if a != b])
-        for q in todo[-1]:
-            for r in rs:
-                w = (q[3] - r) / (q[2] - r) if r != q[2] else 1.0
-                if w.real < 0 and abs(w.imag) <= 1e-12 * abs(w):
-                    raise NonConvergence(f"path integral: [{q[2]}, {q[3]}] "
-                                         f"runs through branch point {r}")
-    if not all(todo):
+    raises NonConvergence.  So does, before any pass, a segment through a
+    root (_segments), where f is singular inside a piece and no accepted
+    gap bounds the error; and a piece, before f is evaluated, with a node
+    on a branch point (y = 0), or split from a rejected one with nodes
+    not distinct (_not_distinct), as bisection toward an integrand
+    singular at an end would divide by zero there (a first pass a few ulp
+    long has coinciding nodes and a fine estimate).  Returns lists of the
+    values, the errors (sums of the accepted gaps) and y at the last
+    vertex, one entry per path."""
+    paths = list(paths)
+    if len(paths) == 1:
+        return tuple([out] for out in integrate_vector_path(
+            roots, paths[0], y0s[0], f, tol, budget))
+    rs = roots.tolist()
+    segs = [_segments(rs, v) for v in paths]
+    if not all(segs):
         raise NonConvergence("empty integration path")
-    y_end = list(map(complex, y0s))
-    used, value, error = [0] * len(todo), [None] * len(todo), [0.0] * len(todo)
-    live = range(len(todo))
-    while live:
-        pieces = [todo[p].pop() for p in live]
-        rows = [q[:4] + (y_end[p] if q[4] is None else q[4],)
-                for p, q in zip(live, pieces)]
-        # (mid, half, a, b, y at a) per row; a lone row keeps them as
-        # Python scalars, which NumPy takes faster than 1-element arrays
-        if len(rows) == 1:
-            (mid, half, a, b, y_a), x = rows[0], _path_rule()[0]
-        else:
-            mid, half, a, b, y_a = np.array(rows).T
-            x = _path_rule()[0][:, None]
-        zs = mid + half * x
-        zs[_NODES] = b
-        for i, q in enumerate(pieces):
-            if q[7] and abs(q[1]) < 4096 * math.ulp(abs(q[0])) and np.unique(
-                    np.r_[q[5:7], zs.reshape(_NODES + 1, -1)[:_NODES, i]]
-            ).size < _NODES + 2:
-                raise NonConvergence(f"path integral: [{q[5]}, {q[6]}] has "
-                                     f"nodes not distinct")
-        ys = _continue_sqrt(roots, a, b, y_a, zs)
-        inner = ys[:_NODES]
-        if np.count_nonzero(inner) < inner.size:
-            q = pieces[int((inner == 0).reshape(_NODES, -1).any(0).argmax())]
-            raise NonConvergence(f"path integral: a node of [{q[5]}, {q[6]}] "
-                                 f"lies on a branch point")
-        vals = f(zs[:_NODES].ravel(), inner.ravel())
-        hi_est, gap, ok = _embedded_gauss(
-            half, vals.reshape((_NODES, len(rows)) + vals.shape[1:]), tol)
-        for p, q, (m, _, a, b, y), est, err, accepted, y_b in zip(
-                live, pieces, rows, hi_est, gap.reshape(-1).tolist(),
-                ok.reshape(-1).tolist(), ys[_NODES:].ravel().tolist()):
-            if accepted:
-                value[p] = est if value[p] is None else value[p] + est
-                error[p] += err
-            elif used[p] >= budget:
-                raise NonConvergence(
-                    f"path integral: {budget} subdivisions exhausted on "
-                    f"[{q[5]}, {q[6]}] (error {err:.3e})")
-            else:
-                used[p] += 1
-                todo[p] += [((u + v) / 2.0, (v - u) / 2.0, a, b, y, u, v, True)
-                            for u, v in ((q[5], m), (m, q[6]))]
-            y_end[p] = y_b
-        live = [p for p in live if todo[p]]
-    return value, error, y_end
+    if not segs:
+        return [], [], []
+    # the segments, path after path, and each path's end among them; each
+    # live row's path and segment
+    lens = [len(q) for q in segs]
+    a_seg, b_seg, turns = map(np.array, zip(*sum(segs, [])))
+    stop = np.cumsum(lens)
+    rows, seg = np.arange(len(segs)), stop - lens
+    lo, hi, y_a = a_seg[seg], b_seg[seg], np.array(y0s, dtype=complex)
+    split, used = np.zeros(rows.size, bool), np.zeros(rows.size, int)
+    stacks = [[] for _ in segs]
+    value, error, y_end = None, np.zeros(rows.size), y_a.copy()
+    x = _path_rule()[0][:, None]
+    while rows.size:
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        for i in np.flatnonzero(split).tolist():
+            if _not_distinct(lo[i], hi[i], mid[i], half[i], x[:, 0]):
+                raise NonConvergence(f"path integral: [{lo[i]}, {hi[i]}] "
+                                     f"has nodes not distinct")
+        est, gap, ok, y_b = _pass(roots, lo, hi, mid, half, a_seg[seg],
+                                  b_seg[seg], y_a, turns[seg], x, f, tol)
+        if value is None:   # -0 adds exactly: a first estimate keeps its bits
+            value = np.full((len(segs),) + est.shape[1:], complex(-0.0, -0.0))
+        value[rows[ok]] += est[ok]
+        error[rows[ok]] += gap[ok]
+        y_end[rows] = y_b
+        bad = np.flatnonzero(~ok)
+        spent = bad[used[rows[bad]] >= budget]
+        if spent.size:
+            i = spent[0]
+            raise NonConvergence(
+                f"path integral: {budget} subdivisions exhausted on "
+                f"[{lo[i]}, {hi[i]}] (error {gap[i]:.3e})")
+        used[rows[bad]] += 1
+        for p, u, m in zip(rows[bad].tolist(), lo[bad].tolist(),
+                           mid[bad].tolist()):
+            stacks[p].append((u, m))
+        lo[bad], split[bad] = mid[bad], True
+        # an accepted row takes its path's stacked half, else its next
+        # segment, else ends
+        done = ok.copy()
+        for i in np.flatnonzero(ok).tolist():
+            if stacks[rows[i]]:
+                lo[i], hi[i] = stacks[rows[i]].pop()
+                split[i], done[i] = True, False
+        seg[done] += 1
+        new = done & (seg < stop[rows])
+        lo[new], hi[new], y_a[new] = a_seg[seg[new]], b_seg[seg[new]], y_b[new]
+        split[new] = False
+        live = ~done | new
+        rows, seg, lo, hi, y_a, split = (
+            rows[live], seg[live], lo[live], hi[live], y_a[live], split[live])
+    return list(value), error.tolist(), y_end.tolist()
 
 
 def integrate_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
-    """(value, error, y_end) of integrate_paths on the one polyline verts."""
-    out = integrate_paths(roots, [verts], [y0], f, tol, budget)
-    return out[0][0], out[1][0], out[2][0]
+    """(value, error, y_end) of integrate_paths on the one polyline verts
+    from y0, its one-path case: every pass on Python scalars, the pieces
+    (lo, hi, split) of a segment on one stack."""
+    segs = _segments(roots.tolist(), verts)
+    if not segs:
+        raise NonConvergence("empty integration path")
+    x = _path_rule()[0]
+    y, value, error, used = complex(y0), None, 0.0, 0
+    for a, b, turn in segs:
+        todo = [(a, b, False)]
+        while todo:
+            lo, hi, split = todo.pop()
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            if split and _not_distinct(lo, hi, mid, half, x):
+                raise NonConvergence(f"path integral: [{lo}, {hi}] has "
+                                     f"nodes not distinct")
+            est, gap, ok, y_b = _pass(roots, lo, hi, mid, half, a, b, y, turn,
+                                      x, f, tol)
+            if ok:
+                value = est if value is None else value + est
+                error += gap
+            elif used >= budget:
+                raise NonConvergence(
+                    f"path integral: {budget} subdivisions exhausted on "
+                    f"[{lo}, {hi}] (error {gap:.3e})")
+            else:
+                used += 1
+                todo += [(lo, mid, True), (mid, hi, True)]
+        y = complex(y_b)
+    return value, error, y
 
 
 def _arrival(curve, y_end, point: SurfacePoint):
@@ -491,7 +565,9 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     distance from the root, ties to the lower index.  A node left without
     a parent takes one from the nodes before it in one batched search
     (_nearest_clear), so a layout-less grid gets the nearest-visited tree.
-    y_root is one _continue_sqrt call from the base point to the root."""
+    y_root is y continued from the base point to the root along
+    build_path, one _continue_sqrt call per segment, each clear of the
+    branch points."""
     lam = grid.nodes
     root = int(np.argmax(np.abs(lam - grid.center)))
     dist = np.abs(lam[:, None] - curve.branch_points)
@@ -507,9 +583,11 @@ def build_surface_tree(curve, grid) -> SurfaceTree:
     search = order[1:][parent[order[1:]] < 0]
     parent[search] = _nearest_clear(curve, lam, gap, order, search)
     hub = int(np.argmin(np.abs(dist[:, 0] - curve.min_gap / 3.0)))
-    y_root = complex(_continue_sqrt(
-        curve.branch_points, curve.base_point, lam[root],
-        curve.base_sheet_value, lam[root:root + 1])[0])
+    route = build_path(curve, curve.base_point, lam[root])
+    y_root = curve.base_sheet_value
+    for a, b in zip(route[:-1], route[1:]):
+        y_root = complex(_continue_sqrt(curve.branch_points, a, b, y_root,
+                                        [b])[0])
     return SurfaceTree(grid=grid, parent=parent, order=order, y_root=y_root,
                        root=root, hub=hub)
 
@@ -575,23 +653,38 @@ def _rule_weights():
 def _embedded_gauss(half, vals, tol):
     """The nested 10/21-point Gauss-Kronrod rule of integrate_paths on
     one or more intervals: vals holds the integrand along axis 0 at the
-    _NODES nodes of each (_path_rule), half the half-length, a scalar or
-    one per interval on the next axes of vals.  Returns the Kronrod
-    estimates (exact to degree 31), each interval's gap (the largest
-    component difference from the Gauss estimate, exact to degree 19)
-    and whether it is accepted: a gap of at most max(tol, 1e-10 * the
-    largest component of its Kronrod estimate).  Each column is summed
-    row by row (np.add.accumulate), so unlike a BLAS product no bit
-    depends on the batch: a piece gets the same bits in any pass."""
-    half = np.asarray(half)[..., None]
+    _NODES nodes of each (_path_rule), half the half-length, a Python
+    complex (one interval) or an array of one per interval on the next
+    axes of vals.  Returns the Kronrod estimates (exact to degree 31),
+    each interval's gap (the largest component difference from the Gauss
+    estimate, exact to degree 19) and whether it is accepted: a gap of
+    at most max(tol, 1e-10 * the largest component of its Kronrod
+    estimate).  Each column is summed row by row (np.add.accumulate), so
+    unlike a BLAS product no bit depends on the batch: a piece gets the
+    same bits in any pass.  The products, differences and moduli run on
+    one (2, ..., k) block of the Kronrod and Gauss sums.  One interval
+    returns its gap as a Python float and takes its bound with Python's
+    max, which a NaN size leaves at tol where np.maximum gives NaN: a NaN
+    size has a NaN gap, and both reject it."""
     sums = np.add.accumulate(_rule_weights() * vals.reshape(_NODES, 1, -1))
-    per_interval = half.shape[:-1] + (-1,)
-    hi_est = half * sums[-1, 0].reshape(per_interval)
-    gap = np.abs(hi_est - half * sums[9, 1].reshape(per_interval))
-    size = np.abs(hi_est)   # then the largest component of each interval
-    gap, size = ((gap[..., 0], size[..., 0]) if gap.shape[-1] == 1
-                 else (gap.max(axis=-1), size.max(axis=-1)))
-    return (hi_est.reshape(vals.shape[1:]), gap,
+    # the Kronrod sums (last row, column 0) over the Gauss sums (row 9,
+    # column 1), a strided view of the rows of the flattened block
+    last = 2 * _NODES - 2
+    sums = sums.reshape(2 * _NODES, -1)[last:18:19 - last]
+    if isinstance(half, complex):
+        est = half * sums
+        est[1] = est[0] - est[1]
+        size = np.abs(est)
+        size, gap = (size[:, 0] if size.shape[1] == 1
+                     else size.max(axis=1)).tolist()
+        return (est[0].reshape(vals.shape[1:]), gap,
+                gap <= max(tol, 1e-10 * size))
+    half = np.asarray(half)[..., None]
+    est = half * sums.reshape((2,) + half.shape[:-1] + (-1,))
+    est[1] = est[0] - est[1]
+    size = np.abs(est)
+    size, gap = size[..., 0] if size.shape[-1] == 1 else size.max(axis=-1)
+    return (est[0].reshape(vals.shape[1:]), gap,
             gap <= np.maximum(tol, 1e-10 * size))
 
 
@@ -984,9 +1077,9 @@ class GreenContext:
         the result is -(1/2) sum_i W_i phi_i / Area.
 
         A scalar lam, the query path of GreenSolver.u_at, is the direct
-        sum: r^2 is _squared_distances from lam to the q nodes, and the
-        near entries are set to 1 before the log and to the bump after
-        it, so a point on a q node warns of no divide.
+        sum (_log_potential_at): r^2 is _squared_distances from lam to
+        the q nodes, and the near entries are set to 1 before the log and
+        to the bump after it, so a point on a q node warns of no divide.
 
         An array lam takes r^2 in the Gram form about c, the branch-point
         mean: with x = lam - c and q' = lam_i - c, r^2 = [|x|^2, 1,
@@ -1008,22 +1101,31 @@ class GreenContext:
         sum_i W_i (|x| + |q'_i|)^2 / max(r_i^2, eps^2) of the direct sum,
         beyond the rounding of the sum itself."""
         lam = np.asarray(lam, dtype=complex)
-        eps2 = self.moll_radius ** 2
-        c0 = np.log(eps2) - 37.0 / 12.0
         if lam.ndim == 0:
-            r2 = _squared_distances(complex(lam), self._q_parts)
-            near = (r2 < eps2).nonzero()[0]
-            u = r2[near] / eps2
-            r2[near] = 1.0
-            np.log(r2, out=r2)
-            r2[near] = _bump_phi(u, c0)
-            r2 *= self.cauchy_w
-            return np.add.reduce(r2) * (-0.5 / self.area)
+            return self._log_potential_at(complex(lam))
         out = _gram_sums(
             _gram_rows(lam.reshape(-1) - self.curve.branch_points.mean()),
-            self._q_gram, self.cauchy_w, eps2)
+            self._q_gram, self.cauchy_w, self._bump[0])
         out *= -0.5 / self.area
         return out.reshape(lam.shape)[()]
+
+    @cached_property
+    def _bump(self):
+        """(eps^2, log eps^2 - 37 / 12) of log_potential's bump."""
+        eps2 = self.moll_radius ** 2
+        return eps2, np.log(eps2) - 37.0 / 12.0
+
+    def _log_potential_at(self, lam):
+        """log_potential's scalar path at the Python complex lam."""
+        eps2, c0 = self._bump
+        r2 = _squared_distances(lam, self._q_parts)
+        near = (r2 < eps2).nonzero()[0]
+        u = r2[near] / eps2
+        r2[near] = 1.0
+        np.log(r2, out=r2)
+        r2[near] = _bump_phi(u, c0)
+        r2 *= self.cauchy_w
+        return np.add.reduce(r2) * (-0.5 / self.area)
 
 
 def green_context(model: BidiffModel, frame: DistinguishedFrame,
@@ -1093,6 +1195,9 @@ class GreenSolver:
         if dist.min() < 1e-12 * ctx.curve.scale:
             raise SingularityOnGrid(f"y = {y.lam} lies on a p-grid node")
         self.form = ctx.form(y)
+        # _odd's form, its pcoef as Python complex, which NumPy takes
+        # faster than NumPy scalars, to the same bits
+        self._odd_form = self.form[:2] + (self.form[2].tolist(),)
         tree = self.p_tree = ctx.p_tree
         hub, lam = tree.hub, tree.grid.nodes
         self._sums = np.zeros((lam.size, 2))   # (S, e) where settled
@@ -1116,7 +1221,7 @@ class GreenSolver:
 
     def _odd(self, zs, ys):
         """The odd part g of the averaged form (_odd_part), one column."""
-        return _odd_part(zs, ys, *self.form)[:, None]
+        return _odd_part(zs, ys, *self._odd_form)[:, None]
 
     def settle(self, nodes):
         """(S, e) at the p nodes in nodes, (m, 2): S(j) = Re int_root^j g
@@ -1182,7 +1287,7 @@ class GreenSolver:
             self.settle([j])
         odd, err, s = _odd_at(self.ctx.curve, tree.grid.nodes[j],
                               self._y[j], self._sums[j, :1], x, self._odd)
-        t_x = float(self.ctx.log_potential(np.asarray(lam, complex)))
+        t_x = float(self.ctx._log_potential_at(lam))
         even = 0.5 * math.log(abs(lam - self.form[0]))
         return (even + float(odd[0].real) + t_x + self._offset[s],
                 float(err + self._sums[j, 1] + s * self.cross_err))

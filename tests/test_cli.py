@@ -299,6 +299,30 @@ class TestExitCodes:
             "error: SingularityOnGrid in green: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lam", [[1e300, 0.4], [1e150, 0.0],
+                                     [1e160, 0.0], [0.0, -1e51]])
+    def test_green_far_point_exit(self, tmp_path, lam):
+        # a point over 1e50 curve scales from the branch-point centre, where
+        # the squared distances to the grid nodes overflowed (a traceback
+        # under RuntimeWarnings as errors) or the path integral met NaN
+        # (exit 3): exit 2 with the bound named, no report
+        cfg = write_cfg(tmp_path, {
+            "commands": ["green"], "surface_grid": [6, 8],
+            "points": [{"lam": lam, "sheet": 1},
+                       {"lam": [0.9, 1.3], "sheet": 1}]})
+        out = tmp_path / "green.json"
+        src = os.path.dirname(os.path.dirname(conespectra.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "conespectra.cli", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "must lie within 1e+50 of the branch-point centre" \
+            in proc.stderr.strip().splitlines()[-1]
+        assert not out.exists()
+
 
 def count_calls(monkeypatch, module, name):
     calls = []

@@ -805,8 +805,10 @@ class TestIntegratePaths:
                                      tol):
         # a batch of build_path polylines, with the moments or a solver's
         # odd part g as the integrand: every path's value, error and end
-        # y with the bits of the one-path loop, or NonConvergence from the
-        # batch wherever the loop raises on one of its paths
+        # y with the bits of the one-path loop, both as a row of the batch
+        # (a lone path is batched twice, so the array pass always runs)
+        # and alone (integrate_vector_path, the scalar pass), or
+        # NonConvergence from both wherever the loop raises on a path
         sol = read_solvers[name, (6, 8)][0]
         curve = sol.ctx.curve
         bp = curve.branch_points
@@ -818,6 +820,7 @@ class TestIntegratePaths:
                    > 1e-3)
             paths.append(green.build_path(curve, a, b))
             y0s.append(complex(curve.y_at(np.asarray(a), sheet)))
+        copies = 1 if len(paths) > 1 else 2
         refs = []
         for path, y0 in zip(paths, y0s):
             try:
@@ -825,19 +828,26 @@ class TestIntegratePaths:
             except NonConvergence:
                 event("NonConvergence")
                 with pytest.raises(NonConvergence):
-                    green.integrate_paths(bp, paths, y0s, f, tol)
+                    green.integrate_paths(bp, paths * copies, y0s * copies,
+                                          f, tol)
+                with pytest.raises(NonConvergence):
+                    green.integrate_vector_path(bp, path, y0, f, tol)
                 return
         rejected = []
         with mock.patch.object(green, "_embedded_gauss",
                                _recording(rejected, green._embedded_gauss)):
-            got = green.integrate_paths(bp, paths, y0s, f, tol)
-        event("bisected" if any((~ok).any() for *_, ok in rejected)
-              else "no bisection")
-        assert [len(out) for out in got] == [len(paths)] * 3
-        for out, ref in zip(zip(*got), refs):
-            for g, r in zip(out, ref):
-                assert type(g) is type(r)
-                assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+            got = green.integrate_paths(bp, paths * copies, y0s * copies, f,
+                                        tol)
+        event("bisected" if any((~np.asarray(ok)).any()
+                                for *_, ok in rejected) else "no bisection")
+        assert [len(out) for out in got] == [len(paths) * copies] * 3
+        for out, ref, path, y0 in zip(zip(*got), refs * copies,
+                                      paths * copies, y0s * copies):
+            alone = green.integrate_vector_path(bp, path, y0, f, tol)
+            for g, r, a in zip(out, ref, alone):
+                assert type(g) is type(r) is type(a)
+                assert np.asarray(g).tobytes() == np.asarray(r).tobytes() \
+                    == np.asarray(a).tobytes()
 
     def test_budget_is_per_path(self):
         # f singular 1e-3 off the path [a, b] takes the path `need`
@@ -1175,6 +1185,43 @@ class TestSurfaceTree:
     def test_matches_reference_tree(self, name, grid, stagger):
         _assert_reference_tree(CURVES[name], _surface_grid(name, grid,
                                                            stagger))
+
+    @pytest.mark.parametrize("grid", [(1, 2), (3, 4), (6, 8), (12, 16),
+                                      (24, 32)],
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_root_route_keeps_clear(self, name, grid):
+        # y_root is y continued from the base point to the root along
+        # build_path, one _continue_sqrt call per segment: every segment
+        # passes _blocked, and where the route is one segment y_root is
+        # the straight-segment value.  On z5 at (1, 2) the straight
+        # segment passes within 2e-16 of branch point 0, so the route
+        # detours
+        curve = CURVES[name]
+        calls = []
+
+        def lift(roots, a, b, *args):
+            calls.append((complex(a), complex(b)))
+            return curveperiods._continue_sqrt(roots, a, b, *args)
+
+        with mock.patch.object(green, "_continue_sqrt", lift):
+            tree = green.build_surface_tree(curve,
+                                            _surface_grid(name, grid, 0.0))
+        root = complex(tree.grid.nodes[tree.root])
+        route = green.build_path(curve, curve.base_point, root)
+        assert calls == list(zip(route, route[1:]))
+        gaps = [float(np.abs(z - curve.branch_points).min()) for z in route]
+        for a, b, g_a, g_b in zip(route, route[1:], gaps, gaps[1:]):
+            assert not green._blocked(curve, a, b, g_a, g_b)[0].any()
+        y = curve.base_sheet_value
+        for a, b in zip(route, route[1:]):
+            y = _continue_to(curve, a, y, b)
+        assert tree.y_root == y
+        if len(route) == 2:
+            assert tree.y_root == _continue_to(
+                curve, curve.base_point, curve.base_sheet_value, root)
+        if (name, grid) == ("z5", (1, 2)):
+            assert len(route) > 2
 
     def test_parent_across_branch_point(self):
         # node x's nearest visited node a lies across branch point 1.0, so
@@ -1992,6 +2039,34 @@ class TestSettle:
                                           1e-9)
             for got, ref in zip(alone, batch):
                 np.testing.assert_array_equal(got, ref[e:e + 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 16),
+           k=st.sampled_from([1, 5]), tol=st.sampled_from([1e-14, 1e-9]),
+           bad=st.sampled_from([None, np.nan, np.inf]))
+    def test_one_interval_matches_block(self, seed, m, k, tol, bad):
+        # one interval as integrate_vector_path runs it, a Python complex
+        # half over (_NODES, k), against the same interval inside a block
+        # of m as a batched pass runs it, (_NODES, m, k): the estimate,
+        # gap and acceptance bits agree, a non-finite integrand value at a
+        # node of the interval included
+        rng = np.random.default_rng(seed)
+        x = green._path_rule()[0][:green._NODES, None, None]
+        half = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / 7.0
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vals = 1.0 / (a[:, None] + half[:, None] * x
+                      - 0.05j * np.arange(1, k + 1)) \
+            + rng.standard_normal((green._NODES, m, k)) * 1e-12
+        e = int(rng.integers(m))
+        if bad is not None:
+            vals[rng.integers(green._NODES), e, rng.integers(k)] = bad
+        with np.errstate(invalid="ignore"):   # inf - inf, inf * 0
+            block = green._embedded_gauss(half, vals, tol)
+            one = green._embedded_gauss(complex(half[e]), vals[:, e], tol)
+        event("accepted" if one[2] else "rejected")
+        for got, ref in zip(one, block):
+            assert np.shape(got) == np.shape(ref[e])
+            assert np.asarray(got).tobytes() == np.asarray(ref[e]).tobytes()
 
     @pytest.mark.parametrize("name, grid", READ_KEYS)
     def test_settled_values_match_whole_tree(self, read_solvers, name, grid,
