@@ -323,6 +323,20 @@ class TestExitCodes:
             in proc.stderr.strip().splitlines()[-1]
         assert not out.exists()
 
+    def test_green_point_inside_reach_reported(self, tmp_path):
+        # a point 1e40 curve scales out lies inside the bound: a report
+        # with finite values, as before the bound
+        cfg = write_cfg(tmp_path, {
+            "commands": ["green"], "surface_grid": [6, 8],
+            "points": [{"lam": [1e40, 0.0], "sheet": 1},
+                       {"lam": [0.9, 1.3], "sheet": 1}]})
+        out = tmp_path / "green.json"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        values = json.loads(out.read_text())["results"]["green"][
+            "green_values"]
+        assert values and all(abs(v["value"]) < float("inf")
+                              for v in values)
+
 
 def count_calls(monkeypatch, module, name):
     calls = []
