@@ -223,7 +223,7 @@ def integrate_paths(roots, paths, y0s, f, tol=1e-9, budget=200):
     rows, seg = np.arange(len(segs)), stop - lens
     lo, hi, y_a = a_seg[seg], b_seg[seg], np.array(y0s, dtype=complex)
     split, used = np.zeros(rows.size, bool), np.zeros(rows.size, int)
-    stacks = [[] for _ in segs]
+    stacks, depth = [[] for _ in segs], np.zeros(rows.size, int)
     value, error, y_end = None, np.zeros(rows.size), y_a.copy()
     x = _path_rule()[0][:, None]
     while rows.size:
@@ -247,17 +247,19 @@ def integrate_paths(roots, paths, y0s, f, tol=1e-9, budget=200):
                 f"path integral: {budget} subdivisions exhausted on "
                 f"[{lo[i]}, {hi[i]}] (error {gap[i]:.3e})")
         used[rows[bad]] += 1
+        depth[rows[bad]] += 1
         for p, u, m in zip(rows[bad].tolist(), lo[bad].tolist(),
                            mid[bad].tolist()):
             stacks[p].append((u, m))
         lo[bad], split[bad] = mid[bad], True
         # an accepted row takes its path's stacked half, else its next
         # segment, else ends
-        done = ok.copy()
-        for i in np.flatnonzero(ok).tolist():
-            if stacks[rows[i]]:
-                lo[i], hi[i] = stacks[rows[i]].pop()
-                split[i], done[i] = True, False
+        done = ok & (depth[rows] == 0)
+        back = np.flatnonzero(ok & ~done)
+        for i in back.tolist():
+            lo[i], hi[i] = stacks[rows[i]].pop()
+        depth[rows[back]] -= 1
+        split[back] = True
         seg[done] += 1
         new = done & (seg < stop[rows])
         lo[new], hi[new], y_a[new] = a_seg[seg[new]], b_seg[seg[new]], y_b[new]
