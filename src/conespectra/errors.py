@@ -66,10 +66,6 @@ class PoleEvaluation(ConeSpectraError):
     pass
 
 
-class CoincidentPoles(DomainError):
-    pass
-
-
 class CoincidentArguments(DomainError):
     pass
 

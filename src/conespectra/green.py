@@ -1,6 +1,6 @@
-"""Surface Green-function machinery: third-kind differentials, the
-Roelcke double-quadrature Green function, special growing solutions at
-lambda = 0, the regularized log entry, and cross-checks against the
+"""Surface Green-function machinery: the grid-averaged third-kind form,
+the Roelcke double-quadrature Green function, special growing solutions
+at lambda = 0, the regularized log entry, and cross-checks against the
 Bergman kernel.
 
 Everything reduces to one closed-form kernel, _form_values. With the
@@ -42,7 +42,6 @@ from .curveperiods import (Curve, SurfacePoint, _continue_sqrt,
                            _segment_turn, metric_density)
 from .errors import (
     CoincidentArguments,
-    CoincidentPoles,
     ConeArgument,
     ConsistencyFailure,
     FitIllConditioned,
@@ -402,28 +401,6 @@ def _form_values(lam, ys, t_lam, t_y, pcoef):
     return 0.5 / (lam - t_lam) + _odd_part(lam, ys, t_lam, t_y, pcoef)
 
 
-# ---------------------------------------------------------------------------
-# third-kind differential between two explicit points
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ThirdKindForm:
-    """Omega_{p-q}: simple poles +1 at p, -1 at q, purely imaginary
-    periods."""
-
-    p: SurfacePoint
-    q: SurfacePoint
-    curve: Curve
-    y_p: complex
-    y_q: complex
-    pcoef: np.ndarray
-
-    def values(self, lam, y):
-        """Omega_{p-q} / dlambda at the points (lam, y) (arrays)."""
-        return (_form_values(lam, y, self.p.lam, self.y_p, self.pcoef)
-                - _form_values(lam, y, self.q.lam, self.y_q, ()))
-
-
 def _correction_pcoef(model, moments):
     """Degree-4 polynomial coefficients carried by the moment vector
     M_k = int_q^p lambda^k dlambda / y (a (5, n) matrix gives one column
@@ -434,23 +411,6 @@ def _correction_pcoef(model, moments):
     e = model.c @ abel - 2j * np.pi * (model.periods.im_b_inverse @ abel.imag)
     pcoef[:2] += cn.T @ e
     return pcoef
-
-
-def third_kind_form(model: BidiffModel, p: SurfacePoint,
-                    q: SurfacePoint) -> ThirdKindForm:
-    """Unique differential of the third kind with poles p (+1) and q (-1)
-    and purely imaginary periods, in closed form up to five line moments,
-    R(p) - R(q) on the route of GreenContext.form (_moments_at); another
-    route differs by a cycle, which the period normalization removes."""
-    curve = model.curve
-    if abs(complex(p.lam) - complex(q.lam)) < 1e-12 * curve.scale \
-            and p.sheet == q.sheet:
-        raise CoincidentPoles("third-kind poles coincide")
-    base = _moment_base(curve)
-    pcoef = _correction_pcoef(
-        model, _moments_at(curve, base, p) - _moments_at(curve, base, q))
-    return ThirdKindForm(p=p, q=q, curve=curve, y_p=curve.y_of(p),
-                         y_q=curve.y_of(q), pcoef=pcoef)
 
 
 # ---------------------------------------------------------------------------
@@ -561,27 +521,18 @@ def _path_counts(parent, root, counts):
 
 
 def build_surface_tree(curve, grid) -> SurfaceTree:
-    """The root is the node farthest from the grid center.  A grid with a
-    recorded layout is visited patch by patch, a node hanging from a
-    layout neighbour where it can (_layout_tree); one without, by
-    distance from the root, ties to the lower index.  A node left without
-    a parent takes one from the nodes before it in one batched search
-    (_nearest_clear), so a layout-less grid gets the nearest-visited tree.
-    y_root is y continued from the base point to the root along
-    build_path, one _continue_sqrt call per segment, each clear of the
-    branch points."""
+    """The root is the node farthest from the grid center.  The grid is
+    visited patch by patch along its layout, a node hanging from a layout
+    neighbour where it can (_layout_tree).  A node left without a parent
+    takes one from the nodes before it in one batched search
+    (_nearest_clear).  y_root is y continued from the base point to the
+    root along build_path, one _continue_sqrt call per segment, each
+    clear of the branch points."""
     lam = grid.nodes
     root = int(np.argmax(np.abs(lam - grid.center)))
     dist = np.abs(lam[:, None] - curve.branch_points)
     gap = dist.min(axis=1)
-    if grid.patches:
-        order, parent = _layout_tree(curve, grid, root, gap)
-    else:
-        # scalar abs, not np.abs: the two differ by an ulp on some nodes,
-        # enough to swap two nodes of equal distance in the visit order
-        rho = np.array([abs(z) for z in (lam - lam[root]).tolist()])
-        order = np.lexsort((np.arange(lam.size), rho))
-        parent = np.full(lam.size, -1, dtype=int)
+    order, parent = _layout_tree(curve, grid, root, gap)
     search = order[1:][parent[order[1:]] < 0]
     parent[search] = _nearest_clear(curve, lam, gap, order, search)
     hub = int(np.argmin(np.abs(dist[:, 0] - curve.min_gap / 3.0)))
@@ -702,8 +653,8 @@ def _parts(nodes):
 def _squared_distances(lam, parts):
     """|lam - node|^2 from one point to nodes given by _parts: the squared
     real difference plus the squared imaginary difference, with no hypot.
-    It is the direct square of log_potential's scalar path, exact to the
-    rounding of each difference, unlike the array path's Gram form."""
+    It is the direct square of log_potential, exact to the rounding of
+    each difference, unlike _gram_sums' Gram form."""
     re, im = parts
     r2 = lam.real - re
     r2 *= r2
@@ -764,13 +715,28 @@ _POTENTIAL_BLOCK = 1 << 15
 def _gram_sums(x, cols, w, eps2):
     """sum_i w_i phi_i for every row of x (_gram_rows) against the nodes
     given by cols (_gram_cols) with weights w, phi as _phi of the squared
-    distance r^2 = x @ cols.
+    distance in the Gram form r^2 = x @ cols: with x and q' a point and a
+    node taken about the Gram centre, r^2 = [|x|^2, 1, -2 Re x, -2 Im x]
+    . [1, |q'|^2, Re q', Im q'].
 
     The rows go in blocks of a fixed shape, which depends on the node
     count alone (_POTENTIAL_BLOCK); the last is padded with zero rows,
     which are neither logged nor returned.  A second fixed-shape product
     per block, phi times w, sums the rows.  So against the same nodes a
-    row gets the same bits whatever its block, alone or among any rows."""
+    row gets the same bits whatever its block, alone or among any rows.
+
+    The Gram form cancels where r is small against |x| + |q'|.  Rounding
+    x, q', |x|^2, |q'|^2 and the four-term product leaves r^2 within 4 ulp
+    of (|x| + |q'|)^2 of the direct square (_squared_distances; ulp =
+    2^-52), and phi's slope in r^2 is at most 1/r^2 outside a bump and
+    8/eps^2 inside one.  So each phi_i is within 32 ulp of (|x| +
+    |q'_i|)^2 / max(r_i^2, eps^2), and a row within 32 ulp sum_i |w_i|
+    (|x| + |q'_i|)^2 / max(r_i^2, eps^2) of the direct sum, beyond the
+    rounding of the sum itself: with log_potential's weights W_i and
+    factor -1/(2 Area), (16 ulp / Area) sum_i W_i (|x| + |q'_i|)^2 /
+    max(r_i^2, eps^2).  phi is floored at log 1e-300, so a near pair
+    whose r^2 rounds to zero or below warns of nothing before its bump
+    replaces it."""
     n, m = x.shape[0], cols.shape[1]
     rows = _POTENTIAL_ROWS * max(1, _POTENTIAL_BLOCK
                                  // (_POTENTIAL_ROWS * m))
@@ -899,7 +865,7 @@ def _patch_sums(p_grid, q_grid, w, eps, centre):
     So the truncation leaves the sums within 2^-52 sum_i |w_i| of the
     pair-by-pair sum.  Beyond it they differ by rounding: the ring
     tables' squared distances add two non-negative terms and cancel
-    nowhere, the near pairs round as log_potential's Gram form does, and
+    nowhere, the near pairs round as _gram_sums states, and
     the FFTs and expansions round in proportion to the sums they form."""
     p, q = p_grid.nodes, q_grid.nodes
     eps2 = eps * eps
@@ -1027,14 +993,11 @@ class GreenContext:
     @cached_property
     def t_nodes(self) -> np.ndarray:
         """log_potential at the p-grid nodes, patch by patch from the two
-        grids' layouts (_patch_sums) where both have one, else
-        log_potential's array path itself.
+        grids' layouts (_patch_sums).
 
-        On the layout route each entry is within t_bound of the direct
-        sum, beyond rounding: t_bound covers the truncated expansions,
-        and the near pairs round as the array path's Gram form does."""
-        if not (self.p_grid.patches and self.q_grid.patches):
-            return self.log_potential(self.p_grid.nodes)
+        Each entry is within t_bound of the direct sum, beyond rounding:
+        t_bound covers the truncated expansions, and the near pairs round
+        as _gram_sums states."""
         out = _patch_sums(self.p_grid, self.q_grid, self.cauchy_w,
                           self.moll_radius, self.curve.branch_points.mean())
         out *= -0.5 / self.area
@@ -1052,20 +1015,14 @@ class GreenContext:
         return _parts(self.q_grid.nodes)
 
     @cached_property
-    def _q_gram(self):
-        """(4, n_q) q-side factor of log_potential's Gram form
-        (_gram_cols) of q' = lam_q - c, c the branch-point mean."""
-        return _gram_cols(self.q_grid.nodes
-                          - self.curve.branch_points.mean())
-
-    @cached_property
     def _p_parts(self):
         """Real and imaginary parts of the p nodes, contiguous."""
         return _parts(self.p_grid.nodes)
 
     def log_potential(self, lam):
-        """-(1/Area) sum_i W_i log|lam - lam_i|, each node mollified over
-        a radial bump spanning a few interior grid cells.
+        """-(1/Area) sum_i W_i log|lam - lam_i| at the Python complex lam,
+        each node mollified over a radial bump spanning a few interior
+        grid cells.
 
         Outside a node's bump disk its potential is exactly the point
         log, so the mollification only redistributes the -1/Area
@@ -1074,51 +1031,13 @@ class GreenContext:
         mass and vanishing second moment, so the smeared density matches
         the metric density to fourth order in eps.
 
-        The sum runs in squared distances with no hypot: phi = log r^2,
+        The sum is direct and runs in squared distances with no hypot:
+        r^2 is _squared_distances from lam to the q nodes, phi = log r^2,
         or twice the bump potential plus log eps^2 where r^2 < eps^2, and
-        the result is -(1/2) sum_i W_i phi_i / Area.
-
-        A scalar lam, the query path of GreenSolver.u_at, is the direct
-        sum (_log_potential_at): r^2 is _squared_distances from lam to
-        the q nodes, and the near entries are set to 1 before the log and
-        to the bump after it, so a point on a q node warns of no divide.
-
-        An array lam takes r^2 in the Gram form about c, the branch-point
-        mean: with x = lam - c and q' = lam_i - c, r^2 = [|x|^2, 1,
-        -2 Re x, -2 Im x] . [1, |q'|^2, Re q', Im q'], one BLAS product
-        per block of points against the cached (4, n_q) q side (_q_gram),
-        and one more for the row sums (_gram_sums): a point gets the same
-        bits whatever its block, alone or in any array.  phi is floored at
-        log 1e-300, so a near pair whose r^2 rounds to zero or below warns
-        of nothing before its bump replaces it.  t_nodes runs this path
-        on its near pairs only (_patch_sums) and adds its truncation bound
-        t_bound to what is stated here.
-
-        The Gram form cancels where r is small against |x| + |q'|.
-        Rounding x, q', |x|^2, |q'|^2 and the four-term product leaves r^2
-        within 4 ulp of (|x| + |q'|)^2 of the direct square (ulp = 2^-52),
-        and phi's slope in r^2 is at most 1/r^2 outside a bump and 8/eps^2
-        inside one.  So each phi_i is within 32 ulp of (|x| + |q'_i|)^2 /
-        max(r_i^2, eps^2), and the array path within (16 ulp / Area)
-        sum_i W_i (|x| + |q'_i|)^2 / max(r_i^2, eps^2) of the direct sum,
-        beyond the rounding of the sum itself."""
-        lam = np.asarray(lam, dtype=complex)
-        if lam.ndim == 0:
-            return self._log_potential_at(complex(lam))
-        out = _gram_sums(
-            _gram_rows(lam.reshape(-1) - self.curve.branch_points.mean()),
-            self._q_gram, self.cauchy_w, self._bump[0])
-        out *= -0.5 / self.area
-        return out.reshape(lam.shape)[()]
-
-    @cached_property
-    def _bump(self):
-        """(eps^2, log eps^2 - 37 / 12) of log_potential's bump."""
-        eps2 = self.moll_radius ** 2
-        return eps2, np.log(eps2) - 37.0 / 12.0
-
-    def _log_potential_at(self, lam):
-        """log_potential's scalar path at the Python complex lam."""
+        the result is -(1/2) sum_i W_i phi_i / Area.  The near entries are
+        set to 1 before the log and to the bump after it, so a point on a
+        q node warns of no divide.  GreenSolver.u_at reads it at every
+        query; t_nodes sums the same potential at every p node."""
         eps2, c0 = self._bump
         r2 = _squared_distances(lam, self._q_parts)
         near = (r2 < eps2).nonzero()[0]
@@ -1128,6 +1047,12 @@ class GreenContext:
         r2[near] = _bump_phi(u, c0)
         r2 *= self.cauchy_w
         return np.add.reduce(r2) * (-0.5 / self.area)
+
+    @cached_property
+    def _bump(self):
+        """(eps^2, log eps^2 - 37 / 12) of log_potential's bump."""
+        eps2 = self.moll_radius ** 2
+        return eps2, np.log(eps2) - 37.0 / 12.0
 
 
 def green_context(model: BidiffModel, frame: DistinguishedFrame,
@@ -1289,7 +1214,7 @@ class GreenSolver:
             self.settle([j])
         odd, err, s = _odd_at(self.ctx.curve, tree.grid.nodes[j],
                               self._y[j], self._sums[j, :1], x, self._odd)
-        t_x = float(self.ctx._log_potential_at(lam))
+        t_x = float(self.ctx.log_potential(lam))
         even = 0.5 * math.log(abs(lam - self.form[0]))
         return (even + float(odd[0].real) + t_x + self._offset[s],
                 float(err + self._sums[j, 1] + s * self.cross_err))
@@ -1387,8 +1312,8 @@ def _special_solutions(ctx: GreenContext, t_lam, t_y, pcoef):
 
 def special_solution_zero(ctx: GreenContext, l: int,
                           y: SurfacePoint) -> complex:
-    """G_{1/xi^l}(y; 0) for l in {1, 2} (_special_solutions)."""
-    if l not in (1, 2):
+    """G_{1/xi^l}(y; 0) for the integer l in {1, 2} (_special_solutions)."""
+    if not isinstance(l, (int, np.integer)) or l not in (1, 2):
         raise ValueError("l must be 1 or 2")
     return complex(_special_solutions(ctx, *ctx.form(y))[l - 1])
 

@@ -336,15 +336,15 @@ class SurfaceGrid:
     carrying the complementary bump, and an inverted chart for |lambda| > R.
     Weights include the partition factor and the flat area element of the
     chart (not the conformal weight of the metric, which callers multiply in).
-    Node order is fixed, so reductions are bit-reproducible.  patches, when
-    given, lays the nodes out: patch after patch, in that order, as each
-    PolarPatch describes; a grid built node by node has none.
+    Node order is fixed, so reductions are bit-reproducible.  Every grid
+    has its layout: patches lays the nodes out, patch after patch, in that
+    order, as each PolarPatch describes.
     """
 
     nodes: np.ndarray          # complex lambda values (one sheet's worth)
     weights: np.ndarray        # real, includes partition & chart Jacobian
     center: complex
-    patches: tuple = ()        # PolarPatch per patch, in node order
+    patches: tuple             # PolarPatch per patch, in node order
 
     @property
     def n_nodes(self):

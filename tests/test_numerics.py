@@ -533,8 +533,8 @@ GRID_CURVES = {
 
 def _reference_surface_grid(branch_points, cfg, stagger=0.0):
     """Reference for build_surface_grid: every partition bump evaluated on
-    every node of its patch, and the branch-point check on one (nodes,
-    branch points) array."""
+    every node of its patch, the branch-point check on one (nodes, branch
+    points) array, and the layout of each patch as built."""
     bp = np.asarray(branch_points, dtype=complex)
     shift = 0.5 + stagger
     n_rad, n_ang, radius = cfg.surface_grid
@@ -549,10 +549,14 @@ def _reference_surface_grid(branch_points, cfg, stagger=0.0):
         r = np.abs(pts - bp[j])
         return numerics._smooth_step((disk_r - r) / (disk_r / 2.0))
 
-    def polar_patch(c, r_hi, n, k):
-        # a patch of its own, not a view into one grid array
+    layout = []
+
+    def polar_patch(c, r_hi, n, k, inverted=False):
+        # a patch of its own, not a view into one grid array; the
+        # exterior chart is built about 0 and inverted about the centre
         r, rw = numerics._radii(0.0, r_hi, n)
-        return numerics._polar_patch(c, r, rw, k, shift,
+        layout.append(numerics.PolarPatch(c, r, k, shift, inverted))
+        return numerics._polar_patch(0.0 if inverted else c, r, rw, k, shift,
                                      np.empty(r.size * k, dtype=complex),
                                      np.empty(r.size * k))
 
@@ -567,14 +571,14 @@ def _reference_surface_grid(branch_points, cfg, stagger=0.0):
         comp = comp * (1.0 - bump_at(pts, j))
     all_pts.append(pts)
     all_w.append(w * comp)
-    mpts, mw = polar_patch(0.0, 1.0 / radius, n_rad, n_ang)
+    mpts, mw = polar_patch(center, 1.0 / radius, n_rad, n_ang, True)
     all_pts.append(center + 1.0 / mpts)
     all_w.append(mw / np.abs(mpts) ** 4)
     nodes = np.concatenate(all_pts)
     dmin = np.abs(nodes[:, None] - bp[None, :]).min()
     if dmin < 1e-12 * max(1.0, span):
         raise SingularityOnGrid("a quadrature node coincides with a branch point")
-    return SurfaceGrid(nodes, np.concatenate(all_w), center)
+    return SurfaceGrid(nodes, np.concatenate(all_w), center, tuple(layout))
 
 
 def _split_radii(breakpoints):
@@ -627,6 +631,11 @@ class TestSurfaceQuadrature:
         np.testing.assert_array_equal(g.nodes, ref.nodes)
         np.testing.assert_array_equal(g.weights, ref.weights)
         assert g.center == ref.center
+        assert len(g.patches) == len(ref.patches)
+        for P, Q in zip(g.patches, ref.patches):
+            assert (P.center, P.n_ang, P.shift, P.inverted) \
+                == (Q.center, Q.n_ang, Q.shift, Q.inverted)
+            np.testing.assert_array_equal(P.radii, Q.radii)
 
     @pytest.mark.parametrize("breakpoints", [None, [0.5, 1.5]])
     @pytest.mark.parametrize("stagger", [0.0, 0.31])
