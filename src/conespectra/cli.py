@@ -36,7 +36,7 @@ from .errors import (
     NonConvergence,
     NotABranchPoint,
 )
-from .numerics import QuadratureConfig
+from .numerics import QuadratureConfig, _radii
 
 SCHEMA = "cone-spectra/1"
 EXIT_VALIDATION = 2
@@ -199,13 +199,29 @@ def _points(cfg, curve):
     return out
 
 
+def _grid_within_reach(cfg, curve):
+    """The config's surface grid, refused if its outermost nodes lie over
+    _POINT_REACH curve scales from the branch-point centre, the reach a
+    point has: they lie at radius / f from it, f the smallest radius of
+    the exterior chart over a unit disk."""
+    quad = _surface_grid(cfg)
+    n_rad, _, radius = quad.surface_grid
+    reach = _POINT_REACH * curve.scale
+    if radius is not None \
+            and radius > _radii(0.0, 1.0, n_rad)[0].min() * reach:
+        raise DomainError(f"surface_grid radius {radius:.3g} puts grid nodes "
+                          f"over {reach:.3g} from the branch-point centre")
+    return quad
+
+
 def cmd_green(cfg, tol_scale=1.0):
     from . import green
 
     model, frame = _model(cfg)
     pts = _points(cfg, model.curve)
     x, y = pts[0], pts[1]
-    ctx = green.green_context(model, frame, _surface_grid(cfg))
+    ctx = green.green_context(model, frame,
+                              _grid_within_reach(cfg, model.curve))
     sol_y = green.GreenSolver(ctx, y)
     g_xy = sol_y.green(x)
     g_yx = green.GreenSolver(ctx, x).green(y)

@@ -421,7 +421,9 @@ def _correction_pcoef(model, moments):
 class SurfaceTree:
     """Spanning tree over the nodes of a surface grid, with straight edges;
     construction is deterministic.  Every node but the root hangs from its
-    parent by one straight edge, the edge into it.
+    parent by one straight edge, the edge into it, which passes _blocked
+    unless no node before it offers such an edge.  order is the grid's
+    layout visit order (_layout_tree), every parent before its children.
 
     y_root is y continued from the base point to the root.  Its sheet, the
     tree sheet, runs on along the root paths (GreenSolver.settle), and is
@@ -447,11 +449,11 @@ def _layout_tree(curve, grid, root, gap):
     Patches go from the last, the exterior chart, whose outermost ring in
     lambda holds the root, to the first; rings outermost first, each from
     the spine (the spoke through the outer ring's node nearest the root)
-    along both arcs.  A node hangs from the nearer of its neighbours
-    before it, out on its spoke or toward the spine, if their edge is
-    _short.  A node whose edge is not, inside a patch visited later (a
-    main-disk node by a branch point), follows every patch with the
-    nodes below it, so its parent can come from that patch."""
+    along both arcs.  A node hangs from the nearer of its two neighbours
+    before it, out on its spoke or toward the spine on its ring, whose
+    edge build_path takes as one segment (_short, else _blocked passes),
+    else from the other.  A patch's spine head has no such neighbour, and
+    a node with neither edge clear has no parent here."""
     lam = grid.nodes
     ends = np.cumsum([P.size for P in grid.patches])
     parts = []
@@ -463,24 +465,25 @@ def _layout_tree(curve, grid, root, gap):
         # arc offsets 0, 1, -1, 2, -2, ... from the spine
         off = np.arange(1, k + 1) // 2 * (-1) ** np.arange(1, k + 1)
         nodes = rings + (head + off) % k
-        up = rings + (head + off - np.sign(off)) % k
-        out = np.abs(lam[nodes[:-1]] - lam[nodes[1:]]) \
-            < np.abs(lam[up[1:]] - lam[nodes[1:]])
-        up[1:] = np.where(out | (off == 0), nodes[:-1], up[1:])
-        up[0, 0] = -1
-        parts.append((nodes.ravel(), up.ravel()))
-    order, parent = map(np.concatenate, zip(*parts))
-    parent = parent[np.argsort(order)]
-    kid, up = order[1:], parent[order[1:]]
-    fail = kid[(up >= 0) & ~_short(curve, lam[up], lam[kid], gap[up],
-                                   gap[kid])]
-    own = np.searchsorted(ends, fail, side="right")
-    late = np.zeros(lam.size, dtype=int)
-    for j, P in enumerate(grid.patches):
-        late[fail] |= (own > j) & (abs(lam[fail] - P.center) < P.radii.max())
-    late = _path_counts(parent, root, late)[order] > 0
-    parent[fail] = -1
-    return np.concatenate([order[~late], order[late]]), parent
+        arc = np.where(off == 0, -1, rings + (head + off - np.sign(off)) % k)
+        out = np.vstack([np.full(k, -1), nodes[:-1]])
+        parts.append((nodes.ravel(), out.ravel(), arc.ravel()))
+    order, out, arc = map(np.concatenate, zip(*parts))
+    # the two neighbours (-1: none), the nearer first, ties to the arc's
+    cand = np.stack([out, arc])
+    d = np.where(cand >= 0, np.abs(lam[cand] - lam[order]), np.inf)
+    cand = np.where(d[0] < d[1], cand, cand[::-1])
+    kid = np.broadcast_to(order, cand.shape)
+    clear = (cand >= 0) & _short(curve, lam[cand], lam[kid], gap[cand],
+                                 gap[kid])
+    test = (cand >= 0) & ~clear
+    up, v = cand[test], kid[test]
+    clear[test] = ~_blocked(curve, lam[up], lam[v], gap[up],
+                            gap[v])[0].any(axis=-1)
+    parent = np.empty(lam.size, dtype=int)
+    parent[order] = np.where(clear[0], cand[0],
+                             np.where(clear[1], cand[1], -1))
+    return order, parent
 
 
 def _nearest_clear(curve, lam, gap, order, kids):
@@ -505,29 +508,15 @@ def _nearest_clear(curve, lam, gap, order, kids):
     return out
 
 
-def _path_counts(parent, root, counts):
-    """Sums of the counts on the edges of every node's root path, counts[i]
-    on the edge from node i to its parent (0 at the root), by pointer
-    jumping: up[i] starts at the parent of i and jumps to up[up[i]] in
-    every pass, total[i] summing the edges from i to up[i], until every
-    up[i] is the root, about log2 of the largest depth passes.
-    _layout_tree counts the late nodes on each root path with it."""
-    total = counts.copy()
-    up = np.where(parent >= 0, parent, root)
-    while (up != root).any():
-        total += total[up]
-        up = up[up]
-    return total
-
-
 def build_surface_tree(curve, grid) -> SurfaceTree:
     """The root is the node farthest from the grid center.  The grid is
-    visited patch by patch along its layout, a node hanging from a layout
-    neighbour where it can (_layout_tree).  A node left without a parent
-    takes one from the nodes before it in one batched search
-    (_nearest_clear).  y_root is y continued from the base point to the
-    root along build_path, one _continue_sqrt call per segment, each
-    clear of the branch points."""
+    visited patch by patch along its layout, each node hanging from the
+    nearer of its two layout neighbours before it whose edge build_path
+    takes as one segment (_layout_tree).  Only a patch's spine head, or a
+    node with neither edge clear, takes its parent from the nodes before
+    it, in one batched search (_nearest_clear).  y_root is y continued
+    from the base point to the root along build_path, one _continue_sqrt
+    call per segment, each clear of the branch points."""
     lam = grid.nodes
     root = int(np.argmax(np.abs(lam - grid.center)))
     dist = np.abs(lam[:, None] - curve.branch_points)

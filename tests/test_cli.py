@@ -337,6 +337,42 @@ class TestExitCodes:
         assert values and all(abs(v["value"]) < float("inf")
                               for v in values)
 
+    @pytest.mark.parametrize("radius", [1e50, 1e300])
+    def test_green_far_grid_exit(self, tmp_path, radius):
+        # a truncation radius that puts the exterior chart's nodes over
+        # 1e50 curve scales from the branch-point centre, where the
+        # products of their distances to the branch points overflowed
+        # (exit 3, or a traceback under RuntimeWarnings as errors): exit 2
+        # with the bound named, no report
+        cfg = write_cfg(tmp_path, {
+            "commands": ["green"], "surface_grid": [6, 8, radius],
+            "points": [{"lam": [-0.7, 0.4], "sheet": 1},
+                       {"lam": [0.9, 1.3], "sheet": 1}]})
+        out = tmp_path / "green.json"
+        src = os.path.dirname(os.path.dirname(conespectra.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "conespectra.cli", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "over 1e+50 from the branch-point centre" \
+            in proc.stderr.strip().splitlines()[-1]
+        assert not out.exists()
+
+    def test_green_grid_inside_reach_reported(self, tmp_path):
+        # a truncation radius of 1e40 keeps the grid inside the bound: a
+        # report whose checks all pass, as before the bound
+        cfg = write_cfg(tmp_path, {
+            "commands": ["green"], "surface_grid": [6, 8, 1e40],
+            "points": [{"lam": [-0.7, 0.4], "sheet": 1},
+                       {"lam": [0.9, 1.3], "sheet": 1}]})
+        out = tmp_path / "green.json"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["results"]["green"]
+        assert all(c["passed"] for c in report["checks"]), report["checks"]
+
 
 def count_calls(monkeypatch, module, name):
     calls = []

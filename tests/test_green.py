@@ -594,11 +594,26 @@ def _reference_vector_path(roots, verts, y0, f, tol=1e-9, budget=200):
     return total, total_err, y_a
 
 
+def _path_counts(parent, root, counts):
+    """Sums of the counts on the edges of every node's root path, counts[i]
+    on the edge from node i to its parent (0 at the root), by pointer
+    jumping: up[i] starts at the parent of i and jumps to up[up[i]] in
+    every pass, total[i] summing the edges from i to up[i], until every
+    up[i] is the root, about log2 of the largest depth passes.  The
+    whole-tree references sum along the root paths with it."""
+    total = counts.copy()
+    up = np.where(parent >= 0, parent, root)
+    while (up != root).any():
+        total += total[up]
+        up = up[up]
+    return total
+
+
 def _tree_y_plus(curve, tree):
     """y continued along a SurfaceTree from y_root to every node in one
     vectorised pass: one _continue_sqrt call continues +sqrt(P) at the
     parent of every edge to its node, keeping or flipping the sign, and
-    green._path_counts sums the flips along every root path.  The
+    _path_counts sums the flips along every root path.  The
     reference for GreenSolver._y, and the start y of the whole-tree
     references here."""
     lam, bp = tree.grid.nodes, curve.branch_points
@@ -608,7 +623,7 @@ def _tree_y_plus(curve, tree):
     flips = np.zeros(lam.size, dtype=int)
     flips[kids] = curveperiods._continue_sqrt(
         bp, lam[up], lam[kids], exact[up], lam[kids]) != exact[kids]
-    flips = green._path_counts(tree.parent, tree.root, flips)
+    flips = _path_counts(tree.parent, tree.root, flips)
     at_root = exact[tree.root]
     flip_root = abs(tree.y_root - at_root) >= abs(tree.y_root + at_root)
     return np.where(flips % 2 != flip_root, -exact, exact)
@@ -927,11 +942,16 @@ def _reference_search(curve, lam, before, i):
     vi = np.sort(np.asarray(before))
     d = np.abs(lam[vi] - lam[i])
     for j in vi[np.argsort(d, kind="stable")[:16]]:
-        clr = _segment_clearance(curve, lam[j], lam[i])
-        if clr >= _clearance_floor(curve, lam[j], lam[i]) \
-                and clr > 1e-9 * curve.scale:
+        if _keeps_clear(curve, lam[j], lam[i]):
             return int(j)
     return int(vi[np.argmin(d)])
+
+
+def _keeps_clear(curve, a, b):
+    """Whether the segment [a, b] keeps _clearance_floor and 1e-9 scale
+    clear of the branch points, one segment at a time."""
+    clr = _segment_clearance(curve, a, b)
+    return clr >= _clearance_floor(curve, a, b) and clr > 1e-9 * curve.scale
 
 
 def _reference_layout(curve, grid, root):
@@ -942,18 +962,25 @@ def _reference_layout(curve, grid, root):
     Patches go last to first; in each, the rings go from the outermost in
     lambda (the first on the inverted exterior chart, the last on the
     others), each at offsets 0, 1, -1, 2, -2, ... from the spine, the
-    outermost ring's node nearest the root.  A node's layout parent is
-    the next one out on its spoke if that is nearer than the next one
-    toward the spine on its ring (always, on the spine); a spine's head
-    has none.  A parent is kept if the edge is shorter than half the
-    larger endpoint distance to the branch points (build_path's early
-    return).  A node whose edge is not kept and that lies within the
-    largest radius of a patch visited after its own goes, with every node
-    whose layout path to the root passes it, after all the others."""
+    outermost ring's node nearest the root.  A node's neighbours are the
+    next one out on its spoke (none on the outermost ring) and the next
+    one toward the spine on its ring (none on the spine), the spoke's
+    first if it is nearer.  The node hangs from the first whose edge is
+    clear: shorter than half the larger endpoint distance to the branch
+    points, that half over 2e-9 scale (build_path's early return), or
+    else _keeps_clear."""
     lam = grid.nodes
     bps = curve.branch_points
     starts = np.cumsum([0] + [P.size for P in grid.patches])
-    order, parent, patch, fail = [], {}, {}, set()
+    order, parent = [], {}
+
+    def clear(u, v):
+        half_gap = 0.5 * max(np.abs(lam[v] - bps).min(),
+                             np.abs(lam[u] - bps).min())
+        return (np.abs(lam[v] - lam[u]) < half_gap
+                and half_gap > 2e-9 * curve.scale) \
+            or _keeps_clear(curve, lam[u], lam[v])
+
     for i in reversed(range(len(grid.patches))):
         P = grid.patches[i]
         k = P.n_ang
@@ -970,32 +997,17 @@ def _reference_layout(curve, grid, root):
         for q, r in enumerate(rings):
             for t in offsets[:k]:
                 v = at(r, head + t)
-                up = at(r, head + t - int(np.sign(t)))
+                near = [at(r, head + t - int(np.sign(t)))] if t else []
                 if q > 0:
                     out = at(rings[q - 1], head + t)
-                    if t == 0 or np.abs(lam[out] - lam[v]) \
-                            < np.abs(lam[up] - lam[v]):
-                        up = out
-                elif t == 0:
-                    up = -1
-                if up >= 0:
-                    half_gap = 0.5 * max(np.abs(lam[v] - bps).min(),
-                                         np.abs(lam[up] - bps).min())
-                    if not (np.abs(lam[v] - lam[up]) < half_gap
-                            and half_gap > 2e-9 * curve.scale):
-                        fail.add(v)
+                    if not near or np.abs(lam[out] - lam[v]) \
+                            < np.abs(lam[near[0]] - lam[v]):
+                        near.insert(0, out)
+                    else:
+                        near.append(out)
                 order.append(v)
-                parent[v] = up
-                patch[v] = i
-    late = set()
-    for v in order:
-        inside = any(j < patch[v] and np.abs(lam[v] - P.center)
-                     < P.radii.max() for j, P in enumerate(grid.patches))
-        if parent[v] in late or (v in fail and inside):
-            late.add(v)
-    order = [v for v in order if v not in late] \
-        + [v for v in order if v in late]
-    return order, {v: (-1 if v in fail else u) for v, u in parent.items()}
+                parent[v] = next((u for u in near if clear(u, v)), -1)
+    return order, parent
 
 
 def _reference_tree(curve, grid):
@@ -1081,7 +1093,7 @@ def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     goes through integrate_vector_path from y at its parent, with
     the same per-edge budget.  The edge values, with each edge's
     accepted gap as one more column, are summed along every root path by
-    pointer jumping (green._path_counts), in at most ceil(log2 d) rounds
+    pointer jumping (_path_counts), in at most ceil(log2 d) rounds
     on a path of d edges: with S the sum of its |edge values| each sum is
     within (ceil(log2 d) + d - 1) 2^-53 S of the per-node walk (first
     order, in real and imaginary parts).  Returns (vals, error,
@@ -1101,7 +1113,7 @@ def _accumulate_tree(curve, tree, f, k, tol=1e-8, budget=30):
     sums = np.zeros((lam.size, k + 1), dtype=complex)
     sums[kids, :k] = hi_est
     sums[kids, k] = edge_err
-    sums = green._path_counts(tree.parent, tree.root, sums)
+    sums = _path_counts(tree.parent, tree.root, sums)
     return sums[:, :k], float(edge_err.sum()), sums[:, k].real
 
 
@@ -1256,6 +1268,29 @@ class TestSurfaceTree:
         _assert_reference_tree(CURVES[name], _surface_grid(name, grid,
                                                            stagger))
 
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(CURVES)),
+           grid=st.sampled_from([(3, 4), (6, 8), (12, 16), (24, 32)]),
+           stagger=st.floats(0.0, 1.0, exclude_max=True))
+    def test_edges_keep_clear(self, name, grid, stagger):
+        # every tree edge passes _blocked, and order lists every node
+        # after its parent.  At (1, 2) one edge is blocked: the search's
+        # nearest fallback, with none of a node's 16 candidates clear
+        curve = CURVES[name]
+        tree = green.build_surface_tree(curve,
+                                        _surface_grid(name, grid, stagger))
+        lam = tree.grid.nodes
+        gap = np.abs(lam[:, None] - curve.branch_points).min(axis=1)
+        kids = tree.order[1:]
+        up = tree.parent[kids]
+        assert not green._blocked(curve, lam[up], lam[kids], gap[up],
+                                  gap[kids])[0].any()
+        np.testing.assert_array_equal(np.sort(tree.order),
+                                      np.arange(lam.size))
+        assert tree.order[0] == tree.root
+        pos = np.argsort(tree.order)
+        assert (pos[up] < np.arange(1, lam.size)).all()
+
     @pytest.mark.parametrize("grid", [(1, 2), (3, 4), (6, 8), (12, 16),
                                       (24, 32)],
                              ids=lambda g: f"{g[0]}x{g[1]}")
@@ -1370,13 +1405,13 @@ class TestSurfaceTree:
                 if grid is None else green.build_surface_tree(
                     curve, _surface_grid(name, grid, stagger)))
         edges = []
-        path_sums = green._path_counts
+        path_sums = _path_counts
 
         def recorded(parent, root, counts):
             edges.append(counts.copy())
             return path_sums(parent, root, counts)
 
-        monkeypatch.setattr(green, "_path_counts", recorded)
+        monkeypatch.setitem(globals(), "_path_counts", recorded)
         vals, _, path_err = _accumulate_tree(
             curve, tree, green._moment_integrand, 5)
         # the sheet flips of _tree_y_plus, then the edge values
@@ -2138,13 +2173,13 @@ class TestSettle:
         sol = read_solvers[name, grid][0]
         tree = sol.p_tree
         edges = []
-        path_sums = green._path_counts
+        path_sums = _path_counts
 
         def recorded(parent, root, counts):
             edges.append(counts.copy())
             return path_sums(parent, root, counts)
 
-        monkeypatch.setattr(green, "_path_counts", recorded)
+        monkeypatch.setitem(globals(), "_path_counts", recorded)
         vals, _, path_err = _accumulate_tree(sol.ctx.curve, tree, sol._odd,
                                              1)
         monkeypatch.undo()
