@@ -18,6 +18,17 @@ Z5_CFG = {
 }
 
 
+def run_strict(cfg, out):
+    """The CLI on the config file cfg in a fresh process, RuntimeWarnings
+    raised as errors, its report to out."""
+    src = os.path.dirname(os.path.dirname(conespectra.__file__))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "conespectra.cli", "--config", cfg, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+
+
 # byte-exact reports of the benchmark's cli-batch configs, one per cone
 # lambdas list
 REFERENCE_DIR = (Path(__file__).resolve().parents[1] / "stagebench"
@@ -287,12 +298,7 @@ class TestExitCodes:
                        {"lam": [-0.7335368558799493, 0.4055600782480495],
                         "sheet": 1}]})
         out = tmp_path / "green.json"
-        src = os.path.dirname(os.path.dirname(conespectra.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m",
-             "conespectra.cli", "--config", cfg, "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=300)
+        proc = run_strict(cfg, out)
         assert proc.returncode == cli.EXIT_INTERNAL, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip().splitlines()[-1].startswith(
@@ -311,12 +317,7 @@ class TestExitCodes:
             "points": [{"lam": lam, "sheet": 1},
                        {"lam": [0.9, 1.3], "sheet": 1}]})
         out = tmp_path / "green.json"
-        src = os.path.dirname(os.path.dirname(conespectra.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m",
-             "conespectra.cli", "--config", cfg, "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=300)
+        proc = run_strict(cfg, out)
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "must lie within 1e+50 of the branch-point centre" \
@@ -349,12 +350,7 @@ class TestExitCodes:
             "points": [{"lam": [-0.7, 0.4], "sheet": 1},
                        {"lam": [0.9, 1.3], "sheet": 1}]})
         out = tmp_path / "green.json"
-        src = os.path.dirname(os.path.dirname(conespectra.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m",
-             "conespectra.cli", "--config", cfg, "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=300)
+        proc = run_strict(cfg, out)
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "over 1e+50 from the branch-point centre" \
